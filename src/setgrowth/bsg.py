@@ -26,7 +26,6 @@ from .setops import (
     MSet,
     convolution,
     energy,
-    inverse_set,
     product_set,
     translate_left,
     translate_right,
@@ -162,7 +161,10 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
                 d_ids.add(qt)
             else:
                 omega_count += 1
-    assert omega_count == omega_cols[best_j]
+    if omega_count != omega_cols[best_j]:
+        raise RuntimeError(
+            f"|Ω ∩ A'^2| recount gives {omega_count}, but the column tally "
+            f"for b* gives {omega_cols[best_j]}")
     ledger.compare("omega-small", omega_count, "<=", eps * a_prime.size**2,
                    formula="|Ω ∩ A'^2| <= ε|A'|^2")
     d = MSet.from_ids(g, _require_nonempty(d_ids, "D"))

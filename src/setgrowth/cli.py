@@ -19,7 +19,7 @@ from .entropy import QuaternionGroup, TorusGroup, WordMetricGroup, metric_profil
 from .exact import frac
 from .families import SetFamilySpec, generate_set, measured_tripling
 from .groups import construct_group, verify_group_axioms
-from .setops import MSet, energy
+from .setops import energy
 from .structure import LedgerError
 from .suites import (
     DEFAULT_SEED,
@@ -236,10 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsg_run.add_argument("--group", required=True)
     p_bsg_run.add_argument("--set", required=True, help="family text for A")
     p_bsg_run.add_argument("--set2", help="family text for B (default: A)")
-    p_bsg_run.add_argument("--k", help="constant K (rational); inferred "
-                                       "from the energy when omitted")
-    p_bsg_run.add_argument("--infer-k", action="store_true",
-                           help="infer K from E(A,B) (the default)")
+    bsg_k = p_bsg_run.add_mutually_exclusive_group()
+    bsg_k.add_argument("--k", help="constant K (rational); inferred "
+                                   "from the energy when omitted")
+    bsg_k.add_argument("--infer-k", action="store_true",
+                       help="infer K from E(A,B) (the default)")
     p_bsg_run.add_argument("--trace", action="store_true",
                            help="print per-stage pipeline rows")
     _add_out_flags(p_bsg_run)
@@ -251,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_heis_run.add_argument("--group", required=True,
                             help="heisenberg(...) spec")
     p_heis_run.add_argument("--set", required=True, help="family text for A")
-    p_heis_run.add_argument("--k", help="constant K (rational); inferred "
-                                        "from |A^3|/|A| when omitted")
-    p_heis_run.add_argument("--infer-k", action="store_true",
-                            help="infer K from the tripling ratio (default)")
+    heis_k = p_heis_run.add_mutually_exclusive_group()
+    heis_k.add_argument("--k", help="constant K (rational); inferred "
+                                    "from |A^3|/|A| when omitted")
+    heis_k.add_argument("--infer-k", action="store_true",
+                        help="infer K from the tripling ratio (default)")
     _add_out_flags(p_heis_run)
     p_heis_run.set_defaults(func=_cmd_heisen_run)
 

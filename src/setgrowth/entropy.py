@@ -487,15 +487,6 @@ class EntropyReport:
     rows: tuple
     ledger: ConstantLedger
 
-    def to_csv(self) -> str:
-        lines = ["eps,n_eps,separated,ratio"]
-        for row in self.rows:
-            lines.append(
-                "%r,%d,%d,%r"
-                % (float(row.eps), row.covering, row.separated, float(row.ratio))
-            )
-        return "\n".join(lines) + "\n"
-
 
 def build_entropy_report(cloud: MetricCloud, eps_grid) -> EntropyReport:
     """Compute net and separation counts over the grid, checking the

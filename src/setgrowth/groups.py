@@ -344,9 +344,6 @@ class NormalSubgroupView:
     pi: array           # parent id -> quotient id
     reps: list[int]     # quotient id -> smallest parent id in the coset
 
-    def member(self, x: int) -> bool:
-        return x in self.members
-
     @property
     def member_bits(self) -> int:
         bits = 0

@@ -41,6 +41,7 @@ from .groups import (
 )
 from .setops import (
     MSet,
+    ascending_powers,
     inverse_set,
     power_set,
     product_set,
@@ -434,43 +435,6 @@ class SplitWitness:
     b_witnesses: tuple[ApproxGroupWitness, ...]
     ledger: ConstantLedger
 
-    def phi_of(self, x: int) -> int:
-        return self.phi[x]
-
-    def serialize(self) -> dict:
-        parent = self.view.parent
-        out = {
-            "group": parent.name,
-            "c": list(self.c.ids()),
-            "b1": list(self.b1.ids()),
-            "b2": list(self.b2.ids()),
-            "b3": list(self.b3.ids()),
-            "phi": {str(x): v for x, v in sorted(self.phi.items())},
-            "exceptions": list(self.exceptions),
-        }
-        if isinstance(parent, HeisenbergGroup):
-            out["coordinates"] = {
-                str(i): [list(cs) for cs in parent.coords_of(i)]
-                for i in sorted(set(self.phi.values()))
-            }
-        return out
-
-
-def _ascending_powers(a: MSet, top: int) -> dict[int, MSet]:
-    """A^n for n = 1..top by repeated right products; once the chain
-    stabilizes every later power reuses the fixed set."""
-    pows = {1: a}
-    cur = a
-    for n in range(2, top + 1):
-        nxt = product_set(cur, a)
-        if nxt.bits == cur.bits:
-            for m in range(n, top + 1):
-                pows[m] = cur
-            return pows
-        pows[n] = nxt
-        cur = nxt
-    return pows
-
 
 def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     """Split a symmetric small-tripling set along the normal subgroup H.
@@ -495,7 +459,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
         raise ValueError(
             "splitting needs a symmetric set containing the identity; "
             "apply symmetrize() first")
-    pows = _ascending_powers(a, 6 * CORE_LEVELS[-1])
+    pows = dict(enumerate(ascending_powers(a, 6 * CORE_LEVELS[-1]), start=1))
     a3 = pows[3]
     if a3.size > k * a.size:
         raise ValueError(
@@ -676,22 +640,6 @@ class AbelianApproxWitness:
     split: SplitWitness
     ledger: ConstantLedger
 
-    def serialize(self) -> dict:
-        g = self.heisen
-        return {
-            "group": g.name,
-            "a_tilde": list(self.a_tilde.ids()),
-            "x_tilde": list(self.x_tilde.ids()),
-            "k_measured": self.k_measured,
-            "f": {str(z): w for z, w in sorted(self.f.items())},
-            "b_prime": list(self.b_prime.ids()),
-            "b_tilde": list(self.b_tilde.ids()),
-            "coordinates": {
-                str(i): [list(cs) for cs in g.coords_of(i)]
-                for i in self.a_tilde.ids()
-            },
-        }
-
 
 def hull_tripling_bound(k) -> Fraction:
     """Tripling parameter of A u {1} u A^-1 given |A^3| <= K|A|: one plus
@@ -702,18 +650,6 @@ def hull_tripling_bound(k) -> Fraction:
         for word in itertools.product((1, -1), repeat=length):
             total += k ** word_exponent(word)
     return total
-
-
-def _additive_power(a: MSet, n: int) -> MSet:
-    """n-fold sumset with the same stabilization shortcut as the splitting
-    chain (no 30-factor ceiling)."""
-    cur = a
-    for _ in range(n - 1):
-        nxt = product_set(cur, a)
-        if nxt.bits == cur.bits:
-            return cur
-        cur = nxt
-    return cur
 
 
 def _dilate(a: MSet) -> MSet:
@@ -789,7 +725,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     b_tilde = diff.intersect_bits(even_bits)
     ledger.info("size-b-tilde", b_tilde.size, note="|(B3 - B3) n 2W|")
 
-    three_bt = _additive_power(b_tilde, 3)
+    three_bt = power_set(b_tilde, 3)
     bp_bits = 0
     for b in range(g.w_order):
         if wg.mul(b, b) in three_bt:
@@ -817,7 +753,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
                    formula="|C^3| <= Ks^5|C|")
 
     # fiber thickening: A' = {(z, f(z) + 9B' + B1) : z in C}
-    shift = product_set(_additive_power(b_prime, 9), b1w)
+    shift = product_set(power_set(b_prime, 9), b1w)
     ag = g.additive_group()
     wo = g.w_order
     abits = 0
@@ -835,16 +771,16 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     ledger.merge(tled, "abelian.")
     a_tilde, x_tilde = tilde_wit.h, tilde_wit.x
     ledger.claim("candidate-formula",
-                 a_tilde == _additive_power(symmetrize(a_prime), 3),
+                 a_tilde == power_set(symmetrize(a_prime), 3),
                  formula="Atilde = 3(iota(A') u {0} u -iota(A'))")
     ledger.claim("candidate-verified", tilde_wit.verified)
 
     # size chain for the candidate (measured covering size of B3's witness)
-    combo = product_set(_additive_power(b_prime, 30), _additive_power(b3w, 4))
+    combo = product_set(power_set(b_prime, 30), power_set(b3w, 4))
     twice = _dilate(combo)
     ledger.compare("dilate-count-preserved", twice.size, "==", combo.size,
                    formula="doubling is injective without 2-torsion")
-    long_sum = _additive_power(b3w, 188)
+    long_sum = power_set(b3w, 188)
     ledger.claim("dilated-sum-absorbed", twice <= long_sum,
                  lhs=twice.size, rhs=long_sum.size,
                  formula="2(30B' + 4B3) inside 188B3")
@@ -902,7 +838,7 @@ def verify_inverse_converse(witness: AbelianApproxWitness, a: MSet) -> ConstantL
         raise ValueError("the set lives in a different group than the witness")
     ledger = ConstantLedger("inverse-converse")
     a3 = power_set(a, 3)
-    six_fold = _additive_power(witness.a_tilde, 6)
+    six_fold = power_set(witness.a_tilde, 6)
     ledger.claim("triple-product-absorbed", a3.bits & ~six_fold.bits == 0,
                  lhs=a3.size, rhs=six_fold.size,
                  formula="iota(A^3) inside the 6-fold sum of the candidate")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import log_of_frac
 from .groups import FiniteGroup
 
 MAX_ITERATED_SIGNS = 30
@@ -86,12 +85,6 @@ class MSet:
     def union(self, other: "MSet") -> "MSet":
         _require_same_group(self, other)
         return MSet(self.group, self.bits | other.bits)
-
-    def intersect(self, other: "MSet") -> "MSet | None":
-        """Intersection, or None when empty (MSets are always nonempty)."""
-        _require_same_group(self, other)
-        bits = self.bits & other.bits
-        return MSet(self.group, bits) if bits else None
 
     def intersect_bits(self, bits: int) -> "MSet | None":
         out = self.bits & bits
@@ -200,8 +193,29 @@ def iterated_product(a: MSet, signs) -> MSet:
     return out
 
 
+def ascending_powers(a: MSet, top: int):
+    """Yield A, A^2, ..., A^top by repeated right products.  Once
+    A^{n+1} = A^n the chain has stabilized, so every later power is that
+    same set and no further product is formed."""
+    cur = a
+    yield cur
+    for n in range(2, top + 1):
+        nxt = product_set(cur, a)
+        if nxt.bits == cur.bits:
+            for _ in range(n, top + 1):
+                yield cur
+            return
+        cur = nxt
+        yield cur
+
+
 def power_set(a: MSet, n: int) -> MSet:
-    return iterated_product(a, [1] * n)
+    """A^n for n >= 1, the last set of ascending_powers(a, n)."""
+    if n < 1:
+        raise ValueError("the exponent must be at least 1")
+    for cur in ascending_powers(a, n):
+        pass
+    return cur
 
 
 def partial_product(a: MSet, b: MSet, pairs) -> MSet:
@@ -231,15 +245,6 @@ class ConvolutionProfile:
     counts: dict[int, int]
     a_size: int
     b_size: int
-
-    def support(self) -> MSet:
-        return MSet.from_ids(self.group, self.counts.keys())
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def max_count(self) -> int:
-        return max(self.counts.values())
 
     def energy_value(self) -> int:
         return sum(c * c for c in self.counts.values())
@@ -331,10 +336,6 @@ class RuzsaDistanceValue:
     def ratio_sq(self) -> Fraction:
         """exp(2 d(A,B)) as an exact Fraction."""
         return Fraction(self.numerator**2, self.denominator_sq)
-
-    @property
-    def log_value(self) -> float:
-        return log_of_frac(self.ratio_sq) / 2.0
 
     def is_nonnegative(self) -> bool:
         # |A*B^-1| >= max(|A|,|B|) >= sqrt(|A||B|)

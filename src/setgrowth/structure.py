@@ -11,8 +11,6 @@ and info rows carry sizes and ratios for the report.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,28 +131,6 @@ class ConstantLedger:
     def lines(self) -> list[str]:
         return [f"# {self.title}"] + [row.line() for row in self.rows]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["inequality", "kind", "lhs", "rel", "rhs", "holds",
-                         "bound_formula", "measured_ratio"])
-        for row in self.rows:
-            ratio = ""
-            if (row.holds is not None and isinstance(row.lhs, (int, Fraction))
-                    and isinstance(row.rhs, (int, Fraction)) and row.rhs):
-                ratio = fmt_number(float(Fraction(row.lhs) / Fraction(row.rhs)))
-            writer.writerow([
-                row.name,
-                row.kind,
-                fmt_number(row.lhs) if row.lhs is not None else "",
-                row.rel,
-                fmt_number(row.rhs) if row.rhs is not None else "",
-                "" if row.holds is None else str(row.holds).lower(),
-                row.formula,
-                ratio,
-            ])
-        return buf.getvalue()
-
 
 def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
     """Greedy maximal family of disjoint translates of `a` rooted in `b`.
@@ -195,10 +171,6 @@ class ApproxGroupWitness:
     @property
     def verified(self) -> bool:
         return all(ok for _, ok in self.checks)
-
-    def serialize_ids(self) -> dict:
-        return {"h": list(self.h.ids()), "x": list(self.x.ids()),
-                "k": str(self.k), "verified": self.verified}
 
 
 def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -41,6 +43,7 @@ from .families import (
 from .groups import (
     FiniteGroup,
     NotNormalError,
+    _split_top_level,
     construct_group,
     quotient_map,
     subgroup_closure,
@@ -65,20 +68,6 @@ from .structure import (
     ruzsa_cover,
     symmetric_core,
     tripling_chain,
-)
-
-SUITE_NAMES = (
-    "ruzsa-axioms",
-    "tripling",
-    "covering",
-    "musprop",
-    "energy-identities",
-    "weak-bsg",
-    "bsg",
-    "energy-equivalence",
-    "entropy",
-    "heisenberg",
-    "splitting",
 )
 
 DEFAULT_SEED = 1729
@@ -244,7 +233,6 @@ class SuiteJob:
     name: str
     groups: tuple[str, ...] = ()
     families: tuple[str, ...] = ()
-    k: Fraction | None = None
     epsilon: Fraction | None = None
     n: int = 6
     seed: int = DEFAULT_SEED
@@ -257,27 +245,9 @@ class SuiteConfig:
     out: str | None = None
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
-
-
 def parse_suite_config(text: str) -> SuiteConfig:
     """Flat key-value grammar: optional top-level `out = dir`, then repeated
-    `[suite]` sections with name/groups/families/k/epsilon/n/seed/count."""
+    `[suite]` sections with name/groups/families/epsilon/n/seed/count."""
     out = None
     jobs: list[SuiteJob] = []
     current: dict | None = None
@@ -316,10 +286,10 @@ def parse_suite_config(text: str) -> SuiteConfig:
                     f"expected one of {SUITE_NAMES}")
             current["name"] = value
         elif key == "groups":
-            current["groups"] = tuple(_split_top(value, ","))
+            current["groups"] = tuple(_split_top_level(value, ","))
         elif key == "families":
-            current["families"] = tuple(_split_top(value, ";"))
-        elif key in ("k", "epsilon"):
+            current["families"] = tuple(_split_top_level(value, ";"))
+        elif key == "epsilon":
             current[key] = frac(value)
         elif key in ("n", "seed", "count"):
             current[key] = int(value)
@@ -342,8 +312,6 @@ def config_text(config: SuiteConfig) -> str:
             lines.append("groups = " + ", ".join(job.groups))
         if job.families:
             lines.append("families = " + "; ".join(job.families))
-        if job.k is not None:
-            lines.append(f"k = {job.k}")
         if job.epsilon is not None:
             lines.append(f"epsilon = {job.epsilon}")
         lines.append(f"n = {job.n}")
@@ -394,45 +362,16 @@ SMALL_FAMILIES = (
 )
 
 
-def default_job(name: str) -> SuiteJob:
-    if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    if name == "ruzsa-axioms":
-        return SuiteJob(name, CORE_GROUPS, CORE_FAMILIES, count=90)
-    if name == "energy-identities":
-        return SuiteJob(name, CORE_GROUPS, CORE_FAMILIES, count=90)
-    if name == "covering":
-        return SuiteJob(name, CORE_GROUPS, CORE_FAMILIES, count=36)
-    if name == "musprop":
-        return SuiteJob(name, CORE_GROUPS, CORE_FAMILIES, count=18)
-    if name == "weak-bsg":
-        return SuiteJob(name, CORE_GROUPS, CORE_FAMILIES, count=18)
-    if name == "bsg":
-        return SuiteJob(name, SMALL_GROUPS, SMALL_FAMILIES, count=7)
-    if name == "energy-equivalence":
-        return SuiteJob(name, SMALL_GROUPS, SMALL_FAMILIES, count=5)
-    if name == "tripling":
-        return SuiteJob(name, SMALL_GROUPS, SMALL_FAMILIES, count=18)
-    if name == "entropy":
-        return SuiteJob(name)
-    if name == "heisenberg":
-        return SuiteJob(name)
-    return SuiteJob(name)  # splitting
-
-
-def default_config(names=SUITE_NAMES, out: str | None = None) -> SuiteConfig:
-    return SuiteConfig(tuple(default_job(n) for n in names), out=out)
-
-
 def _rng(job: SuiteJob, *tags) -> random.Random:
     return random.Random(":".join([str(job.seed), job.name, *map(str, tags)]))
 
 
 def _pool(job: SuiteJob, report: Report, module: str,
           group_spec: str, g: FiniteGroup, *, max_size: int | None = None,
-          extra_random: int = 0) -> list[tuple[str, MSet]]:
+          extra_random: int) -> list[tuple[str, MSet]]:
     """Realize the job's families in one group, skipping impossible ones
-    with an info row; optionally extend with seeded random sets."""
+    with an info row, then append `extra_random` seeded random sets (so
+    the pool is never empty)."""
     pool: list[tuple[str, MSet]] = []
     for ftext in job.families:
         spec = SetFamilySpec.parse(group_spec, ftext)
@@ -461,24 +400,56 @@ def _pool(job: SuiteJob, report: Report, module: str,
     return pool
 
 
+def _group_pools(job: SuiteJob, report: Report, module: str, tag: str, *,
+                 max_size: int | None = None, extra_random: int):
+    """(gspec, g, pool, rng) for each group of the job; rng is seeded by
+    (job seed, suite, group, tag)."""
+    for gspec in job.groups:
+        g = construct_group(gspec)
+        pool = _pool(job, report, module, gspec, g, max_size=max_size,
+                     extra_random=extra_random)
+        yield gspec, g, pool, _rng(job, gspec, tag)
+
+
+def _iterations(job: SuiteJob) -> int:
+    return max(job.count, 1)
+
+
+def _draws(job: SuiteJob, pool, rng: random.Random, arity: int = 2):
+    """Per iteration, `arity` seeded picks from the pool.  Drawn lazily, so
+    a loop body may take further draws from rng between iterations."""
+    for _ in range(_iterations(job)):
+        yield [rng.choice(pool) for _ in range(arity)]
+
+
+def _small_random_sets(g: FiniteGroup, rng: random.Random, count: int,
+                       lo: int = 3, hi: int = 9) -> list[tuple[str, MSet]]:
+    out = []
+    for i in range(count):
+        size = rng.randrange(lo, hi)
+        ids = rng.sample(range(g.order), min(size, g.order))
+        out.append((f"sample#{i}", MSet.from_ids(g, ids)))
+    return out
+
+
+def _topped_up(job: SuiteJob, g: FiniteGroup, pool, rng: random.Random,
+               lo: int) -> list[tuple[str, MSet]]:
+    """The pool followed by small seeded samples up to the job's count."""
+    return pool + _small_random_sets(g, rng, max(job.count - len(pool), 0),
+                                     lo=lo, hi=12)
+
+
 # ---------------------------------------------------------------------------
 # Suites
 
 def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
     module = "setcalc"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=24,
-                     extra_random=3)
-        if len(pool) < 2:
-            continue
-        rng = _rng(job, gspec, "triples")
+    for gspec, g, pool, rng in _group_pools(job, report, module, "triples",
+                                            max_size=24, extra_random=3):
         op = f"ruzsa_distance[{gspec}]"
         triangle = symmetry = nonneg = invariance = True
         witness = ""
-        count = max(job.count, 1)
-        for _ in range(count):
-            (la, a), (lb, b), (lc, c) = (rng.choice(pool) for _ in range(3))
+        for (la, a), (lb, b), (lc, c) in _draws(job, pool, rng, arity=3):
             if not ruzsa_triangle_holds(a, b, c):
                 triangle = False
                 witness = witness or f"triangle fails at ({la},{lb},{lc})"
@@ -505,7 +476,7 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
                    note="|A B^-1|^2 >= |A||B|")
         report.add(module, op, "left-invariance", "hard", passed=invariance,
                    note="|xA (yB)^-1| = |A B^-1|")
-        report.add(module, op, "triple-count", "info", lhs=count,
+        report.add(module, op, "triple-count", "info", lhs=_iterations(job),
                    note=witness or f"pool of {len(pool)} sets")
 
 
@@ -532,21 +503,13 @@ def _asymmetric_coset_union(g: FiniteGroup) -> MSet | None:
 
 def _run_energy_identities(job: SuiteJob, report: Report) -> None:
     module = "setcalc"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=32,
-                     extra_random=3)
-        if not pool:
-            continue
-        rng = _rng(job, gspec, "energy")
+    for gspec, g, pool, rng in _group_pools(job, report, module, "energy",
+                                            max_size=32, extra_random=3):
         op = f"energy[{gspec}]"
         flip_equal = upper = lower = brute = True
         witness = ""
-        count = max(job.count, 1)
         brute_runs = 0
-        for i in range(count):
-            la, a = rng.choice(pool)
-            lb, b = rng.choice(pool)
+        for (la, a), (lb, b) in _draws(job, pool, rng):
             e_ab = energy(a, b)
             if not e_ab.upper_bound_holds():
                 upper = False
@@ -581,26 +544,19 @@ def _run_energy_identities(job: SuiteJob, report: Report) -> None:
                    note="E(A,B)|A B| >= (|A||B|)^2, cleared")
         report.add(module, op, "quadruple-brute-agreement", "hard", passed=brute,
                    note=f"{brute_runs} brute-force comparisons")
-        report.add(module, op, "pair-count", "info", lhs=count, note=witness)
+        report.add(module, op, "pair-count", "info", lhs=_iterations(job),
+                   note=witness)
 
 
 def _run_covering(job: SuiteJob, report: Report) -> None:
     module = "structure"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=30,
-                     extra_random=2)
-        if not pool:
-            continue
-        rng = _rng(job, gspec, "cover")
+    for gspec, g, pool, rng in _group_pools(job, report, module, "cover",
+                                            max_size=30, extra_random=2):
         op = f"ruzsa_cover[{gspec}]"
         ok_count = True
         ok_contain = True
         witness = ""
-        count = max(job.count, 1)
-        for _ in range(count):
-            la, a = rng.choice(pool)
-            lb, b = rng.choice(pool)
+        for (la, a), (lb, b) in _draws(job, pool, rng):
             for side in ("left", "right"):
                 x = ruzsa_cover(a, b, side=side)
                 if side == "left":
@@ -619,31 +575,15 @@ def _run_covering(job: SuiteJob, report: Report) -> None:
                    note="|X||A| <= |A B| (resp. |B A|)")
         report.add(module, op, "cover-containment", "hard", passed=ok_contain,
                    note="B inside A^-1 A X (resp. X A A^-1)")
-        report.add(module, op, "instance-count", "info", lhs=2 * count,
+        report.add(module, op, "instance-count", "info", lhs=2 * _iterations(job),
                    note=witness)
-
-
-def _small_random_sets(g: FiniteGroup, rng: random.Random, count: int,
-                       lo: int = 3, hi: int = 9) -> list[tuple[str, MSet]]:
-    out = []
-    for i in range(count):
-        size = rng.randrange(lo, hi)
-        ids = rng.sample(range(g.order), min(size, g.order))
-        out.append((f"sample#{i}", MSet.from_ids(g, ids)))
-    return out
 
 
 def _run_musprop(job: SuiteJob, report: Report) -> None:
     module = "structure"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=30,
-                     extra_random=2)
-        rng = _rng(job, gspec, "musprop")
-        chosen = list(pool)
-        chosen.extend(_small_random_sets(g, rng, max(job.count - len(pool), 0),
-                                         lo=4, hi=12))
-        for i, (label, a) in enumerate(chosen):
+    for gspec, g, pool, rng in _group_pools(job, report, module, "musprop",
+                                            max_size=30, extra_random=2):
+        for i, (label, a) in enumerate(_topped_up(job, g, pool, rng, lo=4)):
             k = measured_difference_ratio(a)
             _, ledger = symmetric_core(a, k)
             report.merge_ledger(module, f"symmetric_core[{gspec}|{label}#{i}]",
@@ -652,19 +592,12 @@ def _run_musprop(job: SuiteJob, report: Report) -> None:
 
 def _run_weak_bsg(job: SuiteJob, report: Report) -> None:
     module = "bsg"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, extra_random=2)
-        if not pool:
-            continue
-        rng = _rng(job, gspec, "weak")
-        count = max(job.count, 1)
-        for i in range(count):
-            la, a = rng.choice(pool)
-            lb, b = rng.choice(pool)
+    eps = job.epsilon if job.epsilon is not None else Fraction(1, 2)
+    for gspec, g, pool, rng in _group_pools(job, report, module, "weak",
+                                            extra_random=2):
+        for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
             c = product_set(a, b)
             kp_sq = Fraction(c.size ** 2, a.size * b.size)
-            eps = job.epsilon if job.epsilon is not None else Fraction(1, 2)
             result = weak_bsg(a, b, c, Fraction(1), eps=eps, kprime_sq=kp_sq)
             report.merge_ledger(
                 module, f"weak_bsg[{gspec}|{la}*{lb}#{i}]", result.ledger)
@@ -688,36 +621,20 @@ def _run_bsg(job: SuiteJob, report: Report) -> None:
                lhs=energy(a16, a16).value, note="E(A,A) for A = {0,1,2,3}")
     extract = bsg_extract(a16, a16, _energy_k(a16, a16))
     report.merge_ledger(module, op16, extract.ledger)
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=40, extra_random=1)
-        if not pool:
-            continue
-        rng = _rng(job, gspec, "bsg")
-        count = max(job.count, 1)
-        for i in range(count):
-            la, a = rng.choice(pool)
-            lb, b = rng.choice(pool)
-            k = _energy_k(a, b)
-            extract = bsg_extract(a, b, k)
+    for gspec, g, pool, rng in _group_pools(job, report, module, "bsg",
+                                            max_size=40, extra_random=1):
+        for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
+            extract = bsg_extract(a, b, _energy_k(a, b))
             report.merge_ledger(
                 module, f"bsg_extract[{gspec}|{la}*{lb}#{i}]", extract.ledger)
 
 
 def _run_energy_equivalence(job: SuiteJob, report: Report) -> None:
     module = "bsg"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=32, extra_random=1)
-        if not pool:
-            continue
-        rng = _rng(job, gspec, "equiv")
-        count = max(job.count, 1)
-        for i in range(count):
-            la, a = rng.choice(pool)
-            lb, b = rng.choice(pool)
-            k = _energy_k(a, b)
-            wit = energy_equivalences("i", a, b, k)
+    for gspec, g, pool, rng in _group_pools(job, report, module, "equiv",
+                                            max_size=32, extra_random=1):
+        for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
+            wit = energy_equivalences("i", a, b, _energy_k(a, b))
             report.merge_ledger(
                 module, f"energy_equivalences[{gspec}|{la}*{lb}#{i}]",
                 wit.ledger)
@@ -732,14 +649,9 @@ def _local_product_sup(a: MSet) -> int:
 
 def _run_tripling(job: SuiteJob, report: Report) -> None:
     module = "structure"
-    for gspec in job.groups:
-        g = construct_group(gspec)
-        pool = _pool(job, report, module, gspec, g, max_size=16, extra_random=2)
-        rng = _rng(job, gspec, "tripling")
-        chosen = list(pool)
-        chosen.extend(_small_random_sets(g, rng, max(job.count - len(pool), 0),
-                                         lo=3, hi=12))
-        for i, (label, a) in enumerate(chosen):
+    for gspec, g, pool, rng in _group_pools(job, report, module, "tripling",
+                                            max_size=16, extra_random=2):
+        for i, (label, a) in enumerate(_topped_up(job, g, pool, rng, lo=3)):
             k = measured_tripling(a)
             op = f"tripling[{gspec}|{label}#{i}]"
             wit, wled = approx_group_from_tripling(a, k)
@@ -801,39 +713,34 @@ def _plus_point_demo(report: Report, module: str, gspec: str,
                note=first_err or "no gap instance among scanned generators")
 
 
+def _subgroups_of_order(g: FiniteGroup, order: int):
+    """(generators, members) of each subgroup with the given order, met by
+    scanning single generators and then generator pairs in ascending id
+    order."""
+    scan = itertools.chain(([h] for h in range(1, g.order)),
+                           map(list, itertools.combinations(range(1, g.order), 2)))
+    for gens in scan:
+        members = subgroup_closure(g, gens)
+        if len(members) == order:
+            yield gens, members
+
+
 def _subgroup_by_order(g: FiniteGroup, order: int) -> list[int]:
-    """Members of the first subgroup with the given order, scanning
-    single generators and then generator pairs in ascending id order."""
+    """Members of the first subgroup with the given order."""
     if order == g.order:
         return list(range(g.order))
-    for h in range(1, g.order):
-        mem = subgroup_closure(g, [h])
-        if len(mem) == order:
-            return sorted(mem)
-    for h1 in range(1, g.order):
-        for h2 in range(h1 + 1, g.order):
-            mem = subgroup_closure(g, [h1, h2])
-            if len(mem) == order:
-                return sorted(mem)
+    for _, members in _subgroups_of_order(g, order):
+        return sorted(members)
     raise ValueError(f"no subgroup of order {order} in {g.name}")
 
 
 def _normal_view(g: FiniteGroup, order: int):
-    """Quotient view of the first normal subgroup with the given order,
-    found by the same ascending generator scan."""
-    for h in range(1, g.order):
-        if len(subgroup_closure(g, [h])) == order:
-            try:
-                return quotient_map(g, [h])
-            except NotNormalError:
-                continue
-    for h1 in range(1, g.order):
-        for h2 in range(h1 + 1, g.order):
-            if len(subgroup_closure(g, [h1, h2])) == order:
-                try:
-                    return quotient_map(g, [h1, h2])
-                except NotNormalError:
-                    continue
+    """Quotient view of the first normal subgroup with the given order."""
+    for gens, _ in _subgroups_of_order(g, order):
+        try:
+            return quotient_map(g, gens)
+        except NotNormalError:
+            continue
     raise ValueError(f"no normal subgroup of order {order} in {g.name}")
 
 
@@ -884,6 +791,16 @@ def _is_subgroup(a: MSet) -> bool:
             and product_set(a, a) == a)
 
 
+def _add_agreement(report: Report, module: str, op: str, a: MSet, view,
+                   split, exact, note: str) -> None:
+    """Hard row: on a subgroup A both splitting routes give A n H."""
+    b_cap = a.intersect_bits(view.member_bits)
+    agree = exact.passed and all(
+        b == b_cap for b in (split.b1, split.b2, split.b3, exact.b))
+    report.add(module, op, "exact-approx-agreement", "hard",
+               passed=agree, lhs=b_cap.size, note=note)
+
+
 def _run_splitting(job: SuiteJob, report: Report) -> None:
     module = "heisenberg"
     for gspec, view_order, builders in _split_instances():
@@ -907,21 +824,8 @@ def _run_splitting(job: SuiteJob, report: Report) -> None:
                 exact = hb.exact_split_oracle(a, view)
                 report.merge_ledger(module, f"exact_split[{gspec}|{label}]",
                                     exact.ledger)
-                b_cap = a.intersect_bits(view.member_bits)
-                agree = (witness.b1 == b_cap and witness.b2 == b_cap
-                         and witness.b3 == b_cap and exact.b == b_cap
-                         and exact.passed)
-                report.add(module, op, "exact-approx-agreement", "hard",
-                           passed=agree, lhs=b_cap.size,
-                           note="B1 = B2 = B3 = A n H = exact B on subgroups")
-
-
-def _heisenberg_group_specs():
-    return {
-        3: "heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)",
-        5: "heisenberg(z=Zp^2,p=5;w=Zp^1,p=5;pairing=symplectic)",
-        7: "heisenberg(z=Zp^2,p=7;w=Zp^1,p=7;pairing=symplectic)",
-    }
+                _add_agreement(report, module, op, a, view, witness, exact,
+                               "B1 = B2 = B3 = A n H = exact B on subgroups")
 
 
 def _heisenberg_families(g: hb.HeisenbergGroup, seed: int):
@@ -972,8 +876,9 @@ def _heisenberg_families(g: hb.HeisenbergGroup, seed: int):
 
 def _run_heisenberg(job: SuiteJob, report: Report) -> None:
     module = "heisenberg"
-    for p, gspec in sorted(_heisenberg_group_specs().items()):
-        g = construct_group(gspec)
+    for p in (3, 5, 7):
+        g = construct_group(
+            f"heisenberg(z=Zp^2,p={p};w=Zp^1,p={p};pairing=symplectic)")
         assert isinstance(g, hb.HeisenbergGroup)
         report.merge_ledger(module, f"build[p={p}]", g.construction_ledger)
         for label, a in _heisenberg_families(g, job.seed):
@@ -990,23 +895,16 @@ def _run_heisenberg(job: SuiteJob, report: Report) -> None:
             if _is_subgroup(a):
                 exact = hb.exact_split_oracle(a, g.vertical)
                 split = hb.split_approximate(a, g.vertical, Fraction(1))
-                b_cap = a.intersect_bits(g.vertical.member_bits)
-                agree = (split.b1 == b_cap and split.b2 == b_cap
-                         and split.b3 == b_cap and exact.b == b_cap
-                         and exact.passed)
-                report.add(module, op, "exact-approx-agreement", "hard",
-                           passed=agree, lhs=b_cap.size,
-                           note="genuine subgroup: B_i = A n H both routes")
+                _add_agreement(report, module, op, a, g.vertical, split, exact,
+                               "genuine subgroup: B_i = A n H both routes")
 
 
 def _run_entropy(job: SuiteJob, report: Report) -> None:
     module = "entropy"
-    for group in (TorusGroup(1), TorusGroup(2), QuaternionGroup()):
+    word = WordMetricGroup(construct_group("cyclic(60)"), [1, 7])
+    for group in (TorusGroup(1), TorusGroup(2), QuaternionGroup(), word):
         profile = metric_profile_check(group, seed=job.seed)
         report.merge_ledger(module, f"profile[{group.name}]", profile.ledger)
-    word = WordMetricGroup(construct_group("cyclic(60)"), [1, 7])
-    profile = metric_profile_check(word, seed=job.seed)
-    report.merge_ledger(module, f"profile[{word.name}]", profile.ledger)
 
     # tripling growth on a short torus arc
     t1 = TorusGroup(1)
@@ -1033,23 +931,50 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
                note="no two points merge at this scale")
 
 
-_SUITES = {
-    "ruzsa-axioms": _run_ruzsa_axioms,
-    "energy-identities": _run_energy_identities,
-    "covering": _run_covering,
-    "musprop": _run_musprop,
-    "weak-bsg": _run_weak_bsg,
-    "bsg": _run_bsg,
-    "energy-equivalence": _run_energy_equivalence,
-    "tripling": _run_tripling,
-    "entropy": _run_entropy,
-    "heisenberg": _run_heisenberg,
-    "splitting": _run_splitting,
+# ---------------------------------------------------------------------------
+# The suite table: runner and default groups, families and count per name
+
+@dataclass(frozen=True)
+class _Suite:
+    runner: Callable[[SuiteJob, Report], None]
+    groups: tuple[str, ...] = ()
+    families: tuple[str, ...] = ()
+    count: int = 0
+
+
+SUITES = {
+    "ruzsa-axioms": _Suite(_run_ruzsa_axioms, CORE_GROUPS, CORE_FAMILIES, 90),
+    "tripling": _Suite(_run_tripling, SMALL_GROUPS, SMALL_FAMILIES, 18),
+    "covering": _Suite(_run_covering, CORE_GROUPS, CORE_FAMILIES, 36),
+    "musprop": _Suite(_run_musprop, CORE_GROUPS, CORE_FAMILIES, 18),
+    "energy-identities": _Suite(_run_energy_identities, CORE_GROUPS,
+                                CORE_FAMILIES, 90),
+    "weak-bsg": _Suite(_run_weak_bsg, CORE_GROUPS, CORE_FAMILIES, 18),
+    "bsg": _Suite(_run_bsg, SMALL_GROUPS, SMALL_FAMILIES, 7),
+    "energy-equivalence": _Suite(_run_energy_equivalence, SMALL_GROUPS,
+                                 SMALL_FAMILIES, 5),
+    "entropy": _Suite(_run_entropy),
+    "heisenberg": _Suite(_run_heisenberg),
+    "splitting": _Suite(_run_splitting),
 }
+
+SUITE_NAMES = tuple(SUITES)
+
+
+def default_job(name: str) -> SuiteJob:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    suite = SUITES[name]
+    return SuiteJob(name, suite.groups, suite.families, count=suite.count)
+
+
+def default_config(names=SUITE_NAMES, out: str | None = None) -> SuiteConfig:
+    return SuiteConfig(tuple(default_job(n) for n in names), out=out)
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Execute every job in the config and merge the rows."""
+    """Execute every job in the config and merge the rows.  A job with no
+    groups runs on its suite's default groups, families and count."""
     names = [job.name for job in config.jobs]
     if not names:
         title = "suite-empty"
@@ -1061,23 +986,14 @@ def run_suite(config: SuiteConfig) -> Report:
         title = f"suite-{names[0]}-plus-{len(names) - 1}"
     report = Report(title=title)
     for job in config.jobs:
-        runner = _SUITES.get(job.name)
-        if runner is None:
-            raise ValueError(
-                f"unknown suite {job.name!r}; expected one of {SUITE_NAMES}")
-        job_eff = job
-        if not job.groups and job.name not in ("entropy", "heisenberg",
-                                               "splitting"):
-            job_eff = replace(job, groups=default_job(job.name).groups,
-                              families=default_job(job.name).families,
-                              count=job.count or default_job(job.name).count)
-        runner(job_eff, report)
+        default = default_job(job.name)
+        if not job.groups:
+            job = replace(job, groups=default.groups, families=default.families,
+                          count=job.count or default.count)
+        SUITES[job.name].runner(job, report)
     return report
 
 
 def run_named_suite(name: str, seed: int = DEFAULT_SEED) -> Report:
     """Run one suite with its default job (the `verify <name>` entry)."""
-    job = replace(default_job(name), seed=seed)
-    report = Report(title=f"suite-{name}")
-    _SUITES[name](job, report)
-    return report
+    return run_suite(SuiteConfig((replace(default_job(name), seed=seed),)))

@@ -92,6 +92,13 @@ def test_iterated_product_with_inverse_signs():
 def test_power_set_matches_repeated_product():
     a = MSet.from_ids(D6, [0, 1, 5])
     assert power_set(a, 3) == product_set(product_set(a, a), a)
+    # A^3 is already the rotation subgroup, so n = 7 is past stabilization;
+    # n = 40 is beyond the factor cap of iterated_product.
+    for n in (7, 40):
+        expected = a
+        for _ in range(n - 1):
+            expected = product_set(expected, a)
+        assert power_set(a, n) == expected
 
 
 def test_convolution_profile():
