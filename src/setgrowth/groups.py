@@ -1,9 +1,21 @@
 """Finite group families addressed by dense element ids.
 
-Every group exposes ids 0..order-1 with id 0 the identity, a multiplication
-oracle and an inversion oracle.  Multiplication rows are cached per left
-factor for orders up to ROW_CACHE_CAP, which amounts to a lazily built dense
-table; larger groups fall back to coordinate arithmetic per call.
+Every group exposes ids 0..order-1 with id 0 the identity.  Each family
+defines its law once, vectorized: ``_mul_law(x, y)`` multiplies two
+broadcastable numpy id arrays elementwise and ``_inv_law(x)`` inverts one,
+both by the family's coordinate arithmetic.  Everything else reads that law:
+
+  * at or below TABLE_CAP the group builds one dense uint16 multiplication
+    table from the law on first use, in row blocks of at most BLOCK_PAIRS
+    products; ``mul_outer``, ``mul_pairs`` and the scalar ``mul`` read it;
+  * above TABLE_CAP no table exists and the vectorized calls run the law
+    on coordinates, while the scalar ``mul`` calls ``_mul_raw``;
+  * inverses of every id sit in one array built from ``_inv_law``.
+
+``_mul_raw``/``_inv_raw`` are the per-element coordinate formulas: the
+brute-force oracle the vectorized law is tested against, and the scalar
+multiplication above the cap.  The scalar ``mul``, ``inv`` and ``row(a)[b]``
+return Python ints.
 
 Canonical numberings (reproducible bit for bit):
   cyclic(n)          id = residue, addition mod n
@@ -22,14 +34,18 @@ import random
 from array import array
 from dataclasses import dataclass
 
-ORDER_CAP = 50_000
-ROW_CACHE_CAP = 4096
+import numpy as np
+
+ORDER_CAP = 50_000      # every id fits a uint16
+TABLE_CAP = 4096        # dense multiplication table at or below this order
+BLOCK_PAIRS = 1 << 14   # products per vectorized call in table builds and sweeps
 EXHAUSTIVE_ASSOC_CAP = 512
 ASSOC_SAMPLES = 100_000
 
 
 class FiniteGroup:
-    """Base class; subclasses implement _mul_raw and _inv_raw on ids."""
+    """Base class; subclasses implement the vectorized law (_mul_law,
+    _inv_law) and the scalar oracles (_mul_raw, _inv_raw)."""
 
     def __init__(self, order: int, name: str):
         if order < 1:
@@ -38,52 +54,92 @@ class FiniteGroup:
             raise ValueError(f"group order {order} exceeds cap {ORDER_CAP}")
         self.order = order
         self.name = name
-        self._rows: dict[int, array] = {}
-        self._inv: array | None = None
+        self._table: np.ndarray | None = None
+        self._cells: memoryview | None = None     # 2-D view of _table
+        self._inverse: np.ndarray | None = None
+        self._inv_cells: memoryview | None = None
 
     # -- subclass surface ---------------------------------------------------
+    def _mul_law(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x*y elementwise over broadcastable intp id arrays."""
+        raise NotImplementedError
+
+    def _inv_law(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def _mul_raw(self, a: int, b: int) -> int:
         raise NotImplementedError
 
     def _inv_raw(self, a: int) -> int:
         raise NotImplementedError
 
-    # -- public oracles -----------------------------------------------------
+    # -- table and inverses -------------------------------------------------
+    def table(self) -> np.ndarray | None:
+        """The dense uint16 table [a, b] -> a*b, built from the law on first
+        use in row blocks of at most BLOCK_PAIRS products; None above
+        TABLE_CAP."""
+        if self._table is None and self.order <= TABLE_CAP:
+            n = self.order
+            table = np.empty((n, n), dtype=np.uint16)
+            ys = np.arange(n)
+            step = max(1, BLOCK_PAIRS // n)
+            for r in range(0, n, step):
+                xs = np.arange(r, min(r + step, n))
+                table[r:r + step] = self._mul_law(xs[:, None], ys)
+            self._table = table
+            self._cells = memoryview(table)
+        return self._table
+
+    def _inverses(self) -> np.ndarray:
+        """The uint16 array x -> x^-1 over all ids, from the law."""
+        if self._inverse is None:
+            inverse = self._inv_law(np.arange(self.order)).astype(np.uint16)
+            self._inverse = inverse
+            self._inv_cells = memoryview(inverse)
+        return self._inverse
+
+    # -- vectorized products ------------------------------------------------
+    def mul_pairs(self, x, y) -> np.ndarray:
+        """x*y elementwise over broadcastable id arrays: a table gather at
+        or below TABLE_CAP, the coordinate law above it."""
+        table = self.table()
+        if table is not None:
+            # a flat take is faster than the 2-D fancy index table[x, y]
+            flat = np.multiply(x, self.order, dtype=np.intp) + y
+            return table.ravel().take(flat)
+        return self._mul_law(np.asarray(x, dtype=np.intp),
+                             np.asarray(y, dtype=np.intp))
+
+    def mul_outer(self, xs, ys) -> np.ndarray:
+        """The len(xs) x len(ys) id array [i, j] -> xs[i]*ys[j]."""
+        return self.mul_pairs(np.asarray(xs)[:, None], ys)
+
+    def inv_array(self, x) -> np.ndarray:
+        """x^-1 elementwise over an id array."""
+        return self._inverses()[x]
+
+    # -- scalar products (Python ints) --------------------------------------
     def mul(self, a: int, b: int) -> int:
-        row = self._rows.get(a)
-        if row is not None:
-            return row[b]
-        if self.order <= ROW_CACHE_CAP:
-            return self.row(a)[b]
-        return self._mul_raw(a, b)
+        cells = self._cells
+        if cells is not None:
+            return cells[a, b]
+        if self.order > TABLE_CAP:
+            return self._mul_raw(a, b)
+        self.table()
+        return self._cells[a, b]
 
     def inv(self, a: int) -> int:
-        tab = self.inv_table()
-        if tab is not None:
-            return tab[a]
-        return self._inv_raw(a)
+        cells = self._inv_cells
+        if cells is None:
+            self._inverses()
+            cells = self._inv_cells
+        return cells[a]
 
-    def row(self, a: int) -> array | None:
-        """Cached multiplication row {b -> a*b}; None above the cache cap."""
-        if self.order > ROW_CACHE_CAP:
-            return None
-        row = self._rows.get(a)
-        if row is None:
-            mul = self._mul_raw
-            typecode = "H" if self.order <= 65535 else "I"
-            row = array(typecode, (mul(a, b) for b in range(self.order)))
-            self._rows[a] = row
-        return row
-
-    def inv_table(self) -> array | None:
-        if self.order > ROW_CACHE_CAP:
-            return None
-        if self._inv is None:
-            typecode = "H" if self.order <= 65535 else "I"
-            self._inv = array(
-                typecode, (self._inv_raw(a) for a in range(self.order))
-            )
-        return self._inv
+    def row(self, a: int) -> memoryview | None:
+        """Table row {b -> a*b} as a memoryview of Python ints; None above
+        TABLE_CAP."""
+        table = self.table()
+        return None if table is None else memoryview(table[a])
 
     def elements(self) -> range:
         return range(self.order)
@@ -100,6 +156,12 @@ class CyclicGroup(FiniteGroup):
         super().__init__(n, f"cyclic({n})")
         self.n = n
 
+    def _mul_law(self, x, y):
+        return (x + y) % self.n
+
+    def _inv_law(self, x):
+        return (-x) % self.n
+
     def _mul_raw(self, a, b):
         return (a + b) % self.n
 
@@ -113,6 +175,16 @@ class DihedralGroup(FiniteGroup):
     def __init__(self, n: int):
         super().__init__(2 * n, f"dihedral({n})")
         self.n = n
+
+    def _mul_law(self, x, y):
+        n = self.n
+        r1, s1 = x % n, x // n
+        r2, s2 = y % n, y // n
+        r = np.where(s1 == 1, r1 - r2, r1 + r2) % n
+        return r + n * ((s1 + s2) % 2)
+
+    def _inv_law(self, x):
+        return np.where(x >= self.n, x, (-x) % self.n)
 
     def _mul_raw(self, a, b):
         n = self.n
@@ -136,6 +208,25 @@ class SymmetricGroup(FiniteGroup):
         self.n = n
         self.perms = perms
         self.index = {p: i for i, p in enumerate(perms)}
+        self._images = np.array(perms, dtype=np.intp).reshape(len(perms), n)
+        # A permutation is fixed by its first n-1 images; their base-n value
+        # indexes the lookup array that ranks it.
+        self._digits = max(n - 1, 0)
+        self._radix = n ** np.arange(self._digits - 1, -1, -1)
+        self._rank = np.zeros(n ** self._digits, dtype=np.uint16)
+        self._rank[self._images[:, :self._digits] @ self._radix] = np.arange(
+            len(perms))
+
+    def _mul_law(self, x, y):
+        n, digits = self.n, self._digits
+        # image i of p*q is p[q[i]], read from the flattened image array
+        composed = self._images.ravel()[
+            x[..., None] * n + self._images[y][..., :digits]]
+        return self._rank[composed @ self._radix]
+
+    def _inv_law(self, x):
+        inverse = np.argsort(self._images[x], axis=-1)[..., :self._digits]
+        return self._rank[inverse @ self._radix]
 
     def _mul_raw(self, a, b):
         p, q = self.perms[a], self.perms[b]
@@ -166,6 +257,27 @@ class SL2Group(FiniteGroup):
         self.p = p
         self.mats = mats
         self.index = {m: i for i, m in enumerate(mats)}
+        # entry columns a, b, c, d, and the id of each base-p code of a matrix
+        self._entries = tuple(np.array(mats, dtype=np.intp).T)
+        self._ids = np.zeros(p**4, dtype=np.uint16)
+        self._ids[self._code(*self._entries)] = np.arange(len(mats))
+
+    def _code(self, a, b, c, d):
+        p = self.p
+        return ((a * p + b) * p + c) * p + d
+
+    def _mul_law(self, x, y):
+        p = self.p
+        a, b, c, d = (col[x] for col in self._entries)
+        e, f, g, h = (col[y] for col in self._entries)
+        return self._ids[self._code(
+            (a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)]
+
+    def _inv_law(self, x):
+        p = self.p
+        a, b, c, d = (col[x] for col in self._entries)
+        return self._ids[self._code(d, (-b) % p, (-c) % p, a)]
 
     def _mul_raw(self, x, y):
         p = self.p
@@ -193,18 +305,29 @@ class DirectProductGroup(FiniteGroup):
         super().__init__(order, name)
         self.factors = factors
 
-    def decode(self, a: int) -> tuple:
+    def decode(self, a):
+        """Factor coordinates of an id, or of each id of an array."""
         coords = []
         for f in reversed(self.factors):
             a, c = divmod(a, f.order)
             coords.append(c)
         return tuple(reversed(coords))
 
-    def encode(self, coords) -> int:
+    def encode(self, coords):
         a = 0
         for f, c in zip(self.factors, coords):
             a = a * f.order + c
         return a
+
+    def _mul_law(self, x, y):
+        return self.encode(
+            f.mul_pairs(cx, cy).astype(np.intp)
+            for f, cx, cy in zip(self.factors, self.decode(x), self.decode(y)))
+
+    def _inv_law(self, x):
+        return self.encode(
+            f.inv_array(c).astype(np.intp)
+            for f, c in zip(self.factors, self.decode(x)))
 
     def _mul_raw(self, a, b):
         ca, cb = self.decode(a), self.decode(b)
@@ -326,6 +449,14 @@ class QuotientGroup(FiniteGroup):
         self.parent = parent
         self.reps = reps
         self.pi = pi
+        self._reps = np.asarray(reps, dtype=np.intp)
+        self._pi = np.asarray(pi)
+
+    def _mul_law(self, x, y):
+        return self._pi[self.parent.mul_pairs(self._reps[x], self._reps[y])]
+
+    def _inv_law(self, x):
+        return self._pi[self.parent.inv_array(self._reps[x])]
 
     def _mul_raw(self, a, b):
         return self.pi[self.parent.mul(self.reps[a], self.reps[b])]
@@ -393,36 +524,40 @@ def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
 
 def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
     """Identity/inverse on all elements; associativity exhaustively for
-    order <= 512, on ASSOC_SAMPLES random triples above.  Raises ValueError
-    with a counterexample on failure; returns check counts on success."""
-    for x in g.elements():
-        if g.mul(0, x) != x or g.mul(x, 0) != x:
-            raise ValueError(f"id 0 is not an identity at element {x}")
-        if g.mul(x, g.inv(x)) != 0:
-            raise ValueError(f"inv fails at element {x}")
-        if g.inv(g.inv(x)) != x:
-            raise ValueError(f"inv is not an involution at element {x}")
+    order <= 512, on ASSOC_SAMPLES random triples above.  Each law is
+    checked as whole arrays: table reads at or below TABLE_CAP, the
+    coordinate law above.  Raises ValueError with the first counterexample
+    in element (or sample) order; returns check counts on success."""
     n = g.order
+    ids = np.arange(n)
+    inv = g.inv_array(ids)
+    checks = (
+        ((g.mul_pairs(0, ids) != ids) | (g.mul_pairs(ids, 0) != ids),
+         "id 0 is not an identity at element {}"),
+        (g.mul_pairs(ids, inv) != 0, "inv fails at element {}"),
+        (g.inv_array(inv) != ids, "inv is not an involution at element {}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        x = int(np.argmax(bad))
+        raise ValueError(next(msg for mask, msg in checks if mask[x]).format(x))
     if n <= EXHAUSTIVE_ASSOC_CAP:
-        import numpy as np
-
-        table = np.empty((n, n), dtype=np.int64)
-        for a in g.elements():
-            row = g.row(a)
-            dtype = np.uint16 if row.typecode == "H" else np.uint32
-            table[a] = np.frombuffer(row, dtype=dtype).astype(np.int64)
-        for x in g.elements():
-            left = table[table[x]]        # [y,z] -> (x*y)*z
-            right = table[x][table]       # [y,z] -> x*(y*z)
-            if not np.array_equal(left, right):
-                y, z = map(int, np.argwhere(left != right)[0])
-                raise ValueError(
-                    f"associativity fails at ({x},{y},{z})"
-                )
+        table = g.table()           # EXHAUSTIVE_ASSOC_CAP <= TABLE_CAP
+        yz = table.astype(np.intp)  # [y,z] -> y*z
+        for x in range(n):
+            bad = table[table[x]] != table[x][yz]   # (x*y)*z vs x*(y*z)
+            if bad.any():
+                y, z = np.unravel_index(np.argmax(bad), bad.shape)
+                raise ValueError(f"associativity fails at ({x},{y},{z})")
         return {"elements": n, "triples": n**3, "mode": "exhaustive"}
     rng = random.Random(seed)
-    for _ in range(ASSOC_SAMPLES):
-        x, y, z = (rng.randrange(n) for _ in range(3))
-        if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
-            raise ValueError(f"associativity fails at ({x},{y},{z})")
+    for lo in range(0, ASSOC_SAMPLES, BLOCK_PAIRS):
+        count = min(BLOCK_PAIRS, ASSOC_SAMPLES - lo)
+        x, y, z = np.array(
+            [rng.randrange(n) for _ in range(3 * count)]).reshape(count, 3).T
+        bad = (g.mul_pairs(g.mul_pairs(x, y), z)
+               != g.mul_pairs(x, g.mul_pairs(y, z)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"associativity fails at ({x[i]},{y[i]},{z[i]})")
     return {"elements": n, "triples": ASSOC_SAMPLES, "mode": "sampled"}

@@ -22,6 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .constants import (
     SPLIT_COUNT_EXP,
     SPLIT_NEST_EXP,
@@ -30,6 +32,7 @@ from .constants import (
 )
 from .exact import frac
 from .groups import (
+    BLOCK_PAIRS,
     CyclicGroup,
     DirectProductGroup,
     FiniteGroup,
@@ -191,6 +194,13 @@ class HeisenbergGroup(FiniteGroup):
         self.w_additive = _component_group(spec.w_prime, spec.w_rank)
         self._entries = spec.nonzero_entries()
         self._zcoords = [self._decode_z(z) for z in range(self.z_order)]
+        # Z coordinates per Z id, and the pairing's generator matrix: the
+        # first W coordinate of {z1, z2} is z1 @ pairing @ z2 mod |W| prime
+        self._zc = np.array(self._zcoords, dtype=np.intp).reshape(
+            self.z_order, spec.z_rank)
+        self._pairing = np.zeros((spec.z_rank, spec.z_rank), dtype=np.intp)
+        for i, j, sign in self._entries:
+            self._pairing[i, j] = sign
         self._additive: DirectProductGroup | None = None
         self._vertical: NormalSubgroupView | None = None
         self.construction_ledger: ConstantLedger | None = None
@@ -238,7 +248,27 @@ class HeisenbergGroup(FiniteGroup):
         # the value sits on the first W generator, most significant digit
         return s * q ** (self.spec.w_rank - 1)
 
+    def pair_array(self, z1, z2) -> np.ndarray:
+        """{z1, z2} as W ids, elementwise over broadcastable Z id arrays."""
+        q = self.spec.w_prime
+        s = ((self._zc[z1] @ self._pairing) * self._zc[z2]).sum(axis=-1) % q
+        return s * q ** (self.spec.w_rank - 1)
+
     # -- group law ----------------------------------------------------------
+    def _mul_law(self, x, y):
+        wo, wg = self.w_order, self.w_additive
+        z1, w1 = np.divmod(x, wo)
+        z2, w2 = np.divmod(y, wo)
+        z = self.z_additive.mul_pairs(z1, z2).astype(np.intp)
+        w = wg.mul_pairs(wg.mul_pairs(w1, w2), self.pair_array(z1, z2))
+        return z * wo + w
+
+    def _inv_law(self, x):
+        wo = self.w_order
+        z, w = np.divmod(x, wo)
+        return (self.z_additive.inv_array(z).astype(np.intp) * wo
+                + self.w_additive.inv_array(w))
+
     def _mul_raw(self, a: int, b: int) -> int:
         wo = self.w_order
         z1, w1 = divmod(a, wo)
@@ -355,56 +385,68 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
 
 
 def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
-    order = g.order
+    """Inverse law, central vertical subgroup and commutator identity, each
+    swept as whole arrays through mul_pairs (table gathers at or below
+    TABLE_CAP).  A failure names the first counterexample in the order of
+    the sweep: ids ascending, pairs row-major, samples as drawn."""
+    order, wo = g.order, g.w_order
     exhaustive = order <= EXHAUSTIVE_ORDER_CAP
 
-    elements: range | list[int]
     if exhaustive:
-        elements = range(order)
+        elements = np.arange(order)
         note = "all elements"
     else:
         rng = random.Random(SAMPLE_SEED + 2)
-        elements = [rng.randrange(order) for _ in range(SAMPLE_COUNT)]
+        elements = np.array([rng.randrange(order) for _ in range(SAMPLE_COUNT)])
         note = f"{SAMPLE_COUNT} sampled elements"
-    for a in elements:
-        z, w = divmod(a, g.w_order)
-        expect = g.z_additive.inv(z) * g.w_order + g.w_additive.inv(w)
-        if g.inv(a) != expect or g.mul(a, g.inv(a)) != 0:
-            raise ValueError(f"inverse law (z,w) -> (-z,-w) fails at id {a}")
+    z, w = np.divmod(elements, wo)
+    expect = (g.z_additive.inv_array(z).astype(np.intp) * wo
+              + g.w_additive.inv_array(w))
+    inv = g.inv_array(elements)
+    bad = (inv != expect) | (g.mul_pairs(elements, inv) != 0)
+    if bad.any():
+        a = int(elements[np.argmax(bad)])
+        raise ValueError(f"inverse law (z,w) -> (-z,-w) fails at id {a}")
     ledger.claim("inverse-law", True, note=note)
 
     # centrality of the vertical subgroup
     if exhaustive:
-        pairs = itertools.product(range(g.w_order), range(order))
+        pairs = _grid_blocks(wo, order)
         note = "all (vertical, element) pairs"
     else:
-        rng = random.Random(SAMPLE_SEED + 3)
-        pairs = ((rng.randrange(g.w_order), rng.randrange(order))
-                 for _ in range(SAMPLE_COUNT))
+        pairs = _sample_pairs(random.Random(SAMPLE_SEED + 3), SAMPLE_COUNT,
+                              wo, order)
         note = f"{SAMPLE_COUNT} sampled pairs"
-    for h, x in pairs:
-        if g.mul(h, x) != g.mul(x, h):
-            raise ValueError(
-                f"vertical element {h} fails to commute with element {x}")
+    found = _first_failure(
+        pairs, lambda h, x: g.mul_pairs(h, x) != g.mul_pairs(x, h))
+    if found:
+        h, x = found
+        raise ValueError(
+            f"vertical element {h} fails to commute with element {x}")
     ledger.claim("vertical-central", True, note=note)
 
     # commutator identity: [a, b] = (0, 2{z_a, z_b})
-    wo = g.w_order
-    wadd = g.w_additive.mul
     if order * order <= EXHAUSTIVE_PAIR_CAP:
-        pairs = itertools.product(range(order), range(order))
+        pairs = _grid_blocks(order, order)
         note = "all ordered pairs"
     else:
-        rng = random.Random(SAMPLE_SEED + 4)
-        pairs = ((rng.randrange(order), rng.randrange(order))
-                 for _ in range(SAMPLE_COUNT * 5))
+        pairs = _sample_pairs(random.Random(SAMPLE_SEED + 4), SAMPLE_COUNT * 5,
+                              order, order)
         note = f"{SAMPLE_COUNT * 5} sampled pairs"
-    for a, b in pairs:
+    wadd = g.w_additive.mul_pairs
+
+    def commutator_differs(a, b):
+        ab = g.mul_pairs(a, b)
+        comm = g.mul_pairs(g.mul_pairs(ab, g.inv_array(a)), g.inv_array(b))
+        p = g.pair_array(a // wo, b // wo)
+        return comm != wadd(p, p)
+
+    found = _first_failure(pairs, commutator_differs)
+    if found:
+        a, b = found
         comm = g.mul(g.mul(g.mul(a, b), g.inv(a)), g.inv(b))
-        p = g.pair(a // wo, b // wo)
-        if comm != wadd(p, p):
-            raise ValueError(
-                f"commutator of ids ({a}, {b}) is {comm}, not twice the pairing value")
+        raise ValueError(
+            f"commutator of ids ({a}, {b}) is {comm}, not twice the pairing value")
     ledger.claim("commutator-identity", True, note=note)
 
     # the additive group numbers the same carrier by the same ids
@@ -415,6 +457,34 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     ) if order <= EXHAUSTIVE_ORDER_CAP else add.order == order
     ledger.claim("additive-encoding-aligned", agree,
                  formula="id of (z,w) = z|W| + w in both groups")
+
+
+def _grid_blocks(rows: int, cols: int):
+    """All pairs of range(rows) x range(cols) in row-major order, as
+    broadcastable (row, col) id arrays of at most BLOCK_PAIRS pairs."""
+    col_ids = np.arange(cols)
+    step = max(1, BLOCK_PAIRS // cols)
+    for lo in range(0, rows, step):
+        yield np.arange(lo, min(lo + step, rows))[:, None], col_ids
+
+
+def _sample_pairs(rng: random.Random, count: int, rows: int, cols: int):
+    """count seeded pairs (randrange(rows), randrange(cols)), in draw order,
+    as one block of two id arrays."""
+    draws = [(rng.randrange(rows), rng.randrange(cols)) for _ in range(count)]
+    yield tuple(np.array(draws).T)
+
+
+def _first_failure(blocks, differs) -> tuple[int, int] | None:
+    """The first pair (x, y), in block order and row-major within a block,
+    at which the boolean array differs(x, y) holds; None if it never does."""
+    for x, y in blocks:
+        bad = differs(x, y)
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            x, y = np.broadcast_arrays(x, y)
+            return int(x[at]), int(y[at])
+    return None
 
 
 # ---------------------------------------------------------------------------

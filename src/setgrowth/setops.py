@@ -2,8 +2,14 @@
 Ruzsa distance.
 
 Sets are bitsets over element ids (Python ints), so unions and membership
-are single operations and cardinality is a popcount.  All derived values
-(energy, distances) are exact integers or Fractions.
+are single operations and cardinality is a popcount.  Products, translates,
+inverses and convolutions have one path: the group's vectorized law
+``mul_outer`` (a table gather at or below TABLE_CAP, coordinate arithmetic
+above it) over row blocks of at most BLOCK_PAIRS products, scattered into a
+boolean mask packed back into the bitset, or into a ``bincount``.  No call
+holds more than one block of products, so memory stays linear in the group
+order whatever the set sizes.  All derived values (energy, distances) are
+exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteGroup
+import numpy as np
+
+from .groups import BLOCK_PAIRS, FiniteGroup
 
 MAX_ITERATED_SIGNS = 30
 
@@ -19,7 +27,7 @@ MAX_ITERATED_SIGNS = 30
 class MSet:
     """Nonempty subset of a FiniteGroup stored as a bitset over ids."""
 
-    __slots__ = ("group", "bits", "size", "_idtuple")
+    __slots__ = ("group", "bits", "size", "_idtuple", "_idarray")
 
     def __init__(self, group: FiniteGroup, bits: int):
         if bits <= 0:
@@ -30,6 +38,7 @@ class MSet:
         self.bits = bits
         self.size = bits.bit_count()
         self._idtuple: tuple[int, ...] | None = None
+        self._idarray: np.ndarray | None = None
 
     @classmethod
     def from_ids(cls, group: FiniteGroup, ids) -> "MSet":
@@ -58,6 +67,14 @@ class MSet:
                 bits ^= low
             self._idtuple = tuple(out)
         return self._idtuple
+
+    def id_array(self) -> np.ndarray:
+        """The ids in increasing order as an intp array."""
+        if self._idarray is None:
+            raw = self.bits.to_bytes((self.group.order + 7) // 8, "little")
+            self._idarray = np.flatnonzero(np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+        return self._idarray
 
     def __contains__(self, x: int) -> bool:
         return bool((self.bits >> x) & 1)
@@ -119,59 +136,49 @@ def symmetrize(a: MSet) -> MSet:
 # ---------------------------------------------------------------------------
 # Products
 
+def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
+    """g.mul_outer(xs, ys) in row blocks of at most BLOCK_PAIRS products
+    (one row when ys alone is longer)."""
+    step = max(1, BLOCK_PAIRS // len(ys))
+    for lo in range(0, len(xs), step):
+        yield g.mul_outer(xs[lo:lo + step], ys)
+
+
+def _mask_bits(mask: np.ndarray) -> int:
+    """The bitset of a boolean mask over ids."""
+    return int.from_bytes(
+        np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _product_bits(g: FiniteGroup, xs, ys) -> int:
+    """Bitset of {x*y : x in xs, y in ys}."""
+    mask = np.zeros(g.order, dtype=bool)
+    for block in _product_blocks(g, np.asarray(xs), np.asarray(ys)):
+        mask[block] = True
+    return _mask_bits(mask)
+
+
 def translate_left(x: int, a: MSet) -> int:
     """Bitset of x*A."""
-    g = a.group
-    row = g.row(x)
-    bits = 0
-    if row is not None:
-        for y in a.ids():
-            bits |= 1 << row[y]
-    else:
-        mul = g.mul
-        for y in a.ids():
-            bits |= 1 << mul(x, y)
-    return bits
+    return _product_bits(a.group, [x], a.id_array())
 
 
 def translate_right(a: MSet, x: int) -> int:
     """Bitset of A*x."""
-    g = a.group
-    mul = g.mul
-    bits = 0
-    for y in a.ids():
-        bits |= 1 << mul(y, x)
-    return bits
+    return _product_bits(a.group, a.id_array(), [x])
 
 
 def product_set(a: MSet, b: MSet) -> MSet:
     """A*B = {x*y : x in A, y in B}."""
     _require_same_group(a, b)
-    g = a.group
-    bits = 0
-    b_ids = b.ids()
-    if g.row(0) is not None:
-        for x in a.ids():
-            row = g.row(x)
-            acc = 0
-            for y in b_ids:
-                acc |= 1 << row[y]
-            bits |= acc
-    else:
-        mul = g.mul
-        for x in a.ids():
-            for y in b_ids:
-                bits |= 1 << mul(x, y)
-    return MSet(g, bits)
+    return MSet(a.group, _product_bits(a.group, a.id_array(), b.id_array()))
 
 
 def inverse_set(a: MSet) -> MSet:
     g = a.group
-    inv = g.inv
-    bits = 0
-    for x in a.ids():
-        bits |= 1 << inv(x)
-    return MSet(g, bits)
+    mask = np.zeros(g.order, dtype=bool)
+    mask[g.inv_array(a.id_array())] = True
+    return MSet(g, _mask_bits(mask))
 
 
 def iterated_product(a: MSet, signs) -> MSet:
@@ -253,21 +260,13 @@ class ConvolutionProfile:
 def convolution(a: MSet, b: MSet) -> ConvolutionProfile:
     _require_same_group(a, b)
     g = a.group
-    counts: dict[int, int] = {}
-    b_ids = b.ids()
-    if g.row(0) is not None:
-        for x in a.ids():
-            row = g.row(x)
-            for y in b_ids:
-                z = row[y]
-                counts[z] = counts.get(z, 0) + 1
-    else:
-        mul = g.mul
-        for x in a.ids():
-            for y in b_ids:
-                z = mul(x, y)
-                counts[z] = counts.get(z, 0) + 1
-    return ConvolutionProfile(g, counts, a.size, b.size)
+    counts = np.zeros(g.order, dtype=np.int64)
+    for block in _product_blocks(g, a.id_array(), b.id_array()):
+        counts += np.bincount(block.ravel(), minlength=g.order)
+    support = np.flatnonzero(counts)
+    return ConvolutionProfile(
+        g, dict(zip(support.tolist(), counts[support].tolist())),
+        a.size, b.size)
 
 
 @dataclass

@@ -1,0 +1,339 @@
+"""The vectorized group law against the scalar oracles.
+
+Every family's ``mul_outer``/``inv_array`` (table gathers at or below
+TABLE_CAP, coordinate arithmetic above it) must agree with the per-element
+``_mul_raw``/``_inv_raw``, and the set operations built on the kernel must
+agree with brute-force ``{x*y}`` and Counter oracles on both sides of the
+cap.  The bad-law tests plant one wrong product or inverse and check that
+the whole-array sweeps name the same first counterexample as a scalar
+sweep in element order.
+"""
+
+import itertools
+import random
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from setgrowth import heisenberg as hb
+from setgrowth.groups import (
+    ASSOC_SAMPLES,
+    EXHAUSTIVE_ASSOC_CAP,
+    ORDER_CAP,
+    TABLE_CAP,
+    CyclicGroup,
+    FiniteGroup,
+    construct_group,
+    quotient_map,
+    verify_group_axioms,
+)
+from setgrowth.setops import (
+    MSet,
+    convolution,
+    inverse_set,
+    product_set,
+    translate_left,
+    translate_right,
+)
+from setgrowth.structure import ConstantLedger
+
+SPECS = [
+    "cyclic(1)",
+    "cyclic(37)",
+    "dihedral(1)",
+    "dihedral(9)",
+    "symmetric(3)",
+    "symmetric(4)",
+    "symmetric(5)",
+    "symmetric(6)",
+    "symmetric(7)",
+    "sl2(3)",
+    "sl2(5)",
+    "sl2(7)",
+    "direct_product(cyclic(4),direct_product(dihedral(3),symmetric(3)))",
+    "direct_product(cyclic(100),cyclic(100))",
+    "heisenberg(z=Zp^2,p=3;w=Zp^2,p=3;pairing=symplectic)",
+    "heisenberg(z=Zp^1,p=5;w=Zp^2,p=3;pairing=zero)",
+]
+
+_GROUPS: dict[str, FiniteGroup] = {}
+
+
+def group(spec: str) -> FiniteGroup:
+    if spec not in _GROUPS:
+        _GROUPS[spec] = construct_group(spec)
+    return _GROUPS[spec]
+
+
+def quotients() -> list[FiniteGroup]:
+    heis = group("heisenberg(z=Zp^2,p=3;w=Zp^2,p=3;pairing=symplectic)")
+    return [quotient_map(group("dihedral(9)"), [3]).quotient,
+            heis.vertical.quotient]
+
+
+def id_lists(g: FiniteGroup, max_size=12):
+    return st.lists(st.integers(min_value=0, max_value=g.order - 1),
+                    min_size=1, max_size=max_size)
+
+
+def assert_law_matches_oracle(g, xs, ys):
+    expect = [[g._mul_raw(x, y) for y in ys] for x in xs]
+    assert g.mul_outer(xs, ys).tolist() == expect
+    law = g._mul_law(np.array(xs)[:, None], np.array(ys)[None, :])
+    assert law.tolist() == expect
+    assert g.inv_array(xs).tolist() == [g._inv_raw(x) for x in xs]
+    assert g._inv_law(np.array(xs)).tolist() == [g._inv_raw(x) for x in xs]
+
+
+# ------------------------------------------------------------ the law
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mul_outer_matches_raw_oracle(spec, data):
+    g = group(spec)
+    xs, ys = data.draw(id_lists(g)), data.draw(id_lists(g))
+    assert_law_matches_oracle(g, xs, ys)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_quotient_mul_outer_matches_raw_oracle(data):
+    for q in quotients():
+        xs, ys = data.draw(id_lists(q)), data.draw(id_lists(q))
+        assert_law_matches_oracle(q, xs, ys)
+
+
+@pytest.mark.parametrize("spec", ["dihedral(9)", "sl2(5)", "symmetric(4)"])
+def test_table_is_the_whole_law(spec):
+    g = group(spec)
+    ids = list(range(g.order))
+    assert g.table().tolist() == [[g._mul_raw(x, y) for y in ids] for x in ids]
+    assert g.inv_array(ids).tolist() == [g._inv_raw(x) for x in ids]
+
+
+def test_table_only_at_or_below_the_cap():
+    assert group("sl2(7)").table() is not None
+    big = group("symmetric(7)")
+    assert big.order > TABLE_CAP
+    assert big.table() is None and big.row(0) is None
+
+
+# ------------------------------------------------------------ set operations
+
+SET_GROUPS = ["sl2(5)", "symmetric(7)"]
+
+
+def mset(g, ids):
+    return MSet.from_ids(g, ids)
+
+
+def brute_products(g, xs, ys):
+    return {g._mul_raw(x, y) for x in xs for y in ys}
+
+
+@pytest.mark.parametrize("spec", SET_GROUPS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_set_operations_match_brute_force(spec, data):
+    g = group(spec)
+    a = mset(g, data.draw(id_lists(g, 30)))
+    b = mset(g, data.draw(id_lists(g, 30)))
+    x = data.draw(st.integers(min_value=0, max_value=g.order - 1))
+    assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
+    assert convolution(a, b).counts == dict(
+        Counter(g._mul_raw(u, v) for u in a.ids() for v in b.ids()))
+    assert translate_left(x, a) == mset(g, brute_products(g, [x], a.ids())).bits
+    assert translate_right(a, x) == mset(g, brute_products(g, a.ids(), [x])).bits
+    assert set(inverse_set(a).ids()) == {g._inv_raw(u) for u in a.ids()}
+
+
+@pytest.mark.parametrize("spec", SET_GROUPS)
+def test_scalar_results_are_python_ints(spec):
+    g = group(spec)
+    a = mset(g, range(1, g.order, 7))
+    values = [g.mul(3, 5), g.inv(3)] + list(a.ids())
+    prof = convolution(a, a)
+    values += list(prof.counts) + list(prof.counts.values())
+    if g.row(0) is not None:
+        values.append(g.row(3)[5])
+    assert all(type(v) is int for v in values)
+
+
+# ------------------------------------------------------------ caps and memory
+
+def test_order_cap_runs_set_arithmetic_without_a_table():
+    g = CyclicGroup(ORDER_CAP)
+    rng = random.Random(0)
+    a = mset(g, rng.sample(range(g.order), 100))
+    b = mset(g, rng.sample(range(g.order), 100))
+    assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
+    assert sum(convolution(a, b).counts.values()) == 100 * 100
+    assert translate_left(7, a) == mset(g, [(7 + u) % g.order for u in a.ids()]).bits
+    assert g._table is None
+
+
+def test_order_above_the_cap_is_refused():
+    with pytest.raises(ValueError, match="exceeds cap"):
+        CyclicGroup(ORDER_CAP + 1)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        construct_group(f"cyclic({ORDER_CAP + 1})")
+
+
+def test_set_arithmetic_memory_is_not_quadratic():
+    # 2000 x 2000 products: one uint16 array of them would take 8 MB
+    g = CyclicGroup(ORDER_CAP)
+    a = mset(g, range(0, 4000, 2))
+    tracemalloc.start()
+    try:
+        product_set(a, a)
+        convolution(a, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+# ------------------------------------------------------------ planted bad laws
+
+class TableGroup(FiniteGroup):
+    """A law read from explicit arrays, so single entries can be broken."""
+
+    def __init__(self, table, inverse):
+        super().__init__(len(table), "planted")
+        self.law = np.array(table, dtype=np.intp)
+        self.inverse = np.array(inverse, dtype=np.intp)
+
+    def _mul_law(self, x, y):
+        return self.law[x, y]
+
+    def _inv_law(self, x):
+        return self.inverse[x]
+
+    def _mul_raw(self, a, b):
+        return int(self.law[a, b])
+
+    def _inv_raw(self, a):
+        return int(self.inverse[a])
+
+
+def scalar_axiom_error(g, seed=0):
+    """The axiom sweep one element (or triple) at a time, in element order."""
+    for x in g.elements():
+        if g.mul(0, x) != x or g.mul(x, 0) != x:
+            return f"id 0 is not an identity at element {x}"
+        if g.mul(x, g.inv(x)) != 0:
+            return f"inv fails at element {x}"
+        if g.inv(g.inv(x)) != x:
+            return f"inv is not an involution at element {x}"
+    n = g.order
+    if n <= EXHAUSTIVE_ASSOC_CAP:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(ASSOC_SAMPLES))
+    for x, y, z in triples:
+        if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
+            return f"associativity fails at ({x},{y},{z})"
+    return None
+
+
+def planted(spec, cells=(), inverses=()):
+    base = construct_group(spec)
+    table = base.table().astype(np.intp)
+    inverse = base.inv_array(range(base.order))
+    for a, b, c in cells:
+        table[a, b] = c
+    for a, c in inverses:
+        inverse[a] = c
+    return TableGroup(table, inverse)
+
+
+def axiom_error(g):
+    try:
+        verify_group_axioms(g)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 11)] * 3), max_size=2),
+       st.lists(st.tuples(*[st.integers(0, 11)] * 2), max_size=1))
+def test_axiom_sweep_names_the_first_counterexample(cells, inverses):
+    g = planted("dihedral(6)", cells, inverses)
+    assert axiom_error(g) == scalar_axiom_error(g)
+
+
+def test_sampled_associativity_names_the_first_counterexample():
+    # a*1 = a+2 for every a but the inverse of 1: identity and inverses
+    # hold, associativity fails on a few triples in a thousand
+    g = planted("cyclic(600)", [(a, 1, a + 2) for a in range(1, 598)])
+    assert g.order > EXHAUSTIVE_ASSOC_CAP
+    message = axiom_error(g)
+    assert message is not None and message.startswith("associativity fails")
+    assert message == scalar_axiom_error(g)
+
+
+H_SPEC = hb.parse_pairing_spec("z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic")
+
+
+class PlantedHeisenberg(hb.HeisenbergGroup):
+    """The order-27 Heisenberg group with one product replaced."""
+
+    def __init__(self, a, b, c):
+        super().__init__(H_SPEC)
+        self.cell = (a, b, c)
+
+    def _mul_law(self, x, y):
+        a, b, c = self.cell
+        return np.where((x == a) & (y == b), c, super()._mul_law(x, y))
+
+    def _mul_raw(self, x, y):
+        a, b, c = self.cell
+        return c if (x, y) == (a, b) else super()._mul_raw(x, y)
+
+
+def scalar_law_error(g):
+    """The Heisenberg law sweeps one pair at a time, in iteration order."""
+    wo = g.w_order
+    for a in range(g.order):
+        z, w = divmod(a, wo)
+        expect = g.z_additive.inv(z) * wo + g.w_additive.inv(w)
+        if g.inv(a) != expect or g.mul(a, g.inv(a)) != 0:
+            return f"inverse law (z,w) -> (-z,-w) fails at id {a}"
+    for h, x in itertools.product(range(wo), range(g.order)):
+        if g.mul(h, x) != g.mul(x, h):
+            return f"vertical element {h} fails to commute with element {x}"
+    for a, b in itertools.product(range(g.order), range(g.order)):
+        comm = g.mul(g.mul(g.mul(a, b), g.inv(a)), g.inv(b))
+        p = g.pair(a // wo, b // wo)
+        if comm != g.w_additive.mul(p, p):
+            return (f"commutator of ids ({a}, {b}) is {comm}, "
+                    "not twice the pairing value")
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(*[st.integers(0, 26)] * 3)
+def test_heisenberg_sweeps_name_the_first_counterexample(a, b, c):
+    g = PlantedHeisenberg(a, b, c)
+    try:
+        hb._validate_group_law(g, ConstantLedger("planted"))
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == scalar_law_error(g)
+
+
+def test_heisenberg_sweeps_pass_on_the_true_law():
+    g = hb.HeisenbergGroup(H_SPEC)
+    ledger = ConstantLedger("true-law")
+    hb._validate_group_law(g, ledger)
+    assert [r.name for r in ledger.rows] == [
+        "inverse-law", "vertical-central", "commutator-identity",
+        "additive-encoding-aligned"]

@@ -24,7 +24,12 @@ from setgrowth.structure import (
     tripling_chain,
     verify_approx_group,
 )
-from setgrowth.families import measured_difference_ratio, measured_tripling
+from setgrowth.families import (
+    SetFamilySpec,
+    generate_set,
+    measured_difference_ratio,
+    measured_tripling,
+)
 
 G12 = construct_group("cyclic(12)")
 G100 = construct_group("cyclic(100)")
@@ -227,3 +232,26 @@ def test_local_tripling_rejects_below_measured():
     a = symmetrize(MSet.from_ids(G100, [1, 2]))
     with pytest.raises((ValueError, LedgerError)):
         local_tripling_check(a, Fraction(1, 100))
+
+
+def _local_product_instance():
+    """symmetric(4) with subgroup_plus_point(1): |A| = 3, |A^2| = 5 and
+    sup over a in A of |A·a·A| = 6, so K = 5/3 covers |A^2| but not the
+    local products."""
+    a = generate_set(SetFamilySpec.parse("symmetric(4)", "subgroup_plus_point(1)"))
+    sup = max(product_set(product_set(a, MSet.singleton(a.group, t)), a).size
+              for t in a.ids())
+    return a, sup
+
+
+def test_local_product_instance_sizes():
+    a, sup = _local_product_instance()
+    assert (a.size, power_set(a, 2).size, sup) == (3, 5, 6)
+
+
+@pytest.mark.xfail(strict=True, reason="local_tripling_check measures "
+                   "|A·A·a| instead of |A·a·A|, so it accepts K = 5/3 here")
+def test_local_tripling_rejects_k_below_the_local_product_sup():
+    a, _ = _local_product_instance()
+    with pytest.raises((ValueError, LedgerError)):
+        local_tripling_check(a, Fraction(5, 3))
