@@ -7,12 +7,18 @@ regularity, ball doubling, entropy versus measure) for three carrier
 families: tori up to dimension three, the unit quaternions under the
 chordal metric, and finite groups under a word metric.
 
-Exactness policy: on the circle and on word metrics every comparison
-is exact rational or integer arithmetic.  Higher-dimensional tori
-compare single distances exactly through squared values and fall back
-to floats only for sums of distances.  The quaternion carrier is
-float throughout, and every assertion made about it carries an
-explicit tolerance.
+Every carrier answers the one question the nets ask, "which of these
+centers lie strictly within eps of this point", with one vectorized
+``close_mask`` over the array form that ``metric_array`` builds, so a
+single scan serves all three carriers.  The scalar ``closer_than`` and
+``within`` stay as the reference oracle and for region checks.
+
+Exactness policy: on tori, nets and separated sets compare integer
+squared distances on a common denominator, and on word metrics
+integer word lengths, so every comparison there is exact; only sums
+of distances on tori above dimension one use floats.  The quaternion
+carrier is float throughout, and every assertion made about it
+carries an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ PAIR_CAP = 10**6
 PRODUCT_CAP = 10**5
 _RAW_PRODUCT_CAP = 4 * 10**6
 _FLOAT_SLACK = 1e-12
+_INT64_LIMIT = 2**62
 
 
 def _positive_eps(eps):
@@ -43,11 +50,12 @@ def _positive_eps(eps):
 class TorusGroup:
     """Torus of dimension one to three with the quotient Euclidean metric.
 
-    Points are tuples of Fractions reduced into [0, 1).  Single
-    distances are compared through exact squared values, so nets and
-    separated sets on any torus involve no floating arithmetic; only
-    the dimension-one circle exposes the distance itself as an exact
-    Fraction.
+    Points are tuples of Fractions reduced into [0, 1).  Distances are
+    compared as integer squared distances on a common denominator: the
+    coordinates and the radius are scaled to one integer grid 1/D, so
+    nets and separated sets on any torus involve no floating
+    arithmetic; only the dimension-one circle exposes the distance
+    itself as an exact Fraction.
     """
 
     def __init__(self, dim: int = 1):
@@ -60,6 +68,7 @@ class TorusGroup:
         self.exact_distance = dim == 1
         self.dimension = dim
         self.doubling_bound = Fraction(2**dim)
+        self.default_grid = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
 
     @property
     def identity(self):
@@ -104,6 +113,32 @@ class TorusGroup:
         e = Fraction(eps)
         return self.distance_sq(p, q) <= e * e
 
+    def metric_array(self, points, eps):
+        """The points as integer coordinates on the common denominator D
+        of every coordinate and of eps, with the radius (D, (eps*D)**2).
+
+        int64 when dim*D**2 and (eps*D)**2 lie below 2**62, so no sum of
+        squared deltas can wrap; Python ints in an object array otherwise.
+        """
+        e = Fraction(eps)
+        dens = {e.denominator}
+        for p in points:
+            dens.update(c.denominator for c in p)
+        d = math.lcm(*dens)
+        eps_sq = (e.numerator * (d // e.denominator)) ** 2
+        fits = max(self.dim * d * d, eps_sq) < _INT64_LIMIT
+        rows = [[c.numerator * (d // c.denominator) % d for c in p] for p in points]
+        arr = np.array(rows, dtype=np.int64 if fits else object)
+        return arr.reshape(len(rows), self.dim), (d, eps_sq)
+
+    def close_mask(self, points, centers, radius):
+        """Elementwise d(point, center) < eps over broadcast metric_array
+        rows, as integer squared distances."""
+        d, eps_sq = radius
+        delta = (centers - points) % d
+        delta = np.minimum(delta, d - delta)
+        return (delta * delta).sum(axis=-1) < eps_sq
+
     def sort_key(self, p):
         return p
 
@@ -112,6 +147,10 @@ class TorusGroup:
 
     def diameter(self) -> float:
         return math.sqrt(self.dim) / 2.0
+
+    def profile_points(self, seed):
+        """The profile cloud: a uniform grid of 120, 12 or 6 points per axis."""
+        return self.grid({1: 120, 2: 12, 3: 6}[self.dim])
 
     def grid(self, resolution: int):
         """Uniform grid with ``resolution`` points per axis."""
@@ -136,6 +175,7 @@ class QuaternionGroup:
         self.exact_distance = False
         self.dimension = 3
         self.doubling_bound = 8.0
+        self.default_grid = (0.6, 0.3)
 
     @property
     def identity(self):
@@ -175,6 +215,17 @@ class QuaternionGroup:
         e = float(eps)
         return self.distance_sq(p, q) <= e * e
 
+    def metric_array(self, points, eps):
+        """The points as an (n, 4) float array, with the radius eps**2."""
+        e = float(eps)
+        return np.asarray(points, dtype=float).reshape(-1, 4), e * e
+
+    def close_mask(self, points, centers, radius):
+        """Elementwise d(point, center) < eps over broadcast metric_array
+        rows, through squared chordal distances."""
+        diff = centers - points
+        return np.einsum("...j,...j->...", diff, diff) < radius
+
     def sort_key(self, p):
         return p
 
@@ -183,6 +234,10 @@ class QuaternionGroup:
 
     def diameter(self) -> float:
         return 2.0
+
+    def profile_points(self, seed):
+        """The profile cloud: 180 Haar points."""
+        return self.haar_points(180, seed)
 
     def haar_points(self, count: int, seed: int = DEFAULT_SEED):
         """Deterministic Haar sample via normalized Gaussian 4-vectors."""
@@ -248,6 +303,7 @@ class WordMetricGroup:
         self.group = group
         self.generators = tuple(sorted(gens))
         self.dist_from_identity = tuple(dist)
+        self._dist_array = np.array(dist, dtype=np.intp)
         self.name = "word(%s; gens=%s)" % (
             group.name,
             ",".join(str(s) for s in self.generators),
@@ -256,6 +312,10 @@ class WordMetricGroup:
         self.exact_distance = True
         self.dimension = None
         self.doubling_bound = self._max_doubling_ratio()
+        grid = [Fraction(3, 2)]
+        if self.diameter() >= 5:
+            grid.append(Fraction(5, 2))
+        self.default_grid = tuple(grid)
 
     def _ball_size(self, radius) -> int:
         """Open-ball count |{x : d(1, x) < radius}|."""
@@ -289,6 +349,17 @@ class WordMetricGroup:
     def within(self, p, q, eps) -> bool:
         return self.distance_value(p, q) <= Fraction(eps)
 
+    def metric_array(self, points, eps):
+        """The points as an id array, with the radius ceil(eps): an
+        integer length d is below eps exactly when it is below ceil(eps)."""
+        return np.asarray(points, dtype=np.intp), math.ceil(Fraction(eps))
+
+    def close_mask(self, points, centers, radius):
+        """Elementwise d(point, center) = |point^-1 center| < eps over
+        broadcast id arrays."""
+        g = self.group
+        return self._dist_array[g.mul_pairs(g.inv_array(points), centers)] < radius
+
     def sort_key(self, p):
         return p
 
@@ -297,6 +368,10 @@ class WordMetricGroup:
 
     def diameter(self) -> int:
         return max(self.dist_from_identity)
+
+    def profile_points(self, seed):
+        """The profile cloud: every element."""
+        return list(range(self.group.order))
 
     def cloud(self, ids, region=None):
         return MetricCloud(self, [int(i) for i in ids], region)
@@ -371,34 +446,19 @@ class CoverResult:
 
 
 def _greedy_separated(group, points, eps):
-    """First-uncovered scan; the kept points are pairwise >= eps apart."""
-    if isinstance(group, QuaternionGroup) and len(points) > 64:
-        return _greedy_separated_float4(points, float(eps))
-    chosen = []
-    for p in points:
-        if all(not group.closer_than(p, c, eps) for c in chosen):
-            chosen.append(p)
-    return chosen
+    """First-uncovered scan; the kept points are pairwise >= eps apart.
 
-
-def _greedy_separated_float4(points, eps):
-    """Vectorized scan for float 4-vector carriers.
-
-    Same squared-distance comparison as the scalar path, so the two
-    routes keep identical keep/skip decisions.
+    Each point is tested against the centers kept so far with one
+    ``close_mask`` call on the carrier's array form, in scan order, so
+    memory stays linear in the number of points.
     """
-    arr = np.asarray(points, dtype=float)
-    kept = np.empty_like(arr)
-    count = 0
+    rows, radius = group.metric_array(points, eps)
+    kept = np.empty_like(rows)
     chosen = []
-    eps_sq = eps * eps
-    for i, p in enumerate(points):
-        if count:
-            diff = kept[:count] - arr[i]
-            if (np.einsum("ij,ij->i", diff, diff) < eps_sq).any():
-                continue
-        kept[count] = arr[i]
-        count += 1
+    for p, row in zip(points, rows):
+        if chosen and group.close_mask(row, kept[:len(chosen)], radius).any():
+            continue
+        kept[len(chosen)] = row
         chosen.append(p)
     return chosen
 
@@ -575,30 +635,10 @@ class ProfileReport:
 
 
 def _profile_cloud(group, region, seed):
-    if isinstance(group, TorusGroup):
-        resolution = {1: 120, 2: 12, 3: 6}[group.dim]
-        pts = group.grid(resolution)
-    elif isinstance(group, QuaternionGroup):
-        pts = group.haar_points(180, seed)
-    elif isinstance(group, WordMetricGroup):
-        pts = list(range(group.group.order))
-    else:
-        raise TypeError("unsupported metric group %r" % (group,))
+    pts = group.profile_points(seed)
     if region.radius is not None:
         pts = [p for p in pts if group.within(region.center, p, region.radius)]
     return MetricCloud(group, pts, region)
-
-
-def _default_grid(group):
-    if isinstance(group, TorusGroup):
-        return (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
-    if isinstance(group, QuaternionGroup):
-        return (0.6, 0.3)
-    diam = group.diameter()
-    grid = [Fraction(3, 2)]
-    if diam >= 5:
-        grid.append(Fraction(5, 2))
-    return tuple(grid)
 
 
 def _metric_axiom_rows(group, cloud, led, slack):
@@ -801,7 +841,7 @@ def metric_profile_check(
         region = RegionSpec.full()
     led = ConstantLedger("metric-profile")
     cloud = _profile_cloud(group, region, seed)
-    grid = tuple(eps_grid) if eps_grid else _default_grid(group)
+    grid = tuple(eps_grid) if eps_grid else group.default_grid
     slack = 0 if group.exact_distance else _FLOAT_SLACK
     _metric_axiom_rows(group, cloud, led, slack)
     _translation_rows(group, cloud, led, 1e-9)

@@ -6,8 +6,10 @@ net at radius eps keeps every ceil(2 eps n)-th point, and arc-union
 measures reduce to interval bookkeeping in Fractions.
 """
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from setgrowth.entropy import (
@@ -16,6 +18,7 @@ from setgrowth.entropy import (
     RegionSpec,
     TorusGroup,
     WordMetricGroup,
+    _greedy_separated,
     approx_energy,
     arc_union_measure,
     build_entropy_report,
@@ -115,6 +118,94 @@ def test_separated_set_is_separated():
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             assert not T1.closer_than(p, q, Fraction(1, 10))
+
+
+# ----------------------------------------------- close_mask against closer_than
+
+def scalar_scan(group, points, eps):
+    """The reference first-uncovered scan, one closer_than per pair."""
+    chosen = []
+    for p in points:
+        if all(not group.closer_than(p, c, eps) for c in chosen):
+            chosen.append(p)
+    return chosen
+
+
+def assert_kernel_matches_oracle(group, points, eps):
+    """close_mask row by row, and the greedy scan, against closer_than."""
+    rows, radius = group.metric_array(points, eps)
+    for p, row in zip(points, rows):
+        mask = group.close_mask(row, rows, radius)
+        assert mask.tolist() == [group.closer_than(p, q, eps) for q in points]
+    assert _greedy_separated(group, points, eps) == scalar_scan(group, points, eps)
+    return rows
+
+
+TORUS_EPS = [Fraction(1, 10), Fraction(2, 7), Fraction(1, 2), 1]
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 40), (2, 8), (3, 4)])
+def test_close_mask_on_torus_grids(dim, resolution):
+    g = TorusGroup(dim)
+    points = g.grid(resolution)
+    for eps in TORUS_EPS:
+        rows = assert_kernel_matches_oracle(g, points, eps)
+        assert rows.dtype == np.int64
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_close_mask_on_mixed_denominators(dim):
+    rng = random.Random(dim)
+    g = TorusGroup(dim)
+    dens = [2, 3, 5, 7, 12, 97, 128, 1000]
+    points = [
+        g.point(*(Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=dim)))
+        for _ in range(40)
+    ]
+    for eps in [Fraction(1, 13), Fraction(3, 10), Fraction(5, 11)]:
+        assert_kernel_matches_oracle(g, points, eps)
+
+
+def test_close_mask_is_strict_at_exactly_eps():
+    g = TorusGroup(2)
+    origin = g.point(0, 0)
+    far = g.point(Fraction(-3, 10), Fraction(2, 5))  # a 3-4-5 triangle across the wrap
+    assert g.distance_sq(origin, far) == Fraction(1, 4)
+    rows, radius = g.metric_array([origin, far], Fraction(1, 2))
+    assert not g.close_mask(rows[0], rows[1], radius)
+    assert _greedy_separated(g, [origin, far], Fraction(1, 2)) == [origin, far]
+    rows, radius = g.metric_array([origin, far], Fraction(501, 1000))
+    assert g.close_mask(rows[0], rows[1], radius)
+    assert _greedy_separated(g, [origin, far], Fraction(501, 1000)) == [origin]
+
+
+def test_close_mask_python_int_branch():
+    # denominators near 2**40 put dim * D**2 far above 2**62
+    rng = random.Random(40)
+    g = TorusGroup(3)
+    dens = [2**40 - 87, 2**40 - 167, 2**40 + 15, 10**12 + 39]
+    points = [
+        g.point(*(Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=3)))
+        for _ in range(30)
+    ]
+    for eps in [Fraction(1, 5), Fraction(2**39, 2**40 - 87)]:
+        rows = assert_kernel_matches_oracle(g, points, eps)
+        assert rows.dtype == object
+
+
+@pytest.mark.parametrize("count", [10, 180])
+def test_close_mask_on_quaternion_clouds(count):
+    g = QuaternionGroup()
+    points = g.haar_points(count, seed=count)
+    for eps in [0.15, 0.3, 0.6, 1.2]:
+        assert_kernel_matches_oracle(g, points, eps)
+
+
+def test_close_mask_on_word_metric():
+    g = WordMetricGroup(construct_group("cyclic(60)"), [1, 7])
+    points = list(range(60))
+    for eps in [1, Fraction(3, 2), 2, Fraction(5, 2), 6, 7]:
+        assert_kernel_matches_oracle(g, points, eps)
 
 
 def test_entropy_report_sandwich():
