@@ -9,6 +9,12 @@ with the audited exponent from multiplying the proof's displayed constants
 (squared exponent 16), and once with the headline exponent (squared 14) that
 the original display states; docs/constants.md derives both and explains the
 gap.
+
+The refinements are whole-array kernel calls: blocked ``mul_outer``
+products tested against boolean masks of C or D, whose row and column sums
+are the refinement counts, and overlaps that are popcounts of packed rows.
+Every count is an exact integer, compared with a rational threshold t as
+n > floor(t), which for an integer n is exactly n > t.
 """
 
 from __future__ import annotations
@@ -16,16 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .constants import (
     BSG_AUDIT_CONST_SQ,
     BSG_AUDIT_EXP_SQ,
     BSG_HEADLINE_EXP_SQ,
 )
 from .exact import ceil_sqrt_frac, frac
+from .groups import BLOCK_PAIRS
 from .setops import (
     MSet,
+    _product_blocks,
     convolution,
     energy,
+    member_mask,
     product_set,
     translate_left,
     translate_right,
@@ -38,13 +49,55 @@ from .structure import (
 )
 
 
-def _require_nonempty(ids, stage: str):
+def _hits(g, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The boolean matrix [i, j] -> xs[i]*ys[j] in mask, block by block."""
+    return np.concatenate(
+        [mask[block] for block in _product_blocks(g, xs, ys)])
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix as bitsets in uint64 words."""
+    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def _and_counts(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The int64 matrix [i, j] -> popcount(p[i] & q[j]) of packed rows."""
+    out = np.zeros((len(p), len(q)), dtype=np.int64)
+    for w in range(p.shape[1]):
+        out += np.bitwise_count(p[:, w, None] & q[None, :, w])
+    return out
+
+
+def _good_pairs(hit: np.ndarray, threshold: Fraction):
+    """The boolean matrix of row pairs (x, y) whose overlap
+    #{j : hit[x, j] and hit[y, j]} exceeds the threshold, and as Python ints
+    omega_cols[j] = Σ_x hit[x,j]·(Ω·hit)[x,j] over its complement Ω.  Only
+    one row block of at most BLOCK_PAIRS counts is live at a time."""
+    floor = threshold.numerator // threshold.denominator
+    n_rows, n_cols = hit.shape
+    row_bits, col_bits = _packed(hit), _packed(hit.T)
+    good = np.empty((n_rows, n_rows), dtype=bool)
+    omega_cols = np.zeros(n_cols, dtype=np.int64)
+    step = max(1, BLOCK_PAIRS // max(n_rows, n_cols))
+    for lo in range(0, n_rows, step):
+        block = good[lo:lo + step]
+        np.greater(_and_counts(row_bits[lo:lo + step], row_bits), floor,
+                   out=block)
+        omega = _packed(np.logical_not(block))
+        omega_cols += (_and_counts(omega, col_bits)
+                       * hit[lo:lo + step]).sum(axis=0)
+    return good, omega_cols.tolist()
+
+
+def _nonempty_set(g, ids, stage: str) -> MSet:
     ids = list(ids)
     if not ids:
         raise RuntimeError(
             f"pipeline stage {stage!r} produced an empty set; "
             "this cannot happen when the hypotheses hold")
-    return ids
+    return MSet.from_ids(g, ids)
 
 
 @dataclass(frozen=True)
@@ -61,12 +114,6 @@ class WeakBsgResult:
     kprime_sq: Fraction
     eps: Fraction
     ledger: ConstantLedger
-
-    @property
-    def kprime(self) -> Fraction | None:
-        """The linear parameter, when it happens to be rational."""
-        root = ceil_sqrt_frac(self.kprime_sq)
-        return root if root * root == self.kprime_sq else None
 
 
 def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
@@ -96,13 +143,9 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
         raise ValueError(
             f"size hypothesis fails: |C|^2 = {c.size**2} > "
             f"K'^2|A||B| = {kp_sq * a.size * b.size}")
-    b_list = list(b.ids())
-    a_list = list(a.ids())
-    masks = {
-        x: sum(1 << j for j, y in enumerate(b_list) if g.mul(x, y) in c)
-        for x in a_list
-    }
-    n_pairs = sum(m.bit_count() for m in masks.values())
+    a_ids, b_ids = a.id_array(), b.id_array()
+    hit = _hits(g, a_ids, b_ids, member_mask(c))
+    n_pairs = int(np.count_nonzero(hit))
     ok = ledger.compare("density-hypothesis", n_pairs * k, ">=",
                         a.size * b.size, formula="N·K >= |A||B|")
     if not ok:
@@ -112,69 +155,43 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
 
     # Ω membership: overlap count <= (ε/2K²)|B|, strict complement is "good".
     omega_threshold = eps * b.size / (2 * k**2)
-    good_pairs: dict[int, set[int]] = {x: set() for x in a_list}
-    col_counts = [0] * len(b_list)
-    omega_cols = [0] * len(b_list)
-    for x in a_list:
-        mx = masks[x]
-        for j in range(len(b_list)):
-            if mx >> j & 1:
-                col_counts[j] += 1
-        for y in a_list:
-            overlap = mx & masks[y]
-            if overlap.bit_count() > omega_threshold:
-                good_pairs[x].add(y)
-            else:
-                while overlap:
-                    low = overlap & -overlap
-                    omega_cols[low.bit_length() - 1] += 1
-                    overlap ^= low
+    good, omega_cols = _good_pairs(hit, omega_threshold)
+    col_counts = np.count_nonzero(hit, axis=0).tolist()
 
-    # Pigeonhole integrand F(b) = |A_b|^2 - |Ω ∩ A_b^2|/ε, maximized.
-    best_j = None
-    best_value = None
-    for j in range(len(b_list)):
-        value = Fraction(col_counts[j] ** 2) - Fraction(omega_cols[j], 1) / eps
-        if best_value is None or value > best_value:
-            best_value = value
-            best_j = j
-    chosen_b = b_list[best_j]
+    # Pigeonhole integrand F(b) = |A_b|^2 - |Ω ∩ A_b^2|/ε, maximized; the
+    # first maximum of F·numer(ε) = numer(ε)|A_b|^2 - denom(ε)|Ω ∩ A_b^2|.
+    scaled = [eps.numerator * n * n - eps.denominator * w
+              for n, w in zip(col_counts, omega_cols)]
+    best_j = max(range(len(scaled)), key=scaled.__getitem__)
+    best_value = Fraction(col_counts[best_j] ** 2) - omega_cols[best_j] / eps
+    chosen_b = int(b_ids[best_j])
     ledger.compare("pigeonhole-value", best_value, ">=",
                    Fraction(a.size**2) / (2 * k**2),
                    formula="F(b*) >= |A|^2/2K^2")
 
-    a_prime_ids = _require_nonempty(
-        (x for x in a_list if masks[x] >> best_j & 1), "A'")
-    a_prime = MSet.from_ids(g, a_prime_ids)
+    rows = np.flatnonzero(hit[:, best_j])
+    a_prime = _nonempty_set(g, a_ids[rows].tolist(), "A'")
     ledger.compare("dense-subset", 2 * k**2 * a_prime.size**2, ">=",
                    Fraction(a.size**2), formula="2K^2|A'|^2 >= |A|^2")
 
-    omega_count = 0
-    d_ids = set()
-    quotient = {}
-    for x in a_prime_ids:
-        gx = good_pairs[x]
-        for y in a_prime_ids:
-            if y in gx:
-                qt = g.mul(x, g.inv(y))
-                quotient[(x, y)] = qt
-                d_ids.add(qt)
-            else:
-                omega_count += 1
+    good = good[np.ix_(rows, rows)]
+    omega_count = good.size - int(np.count_nonzero(good))
     if omega_count != omega_cols[best_j]:
         raise RuntimeError(
             f"|Ω ∩ A'^2| recount gives {omega_count}, but the column tally "
             f"for b* gives {omega_cols[best_j]}")
     ledger.compare("omega-small", omega_count, "<=", eps * a_prime.size**2,
                    formula="|Ω ∩ A'^2| <= ε|A'|^2")
-    d = MSet.from_ids(g, _require_nonempty(d_ids, "D"))
+    ids = a_prime.id_array()
+    quotients = np.concatenate([block.astype(np.uint16) for block in
+                                _product_blocks(g, ids, g.inv_array(ids))])
+    d_mask = np.zeros(g.order, dtype=bool)
+    d_mask[quotients[good]] = True
+    d = _nonempty_set(g, np.flatnonzero(d_mask).tolist(), "D")
     ledger.compare("quotient-size", eps * d.size, "<=",
                    2 * k**2 * kp_sq * a.size,
                    formula="ε|D| <= 2(KK')^2|A|")
-    covered = sum(
-        1 for x in a_prime_ids for y in a_prime_ids
-        if quotient.get((x, y), g.mul(x, g.inv(y))) in d
-    )
+    covered = int(np.count_nonzero(d_mask[quotients]))
     ledger.compare("quotient-density", covered, ">=",
                    (1 - eps) * a_prime.size**2,
                    formula="#{a(a')^-1 in D} >= (1-ε)|A'|^2")
@@ -232,21 +249,18 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
             f"energy hypothesis fails: E(A,B) = {e_val} < (|A||B|)^(3/2)/K")
 
     # Level set of the convolution at height sqrt(|A||B|)/2K, squared test.
-    c_ids = _require_nonempty(
-        (x for x, cnt in profile.counts.items() if 4 * p**2 * cnt**2 > q**2 * nm),
-        "C")
-    c = MSet.from_ids(g, c_ids)
+    c = _nonempty_set(g, (x for x, cnt in profile.counts.items()
+                          if 4 * p**2 * cnt**2 > q**2 * nm), "C")
     ledger.compare("level-set-size", c.size**2, "<=", 4 * k**2 * nm,
                    formula="|C|^2 <= 4K^2|A||B|")
     n_c = sum(cnt for x, cnt in profile.counts.items() if x in c)
     ledger.compare("level-set-mass", 2 * p * n_c, ">=", q * nm,
                    formula="2K·N_C >= |A||B|")
 
-    a_prime_ids = _require_nonempty(
-        (x for x in a.ids()
-         if 4 * p * (translate_left(x, b) & c.bits).bit_count() > q * b.size),
-        "A'")
-    a_prime = MSet.from_ids(g, a_prime_ids)
+    a_ids, b_ids, c_mask = a.id_array(), b.id_array(), member_mask(c)
+    row_hits = np.count_nonzero(_hits(g, a_ids, b_ids, c_mask), axis=1)
+    a_prime = _nonempty_set(
+        g, a_ids[row_hits > q * b.size // (4 * p)].tolist(), "A'")
     ledger.compare("a-prime-size", 4 * p * a_prime.size, ">=", q * a.size,
                    formula="4K|A'| >= |A|")
     l = Fraction(a.size, a_prime.size)
@@ -264,30 +278,22 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
                    formula="|D| <= 4096 K^5 |A|/L^2")
 
     # Markov refinement: keep a whose bad-quotient count is small.
-    a_second_ids = list(a_second.ids())
-    inv_cache = {y: g.inv(y) for y in a_second_ids}
-    bad_counts = {
-        x: sum(1 for y in a_second_ids if g.mul(x, inv_cache[y]) not in d)
-        for x in a_second_ids
-    }
-    total_bad = sum(bad_counts.values())
+    a_second_ids = a_second.id_array()
+    bad_counts = len(a_second_ids) - np.count_nonzero(_hits(
+        g, a_second_ids, g.inv_array(a_second_ids), member_mask(d)), axis=1)
+    total_bad = int(bad_counts.sum())
     ledger.compare("bad-pairs-total", total_bad, "<=",
                    eps * a_second.size**2, formula="Σ bad <= |A''|^2/32K")
-    a_third_ids = _require_nonempty(
-        (x for x in a_second_ids
-         if 16 * p * bad_counts[x] <= q * a_second.size), "A'''")
-    a_third = MSet.from_ids(g, a_third_ids)
+    a_third = _nonempty_set(g, a_second_ids[
+        bad_counts <= q * a_second.size // (16 * p)].tolist(), "A'''")
     ledger.compare("a-third-half", 2 * a_third.size, ">=", a_second.size,
                    formula="|A'''| >= |A''|/2")
     ledger.compare("a-third-size", 128 * k**2 * a_third.size**2, ">=",
                    Fraction(a.size**2), formula="|A'''| >= |A|/8√2K, squared")
 
-    b_third_ids = _require_nonempty(
-        (y for y in b.ids()
-         if 8 * p * (translate_right(a_second, y) & c.bits).bit_count()
-         > q * a_second.size),
-        "B'''")
-    b_third = MSet.from_ids(g, b_third_ids)
+    col_hits = np.count_nonzero(_hits(g, a_second_ids, b_ids, c_mask), axis=0)
+    b_third = _nonempty_set(
+        g, b_ids[col_hits > q * a_second.size // (8 * p)].tolist(), "B'''")
     ledger.compare("b-third-size", 8 * p * b_third.size, ">=", q * b.size,
                    formula="8K|B'''| >= |B|")
 
@@ -345,14 +351,9 @@ def energy_equivalences(clause: str, a: MSet, b: MSet, k, *,
                              a_prime=a_prime, b_prime=b_prime,
                              witness=witness, x_id=x_id, y_id=y_id)
     start = _CLAUSES.index(clause)
-    for offset in range(4):
-        current = _CLAUSES[(start + offset) % 4]
-        nxt = _CLAUSES[(start + offset + 1) % 4]
-        if offset == 3:
-            break
-        step = _STEPS[(current, nxt)]
-        state = step(g, a, b, state, ledger)
-        produced[nxt] = state
+    for i in range(start, start + 3):
+        state = _STEPS[_CLAUSES[i % 4]](g, a, b, state, ledger)
+        produced[_CLAUSES[(i + 1) % 4]] = state
     ledger.check()
     return EnergyEquivalenceWitness(clause, produced, ledger)
 
@@ -445,28 +446,26 @@ def _step_iii_iv(g, a, b, state, ledger):
     wit, x_cov, cls_ledger = classify_small_doubling(a_p, b_p, k_cls)
     ledger.merge(cls_ledger, "step-iii-iv.")
     h = wit.h
-    best_x = best_xv = None
-    for xc in x_cov.ids():
-        val = (a_p.bits & translate_left(xc, h)).bit_count()
-        if best_xv is None or val > best_xv:
-            best_x, best_xv = xc, val
-    best_y = best_yv = None
-    for yc in x_cov.ids():
-        val = (b_p.bits & translate_right(h, yc)).bit_count()
-        if best_yv is None or val > best_yv:
-            best_y, best_yv = yc, val
+
+    def first_best(count):
+        return max(((count(t), t) for t in x_cov.ids()), key=lambda p: p[0])
+
+    best_xv, best_x = first_best(
+        lambda t: (a_p.bits & translate_left(t, h)).bit_count())
+    best_yv, best_y = first_best(
+        lambda t: (b_p.bits & translate_right(h, t)).bit_count())
     sub = ConstantLedger("iv")
     sub.compare("x-pigeonhole", best_xv * x_cov.size, ">=", a_p.size,
                 formula="|A' ∩ xH||X| >= |A'|")
     sub.compare("y-pigeonhole", best_yv * x_cov.size, ">=", b_p.size,
                 formula="|B' ∩ Hy||X| >= |B'|")
     ledger.merge(sub, "step-iii-iv.")
-    k_next = _clause_iv_constant(a, b, wit.h, best_x, best_y, best_xv, best_yv)
+    k_next = _clause_iv_constant(a, b, wit.h, best_xv, best_yv)
     ledger.info("step-iii-iv.next-k", k_next, "measured clause-iv constant")
     return {"k": k_next, "witness": wit, "x": best_x, "y": best_y}
 
 
-def _clause_iv_constant(a, b, h, x_id, y_id, a_count, b_count) -> Fraction:
+def _clause_iv_constant(a, b, h, a_count, b_count) -> Fraction:
     nm = a.size * b.size
     candidates = [Fraction(1)]
     if a_count:
@@ -518,9 +517,9 @@ def _step_ii_i(g, a, b, state, ledger):
     return {"k": k_next, "energy": e_val}
 
 
-_STEPS = {
-    ("i", "iii"): _step_i_iii,
-    ("iii", "iv"): _step_iii_iv,
-    ("iv", "ii"): _step_iv_ii,
-    ("ii", "i"): _step_ii_i,
+_STEPS = {  # each clause's step to the next one in _CLAUSES
+    "i": _step_i_iii,
+    "iii": _step_iii_iv,
+    "iv": _step_iv_ii,
+    "ii": _step_ii_i,
 }

@@ -18,7 +18,6 @@ import itertools
 import random
 import re
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,8 +43,12 @@ from .groups import (
 )
 from .setops import (
     MSet,
+    _mask_bits,
+    _product_bits,
+    _product_blocks,
     ascending_powers,
     inverse_set,
+    member_mask,
     power_set,
     product_set,
     symmetrize,
@@ -341,46 +344,57 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
 
 
 def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
-    wadd, winv = g.w_additive.mul, g.w_additive.inv
-    zs = range(g.z_order)
-    exhaustive = g.z_order <= EXHAUSTIVE_ORDER_CAP
-    if exhaustive:
-        for x in zs:
-            if g.pair(x, x) != 0:
-                raise ValueError(
-                    f"pairing is not alternating: {{z,z}} != 0 at z id {x}")
-            for y in range(x + 1, g.z_order):
-                if g.pair(x, y) != winv(g.pair(y, x)):
-                    raise ValueError(
-                        "pairing is not antisymmetric: "
-                        f"{{x,y}} != -{{y,x}} at z ids ({x}, {y})")
-        note = f"exhaustive over {g.z_order}^2 pairs"
+    """Alternation, antisymmetry and bi-additivity of the pairing, each
+    swept as whole arrays through pair_array.  A failure names the first
+    counterexample of the scan: pairs row-major with the diagonal {x, x}
+    of each row before its pairs (x, y), y > x; triples in
+    itertools.product order; samples as drawn."""
+    pair, zo = g.pair_array, g.z_order
+    wadd, winv = g.w_additive.mul_pairs, g.w_additive.inv_array
+
+    def antisymmetry_fails(x, y):
+        return pair(x, y) != winv(pair(y, x))
+
+    if zo <= EXHAUSTIVE_ORDER_CAP:
+        found = _first_failure(
+            _grid_blocks(zo, zo),
+            lambda x, y: (((x == y) & (pair(x, x) != 0))
+                          | ((y > x) & antisymmetry_fails(x, y))))
+        if found and found[0] == found[1]:
+            raise ValueError(
+                f"pairing is not alternating: {{z,z}} != 0 at z id {found[0]}")
+        if found:
+            raise ValueError(
+                "pairing is not antisymmetric: "
+                f"{{x,y}} != -{{y,x}} at z ids {found}")
+        note = f"exhaustive over {zo}^2 pairs"
     else:
-        rng = random.Random(SAMPLE_SEED)
-        for _ in range(SAMPLE_COUNT):
-            x, y = rng.randrange(g.z_order), rng.randrange(g.z_order)
-            if g.pair(x, x) != 0 or g.pair(x, y) != winv(g.pair(y, x)):
-                raise ValueError(
-                    f"pairing antisymmetry fails at sampled z ids ({x}, {y})")
+        found = _first_failure(
+            _sample_pairs(random.Random(SAMPLE_SEED), SAMPLE_COUNT, zo, zo),
+            lambda x, y: (pair(x, x) != 0) | antisymmetry_fails(x, y))
+        if found:
+            raise ValueError(
+                f"pairing antisymmetry fails at sampled z ids {found}")
         note = f"{SAMPLE_COUNT} sampled pairs"
     ledger.claim("pairing-antisymmetric", True, note=note)
 
-    zmul = g.z_additive.mul
-    if g.z_order ** 3 <= 8000:
-        triples = itertools.product(zs, zs, zs)
+    if zo ** 3 <= 8000:
+        x, y, z = np.unravel_index(np.arange(zo ** 3), (zo, zo, zo))
         note = "exhaustive triples"
     else:
         rng = random.Random(SAMPLE_SEED + 1)
-        triples = ((rng.randrange(g.z_order), rng.randrange(g.z_order),
-                    rng.randrange(g.z_order)) for _ in range(SAMPLE_COUNT))
+        x, y, z = np.array([rng.randrange(zo) for _ in range(3 * SAMPLE_COUNT)]
+                           ).reshape(SAMPLE_COUNT, 3).T
         note = f"{SAMPLE_COUNT} sampled triples"
-    for x, y, z in triples:
-        if g.pair(zmul(x, y), z) != wadd(g.pair(x, z), g.pair(y, z)):
-            raise ValueError(
-                f"pairing is not additive on the left at z ids ({x}, {y}, {z})")
-        if g.pair(x, zmul(y, z)) != wadd(g.pair(x, y), g.pair(x, z)):
-            raise ValueError(
-                f"pairing is not additive on the right at z ids ({x}, {y}, {z})")
+    zmul = g.z_additive.mul_pairs
+    left = pair(zmul(x, y), z) != wadd(pair(x, z), pair(y, z))
+    right = pair(x, zmul(y, z)) != wadd(pair(x, y), pair(x, z))
+    bad = left | right
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"pairing is not additive on the {'left' if left[i] else 'right'} "
+            f"at z ids ({x[i]}, {y[i]}, {z[i]})")
     ledger.claim("pairing-bi-additive", True, note=note)
 
 
@@ -500,10 +514,93 @@ class SplitWitness:
     b1: MSet
     b2: MSet
     b3: MSet
-    phi: dict[int, int]
+    phi: np.ndarray     # quotient id -> parent id on C^3, -1 elsewhere
     exceptions: tuple[int, ...]
     b_witnesses: tuple[ApproxGroupWitness, ...]
     ledger: ConstantLedger
+
+
+def _projection(q: FiniteGroup, pi: np.ndarray, a: MSet) -> MSet:
+    """pi(A) as a subset of the quotient."""
+    mask = np.zeros(q.order, dtype=bool)
+    mask[pi[a.id_array()]] = True
+    return MSet(q, _mask_bits(mask))
+
+
+def _fiber_minima(q: FiniteGroup, pi: np.ndarray, ids: np.ndarray):
+    """Per quotient id, the smallest of the ids in its fiber; -1 where none
+    lies there."""
+    out = np.full(q.order, len(pi), dtype=np.intp)
+    np.minimum.at(out, pi[ids], ids)
+    out[out == len(pi)] = -1
+    return out
+
+
+def _section(g, q, pi, a: MSet, a3: MSet, c: MSet, c3: MSet):
+    """The symmetrized section on C^3 and its logged exceptions.
+
+    x takes the smallest id of its fiber (in A for x in C, in A^3 beyond);
+    a self-inverse x takes the smallest self-inverse id there, or is an
+    exception when there is none.  Each other x is paired with x^-1 in id
+    order: the smaller of the two takes its fiber minimum, the larger the
+    inverse of that.  Returns phi as an intp array over quotient ids (-1
+    off C^3) and the exceptions as ascending Python ints.
+    """
+    def minima(ids):
+        return (_fiber_minima(q, pi, ids),
+                _fiber_minima(q, pi, ids[g.inv_array(ids) == ids]))
+
+    in_c = member_mask(c)
+    first, fixed = (np.where(in_c, from_a, from_a3) for from_a, from_a3
+                    in zip(minima(a.id_array()), minima(a3.id_array())))
+    xs = c3.id_array()
+    xi = q.inv_array(xs)
+    phi = np.full(q.order, -1, dtype=np.intp)
+    lead = xs[xs < xi]
+    phi[lead] = first[lead]
+    phi[q.inv_array(lead)] = g.inv_array(first[lead])
+    selfinv = xs[(xs == xi) & (xs != 0)]
+    missing = fixed[selfinv] < 0
+    phi[selfinv] = np.where(missing, first[selfinv], fixed[selfinv])
+    phi[0] = 0
+    return phi, selfinv[missing].tolist()
+
+
+def _split_triples(cids: np.ndarray, exhaustive: bool):
+    """Triples (x, y, z) of C as id arrays of at most BLOCK_PAIRS triples:
+    all |C|^3 in itertools.product order, or TRIPLE_SAMPLE_COUNT triples
+    drawn by rng.choice from random.Random(SAMPLE_SEED), in draw order."""
+    n = len(cids)
+    if exhaustive:
+        for lo in range(0, n**3, BLOCK_PAIRS):
+            flat = np.arange(lo, min(lo + BLOCK_PAIRS, n**3))
+            yield tuple(cids[i] for i in np.unravel_index(flat, (n, n, n)))
+        return
+    rng = random.Random(SAMPLE_SEED)
+    ids = cids.tolist()
+    for lo in range(0, TRIPLE_SAMPLE_COUNT, BLOCK_PAIRS):
+        count = min(BLOCK_PAIRS, TRIPLE_SAMPLE_COUNT - lo)
+        draws = [rng.choice(ids) for _ in range(3 * count)]
+        yield tuple(np.array(draws, dtype=np.intp).reshape(count, 3).T)
+
+
+def _first_triple_defects(g, q, phi: np.ndarray, triples, *masks):
+    """For each boolean mask over g, the first triple (x, y, z), in the
+    order of the blocks, whose defect phi(xyz)^-1 phi(x)phi(y)phi(z) it
+    misses; None where every defect lies in it."""
+    found = [None] * len(masks)
+    for x, y, z in triples:
+        w = q.mul_pairs(q.mul_pairs(x, y), z)
+        lhs = g.mul_pairs(g.mul_pairs(phi[x], phi[y]), phi[z])
+        defect = g.mul_pairs(g.inv_array(phi[w]), lhs)
+        for i, mask in enumerate(masks):
+            missed = ~mask[defect]
+            if found[i] is None and missed.any():
+                t = int(np.argmax(missed))
+                found[i] = (int(x[t]), int(y[t]), int(z[t]))
+        if None not in found:
+            break
+    return found
 
 
 def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
@@ -515,6 +612,16 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     from A^3 beyond), symmetrized by pairing x with x^-1 in id order.
     Every displayed containment and counting bound is recorded as an exact
     ledger row and checked before the witness is returned.
+
+    phi is an intp array over quotient ids (-1 off C^3).  The checks are
+    array calls tested against boolean membership masks: phi(x)B_i inside
+    B_{i+1}phi(x) as the conjugates phi(x)B_i phi(x)^-1 inside B_{i+1}
+    (phi(x)^-1 B_i phi(x) for the right side), and the triple defects
+    phi(xyz)^-1 phi(x)phi(y)phi(z) in blocks of BLOCK_PAIRS triples against
+    masks of B3 and A^6 n H.  The triples are all of C^3 in
+    itertools.product order up to TRIPLE_EXHAUSTIVE_CAP, else the seeded
+    draws in draw order.  Membership is decided exactly on ids, so every
+    row is the one the per-element scan gives.
     """
     g = a.group
     if h.parent is not g:
@@ -540,10 +647,9 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
                    formula="|A^3| <= K|A|")
 
     member_bits = h.member_bits
-    cbits = 0
-    for x in a.ids():
-        cbits |= 1 << h.pi[x]
-    c = MSet(h.quotient, cbits)
+    q = h.quotient
+    pi = np.asarray(h.pi, dtype=np.intp)
+    c = _projection(q, pi, a)
     ledger.info("size-a", a.size)
     ledger.info("size-c", c.size)
 
@@ -591,96 +697,61 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
 
     # the section phi on C^3
     c3 = power_set(c, 3)
-    fibers_a: dict[int, list[int]] = defaultdict(list)
-    for x in a.ids():
-        fibers_a[h.pi[x]].append(x)
-    fibers_a3: dict[int, list[int]] = defaultdict(list)
-    for x in a3.ids():
-        fibers_a3[h.pi[x]].append(x)
-    qinv = h.quotient.inv
-    phi: dict[int, int] = {}
-    exceptions: list[int] = []
-    for x in c3.ids():
-        if x in phi:
-            continue
-        fiber = fibers_a[x] if x in c else fibers_a3[x]
-        if x == 0:
-            phi[0] = 0
-            continue
-        xi = qinv(x)
-        if xi == x:
-            fixed = [t for t in fiber if g.inv(t) == t]
-            if fixed:
-                phi[x] = fixed[0]
-            else:
-                exceptions.append(x)
-                phi[x] = fiber[0]
-        else:
-            phi[x] = fiber[0]
-            phi[xi] = g.inv(fiber[0])
-
+    phi, exceptions = _section(g, q, pi, a, a3, c, c3)
+    cids, c3_ids = c.id_array(), c3.id_array()
+    sec = phi[cids]     # phi on C
+    ginv, qinv = g.inv_array, q.inv_array
+    a_mask, a3_mask = member_mask(a), member_mask(a3)
     ledger.claim("section-at-identity", phi[0] == 0)
     ledger.claim("section-projects-back",
-                 all(h.pi[v] == x for x, v in phi.items()),
+                 np.array_equal(pi[phi[c3_ids]], c3_ids),
                  formula="pi(phi(x)) = x on C^3")
     ledger.claim("section-values-in-base",
-                 all(phi[x] in a for x in c.ids()),
+                 a_mask[sec].all(),
                  formula="phi(x) in A for x in C")
     ledger.claim("section-values-in-cube",
-                 all(v in a3 for v in phi.values()),
+                 a3_mask[phi[c3_ids]].all(),
                  formula="phi(x) in A^3 for x in C^3")
-    odd_ok = all(phi[qinv(x)] == g.inv(phi[x])
-                 for x in c3.ids() if x not in exceptions)
-    ledger.claim("section-odd", odd_ok,
+    keep = np.ones(q.order, dtype=bool)
+    keep[exceptions] = False
+    odd = c3_ids[keep[c3_ids]]
+    ledger.claim("section-odd",
+                 np.array_equal(phi[qinv(odd)], ginv(phi[odd])),
                  formula="phi(x^-1) = phi(x)^-1 off the logged exceptions")
     if exceptions:
         ledger.info("section-exceptions", len(exceptions),
                     note=f"self-inverse quotient ids with no symmetric "
                          f"representative: {exceptions[:8]}")
 
-    # conjugation shifts each core into the next
-    shifts_ok = {(i, side): True for i in (1, 2) for side in ("left", "right")}
-    cover_bits = 0
-    for x in c.ids():
-        px = phi[x]
-        cover_bits |= translate_left(px, b1)
-        for i, (small, big) in enumerate(((b1, b2), (b2, b3)), start=1):
-            if translate_left(px, small) & ~translate_right(big, px):
-                shifts_ok[(i, "left")] = False
-            if translate_right(small, px) & ~translate_left(px, big):
-                shifts_ok[(i, "right")] = False
-    for i in (1, 2):
-        ledger.claim(f"shift-absorb-left-i={i}", shifts_ok[(i, "left")],
+    # conjugation shifts each core into the next: phi(x)B_i inside
+    # B_{i+1}phi(x) exactly when phi(x)B_i phi(x)^-1 lies in B_{i+1}, and
+    # B_i phi(x) inside phi(x)B_{i+1} when phi(x)^-1 B_i phi(x) does
+    sec_inv = ginv(sec)
+    for i, (small, big) in enumerate(((b1, b2), (b2, b3)), start=1):
+        ids, big_mask = small.id_array(), member_mask(big)
+        left = g.mul_pairs(g.mul_outer(sec, ids), sec_inv[:, None])
+        right = g.mul_pairs(g.mul_outer(sec_inv, ids), sec[:, None])
+        ledger.claim(f"shift-absorb-left-i={i}", big_mask[left].all(),
                      formula=f"phi(x)B{i} inside B{i + 1}phi(x), all x in C")
-        ledger.claim(f"shift-absorb-right-i={i}", shifts_ok[(i, "right")],
+        ledger.claim(f"shift-absorb-right-i={i}", big_mask[right].all(),
                      formula=f"B{i}phi(x) inside phi(x)B{i + 1}, all x in C")
+    cover_bits = _product_bits(g, sec, b1.id_array())
     ledger.claim("fiber-cover", a.bits & ~cover_bits == 0,
                  lhs=a.size, formula="A inside the union of phi(x)B1 over C")
 
     # the quotiented homomorphism defect lands in B3
-    q = h.quotient
     a6h = pows[6].intersect_bits(member_bits)
-    cids = c.ids()
-    if c.size <= TRIPLE_EXHAUSTIVE_CAP:
-        triples = itertools.product(cids, cids, cids)
+    exhaustive = c.size <= TRIPLE_EXHAUSTIVE_CAP
+    if exhaustive:
         note = f"exhaustive over |C|^3 = {c.size ** 3} triples"
     else:
-        rng = random.Random(SAMPLE_SEED)
-        triples = ((rng.choice(cids), rng.choice(cids), rng.choice(cids))
-                   for _ in range(TRIPLE_SAMPLE_COUNT))
         note = f"{TRIPLE_SAMPLE_COUNT} sampled triples"
-    triple_ok = slice_ok = True
-    for x, y, z in triples:
-        w = q.mul(q.mul(x, y), z)
-        lhs = g.mul(g.mul(phi[x], phi[y]), phi[z])
-        defect = g.mul(g.inv(phi[w]), lhs)
-        if defect not in b3:
-            triple_ok = False
-        if defect not in a6h:
-            slice_ok = False
-    ledger.claim("triple-defect-in-b3", triple_ok,
+    in_b3, in_slice = _first_triple_defects(
+        g, q, phi, _split_triples(cids, exhaustive),
+        member_mask(b3), member_mask(a6h))
+    ledger.claim("triple-defect-in-b3", in_b3 is None,
                  formula="phi(x)phi(y)phi(z) in phi(xyz)B3", note=note)
-    ledger.claim("triple-defect-in-slice", slice_ok,
+    ledger.claim("triple-defect-in-slice", in_slice is None,
                  formula="the defect lies in A^6 n H", note=note)
 
     ledger.check()
@@ -783,7 +854,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     c = split.c
 
     # vertical part of the section
-    f = {x: g.w_of(v) for x, v in split.phi.items()}
+    f = {x: g.w_of(v) for x, v in enumerate(split.phi.tolist()) if v >= 0}
 
     # W-side sets share ids with the vertical slice of the carrier
     b1w = MSet(wg, split.b1.bits)
@@ -931,7 +1002,7 @@ class ExactSplit:
     view: NormalSubgroupView
     b: MSet
     c: MSet
-    phi: dict[int, int]
+    phi: np.ndarray     # quotient id -> smallest id of its fiber in A, or -1
     ledger: ConstantLedger
 
     @property
@@ -940,14 +1011,26 @@ class ExactSplit:
 
 
 def _require_subgroup(a: MSet) -> None:
+    """Raise on the first failure of the row-major scan: for each member x
+    in id order, its inverse, then the products x*y for y in id order; the
+    identity last."""
     g = a.group
-    for x in a.ids():
-        if g.inv(x) not in a:
-            raise ValueError(f"not a subgroup: inverse of member {x} is missing")
-        for y in a.ids():
-            if g.mul(x, y) not in a:
+    ids, mask = a.id_array(), member_mask(a)
+    inverse_missing = ~mask[g.inv_array(ids)]
+    lo = 0
+    for block in _product_blocks(g, ids, ids):
+        escapes = ~mask[block]
+        failing = inverse_missing[lo:lo + len(block)] | escapes.any(axis=1)
+        if failing.any():
+            r = int(np.argmax(failing))
+            x = int(ids[lo + r])
+            if inverse_missing[lo + r]:
                 raise ValueError(
-                    f"not a subgroup: product of members {x} and {y} escapes")
+                    f"not a subgroup: inverse of member {x} is missing")
+            y = int(ids[np.argmax(escapes[r])])
+            raise ValueError(
+                f"not a subgroup: product of members {x} and {y} escapes")
+        lo += len(block)
     if 0 not in a:
         raise ValueError("not a subgroup: identity is missing")
 
@@ -961,13 +1044,10 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
         raise ValueError("the subgroup view belongs to a different group")
     _require_subgroup(a)
     b = a.intersect_bits(h.member_bits)
-    cbits = 0
-    for x in a.ids():
-        cbits |= 1 << h.pi[x]
-    c = MSet(h.quotient, cbits)
-    phi: dict[int, int] = {}
-    for x in a.ids():
-        phi.setdefault(h.pi[x], x)
+    q = h.quotient
+    pi = np.asarray(h.pi, dtype=np.intp)
+    c = _projection(q, pi, a)
+    phi = _fiber_minima(q, pi, a.id_array())
 
     ledger = ConstantLedger("exact-split")
     normal_ok = all(
@@ -975,15 +1055,14 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
     )
     ledger.claim("fiber-shift-match", normal_ok,
                  formula="phi(x)B = Bphi(x) for all x in C")
-    q = h.quotient
-    hom_ok = True
-    cover_bits = 0
-    for x in c.ids():
-        cover_bits |= translate_left(phi[x], b)
-        for y in c.ids():
-            defect = g.mul(g.inv(g.mul(phi[x], phi[y])), phi[q.mul(x, y)])
-            if defect not in b:
-                hom_ok = False
+    cids, b_mask = c.id_array(), member_mask(b)
+    sec = phi[cids]
+    step = max(1, BLOCK_PAIRS // len(cids))
+    hom_ok = all(
+        b_mask[g.mul_pairs(g.inv_array(g.mul_outer(sec[lo:lo + step], sec)),
+                           phi[q.mul_outer(cids[lo:lo + step], cids)])].all()
+        for lo in range(0, len(cids), step))
+    cover_bits = _product_bits(g, sec, b.id_array())
     ledger.claim("quotient-homomorphism", hom_ok,
                  formula="phi(xy) in phi(x)phi(y)B for all x, y in C")
     ledger.claim("fiber-decomposition", cover_bits == a.bits,

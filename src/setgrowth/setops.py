@@ -71,9 +71,7 @@ class MSet:
     def id_array(self) -> np.ndarray:
         """The ids in increasing order as an intp array."""
         if self._idarray is None:
-            raw = self.bits.to_bytes((self.group.order + 7) // 8, "little")
-            self._idarray = np.flatnonzero(np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+            self._idarray = np.flatnonzero(member_mask(self))
         return self._idarray
 
     def __contains__(self, x: int) -> bool:
@@ -119,6 +117,13 @@ class MSet:
         if len(ids) > 8:
             shown += ",..."
         return f"MSet[{self.size}]{{{shown}}} in {self.group.name}"
+
+
+def member_mask(a: MSet) -> np.ndarray:
+    """The boolean mask over all ids of the group that is True on A."""
+    raw = a.bits.to_bytes((a.group.order + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little", count=a.group.order).view(bool)
 
 
 def _require_same_group(a: MSet, b: MSet):

@@ -6,16 +6,25 @@ below was read off an enumeration of the level sets done independently
 of the pipeline code.
 """
 
+import dataclasses
+import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgrowth.exact import ceil_isqrt
-from setgrowth.groups import construct_group
+from setgrowth.groups import TABLE_CAP, construct_group, subgroup_closure
 from setgrowth.setops import MSet, energy, product_set
-from setgrowth.bsg import bsg_extract, energy_equivalences, weak_bsg
-from setgrowth.structure import LedgerError
+from setgrowth.bsg import (
+    WeakBsgResult,
+    bsg_extract,
+    energy_equivalences,
+    weak_bsg,
+)
+from setgrowth.structure import ConstantLedger, LedgerError
 
 G16 = construct_group("cyclic(16)")
 G12 = construct_group("cyclic(12)")
@@ -159,3 +168,244 @@ def test_equivalence_cycle_on_random_sets(a):
     wit = energy_equivalences("i", a, a, inferred_k(a, a))
     assert wit.ledger.hard_ok
     assert wit.input_clause == "i"
+
+
+# ------------------------------------------- scalar reference pipelines
+#
+# The weak extraction and the Markov refinement one pair at a time, on the
+# per-element oracles _mul_raw/_inv_raw: the loops the array path replaced.
+# Every field, set and ledger row of the array path must match them.
+
+def scalar_weak_bsg(a, b, c, k, eps, kprime_sq):
+    g = a.group
+    k, eps, kp_sq = Fraction(k), Fraction(eps), Fraction(kprime_sq)
+    mul = g._mul_raw
+    ledger = ConstantLedger("weak_bsg")
+    if not ledger.compare("c-hypothesis", c.size**2, "<=",
+                          kp_sq * a.size * b.size,
+                          formula="|C|^2 <= K'^2|A||B|"):
+        raise ValueError("size hypothesis fails")
+    b_list, a_list = list(b.ids()), list(a.ids())
+    masks = {x: sum(1 << j for j, y in enumerate(b_list) if mul(x, y) in c)
+             for x in a_list}
+    n_pairs = sum(m.bit_count() for m in masks.values())
+    if not ledger.compare("density-hypothesis", n_pairs * k, ">=",
+                          a.size * b.size, formula="N·K >= |A||B|"):
+        raise ValueError("density hypothesis fails")
+    omega_threshold = eps * b.size / (2 * k**2)
+    good_pairs = {x: set() for x in a_list}
+    col_counts = [0] * len(b_list)
+    omega_cols = [0] * len(b_list)
+    for x in a_list:
+        mx = masks[x]
+        for j in range(len(b_list)):
+            if mx >> j & 1:
+                col_counts[j] += 1
+        for y in a_list:
+            overlap = mx & masks[y]
+            if overlap.bit_count() > omega_threshold:
+                good_pairs[x].add(y)
+            else:
+                while overlap:
+                    low = overlap & -overlap
+                    omega_cols[low.bit_length() - 1] += 1
+                    overlap ^= low
+    best_j = best_value = None
+    for j in range(len(b_list)):
+        value = Fraction(col_counts[j] ** 2) - Fraction(omega_cols[j], 1) / eps
+        if best_value is None or value > best_value:
+            best_value, best_j = value, j
+    ledger.compare("pigeonhole-value", best_value, ">=",
+                   Fraction(a.size**2) / (2 * k**2),
+                   formula="F(b*) >= |A|^2/2K^2")
+    a_prime_ids = [x for x in a_list if masks[x] >> best_j & 1]
+    a_prime = MSet.from_ids(g, a_prime_ids)
+    ledger.compare("dense-subset", 2 * k**2 * a_prime.size**2, ">=",
+                   Fraction(a.size**2), formula="2K^2|A'|^2 >= |A|^2")
+    omega_count = 0
+    d_ids = set()
+    for x in a_prime_ids:
+        for y in a_prime_ids:
+            if y in good_pairs[x]:
+                d_ids.add(mul(x, g._inv_raw(y)))
+            else:
+                omega_count += 1
+    assert omega_count == omega_cols[best_j]
+    ledger.compare("omega-small", omega_count, "<=", eps * a_prime.size**2,
+                   formula="|Ω ∩ A'^2| <= ε|A'|^2")
+    d = MSet.from_ids(g, d_ids)
+    ledger.compare("quotient-size", eps * d.size, "<=",
+                   2 * k**2 * kp_sq * a.size, formula="ε|D| <= 2(KK')^2|A|")
+    covered = sum(1 for x in a_prime_ids for y in a_prime_ids
+                  if mul(x, g._inv_raw(y)) in d)
+    ledger.compare("quotient-density", covered, ">=",
+                   (1 - eps) * a_prime.size**2,
+                   formula="#{a(a')^-1 in D} >= (1-ε)|A'|^2")
+    return WeakBsgResult(a_prime, d, b_list[best_j], omega_count,
+                         omega_threshold, k, kp_sq, eps, ledger)
+
+
+def scalar_extract_sets(a, b, k):
+    """(C, A', A'', A''', B''', D) of the full extraction, by brute force."""
+    g = a.group
+    k = Fraction(k)
+    p, q = k.numerator, k.denominator
+    mul = g._mul_raw
+    nm = a.size * b.size
+    counts = Counter(mul(x, y) for x in a.ids() for y in b.ids())
+    c = MSet.from_ids(g, [x for x, n in counts.items()
+                          if 4 * p**2 * n**2 > q**2 * nm])
+    a_prime = MSet.from_ids(g, [
+        x for x in a.ids()
+        if 4 * p * sum(mul(x, y) in c for y in b.ids()) > q * b.size])
+    l = Fraction(a.size, a_prime.size)
+    weak = scalar_weak_bsg(a_prime, b, c, 4 * k / l, Fraction(1) / (32 * k),
+                           4 * k**2 * l)
+    a_second, d = weak.a_prime, weak.d
+    inv = {y: g._inv_raw(y) for y in a_second.ids()}
+    bad_counts = {x: sum(1 for y in a_second.ids() if mul(x, inv[y]) not in d)
+                  for x in a_second.ids()}
+    a_third = MSet.from_ids(g, [x for x in a_second.ids()
+                                if 16 * p * bad_counts[x] <= q * a_second.size])
+    b_third = MSet.from_ids(g, [
+        y for y in b.ids()
+        if 8 * p * sum(mul(x, y) in c for x in a_second.ids())
+        > q * a_second.size])
+    return c, a_prime, a_second, a_third, b_third, d, weak
+
+
+def assert_same_rows(got, want):
+    assert got.rows == want.rows
+    assert got.lines() == want.lines()
+    assert [(type(r.lhs), type(r.rhs)) for r in got.rows] == \
+        [(type(r.lhs), type(r.rhs)) for r in want.rows]
+
+
+def assert_same_weak(got, want):
+    for field in dataclasses.fields(WeakBsgResult):
+        if field.name != "ledger":
+            assert getattr(got, field.name) == getattr(want, field.name), field
+    assert type(got.chosen_b) is int and type(got.omega_count) is int
+    assert_same_rows(got.ledger, want.ledger)
+
+
+ORACLE_GROUPS = {spec: construct_group(spec) for spec in
+                 ("cyclic(16)", "symmetric(4)", "sl2(5)", "symmetric(7)")}
+
+
+def oracle_instance(draw, spec):
+    """Sets A, B of a group and a C that holds all of A·B, all but a few
+    products, or a random share of them."""
+    g = ORACLE_GROUPS[spec]
+    a, b = (draw(random_sets(g, 24)) for _ in range(2))
+    products = sorted(product_set(a, b).ids())
+    share = draw(st.sampled_from(["all", "most", "some"]))
+    if share == "all":
+        kept = products
+    elif share == "most":
+        dropped = draw(st.sets(st.sampled_from(products),
+                               max_size=min(3, len(products) - 1)))
+        kept = [x for x in products if x not in dropped]
+    else:
+        kept = draw(st.lists(st.sampled_from(products), min_size=1,
+                             max_size=len(products)))
+    return a, b, MSet.from_ids(g, kept)
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_GROUPS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weak_matches_the_scalar_reference(spec, data):
+    a, b, c = oracle_instance(data.draw, spec)
+    hits = sum(a.group._mul_raw(x, y) in c for x in a.ids() for y in b.ids())
+    k = Fraction(a.size * b.size, hits) * data.draw(
+        st.sampled_from([1, Fraction(5, 4), 2]))
+    eps = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 5),
+                                     Fraction(3, 4), Fraction(9, 10),
+                                     Fraction(1, 64)]))
+    kprime_sq = Fraction(c.size**2, a.size * b.size)
+    assert_same_weak(weak_bsg(a, b, c, k, eps=eps, kprime_sq=kprime_sq),
+                     scalar_weak_bsg(a, b, c, k, eps, kprime_sq))
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_GROUPS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_extract_matches_the_scalar_reference(spec, data):
+    g = ORACLE_GROUPS[spec]
+    a, b = (data.draw(random_sets(g, 24)) for _ in range(2))
+    # the inferred K, or a larger integer one, so thresholds land on counts
+    k = max(inferred_k(a, b), Fraction(data.draw(st.integers(0, 3))))
+    ex = bsg_extract(a, b, k)
+    c, a_prime, a_second, a_third, b_third, d, weak = \
+        scalar_extract_sets(a, b, k)
+    assert (ex.c, ex.a_prime, ex.a_second, ex.a_third, ex.b_third, ex.d) == \
+        (c, a_prime, a_second, a_third, b_third, d)
+    assert_same_weak(ex.weak, weak)
+    # the Markov and B''' rows, recounted from the reference sets
+    rows = {r.name: r for r in ex.ledger.rows}
+    bad = sum(g._mul_raw(x, g._inv_raw(y)) not in d
+              for x in a_second.ids() for y in a_second.ids())
+    assert rows["bad-pairs-total"].lhs == bad
+    assert rows["a-third-half"].lhs == 2 * a_third.size
+    assert rows["b-third-size"].lhs == 8 * k.numerator * b_third.size
+
+
+def test_extract_memory_above_the_table_cap():
+    # 840 ids of symmetric(7), above TABLE_CAP: only the boolean matrices
+    # and one block of products may be live, a few MB
+    g = ORACLE_GROUPS["symmetric(7)"]
+    assert g.order > TABLE_CAP
+    a = MSet.from_ids(g, random.Random(840).sample(range(g.order), 840))
+    k = inferred_k(a, a)
+    tracemalloc.start()
+    try:
+        ex = bsg_extract(a, a, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ex.ledger.hard_ok
+    assert peak < 16_000_000
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_GROUPS))
+def test_weak_matches_the_reference_at_the_threshold(spec):
+    # C a random half of A·B and K = |A||B|/N: overlaps spread around the
+    # floored Ω threshold, so some pairs sit exactly on it
+    g = ORACLE_GROUPS[spec]
+    rng = random.Random(spec)
+    ties = 0
+    for _ in range(6):
+        a, b = (MSet.from_ids(g, rng.sample(range(g.order), min(g.order, 30)))
+                for _ in range(2))
+        products = list(product_set(a, b).ids())
+        c = MSet.from_ids(g, rng.sample(products, (len(products) + 1) // 2))
+        rows = [[g._mul_raw(x, y) in c for y in b.ids()] for x in a.ids()]
+        k = Fraction(a.size * b.size, sum(map(sum, rows)))
+        for eps in (Fraction(1, 2), Fraction(9, 10)):
+            floor = int(eps * b.size / (2 * k**2))
+            ties += sum(sum(u and v for u, v in zip(r, s)) == floor
+                        for r in rows for s in rows)
+            kprime_sq = Fraction(c.size**2, a.size * b.size)
+            assert_same_weak(weak_bsg(a, b, c, k, eps=eps, kprime_sq=kprime_sq),
+                             scalar_weak_bsg(a, b, c, k, eps, kprime_sq))
+    assert ties > 0
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_GROUPS))
+def test_extract_matches_the_reference_over_k(spec):
+    # a cyclic subgroup plus a few ids, at K, 3K/2 and 2K for the inferred
+    # K: refinement counts land on the floored thresholds
+    g = ORACLE_GROUPS[spec]
+    rng = random.Random(spec)
+    for _ in range(12):
+        core = subgroup_closure(g, [rng.randrange(g.order)])
+        a, b = (MSet.from_ids(g, core | set(rng.sample(range(g.order), 3)))
+                for _ in range(2))
+        for k in (inferred_k(a, b) * m for m in (1, Fraction(3, 2), 2)):
+            ex = bsg_extract(a, b, k)
+            c, a_prime, a_second, a_third, b_third, d, weak = \
+                scalar_extract_sets(a, b, k)
+            assert (ex.c, ex.a_prime, ex.a_second, ex.a_third, ex.b_third,
+                    ex.d) == (c, a_prime, a_second, a_third, b_third, d)
+            assert_same_weak(ex.weak, weak)

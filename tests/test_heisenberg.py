@@ -7,9 +7,17 @@ the identity alone, and the genuine subgroups split with B = A cap H
 on the nose.
 """
 
+import itertools
+import random
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from setgrowth import heisenberg as hb
+from setgrowth import setops
 
 from setgrowth.groups import construct_group, quotient_map, subgroup_closure
 from setgrowth.setops import MSet, power_set, product_set, symmetrize
@@ -266,3 +274,201 @@ def test_sandwich_rejects_non_heisenberg():
 def test_sandwich_rejects_non_subgroup():
     with pytest.raises(ValueError):
         verify_subgroup_sandwich(MSet.from_ids(H27, [0, 4]))
+
+
+# ------------------------------------------- array checks against scans
+
+def scalar_section(g, h, a, a3, c, c3):
+    """The section one element at a time: fibers as lists in id order,
+    self-inverse classes first, every other x paired with x^-1."""
+    fibers_a, fibers_a3 = defaultdict(list), defaultdict(list)
+    for x in a.ids():
+        fibers_a[h.pi[x]].append(x)
+    for x in a3.ids():
+        fibers_a3[h.pi[x]].append(x)
+    phi, exceptions = {}, []
+    for x in c3.ids():
+        if x in phi:
+            continue
+        fiber = fibers_a[x] if x in c else fibers_a3[x]
+        if x == 0:
+            phi[0] = 0
+            continue
+        xi = h.quotient._inv_raw(x)
+        if xi == x:
+            fixed = [t for t in fiber if g._inv_raw(t) == t]
+            if not fixed:
+                exceptions.append(x)
+            phi[x] = fixed[0] if fixed else fiber[0]
+        else:
+            phi[x] = fiber[0]
+            phi[xi] = g._inv_raw(fiber[0])
+    return phi, exceptions
+
+
+SECTION_VIEWS = [
+    ("dihedral(6)", [2]), ("dihedral(6)", [3]), ("cyclic(12)", [4]),
+    ("cyclic(12)", [6]), ("symmetric(4)", [7, 16]),
+    ("heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)", [1]),
+]
+
+
+@pytest.mark.parametrize("spec, gens", SECTION_VIEWS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_section_matches_the_scalar_construction(spec, gens, data):
+    g = construct_group(spec)
+    h = quotient_map(g, gens)
+    ids = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1,
+                            max_size=8))
+    a = symmetrize(MSet.from_ids(g, ids))
+    a3 = power_set(a, 3)
+    pi = np.asarray(h.pi, dtype=np.intp)
+    c = hb._projection(h.quotient, pi, a)
+    c3 = power_set(c, 3)
+    phi, exceptions = hb._section(g, h.quotient, pi, a, a3, c, c3)
+    want_phi, want_exceptions = scalar_section(g, h, a, a3, c, c3)
+    assert c.ids() == tuple(sorted({h.pi[x] for x in a.ids()}))
+    assert {x: v for x, v in enumerate(phi.tolist()) if v >= 0} == want_phi
+    assert exceptions == want_exceptions
+
+
+def scalar_triple_defects(g, q, phi, triples, *masks):
+    """First triple, in sweep order, whose defect each mask misses."""
+    found = [None] * len(masks)
+    for x, y, z in triples:
+        w = q._mul_raw(q._mul_raw(x, y), z)
+        lhs = g._mul_raw(g._mul_raw(phi[x], phi[y]), phi[z])
+        defect = g._mul_raw(g._inv_raw(phi[w]), lhs)
+        for i, mask in enumerate(masks):
+            if found[i] is None and not mask[defect]:
+                found[i] = (x, y, z)
+    return found
+
+
+def scalar_triples(cids, exhaustive):
+    if exhaustive:
+        return itertools.product(cids, repeat=3)
+    rng = random.Random(hb.SAMPLE_SEED)
+    return [(rng.choice(cids), rng.choice(cids), rng.choice(cids))
+            for _ in range(hb.TRIPLE_SAMPLE_COUNT)]
+
+
+@pytest.mark.parametrize("spec, gens", SECTION_VIEWS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_triple_defects_match_the_scalar_sweep_on_any_view(spec, gens, data):
+    # a section of a random symmetric set against random masks inside H,
+    # also where H is not central and the defect's side matters
+    g = construct_group(spec)
+    h = quotient_map(g, gens)
+    ids = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1,
+                            max_size=8))
+    a = symmetrize(MSet.from_ids(g, ids))
+    pi = np.asarray(h.pi, dtype=np.intp)
+    c = hb._projection(h.quotient, pi, a)
+    phi, _ = hb._section(g, h.quotient, pi, a, power_set(a, 3), c,
+                         power_set(c, 3))
+    members = st.sets(st.sampled_from(sorted(h.members)), min_size=1)
+    masks = [setops.member_mask(MSet.from_ids(g, data.draw(members)))
+             for _ in range(2)]
+    got = hb._first_triple_defects(
+        g, h.quotient, phi, hb._split_triples(c.id_array(), True), *masks)
+    assert got == scalar_triple_defects(
+        g, h.quotient, phi.tolist(), scalar_triples(c.ids(), True), *masks)
+
+
+# z ids 81 > TRIPLE_EXHAUSTIVE_CAP: the triple check samples
+H243 = construct_group("heisenberg(z=Zp^4,p=3;w=Zp^1,p=3;pairing=symplectic)")
+
+
+@pytest.mark.parametrize("g, a", [
+    (H27, MSet.from_ids(H27, range(0, 27, 3))),
+    (H243, MSet.from_ids(H243, range(0, 243, 3))),
+])
+def test_triple_check_matches_the_scalar_sweep(g, a):
+    sw = split_approximate(a, g.vertical, measured_tripling(a))
+    q, cids = g.vertical.quotient, list(sw.c.ids())
+    exhaustive = len(cids) <= hb.TRIPLE_EXHAUSTIVE_CAP
+    assert exhaustive == (g is H27)
+    rows = {r.name: r for r in sw.ledger.rows}
+    note = rows["triple-defect-in-b3"].note
+    assert note == (f"exhaustive over |C|^3 = {len(cids) ** 3} triples"
+                    if exhaustive else
+                    f"{hb.TRIPLE_SAMPLE_COUNT} sampled triples")
+    # the true masks, and planted ones that miss most defects: the first
+    # missed triple must be the scalar sweep's, in the same draw order
+    masks = [setops.member_mask(sw.b3),
+             setops.member_mask(MSet.identity_only(g)),
+             setops.member_mask(MSet.from_ids(g, [0, 1]))]
+    got = hb._first_triple_defects(
+        g, q, sw.phi, hb._split_triples(np.array(cids), exhaustive), *masks)
+    want = scalar_triple_defects(g, q, sw.phi.tolist(),
+                                 scalar_triples(cids, exhaustive), *masks)
+    assert got == want
+    assert got[0] is None and rows["triple-defect-in-b3"].holds
+    assert got[1] is not None and got[2] is not None
+
+
+def scalar_subgroup_error(a):
+    """The subgroup test as a row-major scan over the scalar oracles."""
+    g = a.group
+    for x in a.ids():
+        if g._inv_raw(x) not in a:
+            return f"not a subgroup: inverse of member {x} is missing"
+        for y in a.ids():
+            if g._mul_raw(x, y) not in a:
+                return f"not a subgroup: product of members {x} and {y} escapes"
+    if 0 not in a:
+        return "not a subgroup: identity is missing"
+    return None
+
+
+def subgroup_error(a):
+    try:
+        hb._require_subgroup(a)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# direct_product(cyclic(4),cyclic(100)) numbers (i, j) as 100i + j, so the
+# subgroup {0} x C100 is ids 0..99 and each coset is a run of 100 ids
+C4C100 = construct_group("direct_product(cyclic(4),cyclic(100))")
+
+
+@pytest.mark.parametrize("ids, message", [
+    # a subgroup and one coset: the first failing row is id 100, in the
+    # third block of rows
+    (range(0, 200), "inverse of member 100 is missing"),
+    # two cosets, inverse-closed, whose product escapes at row 100
+    ([*range(0, 200), *range(300, 400)], "product of members 100 and 100"),
+    # the subgroup {0} x 2C100 without its identity
+    (range(2, 100, 2), "product of members 2 and 98 escapes"),
+    (range(0, 400), None),
+])
+def test_require_subgroup_names_the_scan_failure(ids, message):
+    a = MSet.from_ids(C4C100, ids)
+    got = subgroup_error(a)
+    assert got == scalar_subgroup_error(a)
+    assert (got is None) if message is None else (message in got)
+
+
+@pytest.mark.parametrize("spec", ["heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)",
+                                  "dihedral(6)", "symmetric(7)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_require_subgroup_matches_the_scan_on_random_sets(spec, data):
+    g = construct_group(spec)
+    if data.draw(st.booleans()):
+        gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1,
+                                  max_size=2))
+        ids = set(subgroup_closure(g, gens))
+        if len(ids) > 200:
+            ids = set(gens) | {0}
+        ids ^= data.draw(st.sets(st.integers(0, g.order - 1), max_size=2))
+    else:
+        ids = data.draw(st.sets(st.integers(0, g.order - 1), max_size=12))
+    if ids:
+        a = MSet.from_ids(g, ids)
+        assert subgroup_error(a) == scalar_subgroup_error(a)

@@ -337,3 +337,99 @@ def test_heisenberg_sweeps_pass_on_the_true_law():
     assert [r.name for r in ledger.rows] == [
         "inverse-law", "vertical-central", "commutator-identity",
         "additive-encoding-aligned"]
+
+
+# ------------------------------------------------------------ planted pairings
+
+class PlantedPairing(hb.HeisenbergGroup):
+    """A Heisenberg carrier whose pairing takes the W id `value` wherever
+    bad(z1, z2) holds; bad works on ints and on id arrays alike."""
+
+    def __init__(self, spec, bad, value):
+        super().__init__(hb.parse_pairing_spec(spec))
+        self.bad, self.value = bad, value
+
+    def pair(self, z1, z2):
+        return self.value if self.bad(z1, z2) else super().pair(z1, z2)
+
+    def pair_array(self, z1, z2):
+        return np.where(self.bad(z1, z2), self.value,
+                        super().pair_array(z1, z2))
+
+
+def scalar_pairing_error(g):
+    """The pairing sweeps one pair (or triple) at a time through g.pair."""
+    zo, wadd, winv = g.z_order, g.w_additive.mul, g.w_additive.inv
+    if zo <= hb.EXHAUSTIVE_ORDER_CAP:
+        for x in range(zo):
+            if g.pair(x, x) != 0:
+                return f"pairing is not alternating: {{z,z}} != 0 at z id {x}"
+            for y in range(x + 1, zo):
+                if g.pair(x, y) != winv(g.pair(y, x)):
+                    return ("pairing is not antisymmetric: "
+                            f"{{x,y}} != -{{y,x}} at z ids ({x}, {y})")
+    else:
+        rng = random.Random(hb.SAMPLE_SEED)
+        for _ in range(hb.SAMPLE_COUNT):
+            x, y = rng.randrange(zo), rng.randrange(zo)
+            if g.pair(x, x) != 0 or g.pair(x, y) != winv(g.pair(y, x)):
+                return f"pairing antisymmetry fails at sampled z ids ({x}, {y})"
+    zmul = g.z_additive.mul
+    if zo ** 3 <= 8000:
+        triples = itertools.product(range(zo), repeat=3)
+    else:
+        rng = random.Random(hb.SAMPLE_SEED + 1)
+        triples = ((rng.randrange(zo), rng.randrange(zo), rng.randrange(zo))
+                   for _ in range(hb.SAMPLE_COUNT))
+    for x, y, z in triples:
+        if g.pair(zmul(x, y), z) != wadd(g.pair(x, z), g.pair(y, z)):
+            return f"pairing is not additive on the left at z ids ({x}, {y}, {z})"
+        if g.pair(x, zmul(y, z)) != wadd(g.pair(x, y), g.pair(x, z)):
+            return f"pairing is not additive on the right at z ids ({x}, {y}, {z})"
+    return None
+
+
+def pairing_error(g):
+    try:
+        hb._validate_pairing(g, ConstantLedger("planted"))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2))
+def test_pairing_sweep_names_the_first_counterexample(a, b, c):
+    # one planted value in the order-27 group: exhaustive pairs and triples
+    g = PlantedPairing("z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic",
+                       lambda x, y: (x == a) & (y == b), c)
+    assert pairing_error(g) == scalar_pairing_error(g)
+
+
+# z ids above EXHAUSTIVE_ORDER_CAP (and z^3 above 8000): both sweeps sample
+SAMPLED_PAIRING = "z=Zp^1,p=10007;w=Zp^1,p=2;pairing=zero"
+
+
+@pytest.mark.parametrize("bad, kind", [
+    (lambda x, y: x % 97 == 5, "antisymmetry"),
+    (lambda x, y: (x != y) & ((x + y) % 3 == 0), "additive"),
+    (lambda x, y: (x != y) & ((x + y) % 5000 == 17), "additive"),
+])
+def test_sampled_pairing_sweep_names_the_first_counterexample(bad, kind):
+    g = PlantedPairing(SAMPLED_PAIRING, bad, 1)
+    assert g.z_order > hb.EXHAUSTIVE_ORDER_CAP
+    message = pairing_error(g)
+    assert message is not None and kind in message
+    assert message == scalar_pairing_error(g)
+
+
+def test_pairing_sweep_passes_on_true_pairings():
+    for spec in ("z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic",
+                 "z=Zp^4,p=3;w=Zp^1,p=3;pairing=symplectic",
+                 SAMPLED_PAIRING):
+        g = hb.HeisenbergGroup(hb.parse_pairing_spec(spec))
+        ledger = ConstantLedger("true-pairing")
+        hb._validate_pairing(g, ledger)
+        assert scalar_pairing_error(g) is None
+        assert [r.name for r in ledger.rows] == [
+            "pairing-antisymmetric", "pairing-bi-additive"]
