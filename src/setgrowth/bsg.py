@@ -30,13 +30,13 @@ from .constants import (
     BSG_HEADLINE_EXP_SQ,
 )
 from .exact import ceil_sqrt_frac, frac
-from .groups import BLOCK_PAIRS
+from .groups import BLOCK_PAIRS, _product_blocks
 from .setops import (
     MSet,
-    _product_blocks,
     convolution,
     energy,
     member_mask,
+    partial_product,
     product_set,
     translate_left,
     translate_right,
@@ -373,11 +373,7 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
         pair_list = sorted(set((int(x), int(y)) for x, y in pairs))
         if not pair_list:
             raise ValueError("clause ii pair set is empty")
-        bad = [(x, y) for x, y in pair_list if x not in a or y not in b]
-        if bad:
-            raise ValueError(f"pair {bad[0]} outside A x B")
-        image = MSet.from_ids(a.group,
-                              {a.group.mul(x, y) for x, y in pair_list})
+        image = partial_product(a, b, pair_list)
         sub.compare("pair-density", len(pair_list) * k, ">=",
                     Fraction(nm), formula="|E|K >= |A||B|")
         sub.compare("image-size", image.size**2, "<=", k**2 * nm,

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _cayley_levels
 from .structure import ConstantLedger
 
 DEFAULT_SEED = 1729
@@ -271,30 +271,21 @@ class WordMetricGroup:
     """
 
     def __init__(self, group: FiniteGroup, generators):
-        gens = set()
+        seeds = []
         for raw in generators:
             s = int(raw)
             if not 0 <= s < group.order:
                 raise ValueError("generator %d outside the group" % s)
-            if s == 0:
-                continue
-            gens.add(s)
-            gens.add(group.inv(s))
-        if not gens:
+            if s:
+                seeds.append(s)
+        if not seeds:
             raise ValueError("need at least one generator besides the identity")
-        dist = [-1] * group.order
-        dist[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = group.mul(x, s)
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        missing = dist.count(-1)
+        gens = set(seeds) | set(group.inv_array(seeds).tolist())
+        dist = np.full(group.order, -1, dtype=np.intp)
+        for length, level in enumerate(
+                _cayley_levels(group, np.array(sorted(gens)))):
+            dist[level] = length
+        missing = int(np.count_nonzero(dist < 0))
         if missing:
             raise ValueError(
                 "generators reach only %d of %d elements"
@@ -302,8 +293,8 @@ class WordMetricGroup:
             )
         self.group = group
         self.generators = tuple(sorted(gens))
-        self.dist_from_identity = tuple(dist)
-        self._dist_array = np.array(dist, dtype=np.intp)
+        self.dist_from_identity = tuple(dist.tolist())
+        self._dist_array = dist
         self.name = "word(%s; gens=%s)" % (
             group.name,
             ",".join(str(s) for s in self.generators),

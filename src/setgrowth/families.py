@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac
-from .groups import FiniteGroup, _split_call, _split_top_level, construct_group, subgroup_closure
-from .setops import MSet, inverse_set, power_set, product_set, symmetrize
+from .groups import (FiniteGroup, _first_non_normalizer, _split_call, _split_top_level,
+                     construct_group, subgroup_closure)
+from .setops import MSet, inverse_set, power_set, product_set, symmetrize, translate_left
 
 FAMILY_NAMES = (
     "subgroup",
@@ -73,10 +74,6 @@ def _closure_set(g: FiniteGroup, gens: list[int]) -> MSet:
     return MSet.from_ids(g, sorted(subgroup_closure(g, gens or [0])))
 
 
-def _normalizes(g: FiniteGroup, x: int, members: frozenset[int]) -> bool:
-    return all(g.conjugate(x, h) in members for h in members)
-
-
 def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
                  seed: int | None = None) -> MSet:
     """Realize a family spec inside its group.
@@ -95,11 +92,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         if len(args) != 2:
             raise ValueError("coset expects gens;point")
         base = _closure_set(g, _ids_arg(args[0], family))
-        x = int(args[1])
-        bits = 0
-        for h in base.ids():
-            bits |= 1 << g.mul(x, h)
-        return MSet(g, bits)
+        return MSet(g, translate_left(int(args[1]), base))
 
     if family == "geometric_progression":
         if len(args) == 1:
@@ -122,13 +115,13 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         sub = subgroup_closure(g, gens)
         if len(args) > 1:
             x = int(args[1])
-            if x in sub or _normalizes(g, x, sub):
+            if _first_non_normalizer(g, [x], sub) is None:
                 raise ValueError(
                     f"point {x} normalizes the subgroup; the family needs an "
                     "outside point with H^x != H")
         else:
-            x = next((c for c in g.elements()
-                      if c not in sub and not _normalizes(g, c, sub)), None)
+            # members of H normalize it, so the first hit lies outside H
+            x = _first_non_normalizer(g, g.elements(), sub)
             if x is None:
                 raise ValueError(
                     "every element normalizes the subgroup "
@@ -142,15 +135,12 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         count = int(args[1])
         if count < 1:
             raise ValueError("coset count must be positive")
-        bits, taken = 0, 0
-        for x in g.elements():
-            if bits >> x & 1:
-                continue
-            if taken == count:
+        bits = 0
+        for _ in range(count):
+            x = (~bits & (bits + 1)).bit_length() - 1   # first id not covered
+            if x >= g.order:
                 break
-            for h in base.ids():
-                bits |= 1 << g.mul(x, h)
-            taken += 1
+            bits |= translate_left(x, base)
         return MSet(g, bits)
 
     if family == "random_dense":

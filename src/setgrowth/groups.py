@@ -1,21 +1,23 @@
 """Finite group families addressed by dense element ids.
 
 Every group exposes ids 0..order-1 with id 0 the identity.  Each family
-defines its law once, vectorized: ``_mul_law(x, y)`` multiplies two
-broadcastable numpy id arrays elementwise and ``_inv_law(x)`` inverts one,
-both by the family's coordinate arithmetic.  Everything else reads that law:
+states its law twice, over the same coordinate arithmetic:
 
-  * at or below TABLE_CAP the group builds one dense uint16 multiplication
-    table from the law on first use, in row blocks of at most BLOCK_PAIRS
-    products; ``mul_outer``, ``mul_pairs`` and the scalar ``mul`` read it;
-  * above TABLE_CAP no table exists and the vectorized calls run the law
-    on coordinates, while the scalar ``mul`` calls ``_mul_raw``;
-  * inverses of every id sit in one array built from ``_inv_law``.
+  * the scalar law ``mul(a, b)``/``inv(a)`` on Python-int ids, returning
+    Python ints.  It is the one per-element formula of the family and the
+    oracle the vectorized law is tested against; the composite families
+    (direct products, quotients, Heisenberg groups) call the scalar law of
+    their factors or parent, so no oracle ever reads a table;
+  * the vectorized law ``_mul_law(x, y)``/``_inv_law(x)`` on broadcastable
+    numpy id arrays.  Every set operation, sweep and closure goes through
+    it, via ``mul_pairs`` (elementwise), ``mul_outer`` (outer product) and
+    ``inv_array``, in blocks of at most BLOCK_PAIRS products.
 
-``_mul_raw``/``_inv_raw`` are the per-element coordinate formulas: the
-brute-force oracle the vectorized law is tested against, and the scalar
-multiplication above the cap.  The scalar ``mul``, ``inv`` and ``row(a)[b]``
-return Python ints.
+At or below TABLE_CAP the group caches the vectorized law as one dense
+uint16 table, built on first use in row blocks; ``mul_pairs`` then gathers
+from it.  Above the cap no table exists and ``mul_pairs`` runs the law on
+coordinates.  Inverses of every id sit in one array built from
+``_inv_law``.
 
 Canonical numberings (reproducible bit for bit):
   cyclic(n)          id = residue, addition mod n
@@ -44,8 +46,9 @@ ASSOC_SAMPLES = 100_000
 
 
 class FiniteGroup:
-    """Base class; subclasses implement the vectorized law (_mul_law,
-    _inv_law) and the scalar oracles (_mul_raw, _inv_raw)."""
+    """Base class.  A family implements its scalar law (mul, inv) and its
+    vectorized law (_mul_law, _inv_law); the table, when there is one, is
+    only a cache of the vectorized law."""
 
     def __init__(self, order: int, name: str):
         if order < 1:
@@ -55,22 +58,21 @@ class FiniteGroup:
         self.order = order
         self.name = name
         self._table: np.ndarray | None = None
-        self._cells: memoryview | None = None     # 2-D view of _table
         self._inverse: np.ndarray | None = None
-        self._inv_cells: memoryview | None = None
 
     # -- subclass surface ---------------------------------------------------
+    def mul(self, a: int, b: int) -> int:
+        """a*b for two ids, by the family's coordinate formula."""
+        raise NotImplementedError
+
+    def inv(self, a: int) -> int:
+        raise NotImplementedError
+
     def _mul_law(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x*y elementwise over broadcastable intp id arrays."""
         raise NotImplementedError
 
     def _inv_law(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def _inv_raw(self, a: int) -> int:
         raise NotImplementedError
 
     # -- table and inverses -------------------------------------------------
@@ -87,15 +89,13 @@ class FiniteGroup:
                 xs = np.arange(r, min(r + step, n))
                 table[r:r + step] = self._mul_law(xs[:, None], ys)
             self._table = table
-            self._cells = memoryview(table)
         return self._table
 
     def _inverses(self) -> np.ndarray:
         """The uint16 array x -> x^-1 over all ids, from the law."""
         if self._inverse is None:
-            inverse = self._inv_law(np.arange(self.order)).astype(np.uint16)
-            self._inverse = inverse
-            self._inv_cells = memoryview(inverse)
+            self._inverse = self._inv_law(
+                np.arange(self.order)).astype(np.uint16)
         return self._inverse
 
     # -- vectorized products ------------------------------------------------
@@ -118,34 +118,15 @@ class FiniteGroup:
         """x^-1 elementwise over an id array."""
         return self._inverses()[x]
 
-    # -- scalar products (Python ints) --------------------------------------
-    def mul(self, a: int, b: int) -> int:
-        cells = self._cells
-        if cells is not None:
-            return cells[a, b]
-        if self.order > TABLE_CAP:
-            return self._mul_raw(a, b)
-        self.table()
-        return self._cells[a, b]
-
-    def inv(self, a: int) -> int:
-        cells = self._inv_cells
-        if cells is None:
-            self._inverses()
-            cells = self._inv_cells
-        return cells[a]
-
     def row(self, a: int) -> memoryview | None:
         """Table row {b -> a*b} as a memoryview of Python ints; None above
-        TABLE_CAP."""
+        TABLE_CAP.  Only perfbench/tracer.py calls it, to count table-row
+        reads; the library never does."""
         table = self.table()
         return None if table is None else memoryview(table[a])
 
     def elements(self) -> range:
         return range(self.order)
-
-    def conjugate(self, g: int, h: int) -> int:
-        return self.mul(self.mul(g, h), self.inv(g))
 
     def __repr__(self):
         return f"<{self.name}: order {self.order}>"
@@ -162,10 +143,10 @@ class CyclicGroup(FiniteGroup):
     def _inv_law(self, x):
         return (-x) % self.n
 
-    def _mul_raw(self, a, b):
+    def mul(self, a, b):
         return (a + b) % self.n
 
-    def _inv_raw(self, a):
+    def inv(self, a):
         return (-a) % self.n
 
 
@@ -186,14 +167,14 @@ class DihedralGroup(FiniteGroup):
     def _inv_law(self, x):
         return np.where(x >= self.n, x, (-x) % self.n)
 
-    def _mul_raw(self, a, b):
+    def mul(self, a, b):
         n = self.n
         r1, s1 = a % n, a // n
         r2, s2 = b % n, b // n
         r = (r1 - r2) % n if s1 else (r1 + r2) % n
         return r + n * ((s1 + s2) % 2)
 
-    def _inv_raw(self, a):
+    def inv(self, a):
         n = self.n
         r, s = a % n, a // n
         return a if s else ((-r) % n)
@@ -228,11 +209,11 @@ class SymmetricGroup(FiniteGroup):
         inverse = np.argsort(self._images[x], axis=-1)[..., :self._digits]
         return self._rank[inverse @ self._radix]
 
-    def _mul_raw(self, a, b):
+    def mul(self, a, b):
         p, q = self.perms[a], self.perms[b]
         return self.index[tuple(p[q[i]] for i in range(self.n))]
 
-    def _inv_raw(self, a):
+    def inv(self, a):
         p = self.perms[a]
         out = [0] * self.n
         for i, v in enumerate(p):
@@ -279,7 +260,7 @@ class SL2Group(FiniteGroup):
         a, b, c, d = (col[x] for col in self._entries)
         return self._ids[self._code(d, (-b) % p, (-c) % p, a)]
 
-    def _mul_raw(self, x, y):
+    def mul(self, x, y):
         p = self.p
         a, b, c, d = self.mats[x]
         e, f, g, h = self.mats[y]
@@ -288,7 +269,7 @@ class SL2Group(FiniteGroup):
              (c * e + d * g) % p, (c * f + d * h) % p)
         ]
 
-    def _inv_raw(self, x):
+    def inv(self, x):
         p = self.p
         a, b, c, d = self.mats[x]
         return self.index[(d, (-b) % p, (-c) % p, a)]
@@ -329,13 +310,13 @@ class DirectProductGroup(FiniteGroup):
             f.inv_array(c).astype(np.intp)
             for f, c in zip(self.factors, self.decode(x)))
 
-    def _mul_raw(self, a, b):
+    def mul(self, a, b):
         ca, cb = self.decode(a), self.decode(b)
         return self.encode(
             f.mul(x, y) for f, x, y in zip(self.factors, ca, cb)
         )
 
-    def _inv_raw(self, a):
+    def inv(self, a):
         return self.encode(
             f.inv(x) for f, x in zip(self.factors, self.decode(a))
         )
@@ -422,25 +403,56 @@ def _split_top_level(text: str, sep: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Subgroups, quotients
+# Blocked sweeps, subgroups, quotients
+
+def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
+    """g.mul_outer(xs, ys) in row blocks of at most BLOCK_PAIRS products
+    (one row when ys alone is longer)."""
+    step = max(1, BLOCK_PAIRS // len(ys))
+    for lo in range(0, len(xs), step):
+        yield g.mul_outer(xs[lo:lo + step], ys)
+
+
+def _conjugation_blocks(g: FiniteGroup, xs: np.ndarray, hs: np.ndarray):
+    """The conjugates [i, j] -> xs[i]*hs[j]*xs[i]^-1 in the row blocks of
+    _product_blocks."""
+    lo = 0
+    for block in _product_blocks(g, xs, hs):
+        hi = lo + len(block)
+        yield g.mul_pairs(block, g.inv_array(xs[lo:hi])[:, None])
+        lo = hi
+
+
+def _ids_mask(g: FiniteGroup, ids) -> np.ndarray:
+    """The boolean mask over all ids of g that is True on ids."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[np.asarray(ids, dtype=np.intp)] = True
+    return mask
+
+
+def _cayley_levels(g: FiniteGroup, gens: np.ndarray):
+    """Breadth-first levels from the identity in the right Cayley graph of
+    gens: id arrays of the elements first reached by words of length
+    0, 1, 2, ..., each level one blocked mul_outer(level, gens)."""
+    seen = _ids_mask(g, [0])
+    level = np.zeros(1, dtype=np.intp)
+    while len(level):
+        yield level
+        reached = np.zeros(g.order, dtype=bool)
+        for block in _product_blocks(g, level, gens):
+            reached[block] = True
+        level = np.flatnonzero(reached & ~seen)
+        seen[level] = True
+
 
 def subgroup_closure(g: FiniteGroup, seed) -> frozenset[int]:
     """Smallest subgroup of g containing the seed ids."""
-    seed = list(seed)
-    if not seed:
+    seed = np.asarray(list(seed), dtype=np.intp)
+    if not len(seed):
         raise ValueError("seed must be nonempty")
-    gens = set(seed)
-    gens.update(g.inv(x) for x in seed)
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for h in gens:
-            y = g.mul(x, h)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return frozenset(members)
+    gens = np.concatenate([seed, g.inv_array(seed)])
+    members = np.concatenate(list(_cayley_levels(g, gens)))
+    return frozenset(members.tolist())
 
 
 class QuotientGroup(FiniteGroup):
@@ -458,10 +470,10 @@ class QuotientGroup(FiniteGroup):
     def _inv_law(self, x):
         return self._pi[self.parent.inv_array(self._reps[x])]
 
-    def _mul_raw(self, a, b):
+    def mul(self, a, b):
         return self.pi[self.parent.mul(self.reps[a], self.reps[b])]
 
-    def _inv_raw(self, a):
+    def inv(self, a):
         return self.pi[self.parent.inv(self.reps[a])]
 
 
@@ -492,29 +504,61 @@ class NotNormalError(ValueError):
         self.counterexample = (g, h, conj)
 
 
+def _first_non_normalizer(g: FiniteGroup, candidates,
+                          members: frozenset[int]) -> int | None:
+    """The first candidate x with xHx^-1 != H, by one blocked sweep of the
+    conjugates of H; None if every candidate normalizes H."""
+    candidates = np.asarray(candidates, dtype=np.intp)
+    hs = np.array(sorted(members), dtype=np.intp)
+    mask = _ids_mask(g, hs)
+    lo = 0
+    for conj in _conjugation_blocks(g, candidates, hs):
+        moves = ~mask[conj].all(axis=1)
+        if moves.any():
+            return int(candidates[lo + np.argmax(moves)])
+        lo += len(conj)
+    return None
+
+
+def _raise_first_escape(g: FiniteGroup, members: frozenset[int]):
+    """Raise NotNormalError on the first conjugate x*h*x^-1 outside H, with
+    h ascending, then x ascending, from one blocked sweep over all x."""
+    hs = np.array(sorted(members), dtype=np.intp)
+    mask = _ids_mask(g, hs)
+    first_x = np.full(len(hs), g.order)     # per h: first x moving it out
+    image = np.zeros(len(hs), dtype=np.intp)
+    lo = 0
+    for conj in _conjugation_blocks(g, np.arange(g.order), hs):
+        escapes = ~mask[conj]
+        fresh = escapes.any(axis=0) & (first_x == g.order)
+        rows = np.argmax(escapes[:, fresh], axis=0)
+        first_x[fresh] = lo + rows
+        image[fresh] = conj[rows, fresh]
+        lo += len(conj)
+    j = np.flatnonzero(first_x < g.order)[0]
+    raise NotNormalError(int(first_x[j]), int(hs[j]), int(image[j]))
+
+
 def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
-    """Quotient by the normal closure check of <generators>; errors with a
-    conjugation counterexample if the generated subgroup is not normal."""
+    """Quotient by the subgroup H generated by the given ids.
+
+    The representative of x is the smallest id of its coset xH, the minimum
+    of the row x*H of one blocked mul_outer; the quotient ids number the
+    representatives in increasing order, and pi maps each id to the number
+    of its coset.  H is normal when rHr^-1 lies in H for every
+    representative r, since x = rh' gives xhx^-1 = r(h'hh'^-1)r^-1.  If it
+    is not, a NotNormalError names the first escaping conjugate with h
+    ascending, then x ascending."""
     members = subgroup_closure(g, generators_of_H)
-    for h in members:
-        for x in g.elements():
-            c = g.conjugate(x, h)
-            if c not in members:
-                raise NotNormalError(x, h, c)
-    typecode = "H" if g.order <= 65535 else "I"
-    pi = array(typecode, [0] * g.order)
-    seen = bytearray(g.order)
-    reps: list[int] = []
-    member_list = sorted(members)
-    for x in g.elements():
-        if seen[x]:
-            continue
-        qid = len(reps)
-        reps.append(x)
-        for h in member_list:
-            y = g.mul(x, h)
-            seen[y] = 1
-            pi[y] = qid
+    hs = np.array(sorted(members), dtype=np.intp)
+    ids = np.arange(g.order)
+    rep_of = np.concatenate(
+        [block.min(axis=1) for block in _product_blocks(g, ids, hs)])
+    reps = np.flatnonzero(rep_of == ids)
+    if _first_non_normalizer(g, reps, members) is not None:
+        _raise_first_escape(g, members)
+    pi = array("H", np.searchsorted(reps, rep_of).astype(np.uint16).tobytes())
+    reps = reps.tolist()
     quotient = QuotientGroup(g, reps, pi)
     return NormalSubgroupView(g, members, quotient, pi, reps)
 

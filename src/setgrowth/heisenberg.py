@@ -37,7 +37,9 @@ from .groups import (
     FiniteGroup,
     NormalSubgroupView,
     QuotientGroup,
+    _ids_mask,
     _is_prime,
+    _product_blocks,
     subgroup_closure,
     verify_group_axioms,
 )
@@ -45,7 +47,6 @@ from .setops import (
     MSet,
     _mask_bits,
     _product_bits,
-    _product_blocks,
     ascending_powers,
     inverse_set,
     member_mask,
@@ -127,17 +128,6 @@ class PairingSpec:
             out.append((t, t + 1, 1))
             out.append((t + 1, t, -1))
         return tuple(out)
-
-    def generator_matrix(self) -> list[list[tuple[int, ...]]]:
-        """Dense k x k matrix of pairing values on generators, each value a
-        coordinate tuple in W."""
-        zero = (0,) * self.w_rank
-        mat = [[zero] * self.z_rank for _ in range(self.z_rank)]
-        for i, j, sign in self.nonzero_entries():
-            coords = [0] * self.w_rank
-            coords[0] = sign % self.w_prime
-            mat[i][j] = tuple(coords)
-        return mat
 
 
 def parse_pairing_spec(text: str) -> PairingSpec:
@@ -272,7 +262,7 @@ class HeisenbergGroup(FiniteGroup):
         return (self.z_additive.inv_array(z).astype(np.intp) * wo
                 + self.w_additive.inv_array(w))
 
-    def _mul_raw(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
         wo = self.w_order
         z1, w1 = divmod(a, wo)
         z2, w2 = divmod(b, wo)
@@ -280,7 +270,7 @@ class HeisenbergGroup(FiniteGroup):
         w = self.w_additive.mul(self.w_additive.mul(w1, w2), self.pair(z1, z2))
         return z * wo + w
 
-    def _inv_raw(self, a: int) -> int:
+    def inv(self, a: int) -> int:
         wo = self.w_order
         z, w = divmod(a, wo)
         return self.z_additive.inv(z) * wo + self.w_additive.inv(w)
@@ -306,8 +296,7 @@ class HeisenbergGroup(FiniteGroup):
         ids coincide with Z ids."""
         if self._vertical is None:
             wo = self.w_order
-            typecode = "H" if self.order <= 65535 else "I"
-            pi = array(typecode, (a // wo for a in range(self.order)))
+            pi = array("H", (a // wo for a in range(self.order)))
             reps = [z * wo for z in range(self.z_order)]
             members = frozenset(range(wo))
             quotient = QuotientGroup(self, reps, pi)
@@ -796,10 +785,21 @@ def hull_tripling_bound(k) -> Fraction:
 def _dilate(a: MSet) -> MSet:
     """{2x : x in A} inside an additive group (the dilate, not the sumset)."""
     g = a.group
-    bits = 0
-    for x in a.ids():
-        bits |= 1 << g.mul(x, x)
-    return MSet(g, bits)
+    mask = np.zeros(g.order, dtype=bool)
+    ids = a.id_array()
+    mask[g.mul_pairs(ids, ids)] = True
+    return MSet(g, _mask_bits(mask))
+
+
+def _pairing_image(g: HeisenbergGroup, zs) -> np.ndarray:
+    """The boolean mask over W ids of {{z1, z2} : z1, z2 in zs}, from row
+    blocks of pair_array."""
+    zs = np.asarray(zs, dtype=np.intp)
+    image = np.zeros(g.w_order, dtype=bool)
+    step = max(1, BLOCK_PAIRS // len(zs))
+    for lo in range(0, len(zs), step):
+        image[g.pair_array(zs[lo:lo + step, None], zs)] = True
+    return image
 
 
 # Exponents of the hull tripling parameter in the candidate size chain:
@@ -828,8 +828,10 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     if k < 1:
         raise ValueError("the tripling parameter must be at least 1")
     wg = g.w_additive
-    torsion = [w for w in range(1, g.w_order) if wg.mul(w, w) == 0]
-    if torsion:
+    wids = np.arange(g.w_order)
+    doubled = wg.mul_pairs(wids, wids)      # w -> 2w on every vertical id
+    torsion = np.flatnonzero(doubled == 0)[1:]
+    if len(torsion):
         raise ValueError(
             f"the vertical group has an order-two element (id {torsion[0]}); "
             "the abelianized witness needs none")
@@ -860,29 +862,16 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     b1w = MSet(wg, split.b1.bits)
     b3w = MSet(wg, split.b3.bits)
     diff = product_set(b3w, inverse_set(b3w))
-    even_bits = 0
-    for w in range(g.w_order):
-        even_bits |= 1 << wg.mul(w, w)
-    b_tilde = diff.intersect_bits(even_bits)
+    b_tilde = diff.intersect_bits(_mask_bits(_ids_mask(wg, doubled)))
     ledger.info("size-b-tilde", b_tilde.size, note="|(B3 - B3) n 2W|")
 
     three_bt = power_set(b_tilde, 3)
-    bp_bits = 0
-    for b in range(g.w_order):
-        if wg.mul(b, b) in three_bt:
-            bp_bits |= 1 << b
-    b_prime = MSet(wg, bp_bits)
+    b_prime = MSet(wg, _mask_bits(member_mask(three_bt)[doubled]))
     ledger.info("size-b-prime", b_prime.size, note="|{b : 2b in 3(B3 - B3) n 2W}|")
 
-    pair_core_ok = True
-    pair_diff_ok = True
-    for z1 in c.ids():
-        for z2 in c.ids():
-            p = g.pair(z1, z2)
-            if p not in b_prime:
-                pair_core_ok = False
-            if wg.mul(p, p) not in diff:
-                pair_diff_ok = False
+    pair_values = np.flatnonzero(_pairing_image(g, c.id_array()))
+    pair_core_ok = bool(member_mask(b_prime)[pair_values].all())
+    pair_diff_ok = bool(member_mask(diff)[doubled[pair_values]].all())
     ledger.claim("pair-doubling-in-difference", pair_diff_ok,
                  formula="2{z1,z2} in B3 - B3 for z1, z2 in C")
     ledger.claim("pairing-values-in-core", pair_core_ok,
@@ -947,10 +936,8 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
 
     # closure of the candidate under the pairing of its shadow
     shadow = sorted({i // wo for i in a_tilde.ids()})
-    include_ok = all(
-        g.pair(z1, z2) in a_tilde
-        for z1 in shadow for z2 in shadow
-    )
+    include_ok = bool(
+        member_mask(a_tilde)[np.flatnonzero(_pairing_image(g, shadow))].all())
     ledger.claim("pairing-closure", include_ok,
                  formula="{pi(Atilde), pi(Atilde)} inside Atilde",
                  note=f"exhaustive over {len(shadow)}^2 shadow pairs")
@@ -1088,8 +1075,8 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     wg = g.w_additive
     ag = g.additive_group()
     shadow = sorted({g.z_of(x) for x in a.ids()})
-    gen = {g.pair(z1, z2) for z1 in shadow for z2 in shadow}
-    hull_ids = subgroup_closure(wg, gen | {0})
+    gen = np.flatnonzero(_pairing_image(g, shadow))
+    hull_ids = subgroup_closure(wg, [0, *gen.tolist()])
     hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
     tilde = product_set(MSet(ag, a.bits), hull)
 

@@ -19,9 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import BLOCK_PAIRS, FiniteGroup
-
-MAX_ITERATED_SIGNS = 30
+from .groups import BLOCK_PAIRS, FiniteGroup, _product_blocks
 
 
 class MSet:
@@ -141,14 +139,6 @@ def symmetrize(a: MSet) -> MSet:
 # ---------------------------------------------------------------------------
 # Products
 
-def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
-    """g.mul_outer(xs, ys) in row blocks of at most BLOCK_PAIRS products
-    (one row when ys alone is longer)."""
-    step = max(1, BLOCK_PAIRS // len(ys))
-    for lo in range(0, len(xs), step):
-        yield g.mul_outer(xs[lo:lo + step], ys)
-
-
 def _mask_bits(mask: np.ndarray) -> int:
     """The bitset of a boolean mask over ids."""
     return int.from_bytes(
@@ -187,12 +177,11 @@ def inverse_set(a: MSet) -> MSet:
 
 
 def iterated_product(a: MSet, signs) -> MSet:
-    """A^{s1} * A^{s2} * ... for signs si in {+1, -1}; up to 30 factors."""
+    """A^{s1} * A^{s2} * ... for signs si in {+1, -1}, any number of
+    factors: each partial product is a subset of the group."""
     signs = list(signs)
     if not signs:
         raise ValueError("signs must be nonempty")
-    if len(signs) > MAX_ITERATED_SIGNS:
-        raise ValueError(f"at most {MAX_ITERATED_SIGNS} factors supported")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
     ainv = None
@@ -234,16 +223,20 @@ def partial_product(a: MSet, b: MSet, pairs) -> MSet:
     """{x*y : (x,y) in E} for a nonempty pair relation E inside A x B."""
     _require_same_group(a, b)
     g = a.group
-    bits = 0
-    count = 0
-    for x, y in pairs:
-        if x not in a or y not in b:
-            raise ValueError(f"pair ({x},{y}) is not inside A x B")
-        bits |= 1 << g.mul(x, y)
-        count += 1
-    if count == 0:
+    xs, ys = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    if not len(xs):
         raise ValueError("pair relation must be nonempty")
-    return MSet(g, bits)
+    n = g.order
+    inside = (np.minimum(xs, ys) >= 0) & (np.maximum(xs, ys) < n)
+    inside &= member_mask(a)[xs % n] & member_mask(b)[ys % n]
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"pair ({xs[i]},{ys[i]}) is not inside A x B")
+    mask = np.zeros(g.order, dtype=bool)
+    for lo in range(0, len(xs), BLOCK_PAIRS):
+        hi = lo + BLOCK_PAIRS
+        mask[g.mul_pairs(xs[lo:hi], ys[lo:hi])] = True
+    return MSet(g, _mask_bits(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +293,17 @@ def energy(a: MSet, b: MSet) -> EnergyValue:
 
 def energy_quadruple_count(a: MSet, b: MSet) -> int:
     """Independent oracle: count quadruples by direct enumeration over
-    (a, b, a') with the forced b' = a'^-1 a b tested for membership."""
+    (a, b, a') with the forced b' = a'^-1 a b tested for membership, one
+    row a*B at a time against mul_outer(A^-1, row) and a mask of B."""
     _require_same_group(a, b)
     g = a.group
+    a_inv = g.inv_array(a.id_array())
+    b_mask = member_mask(b)
     total = 0
-    a_ids = a.ids()
-    b_ids = b.ids()
-    inv = g.inv
-    mul = g.mul
-    for x in a_ids:
-        for y in b_ids:
-            z = mul(x, y)
-            for x2 in a_ids:
-                if mul(inv(x2), z) in b:
-                    total += 1
+    for rows in _product_blocks(g, a.id_array(), b.id_array()):
+        for row in rows:
+            for block in _product_blocks(g, a_inv, row):
+                total += int(np.count_nonzero(b_mask[block]))
     return total
 
 

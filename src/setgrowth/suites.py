@@ -490,10 +490,7 @@ def _asymmetric_coset_union(g: FiniteGroup) -> MSet | None:
         for x in range(1, min(g.order, 48)):
             if x in sub:
                 continue
-            bits = h.bits
-            for m in sub:
-                bits |= 1 << g.mul(x, m)
-            a = MSet(g, bits)
+            a = MSet(g, h.bits | translate_left(x, h))
             left = product_set(a, inverse_set(a)).size
             right = product_set(inverse_set(a), a).size
             if left != right:

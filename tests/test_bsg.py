@@ -173,13 +173,13 @@ def test_equivalence_cycle_on_random_sets(a):
 # ------------------------------------------- scalar reference pipelines
 #
 # The weak extraction and the Markov refinement one pair at a time, on the
-# per-element oracles _mul_raw/_inv_raw: the loops the array path replaced.
+# scalar coordinate laws mul/inv: the loops the array path replaced.
 # Every field, set and ledger row of the array path must match them.
 
 def scalar_weak_bsg(a, b, c, k, eps, kprime_sq):
     g = a.group
     k, eps, kp_sq = Fraction(k), Fraction(eps), Fraction(kprime_sq)
-    mul = g._mul_raw
+    mul = g.mul
     ledger = ConstantLedger("weak_bsg")
     if not ledger.compare("c-hypothesis", c.size**2, "<=",
                           kp_sq * a.size * b.size,
@@ -227,7 +227,7 @@ def scalar_weak_bsg(a, b, c, k, eps, kprime_sq):
     for x in a_prime_ids:
         for y in a_prime_ids:
             if y in good_pairs[x]:
-                d_ids.add(mul(x, g._inv_raw(y)))
+                d_ids.add(mul(x, g.inv(y)))
             else:
                 omega_count += 1
     assert omega_count == omega_cols[best_j]
@@ -237,7 +237,7 @@ def scalar_weak_bsg(a, b, c, k, eps, kprime_sq):
     ledger.compare("quotient-size", eps * d.size, "<=",
                    2 * k**2 * kp_sq * a.size, formula="ε|D| <= 2(KK')^2|A|")
     covered = sum(1 for x in a_prime_ids for y in a_prime_ids
-                  if mul(x, g._inv_raw(y)) in d)
+                  if mul(x, g.inv(y)) in d)
     ledger.compare("quotient-density", covered, ">=",
                    (1 - eps) * a_prime.size**2,
                    formula="#{a(a')^-1 in D} >= (1-ε)|A'|^2")
@@ -250,7 +250,7 @@ def scalar_extract_sets(a, b, k):
     g = a.group
     k = Fraction(k)
     p, q = k.numerator, k.denominator
-    mul = g._mul_raw
+    mul = g.mul
     nm = a.size * b.size
     counts = Counter(mul(x, y) for x in a.ids() for y in b.ids())
     c = MSet.from_ids(g, [x for x, n in counts.items()
@@ -262,7 +262,7 @@ def scalar_extract_sets(a, b, k):
     weak = scalar_weak_bsg(a_prime, b, c, 4 * k / l, Fraction(1) / (32 * k),
                            4 * k**2 * l)
     a_second, d = weak.a_prime, weak.d
-    inv = {y: g._inv_raw(y) for y in a_second.ids()}
+    inv = {y: g.inv(y) for y in a_second.ids()}
     bad_counts = {x: sum(1 for y in a_second.ids() if mul(x, inv[y]) not in d)
                   for x in a_second.ids()}
     a_third = MSet.from_ids(g, [x for x in a_second.ids()
@@ -317,7 +317,7 @@ def oracle_instance(draw, spec):
 @given(data=st.data())
 def test_weak_matches_the_scalar_reference(spec, data):
     a, b, c = oracle_instance(data.draw, spec)
-    hits = sum(a.group._mul_raw(x, y) in c for x in a.ids() for y in b.ids())
+    hits = sum(a.group.mul(x, y) in c for x in a.ids() for y in b.ids())
     k = Fraction(a.size * b.size, hits) * data.draw(
         st.sampled_from([1, Fraction(5, 4), 2]))
     eps = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 5),
@@ -344,7 +344,7 @@ def test_extract_matches_the_scalar_reference(spec, data):
     assert_same_weak(ex.weak, weak)
     # the Markov and B''' rows, recounted from the reference sets
     rows = {r.name: r for r in ex.ledger.rows}
-    bad = sum(g._mul_raw(x, g._inv_raw(y)) not in d
+    bad = sum(g.mul(x, g.inv(y)) not in d
               for x in a_second.ids() for y in a_second.ids())
     assert rows["bad-pairs-total"].lhs == bad
     assert rows["a-third-half"].lhs == 2 * a_third.size
@@ -380,7 +380,7 @@ def test_weak_matches_the_reference_at_the_threshold(spec):
                 for _ in range(2))
         products = list(product_set(a, b).ids())
         c = MSet.from_ids(g, rng.sample(products, (len(products) + 1) // 2))
-        rows = [[g._mul_raw(x, y) in c for y in b.ids()] for x in a.ids()]
+        rows = [[g.mul(x, y) in c for y in b.ids()] for x in a.ids()]
         k = Fraction(a.size * b.size, sum(map(sum, rows)))
         for eps in (Fraction(1, 2), Fraction(9, 10)):
             floor = int(eps * b.size / (2 * k**2))

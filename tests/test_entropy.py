@@ -76,6 +76,41 @@ def test_word_metric_distances():
     assert wg.diameter() == 6
 
 
+def scalar_word_distances(g, generators):
+    """Word lengths from the identity by the scalar breadth-first search."""
+    gens = {s for s in generators if s} | {g.inv(s) for s in generators if s}
+    dist = [-1] * g.order
+    dist[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = g.mul(x, s)
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(dist)
+
+
+@pytest.mark.parametrize("spec, gens", [
+    ("cyclic(60)", [1, 7]),
+    ("cyclic(60)", [0, 59]),
+    ("dihedral(9)", [1, 9]),
+    ("symmetric(4)", [1, 9]),
+    ("sl2(5)", [1, 2, 3]),
+    ("direct_product(cyclic(4),symmetric(3))", [1, 2, 6]),
+])
+def test_word_metric_matches_scalar_search(spec, gens):
+    g = construct_group(spec)
+    wg = WordMetricGroup(g, gens)
+    assert wg.dist_from_identity == scalar_word_distances(g, gens)
+    assert all(type(d) is int for d in wg.dist_from_identity)
+    assert wg.generators == tuple(sorted(
+        {s for s in gens if s} | {g.inv(s) for s in gens if s}))
+
+
 def test_word_metric_needs_generators():
     g = construct_group("cyclic(60)")
     with pytest.raises(ValueError):

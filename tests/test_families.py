@@ -10,12 +10,20 @@ from setgrowth.families import (
     measured_difference_ratio,
     measured_tripling,
 )
-from setgrowth.groups import construct_group
+from setgrowth.groups import construct_group, subgroup_closure
 from setgrowth.setops import MSet, inverse_set, power_set, product_set
 
 G12 = construct_group("cyclic(12)")
 S4 = construct_group("symmetric(4)")
-SPECS = {id(G12): "cyclic(12)", id(S4): "symmetric(4)"}
+D9 = construct_group("dihedral(9)")
+S7 = construct_group("symmetric(7)")
+SPECS = {id(G12): "cyclic(12)", id(S4): "symmetric(4)", id(D9): "dihedral(9)",
+         id(S7): "symmetric(7)"}
+# the stabilizer of 0 in symmetric(7): ids 0..719, its own normalizer, so
+# the first point outside it that moves it is id 720, many row blocks into
+# the conjugation sweep
+S7_STABILIZER = "%d,%d" % (S7.index[(0, 2, 1, 3, 4, 5, 6)],
+                           S7.index[(0, 2, 3, 4, 5, 6, 1)])
 
 
 def gen(group, text, seed=None):
@@ -89,6 +97,55 @@ def test_subgroup_plus_point_grows_cubes():
 def test_subgroup_plus_point_impossible_in_abelian_groups():
     with pytest.raises(ValueError):
         gen(G12, "subgroup_plus_point(4)")
+
+
+def scalar_cosets(g, gens, count):
+    """The first count left cosets xH in id order, one product at a time."""
+    h = sorted(subgroup_closure(g, gens))
+    bits, taken = 0, 0
+    for x in g.elements():
+        if taken == count:
+            break
+        if not bits >> x & 1:
+            for m in h:
+                bits |= 1 << g.mul(x, m)
+            taken += 1
+    return bits
+
+
+def scalar_cosets_of(g, gens, x):
+    """The coset xH, one product at a time."""
+    bits = 0
+    for m in subgroup_closure(g, gens):
+        bits |= 1 << g.mul(x, m)
+    return bits
+
+
+def scalar_first_non_normalizer(g, gens):
+    h = subgroup_closure(g, gens)
+    return next((x for x in g.elements() if x not in h
+                 and any(g.mul(g.mul(x, m), g.inv(x)) not in h for m in h)),
+                None)
+
+
+@pytest.mark.parametrize("group, gens", [
+    (G12, "4"), (S4, "1"), (S4, "2,6"), (S4, "7,16"),
+    (D9, "9"), (D9, "3"), (D9, "0"), (S7, S7_STABILIZER)])
+def test_coset_families_match_scalar_references(group, gens):
+    ids = [int(x) for x in gens.split(",")]
+    for x in (0, 1, group.order - 1):
+        expect = scalar_cosets_of(group, ids, x)
+        assert gen(group, f"coset({gens};{x})").bits == expect
+    for count in (1, 2, 3, group.order):
+        assert gen(group, f"union_of_cosets({gens};{count})").bits == \
+            scalar_cosets(group, ids, count)
+    x = scalar_first_non_normalizer(group, ids)
+    if x is None:
+        with pytest.raises(ValueError, match="normalizes"):
+            gen(group, f"subgroup_plus_point({gens})")
+    else:
+        expect = sorted(subgroup_closure(group, ids) | {x})
+        assert gen(group, f"subgroup_plus_point({gens})").ids() == tuple(expect)
 
 
 def test_parse_rejects_unknown_family():

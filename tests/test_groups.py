@@ -148,10 +148,3 @@ def test_row_cache_matches_direct_multiplication():
     assert row is not None
     for y in range(30):
         assert row[y] == g.mul(7, y)
-
-
-def test_conjugate():
-    g = construct_group("dihedral(5)")
-    for x in range(g.order):
-        for a in range(g.order):
-            assert g.conjugate(x, a) == g.mul(g.mul(x, a), g.inv(x))

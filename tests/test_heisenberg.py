@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from setgrowth import heisenberg as hb
 from setgrowth import setops
 
-from setgrowth.groups import construct_group, quotient_map, subgroup_closure
+from setgrowth.groups import BLOCK_PAIRS, construct_group, quotient_map, subgroup_closure
 from setgrowth.setops import MSet, power_set, product_set, symmetrize
 from setgrowth.structure import LedgerError
 from setgrowth.heisenberg import (
@@ -240,8 +240,62 @@ def test_inverse_converse_rows():
 def test_inverse_rejects_two_torsion():
     g = construct_group("heisenberg(z=Zp^1,p=2;w=Zp^1,p=2;pairing=zero)")
     a = MSet.from_ids(g, [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"order-two element \(id 1\)"):
         heisen_inverse(a, Fraction(4))
+    g = construct_group("heisenberg(z=Zp^1,p=3;w=Zp^2,p=2;pairing=zero)")
+    with pytest.raises(ValueError, match=r"order-two element \(id 1\)"):
+        heisen_inverse(MSet.from_ids(g, [0, 4]), Fraction(4))
+
+
+def test_inverse_vertical_sets_match_scalar_references():
+    # B~ = (B3 - B3) n 2W and B' = {b : 2b in 3B~}, one W id at a time
+    g = construct_group("heisenberg(z=Zp^2,p=5;w=Zp^1,p=5;pairing=symplectic)")
+    a = MSet.from_ids(g, [0, g.encode(5, 0), g.encode(20, 0), g.encode(0, 1),
+                          g.encode(0, 4)])
+    wit = heisen_inverse(a, measured_tripling(a))
+    wg = g.w_additive
+    b3 = [w for w in range(g.w_order) if w in wit.split.b3]
+    diff = {wg.mul(x, wg.inv(y)) for x in b3 for y in b3}
+    even = {wg.mul(w, w) for w in range(g.w_order)}
+    assert set(wit.b_tilde.ids()) == diff & even
+    three = set(power_set(wit.b_tilde, 3).ids())
+    assert set(wit.b_prime.ids()) == {
+        w for w in range(g.w_order) if wg.mul(w, w) in three}
+
+
+@pytest.mark.parametrize("spec", [
+    "heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)",
+    "heisenberg(z=Zp^2,p=5;w=Zp^2,p=5;pairing=symplectic)",
+    # 169 Z ids: more than one row block of pairs
+    "heisenberg(z=Zp^2,p=13;w=Zp^1,p=13;pairing=symplectic)",
+])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_dilate_and_pairing_image_match_scalar_references(spec, data):
+    g = construct_group(spec)
+    ag = g.additive_group()
+    ids = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1,
+                             max_size=30))
+    a = MSet.from_ids(ag, ids)
+    assert set(hb._dilate(a).ids()) == {ag.mul(x, x) for x in a.ids()}
+    zs = sorted(data.draw(st.sets(st.integers(0, g.z_order - 1), min_size=1,
+                                  max_size=g.z_order)))
+    image = hb._pairing_image(g, zs)
+    assert set(np.flatnonzero(image).tolist()) == {
+        g.pair(z1, z2) for z1 in zs for z2 in zs}
+
+
+def test_pairing_image_over_many_row_blocks():
+    g = construct_group("heisenberg(z=Zp^2,p=13;w=Zp^1,p=13;pairing=symplectic)")
+    # more pairs than one row block holds
+    zs = [z for z in range(g.z_order) if z % 13 != 5]
+    assert len(zs) * len(zs) > BLOCK_PAIRS
+    image = hb._pairing_image(g, zs)
+    assert set(np.flatnonzero(image).tolist()) == {
+        g.pair(z1, z2) for z1 in zs for z2 in zs}
+    # {1, 13} is met only across the first and the last row block
+    image = hb._pairing_image(g, [1] + [0] * 200 + [13])
+    assert set(np.flatnonzero(image).tolist()) == {0, g.pair(1, 13), g.pair(13, 1)}
 
 
 def test_inverse_rejects_non_heisenberg():
@@ -294,15 +348,15 @@ def scalar_section(g, h, a, a3, c, c3):
         if x == 0:
             phi[0] = 0
             continue
-        xi = h.quotient._inv_raw(x)
+        xi = h.quotient.inv(x)
         if xi == x:
-            fixed = [t for t in fiber if g._inv_raw(t) == t]
+            fixed = [t for t in fiber if g.inv(t) == t]
             if not fixed:
                 exceptions.append(x)
             phi[x] = fixed[0] if fixed else fiber[0]
         else:
             phi[x] = fiber[0]
-            phi[xi] = g._inv_raw(fiber[0])
+            phi[xi] = g.inv(fiber[0])
     return phi, exceptions
 
 
@@ -337,9 +391,9 @@ def scalar_triple_defects(g, q, phi, triples, *masks):
     """First triple, in sweep order, whose defect each mask misses."""
     found = [None] * len(masks)
     for x, y, z in triples:
-        w = q._mul_raw(q._mul_raw(x, y), z)
-        lhs = g._mul_raw(g._mul_raw(phi[x], phi[y]), phi[z])
-        defect = g._mul_raw(g._inv_raw(phi[w]), lhs)
+        w = q.mul(q.mul(x, y), z)
+        lhs = g.mul(g.mul(phi[x], phi[y]), phi[z])
+        defect = g.mul(g.inv(phi[w]), lhs)
         for i, mask in enumerate(masks):
             if found[i] is None and not mask[defect]:
                 found[i] = (x, y, z)
@@ -414,10 +468,10 @@ def scalar_subgroup_error(a):
     """The subgroup test as a row-major scan over the scalar oracles."""
     g = a.group
     for x in a.ids():
-        if g._inv_raw(x) not in a:
+        if g.inv(x) not in a:
             return f"not a subgroup: inverse of member {x} is missing"
         for y in a.ids():
-            if g._mul_raw(x, y) not in a:
+            if g.mul(x, y) not in a:
                 return f"not a subgroup: product of members {x} and {y} escapes"
     if 0 not in a:
         return "not a subgroup: identity is missing"

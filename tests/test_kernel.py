@@ -1,17 +1,21 @@
 """The vectorized group law against the scalar oracles.
 
 Every family's ``mul_outer``/``inv_array`` (table gathers at or below
-TABLE_CAP, coordinate arithmetic above it) must agree with the per-element
-``_mul_raw``/``_inv_raw``, and the set operations built on the kernel must
-agree with brute-force ``{x*y}`` and Counter oracles on both sides of the
-cap.  The bad-law tests plant one wrong product or inverse and check that
-the whole-array sweeps name the same first counterexample as a scalar
-sweep in element order.
+TABLE_CAP, coordinate arithmetic above it) must agree with its scalar
+coordinate law ``mul``/``inv``, and the set operations, closures and
+quotients built on the kernel must agree with brute-force references
+written here on the scalar law, on both sides of the cap.  A composite
+family's scalar law reads its factors' scalar laws, never their tables, so
+a kernel planted wrong in a factor shows up as a disagreement.  The
+bad-law tests plant one wrong product or inverse and check that the
+whole-array sweeps name the same first counterexample as a scalar sweep in
+element order.
 """
 
 import itertools
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -25,9 +29,13 @@ from setgrowth.groups import (
     ORDER_CAP,
     TABLE_CAP,
     CyclicGroup,
+    DirectProductGroup,
     FiniteGroup,
+    NotNormalError,
+    QuotientGroup,
     construct_group,
     quotient_map,
+    subgroup_closure,
     verify_group_axioms,
 )
 from setgrowth.setops import (
@@ -80,12 +88,14 @@ def id_lists(g: FiniteGroup, max_size=12):
 
 
 def assert_law_matches_oracle(g, xs, ys):
-    expect = [[g._mul_raw(x, y) for y in ys] for x in xs]
+    expect = [[g.mul(x, y) for y in ys] for x in xs]
+    inverses = [g.inv(x) for x in xs]
+    assert all(type(v) is int for v in itertools.chain(inverses, *expect))
     assert g.mul_outer(xs, ys).tolist() == expect
     law = g._mul_law(np.array(xs)[:, None], np.array(ys)[None, :])
     assert law.tolist() == expect
-    assert g.inv_array(xs).tolist() == [g._inv_raw(x) for x in xs]
-    assert g._inv_law(np.array(xs)).tolist() == [g._inv_raw(x) for x in xs]
+    assert g.inv_array(xs).tolist() == inverses
+    assert g._inv_law(np.array(xs)).tolist() == inverses
 
 
 # ------------------------------------------------------------ the law
@@ -111,8 +121,172 @@ def test_quotient_mul_outer_matches_raw_oracle(data):
 def test_table_is_the_whole_law(spec):
     g = group(spec)
     ids = list(range(g.order))
-    assert g.table().tolist() == [[g._mul_raw(x, y) for y in ids] for x in ids]
-    assert g.inv_array(ids).tolist() == [g._inv_raw(x) for x in ids]
+    assert g.table().tolist() == [[g.mul(x, y) for y in ids] for x in ids]
+    assert g.inv_array(ids).tolist() == [g.inv(x) for x in ids]
+
+
+# ------------------------------------------------------------ planted kernels
+
+class PlantedCyclic(CyclicGroup):
+    """cyclic(n) whose vectorized law is wrong at the one pair (a, b);
+    its scalar law is the true one."""
+
+    def __init__(self, n, a, b, c):
+        super().__init__(n)
+        self.cell = (a, b, c)
+
+    def _mul_law(self, x, y):
+        a, b, c = self.cell
+        return np.where((x == a) & (y == b), c, super()._mul_law(x, y))
+
+
+def kernel_disagreements(g):
+    """The pairs (x, y) where mul_outer differs from the scalar law."""
+    ids = list(range(g.order))
+    scalar = np.array([[g.mul(x, y) for y in ids] for x in ids])
+    rows, cols = np.nonzero(g.mul_outer(ids, ids) != scalar)
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
+def test_direct_product_scalar_law_ignores_a_planted_factor_kernel():
+    bad = PlantedCyclic(5, 2, 4, 0)         # 2 + 4 is 1 mod 5
+    g = DirectProductGroup([CyclicGroup(3), bad])
+    assert kernel_disagreements(g) == {
+        (u * 5 + 2, v * 5 + 4) for u in range(3) for v in range(3)}
+
+
+def test_quotient_scalar_law_ignores_a_planted_parent_kernel():
+    # cyclic(6) / {0, 3}: pi is x mod 3; the kernel sends 1 + 2 to 4, not 3
+    parent = PlantedCyclic(6, 1, 2, 4)
+    q = QuotientGroup(parent, [0, 1, 2], array("H", [0, 1, 2, 0, 1, 2]))
+    assert kernel_disagreements(q) == {(1, 2)}
+
+
+# ------------------------------------------------------------ closures
+
+def scalar_closure(g, seed):
+    """The subgroup generated by seed, one scalar product at a time."""
+    gens = set(seed) | {g.inv(x) for x in seed}
+    members, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for h in gens:
+            y = g.mul(x, h)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_subgroup_closure_matches_scalar_reference(spec, data):
+    g = group(spec)
+    seed = data.draw(id_lists(g, 3))
+    assert subgroup_closure(g, seed) == scalar_closure(g, seed)
+
+
+# ------------------------------------------------------------ quotients
+
+def scalar_first_escape(g, members):
+    """The first (x, h, x*h*x^-1) outside H, h ascending then x ascending."""
+    for h in sorted(members):
+        for x in range(g.order):
+            c = g.mul(g.mul(x, h), g.inv(x))
+            if c not in members:
+                return (x, h, c)
+    return None
+
+
+def scalar_cosets(g, members):
+    """reps (smallest id of each coset xH, increasing) and pi."""
+    reps, pi = [], [None] * g.order
+    for x in range(g.order):
+        if pi[x] is None:
+            for h in members:
+                pi[g.mul(x, h)] = len(reps)
+            reps.append(x)
+    return reps, pi
+
+
+def three_cycles(g):
+    """Ids of the 3-cycles (0 1 k) of symmetric(n), which generate A_n."""
+    out = []
+    for k in range(2, g.n):
+        p = list(range(g.n))
+        p[0], p[1], p[k] = 1, k, 0
+        out.append(g.index[tuple(p)])
+    return out
+
+
+def is_even(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
+
+
+H_VERTICAL = "heisenberg(z=Zp^2,p=3;w=Zp^2,p=3;pairing=symplectic)"
+NORMAL_CASES = [
+    ("cyclic(12)", [4]),
+    ("dihedral(9)", [3]),
+    ("symmetric(4)", [7, 16]),      # the Klein four-group
+    ("sl2(5)", None),               # the centre {I, -I}
+    # 2C4 x rotations x S3
+    ("direct_product(cyclic(4),direct_product(dihedral(3),symmetric(3)))",
+     [72, 6, 1, 2]),
+    (H_VERTICAL, [1, 3]),
+]
+
+
+def normal_case_gens(g, gens):
+    if gens is not None:
+        return gens
+    return [g.index[tuple((-e) % g.p for e in g.mats[0])]]
+
+
+@pytest.mark.parametrize("spec, gens", NORMAL_CASES)
+def test_quotient_map_matches_scalar_reference(spec, gens):
+    g = group(spec)
+    gens = normal_case_gens(g, gens)
+    members = scalar_closure(g, gens)
+    assert scalar_first_escape(g, members) is None
+    view = quotient_map(g, gens)
+    reps, pi = scalar_cosets(g, members)
+    assert view.members == members
+    assert view.reps == reps
+    assert view.pi.typecode == "H" and view.pi.tolist() == pi
+    assert view.quotient.order * len(members) == g.order
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_alternating_group_quotient(n):
+    # A_n is normal of index 2; its members are the even permutations
+    g = group(f"symmetric({n})")
+    view = quotient_map(g, three_cycles(g))
+    parity = [0 if is_even(p) else 1 for p in g.perms]
+    assert view.members == frozenset(i for i, e in enumerate(parity) if e == 0)
+    assert view.reps == [0, parity.index(1)]
+    assert view.pi.tolist() == parity
+
+
+NON_NORMAL_CASES = [
+    ("symmetric(4)", [1]),
+    ("symmetric(4)", [2, 6]),
+    ("dihedral(9)", [9]),
+    ("sl2(5)", [1]),
+    ("symmetric(7)", [1]),
+    ("symmetric(7)", [5, 30]),
+    (H_VERTICAL, [9]),
+]
+
+
+@pytest.mark.parametrize("spec, gens", NON_NORMAL_CASES)
+def test_not_normal_names_the_first_escape(spec, gens):
+    g = group(spec)
+    expect = scalar_first_escape(g, scalar_closure(g, gens))
+    assert expect is not None
+    with pytest.raises(NotNormalError) as err:
+        quotient_map(g, gens)
+    assert err.value.counterexample == expect
 
 
 def test_table_only_at_or_below_the_cap():
@@ -132,7 +306,7 @@ def mset(g, ids):
 
 
 def brute_products(g, xs, ys):
-    return {g._mul_raw(x, y) for x in xs for y in ys}
+    return {g.mul(x, y) for x in xs for y in ys}
 
 
 @pytest.mark.parametrize("spec", SET_GROUPS)
@@ -145,10 +319,10 @@ def test_set_operations_match_brute_force(spec, data):
     x = data.draw(st.integers(min_value=0, max_value=g.order - 1))
     assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
     assert convolution(a, b).counts == dict(
-        Counter(g._mul_raw(u, v) for u in a.ids() for v in b.ids()))
+        Counter(g.mul(u, v) for u in a.ids() for v in b.ids()))
     assert translate_left(x, a) == mset(g, brute_products(g, [x], a.ids())).bits
     assert translate_right(a, x) == mset(g, brute_products(g, a.ids(), [x])).bits
-    assert set(inverse_set(a).ids()) == {g._inv_raw(u) for u in a.ids()}
+    assert set(inverse_set(a).ids()) == {g.inv(u) for u in a.ids()}
 
 
 @pytest.mark.parametrize("spec", SET_GROUPS)
@@ -213,10 +387,10 @@ class TableGroup(FiniteGroup):
     def _inv_law(self, x):
         return self.inverse[x]
 
-    def _mul_raw(self, a, b):
+    def mul(self, a, b):
         return int(self.law[a, b])
 
-    def _inv_raw(self, a):
+    def inv(self, a):
         return int(self.inverse[a])
 
 
@@ -293,9 +467,9 @@ class PlantedHeisenberg(hb.HeisenbergGroup):
         a, b, c = self.cell
         return np.where((x == a) & (y == b), c, super()._mul_law(x, y))
 
-    def _mul_raw(self, x, y):
+    def mul(self, x, y):
         a, b, c = self.cell
-        return c if (x, y) == (a, b) else super()._mul_raw(x, y)
+        return c if (x, y) == (a, b) else super().mul(x, y)
 
 
 def scalar_law_error(g):

@@ -87,13 +87,20 @@ def test_iterated_product_with_inverse_signs():
     a = MSet.from_ids(G7, [0, 1])
     # A * A^-1 = {-1, 0, 1}
     assert iterated_product(a, [1, -1]).ids() == (0, 1, 6)
+    # a 40-factor signed word, factor by factor
+    b = MSet.from_ids(D6, [1, 6])
+    word = [1, -1, -1, 1, 1] * 8
+    expected = b
+    for s in word[1:]:
+        expected = product_set(expected, b if s == 1 else inverse_set(b))
+    assert len(word) == 40
+    assert iterated_product(b, word) == expected
 
 
 def test_power_set_matches_repeated_product():
     a = MSet.from_ids(D6, [0, 1, 5])
     assert power_set(a, 3) == product_set(product_set(a, a), a)
-    # A^3 is already the rotation subgroup, so n = 7 is past stabilization;
-    # n = 40 is beyond the factor cap of iterated_product.
+    # A^3 is already the rotation subgroup, so n = 7 is past stabilization.
     for n in (7, 40):
         expected = a
         for _ in range(n - 1):
@@ -118,6 +125,50 @@ def test_partial_product_diagonal():
     a = MSet.from_ids(G5, [0, 1, 2])
     pairs = [(x, x) for x in a.ids()]
     assert partial_product(a, a, pairs).ids() == (0, 2, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_sets(D6), small_sets(D6), st.data())
+def test_partial_product_matches_scalar_reference(a, b, data):
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(a.ids()),
+                                         st.sampled_from(b.ids())),
+                               min_size=1, max_size=20))
+    expect = {D6.mul(x, y) for x, y in pairs}
+    assert set(partial_product(a, b, pairs).ids()) == expect
+
+
+def test_partial_product_rejects_the_first_outside_pair():
+    a = MSet.from_ids(G5, [0, 1])
+    with pytest.raises(ValueError, match=r"pair \(1,4\) is not inside"):
+        partial_product(a, a, [(0, 1), (1, 4), (7, 0)])
+    with pytest.raises(ValueError, match=r"pair \(-1,0\) is not inside"):
+        partial_product(a, a, [(-1, 0)])
+    with pytest.raises(ValueError, match="nonempty"):
+        partial_product(a, a, [])
+
+
+def scalar_quadruple_count(a, b):
+    """The quadruple count by the triple loop over (a, b, a'), one scalar
+    product at a time."""
+    g = a.group
+    total = 0
+    for x in a.ids():
+        for y in b.ids():
+            z = g.mul(x, y)
+            for x2 in a.ids():
+                if g.mul(g.inv(x2), z) in b:
+                    total += 1
+    return total
+
+
+@pytest.mark.parametrize("spec", ["cyclic(16)", "dihedral(6)", "sl2(5)",
+                                  "symmetric(7)"])
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_energy_quadruple_count_matches_the_triple_loop(spec, data):
+    g = construct_group(spec)
+    a, b = data.draw(small_sets(g, 10)), data.draw(small_sets(g, 10))
+    assert energy_quadruple_count(a, b) == scalar_quadruple_count(a, b)
 
 
 def test_ruzsa_distance_example():
