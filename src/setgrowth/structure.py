@@ -1,6 +1,12 @@
 """Covering lemma, approximate-group witnesses, and the small-doubling
 classification pipeline.
 
+All set arithmetic is on the array path: covers and cores scan translates
+in blocked ``mul_outer`` calls of at most BLOCK_PAIRS products.
+``tripling_chain`` forms one product per distinct (set, sign), exact because
+a product depends only on its two operand sets (MSets hash by their ids);
+``approx_group_from_tripling`` takes all powers of H0 from one chain.
+
 Every quantitative conclusion is recorded as a ledger row holding the exact
 integers (or rationals) on both sides of the inequality, so a suite run can
 re-check each bound with no floating-point slack.  Hard rows are theorem
@@ -13,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+
+import numpy as np
 
 from .constants import (
     CLASSIFY_A_COVER_CONST,
@@ -31,13 +40,15 @@ from .constants import (
     word_exponent,
 )
 from .exact import fmt_number, frac
+from .groups import BLOCK_PAIRS
 from .setops import (
     MSet,
+    ascending_powers,
     inverse_set,
+    member_mask,
     power_set,
     product_set,
     symmetrize,
-    translate_left,
     translate_right,
 )
 
@@ -132,6 +143,17 @@ class ConstantLedger:
         return [f"# {self.title}"] + [row.line() for row in self.rows]
 
 
+def _translate_rows(a: MSet, xs: np.ndarray, side: str):
+    """Yield (block, rows) over blocks of xs of at most BLOCK_PAIRS products:
+    row j holds A·block[j] for side="left" and block[j]·A for side="right"."""
+    g, ids = a.group, a.id_array()
+    step = max(1, BLOCK_PAIRS // a.size)
+    for lo in range(0, len(xs), step):
+        block = xs[lo:lo + step]
+        yield block, (g.mul_outer(ids, block).T if side == "left"
+                      else g.mul_outer(block, ids))
+
+
 def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
     """Greedy maximal family of disjoint translates of `a` rooted in `b`.
 
@@ -143,15 +165,14 @@ def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
         raise ValueError("cover arguments live in different groups")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    g = a.group
     chosen: list[int] = []
-    used = 0
-    for x in b.ids():
-        t = translate_right(a, x) if side == "left" else translate_left(x, a)
-        if used & t == 0:
-            chosen.append(x)
-            used |= t
-    return MSet.from_ids(g, chosen)
+    used = np.zeros(a.group.order, dtype=bool)
+    for block, rows in _translate_rows(a, b.id_array(), side):
+        for x, row in zip(block.tolist(), rows):
+            if not used[row].any():
+                chosen.append(x)
+                used[row] = True
+    return MSet.from_ids(a.group, chosen)
 
 
 @dataclass(frozen=True)
@@ -175,6 +196,11 @@ class ApproxGroupWitness:
 
 def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
     """Exact check of the covering-pair clauses; violations are results."""
+    return _check_covering_pair(h, x, k, product_set(h, h))
+
+
+def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
+    """verify_approx_group with H·H already formed as h2."""
     k = frac(k)
     if h.group is not x.group:
         raise ValueError("witness sets live in different groups")
@@ -189,7 +215,6 @@ def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
     clause("h-symmetric", h.is_symmetric(), "H != H^-1")
     clause("h-contains-identity", h.contains_identity(), "identity not in H")
     clause("x-symmetric", x.is_symmetric(), "X != X^-1")
-    h2 = product_set(h, h)
     missing = [i for i in x.ids() if i not in h2]
     clause("x-inside-h2", not missing,
            f"element {missing[0] if missing else '?'} of X outside H·H")
@@ -205,13 +230,13 @@ def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
     return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations))
 
 
-def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger) -> None:
-    """H^n ⊆ X^(n-1)·H for n = 3, 4, asserted by direct computation."""
+def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger,
+                        h0_pows: dict[int, MSet]) -> None:
+    """H^n = H0^(3n) ⊆ X^(n-1)·H for n = 3, 4, asserted by direct computation."""
     h, x = wit.h, wit.x
-    hn = product_set(h, h)
     xpow = x
     for n in (3, 4):
-        hn = product_set(hn, h)
+        hn = h0_pows[3 * n]
         xpow = product_set(xpow, x)
         cover = product_set(xpow, h)
         ledger.claim(f"power-n={n}", hn <= cover,
@@ -231,9 +256,8 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
         raise ValueError(
             f"tripling hypothesis fails: |A^3|/|A| = {a3.size}/{a.size} > K = {k}")
     h0 = symmetrize(a)
-    h = power_set(h0, 3)
-    h2 = power_set(h0, 6)
-    h7 = product_set(h2, h0)
+    pows = dict(enumerate(ascending_powers(h0, 12), start=1))
+    h, h2, h7 = pows[3], pows[6], pows[7]
     ledger.info("size-a", a.size)
     ledger.info("size-h0", h0.size)
     ledger.info("size-h", h.size)
@@ -258,11 +282,11 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     ledger.compare("x-size", x.size, "<=", 2 * y_bound, formula="|X| <= 2|Y|-bound")
     ledger.info("size-x", x.size)
 
-    wit = verify_approx_group(h, x, Fraction(x.size))
+    wit = _check_covering_pair(h, x, Fraction(x.size), h2)
     for name, ok in wit.checks:
         ledger.claim(f"witness-{name}", ok)
     ledger.claim("a-in-h", a <= h, lhs=a.size, rhs=h.size, formula="A subset H")
-    _witness_power_rows(wit, ledger)
+    _witness_power_rows(wit, ledger, pows)
     ledger.compare("tripling-from-witness", a3.size, "<=", x.size ** 2 * h.size,
                    formula="|A^3| <= |X|^2|H|")
     ledger.check()
@@ -285,8 +309,10 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
     if not ok:
         raise ValueError(
             f"tripling hypothesis fails: |A^3|/|A| = {a3.size}/{a.size} > K = {k}")
-    a_inv = inverse_set(a)
-    level: dict[tuple, MSet] = {(1,): a, (-1,): a_inv}
+    factor = {1: a, -1: inverse_set(a)}
+    level: dict[tuple, MSet] = {(1,): factor[1], (-1,): factor[-1]}
+    times = cache(lambda s, sign: product_set(s, factor[sign]))
+    bound = cache(lambda e: k ** e * a.size)
     overall_max = 0
     for length in range(1, n + 1):
         length_max = 0
@@ -294,21 +320,21 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
             current = level[word]
             text = "".join(_SIGN_CHAR[s] for s in word)
             ledger.compare(f"pattern:{text}", current.size, "<=",
-                           k ** word_exponent(word) * a.size,
+                           bound(word_exponent(word)),
                            formula=f"K^{word_exponent(word)}|A|")
             length_max = max(length_max, current.size)
         ledger.compare(f"length-{length}-max", length_max, "<=",
-                       k ** chain_exponent(length) * a.size,
+                       bound(chain_exponent(length)),
                        formula=f"K^c({length})|A|, c({length})={chain_exponent(length)}")
         overall_max = max(overall_max, length_max)
         if length < n:
             level = {
-                word + (sign,): product_set(current, a if sign == 1 else a_inv)
+                word + (sign,): times(current, sign)
                 for word, current in level.items()
                 for sign in (1, -1)
             }
     ledger.compare("chain-max", overall_max, "<=",
-                   k ** chain_exponent(n) * a.size,
+                   bound(chain_exponent(n)),
                    formula=f"K^c({n})|A|, c({n})={chain_exponent(n)}")
     return ledger.check()
 
@@ -340,10 +366,10 @@ def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantL
             f"doubling hypothesis fails: |A·A^-1| = {aa_inv.size} > K|A| = {k * a.size}")
     p, q = k.numerator, k.denominator
     candidates = product_set(a_inv, a)
-    members = [
-        x for x in candidates.ids()
-        if 2 * p * (a.bits & translate_right(a, x)).bit_count() > q * a.size
-    ]
+    a_mask = member_mask(a)
+    members = [x for block, rows in _translate_rows(a, candidates.id_array(), "left")
+               for x, overlap in zip(block.tolist(), a_mask[rows].sum(axis=1).tolist())
+               if 2 * p * overlap > q * a.size]
     s = MSet.from_ids(a.group, members)
     core = SymmetricCore(s, a, k, Fraction(a.size) / (2 * k))
 

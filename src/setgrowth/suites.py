@@ -453,12 +453,13 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
             if not ruzsa_triangle_holds(a, b, c):
                 triangle = False
                 witness = witness or f"triangle fails at ({la},{lb},{lc})"
-            ab = product_set(a, inverse_set(b)).size
+            d_ab = ruzsa_distance(a, b)
+            ab = d_ab.numerator
             ba = product_set(b, inverse_set(a)).size
             if ab != ba:
                 symmetry = False
                 witness = witness or f"symmetry fails at ({la},{lb})"
-            if not ruzsa_distance(a, b).is_nonnegative():
+            if not d_ab.is_nonnegative():
                 nonneg = False
                 witness = witness or f"nonnegativity fails at ({la},{lb})"
             x = rng.randrange(g.order)

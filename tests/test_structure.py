@@ -6,13 +6,30 @@ groups every set here is a union of intervals, so product sizes and
 greedy cover traces can be read off directly.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth.groups import construct_group
-from setgrowth.setops import MSet, inverse_set, power_set, product_set, symmetrize
+from setgrowth import structure
+from setgrowth.constants import (
+    chain_exponent,
+    cover_poly_value,
+    positive_power_exponent,
+    word_exponent,
+)
+from setgrowth.groups import BLOCK_PAIRS, TABLE_CAP, construct_group
+from setgrowth.setops import (
+    MSet,
+    inverse_set,
+    power_set,
+    product_set,
+    symmetrize,
+    translate_left,
+    translate_right,
+)
 from setgrowth.structure import (
     ConstantLedger,
     LedgerError,
@@ -255,3 +272,249 @@ def test_local_tripling_rejects_k_below_the_local_product_sup():
     a, _ = _local_product_instance()
     with pytest.raises((ValueError, LedgerError)):
         local_tripling_check(a, Fraction(5, 3))
+
+
+# ------------------------------------------- reference loops (array path)
+# The per-element and per-word loops the structure routines ran before they
+# moved to blocked mul_outer scans, one product memo for the tripling chain
+# and one power chain of H0.  Each rewritten routine must return the same
+# sets and the same ledger rows, in the same order, as these.
+
+H27_SPEC = "heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)"
+DIFF_GROUPS = ["cyclic(12)", "dihedral(8)", "symmetric(4)", "sl2(5)", H27_SPEC,
+               "symmetric(7)"]  # order 5040: above TABLE_CAP, no table
+GROUPS = {spec: construct_group(spec) for spec in DIFF_GROUPS}
+S7 = GROUPS["symmetric(7)"]
+
+
+def ref_ruzsa_cover(a, b, side):
+    chosen, used = [], 0
+    for x in b.ids():
+        t = translate_right(a, x) if side == "left" else translate_left(x, a)
+        if used & t == 0:
+            chosen.append(x)
+            used |= t
+    return MSet.from_ids(a.group, chosen)
+
+
+def ref_symmetric_core(a, k, n_max=3):
+    led = ConstantLedger("symmetric_core")
+    a_inv = inverse_set(a)
+    led.compare("doubling-hypothesis", product_set(a, a_inv).size, "<=",
+                k * a.size, formula="|A·A^-1| <= K|A|")
+    p, q = k.numerator, k.denominator
+    s = MSet.from_ids(a.group, [
+        x for x in product_set(a_inv, a).ids()
+        if 2 * p * (a.bits & translate_right(a, x)).bit_count() > q * a.size])
+    led.claim("core-identity", s.contains_identity(), formula="1 in S")
+    led.claim("core-symmetric", s.is_symmetric(), formula="S = S^-1")
+    led.claim("core-support", s <= product_set(a_inv, a), formula="S subset A^-1·A")
+    led.compare("core-size", 2 * p * s.size, ">=", q * a.size,
+                formula="2K|S| >= |A|, cleared")
+    left = a
+    for n in range(1, n_max + 1):
+        left = product_set(left, s)
+        led.compare(f"growth-n={n}", product_set(left, a_inv).size, "<=",
+                    2**n * k ** (2 * n + 1) * a.size,
+                    formula=f"2^{n} K^{2 * n + 1}|A|")
+    return s, led
+
+
+def ref_tripling_chain(a, k, n):
+    led = ConstantLedger("tripling_chain")
+    led.compare("tripling-hypothesis", power_set(a, 3).size, "<=", k * a.size,
+                formula="|A^3| <= K|A|")
+    a_inv = inverse_set(a)
+    level = {(1,): a, (-1,): a_inv}
+    overall_max = 0
+    for length in range(1, n + 1):
+        length_max = 0
+        for word in sorted(level, key=lambda w: [0 if s == 1 else 1 for s in w]):
+            text = "".join("+" if s == 1 else "-" for s in word)
+            led.compare(f"pattern:{text}", level[word].size, "<=",
+                        k ** word_exponent(word) * a.size,
+                        formula=f"K^{word_exponent(word)}|A|")
+            length_max = max(length_max, level[word].size)
+        led.compare(f"length-{length}-max", length_max, "<=",
+                    k ** chain_exponent(length) * a.size,
+                    formula=f"K^c({length})|A|, c({length})={chain_exponent(length)}")
+        overall_max = max(overall_max, length_max)
+        if length < n:
+            level = {word + (sign,): product_set(cur, a if sign == 1 else a_inv)
+                     for word, cur in level.items() for sign in (1, -1)}
+    led.compare("chain-max", overall_max, "<=", k ** chain_exponent(n) * a.size,
+                formula=f"K^c({n})|A|, c({n})={chain_exponent(n)}")
+    return led
+
+
+def ref_approx_group_from_tripling(a, k):
+    led = ConstantLedger("approx_group_from_tripling")
+    a3 = power_set(a, 3)
+    led.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
+                formula="|A^3| <= K|A|")
+    h0 = symmetrize(a)
+    h, h2 = power_set(h0, 3), power_set(h0, 6)
+    h7 = product_set(h2, h0)
+    for name, size in (("a", a), ("h0", h0), ("h", h), ("h2", h2)):
+        led.info(f"size-{name}", size.size)
+    if h0 == a:
+        h7_bound, h7_formula = (k ** positive_power_exponent(7) * a.size,
+                                "K^9|A|, symmetric input")
+    else:
+        h7_bound, h7_formula = cover_poly_value(k) * a.size, "P7(K)|A|"
+    led.compare("h0-seventh-power", h7.size, "<=", h7_bound, formula=h7_formula)
+    y = ref_ruzsa_cover(h0, h2, "left")
+    led.compare("cover-count", y.size * h0.size, "<=", h7.size,
+                formula="|Y||H0| <= |H0·H0^6|")
+    y_bound = h7_bound / h0.size
+    led.compare("cover-size", y.size, "<=", y_bound,
+                formula="|Y| <= bound(|H0^7|)/|H0|")
+    x = y.union(inverse_set(y))
+    led.compare("x-size", x.size, "<=", 2 * y_bound, formula="|X| <= 2|Y|-bound")
+    led.info("size-x", x.size)
+    wit = verify_approx_group(h, x, Fraction(x.size))
+    for name, ok in wit.checks:
+        led.claim(f"witness-{name}", ok)
+    led.claim("a-in-h", a <= h, lhs=a.size, rhs=h.size, formula="A subset H")
+    hn, xpow = product_set(h, h), x
+    for n in (3, 4):
+        hn = product_set(hn, h)
+        xpow = product_set(xpow, x)
+        cover = product_set(xpow, h)
+        led.claim(f"power-n={n}", hn <= cover, lhs=hn.size, rhs=cover.size,
+                  formula=f"H^{n} subset X^{n - 1}·H")
+    led.compare("tripling-from-witness", a3.size, "<=", x.size ** 2 * h.size,
+                formula="|A^3| <= |X|^2|H|")
+    return wit, led
+
+
+def assert_same_rows(led, ref):
+    assert led.rows == ref.rows
+    assert led.lines() == ref.lines()
+
+
+def diff_sets(spec, max_size):
+    return small_sets(GROUPS[spec], max_size)
+
+
+@pytest.mark.parametrize("spec", DIFF_GROUPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ruzsa_cover_matches_reference_loop(spec, data):
+    a = data.draw(diff_sets(spec, 12))
+    b = data.draw(diff_sets(spec, 40))
+    for side in ("left", "right"):
+        assert ruzsa_cover(a, b, side) == ref_ruzsa_cover(a, b, side)
+
+
+@pytest.mark.parametrize("spec", DIFF_GROUPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_symmetric_core_matches_reference_loop(spec, data):
+    a = data.draw(diff_sets(spec, 8))
+    k = measured_difference_ratio(a) * data.draw(
+        st.sampled_from([1, Fraction(5, 4), 2]))
+    core, led = symmetric_core(a, k)
+    s, ref = ref_symmetric_core(a, k)
+    assert core.s == s
+    assert_same_rows(led, ref)
+
+
+@pytest.mark.parametrize("spec", DIFF_GROUPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tripling_chain_matches_reference_loop(spec, data):
+    a = data.draw(diff_sets(spec, 5))
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    k = measured_tripling(a)
+    assert_same_rows(tripling_chain(a, k, n), ref_tripling_chain(a, k, n))
+
+
+@pytest.mark.parametrize("spec", DIFF_GROUPS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_approx_group_from_tripling_matches_reference(spec, data):
+    # two ids keep symmetric(7)'s covering sets, and X^3·H, small
+    a = data.draw(diff_sets(spec, 2 if spec == "symmetric(7)" else 4))
+    k = measured_tripling(a)
+    wit, led = approx_group_from_tripling(a, k)
+    ref_wit, ref = ref_approx_group_from_tripling(a, k)
+    assert (wit.h, wit.x, wit.k) == (ref_wit.h, ref_wit.x, ref_wit.k)
+    assert (wit.checks, wit.violations) == (ref_wit.checks, ref_wit.violations)
+    assert_same_rows(led, ref)
+
+
+def test_tripling_chain_forms_one_product_per_distinct_set_and_sign(monkeypatch):
+    # A = {0, 1} in cyclic(100): a word with p signs + and m signs - gives
+    # the interval [-m, p], so level L holds L + 1 distinct sets and the
+    # chain to length 6 forms 2(2 + 3 + 4 + 5 + 6) = 40 products, not 124
+    calls = []
+
+    def counted(x, y):
+        calls.append((x.bits, id(y)))
+        return product_set(x, y)
+
+    monkeypatch.setattr(structure, "product_set", counted)
+    a = MSet.from_ids(G100, [0, 1])
+    led = tripling_chain(a, measured_tripling(a), n=6)
+    assert led.hard_ok
+    assert len(calls) == len(set(calls)) == 40
+
+
+def test_cover_spanning_several_blocks_matches_reference_loop():
+    rng = random.Random(7)
+    a = MSet.from_ids(S7, rng.sample(range(S7.order), 150))
+    b = MSet.from_ids(S7, rng.sample(range(S7.order), 200))
+    assert S7.order > TABLE_CAP and a.size * b.size > BLOCK_PAIRS
+    for side in ("left", "right"):
+        x = ruzsa_cover(a, b, side)
+        assert x == ref_ruzsa_cover(a, b, side)
+        assert x.size > 1
+
+
+def test_core_candidate_on_the_threshold_is_excluded():
+    # cyclic(8), A = {0,1,2,3}, K = 2: x = 3 and x = 5 have |A ∩ A·x| = 1,
+    # so 2K|A ∩ A·x| = 4 = |A| exactly and the strict test leaves them out
+    g = construct_group("cyclic(8)")
+    a = MSet.from_ids(g, [0, 1, 2, 3])
+    k = Fraction(2)
+    for x in (3, 5):
+        assert 2 * k * (a.bits & translate_right(a, x)).bit_count() == a.size
+    core, led = symmetric_core(a, k)
+    s, ref = ref_symmetric_core(a, k)
+    assert core.s.ids() == s.ids() == (0, 1, 2, 6, 7)
+    assert_same_rows(led, ref)
+
+
+def test_power_chain_not_stable_before_the_twelfth_power():
+    # H0 = {-1, 0, 1} in cyclic(100): |H0^n| = 2n + 1 up to n = 12
+    a = MSet.from_ids(G100, [99, 0, 1])
+    h0 = symmetrize(a)
+    assert power_set(h0, 12).size == 25 > power_set(h0, 11).size
+    k = measured_tripling(a)
+    wit, led = approx_group_from_tripling(a, k)
+    ref_wit, ref = ref_approx_group_from_tripling(a, k)
+    assert (wit.h, wit.x, wit.checks) == (ref_wit.h, ref_wit.x, ref_wit.checks)
+    assert_same_rows(led, ref)
+    rows = {r.name: r for r in led.rows}
+    assert (rows["power-n=3"].lhs, rows["power-n=4"].lhs) == (19, 25)
+
+
+def test_cover_and_core_memory_is_one_block():
+    # 2,100 ids of symmetric(7): the translates of A by all 2,100 roots of
+    # the cover, or by all 5,040 core candidates, would be 35 or 85 MB of
+    # intp ids at once; one block is 16,384 products.  n_max=0 leaves out
+    # the growth rows, which are plain product_set calls.
+    a = MSet.from_ids(S7, random.Random(3).sample(range(S7.order), 2100))
+    b = MSet.from_ids(S7, random.Random(4).sample(range(S7.order), 2100))
+    k = measured_difference_ratio(a)
+    ruzsa_cover(a, b, "left")
+    tracemalloc.start()
+    try:
+        ruzsa_cover(a, b, "left")
+        ruzsa_cover(a, b, "right")
+        symmetric_core(a, k, n_max=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
