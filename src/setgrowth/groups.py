@@ -222,7 +222,12 @@ class SymmetricGroup(FiniteGroup):
 
 
 class SL2Group(FiniteGroup):
-    """SL_2 over Z/pZ for prime p <= 13; order p(p^2-1)."""
+    """SL_2 over Z/pZ for prime p <= 13; order p(p^2-1).
+
+    The vectorized law runs on int32 entry columns: for p <= 13 every
+    intermediate a*e + b*g is below 2p^2 and every base-p code of a
+    matrix is below p^4 <= 28,561, far inside int32.
+    """
 
     def __init__(self, p: int):
         if p > 13:
@@ -239,7 +244,7 @@ class SL2Group(FiniteGroup):
         self.mats = mats
         self.index = {m: i for i, m in enumerate(mats)}
         # entry columns a, b, c, d, and the id of each base-p code of a matrix
-        self._entries = tuple(np.array(mats, dtype=np.intp).T)
+        self._entries = tuple(np.array(mats, dtype=np.int32).T)
         self._ids = np.zeros(p**4, dtype=np.uint16)
         self._ids[self._code(*self._entries)] = np.arange(len(mats))
 

@@ -8,8 +8,10 @@ inverses and convolutions have one path: the group's vectorized law
 above it) over row blocks of at most BLOCK_PAIRS products, scattered into a
 boolean mask packed back into the bitset, or into a ``bincount``.  No call
 holds more than one block of products, so memory stays linear in the group
-order whatever the set sizes.  All derived values (energy, distances) are
-exact integers or Fractions.
+order whatever the set sizes.  ``product_set`` forms nothing when an
+operand is the whole group G, since G·B = A·G = G for nonempty sets; once a
+power chain reaches G, every further power is free.  All derived values
+(energy, distances) are exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -164,9 +166,14 @@ def translate_right(a: MSet, x: int) -> int:
 
 
 def product_set(a: MSet, b: MSet) -> MSet:
-    """A*B = {x*y : x in A, y in B}."""
+    """A*B = {x*y : x in A, y in B}.  When either operand is the whole
+    group G the product is G with no product formed: G·B = A·G = G for
+    nonempty A and B."""
     _require_same_group(a, b)
-    return MSet(a.group, _product_bits(a.group, a.id_array(), b.id_array()))
+    g = a.group
+    if a.size == g.order or b.size == g.order:
+        return MSet(g, (1 << g.order) - 1)
+    return MSet(g, _product_bits(g, a.id_array(), b.id_array()))
 
 
 def inverse_set(a: MSet) -> MSet:
@@ -194,20 +201,25 @@ def iterated_product(a: MSet, signs) -> MSet:
     return out
 
 
-def ascending_powers(a: MSet, top: int):
-    """Yield A, A^2, ..., A^top by repeated right products.  Once
-    A^{n+1} = A^n the chain has stabilized, so every later power is that
+def ascending_products(a: MSet, b: MSet, top: int):
+    """Yield A·B, A·B^2, ..., A·B^top by repeated right products.  Once
+    A·B^{n+1} = A·B^n the chain has stabilized, so every later set is that
     same set and no further product is formed."""
     cur = a
-    yield cur
-    for n in range(2, top + 1):
-        nxt = product_set(cur, a)
+    for n in range(1, top + 1):
+        nxt = product_set(cur, b)
         if nxt.bits == cur.bits:
             for _ in range(n, top + 1):
                 yield cur
             return
         cur = nxt
         yield cur
+
+
+def ascending_powers(a: MSet, top: int):
+    """Yield A, A^2, ..., A^top: A, then ascending_products(A, A, top - 1)."""
+    yield a
+    yield from ascending_products(a, a, top - 1)
 
 
 def power_set(a: MSet, n: int) -> MSet:
@@ -342,9 +354,13 @@ def ruzsa_distance(a: MSet, b: MSet) -> RuzsaDistanceValue:
 
 
 def ruzsa_triangle_holds(a: MSet, b: MSet, c: MSet) -> bool:
-    """d(A,C) <= d(A,B) + d(B,C) in cleared-integer form:
-    |A*C^-1| * |B| <= |A*B^-1| * |B*C^-1|."""
-    ac = product_set(a, inverse_set(c)).size
-    ab = product_set(a, inverse_set(b)).size
-    bc = product_set(b, inverse_set(c)).size
-    return ac * b.size <= ab * bc
+    """d(A,C) <= d(A,B) + d(B,C)."""
+    return ruzsa_triangle_cleared(
+        ruzsa_distance(a, b), ruzsa_distance(b, c), ruzsa_distance(a, c))
+
+
+def ruzsa_triangle_cleared(d_ab: RuzsaDistanceValue, d_bc: RuzsaDistanceValue,
+                           d_ac: RuzsaDistanceValue) -> bool:
+    """d(A,C) <= d(A,B) + d(B,C) from the three distances, in cleared-integer
+    form: |A*C^-1| * |B| <= |A*B^-1| * |B*C^-1|."""
+    return d_ac.numerator * d_ab.b_size <= d_ab.numerator * d_bc.numerator

@@ -7,6 +7,15 @@ in blocked ``mul_outer`` calls of at most BLOCK_PAIRS products.
 a product depends only on its two operand sets (MSets hash by their ids);
 ``approx_group_from_tripling`` takes all powers of H0 from one chain.
 
+``classify_small_doubling`` forms each product of its pipeline once, with
+no memo: it hands its A⁻¹ and A·A⁻¹ to the symmetric core, and its one
+chain of H0 = S ∪ {1} ∪ S⁻¹ gives both H = S³ and, through the witness
+step, the tripling hypothesis |S³| and every power of H0 (S is symmetric
+and holds 1, so H0 = S).  The core's growth products, the witness's
+X-powers and their covers X^(n-1)·H are formed only while their chain
+still grows, and ``product_set`` forms nothing once an operand is the
+whole group.
+
 Every quantitative conclusion is recorded as a ledger row holding the exact
 integers (or rationals) on both sides of the inequality, so a suite run can
 re-check each bound with no floating-point slack.  Hard rows are theorem
@@ -44,6 +53,7 @@ from .groups import BLOCK_PAIRS
 from .setops import (
     MSet,
     ascending_powers,
+    ascending_products,
     inverse_set,
     member_mask,
     power_set,
@@ -196,11 +206,13 @@ class ApproxGroupWitness:
 
 def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
     """Exact check of the covering-pair clauses; violations are results."""
-    return _check_covering_pair(h, x, k, product_set(h, h))
+    return _check_covering_pair(h, x, k, product_set(h, h))[0]
 
 
-def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
-    """verify_approx_group with H·H already formed as h2."""
+def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet
+                         ) -> tuple[ApproxGroupWitness, MSet]:
+    """verify_approx_group with H·H already formed as h2; also returns the
+    X·H it forms."""
     k = frac(k)
     if h.group is not x.group:
         raise ValueError("witness sets live in different groups")
@@ -227,43 +239,55 @@ def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
     missing = [i for i in h2.ids() if i not in hx]
     clause("h2-in-hx", not missing,
            f"product element {missing[0] if missing else '?'} outside H·X")
-    return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations))
+    return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations)), xh
 
 
 def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger,
-                        h0_pows: dict[int, MSet]) -> None:
-    """H^n = H0^(3n) ⊆ X^(n-1)·H for n = 3, 4, asserted by direct computation."""
-    h, x = wit.h, wit.x
-    xpow = x
-    for n in (3, 4):
+                        h0_pows: dict[int, MSet], xh: MSet) -> None:
+    """H^n = H0^(3n) ⊆ X^(n-1)·H for n = 3, 4, asserted by direct computation.
+    X² and X³ come from one product chain of X, and X^(n-1)·H is formed
+    only when X^(n-1) grew: otherwise it is the cover before, or xh = X·H."""
+    xpow, cover = wit.x, xh
+    for n, nxt in zip((3, 4), ascending_products(wit.x, wit.x, 2)):
+        if nxt != xpow:
+            xpow, cover = nxt, product_set(nxt, wit.h)
         hn = h0_pows[3 * n]
-        xpow = product_set(xpow, x)
-        cover = product_set(xpow, h)
         ledger.claim(f"power-n={n}", hn <= cover,
                      lhs=hn.size, rhs=cover.size,
                      formula=f"H^{n} subset X^{n - 1}·H")
 
 
+def _power_chain(h0: MSet) -> dict[int, MSet]:
+    """H0, H0², …, H0¹², keyed by exponent."""
+    return dict(enumerate(ascending_powers(h0, 12), start=1))
+
+
 def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, ConstantLedger]:
     """Build the covering pair (H, X) with H = (A ∪ {1} ∪ A⁻¹)³ from the
     tripling hypothesis |A³| ≤ K|A|."""
+    h0 = symmetrize(a)
+    return _approx_group_from_chain(a, k, h0, _power_chain(h0))
+
+
+def _approx_group_from_chain(a: MSet, k, h0: MSet, pows: dict[int, MSet]
+                             ) -> tuple[ApproxGroupWitness, ConstantLedger]:
+    """approx_group_from_tripling with H0 = symmetrize(A) and its power
+    chain pows already formed; A³ is read from the chain when H0 = A."""
     k = frac(k)
     ledger = ConstantLedger("approx_group_from_tripling")
-    a3 = power_set(a, 3)
+    symmetric_input = h0 == a
+    a3 = pows[3] if symmetric_input else power_set(a, 3)
     ok = ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
                         formula="|A^3| <= K|A|")
     if not ok:
         raise ValueError(
             f"tripling hypothesis fails: |A^3|/|A| = {a3.size}/{a.size} > K = {k}")
-    h0 = symmetrize(a)
-    pows = dict(enumerate(ascending_powers(h0, 12), start=1))
     h, h2, h7 = pows[3], pows[6], pows[7]
     ledger.info("size-a", a.size)
     ledger.info("size-h0", h0.size)
     ledger.info("size-h", h.size)
     ledger.info("size-h2", h2.size)
 
-    symmetric_input = h0 == a
     if symmetric_input:
         h7_bound = k ** positive_power_exponent(7) * a.size
         h7_formula = "K^9|A|, symmetric input"
@@ -282,11 +306,11 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     ledger.compare("x-size", x.size, "<=", 2 * y_bound, formula="|X| <= 2|Y|-bound")
     ledger.info("size-x", x.size)
 
-    wit = _check_covering_pair(h, x, Fraction(x.size), h2)
+    wit, xh = _check_covering_pair(h, x, Fraction(x.size), h2)
     for name, ok in wit.checks:
         ledger.claim(f"witness-{name}", ok)
     ledger.claim("a-in-h", a <= h, lhs=a.size, rhs=h.size, formula="A subset H")
-    _witness_power_rows(wit, ledger, pows)
+    _witness_power_rows(wit, ledger, pows, xh)
     ledger.compare("tripling-from-witness", a3.size, "<=", x.size ** 2 * h.size,
                    formula="|A^3| <= |X|^2|H|")
     ledger.check()
@@ -355,10 +379,15 @@ class SymmetricCore:
 
 def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantLedger]:
     """S := {x : 2K|A ∩ A·x| > |A|} under the hypothesis |A·A⁻¹| ≤ K|A|."""
+    a_inv = inverse_set(a)
+    return _symmetric_core(a, k, n_max, a_inv, product_set(a, a_inv))
+
+
+def _symmetric_core(a: MSet, k, n_max: int, a_inv: MSet, aa_inv: MSet
+                    ) -> tuple[SymmetricCore, ConstantLedger]:
+    """symmetric_core with A⁻¹ and A·A⁻¹ already formed."""
     k = frac(k)
     ledger = ConstantLedger("symmetric_core")
-    a_inv = inverse_set(a)
-    aa_inv = product_set(a, a_inv)
     ok = ledger.compare("doubling-hypothesis", aa_inv.size, "<=", k * a.size,
                         formula="|A·A^-1| <= K|A|")
     if not ok:
@@ -378,10 +407,11 @@ def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantL
     ledger.claim("core-support", s <= candidates, formula="S subset A^-1·A")
     ledger.compare("core-size", 2 * p * s.size, ">=", q * a.size,
                    formula="2K|S| >= |A|, cleared")
-    left = a
-    for n in range(1, n_max + 1):
-        left = product_set(left, s)
-        grown = product_set(left, a_inv)
+    # grown = A·S^n·A⁻¹, formed only when A·S^n grew
+    left, grown = a, aa_inv
+    for n, nxt in enumerate(ascending_products(a, s, n_max), start=1):
+        if nxt != left:
+            left, grown = nxt, product_set(nxt, a_inv)
         ledger.compare(f"growth-n={n}", grown.size, "<=",
                        2**n * k ** (2 * n + 1) * a.size,
                        formula=f"2^{n} K^{2 * n + 1}|A|")
@@ -413,10 +443,12 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
     ledger.compare("a-self-doubling", aa_inv.size, "<=", k**2 * a.size,
                    formula="|A·A^-1| <= K^2|A|")
 
-    core, core_ledger = symmetric_core(a, k**2, n_max=3)
+    core, core_ledger = _symmetric_core(a, k**2, 3, a_inv, aa_inv)
     ledger.merge(core_ledger, "core.")
     s = core.s
-    h = power_set(s, 3)
+    h0 = symmetrize(s)
+    pows = _power_chain(h0)
+    h = pows[3] if h0 == s else power_set(s, 3)
     ledger.compare("h-size", h.size, "<=",
                    CLASSIFY_H_CONST * k**CLASSIFY_H_EXP * a.size,
                    formula=f"{CLASSIFY_H_CONST} K^{CLASSIFY_H_EXP}|A|")
@@ -424,8 +456,8 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
                    CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP * s.size,
                    formula=f"{CLASSIFY_S_TRIPLING_CONST} K^{CLASSIFY_S_TRIPLING_EXP}|S|")
 
-    wit, wit_ledger = approx_group_from_tripling(
-        s, CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP)
+    wit, wit_ledger = _approx_group_from_chain(
+        s, CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP, h0, pows)
     ledger.merge(wit_ledger, "witness.")
     ledger.claim("witness-h-match", wit.h == h, lhs=wit.h.size, rhs=h.size,
                  formula="(S u {1} u S^-1)^3 = S^3")

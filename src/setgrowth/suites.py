@@ -56,7 +56,7 @@ from .setops import (
     power_set,
     product_set,
     ruzsa_distance,
-    ruzsa_triangle_holds,
+    ruzsa_triangle_cleared,
     symmetrize,
     translate_left,
 )
@@ -450,10 +450,11 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
         triangle = symmetry = nonneg = invariance = True
         witness = ""
         for (la, a), (lb, b), (lc, c) in _draws(job, pool, rng, arity=3):
-            if not ruzsa_triangle_holds(a, b, c):
+            d_ab = ruzsa_distance(a, b)
+            if not ruzsa_triangle_cleared(d_ab, ruzsa_distance(b, c),
+                                          ruzsa_distance(a, c)):
                 triangle = False
                 witness = witness or f"triangle fails at ({la},{lb},{lc})"
-            d_ab = ruzsa_distance(a, b)
             ab = d_ab.numerator
             ba = product_set(b, inverse_set(a)).size
             if ab != ba:
@@ -482,19 +483,25 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
 
 
 def _asymmetric_coset_union(g: FiniteGroup) -> MSet | None:
-    """First H u xH with |A A^-1| != |A^-1 A|, scanning small subgroups."""
+    """First H u xH with |A A^-1| != |A^-1 A|, scanning small subgroups.
+    A subgroup met again from another generator, or a coset xH met again
+    from another x, is skipped: its scan already returned nothing."""
+    scanned = set()
     for gen in range(1, min(g.order, 16)):
         sub = subgroup_closure(g, [gen])
-        if not 1 < len(sub) <= g.order // 3:
+        if not 1 < len(sub) <= g.order // 3 or sub in scanned:
             continue
+        scanned.add(sub)
         h = MSet.from_ids(g, sorted(sub))
+        seen = h.bits       # H and the cosets xH scanned so far
         for x in range(1, min(g.order, 48)):
-            if x in sub:
+            if (seen >> x) & 1:
                 continue
-            a = MSet(g, h.bits | translate_left(x, h))
-            left = product_set(a, inverse_set(a)).size
-            right = product_set(inverse_set(a), a).size
-            if left != right:
+            coset = translate_left(x, h)
+            seen |= coset
+            a = MSet(g, h.bits | coset)
+            a_inv = inverse_set(a)
+            if product_set(a, a_inv).size != product_set(a_inv, a).size:
                 return a
     return None
 

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from setgrowth import suites
+from setgrowth.groups import construct_group, subgroup_closure
+from setgrowth.setops import MSet, inverse_set, product_set, translate_left
 from setgrowth.structure import ConstantLedger, LedgerError
 from setgrowth.suites import (
     CSV_HEADER,
@@ -172,6 +175,49 @@ def test_run_named_covering_suite():
     assert rep.exit_code() == 0
     assert not rep.hard_failures()
     assert rep.summary()["hard"] >= 12
+
+
+def ref_coset_union_scan(g):
+    """The unions H u xH the coset-union scan tests, in order, as
+    (H, union) pairs, by the loop that scanned every generator and every x."""
+    scanned = []
+    for gen in range(1, min(g.order, 16)):
+        sub = subgroup_closure(g, [gen])
+        if not 1 < len(sub) <= g.order // 3:
+            continue
+        h = MSet.from_ids(g, sorted(sub))
+        for x in range(1, min(g.order, 48)):
+            if x in sub:
+                continue
+            a = MSet(g, h.bits | translate_left(x, h))
+            scanned.append((sub, a))
+            if product_set(a, inverse_set(a)).size != \
+                    product_set(inverse_set(a), a).size:
+                return scanned, a
+    return scanned, None
+
+
+# symmetric(4) meets one subgroup from gens 8 and 12, cyclic(60) from 3 and
+# 9, and the direct products from several generators each
+@pytest.mark.parametrize("spec", [
+    "symmetric(4)", "cyclic(60)",
+    "direct_product(cyclic(4),cyclic(9))",
+    "direct_product(dihedral(4),cyclic(3))"])
+def test_coset_union_scan_skips_only_what_it_already_scanned(spec, monkeypatch):
+    g = construct_group(spec)
+    scanned, expected = ref_coset_union_scan(g)
+    tested = []
+
+    def recorded(a):
+        tested.append(a)
+        return inverse_set(a)
+
+    monkeypatch.setattr(suites, "inverse_set", recorded)
+    assert suites._asymmetric_coset_union(g) == expected
+    # each (H, H u xH) once, first occurrences in the reference order
+    first = list(dict.fromkeys(scanned))
+    assert tested == [a for _, a in first]
+    assert len(first) < len(scanned)
 
 
 # -------------------------------------------------------------- emission

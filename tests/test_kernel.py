@@ -33,6 +33,7 @@ from setgrowth.groups import (
     FiniteGroup,
     NotNormalError,
     QuotientGroup,
+    SL2Group,
     construct_group,
     quotient_map,
     subgroup_closure,
@@ -123,6 +124,34 @@ def test_table_is_the_whole_law(spec):
     ids = list(range(g.order))
     assert g.table().tolist() == [[g.mul(x, y) for y in ids] for x in ids]
     assert g.inv_array(ids).tolist() == [g.inv(x) for x in ids]
+
+
+def test_sl2_int32_law_matches_the_scalar_law():
+    g = group("sl2(13)")
+    assert all(col.dtype == np.int32 for col in g._entries)
+    xs, ys = np.random.default_rng(13).integers(0, g.order, size=(2, 20_000))
+    expect = [g.mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert g._mul_law(xs, ys).tolist() == expect
+    assert g.mul_pairs(xs, ys).tolist() == expect      # the table
+    ids = np.arange(g.order)
+    assert g._inv_law(ids).tolist() == [g.inv(x) for x in range(g.order)]
+
+
+def test_sl2_codes_and_products_fit_int32_at_the_largest_admitted_p():
+    admitted = []
+    for p in (q for q in range(2, 64) if all(q % d for d in range(2, q))):
+        try:
+            admitted.append(SL2Group(p))
+        except ValueError:
+            pass
+    g = admitted[-1]
+    p = g.p
+    top = np.full(1, p - 1, dtype=np.int32)
+    # the largest entry sum a*e + b*g and the largest base-p code, computed
+    # in int32, equal their exact values
+    assert int((top * top + top * top)[0]) == 2 * (p - 1) ** 2
+    assert int(g._code(top, top, top, top)[0]) == p**4 - 1
+    assert p**4 - 1 <= np.iinfo(np.int32).max
 
 
 # ------------------------------------------------------------ planted kernels

@@ -6,6 +6,7 @@ pairs, and the quadruple counts come from the brute-force counter,
 which itself enumerates (a, b, a') directly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from setgrowth.groups import construct_group
 from setgrowth.setops import (
     MSet,
+    RuzsaDistanceValue,
+    ascending_powers,
     convolution,
     energy,
     energy_quadruple_count,
@@ -23,6 +26,7 @@ from setgrowth.setops import (
     power_set,
     product_set,
     ruzsa_distance,
+    ruzsa_triangle_cleared,
     ruzsa_triangle_holds,
     symmetrize,
     translate_left,
@@ -106,6 +110,46 @@ def test_power_set_matches_repeated_product():
         for _ in range(n - 1):
             expected = product_set(expected, a)
         assert power_set(a, n) == expected
+
+
+def whole_group(g):
+    return MSet(g, (1 << g.order) - 1)
+
+
+def scalar_product(a, b):
+    g = a.group
+    return {g.mul(x, y) for x in a.ids() for y in b.ids()}
+
+
+# sl2(5) reads its table; symmetric(7) (order 5040) has none
+@pytest.mark.parametrize("spec", ["sl2(5)", "symmetric(7)"])
+def test_products_with_the_whole_group_match_the_scalar_law(spec):
+    g = construct_group(spec)
+    whole = whole_group(g)
+    for size in (1, 3):
+        b = MSet.from_ids(g, random.Random(size).sample(range(g.order), size))
+        for left, right in ((whole, b), (b, whole)):
+            out = product_set(left, right)
+            assert out == whole
+            assert set(out.ids()) == scalar_product(left, right)
+    assert product_set(whole, whole) == whole
+
+
+# seeds whose symmetrized sets generate G: A^6 = G in sl2(5), A^5 = G in
+# symmetric(7), so the last two powers of each chain are G·A
+@pytest.mark.parametrize("spec, size, seed, top", [("sl2(5)", 2, 11, 8),
+                                                   ("symmetric(7)", 6, 12, 7)])
+def test_power_chain_through_the_whole_group_matches_the_scalar_law(
+        spec, size, seed, top):
+    g = construct_group(spec)
+    a = symmetrize(MSet.from_ids(
+        g, random.Random(seed).sample(range(g.order), size)))
+    powers = list(ascending_powers(a, top))
+    expected = set(a.ids())
+    for n, power in enumerate(powers, start=1):
+        assert set(power.ids()) == expected, n
+        expected = scalar_product(MSet.from_ids(g, expected), a)
+    assert powers[-4] != powers[-3] == powers[-1] == whole_group(g)
 
 
 def test_convolution_profile():
@@ -236,6 +280,14 @@ def test_triangle_inequality(a, b, c):
     assert ruzsa_triangle_holds(a, b, c)
 
 
+def test_triangle_cleared_form_at_the_boundary():
+    # d(A,C) <= d(A,B) + d(B,C) as |A C^-1||B| <= |A B^-1||B C^-1|, with
+    # |A| = |B| = |C| = 2 and |A B^-1| = |B C^-1| = 2
+    d_ab = d_bc = RuzsaDistanceValue(2, 2, 2)
+    assert ruzsa_triangle_cleared(d_ab, d_bc, RuzsaDistanceValue(2, 2, 2))
+    assert not ruzsa_triangle_cleared(d_ab, d_bc, RuzsaDistanceValue(3, 2, 2))
+
+
 @given(small_sets(G100, 5), st.integers(min_value=0, max_value=99))
 def test_left_invariance_of_distance(a, x):
     shifted = MSet(G100, translate_left(x, a))
@@ -249,3 +301,7 @@ def test_cross_group_product_rejected():
     b = MSet.from_ids(G7, [0])
     with pytest.raises(ValueError):
         product_set(a, b)
+    # the group check comes before the whole-group identity G·B = G
+    for left, right in ((whole_group(G5), b), (b, whole_group(G5))):
+        with pytest.raises(ValueError, match="different groups"):
+            product_set(left, right)

@@ -10,11 +10,20 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth import structure
+from setgrowth import setops, structure
 from setgrowth.constants import (
+    CLASSIFY_A_COVER_CONST,
+    CLASSIFY_A_COVER_EXP,
+    CLASSIFY_B_COVER_CONST,
+    CLASSIFY_B_COVER_EXP,
+    CLASSIFY_H_CONST,
+    CLASSIFY_H_EXP,
+    CLASSIFY_S_TRIPLING_CONST,
+    CLASSIFY_S_TRIPLING_EXP,
     chain_exponent,
     cover_poly_value,
     positive_power_exponent,
@@ -388,6 +397,70 @@ def ref_approx_group_from_tripling(a, k):
     return wit, led
 
 
+def ref_classify_small_doubling(a, b, k):
+    """The classify pipeline that formed S², S³ three times and repeated its
+    growth products, on the reference core, powers and witness."""
+    led = ConstantLedger("classify_small_doubling")
+    ab = product_set(a, b)
+    led.compare("doubling-hypothesis", ab.size**2, "<=", k**2 * a.size * b.size,
+                formula="|A·B|^2 <= K^2|A||B|")
+    led.compare("k-at-least-one", Fraction(1), "<=", k, formula="K >= 1")
+    led.compare("a-self-doubling", product_set(a, inverse_set(a)).size, "<=",
+                k**2 * a.size, formula="|A·A^-1| <= K^2|A|")
+    s, core_led = ref_symmetric_core(a, k**2)
+    led.merge(core_led, "core.")
+    h = power_set(s, 3)
+    h_bound = CLASSIFY_H_CONST * k**CLASSIFY_H_EXP
+    s_bound = CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP
+    led.compare("h-size", h.size, "<=", h_bound * a.size,
+                formula=f"{CLASSIFY_H_CONST} K^{CLASSIFY_H_EXP}|A|")
+    led.compare("s-tripling", h.size, "<=", s_bound * s.size,
+                formula=f"{CLASSIFY_S_TRIPLING_CONST} K^{CLASSIFY_S_TRIPLING_EXP}|S|")
+    wit, wit_led = ref_approx_group_from_tripling(s, s_bound)
+    led.merge(wit_led, "witness.")
+    led.claim("witness-h-match", wit.h == h, lhs=wit.h.size, rhs=h.size,
+              formula="(S u {1} u S^-1)^3 = S^3")
+    ah = product_set(a, h)
+    led.compare("a-h-product", ah.size, "<=", h_bound * a.size,
+                formula=f"{CLASSIFY_H_CONST} K^{CLASSIFY_H_EXP}|A|")
+    z0 = ref_ruzsa_cover(h, a, "right")
+    led.compare("a-cover-count", z0.size * h.size, "<=", ah.size,
+                formula="|Z0||H| <= |A·H|")
+    led.compare("a-cover-size", z0.size, "<=",
+                CLASSIFY_A_COVER_CONST * k**CLASSIFY_A_COVER_EXP,
+                formula=f"{CLASSIFY_A_COVER_CONST} K^{CLASSIFY_A_COVER_EXP}")
+    b_inv = inverse_set(b)
+    b_inv_h = product_set(b_inv, h)
+    w0 = ref_ruzsa_cover(h, b_inv, "right")
+    led.compare("b-cover-count", w0.size * h.size, "<=", b_inv_h.size,
+                formula="|W0||H| <= |B^-1·H|")
+    led.compare("b-cover-size", w0.size, "<=",
+                CLASSIFY_B_COVER_CONST * k**CLASSIFY_B_COVER_EXP,
+                formula=f"{CLASSIFY_B_COVER_CONST} K^{CLASSIFY_B_COVER_EXP}")
+    x_final = product_set(z0, wit.x).union(
+        inverse_set(product_set(w0, wit.x)))
+    xh, hx = product_set(x_final, h), product_set(h, x_final)
+    led.claim("a-contained", a <= xh, lhs=a.size, rhs=xh.size,
+              formula="A subset X·H")
+    led.claim("b-contained", b <= hx, lhs=b.size, rhs=hx.size,
+              formula="B subset H·X")
+    led.compare("x-final-size", x_final.size, "<=",
+                2 * CLASSIFY_B_COVER_CONST * k**CLASSIFY_B_COVER_EXP * wit.x.size,
+                formula=f"32 K^{CLASSIFY_B_COVER_EXP}|X_wit|")
+    led.info("x-final-measured", x_final.size)
+    return wit, x_final, led
+
+
+def assert_same_classify(a, b, k):
+    wit, x_final, led = classify_small_doubling(a, b, k)
+    ref_wit, ref_x, ref = ref_classify_small_doubling(a, b, k)
+    assert (wit.h, wit.x, wit.k) == (ref_wit.h, ref_wit.x, ref_wit.k)
+    assert (wit.checks, wit.violations) == (ref_wit.checks, ref_wit.violations)
+    assert x_final == ref_x
+    assert_same_rows(led, ref)
+    assert led.hard_ok
+
+
 def assert_same_rows(led, ref):
     assert led.rows == ref.rows
     assert led.lines() == ref.lines()
@@ -442,6 +515,46 @@ def test_approx_group_from_tripling_matches_reference(spec, data):
     assert (wit.h, wit.x, wit.k) == (ref_wit.h, ref_wit.x, ref_wit.k)
     assert (wit.checks, wit.violations) == (ref_wit.checks, ref_wit.violations)
     assert_same_rows(led, ref)
+
+
+@pytest.mark.parametrize("spec", DIFF_GROUPS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_classify_small_doubling_matches_reference(spec, data):
+    # two ids keep symmetric(7)'s X^3·H small, as for the tripling witness
+    size = 2 if spec == "symmetric(7)" else 4
+    a = data.draw(diff_sets(spec, size))
+    b = data.draw(st.just(a) | diff_sets(spec, size))
+    # |A·B|^2 <= K^2|A||B| holds at K = |A·B| / min(|A|, |B|)
+    k = Fraction(product_set(a, b).size, min(a.size, b.size))
+    assert_same_classify(a, b, k)
+
+
+def test_classify_forms_each_operand_pair_once(monkeypatch):
+    """On 40 seeded ids of sl2(11), with B = A and K = |A·A|/|A|, no product
+    is formed twice and none has the whole group as an operand.  Sets in
+    different roles can still coincide on other inputs (Z0 = W0 when B = A,
+    or a final X equal to the witness X), and only a memo of products would
+    merge those; the pipeline keeps none."""
+    g = construct_group("sl2(11)")
+    a = MSet.from_ids(g, random.Random(1729).sample(range(g.order), 40))
+    k = Fraction(product_set(a, a).size, a.size)
+    formed = []
+    real = setops._product_bits
+
+    def counted(group, xs, ys):
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        formed.append((xs.tobytes(), ys.tobytes(), len(xs), len(ys)))
+        return real(group, xs, ys)
+
+    monkeypatch.setattr(setops, "_product_bits", counted)
+    _, _, led = classify_small_doubling(a, a, k)
+    monkeypatch.undo()
+    assert led.hard_ok
+    pairs = [(x, y) for x, y, _, _ in formed]
+    assert len(pairs) == len(set(pairs))
+    assert all(nx < g.order and ny < g.order for _, _, nx, ny in formed)
+    assert_same_classify(a, a, k)
 
 
 def test_tripling_chain_forms_one_product_per_distinct_set_and_sign(monkeypatch):
