@@ -201,25 +201,20 @@ def iterated_product(a: MSet, signs) -> MSet:
     return out
 
 
-def ascending_products(a: MSet, b: MSet, top: int):
-    """Yield A·B, A·B^2, ..., A·B^top by repeated right products.  Once
-    A·B^{n+1} = A·B^n the chain has stabilized, so every later set is that
+def ascending_powers(a: MSet, top: int):
+    """Yield A, A^2, ..., A^top by repeated right products.  Once
+    A^{n+1} = A^n the chain has stabilized, so every later power is that
     same set and no further product is formed."""
     cur = a
-    for n in range(1, top + 1):
-        nxt = product_set(cur, b)
+    yield cur
+    for n in range(2, top + 1):
+        nxt = product_set(cur, a)
         if nxt.bits == cur.bits:
             for _ in range(n, top + 1):
                 yield cur
             return
         cur = nxt
         yield cur
-
-
-def ascending_powers(a: MSet, top: int):
-    """Yield A, A^2, ..., A^top: A, then ascending_products(A, A, top - 1)."""
-    yield a
-    yield from ascending_products(a, a, top - 1)
 
 
 def power_set(a: MSet, n: int) -> MSet:

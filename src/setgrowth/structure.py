@@ -11,10 +11,9 @@ a product depends only on its two operand sets (MSets hash by their ids);
 no memo: it hands its A⁻¹ and A·A⁻¹ to the symmetric core, and its one
 chain of H0 = S ∪ {1} ∪ S⁻¹ gives both H = S³ and, through the witness
 step, the tripling hypothesis |S³| and every power of H0 (S is symmetric
-and holds 1, so H0 = S).  The core's growth products, the witness's
-X-powers and their covers X^(n-1)·H are formed only while their chain
-still grows, and ``product_set`` forms nothing once an operand is the
-whole group.
+and holds 1, so H0 = S).  The witness's H is then the very set read as
+S³, so its ``witness-h-match`` row holds by construction.  Once A·Sⁿ or a
+power reaches the whole group, ``product_set`` forms nothing further.
 
 Every quantitative conclusion is recorded as a ledger row holding the exact
 integers (or rationals) on both sides of the inequality, so a suite run can
@@ -53,7 +52,6 @@ from .groups import BLOCK_PAIRS
 from .setops import (
     MSet,
     ascending_powers,
-    ascending_products,
     inverse_set,
     member_mask,
     power_set,
@@ -206,13 +204,11 @@ class ApproxGroupWitness:
 
 def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
     """Exact check of the covering-pair clauses; violations are results."""
-    return _check_covering_pair(h, x, k, product_set(h, h))[0]
+    return _check_covering_pair(h, x, k, product_set(h, h))
 
 
-def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet
-                         ) -> tuple[ApproxGroupWitness, MSet]:
-    """verify_approx_group with H·H already formed as h2; also returns the
-    X·H it forms."""
+def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
+    """verify_approx_group with H·H already formed as h2."""
     k = frac(k)
     if h.group is not x.group:
         raise ValueError("witness sets live in different groups")
@@ -239,19 +235,18 @@ def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet
     missing = [i for i in h2.ids() if i not in hx]
     clause("h2-in-hx", not missing,
            f"product element {missing[0] if missing else '?'} outside H·X")
-    return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations)), xh
+    return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations))
 
 
 def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger,
-                        h0_pows: dict[int, MSet], xh: MSet) -> None:
+                        h0_pows: dict[int, MSet]) -> None:
     """H^n = H0^(3n) ⊆ X^(n-1)·H for n = 3, 4, asserted by direct computation.
-    X² and X³ come from one product chain of X, and X^(n-1)·H is formed
-    only when X^(n-1) grew: otherwise it is the cover before, or xh = X·H."""
-    xpow, cover = wit.x, xh
-    for n, nxt in zip((3, 4), ascending_products(wit.x, wit.x, 2)):
-        if nxt != xpow:
-            xpow, cover = nxt, product_set(nxt, wit.h)
+    X² and X³ come from the power chain of X."""
+    h, x = wit.h, wit.x
+    xpows = dict(enumerate(ascending_powers(x, 3), start=1))
+    for n in (3, 4):
         hn = h0_pows[3 * n]
+        cover = product_set(xpows[n - 1], h)
         ledger.claim(f"power-n={n}", hn <= cover,
                      lhs=hn.size, rhs=cover.size,
                      formula=f"H^{n} subset X^{n - 1}·H")
@@ -260,6 +255,11 @@ def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger,
 def _power_chain(h0: MSet) -> dict[int, MSet]:
     """H0, H0², …, H0¹², keyed by exponent."""
     return dict(enumerate(ascending_powers(h0, 12), start=1))
+
+
+def _cube(a: MSet, h0: MSet, pows: dict[int, MSet]) -> MSet:
+    """A³, read from the power chain of H0 = symmetrize(A) when H0 = A."""
+    return pows[3] if h0 == a else power_set(a, 3)
 
 
 def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, ConstantLedger]:
@@ -272,11 +272,11 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
 def _approx_group_from_chain(a: MSet, k, h0: MSet, pows: dict[int, MSet]
                              ) -> tuple[ApproxGroupWitness, ConstantLedger]:
     """approx_group_from_tripling with H0 = symmetrize(A) and its power
-    chain pows already formed; A³ is read from the chain when H0 = A."""
+    chain pows already formed."""
     k = frac(k)
     ledger = ConstantLedger("approx_group_from_tripling")
     symmetric_input = h0 == a
-    a3 = pows[3] if symmetric_input else power_set(a, 3)
+    a3 = _cube(a, h0, pows)
     ok = ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
                         formula="|A^3| <= K|A|")
     if not ok:
@@ -306,11 +306,11 @@ def _approx_group_from_chain(a: MSet, k, h0: MSet, pows: dict[int, MSet]
     ledger.compare("x-size", x.size, "<=", 2 * y_bound, formula="|X| <= 2|Y|-bound")
     ledger.info("size-x", x.size)
 
-    wit, xh = _check_covering_pair(h, x, Fraction(x.size), h2)
+    wit = _check_covering_pair(h, x, Fraction(x.size), h2)
     for name, ok in wit.checks:
         ledger.claim(f"witness-{name}", ok)
     ledger.claim("a-in-h", a <= h, lhs=a.size, rhs=h.size, formula="A subset H")
-    _witness_power_rows(wit, ledger, pows, xh)
+    _witness_power_rows(wit, ledger, pows)
     ledger.compare("tripling-from-witness", a3.size, "<=", x.size ** 2 * h.size,
                    formula="|A^3| <= |X|^2|H|")
     ledger.check()
@@ -407,11 +407,10 @@ def _symmetric_core(a: MSet, k, n_max: int, a_inv: MSet, aa_inv: MSet
     ledger.claim("core-support", s <= candidates, formula="S subset A^-1·A")
     ledger.compare("core-size", 2 * p * s.size, ">=", q * a.size,
                    formula="2K|S| >= |A|, cleared")
-    # grown = A·S^n·A⁻¹, formed only when A·S^n grew
-    left, grown = a, aa_inv
-    for n, nxt in enumerate(ascending_products(a, s, n_max), start=1):
-        if nxt != left:
-            left, grown = nxt, product_set(nxt, a_inv)
+    left = a
+    for n in range(1, n_max + 1):
+        left = product_set(left, s)
+        grown = product_set(left, a_inv)
         ledger.compare(f"growth-n={n}", grown.size, "<=",
                        2**n * k ** (2 * n + 1) * a.size,
                        formula=f"2^{n} K^{2 * n + 1}|A|")
@@ -448,7 +447,7 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
     s = core.s
     h0 = symmetrize(s)
     pows = _power_chain(h0)
-    h = pows[3] if h0 == s else power_set(s, 3)
+    h = _cube(s, h0, pows)
     ledger.compare("h-size", h.size, "<=",
                    CLASSIFY_H_CONST * k**CLASSIFY_H_EXP * a.size,
                    formula=f"{CLASSIFY_H_CONST} K^{CLASSIFY_H_EXP}|A|")
@@ -459,6 +458,8 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
     wit, wit_ledger = _approx_group_from_chain(
         s, CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP, h0, pows)
     ledger.merge(wit_ledger, "witness.")
+    # when S = symmetrize(S), wit.h and h are both pows[3]: the row holds by
+    # construction
     ledger.claim("witness-h-match", wit.h == h, lhs=wit.h.size, rhs=h.size,
                  formula="(S u {1} u S^-1)^3 = S^3")
 

@@ -135,23 +135,13 @@ def test_sl2_int32_law_matches_the_scalar_law():
     assert g.mul_pairs(xs, ys).tolist() == expect      # the table
     ids = np.arange(g.order)
     assert g._inv_law(ids).tolist() == [g.inv(x) for x in range(g.order)]
-
-
-def test_sl2_codes_and_products_fit_int32_at_the_largest_admitted_p():
-    admitted = []
-    for p in (q for q in range(2, 64) if all(q % d for d in range(2, q))):
-        try:
-            admitted.append(SL2Group(p))
-        except ValueError:
-            pass
-    g = admitted[-1]
-    p = g.p
-    top = np.full(1, p - 1, dtype=np.int32)
-    # the largest entry sum a*e + b*g and the largest base-p code, computed
-    # in int32, equal their exact values
-    assert int((top * top + top * top)[0]) == 2 * (p - 1) ** 2
-    assert int(g._code(top, top, top, top)[0]) == p**4 - 1
-    assert p**4 - 1 <= np.iinfo(np.int32).max
+    # p = 13 is the largest admitted p: its largest entry sum a*e + b*g and
+    # its largest base-p code, computed in int32, equal their exact values
+    with pytest.raises(ValueError):
+        SL2Group(17)
+    top = np.full(1, 12, dtype=np.int32)
+    assert int((top * top + top * top)[0]) == 2 * 12**2
+    assert int(g._code(top, top, top, top)[0]) == 13**4 - 1
 
 
 # ------------------------------------------------------------ planted kernels
