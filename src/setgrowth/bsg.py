@@ -10,9 +10,13 @@ with the audited exponent from multiplying the proof's displayed constants
 the original display states; docs/constants.md derives both and explains the
 gap.
 
-The refinements are whole-array kernel calls: blocked ``mul_outer``
-products tested against boolean masks of C or D, whose row and column sums
-are the refinement counts, and overlaps that are popcounts of packed rows.
+The refinements are whole-array kernel calls: uint16 product matrices
+filled by blocked ``mul_outer``, read through boolean masks of C or D into
+hit matrices whose row and column sums are the refinement counts, and
+overlaps that are popcounts of packed rows.  The full extraction forms
+each product once: A·B as one matrix P, read for the convolution, for the
+hit matrix of every refinement and for A'''·B''', and A''·A''^-1 in the
+weak extraction, whose quotient matrix the Markov refinement reads again.
 Every count is an exact integer, compared with a rational threshold t as
 n > floor(t), which for an integer n is exactly n > t.
 """
@@ -33,7 +37,8 @@ from .exact import ceil_sqrt_frac, frac
 from .groups import BLOCK_PAIRS, _product_blocks
 from .setops import (
     MSet,
-    convolution,
+    _convolution_profile,
+    _mask_bits,
     energy,
     member_mask,
     partial_product,
@@ -49,10 +54,15 @@ from .structure import (
 )
 
 
-def _hits(g, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The boolean matrix [i, j] -> xs[i]*ys[j] in mask, block by block."""
-    return np.concatenate(
-        [mask[block] for block in _product_blocks(g, xs, ys)])
+def _product_matrix(g, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The uint16 matrix [i, j] -> xs[i]*ys[j], filled in the row blocks of
+    _product_blocks."""
+    out = np.empty((len(xs), len(ys)), dtype=np.uint16)
+    lo = 0
+    for block in _product_blocks(g, xs, ys):
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    return out
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:
@@ -127,7 +137,6 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
     """
     if a.group is not b.group or a.group is not c.group:
         raise ValueError("sets live in different groups")
-    g = a.group
     k = frac(k)
     eps = frac(eps)
     if not 0 < eps < 1:
@@ -135,7 +144,16 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
     if (kprime is None) == (kprime_sq is None):
         raise ValueError("pass exactly one of kprime, kprime_sq")
     kp_sq = frac(kprime_sq) if kprime_sq is not None else frac(kprime) ** 2
+    return _weak_bsg(a, b, c, k, kp_sq, eps)[0]
 
+
+def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
+              eps: Fraction, hit: np.ndarray | None = None):
+    """weak_bsg on checked parameters.  `hit` is the boolean matrix
+    [i, j] -> a_i*b_j in C when the caller holds it; it is formed here
+    otherwise.  Returns the result, the rows of A' within A, and the uint16
+    quotient matrix [i, j] -> a'_i*a'_j^-1 over A' x A'."""
+    g = a.group
     ledger = ConstantLedger("weak_bsg")
     ok = ledger.compare("c-hypothesis", c.size**2, "<=", kp_sq * a.size * b.size,
                         formula="|C|^2 <= K'^2|A||B|")
@@ -144,7 +162,8 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
             f"size hypothesis fails: |C|^2 = {c.size**2} > "
             f"K'^2|A||B| = {kp_sq * a.size * b.size}")
     a_ids, b_ids = a.id_array(), b.id_array()
-    hit = _hits(g, a_ids, b_ids, member_mask(c))
+    if hit is None:
+        hit = member_mask(c)[_product_matrix(g, a_ids, b_ids)]
     n_pairs = int(np.count_nonzero(hit))
     ok = ledger.compare("density-hypothesis", n_pairs * k, ">=",
                         a.size * b.size, formula="N·K >= |A||B|")
@@ -183,8 +202,7 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
     ledger.compare("omega-small", omega_count, "<=", eps * a_prime.size**2,
                    formula="|Ω ∩ A'^2| <= ε|A'|^2")
     ids = a_prime.id_array()
-    quotients = np.concatenate([block.astype(np.uint16) for block in
-                                _product_blocks(g, ids, g.inv_array(ids))])
+    quotients = _product_matrix(g, ids, g.inv_array(ids))
     d_mask = np.zeros(g.order, dtype=bool)
     d_mask[quotients[good]] = True
     d = _nonempty_set(g, np.flatnonzero(d_mask).tolist(), "D")
@@ -196,20 +214,22 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
                    (1 - eps) * a_prime.size**2,
                    formula="#{a(a')^-1 in D} >= (1-ε)|A'|^2")
     ledger.check()
-    return WeakBsgResult(a_prime, d, chosen_b, omega_count, omega_threshold,
-                         k, kp_sq, eps, ledger)
+    return (WeakBsgResult(a_prime, d, chosen_b, omega_count, omega_threshold,
+                          k, kp_sq, eps, ledger), rows, quotients)
 
 
 @dataclass(frozen=True)
 class BsgExtract:
     """Full extraction output: the level set, three nested refinements of A,
-    the refinement of B, and the certified product bound."""
+    the refinement of B, their product set, and the certified product
+    bound."""
 
     c: MSet
     a_prime: MSet
     a_second: MSet
     a_third: MSet
     b_third: MSet
+    product: MSet             # A'''·B'''
     l: Fraction
     d: MSet
     weak: WeakBsgResult
@@ -225,13 +245,21 @@ class BsgExtract:
             f"|A'''| = {self.a_third.size}",
             f"|B'''| = {self.b_third.size}",
             f"|D| = {self.d.size}",
-            f"|A'''·B'''| = {product_set(self.a_third, self.b_third).size}",
+            f"|A'''·B'''| = {self.product.size}",
         ]
 
 
 def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     """Full extraction: from E(A,B) ≥ (|A||B|)^{3/2}/K produce A''' ⊆ A and
-    B''' ⊆ B, both of proportional size, whose product set is small."""
+    B''' ⊆ B, both of proportional size, whose product set is small.
+
+    Every refinement of A and B is a set of rows or columns of A x B, so the
+    product matrix P = A·B is formed once and read three ways: by the
+    convolution, by the hit matrix [i, j] -> P[i, j] in C whose row slices
+    serve every refinement, and as the sub-matrix A'''·B'''.  The weak
+    extraction hands back its quotient matrix A''·A''^-1 for the Markov
+    refinement, so each quotient is formed once too.
+    """
     if a.group is not b.group:
         raise ValueError("sets live in different groups")
     g = a.group
@@ -239,8 +267,13 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     p, q = k.numerator, k.denominator
     ledger = ConstantLedger("bsg_extract")
 
-    profile = convolution(a, b)
-    e_val = sum(cnt * cnt for cnt in profile.counts.values())
+    a_ids, b_ids = a.id_array(), b.id_array()
+    products = _product_matrix(g, a_ids, b_ids)
+    step = max(1, BLOCK_PAIRS // len(b_ids))
+    profile = _convolution_profile(
+        g, (products[lo:lo + step] for lo in range(0, len(a_ids), step)),
+        a.size, b.size)
+    e_val = profile.energy_value()
     nm = a.size * b.size
     ok = ledger.compare("energy-hypothesis", e_val**2 * p**2, ">=", q**2 * nm**3,
                         formula="E^2 K^2 >= (|A||B|)^3, cleared")
@@ -257,10 +290,10 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     ledger.compare("level-set-mass", 2 * p * n_c, ">=", q * nm,
                    formula="2K·N_C >= |A||B|")
 
-    a_ids, b_ids, c_mask = a.id_array(), b.id_array(), member_mask(c)
-    row_hits = np.count_nonzero(_hits(g, a_ids, b_ids, c_mask), axis=1)
-    a_prime = _nonempty_set(
-        g, a_ids[row_hits > q * b.size // (4 * p)].tolist(), "A'")
+    hit = member_mask(c)[products]
+    prime_rows = np.flatnonzero(
+        np.count_nonzero(hit, axis=1) > q * b.size // (4 * p))
+    a_prime = _nonempty_set(g, a_ids[prime_rows].tolist(), "A'")
     ledger.compare("a-prime-size", 4 * p * a_prime.size, ">=", q * a.size,
                    formula="4K|A'| >= |A|")
     l = Fraction(a.size, a_prime.size)
@@ -268,9 +301,11 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     ledger.compare("l-range-high", l, "<=", 4 * k, formula="L <= 4K")
 
     eps = Fraction(1) / (32 * k)
-    weak = weak_bsg(a_prime, b, c, 4 * k / l, eps=eps, kprime_sq=4 * k**2 * l)
+    weak, rows, quotients = _weak_bsg(a_prime, b, c, 4 * k / l,
+                                      4 * k**2 * l, eps, hit[prime_rows])
     ledger.merge(weak.ledger, "weak.")
     a_second = weak.a_prime
+    second_rows = prime_rows[rows]
     d = weak.d
     ledger.compare("a-second-size", 32 * k**2 * a_second.size**2, ">=",
                    Fraction(a.size**2), formula="|A''| >= |A|/4√2K, squared")
@@ -278,26 +313,27 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
                    formula="|D| <= 4096 K^5 |A|/L^2")
 
     # Markov refinement: keep a whose bad-quotient count is small.
-    a_second_ids = a_second.id_array()
-    bad_counts = len(a_second_ids) - np.count_nonzero(_hits(
-        g, a_second_ids, g.inv_array(a_second_ids), member_mask(d)), axis=1)
+    bad_counts = len(second_rows) - np.count_nonzero(
+        member_mask(d)[quotients], axis=1)
     total_bad = int(bad_counts.sum())
     ledger.compare("bad-pairs-total", total_bad, "<=",
                    eps * a_second.size**2, formula="Σ bad <= |A''|^2/32K")
-    a_third = _nonempty_set(g, a_second_ids[
-        bad_counts <= q * a_second.size // (16 * p)].tolist(), "A'''")
+    third_rows = second_rows[bad_counts <= q * a_second.size // (16 * p)]
+    a_third = _nonempty_set(g, a_ids[third_rows].tolist(), "A'''")
     ledger.compare("a-third-half", 2 * a_third.size, ">=", a_second.size,
                    formula="|A'''| >= |A''|/2")
     ledger.compare("a-third-size", 128 * k**2 * a_third.size**2, ">=",
                    Fraction(a.size**2), formula="|A'''| >= |A|/8√2K, squared")
 
-    col_hits = np.count_nonzero(_hits(g, a_second_ids, b_ids, c_mask), axis=0)
-    b_third = _nonempty_set(
-        g, b_ids[col_hits > q * a_second.size // (8 * p)].tolist(), "B'''")
+    col_hits = np.count_nonzero(hit[second_rows], axis=0)
+    third_cols = np.flatnonzero(col_hits > q * a_second.size // (8 * p))
+    b_third = _nonempty_set(g, b_ids[third_cols].tolist(), "B'''")
     ledger.compare("b-third-size", 8 * p * b_third.size, ">=", q * b.size,
                    formula="8K|B'''| >= |B|")
 
-    product = product_set(a_third, b_third)
+    product_mask = np.zeros(g.order, dtype=bool)
+    product_mask[products[np.ix_(third_rows, third_cols)]] = True
+    product = MSet(g, _mask_bits(product_mask))
     ledger.compare("product-injection",
                    16 * p * c.size * d.size, ">=",
                    q * product.size * a_second.size,
@@ -309,8 +345,8 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
                    BSG_AUDIT_CONST_SQ * k**BSG_HEADLINE_EXP_SQ * nm,
                    formula=f"|A'''·B'''|^2 <= 2^39 K^{BSG_HEADLINE_EXP_SQ}|A||B|")
     ledger.check()
-    return BsgExtract(c, a_prime, a_second, a_third, b_third, l, d, weak,
-                      k, eps, ledger)
+    return BsgExtract(c, a_prime, a_second, a_third, b_third, product, l, d,
+                      weak, k, eps, ledger)
 
 
 _CLAUSES = ("i", "iii", "iv", "ii")  # proof cycle order
@@ -421,8 +457,7 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
 def _step_i_iii(g, a, b, state, ledger):
     extract = bsg_extract(a, b, state["k"])
     ledger.merge(extract.ledger, "step-i-iii.")
-    a_p, b_p = extract.a_third, extract.b_third
-    prod = product_set(a_p, b_p)
+    a_p, b_p, prod = extract.a_third, extract.b_third, extract.product
     sub = ConstantLedger("iii")
     sub.compare("product-lower", prod.size**2, ">=", a_p.size * b_p.size,
                 formula="|A'·B'|^2 >= |A'||B'|")

@@ -105,8 +105,9 @@ def _cmd_bsg_run(args) -> int:
     if args.k is not None:
         k = frac(args.k)
     else:
-        k = _energy_k(a, b)
-        print(f"inferred K = {k} from E(A,B) = {energy(a, b).value}")
+        e_val = energy(a, b).value
+        k = _energy_k(a, b, e_val)
+        print(f"inferred K = {k} from E(A,B) = {e_val}")
     try:
         extract = bsg_extract(a, b, k)
     except (LedgerError, ValueError) as exc:

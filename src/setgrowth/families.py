@@ -70,6 +70,15 @@ def _named_fields(args, what: str) -> dict[str, str]:
     return out
 
 
+def _required(args, key, family: str, name: str) -> str:
+    """The field at `key` (a position in the raw fields, or a name among
+    key=value fields), or a ValueError that names the missing field."""
+    try:
+        return args[key]
+    except (IndexError, KeyError):
+        raise ValueError(f"{family} is missing its {name} field") from None
+
+
 def _closure_set(g: FiniteGroup, gens: list[int]) -> MSet:
     return MSet.from_ids(g, sorted(subgroup_closure(g, gens or [0])))
 
@@ -98,7 +107,8 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         if len(args) == 1:
             fields = _ids_arg(args[0], family)
         else:
-            fields = [int(args[0]), int(args[1])]
+            fields = [int(_required(args, 0, family, "base")),
+                      int(_required(args, 1, family, "length"))]
         if len(fields) != 2:
             raise ValueError("geometric_progression expects base,length")
         base, length = fields
@@ -111,7 +121,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         return MSet.from_ids(g, sorted(ids))
 
     if family == "subgroup_plus_point":
-        gens = _ids_arg(args[0], family)
+        gens = _ids_arg(_required(args, 0, family, "gens"), family)
         sub = subgroup_closure(g, gens)
         if len(args) > 1:
             x = int(args[1])
@@ -145,13 +155,11 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
 
     if family == "random_dense":
         fields = _named_fields(args, family)
-        density = frac(fields["density"])
+        density = frac(_required(fields, "density", family, "density"))
         if not 0 < density <= 1:
             raise ValueError(f"density must lie in (0,1], got {density}")
         if seed is None:
-            if "seed" not in fields:
-                raise ValueError("random_dense requires a seed field")
-            seed = int(fields["seed"])
+            seed = int(_required(fields, "seed", family, "seed"))
         rng = random.Random(seed)
         threshold = float(density)
         bits = 0
@@ -163,7 +171,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         return MSet(g, bits)
 
     if family == "ball_in_word_metric":
-        radius = int(args[0])
+        radius = int(_required(args, 0, family, "radius"))
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         gens = _ids_arg(args[1], family) if len(args) > 1 else [1]

@@ -181,6 +181,17 @@ class DihedralGroup(FiniteGroup):
 
 
 class SymmetricGroup(FiniteGroup):
+    """Permutations of 0..n-1 for n <= 7.
+
+    A permutation is fixed by its first n-1 images, its digits; their
+    base-n value, its code (below n^(n-1) = 117,649 for n = 7), indexes the
+    lookup array that ranks it.  The vectorized law keeps the images as
+    int32: one column per image position, and all images row by row in one
+    flat array.  Image i of p*q is p[q[i]], so each digit of the product
+    is one gather from the flat images at p's row plus q[i], folded into
+    the code by Horner's rule; no (..., n) array of images is formed.
+    """
+
     def __init__(self, n: int):
         if n > 7:
             raise ValueError("symmetric(n) supported only for n <= 7")
@@ -189,25 +200,32 @@ class SymmetricGroup(FiniteGroup):
         self.n = n
         self.perms = perms
         self.index = {p: i for i, p in enumerate(perms)}
-        self._images = np.array(perms, dtype=np.intp).reshape(len(perms), n)
-        # A permutation is fixed by its first n-1 images; their base-n value
-        # indexes the lookup array that ranks it.
+        images = np.array(perms, dtype=np.int32).reshape(len(perms), n)
+        self._flat = images.ravel()
+        self._columns = tuple(np.ascontiguousarray(images.T))
         self._digits = max(n - 1, 0)
-        self._radix = n ** np.arange(self._digits - 1, -1, -1)
+        # weight of image position j in the code; the last image is no digit
+        self._weight = np.zeros(n, dtype=np.int32)
+        self._weight[:self._digits] = n ** np.arange(self._digits - 1, -1, -1)
         self._rank = np.zeros(n ** self._digits, dtype=np.uint16)
-        self._rank[self._images[:, :self._digits] @ self._radix] = np.arange(
-            len(perms))
+        self._rank[images @ self._weight] = np.arange(len(perms))
 
     def _mul_law(self, x, y):
-        n, digits = self.n, self._digits
-        # image i of p*q is p[q[i]], read from the flattened image array
-        composed = self._images.ravel()[
-            x[..., None] * n + self._images[y][..., :digits]]
-        return self._rank[composed @ self._radix]
+        n = self.n
+        rows = np.multiply(x, n, dtype=np.intp)
+        code = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)),
+                        dtype=np.int32)
+        for col in self._columns[:self._digits]:
+            code *= n
+            code += self._flat.take(rows + col.take(y))
+        return self._rank.take(code)
 
     def _inv_law(self, x):
-        inverse = np.argsort(self._images[x], axis=-1)[..., :self._digits]
-        return self._rank[inverse @ self._radix]
+        # p^-1 sends p[i] to i: digit p[i] of the inverse's code is i
+        code = np.zeros(np.shape(x), dtype=np.int32)
+        for i, col in enumerate(self._columns):
+            code += i * self._weight.take(col.take(x))
+        return self._rank.take(code)
 
     def mul(self, a, b):
         p, q = self.perms[a], self.perms[b]

@@ -265,13 +265,21 @@ class ConvolutionProfile:
 def convolution(a: MSet, b: MSet) -> ConvolutionProfile:
     _require_same_group(a, b)
     g = a.group
+    return _convolution_profile(
+        g, _product_blocks(g, a.id_array(), b.id_array()), a.size, b.size)
+
+
+def _convolution_profile(g: FiniteGroup, blocks, a_size: int,
+                         b_size: int) -> ConvolutionProfile:
+    """The profile of A x B from blocks that hold each product of A x B
+    once, counted by one ``bincount`` per block."""
     counts = np.zeros(g.order, dtype=np.int64)
-    for block in _product_blocks(g, a.id_array(), b.id_array()):
+    for block in blocks:
         counts += np.bincount(block.ravel(), minlength=g.order)
     support = np.flatnonzero(counts)
     return ConvolutionProfile(
         g, dict(zip(support.tolist(), counts[support].tolist())),
-        a.size, b.size)
+        a_size, b_size)
 
 
 @dataclass

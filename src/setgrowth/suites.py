@@ -608,10 +608,12 @@ def _run_weak_bsg(job: SuiteJob, report: Report) -> None:
                 module, f"weak_bsg[{gspec}|{la}*{lb}#{i}]", result.ledger)
 
 
-def _energy_k(a: MSet, b: MSet) -> Fraction:
+def _energy_k(a: MSet, b: MSet, e_val: int | None = None) -> Fraction:
     """Smallest rational K with E(A,B)^2 K^2 >= (|A||B|)^3 at this witness
-    precision: K = ceil_sqrt((|A||B|)^3)/E."""
-    e_val = energy(a, b).value
+    precision: K = ceil_sqrt((|A||B|)^3)/E.  `e_val` is E(A,B) when the
+    caller has counted it already."""
+    if e_val is None:
+        e_val = energy(a, b).value
     nm = a.size * b.size
     return Fraction(ceil_isqrt(nm ** 3), e_val)
 

@@ -12,13 +12,26 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setgrowth import cli, setops
+from setgrowth.constants import (
+    BSG_AUDIT_CONST_SQ,
+    BSG_AUDIT_EXP_SQ,
+    BSG_HEADLINE_EXP_SQ,
+)
 from setgrowth.exact import ceil_isqrt
-from setgrowth.groups import TABLE_CAP, construct_group, subgroup_closure
-from setgrowth.setops import MSet, energy, product_set
+from setgrowth.groups import (
+    TABLE_CAP,
+    _product_blocks,
+    construct_group,
+    subgroup_closure,
+)
+from setgrowth.setops import MSet, convolution, energy, member_mask, product_set
 from setgrowth.bsg import (
+    BsgExtract,
     WeakBsgResult,
     bsg_extract,
     energy_equivalences,
@@ -409,3 +422,174 @@ def test_extract_matches_the_reference_over_k(spec):
             assert (ex.c, ex.a_prime, ex.a_second, ex.a_third, ex.b_third,
                     ex.d) == (c, a_prime, a_second, a_third, b_third, d)
             assert_same_weak(ex.weak, weak)
+
+
+# ------------------------------------------- the pipeline before P was shared
+#
+# bsg_extract as it was before it formed A·B once: the convolution, each
+# refinement and A'''·B''' form their own products, and the Markov
+# refinement forms A''·A''^-1 again after the weak extraction did.
+
+def ref_hits(g, xs, ys, mask):
+    return np.concatenate(
+        [mask[block] for block in _product_blocks(g, xs, ys)])
+
+
+def ref_bsg_extract(a, b, k):
+    g = a.group
+    k = Fraction(k)
+    p, q = k.numerator, k.denominator
+    ledger = ConstantLedger("bsg_extract")
+    profile = convolution(a, b)
+    e_val = sum(cnt * cnt for cnt in profile.counts.values())
+    nm = a.size * b.size
+    if not ledger.compare("energy-hypothesis", e_val**2 * p**2, ">=",
+                          q**2 * nm**3,
+                          formula="E^2 K^2 >= (|A||B|)^3, cleared"):
+        raise ValueError("energy hypothesis fails")
+    c = MSet.from_ids(g, [x for x, cnt in profile.counts.items()
+                          if 4 * p**2 * cnt**2 > q**2 * nm])
+    ledger.compare("level-set-size", c.size**2, "<=", 4 * k**2 * nm,
+                   formula="|C|^2 <= 4K^2|A||B|")
+    n_c = sum(cnt for x, cnt in profile.counts.items() if x in c)
+    ledger.compare("level-set-mass", 2 * p * n_c, ">=", q * nm,
+                   formula="2K·N_C >= |A||B|")
+    a_ids, b_ids, c_mask = a.id_array(), b.id_array(), member_mask(c)
+    row_hits = np.count_nonzero(ref_hits(g, a_ids, b_ids, c_mask), axis=1)
+    a_prime = MSet.from_ids(
+        g, a_ids[row_hits > q * b.size // (4 * p)].tolist())
+    ledger.compare("a-prime-size", 4 * p * a_prime.size, ">=", q * a.size,
+                   formula="4K|A'| >= |A|")
+    l = Fraction(a.size, a_prime.size)
+    ledger.compare("l-range-low", l, ">=", 1, formula="1 <= L")
+    ledger.compare("l-range-high", l, "<=", 4 * k, formula="L <= 4K")
+    eps = Fraction(1) / (32 * k)
+    weak = weak_bsg(a_prime, b, c, 4 * k / l, eps=eps, kprime_sq=4 * k**2 * l)
+    ledger.merge(weak.ledger, "weak.")
+    a_second, d = weak.a_prime, weak.d
+    ledger.compare("a-second-size", 32 * k**2 * a_second.size**2, ">=",
+                   Fraction(a.size**2), formula="|A''| >= |A|/4√2K, squared")
+    ledger.compare("quotient-size", d.size, "<=", 4096 * k**5 * a.size / l**2,
+                   formula="|D| <= 4096 K^5 |A|/L^2")
+    a_second_ids = a_second.id_array()
+    bad_counts = len(a_second_ids) - np.count_nonzero(ref_hits(
+        g, a_second_ids, g.inv_array(a_second_ids), member_mask(d)), axis=1)
+    ledger.compare("bad-pairs-total", int(bad_counts.sum()), "<=",
+                   eps * a_second.size**2, formula="Σ bad <= |A''|^2/32K")
+    a_third = MSet.from_ids(g, a_second_ids[
+        bad_counts <= q * a_second.size // (16 * p)].tolist())
+    ledger.compare("a-third-half", 2 * a_third.size, ">=", a_second.size,
+                   formula="|A'''| >= |A''|/2")
+    ledger.compare("a-third-size", 128 * k**2 * a_third.size**2, ">=",
+                   Fraction(a.size**2), formula="|A'''| >= |A|/8√2K, squared")
+    col_hits = np.count_nonzero(
+        ref_hits(g, a_second_ids, b_ids, c_mask), axis=0)
+    b_third = MSet.from_ids(
+        g, b_ids[col_hits > q * a_second.size // (8 * p)].tolist())
+    ledger.compare("b-third-size", 8 * p * b_third.size, ">=", q * b.size,
+                   formula="8K|B'''| >= |B|")
+    product = product_set(a_third, b_third)
+    ledger.compare("product-injection", 16 * p * c.size * d.size, ">=",
+                   q * product.size * a_second.size,
+                   formula="|A'''·B'''||A''| <= 16K|C||D|")
+    ledger.compare("product-audited", product.size**2, "<=",
+                   BSG_AUDIT_CONST_SQ * k**BSG_AUDIT_EXP_SQ * nm,
+                   formula=f"|A'''·B'''|^2 <= 2^39 K^{BSG_AUDIT_EXP_SQ}|A||B|")
+    ledger.compare("product-headline", product.size**2, "<=",
+                   BSG_AUDIT_CONST_SQ * k**BSG_HEADLINE_EXP_SQ * nm,
+                   formula=f"|A'''·B'''|^2 <= 2^39 K^{BSG_HEADLINE_EXP_SQ}|A||B|")
+    ledger.check()
+    return BsgExtract(c, a_prime, a_second, a_third, b_third, product, l, d,
+                      weak, k, eps, ledger)
+
+
+def assert_same_extract(got, want):
+    for field in dataclasses.fields(BsgExtract):
+        if field.name not in ("weak", "ledger"):
+            assert getattr(got, field.name) == getattr(want, field.name), field
+    assert_same_weak(got.weak, want.weak)
+    assert_same_rows(got.ledger, want.ledger)
+    assert got.trace_lines() == want.trace_lines()
+
+
+def s7_ids(seed, size=420):
+    g = ORACLE_GROUPS["symmetric(7)"]
+    return MSet.from_ids(g, random.Random(seed).sample(range(g.order), size))
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_GROUPS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_extract_matches_the_unshared_pipeline(spec, data):
+    g = ORACLE_GROUPS[spec]
+    a = data.draw(random_sets(g, 40))
+    b = data.draw(st.just(a) | random_sets(g, 40))
+    k = max(inferred_k(a, b), Fraction(data.draw(st.integers(0, 3))))
+    assert_same_extract(bsg_extract(a, b, k), ref_bsg_extract(a, b, k))
+
+
+@pytest.mark.parametrize("seed", [1729, 7])
+def test_extract_matches_the_unshared_pipeline_on_420_ids(seed):
+    a = s7_ids(seed)
+    b = s7_ids(seed + 1)
+    for x, y in ((a, a), (a, b)):
+        k = inferred_k(x, y)
+        assert_same_extract(bsg_extract(x, y, k), ref_bsg_extract(x, y, k))
+
+
+def test_extract_forms_each_product_once(monkeypatch):
+    # 420 ids of symmetric(7), above TABLE_CAP: A·A and A''·A''^-1 are
+    # each formed once, and nothing else is
+    a = s7_ids(1729)
+    g = a.group
+    k = inferred_k(a, a)
+    formed = Counter()
+    real = g.mul_outer
+
+    def counted(xs, ys):
+        formed[tuple(np.asarray(ys).tolist())] += len(xs) * len(ys)
+        return real(xs, ys)
+
+    monkeypatch.setattr(g, "mul_outer", counted)
+    ex = bsg_extract(a, a, k)
+    monkeypatch.undo()
+    second = ex.a_second.id_array()
+    assert formed == {tuple(a.ids()): a.size**2,
+                      tuple(g.inv_array(second).tolist()): ex.a_second.size**2}
+    assert ex.a_second.size == 420 and sum(formed.values()) == 2 * 420**2
+
+
+def test_extract_memory_on_420_ids():
+    # P = A·A as uint16 (2 bytes a pair), the A x A and A'' x A'' boolean
+    # matrices, the quotient matrix and one block of products; the
+    # unshared pipeline peaked at 2.6 MB here, in the (..., n) intp image
+    # arrays of the old symmetric law
+    a = s7_ids(1729)
+    k = inferred_k(a, a)
+    tracemalloc.start()
+    try:
+        ex = bsg_extract(a, a, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ex.ledger.hard_ok
+    assert peak < 2_400_000
+
+
+def test_cli_bsg_run_counts_the_energy_once(monkeypatch, capsys):
+    calls = []
+    real = setops.convolution
+
+    def counted(a, b):
+        calls.append((a.bits, b.bits))
+        return real(a, b)
+
+    monkeypatch.setattr(setops, "convolution", counted)
+    assert cli.main(["bsg", "run", "--group", "symmetric(4)",
+                     "--set", "random_dense(density=1/2;seed=5)"]) == 0
+    monkeypatch.undo()
+    assert len(calls) == 1
+    a = MSet(construct_group("symmetric(4)"), calls[0][0])
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (f"inferred K = {inferred_k(a, a)} "
+                     f"from E(A,B) = {energy(a, a).value}")

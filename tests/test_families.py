@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from setgrowth.cli import main
 from setgrowth.families import (
     SetFamilySpec,
     generate_set,
@@ -146,6 +147,23 @@ def test_coset_families_match_scalar_references(group, gens):
     else:
         expect = sorted(subgroup_closure(group, ids) | {x})
         assert gen(group, f"subgroup_plus_point({gens})").ids() == tuple(expect)
+
+
+@pytest.mark.parametrize("text, field", [
+    ("random_dense(seed=3)", "density"),
+    ("random_dense(density=1/2)", "seed"),
+    ("ball_in_word_metric()", "radius"),
+    ("subgroup_plus_point()", "gens"),
+    ("geometric_progression()", "base"),
+])
+def test_missing_fields_are_named(text, field, capsys):
+    with pytest.raises(ValueError, match=f"missing its {field} field"):
+        gen(S4, text)
+    assert main(["set", "gen", "symmetric(4)", text]) == 1
+    assert main(["bsg", "run", "--group", "symmetric(4)", "--set", text]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{text.split('(')[0]} is missing its "
+                                f"{field} field"] * 2
 
 
 def test_parse_rejects_unknown_family():

@@ -144,6 +144,46 @@ def test_sl2_int32_law_matches_the_scalar_law():
     assert int(g._code(top, top, top, top)[0]) == 13**4 - 1
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_symmetric_law_matches_the_scalar_law(n, data):
+    # the law itself, not the table that caches it for n <= 6, in the
+    # three shapes the kernel calls it in; symmetric(1) has no digits
+    g = group(f"symmetric({n})")
+    xs = np.array(data.draw(id_lists(g, 20)), dtype=np.intp)
+    ys = np.array(data.draw(id_lists(g, 20)), dtype=np.intp)
+    m = min(len(xs), len(ys))
+    outer = g._mul_law(xs[:, None], ys)
+    assert outer.shape == (len(xs), len(ys))
+    assert outer.tolist() == [[g.mul(x, y) for y in ys.tolist()]
+                              for x in xs.tolist()]
+    pairs = g._mul_law(xs[:m], ys[:m])
+    assert pairs.shape == (m,)
+    assert pairs.tolist() == [g.mul(x, y) for x, y in
+                              zip(xs[:m].tolist(), ys[:m].tolist())]
+    # a conjugation block: row i of xs*ys, then times xs[i]^-1 on the right
+    inverses = g._inv_law(xs)
+    assert inverses.tolist() == [g.inv(x) for x in xs.tolist()]
+    conj = g._mul_law(outer.astype(np.intp), inverses.astype(np.intp)[:, None])
+    assert conj.tolist() == [[g.mul(g.mul(x, y), g.inv(x)) for y in ys.tolist()]
+                             for x in xs.tolist()]
+
+
+def test_symmetric_law_forms_no_array_of_images():
+    # one (..., n) intp array of images would take 8n = 56 bytes a product
+    g = group("symmetric(7)")
+    xs, ys = np.arange(0, 3900, 100)[:, None], np.arange(0, 4620, 11)
+    tracemalloc.start()
+    try:
+        out = g._mul_law(xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (39, 420)
+    assert peak < 8 * g.n * out.size
+
+
 # ------------------------------------------------------------ planted kernels
 
 class PlantedCyclic(CyclicGroup):
