@@ -11,9 +11,9 @@ the original display states; docs/constants.md derives both and explains the
 gap.
 
 The refinements are whole-array kernel calls: uint16 product matrices
-filled by blocked ``mul_outer``, read through boolean masks of C or D into
-hit matrices whose row and column sums are the refinement counts, and
-overlaps that are popcounts of packed rows.  The full extraction forms
+filled from ``groups._product_blocks``, read through boolean masks of C or
+D into hit matrices whose row and column sums are the refinement counts,
+and overlaps that are popcounts of packed rows.  The full extraction forms
 each product once: A·B as one matrix P, read for the convolution, for the
 hit matrix of every refinement and for A'''·B''', and A''·A''^-1 in the
 weak extraction, whose quotient matrix the Markov refinement reads again.
@@ -34,7 +34,7 @@ from .constants import (
     BSG_HEADLINE_EXP_SQ,
 )
 from .exact import ceil_sqrt_frac, frac
-from .groups import BLOCK_PAIRS, _product_blocks
+from .groups import _product_blocks, _row_blocks
 from .setops import (
     MSet,
     _convolution_profile,
@@ -58,10 +58,8 @@ def _product_matrix(g, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The uint16 matrix [i, j] -> xs[i]*ys[j], filled in the row blocks of
     _product_blocks."""
     out = np.empty((len(xs), len(ys)), dtype=np.uint16)
-    lo = 0
-    for block in _product_blocks(g, xs, ys):
-        out[lo:lo + len(block)] = block
-        lo += len(block)
+    for rows, block in _product_blocks(g, xs, ys):
+        out[rows] = block
     return out
 
 
@@ -84,20 +82,17 @@ def _good_pairs(hit: np.ndarray, threshold: Fraction):
     """The boolean matrix of row pairs (x, y) whose overlap
     #{j : hit[x, j] and hit[y, j]} exceeds the threshold, and as Python ints
     omega_cols[j] = Σ_x hit[x,j]·(Ω·hit)[x,j] over its complement Ω.  Only
-    one row block of at most BLOCK_PAIRS counts is live at a time."""
+    one row block of counts, from _row_blocks, is live at a time."""
     floor = threshold.numerator // threshold.denominator
     n_rows, n_cols = hit.shape
     row_bits, col_bits = _packed(hit), _packed(hit.T)
     good = np.empty((n_rows, n_rows), dtype=bool)
     omega_cols = np.zeros(n_cols, dtype=np.int64)
-    step = max(1, BLOCK_PAIRS // max(n_rows, n_cols))
-    for lo in range(0, n_rows, step):
-        block = good[lo:lo + step]
-        np.greater(_and_counts(row_bits[lo:lo + step], row_bits), floor,
-                   out=block)
+    for rows in _row_blocks(n_rows, max(n_rows, n_cols)):
+        block = good[rows]
+        np.greater(_and_counts(row_bits[rows], row_bits), floor, out=block)
         omega = _packed(np.logical_not(block))
-        omega_cols += (_and_counts(omega, col_bits)
-                       * hit[lo:lo + step]).sum(axis=0)
+        omega_cols += (_and_counts(omega, col_bits) * hit[rows]).sum(axis=0)
     return good, omega_cols.tolist()
 
 
@@ -126,14 +121,14 @@ class WeakBsgResult:
     ledger: ConstantLedger
 
 
-def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
-             kprime_sq=None) -> WeakBsgResult:
+def weak_bsg(a: MSet, b: MSet, c: MSet, k, eps=Fraction(1, 2), *,
+             kprime_sq) -> WeakBsgResult:
     """Weak extraction: from many products of A x B landing in a small C,
     find A' ⊆ A and D with almost all quotients of A' x A' inside D.
 
-    The second size parameter enters the conclusions only through its
-    square, so callers may pass `kprime_sq` instead of `kprime` when the
-    linear value would be irrational.
+    The second size parameter K' enters the conclusions only through its
+    square, so callers pass `kprime_sq` = K'^2, which stays rational when K'
+    would not.
     """
     if a.group is not b.group or a.group is not c.group:
         raise ValueError("sets live in different groups")
@@ -141,10 +136,7 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, kprime=None, eps=Fraction(1, 2), *,
     eps = frac(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
-    if (kprime is None) == (kprime_sq is None):
-        raise ValueError("pass exactly one of kprime, kprime_sq")
-    kp_sq = frac(kprime_sq) if kprime_sq is not None else frac(kprime) ** 2
-    return _weak_bsg(a, b, c, k, kp_sq, eps)[0]
+    return _weak_bsg(a, b, c, k, frac(kprime_sq), eps)[0]
 
 
 def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
@@ -269,9 +261,8 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
 
     a_ids, b_ids = a.id_array(), b.id_array()
     products = _product_matrix(g, a_ids, b_ids)
-    step = max(1, BLOCK_PAIRS // len(b_ids))
     profile = _convolution_profile(
-        g, (products[lo:lo + step] for lo in range(0, len(a_ids), step)),
+        g, (products[rows] for rows in _row_blocks(len(a_ids), len(b_ids))),
         a.size, b.size)
     e_val = profile.energy_value()
     nm = a.size * b.size
@@ -427,7 +418,8 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
                     Fraction(b.size), formula="K|B'| >= |B|")
         sub.compare("product-small", prod.size**2, "<=", k**2 * nm,
                     formula="|A'·B'|^2 <= K^2|A||B|")
-        state = {"k": k, "a_prime": a_prime, "b_prime": b_prime}
+        state = {"k": k, "a_prime": a_prime, "b_prime": b_prime,
+                 "product": prod}
     else:  # iv
         if witness is None or x_id is None or y_id is None:
             raise ValueError("clause iv needs witness, x_id, y_id")
@@ -467,12 +459,11 @@ def _step_i_iii(g, a, b, state, ledger):
             Fraction(a.size, a_p.size), Fraction(b.size, b_p.size),
             Fraction(1)))
     ledger.info("step-i-iii.next-k", k_next, "measured clause-iii constant")
-    return {"k": k_next, "a_prime": a_p, "b_prime": b_p}
+    return {"k": k_next, "a_prime": a_p, "b_prime": b_p, "product": prod}
 
 
 def _step_iii_iv(g, a, b, state, ledger):
-    a_p, b_p = state["a_prime"], state["b_prime"]
-    prod = product_set(a_p, b_p)
+    a_p, b_p, prod = state["a_prime"], state["b_prime"], state["product"]
     k_cls = ceil_sqrt_frac(Fraction(prod.size**2, a_p.size * b_p.size))
     wit, x_cov, cls_ledger = classify_small_doubling(a_p, b_p, k_cls)
     ledger.merge(cls_ledger, "step-iii-iv.")

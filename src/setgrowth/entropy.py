@@ -364,9 +364,6 @@ class WordMetricGroup:
         """The profile cloud: every element."""
         return list(range(self.group.order))
 
-    def cloud(self, ids, region=None):
-        return MetricCloud(self, [int(i) for i in ids], region)
-
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -615,7 +612,6 @@ def arc_union_measure(points, eps) -> Fraction:
 @dataclass(frozen=True)
 class ProfileReport:
     group_name: str
-    region_label: str
     cloud_size: int
     entropy: EntropyReport
     ledger: ConstantLedger
@@ -623,13 +619,6 @@ class ProfileReport:
     @property
     def hard_ok(self) -> bool:
         return self.ledger.hard_ok
-
-
-def _profile_cloud(group, region, seed):
-    pts = group.profile_points(seed)
-    if region.radius is not None:
-        pts = [p for p in pts if group.within(region.center, p, region.radius)]
-    return MetricCloud(group, pts, region)
 
 
 def _metric_axiom_rows(group, cloud, led, slack):
@@ -813,26 +802,22 @@ def _arc_measure_rows(group, cloud, report, led):
 
 def metric_profile_check(
     group,
-    region: RegionSpec = None,
-    eps_grid=None,
     *,
     seed: int = DEFAULT_SEED,
     mc_samples: int = 10**6,
 ) -> ProfileReport:
     """Report-only profile audit of one metric carrier.
 
-    Samples a deterministic cloud in the region, checks metric axioms
+    Takes the carrier's deterministic profile cloud, checks metric axioms
     and translation regularity on it, measures ball doubling (exactly
     where the geometry allows, by fixed-seed Monte-Carlo otherwise),
     and builds the per-radius entropy report with its sandwich and
     scale-comparison rows.  Never raises on a failed check; the rows
     carry the verdicts.
     """
-    if region is None:
-        region = RegionSpec.full()
     led = ConstantLedger("metric-profile")
-    cloud = _profile_cloud(group, region, seed)
-    grid = tuple(eps_grid) if eps_grid else group.default_grid
+    cloud = MetricCloud(group, group.profile_points(seed))
+    grid = group.default_grid
     slack = 0 if group.exact_distance else _FLOAT_SLACK
     _metric_axiom_rows(group, cloud, led, slack)
     _translation_rows(group, cloud, led, 1e-9)
@@ -842,7 +827,7 @@ def metric_profile_check(
     _scale_ratio_rows(group, report, led)
     if isinstance(group, TorusGroup) and group.dim == 1:
         _arc_measure_rows(group, cloud, report, led)
-    return ProfileReport(group.name, region.label, len(cloud), report, led)
+    return ProfileReport(group.name, len(cloud), report, led)
 
 
 def _sorted_products(group, xs, ys):

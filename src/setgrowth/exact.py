@@ -52,14 +52,6 @@ def _log_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2.0)
 
 
-def log_of_frac(q: Fraction) -> float:
-    """Display-only natural log of a positive Fraction of any magnitude."""
-    q = frac(q)
-    if q <= 0:
-        raise ValueError("log of nonpositive value")
-    return _log_big(q.numerator) - _log_big(q.denominator)
-
-
 _DISPLAY_DIGIT_CAP = 40
 
 

@@ -53,11 +53,24 @@ class SetFamilySpec:
         return cls(group=group.strip(), family=head, args=args)
 
 
-def _ids_arg(field: str, what: str) -> list[int]:
+def _ints_arg(field: str, what: str) -> list[int]:
     try:
         return [int(part) for part in _split_top_level(field, ",")]
     except ValueError:
         raise ValueError(f"{what} expects comma-separated ids, got {field!r}")
+
+
+def _id(g: FiniteGroup, x: int, what: str) -> int:
+    """x, once checked to be an id of g: family fields come from outside
+    the program, and a numpy index would wrap a negative id silently."""
+    if not 0 <= x < g.order:
+        raise ValueError(
+            f"{what}: id {x} is outside {g.name} (ids 0..{g.order - 1})")
+    return x
+
+
+def _ids_arg(g: FiniteGroup, field: str, what: str) -> list[int]:
+    return [_id(g, x, what) for x in _ints_arg(field, what)]
 
 
 def _named_fields(args, what: str) -> dict[str, str]:
@@ -94,24 +107,24 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
     family, args = spec.family, spec.args
 
     if family == "subgroup":
-        gens = _ids_arg(args[0], family) if args else [0]
+        gens = _ids_arg(g, args[0], family) if args else [0]
         return _closure_set(g, gens)
 
     if family == "coset":
         if len(args) != 2:
             raise ValueError("coset expects gens;point")
-        base = _closure_set(g, _ids_arg(args[0], family))
-        return MSet(g, translate_left(int(args[1]), base))
+        base = _closure_set(g, _ids_arg(g, args[0], family))
+        return MSet(g, translate_left(_id(g, int(args[1]), family), base))
 
     if family == "geometric_progression":
         if len(args) == 1:
-            fields = _ids_arg(args[0], family)
+            fields = _ints_arg(args[0], family)
         else:
             fields = [int(_required(args, 0, family, "base")),
                       int(_required(args, 1, family, "length"))]
         if len(fields) != 2:
             raise ValueError("geometric_progression expects base,length")
-        base, length = fields
+        base, length = _id(g, fields[0], family), fields[1]
         if length < 1:
             raise ValueError("progression length must be positive")
         ids, cur = set(), 0
@@ -121,10 +134,10 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         return MSet.from_ids(g, sorted(ids))
 
     if family == "subgroup_plus_point":
-        gens = _ids_arg(_required(args, 0, family, "gens"), family)
+        gens = _ids_arg(g, _required(args, 0, family, "gens"), family)
         sub = subgroup_closure(g, gens)
         if len(args) > 1:
-            x = int(args[1])
+            x = _id(g, int(args[1]), family)
             if _first_non_normalizer(g, [x], sub) is None:
                 raise ValueError(
                     f"point {x} normalizes the subgroup; the family needs an "
@@ -141,7 +154,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
     if family == "union_of_cosets":
         if len(args) != 2:
             raise ValueError("union_of_cosets expects gens;count")
-        base = _closure_set(g, _ids_arg(args[0], family))
+        base = _closure_set(g, _ids_arg(g, args[0], family))
         count = int(args[1])
         if count < 1:
             raise ValueError("coset count must be positive")
@@ -174,7 +187,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         radius = int(_required(args, 0, family, "radius"))
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        gens = _ids_arg(args[1], family) if len(args) > 1 else [1]
+        gens = _ids_arg(g, args[1], family) if len(args) > 1 else [1]
         if any(not 0 < x < g.order for x in gens):
             raise ValueError("generators must be non-identity ids")
         step = symmetrize(MSet.from_ids(g, sorted(set(gens))))

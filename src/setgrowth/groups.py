@@ -13,6 +13,11 @@ states its law twice, over the same coordinate arithmetic:
     it, via ``mul_pairs`` (elementwise), ``mul_outer`` (outer product) and
     ``inv_array``, in blocks of at most BLOCK_PAIRS products.
 
+This module alone sets how work is blocked and sampled: every blocked sweep
+in the package takes its rows from ``_row_blocks`` (or the ``(rows,
+block)`` pairs of ``_product_blocks``), and every seeded sample its draws
+from ``_sampled``.
+
 At or below TABLE_CAP the group caches the vectorized law as one dense
 uint16 table, built on first use in row blocks; ``mul_pairs`` then gathers
 from it.  Above the cap no table exists and ``mul_pairs`` runs the law on
@@ -83,11 +88,9 @@ class FiniteGroup:
         if self._table is None and self.order <= TABLE_CAP:
             n = self.order
             table = np.empty((n, n), dtype=np.uint16)
-            ys = np.arange(n)
-            step = max(1, BLOCK_PAIRS // n)
-            for r in range(0, n, step):
-                xs = np.arange(r, min(r + step, n))
-                table[r:r + step] = self._mul_law(xs[:, None], ys)
+            ids = np.arange(n)
+            for rows in _row_blocks(n, n):
+                table[rows] = self._mul_law(ids[rows, None], ids)
             self._table = table
         return self._table
 
@@ -193,8 +196,9 @@ class SymmetricGroup(FiniteGroup):
     """
 
     def __init__(self, n: int):
-        if n > 7:
-            raise ValueError("symmetric(n) supported only for n <= 7")
+        if not 0 <= n <= 7:
+            raise ValueError(
+                f"symmetric(n) supported only for 0 <= n <= 7, got {n}")
         perms = list(itertools.permutations(range(n)))
         super().__init__(len(perms), f"symmetric({n})")
         self.n = n
@@ -428,22 +432,36 @@ def _split_top_level(text: str, sep: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Blocked sweeps, subgroups, quotients
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices tiling range(n_rows) in order, each of at most BLOCK_PAIRS
+    cells of a row-major n_rows x n_cols sweep (one row when n_cols alone
+    is more)."""
+    step = max(1, BLOCK_PAIRS // n_cols)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
 def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
-    """g.mul_outer(xs, ys) in row blocks of at most BLOCK_PAIRS products
-    (one row when ys alone is longer)."""
-    step = max(1, BLOCK_PAIRS // len(ys))
-    for lo in range(0, len(xs), step):
-        yield g.mul_outer(xs[lo:lo + step], ys)
+    """(rows, g.mul_outer(xs[rows], ys)) over the _row_blocks of xs x ys."""
+    for rows in _row_blocks(len(xs), len(ys)):
+        yield rows, g.mul_outer(xs[rows], ys)
 
 
 def _conjugation_blocks(g: FiniteGroup, xs: np.ndarray, hs: np.ndarray):
-    """The conjugates [i, j] -> xs[i]*hs[j]*xs[i]^-1 in the row blocks of
-    _product_blocks."""
-    lo = 0
-    for block in _product_blocks(g, xs, hs):
-        hi = lo + len(block)
-        yield g.mul_pairs(block, g.inv_array(xs[lo:hi])[:, None])
-        lo = hi
+    """(rows, the conjugates [i, j] -> xs[i]*hs[j]*xs[i]^-1 for i in rows)
+    in the row blocks of _product_blocks."""
+    for rows, block in _product_blocks(g, xs, hs):
+        yield rows, g.mul_pairs(block, g.inv_array(xs[rows])[:, None])
+
+
+def _sampled(rng: random.Random, count: int, bounds):
+    """count seeded draws, each one rng.randrange(b) per bound b in order,
+    as one intp id array per bound, in blocks of at most BLOCK_PAIRS
+    draws."""
+    for rows in _row_blocks(count, 1):
+        n = rows.stop - rows.start
+        draws = [rng.randrange(b) for _ in range(n) for b in bounds]
+        yield tuple(np.array(draws, dtype=np.intp).reshape(n, len(bounds)).T)
 
 
 def _ids_mask(g: FiniteGroup, ids) -> np.ndarray:
@@ -462,7 +480,7 @@ def _cayley_levels(g: FiniteGroup, gens: np.ndarray):
     while len(level):
         yield level
         reached = np.zeros(g.order, dtype=bool)
-        for block in _product_blocks(g, level, gens):
+        for _, block in _product_blocks(g, level, gens):
             reached[block] = True
         level = np.flatnonzero(reached & ~seen)
         seen[level] = True
@@ -534,12 +552,10 @@ def _first_non_normalizer(g: FiniteGroup, candidates,
     candidates = np.asarray(candidates, dtype=np.intp)
     hs = np.array(sorted(members), dtype=np.intp)
     mask = _ids_mask(g, hs)
-    lo = 0
-    for conj in _conjugation_blocks(g, candidates, hs):
+    for rows, conj in _conjugation_blocks(g, candidates, hs):
         moves = ~mask[conj].all(axis=1)
         if moves.any():
-            return int(candidates[lo + np.argmax(moves)])
-        lo += len(conj)
+            return int(candidates[rows][np.argmax(moves)])
     return None
 
 
@@ -550,14 +566,12 @@ def _raise_first_escape(g: FiniteGroup, members: frozenset[int]):
     mask = _ids_mask(g, hs)
     first_x = np.full(len(hs), g.order)     # per h: first x moving it out
     image = np.zeros(len(hs), dtype=np.intp)
-    lo = 0
-    for conj in _conjugation_blocks(g, np.arange(g.order), hs):
+    for rows, conj in _conjugation_blocks(g, np.arange(g.order), hs):
         escapes = ~mask[conj]
         fresh = escapes.any(axis=0) & (first_x == g.order)
-        rows = np.argmax(escapes[:, fresh], axis=0)
-        first_x[fresh] = lo + rows
-        image[fresh] = conj[rows, fresh]
-        lo += len(conj)
+        first = np.argmax(escapes[:, fresh], axis=0)
+        first_x[fresh] = rows.start + first
+        image[fresh] = conj[first, fresh]
     j = np.flatnonzero(first_x < g.order)[0]
     raise NotNormalError(int(first_x[j]), int(hs[j]), int(image[j]))
 
@@ -576,7 +590,7 @@ def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
     hs = np.array(sorted(members), dtype=np.intp)
     ids = np.arange(g.order)
     rep_of = np.concatenate(
-        [block.min(axis=1) for block in _product_blocks(g, ids, hs)])
+        [block.min(axis=1) for _, block in _product_blocks(g, ids, hs)])
     reps = np.flatnonzero(rep_of == ids)
     if _first_non_normalizer(g, reps, members) is not None:
         _raise_first_escape(g, members)
@@ -617,11 +631,7 @@ def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
                 y, z = np.unravel_index(np.argmax(bad), bad.shape)
                 raise ValueError(f"associativity fails at ({x},{y},{z})")
         return {"elements": n, "triples": n**3, "mode": "exhaustive"}
-    rng = random.Random(seed)
-    for lo in range(0, ASSOC_SAMPLES, BLOCK_PAIRS):
-        count = min(BLOCK_PAIRS, ASSOC_SAMPLES - lo)
-        x, y, z = np.array(
-            [rng.randrange(n) for _ in range(3 * count)]).reshape(count, 3).T
+    for x, y, z in _sampled(random.Random(seed), ASSOC_SAMPLES, (n, n, n)):
         bad = (g.mul_pairs(g.mul_pairs(x, y), z)
                != g.mul_pairs(x, g.mul_pairs(y, z)))
         if bad.any():

@@ -31,7 +31,6 @@ from .constants import (
 )
 from .exact import frac
 from .groups import (
-    BLOCK_PAIRS,
     CyclicGroup,
     DirectProductGroup,
     FiniteGroup,
@@ -40,6 +39,8 @@ from .groups import (
     _ids_mask,
     _is_prime,
     _product_blocks,
+    _row_blocks,
+    _sampled,
     subgroup_closure,
     verify_group_axioms,
 )
@@ -222,9 +223,6 @@ class HeisenbergGroup(FiniteGroup):
     def encode(self, z: int, w: int) -> int:
         return z * self.w_order + w
 
-    def coords_of(self, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._zcoords[self.z_of(a)], self.decode_w(self.w_of(a))
-
     # -- the pairing --------------------------------------------------------
     def pair(self, z1: int, z2: int) -> int:
         """{z1, z2} as a W id."""
@@ -359,7 +357,7 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         note = f"exhaustive over {zo}^2 pairs"
     else:
         found = _first_failure(
-            _sample_pairs(random.Random(SAMPLE_SEED), SAMPLE_COUNT, zo, zo),
+            _sampled(random.Random(SAMPLE_SEED), SAMPLE_COUNT, (zo, zo)),
             lambda x, y: (pair(x, x) != 0) | antisymmetry_fails(x, y))
         if found:
             raise ValueError(
@@ -368,22 +366,22 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     ledger.claim("pairing-antisymmetric", True, note=note)
 
     if zo ** 3 <= 8000:
-        x, y, z = np.unravel_index(np.arange(zo ** 3), (zo, zo, zo))
+        triples = [np.unravel_index(np.arange(zo ** 3), (zo, zo, zo))]
         note = "exhaustive triples"
     else:
-        rng = random.Random(SAMPLE_SEED + 1)
-        x, y, z = np.array([rng.randrange(zo) for _ in range(3 * SAMPLE_COUNT)]
-                           ).reshape(SAMPLE_COUNT, 3).T
+        triples = _sampled(random.Random(SAMPLE_SEED + 1), SAMPLE_COUNT,
+                           (zo, zo, zo))
         note = f"{SAMPLE_COUNT} sampled triples"
     zmul = g.z_additive.mul_pairs
-    left = pair(zmul(x, y), z) != wadd(pair(x, z), pair(y, z))
-    right = pair(x, zmul(y, z)) != wadd(pair(x, y), pair(x, z))
-    bad = left | right
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"pairing is not additive on the {'left' if left[i] else 'right'} "
-            f"at z ids ({x[i]}, {y[i]}, {z[i]})")
+    for x, y, z in triples:
+        left = pair(zmul(x, y), z) != wadd(pair(x, z), pair(y, z))
+        right = pair(x, zmul(y, z)) != wadd(pair(x, y), pair(x, z))
+        bad = left | right
+        if bad.any():
+            i = int(np.argmax(bad))
+            side = "left" if left[i] else "right"
+            raise ValueError(f"pairing is not additive on the {side} "
+                             f"at z ids ({x[i]}, {y[i]}, {z[i]})")
     ledger.claim("pairing-bi-additive", True, note=note)
 
 
@@ -399,8 +397,8 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         elements = np.arange(order)
         note = "all elements"
     else:
-        rng = random.Random(SAMPLE_SEED + 2)
-        elements = np.array([rng.randrange(order) for _ in range(SAMPLE_COUNT)])
+        draws = _sampled(random.Random(SAMPLE_SEED + 2), SAMPLE_COUNT, (order,))
+        elements = np.concatenate([ids for (ids,) in draws])
         note = f"{SAMPLE_COUNT} sampled elements"
     z, w = np.divmod(elements, wo)
     expect = (g.z_additive.inv_array(z).astype(np.intp) * wo
@@ -417,8 +415,8 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         pairs = _grid_blocks(wo, order)
         note = "all (vertical, element) pairs"
     else:
-        pairs = _sample_pairs(random.Random(SAMPLE_SEED + 3), SAMPLE_COUNT,
-                              wo, order)
+        pairs = _sampled(random.Random(SAMPLE_SEED + 3), SAMPLE_COUNT,
+                         (wo, order))
         note = f"{SAMPLE_COUNT} sampled pairs"
     found = _first_failure(
         pairs, lambda h, x: g.mul_pairs(h, x) != g.mul_pairs(x, h))
@@ -433,8 +431,8 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         pairs = _grid_blocks(order, order)
         note = "all ordered pairs"
     else:
-        pairs = _sample_pairs(random.Random(SAMPLE_SEED + 4), SAMPLE_COUNT * 5,
-                              order, order)
+        pairs = _sampled(random.Random(SAMPLE_SEED + 4), SAMPLE_COUNT * 5,
+                         (order, order))
         note = f"{SAMPLE_COUNT * 5} sampled pairs"
     wadd = g.w_additive.mul_pairs
 
@@ -464,18 +462,10 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
 
 def _grid_blocks(rows: int, cols: int):
     """All pairs of range(rows) x range(cols) in row-major order, as
-    broadcastable (row, col) id arrays of at most BLOCK_PAIRS pairs."""
+    broadcastable (row, col) id arrays over the _row_blocks of the grid."""
     col_ids = np.arange(cols)
-    step = max(1, BLOCK_PAIRS // cols)
-    for lo in range(0, rows, step):
-        yield np.arange(lo, min(lo + step, rows))[:, None], col_ids
-
-
-def _sample_pairs(rng: random.Random, count: int, rows: int, cols: int):
-    """count seeded pairs (randrange(rows), randrange(cols)), in draw order,
-    as one block of two id arrays."""
-    draws = [(rng.randrange(rows), rng.randrange(cols)) for _ in range(count)]
-    yield tuple(np.array(draws).T)
+    for r in _row_blocks(rows, cols):
+        yield np.arange(r.start, r.stop)[:, None], col_ids
 
 
 def _first_failure(blocks, differs) -> tuple[int, int] | None:
@@ -511,9 +501,7 @@ class SplitWitness:
 
 def _projection(q: FiniteGroup, pi: np.ndarray, a: MSet) -> MSet:
     """pi(A) as a subset of the quotient."""
-    mask = np.zeros(q.order, dtype=bool)
-    mask[pi[a.id_array()]] = True
-    return MSet(q, _mask_bits(mask))
+    return MSet(q, _mask_bits(_ids_mask(q, pi[a.id_array()])))
 
 
 def _fiber_minima(q: FiniteGroup, pi: np.ndarray, ids: np.ndarray):
@@ -556,21 +544,18 @@ def _section(g, q, pi, a: MSet, a3: MSet, c: MSet, c3: MSet):
 
 
 def _split_triples(cids: np.ndarray, exhaustive: bool):
-    """Triples (x, y, z) of C as id arrays of at most BLOCK_PAIRS triples:
-    all |C|^3 in itertools.product order, or TRIPLE_SAMPLE_COUNT triples
-    drawn by rng.choice from random.Random(SAMPLE_SEED), in draw order."""
+    """Triples (x, y, z) of C as id arrays, in the blocks of groups: all
+    |C|^3 in itertools.product order, or TRIPLE_SAMPLE_COUNT triples of
+    positions in C drawn from random.Random(SAMPLE_SEED), in draw order."""
     n = len(cids)
     if exhaustive:
-        for lo in range(0, n**3, BLOCK_PAIRS):
-            flat = np.arange(lo, min(lo + BLOCK_PAIRS, n**3))
-            yield tuple(cids[i] for i in np.unravel_index(flat, (n, n, n)))
-        return
-    rng = random.Random(SAMPLE_SEED)
-    ids = cids.tolist()
-    for lo in range(0, TRIPLE_SAMPLE_COUNT, BLOCK_PAIRS):
-        count = min(BLOCK_PAIRS, TRIPLE_SAMPLE_COUNT - lo)
-        draws = [rng.choice(ids) for _ in range(3 * count)]
-        yield tuple(np.array(draws, dtype=np.intp).reshape(count, 3).T)
+        blocks = (np.unravel_index(np.arange(r.start, r.stop), (n, n, n))
+                  for r in _row_blocks(n**3, 1))
+    else:
+        blocks = _sampled(random.Random(SAMPLE_SEED), TRIPLE_SAMPLE_COUNT,
+                          (n, n, n))
+    for block in blocks:
+        yield tuple(cids[i] for i in block)
 
 
 def _first_triple_defects(g, q, phi: np.ndarray, triples, *masks):
@@ -606,7 +591,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     array calls tested against boolean membership masks: phi(x)B_i inside
     B_{i+1}phi(x) as the conjugates phi(x)B_i phi(x)^-1 inside B_{i+1}
     (phi(x)^-1 B_i phi(x) for the right side), and the triple defects
-    phi(xyz)^-1 phi(x)phi(y)phi(z) in blocks of BLOCK_PAIRS triples against
+    phi(xyz)^-1 phi(x)phi(y)phi(z) in the blocks of _split_triples against
     masks of B3 and A^6 n H.  The triples are all of C^3 in
     itertools.product order up to TRIPLE_EXHAUSTIVE_CAP, else the seeded
     draws in draw order.  Membership is decided exactly on ids, so every
@@ -784,11 +769,8 @@ def hull_tripling_bound(k) -> Fraction:
 
 def _dilate(a: MSet) -> MSet:
     """{2x : x in A} inside an additive group (the dilate, not the sumset)."""
-    g = a.group
-    mask = np.zeros(g.order, dtype=bool)
-    ids = a.id_array()
-    mask[g.mul_pairs(ids, ids)] = True
-    return MSet(g, _mask_bits(mask))
+    g, ids = a.group, a.id_array()
+    return MSet(g, _mask_bits(_ids_mask(g, g.mul_pairs(ids, ids))))
 
 
 def _pairing_image(g: HeisenbergGroup, zs) -> np.ndarray:
@@ -796,9 +778,8 @@ def _pairing_image(g: HeisenbergGroup, zs) -> np.ndarray:
     blocks of pair_array."""
     zs = np.asarray(zs, dtype=np.intp)
     image = np.zeros(g.w_order, dtype=bool)
-    step = max(1, BLOCK_PAIRS // len(zs))
-    for lo in range(0, len(zs), step):
-        image[g.pair_array(zs[lo:lo + step, None], zs)] = True
+    for rows in _row_blocks(len(zs), len(zs)):
+        image[g.pair_array(zs[rows, None], zs)] = True
     return image
 
 
@@ -1004,20 +985,18 @@ def _require_subgroup(a: MSet) -> None:
     g = a.group
     ids, mask = a.id_array(), member_mask(a)
     inverse_missing = ~mask[g.inv_array(ids)]
-    lo = 0
-    for block in _product_blocks(g, ids, ids):
+    for rows, block in _product_blocks(g, ids, ids):
         escapes = ~mask[block]
-        failing = inverse_missing[lo:lo + len(block)] | escapes.any(axis=1)
+        failing = inverse_missing[rows] | escapes.any(axis=1)
         if failing.any():
             r = int(np.argmax(failing))
-            x = int(ids[lo + r])
-            if inverse_missing[lo + r]:
+            x = int(ids[rows][r])
+            if inverse_missing[rows][r]:
                 raise ValueError(
                     f"not a subgroup: inverse of member {x} is missing")
             y = int(ids[np.argmax(escapes[r])])
             raise ValueError(
                 f"not a subgroup: product of members {x} and {y} escapes")
-        lo += len(block)
     if 0 not in a:
         raise ValueError("not a subgroup: identity is missing")
 
@@ -1044,11 +1023,10 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
                  formula="phi(x)B = Bphi(x) for all x in C")
     cids, b_mask = c.id_array(), member_mask(b)
     sec = phi[cids]
-    step = max(1, BLOCK_PAIRS // len(cids))
     hom_ok = all(
-        b_mask[g.mul_pairs(g.inv_array(g.mul_outer(sec[lo:lo + step], sec)),
-                           phi[q.mul_outer(cids[lo:lo + step], cids)])].all()
-        for lo in range(0, len(cids), step))
+        b_mask[g.mul_pairs(g.inv_array(block),
+                           phi[q.mul_outer(cids[rows], cids)])].all()
+        for rows, block in _product_blocks(g, sec, sec))
     cover_bits = _product_bits(g, sec, b.id_array())
     ledger.claim("quotient-homomorphism", hom_ok,
                  formula="phi(xy) in phi(x)phi(y)B for all x, y in C")

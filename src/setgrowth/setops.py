@@ -5,10 +5,10 @@ Sets are bitsets over element ids (Python ints), so unions and membership
 are single operations and cardinality is a popcount.  Products, translates,
 inverses and convolutions have one path: the group's vectorized law
 ``mul_outer`` (a table gather at or below TABLE_CAP, coordinate arithmetic
-above it) over row blocks of at most BLOCK_PAIRS products, scattered into a
-boolean mask packed back into the bitset, or into a ``bincount``.  No call
-holds more than one block of products, so memory stays linear in the group
-order whatever the set sizes.  ``product_set`` forms nothing when an
+above it) over the row blocks of ``groups._product_blocks``, scattered into
+a boolean mask packed back into the bitset, or into a ``bincount``.  No
+call holds more than one block of products, so memory stays linear in the
+group order whatever the set sizes.  ``product_set`` forms nothing when an
 operand is the whole group G, since G·B = A·G = G for nonempty sets; once a
 power chain reaches G, every further power is free.  All derived values
 (energy, distances) are exact integers or Fractions.
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import BLOCK_PAIRS, FiniteGroup, _product_blocks
+from .groups import FiniteGroup, _ids_mask, _product_blocks, _row_blocks
 
 
 class MSet:
@@ -48,10 +48,6 @@ class MSet:
                 raise ValueError(f"id {x} outside group of order {group.order}")
             bits |= 1 << x
         return cls(group, bits)
-
-    @classmethod
-    def singleton(cls, group: FiniteGroup, x: int) -> "MSet":
-        return cls.from_ids(group, [x])
 
     @classmethod
     def identity_only(cls, group: FiniteGroup) -> "MSet":
@@ -150,7 +146,7 @@ def _mask_bits(mask: np.ndarray) -> int:
 def _product_bits(g: FiniteGroup, xs, ys) -> int:
     """Bitset of {x*y : x in xs, y in ys}."""
     mask = np.zeros(g.order, dtype=bool)
-    for block in _product_blocks(g, np.asarray(xs), np.asarray(ys)):
+    for _, block in _product_blocks(g, np.asarray(xs), np.asarray(ys)):
         mask[block] = True
     return _mask_bits(mask)
 
@@ -178,9 +174,7 @@ def product_set(a: MSet, b: MSet) -> MSet:
 
 def inverse_set(a: MSet) -> MSet:
     g = a.group
-    mask = np.zeros(g.order, dtype=bool)
-    mask[g.inv_array(a.id_array())] = True
-    return MSet(g, _mask_bits(mask))
+    return MSet(g, _mask_bits(_ids_mask(g, g.inv_array(a.id_array()))))
 
 
 def iterated_product(a: MSet, signs) -> MSet:
@@ -240,9 +234,8 @@ def partial_product(a: MSet, b: MSet, pairs) -> MSet:
         i = int(np.argmin(inside))
         raise ValueError(f"pair ({xs[i]},{ys[i]}) is not inside A x B")
     mask = np.zeros(g.order, dtype=bool)
-    for lo in range(0, len(xs), BLOCK_PAIRS):
-        hi = lo + BLOCK_PAIRS
-        mask[g.mul_pairs(xs[lo:hi], ys[lo:hi])] = True
+    for rows in _row_blocks(len(xs), 1):
+        mask[g.mul_pairs(xs[rows], ys[rows])] = True
     return MSet(g, _mask_bits(mask))
 
 
@@ -265,8 +258,9 @@ class ConvolutionProfile:
 def convolution(a: MSet, b: MSet) -> ConvolutionProfile:
     _require_same_group(a, b)
     g = a.group
+    blocks = _product_blocks(g, a.id_array(), b.id_array())
     return _convolution_profile(
-        g, _product_blocks(g, a.id_array(), b.id_array()), a.size, b.size)
+        g, (block for _, block in blocks), a.size, b.size)
 
 
 def _convolution_profile(g: FiniteGroup, blocks, a_size: int,
@@ -315,9 +309,9 @@ def energy_quadruple_count(a: MSet, b: MSet) -> int:
     a_inv = g.inv_array(a.id_array())
     b_mask = member_mask(b)
     total = 0
-    for rows in _product_blocks(g, a.id_array(), b.id_array()):
+    for _, rows in _product_blocks(g, a.id_array(), b.id_array()):
         for row in rows:
-            for block in _product_blocks(g, a_inv, row):
+            for _, block in _product_blocks(g, a_inv, row):
                 total += int(np.count_nonzero(b_mask[block]))
     return total
 
@@ -340,11 +334,6 @@ class RuzsaDistanceValue:
     @property
     def denominator_sq(self) -> int:
         return self.a_size * self.b_size
-
-    @property
-    def ratio_sq(self) -> Fraction:
-        """exp(2 d(A,B)) as an exact Fraction."""
-        return Fraction(self.numerator**2, self.denominator_sq)
 
     def is_nonnegative(self) -> bool:
         # |A*B^-1| >= max(|A|,|B|) >= sqrt(|A||B|)

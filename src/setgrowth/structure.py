@@ -2,7 +2,7 @@
 classification pipeline.
 
 All set arithmetic is on the array path: covers and cores scan translates
-in blocked ``mul_outer`` calls of at most BLOCK_PAIRS products.
+in ``mul_outer`` calls over the row blocks that ``groups._row_blocks`` sets.
 ``tripling_chain`` forms one product per distinct (set, sign), exact because
 a product depends only on its two operand sets (MSets hash by their ids);
 ``approx_group_from_tripling`` takes all powers of H0 from one chain.
@@ -48,7 +48,7 @@ from .constants import (
     word_exponent,
 )
 from .exact import fmt_number, frac
-from .groups import BLOCK_PAIRS
+from .groups import _row_blocks
 from .setops import (
     MSet,
     ascending_powers,
@@ -152,12 +152,11 @@ class ConstantLedger:
 
 
 def _translate_rows(a: MSet, xs: np.ndarray, side: str):
-    """Yield (block, rows) over blocks of xs of at most BLOCK_PAIRS products:
-    row j holds A·block[j] for side="left" and block[j]·A for side="right"."""
+    """Yield (block, rows) over the _row_blocks of xs x A: row j holds
+    A·block[j] for side="left" and block[j]·A for side="right"."""
     g, ids = a.group, a.id_array()
-    step = max(1, BLOCK_PAIRS // a.size)
-    for lo in range(0, len(xs), step):
-        block = xs[lo:lo + step]
+    for rows in _row_blocks(len(xs), a.size):
+        block = xs[rows]
         yield block, (g.mul_outer(ids, block).T if side == "left"
                       else g.mul_outer(block, ids))
 

@@ -299,28 +299,6 @@ def parse_suite_config(text: str) -> SuiteConfig:
     return SuiteConfig(jobs=tuple(jobs), out=out)
 
 
-def config_text(config: SuiteConfig) -> str:
-    """Render a config back to its text form (round-trips through the
-    parser)."""
-    lines = []
-    if config.out:
-        lines.append(f"out = {config.out}")
-    for job in config.jobs:
-        lines.append("[suite]")
-        lines.append(f"name = {job.name}")
-        if job.groups:
-            lines.append("groups = " + ", ".join(job.groups))
-        if job.families:
-            lines.append("families = " + "; ".join(job.families))
-        if job.epsilon is not None:
-            lines.append(f"epsilon = {job.epsilon}")
-        lines.append(f"n = {job.n}")
-        lines.append(f"seed = {job.seed}")
-        if job.count:
-            lines.append(f"count = {job.count}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Default instance material
 

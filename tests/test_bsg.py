@@ -61,7 +61,7 @@ def random_sets(group, max_size=8):
 
 def test_weak_on_a_subgroup():
     h = MSet.from_ids(G12, [0, 2, 4, 6, 8, 10])
-    res = weak_bsg(h, h, h, 1, kprime=1, eps=Fraction(1, 2))
+    res = weak_bsg(h, h, h, 1, eps=Fraction(1, 2), kprime_sq=1)
     assert res.a_prime.size == 6
     assert res.d.size == 6
     assert res.chosen_b == 0
@@ -71,7 +71,7 @@ def test_weak_on_a_subgroup():
 
 def test_weak_quotients_land_in_d():
     h = MSet.from_ids(G12, [0, 2, 4, 6, 8, 10])
-    res = weak_bsg(h, h, h, 1, kprime=1, eps=Fraction(1, 2))
+    res = weak_bsg(h, h, h, 1, eps=Fraction(1, 2), kprime_sq=1)
     g = h.group
     for x in res.a_prime.ids():
         for y in res.a_prime.ids():
@@ -92,7 +92,7 @@ def test_weak_rejects_bad_product_mass():
     # C misses most products, so the counting hypothesis fails
     c = MSet.from_ids(G16, [0])
     with pytest.raises((ValueError, LedgerError)):
-        weak_bsg(A16, A16, c, 1, kprime=1, eps=Fraction(1, 2))
+        weak_bsg(A16, A16, c, 1, eps=Fraction(1, 2), kprime_sq=1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,7 +432,7 @@ def test_extract_matches_the_reference_over_k(spec):
 
 def ref_hits(g, xs, ys, mask):
     return np.concatenate(
-        [mask[block] for block in _product_blocks(g, xs, ys)])
+        [mask[block] for _, block in _product_blocks(g, xs, ys)])
 
 
 def ref_bsg_extract(a, b, k):
@@ -557,6 +557,31 @@ def test_extract_forms_each_product_once(monkeypatch):
     assert formed == {tuple(a.ids()): a.size**2,
                       tuple(g.inv_array(second).tolist()): ex.a_second.size**2}
     assert ex.a_second.size == 420 and sum(formed.values()) == 2 * 420**2
+
+
+def test_clause_i_walk_forms_the_third_product_once(monkeypatch):
+    # A = <rho^2> plus three points and B = <rho^2> plus one, in
+    # dihedral(12): the walk refines them to |A'''| = 7 and |B'''| = 6, a
+    # pair no other step multiplies.  A'''·B''' is a sub-matrix of
+    # bsg_extract's A·B, and classify_small_doubling forms it once for its
+    # own doubling hypothesis; the step to clause iv reads it from the walk.
+    g = construct_group("dihedral(12)")
+    a = MSet.from_ids(g, [0, 1, 2, 4, 6, 8, 10, 12, 20])
+    b = MSet.from_ids(g, [0, 2, 4, 6, 8, 10, 17])
+    formed = Counter()
+    real = g.mul_outer
+
+    def counted(xs, ys):
+        key = tuple(np.asarray(xs).tolist()), tuple(np.asarray(ys).tolist())
+        formed[key] += 1
+        return real(xs, ys)
+
+    monkeypatch.setattr(g, "mul_outer", counted)
+    wit = energy_equivalences("i", a, b, inferred_k(a, b))
+    monkeypatch.undo()
+    a3, b3 = wit.produced["iii"]["a_prime"], wit.produced["iii"]["b_prime"]
+    assert (a3.size, b3.size) == (7, 6)
+    assert formed[a3.ids(), b3.ids()] == 1
 
 
 def test_extract_memory_on_420_ids():

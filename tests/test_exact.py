@@ -1,10 +1,8 @@
-"""Exact-arithmetic helpers: rational coercion, integer square roots,
-logarithms of fractions, and the fixed-width number formatter."""
+"""Exact-arithmetic helpers: rational coercion, integer square roots, and
+the fixed-width number formatter."""
 
-import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from setgrowth.exact import (
@@ -12,7 +10,6 @@ from setgrowth.exact import (
     ceil_sqrt_frac,
     fmt_number,
     frac,
-    log_of_frac,
 )
 
 
@@ -43,17 +40,6 @@ def test_ceil_isqrt_exact_squares():
 def test_ceil_sqrt_frac_upper_bounds_the_root(q):
     r = ceil_sqrt_frac(q)
     assert r * r >= q
-
-
-def test_log_of_frac_matches_float_log():
-    q = Fraction(355, 113)
-    assert log_of_frac(q) == pytest.approx(math.log(float(q)), rel=1e-12)
-
-
-def test_log_of_frac_handles_huge_values():
-    # bit lengths far past float range must not overflow
-    v = log_of_frac(Fraction(3**5000, 2**4000))
-    assert v == pytest.approx(5000 * math.log(3) - 4000 * math.log(2), rel=1e-9)
 
 
 def test_fmt_number_small_values_verbatim():

@@ -1,5 +1,6 @@
 """Set-family grammar and generators."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,31 @@ def test_missing_fields_are_named(text, field, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"{text.split('(')[0]} is missing its "
                                 f"{field} field"] * 2
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("coset(2;999)", 999),
+    ("coset(2;-1)", -1),            # a numpy index would wrap it to id 5
+    ("subgroup(99)", 99),
+    ("union_of_cosets(99;2)", 99),
+    ("subgroup_plus_point(2;99)", 99),
+    ("geometric_progression(99,3)", 99),
+    ("geometric_progression(-1;3)", -1),
+    ("ball_in_word_metric(1;2,-3)", -3),
+])
+def test_ids_outside_the_group_are_rejected(text, bad, capsys):
+    message = (f"{text.split('(')[0]}: id {bad} is outside symmetric(3) "
+               "(ids 0..5)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_set(SetFamilySpec.parse("symmetric(3)", text))
+    assert main(["set", "gen", "symmetric(3)", text]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_symmetric_rejects_a_negative_degree(capsys):
+    assert main(["group", "info", "symmetric(-2)"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "symmetric(n) supported only for 0 <= n <= 7, got -2"]
 
 
 def test_parse_rejects_unknown_family():

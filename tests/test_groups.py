@@ -4,12 +4,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgrowth.groups import (
+    BLOCK_PAIRS,
     NotNormalError,
+    _row_blocks,
     construct_group,
     quotient_map,
     subgroup_closure,
     verify_group_axioms,
 )
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [
+    (5, BLOCK_PAIRS),            # one row is exactly one block
+    (5, BLOCK_PAIRS + 1),        # one row is more than a block
+    (3, 4 * BLOCK_PAIRS),
+    (100, 300),                  # 54 rows a block, a ragged last block
+    (2 * BLOCK_PAIRS + 7, 1),    # ragged last block of single cells
+    (7, 3),                      # all rows in one block
+    (0, 5),
+])
+def test_row_blocks_tile_the_rows_in_order(n_rows, n_cols):
+    blocks = list(_row_blocks(n_rows, n_cols))
+    assert [i for b in blocks for i in range(n_rows)[b]] == list(range(n_rows))
+    sizes = [len(range(n_rows)[b]) for b in blocks]
+    assert all(size > 0 for size in sizes)
+    if n_cols > BLOCK_PAIRS:
+        assert sizes == [1] * n_rows
+    else:
+        assert all(size * n_cols <= BLOCK_PAIRS for size in sizes)
+        # every block but the last is as large as BLOCK_PAIRS allows
+        assert all((size + 1) * n_cols > BLOCK_PAIRS for size in sizes[:-1])
 
 
 def test_trivial_group():

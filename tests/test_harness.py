@@ -25,7 +25,6 @@ from setgrowth.suites import (
     ReportRow,
     SuiteConfig,
     SuiteJob,
-    config_text,
     default_config,
     default_job,
     emit_report,
@@ -113,14 +112,28 @@ def test_merge_ledger_and_failure():
 
 # ---------------------------------------------------------------- config
 
-def test_config_round_trip():
-    cfg = SuiteConfig(jobs=(
-        SuiteJob(name="covering", groups=("cyclic(24)",),
-                 families=("subgroup(2)",), n=4, seed=5, count=3),
+def test_config_parses_every_key():
+    cfg = parse_suite_config("""
+    out = reports
+    [suite]
+    name = covering
+    groups = cyclic(24), direct_product(cyclic(2),cyclic(3))
+    families = subgroup(2); coset(2;1)
+    epsilon = 1/3
+    n = 4
+    seed = 5
+    count = 3
+    # a comment line
+    [suite]
+    name = tripling
+    """)
+    assert cfg == SuiteConfig(jobs=(
+        SuiteJob(name="covering",
+                 groups=("cyclic(24)", "direct_product(cyclic(2),cyclic(3))"),
+                 families=("subgroup(2)", "coset(2;1)"),
+                 epsilon=Fraction(1, 3), n=4, seed=5, count=3),
+        SuiteJob(name="tripling"),
     ), out="reports")
-    text = config_text(cfg)
-    again = parse_suite_config(text)
-    assert again == cfg
 
 
 def test_parse_minimal_config():

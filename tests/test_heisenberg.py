@@ -78,8 +78,9 @@ def test_build_is_cached():
 def test_encode_decode():
     for a in range(H27.order):
         assert H27.encode(H27.z_of(a), H27.w_of(a)) == a
-    zc, wc = H27.coords_of(H27.encode(5, 2))
-    assert zc == (1, 2) and wc == (2,)
+    a = H27.encode(5, 2)
+    assert H27._zcoords[H27.z_of(a)] == (1, 2)
+    assert H27.decode_w(H27.w_of(a)) == (2,)
 
 
 def test_pairing_is_antisymmetric():

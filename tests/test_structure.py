@@ -245,7 +245,7 @@ def test_classify_rejects_bad_hypothesis():
 def test_local_tripling_happy_path():
     a = symmetrize(MSet.from_ids(G100, [1, 2]))
     sup = max(
-        product_set(product_set(a, MSet.singleton(G100, t)), a).size
+        product_set(product_set(a, MSet.from_ids(G100, [t])), a).size
         for t in a.ids())
     k = Fraction(max(sup, power_set(a, 2).size), a.size)
     led = local_tripling_check(a, k)
@@ -265,7 +265,7 @@ def _local_product_instance():
     sup over a in A of |A·a·A| = 6, so K = 5/3 covers |A^2| but not the
     local products."""
     a = generate_set(SetFamilySpec.parse("symmetric(4)", "subgroup_plus_point(1)"))
-    sup = max(product_set(product_set(a, MSet.singleton(a.group, t)), a).size
+    sup = max(product_set(product_set(a, MSet.from_ids(a.group, [t])), a).size
               for t in a.ids())
     return a, sup
 
