@@ -19,10 +19,11 @@ block)`` pairs of ``_product_blocks``), and every seeded sample its draws
 from ``_sampled``.
 
 At or below TABLE_CAP the group caches the vectorized law as one dense
-uint16 table, built on first use in row blocks; ``mul_pairs`` then gathers
-from it.  Above the cap no table exists and ``mul_pairs`` runs the law on
-coordinates.  Inverses of every id sit in one array built from
-``_inv_law``.
+uint16 table, built on first use from one row block of the law and rows
+composed from known rows (see ``FiniteGroup.table``); ``mul_pairs`` then
+gathers from it.  Above the cap no table exists and ``mul_pairs`` runs the
+law on coordinates.  Inverses of every id sit in one array built from
+``_inv_law``.  The axiom sweep reads the law, never the table.
 
 Canonical numberings (reproducible bit for bit):
   cyclic(n)          id = residue, addition mod n
@@ -82,15 +83,37 @@ class FiniteGroup:
 
     # -- table and inverses -------------------------------------------------
     def table(self) -> np.ndarray | None:
-        """The dense uint16 table [a, b] -> a*b, built from the law on first
-        use in row blocks of at most BLOCK_PAIRS products; None above
-        TABLE_CAP."""
+        """The dense uint16 table [a, b] -> a*b, built on first use; None
+        above TABLE_CAP.  The law fills one row block; every other row is
+        composed, x*(y*w) = (x*y)*w making the row of x*y the gather
+        table[x].take(table[y]).  Known rows take turns, newest first, each
+        filling the unknown x*y over known y.  A turn that fills nothing
+        passes the turns to the law rows that still reach an unknown id;
+        when none does, the known ids are the subgroup the law rows
+        generate, and the law fills the next block of unknown ids."""
         if self._table is None and self.order <= TABLE_CAP:
             n = self.order
             table = np.empty((n, n), dtype=np.uint16)
-            ids = np.arange(n)
-            for rows in _row_blocks(n, n):
-                table[rows] = self._mul_law(ids[rows, None], ids)
+            known = np.zeros(n, dtype=bool)
+            law, turns, new = np.arange(0), [], ()
+            while not known.all():
+                ids = np.flatnonzero(known)
+                if not (turns and len(new)):
+                    turns = law[~known[table[law[:, None], ids]].all(1)].tolist()
+                if turns:
+                    x = turns.pop()
+                    reach = table[x].take(ids)
+                    fresh = ~known[reach]
+                    new, ys = reach[fresh].astype(np.intp), ids[fresh]
+                    for rows in _row_blocks(len(new), n):
+                        table[new[rows]] = table[x].take(table[ys[rows]])
+                else:
+                    new = np.flatnonzero(~known)
+                    new = new[next(_row_blocks(len(new), n))]
+                    table[new] = self._mul_law(new[:, None], np.arange(n))
+                    law = np.concatenate([law, new])
+                known[new] = True
+                turns += new.tolist()
             self._table = table
         return self._table
 
@@ -110,6 +133,10 @@ class FiniteGroup:
             # a flat take is faster than the 2-D fancy index table[x, y]
             flat = np.multiply(x, self.order, dtype=np.intp) + y
             return table.ravel().take(flat)
+        return self._law_pairs(x, y)
+
+    def _law_pairs(self, x, y) -> np.ndarray:
+        """x*y elementwise over broadcastable id arrays, by the law."""
         return self._mul_law(np.asarray(x, dtype=np.intp),
                              np.asarray(y, dtype=np.intp))
 
@@ -122,7 +149,7 @@ class FiniteGroup:
         return self._inverses()[x]
 
     def row(self, a: int) -> memoryview | None:
-        """Table row {b -> a*b} as a memoryview of Python ints; None above
+        """Table row {b -> a*b} as a uint16 memoryview; None above
         TABLE_CAP.  Only perfbench/tracer.py calls it, to count table-row
         reads; the library never does."""
         table = self.table()
@@ -605,17 +632,18 @@ def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
 
 def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
     """Identity/inverse on all elements; associativity exhaustively for
-    order <= 512, on ASSOC_SAMPLES random triples above.  Each law is
-    checked as whole arrays: table reads at or below TABLE_CAP, the
-    coordinate law above.  Raises ValueError with the first counterexample
-    in element (or sample) order; returns check counts on success."""
+    order <= 512, on ASSOC_SAMPLES random triples above.  Each check reads
+    the law as whole arrays, never the table, whose composed rows equal the
+    law only for an associative law.  Raises ValueError with the first
+    counterexample in element (or sample) order; returns check counts on
+    success."""
     n = g.order
     ids = np.arange(n)
     inv = g.inv_array(ids)
     checks = (
-        ((g.mul_pairs(0, ids) != ids) | (g.mul_pairs(ids, 0) != ids),
+        ((g._law_pairs(0, ids) != ids) | (g._law_pairs(ids, 0) != ids),
          "id 0 is not an identity at element {}"),
-        (g.mul_pairs(ids, inv) != 0, "inv fails at element {}"),
+        (g._law_pairs(ids, inv) != 0, "inv fails at element {}"),
         (g.inv_array(inv) != ids, "inv is not an involution at element {}"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in checks])
@@ -623,7 +651,9 @@ def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
         x = int(np.argmax(bad))
         raise ValueError(next(msg for mask, msg in checks if mask[x]).format(x))
     if n <= EXHAUSTIVE_ASSOC_CAP:
-        table = g.table()           # EXHAUSTIVE_ASSOC_CAP <= TABLE_CAP
+        table = np.empty((n, n), dtype=np.uint16)
+        for rows in _row_blocks(n, n):
+            table[rows] = g._mul_law(ids[rows, None], ids)
         yz = table.astype(np.intp)  # [y,z] -> y*z
         for x in range(n):
             bad = table[table[x]] != table[x][yz]   # (x*y)*z vs x*(y*z)
@@ -631,9 +661,9 @@ def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
                 y, z = np.unravel_index(np.argmax(bad), bad.shape)
                 raise ValueError(f"associativity fails at ({x},{y},{z})")
         return {"elements": n, "triples": n**3, "mode": "exhaustive"}
+    law = g._law_pairs
     for x, y, z in _sampled(random.Random(seed), ASSOC_SAMPLES, (n, n, n)):
-        bad = (g.mul_pairs(g.mul_pairs(x, y), z)
-               != g.mul_pairs(x, g.mul_pairs(y, z)))
+        bad = law(law(x, y), z) != law(x, law(y, z))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"associativity fails at ({x[i]},{y[i]},{z[i]})")

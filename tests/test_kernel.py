@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from setgrowth import heisenberg as hb
 from setgrowth.groups import (
     ASSOC_SAMPLES,
+    BLOCK_PAIRS,
     EXHAUSTIVE_ASSOC_CAP,
     ORDER_CAP,
     TABLE_CAP,
@@ -118,12 +119,68 @@ def test_quotient_mul_outer_matches_raw_oracle(data):
         assert_law_matches_oracle(q, xs, ys)
 
 
-@pytest.mark.parametrize("spec", ["dihedral(9)", "sl2(5)", "symmetric(4)"])
+@pytest.mark.parametrize("spec", [
+    "dihedral(9)", "sl2(5)", "symmetric(4)",
+    # above one block of the law: most rows are composed
+    "sl2(7)", "dihedral(100)",
+    "heisenberg(z=Zp^2,p=7;w=Zp^1,p=7;pairing=symplectic)",
+    "direct_product(sl2(5),cyclic(3))",
+])
 def test_table_is_the_whole_law(spec):
     g = group(spec)
     ids = list(range(g.order))
     assert g.table().tolist() == [[g.mul(x, y) for y in ids] for x in ids]
     assert g.inv_array(ids).tolist() == [g.inv(x) for x in ids]
+
+
+def test_quotient_table_is_the_whole_law():
+    # rho^100 is central in dihedral(200); the quotient has order 200, and
+    # its law reads the parent's table
+    q = quotient_map(group("dihedral(200)"), [100]).quotient
+    assert q.order == 200 > BLOCK_PAIRS // q.order
+    ids = list(range(q.order))
+    assert q.table().tolist() == [[q.mul(x, y) for y in ids] for x in ids]
+
+
+@pytest.mark.parametrize("spec", ["sl2(11)", "symmetric(6)"])
+def test_composed_table_is_the_vectorized_law(spec):
+    # the scalar tables are too slow here; the vectorized law is itself
+    # tested against the scalar law above
+    g = group(spec)
+    ids = np.arange(g.order)
+    table = g.table()
+    for lo in range(0, g.order, 64):
+        rows = ids[lo:lo + 64]
+        assert (table[rows] == g._mul_law(rows[:, None], ids)).all()
+
+
+def test_table_build_runs_the_law_on_one_block(monkeypatch):
+    # sl2(11): the first 12 rows generate the group, so every other row is
+    # composed; the whole law would be 1320^2 = 1,742,400 products
+    g = SL2Group(11)
+    products = []
+    real = g._mul_law
+
+    def counted(x, y):
+        products.append(np.broadcast(x, y).size)
+        return real(x, y)
+
+    monkeypatch.setattr(g, "_mul_law", counted)
+    g.table()
+    assert sum(products) <= BLOCK_PAIRS
+
+
+def test_table_build_memory_is_the_table():
+    # sl2(13): the uint16 table is 2184^2 * 2 bytes = 9.1 MiB; the build adds
+    # one law block and one block of composed rows at a time
+    g = SL2Group(13)
+    tracemalloc.start()
+    try:
+        table = g.table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * table.nbytes
 
 
 def test_sl2_int32_law_matches_the_scalar_law():
@@ -500,6 +557,21 @@ def axiom_error(g):
 def test_axiom_sweep_names_the_first_counterexample(cells, inverses):
     g = planted("dihedral(6)", cells, inverses)
     assert axiom_error(g) == scalar_axiom_error(g)
+
+
+@pytest.mark.parametrize("cells", [
+    [(95, 7, 3)],
+    [(199, 120, 120), (90, 91, 0)],
+])
+def test_exhaustive_sweep_reads_the_law_above_one_block(cells):
+    # dihedral(100) has order 200: its table runs the law on rows 0..80
+    # and 100..180 and composes the others, so a wrong cell in rows 81..99
+    # or 181..199 is in the law but not in the table
+    g = planted("dihedral(100)", cells)
+    assert g.order <= EXHAUSTIVE_ASSOC_CAP
+    assert all(g.table()[a, b] != c for a, b, c in cells)
+    message = axiom_error(g)
+    assert message is not None and message == scalar_axiom_error(g)
 
 
 def test_sampled_associativity_names_the_first_counterexample():
