@@ -86,8 +86,9 @@ def _cmd_verify(args) -> int:
         return 2
     report = run_named_suite(args.suite, seed=_base_seed(args))
     for row in report.sorted_rows():
-        print(f"[{row.status}] {row.module}/{row.operation}: {row.name}"
-              + (f" [{row.lhs} {row.rel} {row.rhs}]" if row.rel else ""))
+        module, operation, _, name, _, lhs, rel, rhs, status, _ = row.cells()
+        print(f"[{status}] {module}/{operation}: {name}"
+              + (f" [{lhs} {rel} {rhs}]" if rel else ""))
     summary = report.summary()
     print(f"rows: {summary['total']}  hard failures: "
           f"{summary['hard_failures']}")
@@ -196,8 +197,8 @@ def _cmd_suite_run(args) -> int:
           f"soft: {summary['soft']}  info: {summary['info']}")
     print(f"hard failures: {summary['hard_failures']}")
     for row in report.hard_failures()[:20]:
-        print(f"  FAIL {row.module}/{row.operation}: {row.name} "
-              f"[{row.lhs} {row.rel} {row.rhs}]")
+        module, operation, _, name, _, lhs, rel, rhs, _, _ = row.cells()
+        print(f"  FAIL {module}/{operation}: {name} [{lhs} {rel} {rhs}]")
     out = args.out or config.out
     if out:
         for path in emit_report(report, args.format, out):

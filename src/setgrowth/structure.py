@@ -71,6 +71,9 @@ _RELS = {
 
 @dataclass(frozen=True)
 class LedgerRow:
+    """One exact check with its sides as computed; rel == "" marks a claim
+    (a verdict, sides optional) or an info row (holds is None)."""
+
     name: str
     kind: str  # "hard" | "soft" | "info"
     lhs: object
@@ -80,11 +83,16 @@ class LedgerRow:
     formula: str = ""
     note: str = ""
 
+    @property
+    def failed(self) -> bool:
+        """The one pass/fail rule: a hard or soft row whose check is false."""
+        return self.kind != "info" and self.holds is False
+
     def line(self) -> str:
         if self.holds is None:
             return f"[info] {self.name}: {fmt_number(self.lhs)} {self.note}".rstrip()
         verdict = "ok" if self.holds else "FAIL"
-        if self.rel == "holds":
+        if not self.rel:
             text = f"[{self.kind}] {self.name}: {verdict}"
             if self.lhs is not None:
                 text += f" [{fmt_number(self.lhs)} vs {fmt_number(self.rhs)}]"
@@ -121,11 +129,11 @@ class ConstantLedger:
 
     def claim(self, name, holds, kind="hard", lhs=None, rhs=None, formula="", note="") -> bool:
         self.rows.append(
-            LedgerRow(name, kind, lhs, "holds", rhs, bool(holds), formula, note))
+            LedgerRow(name, kind, lhs, "", rhs, bool(holds), formula, note))
         return bool(holds)
 
     def info(self, name, value, note="") -> None:
-        self.rows.append(LedgerRow(name, "info", value, "note", None, None, "", note))
+        self.rows.append(LedgerRow(name, "info", value, "", None, None, "", note))
 
     def merge(self, other: "ConstantLedger", prefix: str) -> None:
         for row in other.rows:
@@ -135,7 +143,7 @@ class ConstantLedger:
             )
 
     def failures(self) -> list[LedgerRow]:
-        return [r for r in self.rows if r.kind == "hard" and r.holds is False]
+        return [r for r in self.rows if r.kind == "hard" and r.failed]
 
     @property
     def hard_ok(self) -> bool:

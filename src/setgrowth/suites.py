@@ -1,7 +1,8 @@
 """Suite runner and report emission: the reproducibility surface.
 
-A SuiteConfig names jobs; run_suite executes them and collects typed rows;
-emit_report writes byte-stable CSV and JSON.  Hard rows are exact paper
+A SuiteConfig names jobs; run_suite executes them and places every check,
+as the ledger's own exact LedgerRow, in a Report; emit_report renders each
+row once and writes byte-stable CSV and JSON.  Hard rows are exact paper
 inequalities and fail the exit code; soft rows are hypothesis checks that
 gate a pipeline; info rows are measured constants and never fail anything.
 Every randomized choice draws from a Random seeded by (job seed, group,
@@ -63,6 +64,7 @@ from .setops import (
 from .structure import (
     ConstantLedger,
     LedgerError,
+    LedgerRow,
     approx_group_from_tripling,
     local_tripling_check,
     ruzsa_cover,
@@ -92,25 +94,33 @@ def render_value(v) -> str:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """Where a ledger row sits in a report: the ledger's own LedgerRow,
+    exact sides and all, rendered only by cells(), at emit."""
+
     module: str
     operation: str
     seq: int
-    name: str
-    kind: str       # hard | soft | info
-    lhs: str
-    rel: str
-    rhs: str
-    passed: bool
-    note: str
+    row: LedgerRow
+
+    @property
+    def name(self) -> str:
+        return self.row.name
 
     @property
     def status(self) -> str:
-        if self.kind == "info":
+        if self.row.kind == "info":
             return "info"
-        return "pass" if self.passed else "fail"
+        return "fail" if self.row.failed else "pass"
 
     def sort_key(self):
-        return (self.module, self.operation, self.seq, self.name)
+        return (self.module, self.operation, self.seq, self.row.name)
+
+    def cells(self) -> tuple:
+        """The CSV_HEADER fields, sides rendered by render_value."""
+        r = self.row
+        note = "; ".join(filter(None, (r.formula, r.note)))
+        return (self.module, self.operation, self.seq, r.name, r.kind,
+                render_value(r.lhs), r.rel, render_value(r.rhs), self.status, note)
 
 
 CSV_HEADER = ("module", "operation", "seq", "name", "kind",
@@ -119,62 +129,50 @@ CSV_HEADER = ("module", "operation", "seq", "name", "kind",
 
 @dataclass
 class Report:
-    """Typed check rows; a hard failure anywhere fails the process."""
+    """Placed ledger rows; a hard failure anywhere fails the process."""
 
     title: str
     rows: list[ReportRow] = field(default_factory=list)
     _seq: dict = field(default_factory=dict)
 
     def add(self, module: str, operation: str, name: str, kind: str = "hard",
-            lhs=None, rel="", rhs=None, passed=True, note="") -> ReportRow:
-        key = (module, operation)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        row = ReportRow(module, operation, seq, name, kind,
-                        render_value(lhs), rel, render_value(rhs),
-                        bool(passed), note)
-        self.rows.append(row)
-        return row
+            lhs=None, rel="", rhs=None, passed=True, note="") -> None:
+        """Place one check given by its parts."""
+        row = LedgerRow(name, kind, lhs, rel, rhs, bool(passed), note=note)
+        self._place(module, operation, (row,))
 
     def merge_ledger(self, module: str, operation: str,
                      ledger: ConstantLedger) -> None:
-        for row in ledger.rows:
-            note = row.formula
-            if row.note:
-                note = f"{note}; {row.note}" if note else row.note
-            passed = True if row.holds is None else row.holds
-            rel = "" if row.rel in ("note", "holds") else (row.rel or "")
-            self.add(module, operation, row.name, row.kind,
-                     row.lhs, rel, row.rhs, passed, note)
+        self._place(module, operation, ledger.rows)
 
     def merge_failure(self, module: str, operation: str,
                       exc: LedgerError) -> None:
-        """Record a raised hard failure as failing rows (honest red)."""
-        for row in exc.failures:
-            self.add(module, operation, row.name, "hard",
-                     row.lhs, row.rel or "", row.rhs, False,
-                     row.formula or row.note)
+        """Record a raised hard failure as its failing rows (honest red)."""
+        self._place(module, operation, exc.failures)
+
+    def _place(self, module: str, operation: str, rows) -> None:
+        key = (module, operation)
+        seq = self._seq.get(key, 0)
+        self.rows.extend(ReportRow(module, operation, seq + i, row)
+                         for i, row in enumerate(rows))
+        self._seq[key] = seq + len(rows)
 
     def sorted_rows(self) -> list[ReportRow]:
         return sorted(self.rows, key=ReportRow.sort_key)
 
     def hard_failures(self) -> list[ReportRow]:
-        return [r for r in self.rows if r.kind == "hard" and not r.passed]
-
-    @property
-    def passed(self) -> bool:
-        return not self.hard_failures()
+        return [r for r in self.rows if r.row.kind == "hard" and r.row.failed]
 
     def exit_code(self) -> int:
-        return 0 if self.passed else 1
+        return 1 if self.hard_failures() else 0
 
     def summary(self) -> dict:
         counts = {"total": len(self.rows), "hard": 0, "soft": 0, "info": 0,
                   "hard_failures": 0, "soft_failures": 0}
         for r in self.rows:
-            counts[r.kind] += 1
-            if not r.passed and r.kind in ("hard", "soft"):
-                counts[f"{r.kind}_failures"] += 1
+            counts[r.row.kind] += 1
+            if r.row.failed:
+                counts[f"{r.row.kind}_failures"] += 1
         return counts
 
 
@@ -183,18 +181,17 @@ def emit_report(report: Report, format: str = "csv",
     """Write the report in the named format ("csv", "json", or "both").
 
     Output is byte-stable for identical reports: rows sorted by
-    (module, operation, seq, name), values rendered by render_value.
-    Returns the list of written paths.
+    (module, operation, seq, name), each rendered once by ReportRow.cells
+    for every format.  Returns the list of written paths.
     """
+    if format not in ("csv", "json", "both"):
+        raise ValueError(f"unknown report format {format!r}")
     formats = ("csv", "json") if format == "both" else (format,)
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown report format {fmt!r}")
     out_dir = out or "."
     os.makedirs(out_dir, exist_ok=True)
     slug = "".join(c if c.isalnum() or c == "-" else "-"
                    for c in report.title.lower()) or "report"
-    rows = report.sorted_rows()
+    cells = [r.cells() for r in report.sorted_rows()]
     paths = []
     for fmt in formats:
         path = os.path.join(out_dir, f"{slug}.{fmt}")
@@ -202,21 +199,13 @@ def emit_report(report: Report, format: str = "csv",
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for r in rows:
-                writer.writerow((r.module, r.operation, r.seq, r.name, r.kind,
-                                 r.lhs, r.rel, r.rhs, r.status, r.note))
+            writer.writerows(cells)
             payload = buf.getvalue()
         else:
             obj = {
                 "title": report.title,
                 "summary": report.summary(),
-                "rows": [
-                    {"module": r.module, "operation": r.operation,
-                     "seq": r.seq, "name": r.name, "kind": r.kind,
-                     "lhs": r.lhs, "rel": r.rel, "rhs": r.rhs,
-                     "status": r.status, "note": r.note}
-                    for r in rows
-                ],
+                "rows": [dict(zip(CSV_HEADER, c)) for c in cells],
             }
             payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:

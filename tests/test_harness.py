@@ -4,6 +4,7 @@ Determinism here means byte-identical files; each emission test writes
 twice into fresh directories and compares raw bytes.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -108,6 +109,59 @@ def test_merge_ledger_and_failure():
     assert rep.exit_code() == 1
     assert any(r.name == "broken" and r.status == "fail"
                for r in rep.sorted_rows())
+
+
+def _failing_ledger():
+    led = ConstantLedger("unit")
+    led.claim("claimed", False, lhs=3, rhs=2, formula="f",
+              note="seen at x=3")
+    led.compare("compared", Fraction(7, 2), "<=", 3, formula="g",
+                note="seen at x=5")
+    return led
+
+
+def test_merge_failure_renders_like_merge_ledger():
+    merged = Report("demo")
+    merged.merge_ledger("m", "op", _failing_ledger())
+    failed = Report("demo")
+    with pytest.raises(LedgerError) as exc:
+        _failing_ledger().check()
+    failed.merge_failure("m", "op", exc.value)
+    want = [r.cells() for r in merged.sorted_rows()]
+    assert [r.cells() for r in failed.sorted_rows()] == want
+    assert want == [
+        ("m", "op", 0, "claimed", "hard", "3", "", "2", "fail",
+         "f; seen at x=3"),
+        ("m", "op", 1, "compared", "hard", "7/2", "<=", "3", "fail",
+         "g; seen at x=5"),
+    ]
+    assert failed.exit_code() == merged.exit_code() == 1
+
+
+def test_merge_ledger_places_the_ledger_rows():
+    led = ConstantLedger("unit")
+    led.compare("fine", Fraction(1, 3), "<=", 2)
+    led.info("measured", Fraction(3, 2))
+    rep = Report("demo")
+    rep.merge_ledger("m", "op", led)
+    assert all(placed.row is row for placed, row in zip(rep.rows, led.rows))
+    assert len(rep.rows) == len(led.rows)
+    assert type(rep.rows[0].row.lhs) is Fraction
+
+
+def test_rows_render_only_at_emit(monkeypatch, tmp_path):
+    calls = []
+    real = suites.render_value
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(suites, "render_value", counting)
+    rep = run_named_suite("covering")
+    assert calls == []
+    emit_report(rep, format="both", out=str(tmp_path))
+    assert len(calls) == 2 * len(rep.rows)
 
 
 # ---------------------------------------------------------------- config
@@ -350,6 +404,28 @@ def test_cli_verify_covering(capsys):
     assert cli.main(["verify", "covering"]) == 0
     out = capsys.readouterr().out
     assert "hard" in out
+
+
+@pytest.mark.parametrize("name", ["covering", "bsg"])
+def test_cli_verify_prints_the_csv_cells(capsys, tmp_path, name):
+    # covering rows are bare claims; bsg rows carry exact sides and a rel
+    assert cli.main(["verify", name, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    with open(tmp_path / f"suite-{name}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    want = [f"[{r['status']}] {r['module']}/{r['operation']}: {r['name']}"
+            + (f" [{r['lhs']} {r['rel']} {r['rhs']}]" if r["rel"] else "")
+            for r in rows]
+    assert rows and out[:len(rows)] == want
+
+
+def test_cli_suite_run_prints_failing_cells(capsys, monkeypatch):
+    rep = Report("suite-demo")
+    rep.add("m", "op", "bad", "hard", lhs=Fraction(5, 2), rel="<=", rhs=2,
+            passed=False)
+    monkeypatch.setattr(cli, "run_suite", lambda config: rep)
+    assert cli.main(["suite", "run"]) == 1
+    assert "  FAIL m/op: bad [5/2 <= 2]" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_bsg_run_worked_instance(capsys):
