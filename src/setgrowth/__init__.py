@@ -79,7 +79,6 @@ from .entropy import (
     MetricCloud,
     ProfileReport,
     QuaternionGroup,
-    RegionSpec,
     TorusGroup,
     TriplingEntropyReport,
     WordMetricGroup,

@@ -10,8 +10,9 @@ chordal metric, and finite groups under a word metric.
 Every carrier answers the one question the nets ask, "which of these
 centers lie strictly within eps of this point", with one vectorized
 ``close_mask`` over the array form that ``metric_array`` builds, so a
-single scan serves all three carriers.  The scalar ``closer_than`` and
-``within`` stay as the reference oracle and for region checks.
+single scan serves all three carriers.  The scalar ``closer_than`` stays
+as the reference oracle, and ``within`` is the closed near-collision
+test of ``approx_energy``.
 
 Exactness policy: on tori, nets and separated sets compare integer
 squared distances on a common denominator, and on word metrics
@@ -39,6 +40,7 @@ PRODUCT_CAP = 10**5
 _RAW_PRODUCT_CAP = 4 * 10**6
 _FLOAT_SLACK = 1e-12
 _INT64_LIMIT = 2**62
+MC_SAMPLES = 10**6
 
 
 def _positive_eps(eps):
@@ -66,13 +68,7 @@ class TorusGroup:
         self.name = "torus(%d)" % dim
         self.exact = True
         self.exact_distance = dim == 1
-        self.dimension = dim
-        self.doubling_bound = Fraction(2**dim)
         self.default_grid = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
-
-    @property
-    def identity(self):
-        return (Fraction(0),) * self.dim
 
     def point(self, *coords):
         if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
@@ -139,14 +135,8 @@ class TorusGroup:
         delta = np.minimum(delta, d - delta)
         return (delta * delta).sum(axis=-1) < eps_sq
 
-    def sort_key(self, p):
-        return p
-
     def as_eps(self, eps) -> Fraction:
         return _positive_eps(Fraction(eps))
-
-    def diameter(self) -> float:
-        return math.sqrt(self.dim) / 2.0
 
     def profile_points(self, seed):
         """The profile cloud: a uniform grid of 120, 12 or 6 points per axis."""
@@ -165,21 +155,15 @@ class QuaternionGroup:
 
     All arithmetic is floating point.  Left and right translations are
     isometries up to roundoff because the quaternion norm is
-    multiplicative, and the group is three dimensional, so the declared
-    small-radius volume doubling constant is 8.
+    multiplicative, and the group is three dimensional, so doubling the
+    radius of a small ball multiplies its Haar measure by about 8.
     """
 
     def __init__(self):
         self.name = "quaternions"
         self.exact = False
         self.exact_distance = False
-        self.dimension = 3
-        self.doubling_bound = 8.0
         self.default_grid = (0.6, 0.3)
-
-    @property
-    def identity(self):
-        return (1.0, 0.0, 0.0, 0.0)
 
     def point(self, w, x, y, z):
         norm = math.sqrt(w * w + x * x + y * y + z * z)
@@ -226,14 +210,8 @@ class QuaternionGroup:
         diff = centers - points
         return np.einsum("...j,...j->...", diff, diff) < radius
 
-    def sort_key(self, p):
-        return p
-
     def as_eps(self, eps) -> float:
         return _positive_eps(float(eps))
-
-    def diameter(self) -> float:
-        return 2.0
 
     def profile_points(self, seed):
         """The profile cloud: 180 Haar points."""
@@ -247,19 +225,19 @@ class QuaternionGroup:
         unit = raw / norms[:, None]
         return [tuple(float(c) for c in row) for row in unit]
 
-    def ball_fractions(self, radii, samples: int = 10**6, seed: int = DEFAULT_SEED):
+    def ball_fractions(self, radii, seed: int):
         """Haar fractions of chordal balls about the identity.
 
-        One fixed-seed sample batch serves every radius, so ratios of
-        the returned values share their sampling noise.
+        One fixed-seed batch of MC_SAMPLES points serves every radius, so
+        ratios of the returned values share their sampling noise.
         """
         rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(samples, 4))
+        raw = rng.normal(size=(MC_SAMPLES, 4))
         norms = np.linalg.norm(raw, axis=1)
         unit = raw / norms[:, None]
         unit[:, 0] -= 1.0
         dist = np.linalg.norm(unit, axis=1)
-        return [float(np.count_nonzero(dist < r)) / samples for r in radii]
+        return [float(np.count_nonzero(dist < r)) / MC_SAMPLES for r in radii]
 
 
 class WordMetricGroup:
@@ -301,7 +279,6 @@ class WordMetricGroup:
         )
         self.exact = True
         self.exact_distance = True
-        self.dimension = None
         self.doubling_bound = self._max_doubling_ratio()
         grid = [Fraction(3, 2)]
         if self.diameter() >= 5:
@@ -320,10 +297,6 @@ class WordMetricGroup:
             if ratio > best:
                 best = ratio
         return best
-
-    @property
-    def identity(self):
-        return 0
 
     def mul(self, p, q):
         return self.group.mul(p, q)
@@ -351,9 +324,6 @@ class WordMetricGroup:
         g = self.group
         return self._dist_array[g.mul_pairs(g.inv_array(points), centers)] < radius
 
-    def sort_key(self, p):
-        return p
-
     def as_eps(self, eps) -> Fraction:
         return _positive_eps(Fraction(eps))
 
@@ -365,53 +335,17 @@ class WordMetricGroup:
         return list(range(self.group.order))
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Bounding-region descriptor for a cloud.
-
-    With no radius the region is the whole (compact) carrier and no
-    membership check applies.
-    """
-
-    label: str
-    center: object = None
-    radius: object = None
-
-    @classmethod
-    def full(cls) -> "RegionSpec":
-        return cls("full-group")
-
-    @classmethod
-    def ball(cls, center, radius, label=None) -> "RegionSpec":
-        if label is None:
-            label = "ball(r=%s)" % (radius,)
-        return cls(label, center, radius)
-
-
 class MetricCloud:
-    """Finite point list on a metric group, canonically sorted.
+    """Finite point list on a metric group, deduped and sorted."""
 
-    Construction dedupes, sorts by the group's canonical key, and
-    checks the declared region when it carries a radius.
-    """
+    __slots__ = ("group", "points")
 
-    __slots__ = ("group", "points", "region")
-
-    def __init__(self, group, points, region=None):
-        pts = sorted(dict.fromkeys(points), key=group.sort_key)
+    def __init__(self, group, points):
+        pts = sorted(dict.fromkeys(points))
         if not pts:
             raise ValueError("a cloud needs at least one point")
-        if region is None:
-            region = RegionSpec.full()
-        if region.radius is not None:
-            for p in pts:
-                if not group.within(region.center, p, region.radius):
-                    raise ValueError(
-                        "point %s outside region %s" % (p, region.label)
-                    )
         self.group = group
         self.points = tuple(pts)
-        self.region = region
 
     def __len__(self) -> int:
         return len(self.points)
@@ -420,11 +354,7 @@ class MetricCloud:
         return iter(self.points)
 
     def __repr__(self) -> str:
-        return "MetricCloud(%s, %d points, %s)" % (
-            self.group.name,
-            len(self.points),
-            self.region.label,
-        )
+        return "MetricCloud(%s, %d points)" % (self.group.name, len(self.points))
 
 
 @dataclass(frozen=True)
@@ -488,28 +418,14 @@ def approx_energy(a: MetricCloud, b: MetricCloud, eps, cap: int = PAIR_CAP) -> i
             "pair count %d exceeds cap %d" % (len(a) * len(b), cap)
         )
     pairs = [(x, y, g.mul(x, y)) for x in a.points for y in b.points]
-    quads = []
+    net = []
     for xa, xb, pa in pairs:
         for ya, yb, pb in pairs:
-            if g.within(pa, pb, e):
-                quads.append((xa, xb, ya, yb))
-    chosen = []
-    for quad in quads:
-        covered = False
-        for center in chosen:
-            total = 0
-            inside = True
-            for u, v in zip(quad, center):
-                total = total + g.distance_value(u, v)
-                if not total < e:
-                    inside = False
-                    break
-            if inside:
-                covered = True
-                break
-        if not covered:
-            chosen.append(quad)
-    return len(chosen)
+            quad = (xa, xb, ya, yb)
+            if g.within(pa, pb, e) and all(
+                    sum(map(g.distance_value, quad, c)) >= e for c in net):
+                net.append(quad)
+    return len(net)
 
 
 @dataclass(frozen=True)
@@ -711,7 +627,7 @@ def _translation_rows(group, cloud, led, slack):
         )
 
 
-def _doubling_rows(group, led, grid, seed, mc_samples):
+def _doubling_rows(group, led, grid, seed):
     if isinstance(group, TorusGroup):
         r = min(grid) / 2
         if 4 * r < 1:
@@ -731,13 +647,13 @@ def _doubling_rows(group, led, grid, seed, mc_samples):
                 note="grid radius %s too large for the non-wrapping regime" % r,
             )
     elif isinstance(group, QuaternionGroup):
-        f_small, f_large = group.ball_fractions((0.2, 0.4), mc_samples, seed)
+        f_small, f_large = group.ball_fractions((0.2, 0.4), seed)
         measured = f_large / f_small if f_small else float("inf")
         led.info(
             "ball-doubling-measured",
             Fraction(measured).limit_denominator(10**6),
             note="Haar fractions at chordal radii 0.2 and 0.4, %d samples"
-            % mc_samples,
+            % MC_SAMPLES,
         )
         led.claim(
             "ball-doubling",
@@ -800,12 +716,7 @@ def _arc_measure_rows(group, cloud, report, led):
         )
 
 
-def metric_profile_check(
-    group,
-    *,
-    seed: int = DEFAULT_SEED,
-    mc_samples: int = 10**6,
-) -> ProfileReport:
+def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ProfileReport:
     """Report-only profile audit of one metric carrier.
 
     Takes the carrier's deterministic profile cloud, checks metric axioms
@@ -821,7 +732,7 @@ def metric_profile_check(
     slack = 0 if group.exact_distance else _FLOAT_SLACK
     _metric_axiom_rows(group, cloud, led, slack)
     _translation_rows(group, cloud, led, 1e-9)
-    _doubling_rows(group, led, [group.as_eps(e) for e in grid], seed, mc_samples)
+    _doubling_rows(group, led, [group.as_eps(e) for e in grid], seed)
     report = build_entropy_report(cloud, grid)
     led.merge(report.ledger, prefix="entropy.")
     _scale_ratio_rows(group, report, led)
@@ -832,7 +743,7 @@ def metric_profile_check(
 
 def _sorted_products(group, xs, ys):
     seen = dict.fromkeys(group.mul(x, y) for x in xs for y in ys)
-    return sorted(seen, key=group.sort_key)
+    return sorted(seen)
 
 
 @dataclass(frozen=True)
@@ -885,7 +796,7 @@ def entropy_tripling_check(
         )
     led = ConstantLedger("entropy-tripling")
     net_base = covering_number(cloud, e).count
-    cube_cloud = MetricCloud(g, cubed, RegionSpec("triple-product"))
+    cube_cloud = MetricCloud(g, cubed)
     net_cubed = covering_number(cube_cloud, e).count
     measured = Fraction(net_cubed, net_base)
     led.info("net-base", net_base, note="net count of the cloud at eps")
@@ -905,7 +816,7 @@ def entropy_tripling_check(
         covers,
         formula="every base point within eps/2 of the candidate",
     )
-    cand_cloud = MetricCloud(g, candidate, RegionSpec("tripling-candidate"))
+    cand_cloud = MetricCloud(g, candidate)
     net_candidate = covering_number(cand_cloud, e).count
     led.info("candidate-size", len(candidate))
     led.info("net-candidate", net_candidate)

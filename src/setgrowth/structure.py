@@ -47,7 +47,7 @@ from .constants import (
     positive_power_exponent,
     word_exponent,
 )
-from .exact import fmt_number, frac
+from .exact import frac, render_value
 from .groups import _row_blocks
 from .setops import (
     MSet,
@@ -90,16 +90,16 @@ class LedgerRow:
 
     def line(self) -> str:
         if self.holds is None:
-            return f"[info] {self.name}: {fmt_number(self.lhs)} {self.note}".rstrip()
+            return f"[info] {self.name}: {render_value(self.lhs)} {self.note}".rstrip()
         verdict = "ok" if self.holds else "FAIL"
         if not self.rel:
             text = f"[{self.kind}] {self.name}: {verdict}"
             if self.lhs is not None:
-                text += f" [{fmt_number(self.lhs)} vs {fmt_number(self.rhs)}]"
+                text += f" [{render_value(self.lhs)} vs {render_value(self.rhs)}]"
         else:
             text = (
-                f"[{self.kind}] {self.name}: {fmt_number(self.lhs)} {self.rel} "
-                f"{fmt_number(self.rhs)} {verdict}"
+                f"[{self.kind}] {self.name}: {render_value(self.lhs)} {self.rel} "
+                f"{render_value(self.rhs)} {verdict}"
             )
         if self.formula:
             text += f" ({self.formula})"

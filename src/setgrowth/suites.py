@@ -26,7 +26,6 @@ from .bsg import bsg_extract, energy_equivalences, weak_bsg
 from .entropy import (
     MetricCloud,
     QuaternionGroup,
-    RegionSpec,
     TorusGroup,
     WordMetricGroup,
     approx_energy,
@@ -34,7 +33,7 @@ from .entropy import (
     metric_profile_check,
     separated_set,
 )
-from .exact import ceil_isqrt, frac
+from .exact import ceil_isqrt, frac, render_value
 from .families import (
     SetFamilySpec,
     generate_set,
@@ -77,20 +76,6 @@ DEFAULT_SEED = 1729
 
 # ---------------------------------------------------------------------------
 # Report model
-
-def render_value(v) -> str:
-    """Deterministic cell rendering: integers and Fractions verbatim,
-    floats at 12 significant digits, booleans lowercase, None empty."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, Fraction)):
-        return str(v)
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -882,8 +867,7 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
 
     # tripling growth on a short torus arc
     t1 = TorusGroup(1)
-    arc = MetricCloud(
-        t1, [(Fraction(i, 100),) for i in range(10)], RegionSpec("arc"))
+    arc = MetricCloud(t1, [(Fraction(i, 100),) for i in range(10)])
     tri = entropy_tripling_check(arc, Fraction(1, 100))
     report.merge_ledger(module, "entropy_tripling[torus(1)-arc]", tri.ledger)
 
@@ -891,8 +875,7 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
     c5 = construct_group("cyclic(5)")
     a5 = MSet.from_ids(c5, [0, 1, 2])
     discrete = energy(a5, a5).value
-    cloud5 = MetricCloud(t1, [(Fraction(i, 5),) for i in range(3)],
-                         RegionSpec("embedded-progression"))
+    cloud5 = MetricCloud(t1, [(Fraction(i, 5),) for i in range(3)])
     approx = approx_energy(cloud5, cloud5, Fraction(1, 20))
     report.add(module, "approx_energy[embedded-cyclic(5)]",
                "matches-discrete-energy", "hard",

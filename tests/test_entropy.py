@@ -15,7 +15,6 @@ import pytest
 from setgrowth.entropy import (
     MetricCloud,
     QuaternionGroup,
-    RegionSpec,
     TorusGroup,
     WordMetricGroup,
     _greedy_separated,
@@ -27,6 +26,7 @@ from setgrowth.entropy import (
     metric_profile_check,
     separated_set,
 )
+from setgrowth import cli
 from setgrowth.groups import construct_group
 from setgrowth.setops import MSet, energy
 
@@ -123,12 +123,6 @@ def test_cloud_dedupes_and_sorts():
     pts = [(Fraction(1, 2),), (Fraction(0),), (Fraction(1, 2),)]
     cloud = MetricCloud(T1, pts)
     assert cloud.points == ((Fraction(0),), (Fraction(1, 2),))
-
-
-def test_cloud_region_membership_enforced():
-    region = RegionSpec.ball((Fraction(0),), Fraction(1, 10))
-    with pytest.raises(ValueError):
-        MetricCloud(T1, [(Fraction(1, 2),)], region)
 
 
 # --------------------------------------------------------- nets and seps
@@ -266,6 +260,71 @@ def test_approx_energy_grows_with_radius():
     assert high >= low
 
 
+def reference_approx_energy(a, b, eps):
+    """The two-pass reference: list every near-collision quadruple, then
+    scan the list, stopping each sum-metric distance once its partial sum
+    reaches eps.  Returns (net count, quadruple count)."""
+    g = a.group
+    e = g.as_eps(eps)
+    pairs = [(x, y, g.mul(x, y)) for x in a.points for y in b.points]
+    quads = []
+    for xa, xb, pa in pairs:
+        for ya, yb, pb in pairs:
+            if g.within(pa, pb, e):
+                quads.append((xa, xb, ya, yb))
+    chosen = []
+    for quad in quads:
+        covered = False
+        for center in chosen:
+            total = 0
+            inside = True
+            for u, v in zip(quad, center):
+                total = total + g.distance_value(u, v)
+                if not total < e:
+                    inside = False
+                    break
+            if inside:
+                covered = True
+                break
+        if not covered:
+            chosen.append(quad)
+    return len(chosen), len(quads)
+
+
+T2 = TorusGroup(2)
+C30_WORD = WordMetricGroup(construct_group("cyclic(30)"), [1, 7])
+QUAT = QuaternionGroup()
+
+ENERGY_CASES = {
+    "torus1-grid": (MetricCloud(T1, T1.grid(3)),
+                    [Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]),
+    "torus1-mixed": (MetricCloud(T1, [(Fraction(k, 7),) for k in (0, 1, 3)]
+                                 + [(Fraction(1, 2),), (Fraction(2, 5),)]),
+                     [Fraction(1, 50), Fraction(1, 3)]),
+    "torus2-grid": (MetricCloud(T2, T2.grid(2)), [Fraction(1, 10), 1]),
+    "torus2-points": (MetricCloud(T2, [T2.point(0, 0), T2.point(Fraction(1, 3), 0),
+                                       T2.point(Fraction(1, 4), Fraction(3, 4))]),
+                      [Fraction(1, 20), Fraction(2, 5), Fraction(4, 5)]),
+    "word-cyclic30": (MetricCloud(C30_WORD, [0, 1, 2, 7, 15]),
+                      [1, Fraction(3, 2), 2, Fraction(7, 2)]),
+    "quaternion-haar": (MetricCloud(QUAT, QUAT.haar_points(4, seed=5)),
+                        [0.05, 0.5, 1.0, 2.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENERGY_CASES))
+def test_approx_energy_matches_the_reference_loop(case):
+    cloud, radii = ENERGY_CASES[case]
+    merged = set()
+    for eps in radii:
+        net, quads = reference_approx_energy(cloud, cloud, eps)
+        assert approx_energy(cloud, cloud, eps) == net
+        merged.add(net < quads)
+    # every case has a radius where some quadruples share a net point
+    # and one where each near-collision quadruple is its own net point
+    assert merged == {True, False}
+
+
 # ----------------------------------------------------------- arc measure
 
 def test_arc_measure_single_point():
@@ -293,13 +352,13 @@ def test_arc_measure_ten_point_run():
 # ------------------------------------------------------------- profiles
 
 def test_torus_profile_hard_rows():
-    rep = metric_profile_check(T1, seed=7, mc_samples=2000)
+    rep = metric_profile_check(T1, seed=7)
     assert rep.hard_ok
 
 
 def test_word_profile_hard_rows():
     g = construct_group("cyclic(60)")
-    rep = metric_profile_check(WordMetricGroup(g, [1, 7]), seed=7, mc_samples=2000)
+    rep = metric_profile_check(WordMetricGroup(g, [1, 7]), seed=7)
     assert rep.hard_ok
 
 
@@ -308,6 +367,20 @@ def test_quaternion_profile_hard_rows():
     # depth, so this one runs the full Monte-Carlo
     rep = metric_profile_check(QuaternionGroup(), seed=1729)
     assert rep.hard_ok
+
+
+CLI_CARRIERS = ["torus1", "torus2", "torus3", "quaternion", "word:cyclic(30):1,7"]
+
+
+@pytest.mark.parametrize("carrier", CLI_CARRIERS)
+def test_every_cli_carrier_profile_hard_rows(carrier):
+    assert metric_profile_check(cli._entropy_carrier(carrier)).hard_ok
+
+
+@pytest.mark.parametrize("carrier", CLI_CARRIERS)
+def test_every_cli_carrier_sweeps(carrier, capsys):
+    assert cli.main(["entropy", "sweep", "--carrier", carrier]) == 0
+    assert "[hard]" in capsys.readouterr().out
 
 
 def test_tripling_check_on_an_arc():

@@ -1,5 +1,5 @@
 """Exact-arithmetic helpers: rational coercion, integer square roots, and
-the fixed-width number formatter."""
+the one value renderer behind report cells and ledger lines."""
 
 from fractions import Fraction
 
@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from setgrowth.exact import (
     ceil_isqrt,
     ceil_sqrt_frac,
-    fmt_number,
     frac,
+    render_value,
 )
+from setgrowth.structure import ConstantLedger
 
 
 def test_frac_accepts_common_inputs():
@@ -42,20 +43,16 @@ def test_ceil_sqrt_frac_upper_bounds_the_root(q):
     assert r * r >= q
 
 
-def test_fmt_number_small_values_verbatim():
-    assert fmt_number(12) == "12"
-    assert fmt_number(Fraction(7, 3)) == "7/3"
-    assert fmt_number(0.125) == "0.125"
-    assert fmt_number(Fraction(4, 2)) == "2"
-
-
-def test_fmt_number_huge_values_become_scientific():
-    text = fmt_number(3**1000)
-    assert text.startswith("~")
-    assert "e" in text
-    assert len(text) < 40
-
-
-def test_fmt_number_huge_fraction():
-    text = fmt_number(Fraction(3**1000, 7))
-    assert text.startswith("~")
+def test_ledger_line_renders_sides_like_the_report_cells():
+    big = 3**127  # 202 bits
+    led = ConstantLedger("unit")
+    led.compare("huge-bound", 5, "<=", big)
+    led.compare("huge-fraction", Fraction(big, 7), ">=", Fraction(1, 3))
+    led.info("flag", True)
+    led.claim("verdict", True, lhs=False, rhs=big)
+    for row in led.rows:
+        line = row.line()
+        for side in (row.lhs, row.rhs):
+            assert render_value(side) in line, (side, line)
+    assert str(big) in led.rows[0].line()
+    assert led.rows[2].line() == "[info] flag: true"
