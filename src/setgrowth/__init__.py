@@ -23,7 +23,6 @@ from .groups import (
     DihedralGroup,
     DirectProductGroup,
     FiniteGroup,
-    GroupSpec,
     NormalSubgroupView,
     NotNormalError,
     QuotientGroup,

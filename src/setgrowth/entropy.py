@@ -400,7 +400,7 @@ def separated_set(cloud: MetricCloud, eps) -> tuple:
     return tuple(_greedy_separated(cloud.group, cloud.points, e))
 
 
-def approx_energy(a: MetricCloud, b: MetricCloud, eps, cap: int = PAIR_CAP) -> int:
+def approx_energy(a: MetricCloud, b: MetricCloud, eps) -> int:
     """Greedy eps-net count of the near-collision product quadruples.
 
     A quadruple (a, b, a', b') qualifies when d(a*b, a'*b') <= eps, and
@@ -413,9 +413,9 @@ def approx_energy(a: MetricCloud, b: MetricCloud, eps, cap: int = PAIR_CAP) -> i
         raise ValueError("clouds live on different metric groups")
     g = a.group
     e = g.as_eps(eps)
-    if len(a) * len(b) > cap:
+    if len(a) * len(b) > PAIR_CAP:
         raise ValueError(
-            "pair count %d exceeds cap %d" % (len(a) * len(b), cap)
+            "pair count %d exceeds cap %d" % (len(a) * len(b), PAIR_CAP)
         )
     pairs = [(x, y, g.mul(x, y)) for x in a.points for y in b.points]
     net = []
@@ -432,8 +432,6 @@ def approx_energy(a: MetricCloud, b: MetricCloud, eps, cap: int = PAIR_CAP) -> i
 class EntropyRow:
     eps: object
     covering: int
-    separated: int
-    half_covering: int
     double_covering: int
 
     @property
@@ -444,10 +442,8 @@ class EntropyRow:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Per-radius net and separation counts over an ascending grid."""
+    """Per-radius net counts over an ascending grid."""
 
-    group_name: str
-    cloud_size: int
     rows: tuple
     ledger: ConstantLedger
 
@@ -465,7 +461,7 @@ def build_entropy_report(cloud: MetricCloud, eps_grid) -> EntropyReport:
         sep = len(separated_set(cloud, e))
         half = covering_number(cloud, e / 2).count
         dbl = covering_number(cloud, 2 * e).count
-        rows.append(EntropyRow(e, cov, sep, half, dbl))
+        rows.append(EntropyRow(e, cov, dbl))
         led.compare(
             "sandwich-low-%d" % i,
             cov,
@@ -488,7 +484,7 @@ def build_entropy_report(cloud: MetricCloud, eps_grid) -> EntropyReport:
             rows[i - 1].covering,
             formula="net count non-increasing in the radius",
         )
-    return EntropyReport(cloud.group.name, len(cloud), tuple(rows), led)
+    return EntropyReport(tuple(rows), led)
 
 
 def arc_union_measure(points, eps) -> Fraction:
@@ -527,8 +523,6 @@ def arc_union_measure(points, eps) -> Fraction:
 
 @dataclass(frozen=True)
 class ProfileReport:
-    group_name: str
-    cloud_size: int
     entropy: EntropyReport
     ledger: ConstantLedger
 
@@ -738,7 +732,7 @@ def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ProfileReport:
     _scale_ratio_rows(group, report, led)
     if isinstance(group, TorusGroup) and group.dim == 1:
         _arc_measure_rows(group, cloud, report, led)
-    return ProfileReport(group.name, len(cloud), report, led)
+    return ProfileReport(report, led)
 
 
 def _sorted_products(group, xs, ys):
@@ -748,13 +742,9 @@ def _sorted_products(group, xs, ys):
 
 @dataclass(frozen=True)
 class TriplingEntropyReport:
-    group_name: str
-    base_count: int
     net_base: int
     net_cubed: int
     measured_tripling: Fraction
-    candidate_count: int
-    net_candidate: int
     ledger: ConstantLedger
 
     @property
@@ -762,15 +752,13 @@ class TriplingEntropyReport:
         return self.ledger.hard_ok
 
 
-def entropy_tripling_check(
-    cloud: MetricCloud, eps, cap: int = PRODUCT_CAP
-) -> TriplingEntropyReport:
+def entropy_tripling_check(cloud: MetricCloud, eps) -> TriplingEntropyReport:
     """Measure net growth under triple products and audit a coarse
     containing candidate.
 
     The triple product is formed pointwise with a half-radius thinning
-    after each multiplication, capped at ``cap`` surviving points.  The
-    candidate set joins the base cloud (scanned first, so its points
+    after each multiplication, capped at ``PRODUCT_CAP`` surviving points.
+    The candidate set joins the base cloud (scanned first, so its points
     dominate the thinning) with the thinned triple product; by
     construction every base point lies within eps/2 of it, which is the
     hard containment row.  Size rows are measured constants, reported
@@ -783,16 +771,16 @@ def entropy_tripling_check(
     if len(base) * len(base) > _RAW_PRODUCT_CAP:
         raise ValueError("square of the cloud exceeds the raw product cap")
     squared = _greedy_separated(g, _sorted_products(g, base, base), half)
-    if len(squared) > cap:
+    if len(squared) > PRODUCT_CAP:
         raise ValueError(
-            "thinned square has %d points, cap %d" % (len(squared), cap)
+            "thinned square has %d points, cap %d" % (len(squared), PRODUCT_CAP)
         )
     if len(squared) * len(base) > _RAW_PRODUCT_CAP:
         raise ValueError("cube of the cloud exceeds the raw product cap")
     cubed = _greedy_separated(g, _sorted_products(g, squared, base), half)
-    if len(cubed) > cap:
+    if len(cubed) > PRODUCT_CAP:
         raise ValueError(
-            "thinned cube has %d points, cap %d" % (len(cubed), cap)
+            "thinned cube has %d points, cap %d" % (len(cubed), PRODUCT_CAP)
         )
     led = ConstantLedger("entropy-tripling")
     net_base = covering_number(cloud, e).count
@@ -825,13 +813,4 @@ def entropy_tripling_check(
         Fraction(net_candidate, net_base),
         note="net(candidate)/net(base), measured",
     )
-    return TriplingEntropyReport(
-        g.name,
-        len(base),
-        net_base,
-        net_cubed,
-        measured,
-        len(candidate),
-        net_candidate,
-        led,
-    )
+    return TriplingEntropyReport(net_base, net_cubed, measured, led)

@@ -386,24 +386,15 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# GroupSpec text grammar (see docs/formats.md)
+# Group spec text grammar (see docs/formats.md)
 
-@dataclass(frozen=True)
-class GroupSpec:
-    text: str
-
-    def __str__(self):
-        return self.text
-
-
-def construct_group(spec) -> FiniteGroup:
-    """Build the group named by a GroupSpec or its text form.
+def construct_group(text: str) -> FiniteGroup:
+    """Build the group named by a spec text.
 
     Grammar: cyclic(n) | dihedral(n) | symmetric(n) | sl2(p)
            | direct_product(spec,spec,...)
            | heisenberg(z=Zp^k,p=P;w=Zp^m,p=P;pairing=symplectic|zero)
     """
-    text = spec.text if isinstance(spec, GroupSpec) else str(spec)
     text = text.strip()
     head, args = _split_call(text)
     if head == "cyclic":

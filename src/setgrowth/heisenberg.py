@@ -748,7 +748,6 @@ class AbelianApproxWitness:
     a_tilde: MSet
     x_tilde: MSet
     k_measured: int
-    f: dict[int, int]
     b_prime: MSet
     b_tilde: MSet
     a_prime: MSet
@@ -929,7 +928,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     ledger.check()
     return AbelianApproxWitness(
         heisen=g, a_tilde=a_tilde, x_tilde=x_tilde, k_measured=x_tilde.size,
-        f=f, b_prime=b_prime, b_tilde=b_tilde, a_prime=a_prime,
+        b_prime=b_prime, b_tilde=b_tilde, a_prime=a_prime,
         split=split, ledger=ledger,
     )
 

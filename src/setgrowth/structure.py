@@ -5,15 +5,9 @@ All set arithmetic is on the array path: covers and cores scan translates
 in ``mul_outer`` calls over the row blocks that ``groups._row_blocks`` sets.
 ``tripling_chain`` forms one product per distinct (set, sign), exact because
 a product depends only on its two operand sets (MSets hash by their ids);
-``approx_group_from_tripling`` takes all powers of H0 from one chain.
-
-``classify_small_doubling`` forms each product of its pipeline once, with
-no memo: it hands its A⁻¹ and A·A⁻¹ to the symmetric core, and its one
-chain of H0 = S ∪ {1} ∪ S⁻¹ gives both H = S³ and, through the witness
-step, the tripling hypothesis |S³| and every power of H0 (S is symmetric
-and holds 1, so H0 = S).  The witness's H is then the very set read as
-S³, so its ``witness-h-match`` row holds by construction.  Once A·Sⁿ or a
-power reaches the whole group, ``product_set`` forms nothing further.
+``approx_group_from_tripling`` takes all powers of H0 from one chain, and
+``classify_small_doubling`` reads A·A⁻¹ and H off the results of the core
+and witness steps.
 
 Every quantitative conclusion is recorded as a ledger row holding the exact
 integers (or rationals) on both sides of the inequality, so a suite run can
@@ -36,6 +30,7 @@ from .constants import (
     CLASSIFY_A_COVER_EXP,
     CLASSIFY_B_COVER_CONST,
     CLASSIFY_B_COVER_EXP,
+    CLASSIFY_CORE_DOUBLING_EXP,
     CLASSIFY_H_CONST,
     CLASSIFY_H_EXP,
     CLASSIFY_S_TRIPLING_CONST,
@@ -201,10 +196,6 @@ class ApproxGroupWitness:
     violations: tuple[str, ...]
 
     @property
-    def group(self):
-        return self.h.group
-
-    @property
     def verified(self) -> bool:
         return all(ok for _, ok in self.checks)
 
@@ -259,31 +250,16 @@ def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger,
                      formula=f"H^{n} subset X^{n - 1}·H")
 
 
-def _power_chain(h0: MSet) -> dict[int, MSet]:
-    """H0, H0², …, H0¹², keyed by exponent."""
-    return dict(enumerate(ascending_powers(h0, 12), start=1))
-
-
-def _cube(a: MSet, h0: MSet, pows: dict[int, MSet]) -> MSet:
-    """A³, read from the power chain of H0 = symmetrize(A) when H0 = A."""
-    return pows[3] if h0 == a else power_set(a, 3)
-
-
 def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, ConstantLedger]:
     """Build the covering pair (H, X) with H = (A ∪ {1} ∪ A⁻¹)³ from the
-    tripling hypothesis |A³| ≤ K|A|."""
-    h0 = symmetrize(a)
-    return _approx_group_from_chain(a, k, h0, _power_chain(h0))
-
-
-def _approx_group_from_chain(a: MSet, k, h0: MSet, pows: dict[int, MSet]
-                             ) -> tuple[ApproxGroupWitness, ConstantLedger]:
-    """approx_group_from_tripling with H0 = symmetrize(A) and its power
-    chain pows already formed."""
+    tripling hypothesis |A³| ≤ K|A|.  Every power of H0 = A ∪ {1} ∪ A⁻¹
+    comes from one chain, which also gives A³ when H0 = A."""
     k = frac(k)
     ledger = ConstantLedger("approx_group_from_tripling")
+    h0 = symmetrize(a)
+    pows = dict(enumerate(ascending_powers(h0, 12), start=1))
     symmetric_input = h0 == a
-    a3 = _cube(a, h0, pows)
+    a3 = pows[3] if symmetric_input else power_set(a, 3)
     ok = ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
                         formula="|A^3| <= K|A|")
     if not ok:
@@ -334,15 +310,15 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
     if not 1 <= n <= 6:
         raise ValueError("chain length must be between 1 and 6")
     ledger = ConstantLedger("tripling_chain")
-    a3 = power_set(a, 3)
+    factor = {1: a, -1: inverse_set(a)}
+    times = cache(lambda s, sign: product_set(s, factor[sign]))
+    a3 = times(times(a, 1), 1)
     ok = ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
                         formula="|A^3| <= K|A|")
     if not ok:
         raise ValueError(
             f"tripling hypothesis fails: |A^3|/|A| = {a3.size}/{a.size} > K = {k}")
-    factor = {1: a, -1: inverse_set(a)}
     level: dict[tuple, MSet] = {(1,): factor[1], (-1,): factor[-1]}
-    times = cache(lambda s, sign: product_set(s, factor[sign]))
     bound = cache(lambda e: k ** e * a.size)
     overall_max = 0
     for length in range(1, n + 1):
@@ -372,29 +348,19 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
 
 @dataclass(frozen=True)
 class SymmetricCore:
-    """High-overlap translate set S of a small-doubling set A."""
+    """High-overlap translate set S of a small-doubling set A, with the
+    difference set A·A⁻¹ that its hypothesis measures."""
 
     s: MSet
-    source: MSet
-    k: Fraction
-    threshold: Fraction  # membership needs |A ∩ A·x| strictly above this
-
-    @property
-    def group(self):
-        return self.s.group
+    difference: MSet
 
 
 def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantLedger]:
     """S := {x : 2K|A ∩ A·x| > |A|} under the hypothesis |A·A⁻¹| ≤ K|A|."""
-    a_inv = inverse_set(a)
-    return _symmetric_core(a, k, n_max, a_inv, product_set(a, a_inv))
-
-
-def _symmetric_core(a: MSet, k, n_max: int, a_inv: MSet, aa_inv: MSet
-                    ) -> tuple[SymmetricCore, ConstantLedger]:
-    """symmetric_core with A⁻¹ and A·A⁻¹ already formed."""
     k = frac(k)
     ledger = ConstantLedger("symmetric_core")
+    a_inv = inverse_set(a)
+    aa_inv = product_set(a, a_inv)
     ok = ledger.compare("doubling-hypothesis", aa_inv.size, "<=", k * a.size,
                         formula="|A·A^-1| <= K|A|")
     if not ok:
@@ -407,7 +373,6 @@ def _symmetric_core(a: MSet, k, n_max: int, a_inv: MSet, aa_inv: MSet
                for x, overlap in zip(block.tolist(), a_mask[rows].sum(axis=1).tolist())
                if 2 * p * overlap > q * a.size]
     s = MSet.from_ids(a.group, members)
-    core = SymmetricCore(s, a, k, Fraction(a.size) / (2 * k))
 
     ledger.claim("core-identity", s.contains_identity(), formula="1 in S")
     ledger.claim("core-symmetric", s.is_symmetric(), formula="S = S^-1")
@@ -421,7 +386,7 @@ def _symmetric_core(a: MSet, k, n_max: int, a_inv: MSet, aa_inv: MSet
         ledger.compare(f"growth-n={n}", grown.size, "<=",
                        2**n * k ** (2 * n + 1) * a.size,
                        formula=f"2^{n} K^{2 * n + 1}|A|")
-    return core, ledger.check()
+    return SymmetricCore(s, aa_inv), ledger.check()
 
 
 def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MSet, ConstantLedger]:
@@ -444,30 +409,24 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
             f"K^2|A||B| = {k**2 * a.size * b.size}")
     ledger.compare("k-at-least-one", Fraction(1), "<=", k, formula="K >= 1")
 
-    a_inv = inverse_set(a)
-    aa_inv = product_set(a, a_inv)
-    ledger.compare("a-self-doubling", aa_inv.size, "<=", k**2 * a.size,
-                   formula="|A·A^-1| <= K^2|A|")
-
-    core, core_ledger = _symmetric_core(a, k**2, 3, a_inv, aa_inv)
-    ledger.merge(core_ledger, "core.")
+    core_k = k**CLASSIFY_CORE_DOUBLING_EXP
+    s_k = CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP
+    core, core_ledger = symmetric_core(a, core_k)
     s = core.s
-    h0 = symmetrize(s)
-    pows = _power_chain(h0)
-    h = _cube(s, h0, pows)
+    wit, wit_ledger = approx_group_from_tripling(s, s_k)
+    h = wit.h
+    ledger.compare("a-self-doubling", core.difference.size, "<=", core_k * a.size,
+                   formula=f"|A·A^-1| <= K^{CLASSIFY_CORE_DOUBLING_EXP}|A|")
+    ledger.merge(core_ledger, "core.")
     ledger.compare("h-size", h.size, "<=",
                    CLASSIFY_H_CONST * k**CLASSIFY_H_EXP * a.size,
                    formula=f"{CLASSIFY_H_CONST} K^{CLASSIFY_H_EXP}|A|")
-    ledger.compare("s-tripling", h.size, "<=",
-                   CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP * s.size,
+    ledger.compare("s-tripling", h.size, "<=", s_k * s.size,
                    formula=f"{CLASSIFY_S_TRIPLING_CONST} K^{CLASSIFY_S_TRIPLING_EXP}|S|")
-
-    wit, wit_ledger = _approx_group_from_chain(
-        s, CLASSIFY_S_TRIPLING_CONST * k**CLASSIFY_S_TRIPLING_EXP, h0, pows)
     ledger.merge(wit_ledger, "witness.")
-    # when S = symmetrize(S), wit.h and h are both pows[3]: the row holds by
-    # construction
-    ledger.claim("witness-h-match", wit.h == h, lhs=wit.h.size, rhs=h.size,
+    # the witness's H is (S u {1} u S^-1)^3, which is S^3 exactly when S is
+    # its own symmetric hull
+    ledger.claim("witness-h-match", symmetrize(s) == s, lhs=h.size, rhs=h.size,
                  formula="(S u {1} u S^-1)^3 = S^3")
 
     ah = product_set(a, h)

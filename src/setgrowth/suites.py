@@ -219,6 +219,15 @@ class SuiteConfig:
     out: str | None = None
 
 
+# key: (parser, range check, what the range is in words)
+_NUMBER_KEYS = {
+    "epsilon": (frac, lambda v: 0 < v < 1, "a rational in (0,1)"),
+    "n": (int, lambda v: v >= 1, "an integer >= 1"),
+    "seed": (int, lambda v: True, "an integer"),
+    "count": (int, lambda v: v >= 0, "an integer >= 0"),
+}
+
+
 def parse_suite_config(text: str) -> SuiteConfig:
     """Flat key-value grammar: optional top-level `out = dir`, then repeated
     `[suite]` sections with name/groups/families/epsilon/n/seed/count."""
@@ -263,10 +272,16 @@ def parse_suite_config(text: str) -> SuiteConfig:
             current["groups"] = tuple(_split_top_level(value, ","))
         elif key == "families":
             current["families"] = tuple(_split_top_level(value, ";"))
-        elif key == "epsilon":
-            current[key] = frac(value)
-        elif key in ("n", "seed", "count"):
-            current[key] = int(value)
+        elif key in _NUMBER_KEYS:
+            parse, ok, expected = _NUMBER_KEYS[key]
+            try:
+                number = parse(value)
+            except (ValueError, ZeroDivisionError):
+                number = None
+            if number is None or not ok(number):
+                raise ValueError(
+                    f"line {lineno}: {key} must be {expected}, got {value!r}")
+            current[key] = number
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     flush()

@@ -215,6 +215,24 @@ def test_parse_rejects_bad_lines():
         parse_suite_config("[suite]\ngroups = cyclic(4)\n")
 
 
+@pytest.mark.parametrize("line", [
+    "n = 0", "n = x", "count = -5", "seed = 1.5",
+    "epsilon = 3/2", "epsilon = 0", "epsilon = 1", "epsilon = 1/0",
+])
+def test_parse_rejects_bad_values_with_their_line(line):
+    key = line.split()[0]
+    text = f"[suite]\nname = weak-bsg\n\n{line}\n"
+    with pytest.raises(ValueError, match=f"^line 4: {key} must be "):
+        parse_suite_config(text)
+
+
+def test_parse_keeps_values_at_the_edges():
+    job, = parse_suite_config(
+        "[suite]\nname = tripling\nn = 9\ncount = 0\nepsilon = 0.25\n"
+        "seed = -3\n").jobs
+    assert (job.n, job.count, job.epsilon, job.seed) == (9, 0, Fraction(1, 4), -3)
+
+
 def test_parse_rejects_k_key():
     with pytest.raises(ValueError, match="unknown key 'k'"):
         parse_suite_config("[suite]\nname = bsg\nk = 2\n")

@@ -574,6 +574,46 @@ def test_tripling_chain_forms_one_product_per_distinct_set_and_sign(monkeypatch)
     assert len(calls) == len(set(calls)) == 40
 
 
+def test_tripling_chain_takes_the_hypothesis_cube_from_its_chain(monkeypatch):
+    # the hypothesis |A^3| reads A·A and A²·A from the chain's own (set,
+    # sign) products, so the 40 chain products are all the chain forms
+    real = setops._product_bits
+    calls = []
+
+    def counted(group, xs, ys):
+        calls.append(1)
+        return real(group, xs, ys)
+
+    a = MSet.from_ids(G100, [0, 1])
+    k = measured_tripling(a)
+    monkeypatch.setattr(setops, "_product_bits", counted)
+    led = tripling_chain(a, k, n=6)
+    assert led.hard_ok
+    assert len(calls) == 40
+
+
+def test_classify_runs_the_public_core_and_witness_steps_once(monkeypatch):
+    a = MSet.from_ids(G100, range(10))
+    calls = {"symmetric_core": [], "approx_group_from_tripling": []}
+    for name, seen in calls.items():
+        step = getattr(structure, name)
+
+        def counted(*args, _step=step, _seen=seen, **kwargs):
+            result = _step(*args, **kwargs)
+            _seen.append(result)
+            return result
+
+        monkeypatch.setattr(structure, name, counted)
+    wit, _, led = classify_small_doubling(a, a, Fraction(19, 10))
+    assert led.hard_ok
+    assert [len(seen) for seen in calls.values()] == [1, 1]
+    (core, _), = calls["symmetric_core"]
+    assert core.difference == product_set(a, inverse_set(a))
+    assert calls["approx_group_from_tripling"][0][0] is wit
+    rows = {r.name: r for r in led.rows}
+    assert rows["a-self-doubling"].lhs == core.difference.size
+
+
 def test_cover_spanning_several_blocks_matches_reference_loop():
     rng = random.Random(7)
     a = MSet.from_ids(S7, rng.sample(range(S7.order), 150))
