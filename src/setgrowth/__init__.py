@@ -41,12 +41,10 @@ from .setops import (
     energy,
     energy_quadruple_count,
     inverse_set,
-    iterated_product,
     partial_product,
     power_set,
     product_set,
     ruzsa_distance,
-    ruzsa_triangle_holds,
     symmetrize,
     translate_left,
     translate_right,
@@ -102,7 +100,6 @@ from .heisenberg import (
     parse_pairing_spec,
     split_approximate,
     verify_inverse_converse,
-    verify_subgroup_sandwich,
 )
 from .suites import (
     Report,

@@ -31,6 +31,7 @@ from .suites import (
     parse_suite_config,
     run_named_suite,
     run_suite,
+    _emit_cells,
     _energy_k,
 )
 
@@ -41,9 +42,13 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
                    help="report format when --out is given")
 
 
-def _emit(report: Report, args) -> None:
+def _emit(report: Report, args, cells=None) -> None:
+    """Write the report when --out is given; cells, when given, are the
+    report's rows already rendered in sorted order."""
     if args.out:
-        for path in emit_report(report, args.format, args.out):
+        paths = (emit_report(report, args.format, args.out) if cells is None
+                 else _emit_cells(report, cells, args.format, args.out))
+        for path in paths:
             print(f"wrote {path}")
 
 
@@ -85,14 +90,14 @@ def _cmd_verify(args) -> int:
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
     report = run_named_suite(args.suite, seed=_base_seed(args))
-    for row in report.sorted_rows():
-        module, operation, _, name, _, lhs, rel, rhs, status, _ = row.cells()
+    cells = [row.cells() for row in report.sorted_rows()]
+    for module, operation, _, name, _, lhs, rel, rhs, status, _ in cells:
         print(f"[{status}] {module}/{operation}: {name}"
               + (f" [{lhs} {rel} {rhs}]" if rel else ""))
     summary = report.summary()
     print(f"rows: {summary['total']}  hard failures: "
           f"{summary['hard_failures']}")
-    _emit(report, args)
+    _emit(report, args, cells)
     return report.exit_code()
 
 

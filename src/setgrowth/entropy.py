@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import FiniteGroup, _cayley_levels
+from .groups import FiniteGroup, _cayley_levels, _row_blocks
 from .structure import ConstantLedger
 
 DEFAULT_SEED = 1729
@@ -228,16 +228,22 @@ class QuaternionGroup:
     def ball_fractions(self, radii, seed: int):
         """Haar fractions of chordal balls about the identity.
 
-        One fixed-seed batch of MC_SAMPLES points serves every radius, so
-        ratios of the returned values share their sampling noise.
+        One fixed-seed sample of MC_SAMPLES points serves every radius, so
+        ratios of the returned values share their sampling noise.  It is
+        drawn and counted in the _row_blocks of an MC_SAMPLES x 4 sweep: the
+        generator's stream and each point's distance do not depend on the
+        block boundaries, so the counts equal those of one batch.
         """
         rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(MC_SAMPLES, 4))
-        norms = np.linalg.norm(raw, axis=1)
-        unit = raw / norms[:, None]
-        unit[:, 0] -= 1.0
-        dist = np.linalg.norm(unit, axis=1)
-        return [float(np.count_nonzero(dist < r)) / MC_SAMPLES for r in radii]
+        hits = [0] * len(radii)
+        for rows in _row_blocks(MC_SAMPLES, 4):
+            raw = rng.normal(size=(rows.stop - rows.start, 4))
+            unit = raw / np.linalg.norm(raw, axis=1)[:, None]
+            unit[:, 0] -= 1.0
+            dist = np.linalg.norm(unit, axis=1)
+            for i, r in enumerate(radii):
+                hits[i] += int(np.count_nonzero(dist < r))
+        return [float(h) / MC_SAMPLES for h in hits]
 
 
 class WordMetricGroup:

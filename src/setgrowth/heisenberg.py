@@ -41,7 +41,6 @@ from .groups import (
     _product_blocks,
     _row_blocks,
     _sampled,
-    subgroup_closure,
     verify_group_axioms,
 )
 from .setops import (
@@ -1034,40 +1033,3 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
     ledger.compare("order-product", a.size, "==", c.size * b.size,
                    formula="|A| = |C||B|")
     return ExactSplit(view=h, b=b, c=c, phi=phi, ledger=ledger)
-
-
-# ---------------------------------------------------------------------------
-# Genuine subgroups of a Heisenberg group against their additive shadows
-
-def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
-    """For a genuine subgroup A of a Heisenberg group, build the additive
-    set Atilde = iota(A) + <{C,C}> with C the horizontal shadow of A, and
-    verify that Atilde is an additive subgroup absorbing its own pairing
-    hull, that iota(A) sits inside it, and that its dilate {2x} falls back
-    inside iota(A)."""
-    g = a.group
-    if not isinstance(g, HeisenbergGroup):
-        raise TypeError("the sandwich check expects a Heisenberg group subset")
-    _require_subgroup(a)
-    wg = g.w_additive
-    ag = g.additive_group()
-    shadow = sorted({g.z_of(x) for x in a.ids()})
-    gen = np.flatnonzero(_pairing_image(g, shadow))
-    hull_ids = subgroup_closure(wg, [0, *gen.tolist()])
-    hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
-    tilde = product_set(MSet(ag, a.bits), hull)
-
-    ledger = ConstantLedger("subgroup-sandwich")
-    ledger.claim("pairing-hull-absorbed", product_set(tilde, hull) == tilde,
-                 formula="Atilde + <{C,C}> = Atilde")
-    closed = product_set(tilde, tilde) == tilde and inverse_set(tilde) == tilde
-    ledger.claim("candidate-additive-subgroup", closed,
-                 lhs=tilde.size, formula="Atilde is an additive subgroup")
-    ledger.claim("upper-inclusion", a.bits & ~tilde.bits == 0,
-                 lhs=a.size, rhs=tilde.size,
-                 formula="iota(A) inside Atilde")
-    ledger.claim("lower-inclusion", _dilate(tilde).bits & ~a.bits == 0,
-                 lhs=tilde.size, rhs=a.size,
-                 formula="2.Atilde inside iota(A)")
-    ledger.check()
-    return ledger

@@ -17,7 +17,6 @@ power chain reaches G, every further power is free.  All derived values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -177,24 +176,6 @@ def inverse_set(a: MSet) -> MSet:
     return MSet(g, _mask_bits(_ids_mask(g, g.inv_array(a.id_array()))))
 
 
-def iterated_product(a: MSet, signs) -> MSet:
-    """A^{s1} * A^{s2} * ... for signs si in {+1, -1}, any number of
-    factors: each partial product is a subset of the group."""
-    signs = list(signs)
-    if not signs:
-        raise ValueError("signs must be nonempty")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    ainv = None
-    out = None
-    for s in signs:
-        if s == -1 and ainv is None:
-            ainv = inverse_set(a)
-        factor = a if s == 1 else ainv
-        out = factor if out is None else product_set(out, factor)
-    return out
-
-
 def ascending_powers(a: MSet, top: int):
     """Yield A, A^2, ..., A^top by repeated right products.  Once
     A^{n+1} = A^n the chain has stabilized, so every later power is that
@@ -343,12 +324,6 @@ class RuzsaDistanceValue:
 def ruzsa_distance(a: MSet, b: MSet) -> RuzsaDistanceValue:
     num = product_set(a, inverse_set(b)).size
     return RuzsaDistanceValue(num, a.size, b.size)
-
-
-def ruzsa_triangle_holds(a: MSet, b: MSet, c: MSet) -> bool:
-    """d(A,C) <= d(A,B) + d(B,C)."""
-    return ruzsa_triangle_cleared(
-        ruzsa_distance(a, b), ruzsa_distance(b, c), ruzsa_distance(a, c))
 
 
 def ruzsa_triangle_cleared(d_ab: RuzsaDistanceValue, d_bc: RuzsaDistanceValue,

@@ -2,24 +2,25 @@
 
 A SuiteConfig names jobs; run_suite executes them and places every check,
 as the ledger's own exact LedgerRow, in a Report; emit_report renders each
-row once and writes byte-stable CSV and JSON.  Hard rows are exact paper
-inequalities and fail the exit code; soft rows are hypothesis checks that
-gate a pipeline; info rows are measured constants and never fail anything.
+row once and streams it into byte-stable CSV and JSON.  Hard rows are
+exact paper inequalities and fail the exit code; soft rows are hypothesis
+checks that gate a pipeline; info rows are measured constants and never
+fail anything.
 Every randomized choice draws from a Random seeded by (job seed, group,
 purpose) strings, so identical configs give identical reports.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import itertools
-import json
 import os
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import heisenberg as hb
 from .bsg import bsg_extract, energy_equivalences, weak_bsg
@@ -161,6 +162,65 @@ class Report:
         return counts
 
 
+class _CsvRows:
+    """The CSV report on fh, header first, one line per writerow."""
+
+    def __init__(self, fh, report: Report):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        self.writerow = writer.writerow
+
+    def close(self) -> None:
+        pass
+
+
+# One row object as json.dumps(..., indent=2, sort_keys=True) lays it out:
+# keys in sorted order, every cell a string but seq.
+_JSON_ROW = """    {
+      "kind": %s,
+      "lhs": %s,
+      "module": %s,
+      "name": %s,
+      "note": %s,
+      "operation": %s,
+      "rel": %s,
+      "rhs": %s,
+      "seq": %d,
+      "status": %s
+    }"""
+
+
+class _JsonRows:
+    """The JSON report on fh, byte for byte what
+    json.dumps({"title", "summary", "rows"}, indent=2, sort_keys=True)
+    writes, one row object per writerow; close writes the summary and
+    title that sort after the rows."""
+
+    def __init__(self, fh, report: Report):
+        self._fh = fh
+        self._report = report
+        self._sep = "\n"
+        fh.write('{\n  "rows": [')
+
+    def writerow(self, cells) -> None:
+        module, operation, seq, name, kind, lhs, rel, rhs, status, note = cells
+        enc = encode_basestring_ascii
+        self._fh.write(self._sep + _JSON_ROW % (
+            enc(kind), enc(lhs), enc(module), enc(name), enc(note),
+            enc(operation), enc(rel), enc(rhs), seq, enc(status)))
+        self._sep = ",\n"
+
+    def close(self) -> None:
+        summary = ",\n".join(f'    "{k}": {v}'
+                             for k, v in sorted(self._report.summary().items()))
+        self._fh.write("]" if self._sep == "\n" else "\n  ]")
+        self._fh.write(',\n  "summary": {\n%s\n  },\n  "title": %s\n}\n'
+                       % (summary, encode_basestring_ascii(self._report.title)))
+
+
+_WRITERS = {"csv": _CsvRows, "json": _JsonRows}
+
+
 def emit_report(report: Report, format: str = "csv",
                 out: str | None = None) -> list[str]:
     """Write the report in the named format ("csv", "json", or "both").
@@ -169,6 +229,14 @@ def emit_report(report: Report, format: str = "csv",
     (module, operation, seq, name), each rendered once by ReportRow.cells
     for every format.  Returns the list of written paths.
     """
+    return _emit_cells(report, map(ReportRow.cells, report.sorted_rows()),
+                       format, out)
+
+
+def _emit_cells(report: Report, cells, format: str,
+                out: str | None) -> list[str]:
+    """emit_report from the report's cells, already rendered in sorted
+    order: one pass over them feeds every format's file as it goes."""
     if format not in ("csv", "json", "both"):
         raise ValueError(f"unknown report format {format!r}")
     formats = ("csv", "json") if format == "both" else (format,)
@@ -176,26 +244,17 @@ def emit_report(report: Report, format: str = "csv",
     os.makedirs(out_dir, exist_ok=True)
     slug = "".join(c if c.isalnum() or c == "-" else "-"
                    for c in report.title.lower()) or "report"
-    cells = [r.cells() for r in report.sorted_rows()]
-    paths = []
-    for fmt in formats:
-        path = os.path.join(out_dir, f"{slug}.{fmt}")
-        if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            writer.writerows(cells)
-            payload = buf.getvalue()
-        else:
-            obj = {
-                "title": report.title,
-                "summary": report.summary(),
-                "rows": [dict(zip(CSV_HEADER, c)) for c in cells],
-            }
-            payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        paths.append(path)
+    paths = [os.path.join(out_dir, f"{slug}.{fmt}") for fmt in formats]
+    with contextlib.ExitStack() as stack:
+        writers = [
+            _WRITERS[fmt](stack.enter_context(
+                open(path, "w", encoding="utf-8", newline="")), report)
+            for fmt, path in zip(formats, paths)]
+        for row in cells:
+            for writer in writers:
+                writer.writerow(row)
+        for writer in writers:
+            writer.close()
     return paths
 
 
@@ -946,7 +1005,8 @@ def default_config(names=SUITE_NAMES, out: str | None = None) -> SuiteConfig:
 
 def run_suite(config: SuiteConfig) -> Report:
     """Execute every job in the config and merge the rows.  A job with no
-    groups runs on its suite's default groups, families and count."""
+    groups runs on its suite's default groups and families, and a job
+    with no count (or count 0) on its suite's default count."""
     names = [job.name for job in config.jobs]
     if not names:
         title = "suite-empty"
@@ -959,9 +1019,9 @@ def run_suite(config: SuiteConfig) -> Report:
     report = Report(title=title)
     for job in config.jobs:
         default = default_job(job.name)
+        job = replace(job, count=job.count or default.count)
         if not job.groups:
-            job = replace(job, groups=default.groups, families=default.families,
-                          count=job.count or default.count)
+            job = replace(job, groups=default.groups, families=default.families)
         SUITES[job.name].runner(job, report)
     return report
 

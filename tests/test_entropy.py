@@ -7,6 +7,7 @@ measures reduce to interval bookkeeping in Fractions.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from setgrowth.entropy import (
     metric_profile_check,
     separated_set,
 )
-from setgrowth import cli
+from setgrowth import cli, entropy
 from setgrowth.groups import construct_group
 from setgrowth.setops import MSet, energy
 
@@ -367,6 +368,49 @@ def test_quaternion_profile_hard_rows():
     # depth, so this one runs the full Monte-Carlo
     rep = metric_profile_check(QuaternionGroup(), seed=1729)
     assert rep.hard_ok
+
+
+# ------------------------------------------------- Monte-Carlo ball counts
+
+def _one_batch_fractions(radii, seed):
+    """QuaternionGroup.ball_fractions drawn as one MC_SAMPLES x 4 batch, as
+    it was before the sample was blocked: the oracle of the blocked draw."""
+    n = entropy.MC_SAMPLES
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, 4))
+    norms = np.linalg.norm(raw, axis=1)
+    unit = raw / norms[:, None]
+    unit[:, 0] -= 1.0
+    dist = np.linalg.norm(unit, axis=1)
+    return [float(np.count_nonzero(dist < r)) / n for r in radii]
+
+
+def test_ball_fractions_pinned_at_the_default_seed():
+    assert entropy.MC_SAMPLES == 10**6
+    fractions = QuaternionGroup().ball_fractions((0.2, 0.4), 1729)
+    assert fractions == [1784 / 10**6, 13382 / 10**6]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1729, 2**40 + 3])
+def test_blocked_ball_fractions_match_one_batch(seed, monkeypatch):
+    # 50,001 = 12 * 4096 + 849: twelve full blocks and a ragged last one
+    monkeypatch.setattr(entropy, "MC_SAMPLES", 50_001)
+    radii = (0.05, 0.2, 0.4, 1.0, 1.9, 2.0)
+    got = QuaternionGroup().ball_fractions(radii, seed)
+    assert got == _one_batch_fractions(radii, seed)
+    assert got[-1] == 1.0      # every chordal distance is below 2
+
+
+def test_ball_fractions_memory_is_one_block():
+    # one MC_SAMPLES x 4 float64 batch alone is 32 MB, and the one-batch
+    # draw peaked at 114 MB; a 4096-point block is 128 KB
+    tracemalloc.start()
+    try:
+        QuaternionGroup().ball_fractions((0.2, 0.4), 1729)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 CLI_CARRIERS = ["torus1", "torus2", "torus3", "quaternion", "word:cyclic(30):1,7"]

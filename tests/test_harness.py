@@ -6,9 +6,13 @@ twice into fresh directories and compares raw bytes.
 
 import csv
 import hashlib
+import io
 import json
 import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,7 +153,9 @@ def test_merge_ledger_places_the_ledger_rows():
     assert type(rep.rows[0].row.lhs) is Fraction
 
 
-def test_rows_render_only_at_emit(monkeypatch, tmp_path):
+@pytest.fixture
+def render_calls(monkeypatch):
+    """Every value suites.render_value renders from here on, in order."""
     calls = []
     real = suites.render_value
 
@@ -158,10 +164,14 @@ def test_rows_render_only_at_emit(monkeypatch, tmp_path):
         return real(v)
 
     monkeypatch.setattr(suites, "render_value", counting)
+    return calls
+
+
+def test_rows_render_only_at_emit(render_calls, tmp_path):
     rep = run_named_suite("covering")
-    assert calls == []
+    assert render_calls == []
     emit_report(rep, format="both", out=str(tmp_path))
-    assert len(calls) == 2 * len(rep.rows)
+    assert len(render_calls) == 2 * len(rep.rows)
 
 
 # ---------------------------------------------------------------- config
@@ -255,6 +265,21 @@ def test_run_suite_rejects_unknown_name():
         run_suite(SuiteConfig(jobs=(SuiteJob(name="mystery"),)))
 
 
+def _instance_counts(rep):
+    return {r.operation: r.row.lhs for r in rep.rows
+            if r.name == "instance-count"}
+
+
+def test_config_job_with_groups_takes_the_default_count():
+    job, = parse_suite_config(
+        "[suite]\nname = covering\ngroups = cyclic(60)\n").jobs
+    assert job.count == 0
+    counts = _instance_counts(run_suite(SuiteConfig(jobs=(job,))))
+    default = _instance_counts(run_named_suite("covering"))
+    assert counts == {"ruzsa_cover[cyclic(60)]": 2 * default_job("covering").count}
+    assert counts["ruzsa_cover[cyclic(60)]"] == default["ruzsa_cover[cyclic(60)]"]
+
+
 def test_run_named_covering_suite():
     rep = run_named_suite("covering")
     assert rep.exit_code() == 0
@@ -336,6 +361,84 @@ def test_emission_is_byte_stable(tmp_path):
     paths2 = emit_report(rep2, format="both", out=d2)
     for p1, p2 in zip(paths1, paths2):
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def _buffered_payloads(rep):
+    """The report's CSV and JSON as whole strings, built the way the writers
+    built them before they streamed: the oracle of the streamed files."""
+    cells = [r.cells() for r in rep.sorted_rows()]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(cells)
+    obj = {"title": rep.title, "summary": rep.summary(),
+           "rows": [dict(zip(CSV_HEADER, c)) for c in cells]}
+    return buf.getvalue(), json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _small_report():
+    rep = Report("small-demo")
+    rep.add("m", "op-b", "exact", "hard", lhs=Fraction(7, 3), rel="<=",
+            rhs=3**90, passed=True, note="a, b")
+    rep.add("m", "op-a", "miss", "soft", lhs=0.1, rel=">", rhs=True,
+            passed=False)
+    rep.add("a", "op", "measured", "info", lhs=None, note="line\nbreak")
+    rep.merge_ledger("z", "op", _failing_ledger())
+    return rep
+
+
+def _quoted_report():
+    rep = Report("Quoted \"naïve\" demo")
+    rep.add("m", "op[é]", 'say "ε"', "hard", lhs=1, rel="<=", rhs=2,
+            passed=True, note='ε-net "tight", \\ back; tab\tend \u2264')
+    return rep
+
+
+@pytest.mark.parametrize("make", [
+    _small_report, lambda: Report("empty-demo"), _quoted_report,
+    lambda: run_named_suite("covering"),
+], ids=["small", "empty", "quoted", "covering"])
+def test_streamed_writers_match_the_buffered_writers(make, tmp_path):
+    rep = make()
+    csv_path, json_path = emit_report(rep, format="both", out=str(tmp_path))
+    want_csv, want_json = _buffered_payloads(rep)
+    assert open(csv_path, "rb").read() == want_csv.encode("utf-8")
+    assert open(json_path, "rb").read() == want_json.encode("utf-8")
+    (single,) = emit_report(rep, format="json", out=str(tmp_path / "one"))
+    assert open(single, "rb").read() == want_json.encode("utf-8")
+
+
+def test_emit_both_memory_does_not_hold_the_files(tmp_path):
+    # the default suite-all report writes 4.8 MB of CSV and 10.3 MB of
+    # JSON, and the buffered writers peaked at 89 MB; the streamed writers
+    # keep one rendered row at a time, so the peak is the sort of the rows
+    rep = run_suite(default_config())
+    assert rep.title == "suite-all" and len(rep.rows) > 30_000
+    tracemalloc.start()
+    try:
+        csv_path, json_path = emit_report(rep, format="both", out=str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(json_path) > 8 * 2**20
+    assert peak < 8 * 2**20
+
+
+def _peak_rss(*argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    done = subprocess.run([sys.executable, str(script), *argv],
+                          capture_output=True, text=True)
+    return done.returncode, json.loads(done.stderr.splitlines()[0])
+
+
+def test_peak_rss_wrapper_gates_on_the_ceiling():
+    # the ceiling the CI digest step runs `suite run --format both` under
+    code, stats = _peak_rss("--max-mb", "1000", "--", sys.executable, "-c", "")
+    assert code == 0 and 1 < stats["peak_rss_mb"] < 1000
+    code, stats = _peak_rss("--max-mb", "1", "--", sys.executable, "-c", "")
+    assert code == 1 and stats["returncode"] == 0
+    code, stats = _peak_rss("--", sys.executable, "-c", "raise SystemExit(3)")
+    assert code == 3 and stats["returncode"] == 3
 
 
 # Full sha256 of each suite's CSV report at the default seed, recorded
@@ -435,6 +538,16 @@ def test_cli_verify_prints_the_csv_cells(capsys, tmp_path, name):
             + (f" [{r['lhs']} {r['rel']} {r['rhs']}]" if r["rel"] else "")
             for r in rows]
     assert rows and out[:len(rows)] == want
+
+
+def test_cli_verify_out_renders_each_row_once(capsys, render_calls, tmp_path):
+    assert cli.main(["verify", "covering", "--out", str(tmp_path),
+                     "--format", "both"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "suite-covering.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # two sides per row, for the printed lines and both files together
+    assert rows and len(render_calls) == 2 * len(rows)
 
 
 def test_cli_suite_run_prints_failing_cells(capsys, monkeypatch):

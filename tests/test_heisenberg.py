@@ -20,8 +20,8 @@ from setgrowth import heisenberg as hb
 from setgrowth import setops
 
 from setgrowth.groups import BLOCK_PAIRS, construct_group, quotient_map, subgroup_closure
-from setgrowth.setops import MSet, power_set, product_set, symmetrize
-from setgrowth.structure import LedgerError
+from setgrowth.setops import MSet, inverse_set, power_set, product_set, symmetrize
+from setgrowth.structure import ConstantLedger, LedgerError
 from setgrowth.heisenberg import (
     CANDIDATE_COVER_EXP,
     CANDIDATE_KS_EXP,
@@ -33,7 +33,6 @@ from setgrowth.heisenberg import (
     parse_pairing_spec,
     split_approximate,
     verify_inverse_converse,
-    verify_subgroup_sandwich,
 )
 from setgrowth.constants import SPLIT_COUNT_EXP, SPLIT_NEST_EXP
 from setgrowth.families import measured_tripling
@@ -306,6 +305,39 @@ def test_inverse_rejects_non_heisenberg():
 
 
 # ---------------------------------------------------------------- sandwich
+
+def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
+    """For a genuine subgroup A of a Heisenberg group, build the additive
+    set Atilde = iota(A) + <{C,C}> with C the horizontal shadow of A, and
+    verify that Atilde is an additive subgroup absorbing its own pairing
+    hull, that iota(A) sits inside it, and that its dilate {2x} falls back
+    inside iota(A)."""
+    g = a.group
+    if not isinstance(g, HeisenbergGroup):
+        raise TypeError("the sandwich check expects a Heisenberg group subset")
+    hb._require_subgroup(a)
+    ag = g.additive_group()
+    shadow = sorted({g.z_of(x) for x in a.ids()})
+    gen = np.flatnonzero(hb._pairing_image(g, shadow))
+    hull_ids = subgroup_closure(g.w_additive, [0, *gen.tolist()])
+    hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
+    tilde = product_set(MSet(ag, a.bits), hull)
+
+    ledger = ConstantLedger("subgroup-sandwich")
+    ledger.claim("pairing-hull-absorbed", product_set(tilde, hull) == tilde,
+                 formula="Atilde + <{C,C}> = Atilde")
+    closed = product_set(tilde, tilde) == tilde and inverse_set(tilde) == tilde
+    ledger.claim("candidate-additive-subgroup", closed,
+                 lhs=tilde.size, formula="Atilde is an additive subgroup")
+    ledger.claim("upper-inclusion", a.bits & ~tilde.bits == 0,
+                 lhs=a.size, rhs=tilde.size,
+                 formula="iota(A) inside Atilde")
+    ledger.claim("lower-inclusion", hb._dilate(tilde).bits & ~a.bits == 0,
+                 lhs=tilde.size, rhs=a.size,
+                 formula="2.Atilde inside iota(A)")
+    ledger.check()
+    return ledger
+
 
 def test_sandwich_on_an_order_nine_subgroup():
     sub = MSet.from_ids(H27, sorted(subgroup_closure(H27, [H27.encode(3, 0),
