@@ -23,7 +23,9 @@ uint16 table, built on first use from one row block of the law and rows
 composed from known rows (see ``FiniteGroup.table``); ``mul_pairs`` then
 gathers from it.  Above the cap no table exists and ``mul_pairs`` runs the
 law on coordinates.  Inverses of every id sit in one array built from
-``_inv_law``.  The axiom sweep reads the law, never the table.
+``_inv_law``.  A table is adopted in one other way: once the exhaustive
+axiom sweep has proved the law associative, its own table of the law
+becomes the group's table if the group has none yet.
 
 Canonical numberings (reproducible bit for bit):
   cyclic(n)          id = residue, addition mod n
@@ -621,13 +623,51 @@ def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
 # ---------------------------------------------------------------------------
 # Axiom verification
 
+def _light_generators(table: np.ndarray) -> list[int] | None:
+    """Generators of all ids under the law table, each put to Light's test
+    L[L[:, s]] == L[:, L[s]] as it is picked; None at the first that fails.
+    The next generator is the smallest id not yet reached.  The reached
+    set starts as {0} and grows to R u R*R, read from the table, until it
+    stops.  Good ids multiply associatively, so each round doubles the
+    word length reached, and each generator s at least doubles the reached
+    set (R*s lies outside R and x -> x*s is one to one)."""
+    reached = np.zeros(len(table), dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        s = int(np.argmin(reached))
+        if not np.array_equal(table[table[:, s]], table[:, table[s]]):
+            return None
+        gens.append(s)
+        reached[s] = True
+        grown = True
+        while grown:
+            r = np.flatnonzero(reached)
+            reached[table[np.ix_(r, r)]] = True
+            grown = np.count_nonzero(reached) > len(r)
+    return gens
+
+
 def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
     """Identity/inverse on all elements; associativity exhaustively for
-    order <= 512, on ASSOC_SAMPLES random triples above.  Each check reads
-    the law as whole arrays, never the table, whose composed rows equal the
-    law only for an associative law.  Raises ValueError with the first
-    counterexample in element (or sample) order; returns check counts on
-    success."""
+    order <= EXHAUSTIVE_ASSOC_CAP, on ASSOC_SAMPLES random triples above.
+    Each check reads the law as whole arrays, never the group's table,
+    whose composed rows equal the law only for an associative law.  Raises
+    ValueError with the first counterexample in element (or sample) order;
+    returns check counts on success.
+
+    The exhaustive branch runs the law once into an n x n table L and
+    proves all n^3 triples by Light's test: call s good when
+    (x*s)*z = x*(s*z) for all x, z, that is L[L[:, s]] == L[:, L[s]].  If s
+    and t are good, so is s*t:
+        (x*(s*t))*z = ((x*s)*t)*z     s good
+                    = (x*s)*(t*z)     t good
+                    = x*(s*(t*z))     s good
+                    = x*((s*t)*z)     t good.
+    The identity is good, so when every id of _light_generators(L) is good
+    every id is, which is associativity.  Only when one is not does the
+    sweep scan x by x to name the first failing triple.  After a passing
+    sweep L is the group's table if it has none yet."""
     n = g.order
     ids = np.arange(n)
     inv = g.inv_array(ids)
@@ -645,12 +685,15 @@ def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
         table = np.empty((n, n), dtype=np.uint16)
         for rows in _row_blocks(n, n):
             table[rows] = g._mul_law(ids[rows, None], ids)
-        yz = table.astype(np.intp)  # [y,z] -> y*z
-        for x in range(n):
-            bad = table[table[x]] != table[x][yz]   # (x*y)*z vs x*(y*z)
-            if bad.any():
-                y, z = np.unravel_index(np.argmax(bad), bad.shape)
-                raise ValueError(f"associativity fails at ({x},{y},{z})")
+        if _light_generators(table) is None:
+            yz = table.astype(np.intp)  # [y,z] -> y*z
+            for x in range(n):
+                bad = table[table[x]] != table[x][yz]   # (x*y)*z vs x*(y*z)
+                if bad.any():
+                    y, z = np.unravel_index(np.argmax(bad), bad.shape)
+                    raise ValueError(f"associativity fails at ({x},{y},{z})")
+        if g._table is None and n <= TABLE_CAP:
+            g._table = table
         return {"elements": n, "triples": n**3, "mode": "exhaustive"}
     law = g._law_pairs
     for x, y, z in _sampled(random.Random(seed), ASSOC_SAMPLES, (n, n, n)):

@@ -309,8 +309,10 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
 
     The sweeps are exhaustive below EXHAUSTIVE_ORDER_CAP (the commutator
     sweep below EXHAUSTIVE_PAIR_CAP ordered pairs) and seeded samples
-    above.  Violations raise with an explicit counterexample.  Instances
-    are cached per spec so repeated builds share multiplication rows.
+    above.  Violations raise with an explicit counterexample.  The group
+    axioms are swept before the law invariants: an exhaustive axiom sweep
+    leaves its law table as the group's table, which the law sweeps then
+    gather from.  Instances are cached per spec.
     """
     cached = _BUILD_CACHE.get(spec)
     if cached is not None:
@@ -318,8 +320,8 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     g = HeisenbergGroup(spec)
     ledger = ConstantLedger("heisenberg-construction")
     _validate_pairing(g, ledger)
-    _validate_group_law(g, ledger)
     axioms = verify_group_axioms(g, seed=SAMPLE_SEED)
+    _validate_group_law(g, ledger)
     ledger.info("axiom-sweep-triples", axioms["triples"],
                 note=f"{axioms['mode']} associativity check")
     ledger.check()

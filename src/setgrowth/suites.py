@@ -1005,8 +1005,9 @@ def default_config(names=SUITE_NAMES, out: str | None = None) -> SuiteConfig:
 
 def run_suite(config: SuiteConfig) -> Report:
     """Execute every job in the config and merge the rows.  A job with no
-    groups runs on its suite's default groups and families, and a job
-    with no count (or count 0) on its suite's default count."""
+    groups runs on its suite's default groups, one with no families on its
+    suite's default families, and one with no count (or count 0) on its
+    suite's default count."""
     names = [job.name for job in config.jobs]
     if not names:
         title = "suite-empty"
@@ -1019,9 +1020,9 @@ def run_suite(config: SuiteConfig) -> Report:
     report = Report(title=title)
     for job in config.jobs:
         default = default_job(job.name)
-        job = replace(job, count=job.count or default.count)
-        if not job.groups:
-            job = replace(job, groups=default.groups, families=default.families)
+        job = replace(job, groups=job.groups or default.groups,
+                      families=job.families or default.families,
+                      count=job.count or default.count)
         SUITES[job.name].runner(job, report)
     return report
 

@@ -280,6 +280,46 @@ def test_config_job_with_groups_takes_the_default_count():
     assert counts["ruzsa_cover[cyclic(60)]"] == default["ruzsa_cover[cyclic(60)]"]
 
 
+def _pool_labels(monkeypatch, job):
+    """The labels of each group's pool when run_suite runs the job."""
+    pools = {}
+    real = suites._pool
+
+    def recording(job, report, module, group_spec, g, **kwargs):
+        pool = real(job, report, module, group_spec, g, **kwargs)
+        pools[group_spec] = [label for label, _ in pool]
+        return pool
+
+    monkeypatch.setattr(suites, "_pool", recording)
+    run_suite(SuiteConfig(jobs=(job,)))
+    return pools
+
+
+def test_config_job_with_groups_takes_the_default_families(monkeypatch):
+    job, = parse_suite_config(
+        "[suite]\nname = covering\ngroups = cyclic(60)\n").jobs
+    assert job.families == ()
+    families = list(default_job("covering").families)
+    assert len(families) == 6
+    pools = _pool_labels(monkeypatch, job)
+    assert list(pools) == ["cyclic(60)"]
+    assert pools["cyclic(60)"][:6] == families
+    default = _pool_labels(monkeypatch, default_job("covering"))
+    assert pools["cyclic(60)"] == default["cyclic(60)"]
+
+
+def test_config_job_without_groups_keeps_its_families(monkeypatch):
+    # subgroup(2) is skipped in the groups of odd order
+    job, = parse_suite_config(
+        "[suite]\nname = covering\nfamilies = subgroup(2)\n").jobs
+    pools = _pool_labels(monkeypatch, job)
+    assert list(pools) == list(default_job("covering").groups)
+    labels = [label for pool in pools.values() for label in pool]
+    assert "subgroup(2)" in labels
+    assert all(label == "subgroup(2)" or label.startswith("random#")
+               for label in labels)
+
+
 def test_run_named_covering_suite():
     rep = run_named_suite("covering")
     assert rep.exit_code() == 0

@@ -30,11 +30,13 @@ from setgrowth.groups import (
     ORDER_CAP,
     TABLE_CAP,
     CyclicGroup,
+    DihedralGroup,
     DirectProductGroup,
     FiniteGroup,
     NotNormalError,
     QuotientGroup,
     SL2Group,
+    _light_generators,
     construct_group,
     quotient_map,
     subgroup_closure,
@@ -582,6 +584,104 @@ def test_sampled_associativity_names_the_first_counterexample():
     message = axiom_error(g)
     assert message is not None and message.startswith("associativity fails")
     assert message == scalar_axiom_error(g)
+
+
+# ------------------------------------------------------------ Light's test
+
+NINE_C2 = "direct_product(" + ",".join(["cyclic(2)"] * 9) + ")"
+
+
+def heisenberg_spec(p):
+    return f"heisenberg(z=Zp^2,p={p};w=Zp^1,p={p};pairing=symplectic)"
+
+
+def count_law_products(monkeypatch, owner):
+    """Patch owner._mul_law (a class or an instance) to count products."""
+    products = []
+    real = owner._mul_law
+
+    def counted(*args):
+        x, y = args[-2:]
+        products.append(np.broadcast(x, y).size)
+        return real(*args)
+
+    monkeypatch.setattr(owner, "_mul_law", counted)
+    return products
+
+
+def test_heisenberg_build_runs_the_law_once(monkeypatch):
+    # the axiom sweep's n^2 law table plus the 3n products of its identity
+    # and inverse checks; the law sweeps gather from the adopted table
+    monkeypatch.setattr(hb, "_BUILD_CACHE", {})
+    products = count_law_products(monkeypatch, hb.HeisenbergGroup)
+    g = construct_group(heisenberg_spec(7))
+    n = g.order
+    assert n == 343
+    assert 0 < sum(products) <= n * n + 3 * n
+    assert g.construction_ledger.rows[-1].name == "axiom-sweep-triples"
+
+
+def test_exhaustive_sweep_runs_the_law_once(monkeypatch):
+    g = DihedralGroup(100)
+    products = count_law_products(monkeypatch, g)
+    assert verify_group_axioms(g)["mode"] == "exhaustive"
+    assert sum(products) <= g.order ** 2 + 3 * g.order
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic(512)", "dihedral(6)", "symmetric(5)", "sl2(7)", NINE_C2,
+])
+def test_passing_sweep_adopts_the_composed_table(spec):
+    g = construct_group(spec)
+    assert g._table is None
+    stats = verify_group_axioms(g)
+    assert stats == {"elements": g.order, "triples": g.order ** 3,
+                     "mode": "exhaustive"}
+    assert g._table is not None
+    assert np.array_equal(g._table, construct_group(spec).table())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_build_adopts_the_composed_table(monkeypatch, p):
+    monkeypatch.setattr(hb, "_BUILD_CACHE", {})
+    g = construct_group(heisenberg_spec(p))
+    assert g._table is not None
+    assert np.array_equal(g._table, hb.HeisenbergGroup(g.spec).table())
+
+
+def test_sweep_keeps_an_existing_table():
+    g = construct_group("sl2(5)")
+    table = g.table()
+    verify_group_axioms(g)
+    assert g._table is table
+
+
+@pytest.mark.parametrize("spec, cells", [
+    ("dihedral(100)", [(95, 7, 3)]),
+    ("dihedral(100)", [(199, 120, 120), (90, 91, 0)]),
+    # a*1 = a+2 but for the inverse of 1: only associativity fails
+    ("cyclic(300)", [(a, 1, a + 2) for a in range(1, 298)]),
+])
+def test_failing_sweep_adopts_no_table(spec, cells):
+    g = planted(spec, cells)
+    message = axiom_error(g)
+    assert message is not None and message == scalar_axiom_error(g)
+    assert g._table is None
+
+
+def test_long_cayley_diameter_takes_few_generators():
+    # the right Cayley graph of cyclic(512) on {1} has diameter 511: one
+    # generator reaches every id, in rounds that double the reached set
+    g = CyclicGroup(512)
+    assert verify_group_axioms(g)["mode"] == "exhaustive"
+    assert len(_light_generators(g._table)) <= 2
+
+
+def test_light_generators_reach_every_id():
+    g = construct_group(NINE_C2)
+    gens = _light_generators(g.table())
+    assert gens == [1 << i for i in range(9)]
+    assert subgroup_closure(g, gens) == frozenset(range(g.order))
 
 
 H_SPEC = hb.parse_pairing_spec("z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic")
