@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,8 +344,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
 _CLAUSES = ("i", "iii", "iv", "ii")  # proof cycle order
 
 
-@dataclass(frozen=True)
-class EnergyEquivalenceWitness:
+class EnergyEquivalenceWitness(NamedTuple):
     """One full walk around the equivalence cycle, starting from the clause
     whose witness the caller supplied."""
 

@@ -11,9 +11,10 @@ sound rules (docs/constants.md gives the one-line proofs):
             (the Ruzsa triangle inequality with middle set A^b)
   mirror    E(w) = E(reverse-negate w)  (inversion is a bijection)
 
-derive_word_exponents runs the fixpoint; the aggregate tables below are
-frozen copies of its output, cross-checked by tests/test_constants.py and
-regenerated by scripts/derive_constants.py.
+derive_word_exponents runs the fixpoint.  The word table and the aggregate
+tables below are frozen copies of its output, so importing this module runs
+no fixpoint; tests/test_constants.py checks each copy against the fixpoint
+and scripts/derive_constants.py prints them again.
 """
 
 from __future__ import annotations
@@ -66,10 +67,30 @@ def derive_word_exponents(max_len: int = DERIVED_MAX_LEN) -> dict[tuple, int]:
     return {w: int(val) for w, val in e.items()}
 
 
-_WORD_EXPONENTS = derive_word_exponents()
+# Frozen copies of the dynamic programme (verified by tests).
 
-
-# Frozen aggregates of the dynamic programme (verified by tests).
+# E(w) for every signed word w of length 1..8: entry n-1 holds one hex digit
+# per word of length n, the words in itertools.product((1, -1), repeat=n)
+# order.
+_WORD_EXPONENT_HEX = (
+    "00",
+    "1221",
+    "12322321",
+    "3432345445432343",
+    "56543454565456766765456545434565",
+    "7876567656545676787656767876789889876787676567876765456567656787",
+    "9a9878987876789878765676787678989a987898787678989a9878989a989aba"
+        "aba989a9898789a989876787898789a9898767876765678789876787898789a9",
+    "bcba9aba9a989aba9a9878989a989aba9a987898787678989a9878989a989aba"
+        "bcba9aba9a989aba9a9878989a989ababcba9aba9a989ababcba9ababcbabcdc"
+        "cdcbabcbaba9abcbaba989a9aba9abcbaba989a9898789a9aba989a9aba9abcb"
+        "aba989a9898789a989876787898789a9aba989a9898789a9aba989a9aba9abcb",
+)
+_WORD_EXPONENTS = {
+    word: int(digit, 16)
+    for length, digits in enumerate(_WORD_EXPONENT_HEX, 1)
+    for word, digit in zip(product((1, -1), repeat=length), digits)
+}
 
 # c(n): the largest exponent over all signed words of length <= n.
 TRIPLING_CHAIN_EXPONENTS = {1: 0, 2: 2, 3: 3, 4: 5, 5: 7, 6: 9}

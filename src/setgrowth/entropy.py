@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -363,8 +363,7 @@ class MetricCloud:
         return "MetricCloud(%s, %d points)" % (self.group.name, len(self.points))
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     count: int
     centers: tuple
 
@@ -434,8 +433,7 @@ def approx_energy(a: MetricCloud, b: MetricCloud, eps) -> int:
     return len(net)
 
 
-@dataclass(frozen=True)
-class EntropyRow:
+class EntropyRow(NamedTuple):
     eps: object
     covering: int
     double_covering: int
@@ -446,8 +444,7 @@ class EntropyRow:
         return Fraction(self.covering, self.double_covering)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Per-radius net counts over an ascending grid."""
 
     rows: tuple
@@ -527,8 +524,7 @@ def arc_union_measure(points, eps) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(NamedTuple):
     entropy: EntropyReport
     ledger: ConstantLedger
 
@@ -746,8 +742,7 @@ def _sorted_products(group, xs, ys):
     return sorted(seen)
 
 
-@dataclass(frozen=True)
-class TriplingEntropyReport:
+class TriplingEntropyReport(NamedTuple):
     net_base: int
     net_cubed: int
     measured_tripling: Fraction

@@ -19,9 +19,9 @@ and info rows carry sizes and ratios for the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ _RELS = {
 }
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     """One exact check with its sides as computed; rel == "" marks a claim
     (a verdict, sides optional) or an info row (holds is None)."""
 
@@ -131,11 +130,8 @@ class ConstantLedger:
         self.rows.append(LedgerRow(name, "info", value, "", None, None, "", note))
 
     def merge(self, other: "ConstantLedger", prefix: str) -> None:
-        for row in other.rows:
-            self.rows.append(
-                LedgerRow(prefix + row.name, row.kind, row.lhs, row.rel, row.rhs,
-                          row.holds, row.formula, row.note)
-            )
+        self.rows.extend(row._replace(name=prefix + row.name)
+                         for row in other.rows)
 
     def failures(self) -> list[LedgerRow]:
         return [r for r in self.rows if r.kind == "hard" and r.failed]
@@ -185,8 +181,7 @@ def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
     return MSet.from_ids(a.group, chosen)
 
 
-@dataclass(frozen=True)
-class ApproxGroupWitness:
+class ApproxGroupWitness(NamedTuple):
     """A pair (H, X) with the covering constant K and per-clause results."""
 
     h: MSet
@@ -326,9 +321,9 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
         for word in sorted(level, key=lambda w: [0 if s == 1 else 1 for s in w]):
             current = level[word]
             text = "".join(_SIGN_CHAR[s] for s in word)
-            ledger.compare(f"pattern:{text}", current.size, "<=",
-                           bound(word_exponent(word)),
-                           formula=f"K^{word_exponent(word)}|A|")
+            e = word_exponent(word)
+            ledger.compare(f"pattern:{text}", current.size, "<=", bound(e),
+                           formula=f"K^{e}|A|")
             length_max = max(length_max, current.size)
         ledger.compare(f"length-{length}-max", length_max, "<=",
                        bound(chain_exponent(length)),
@@ -346,8 +341,7 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
     return ledger.check()
 
 
-@dataclass(frozen=True)
-class SymmetricCore:
+class SymmetricCore(NamedTuple):
     """High-overlap translate set S of a small-doubling set A, with the
     difference set A·A⁻¹ that its hypothesis measures."""
 

@@ -21,6 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import heisenberg as hb
 from .bsg import bsg_extract, energy_equivalences, weak_bsg
@@ -78,8 +79,7 @@ DEFAULT_SEED = 1729
 # ---------------------------------------------------------------------------
 # Report model
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """Where a ledger row sits in a report: the ledger's own LedgerRow,
     exact sides and all, rendered only by cells(), at emit."""
 
@@ -272,8 +272,7 @@ class SuiteJob:
     count: int = 0
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     jobs: tuple[SuiteJob, ...]
     out: str | None = None
 
@@ -965,8 +964,7 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
 # ---------------------------------------------------------------------------
 # The suite table: runner and default groups, families and count per name
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     runner: Callable[[SuiteJob, Report], None]
     groups: tuple[str, ...] = ()
     families: tuple[str, ...] = ()

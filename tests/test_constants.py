@@ -8,10 +8,15 @@ that the claimed inequalities hold on concrete sets with measured K.
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
+from setgrowth import constants
 from setgrowth.constants import (
     COVER_POLY_HISTOGRAM_7,
     POSITIVE_POWER_EXPONENTS,
@@ -52,6 +57,26 @@ def test_table_is_a_fixpoint_of_the_rules():
         for i in range(1, len(w)):
             for b in (1, -1):
                 assert val <= e[w[:i] + (-b,)] + e[(b,) + w[i:]]
+
+
+def test_frozen_word_table_is_the_fixpoint():
+    assert constants._WORD_EXPONENTS == derive_word_exponents(8)
+
+
+def test_derive_script_prints_the_committed_word_table():
+    source = Path(constants.__file__).read_text(encoding="utf-8")
+    start = source.index("_WORD_EXPONENT_HEX = (")
+    literal = source[start:source.index("\n)\n", start) + 2]
+    script = Path(__file__).resolve().parents[1] / "scripts" / "derive_constants.py"
+    package_parent = str(Path(constants.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_parent, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, check=True)
+    table = {}
+    exec(literal, table)
+    assert [len(r) for r in table["_WORD_EXPONENT_HEX"]] == [2**n for n in range(1, 9)]
+    assert literal in done.stdout
 
 
 def test_chain_exponents_are_the_rowwise_maxima():

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth import heisenberg as hb
+from setgrowth import cli, heisenberg as hb
 from setgrowth.groups import (
     ASSOC_SAMPLES,
     BLOCK_PAIRS,
@@ -619,6 +619,17 @@ def test_heisenberg_build_runs_the_law_once(monkeypatch):
     assert n == 343
     assert 0 < sum(products) <= n * n + 3 * n
     assert g.construction_ledger.rows[-1].name == "axiom-sweep-triples"
+
+
+def test_group_info_reuses_the_heisenberg_build_sweep(monkeypatch, capsys):
+    # the build's exhaustive sweep is the one `group info` reports
+    monkeypatch.setattr(hb, "_BUILD_CACHE", {})
+    products = count_law_products(monkeypatch, hb.HeisenbergGroup)
+    assert cli.main(["group", "info", heisenberg_spec(7)]) == 0
+    n = 343
+    assert 0 < sum(products) <= n * n + 3 * n
+    assert ("axioms:   ok (exhaustive, 343 elements, 40353607 associativity "
+            "triples)") in capsys.readouterr().out.splitlines()
 
 
 def test_exhaustive_sweep_runs_the_law_once(monkeypatch):
