@@ -175,6 +175,40 @@ def test_equivalence_rejects_unknown_clause():
         energy_equivalences("v", A16, A16, 1)
 
 
+def _walk_instances():
+    g = construct_group("dihedral(12)")
+    return [(A16, A16),
+            (MSet.from_ids(g, [0, 1, 2, 4, 6, 8, 10, 12, 20]),
+             MSet.from_ids(g, [0, 2, 4, 6, 8, 10, 17]))]
+
+
+@pytest.mark.parametrize("a, b", _walk_instances(), ids=["cyclic16", "dihedral12"])
+def test_equivalence_walk_from_the_produced_clause_iii(a, b):
+    state = energy_equivalences("i", a, b, inferred_k(a, b)).produced["iii"]
+    wit = energy_equivalences("iii", a, b, state["k"], a_prime=state["a_prime"],
+                              b_prime=state["b_prime"])
+    assert wit.ledger.hard_ok
+    assert set(wit.produced) == {"iv", "ii", "i"}
+    assert wit.produced["iv"]["witness"].verified
+
+
+@pytest.mark.parametrize("a, b", _walk_instances(), ids=["cyclic16", "dihedral12"])
+def test_equivalence_walk_from_the_produced_clause_iv(a, b):
+    state = energy_equivalences("i", a, b, inferred_k(a, b)).produced["iv"]
+    wit = energy_equivalences("iv", a, b, state["k"], witness=state["witness"],
+                              x_id=state["x"], y_id=state["y"])
+    assert wit.ledger.hard_ok
+    assert set(wit.produced) == {"ii", "i", "iii"}
+    names = {row.name for row in wit.ledger.rows}
+    assert {"input-iv.a-intersection", "input-iv.b-intersection"} <= names
+
+
+def test_equivalence_rejects_a_clause_iii_subset_outside_a():
+    outside = MSet.from_ids(G16, [0, 1, 2, 3, 9])
+    with pytest.raises(ValueError, match="inside A and B"):
+        energy_equivalences("iii", A16, A16, 2, a_prime=outside, b_prime=A16)
+
+
 @settings(max_examples=15, deadline=None)
 @given(random_sets(G16, 6))
 def test_equivalence_cycle_on_random_sets(a):
