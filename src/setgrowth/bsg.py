@@ -39,8 +39,8 @@ from .groups import _product_blocks, _row_blocks
 from .setops import (
     MSet,
     _convolution_profile,
-    _mask_bits,
     energy,
+    intersection_size,
     member_mask,
     partial_product,
     product_set,
@@ -98,8 +98,7 @@ def _good_pairs(hit: np.ndarray, threshold: Fraction):
 
 
 def _nonempty_set(g, ids, stage: str) -> MSet:
-    ids = list(ids)
-    if not ids:
+    if not len(ids):
         raise RuntimeError(
             f"pipeline stage {stage!r} produced an empty set; "
             "this cannot happen when the hypotheses hold")
@@ -182,7 +181,7 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
                    formula="F(b*) >= |A|^2/2K^2")
 
     rows = np.flatnonzero(hit[:, best_j])
-    a_prime = _nonempty_set(g, a_ids[rows].tolist(), "A'")
+    a_prime = _nonempty_set(g, a_ids[rows], "A'")
     ledger.compare("dense-subset", 2 * k**2 * a_prime.size**2, ">=",
                    Fraction(a.size**2), formula="2K^2|A'|^2 >= |A|^2")
 
@@ -198,7 +197,7 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
     quotients = _product_matrix(g, ids, g.inv_array(ids))
     d_mask = np.zeros(g.order, dtype=bool)
     d_mask[quotients[good]] = True
-    d = _nonempty_set(g, np.flatnonzero(d_mask).tolist(), "D")
+    d = _nonempty_set(g, np.flatnonzero(d_mask), "D")
     ledger.compare("quotient-size", eps * d.size, "<=",
                    2 * k**2 * kp_sq * a.size,
                    formula="ε|D| <= 2(KK')^2|A|")
@@ -274,8 +273,8 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
             f"energy hypothesis fails: E(A,B) = {e_val} < (|A||B|)^(3/2)/K")
 
     # Level set of the convolution at height sqrt(|A||B|)/2K, squared test.
-    c = _nonempty_set(g, (x for x, cnt in profile.counts.items()
-                          if 4 * p**2 * cnt**2 > q**2 * nm), "C")
+    c = _nonempty_set(g, [x for x, cnt in profile.counts.items()
+                          if 4 * p**2 * cnt**2 > q**2 * nm], "C")
     ledger.compare("level-set-size", c.size**2, "<=", 4 * k**2 * nm,
                    formula="|C|^2 <= 4K^2|A||B|")
     n_c = sum(cnt for x, cnt in profile.counts.items() if x in c)
@@ -285,7 +284,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     hit = member_mask(c)[products]
     prime_rows = np.flatnonzero(
         np.count_nonzero(hit, axis=1) > q * b.size // (4 * p))
-    a_prime = _nonempty_set(g, a_ids[prime_rows].tolist(), "A'")
+    a_prime = _nonempty_set(g, a_ids[prime_rows], "A'")
     ledger.compare("a-prime-size", 4 * p * a_prime.size, ">=", q * a.size,
                    formula="4K|A'| >= |A|")
     l = Fraction(a.size, a_prime.size)
@@ -311,7 +310,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     ledger.compare("bad-pairs-total", total_bad, "<=",
                    eps * a_second.size**2, formula="Σ bad <= |A''|^2/32K")
     third_rows = second_rows[bad_counts <= q * a_second.size // (16 * p)]
-    a_third = _nonempty_set(g, a_ids[third_rows].tolist(), "A'''")
+    a_third = _nonempty_set(g, a_ids[third_rows], "A'''")
     ledger.compare("a-third-half", 2 * a_third.size, ">=", a_second.size,
                    formula="|A'''| >= |A''|/2")
     ledger.compare("a-third-size", 128 * k**2 * a_third.size**2, ">=",
@@ -319,13 +318,13 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
 
     col_hits = np.count_nonzero(hit[second_rows], axis=0)
     third_cols = np.flatnonzero(col_hits > q * a_second.size // (8 * p))
-    b_third = _nonempty_set(g, b_ids[third_cols].tolist(), "B'''")
+    b_third = _nonempty_set(g, b_ids[third_cols], "B'''")
     ledger.compare("b-third-size", 8 * p * b_third.size, ">=", q * b.size,
                    formula="8K|B'''| >= |B|")
 
     product_mask = np.zeros(g.order, dtype=bool)
     product_mask[products[np.ix_(third_rows, third_cols)]] = True
-    product = MSet(g, _mask_bits(product_mask))
+    product = MSet.from_mask(g, product_mask)
     ledger.compare("product-injection",
                    16 * p * c.size * d.size, ">=",
                    q * product.size * a_second.size,
@@ -428,8 +427,8 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
             raise ValueError(
                 f"clause iv witness fails verification: {check.violations}")
         h = witness.h
-        a_part = (a.bits & translate_left(x_id, h)).bit_count()
-        b_part = (b.bits & translate_right(h, y_id)).bit_count()
+        a_part = intersection_size(a, translate_left(x_id, h))
+        b_part = intersection_size(b, translate_right(h, y_id))
         sub.compare("h-size-upper", h.size**2, "<=", k**2 * nm,
                     formula="|H|^2 <= K^2|A||B|")
         sub.compare("h-size-lower", k**2 * h.size**2, ">=", Fraction(nm),
@@ -473,9 +472,9 @@ def _step_iii_iv(g, a, b, state, ledger):
         return max(((count(t), t) for t in x_cov.ids()), key=lambda p: p[0])
 
     best_xv, best_x = first_best(
-        lambda t: (a_p.bits & translate_left(t, h)).bit_count())
+        lambda t: intersection_size(a_p, translate_left(t, h)))
     best_yv, best_y = first_best(
-        lambda t: (b_p.bits & translate_right(h, t)).bit_count())
+        lambda t: intersection_size(b_p, translate_right(h, t)))
     sub = ConstantLedger("iv")
     sub.compare("x-pigeonhole", best_xv * x_cov.size, ">=", a_p.size,
                 formula="|A' ∩ xH||X| >= |A'|")
@@ -502,15 +501,15 @@ def _clause_iv_constant(a, b, h, a_count, b_count) -> Fraction:
 def _step_iv_ii(g, a, b, state, ledger):
     wit, x_id, y_id = state["witness"], state["x"], state["y"]
     h = wit.h
-    a_part = MSet(g, a.bits & translate_left(x_id, h))
-    b_part = MSet(g, b.bits & translate_right(h, y_id))
+    a_part = a & translate_left(x_id, h)
+    b_part = b & translate_right(h, y_id)
     pair_list = tuple(sorted(
         (xa, yb) for xa in a_part.ids() for yb in b_part.ids()))
     image = product_set(a_part, b_part)
     h2 = product_set(h, h)
     sub = ConstantLedger("ii")
-    shifted = translate_right(MSet(g, translate_left(x_id, h2)), y_id)
-    sub.claim("image-in-xh2y", image.bits & ~shifted == 0,
+    shifted = translate_right(translate_left(x_id, h2), y_id)
+    sub.claim("image-in-xh2y", image <= shifted,
               lhs=image.size, rhs=h2.size, formula="im E subset x·H^2·y")
     sub.compare("image-size", image.size, "<=", h2.size,
                 formula="|im E| <= |H^2|")

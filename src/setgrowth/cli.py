@@ -58,9 +58,7 @@ def _print_ledger(ledger) -> None:
 
 
 def _load_set(group_spec: str, family_text: str, seed: int | None):
-    g = construct_group(group_spec)
-    spec = SetFamilySpec.parse(group_spec, family_text)
-    return g, generate_set(spec, group=g, seed=seed)
+    return generate_set(SetFamilySpec.parse(group_spec, family_text), seed=seed)
 
 
 def _base_seed(args) -> int:
@@ -78,7 +76,7 @@ def _cmd_group_info(args) -> int:
 
 
 def _cmd_set_gen(args) -> int:
-    _, a = _load_set(args.group, args.family, args.seed)
+    a = _load_set(args.group, args.family, args.seed)
     print(f"size: {a.size}")
     print(" ".join(map(str, a.ids())))
     return 0
@@ -103,11 +101,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bsg_run(args) -> int:
     seed = args.seed
-    g, a = _load_set(args.group, args.set, seed)
-    b = a
-    if args.set2:
-        spec = SetFamilySpec.parse(args.group, args.set2)
-        b = generate_set(spec, group=g, seed=seed)
+    a = _load_set(args.group, args.set, seed)
+    b = _load_set(args.group, args.set2, seed) if args.set2 else a
     if args.k is not None:
         k = frac(args.k)
     else:
@@ -132,8 +127,8 @@ def _cmd_bsg_run(args) -> int:
 
 
 def _cmd_heisen_run(args) -> int:
-    g, a = _load_set(args.group, args.set, args.seed)
-    if not isinstance(g, hb.HeisenbergGroup):
+    a = _load_set(args.group, args.set, args.seed)
+    if not isinstance(a.group, hb.HeisenbergGroup):
         print("heisen run needs a heisenberg(...) group spec", file=sys.stderr)
         return 2
     k = frac(args.k) if args.k is not None else measured_tripling(a)

@@ -16,17 +16,20 @@ from fractions import Fraction
 from .exact import frac
 from .groups import (FiniteGroup, _first_non_normalizer, _split_call, _split_top_level,
                      construct_group, subgroup_closure)
-from .setops import MSet, inverse_set, power_set, product_set, symmetrize, translate_left
+from .setops import (MSet, inverse_set, power_set, product_set, random_ids,
+                     symmetrize, translate_left)
 
-FAMILY_NAMES = (
-    "subgroup",
-    "coset",
-    "geometric_progression",
-    "subgroup_plus_point",
-    "union_of_cosets",
-    "random_dense",
-    "ball_in_word_metric",
-)
+# Each family's fields: positional, except random_dense's key=value ones.
+FAMILY_FIELDS = {
+    "subgroup": ("gens",),
+    "coset": ("gens", "point"),
+    "geometric_progression": ("base", "length"),
+    "subgroup_plus_point": ("gens", "point"),
+    "union_of_cosets": ("gens", "count"),
+    "random_dense": ("density", "seed"),
+    "ball_in_word_metric": ("radius", "gens"),
+}
+FAMILY_NAMES = tuple(FAMILY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,14 @@ def _named_fields(args, what: str) -> dict[str, str]:
     out = {}
     for field in args:
         key, eq, value = field.partition("=")
+        key = key.strip()
         if not eq:
             raise ValueError(f"{what} expects key=value fields, got {field!r}")
-        out[key.strip()] = value.strip()
+        if key not in FAMILY_FIELDS[what]:
+            raise ValueError(f"unknown {what} field {key!r}")
+        if key in out:
+            raise ValueError(f"duplicate {what} field {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -93,18 +101,18 @@ def _required(args, key, family: str, name: str) -> str:
 
 
 def _closure_set(g: FiniteGroup, gens: list[int]) -> MSet:
-    return MSet.from_ids(g, sorted(subgroup_closure(g, gens or [0])))
+    return MSet.from_ids(g, subgroup_closure(g, gens or [0]))
 
 
-def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
-                 seed: int | None = None) -> MSet:
-    """Realize a family spec inside its group.
-
-    `group` short-circuits the group construction when the caller already
-    holds the instance; `seed` overrides the seed field of random_dense.
+def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
+    """Realize a family spec inside its group, construct_group's one
+    instance for the spec; `seed` overrides the seed field of random_dense.
     """
-    g = group if group is not None else construct_group(spec.group)
+    g = construct_group(spec.group)
     family, args = spec.family, spec.args
+    most = len(FAMILY_FIELDS[family])
+    if family != "random_dense" and len(args) > most:
+        raise ValueError(f"surplus {family} field {args[most]!r}")
 
     if family == "subgroup":
         gens = _ids_arg(g, args[0], family) if args else [0]
@@ -114,7 +122,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         if len(args) != 2:
             raise ValueError("coset expects gens;point")
         base = _closure_set(g, _ids_arg(g, args[0], family))
-        return MSet(g, translate_left(_id(g, int(args[1]), family), base))
+        return translate_left(_id(g, int(args[1]), family), base)
 
     if family == "geometric_progression":
         if len(args) == 1:
@@ -131,7 +139,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         for _ in range(length):
             ids.add(cur)
             cur = g.mul(cur, base)
-        return MSet.from_ids(g, sorted(ids))
+        return MSet.from_ids(g, ids)
 
     if family == "subgroup_plus_point":
         gens = _ids_arg(g, _required(args, 0, family, "gens"), family)
@@ -149,7 +157,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
                 raise ValueError(
                     "every element normalizes the subgroup "
                     f"{sorted(sub)} in {g.name}; no valid point exists")
-        return MSet.from_ids(g, sorted(sub | {x}))
+        return MSet.from_ids(g, sub | {x})
 
     if family == "union_of_cosets":
         if len(args) != 2:
@@ -158,13 +166,13 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         count = int(args[1])
         if count < 1:
             raise ValueError("coset count must be positive")
-        bits = 0
-        for _ in range(count):
-            x = (~bits & (bits + 1)).bit_length() - 1   # first id not covered
-            if x >= g.order:
+        a = base
+        for _ in range(count - 1):
+            x = next((x for x in g.elements() if x not in a), None)
+            if x is None:
                 break
-            bits |= translate_left(x, base)
-        return MSet(g, bits)
+            a = a.union(translate_left(x, base))
+        return a
 
     if family == "random_dense":
         fields = _named_fields(args, family)
@@ -173,15 +181,8 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
             raise ValueError(f"density must lie in (0,1], got {density}")
         if seed is None:
             seed = int(_required(fields, "seed", family, "seed"))
-        rng = random.Random(seed)
-        threshold = float(density)
-        bits = 0
-        for x in g.elements():
-            if rng.random() < threshold:
-                bits |= 1 << x
-        if not bits:
-            bits = 1
-        return MSet(g, bits)
+        ids = random_ids(g, random.Random(seed), density)
+        return MSet.from_ids(g, ids if len(ids) else [0])
 
     if family == "ball_in_word_metric":
         radius = int(_required(args, 0, family, "radius"))
@@ -190,7 +191,7 @@ def generate_set(spec: SetFamilySpec, group: FiniteGroup | None = None,
         gens = _ids_arg(g, args[1], family) if len(args) > 1 else [1]
         if any(not 0 < x < g.order for x in gens):
             raise ValueError("generators must be non-identity ids")
-        step = symmetrize(MSet.from_ids(g, sorted(set(gens))))
+        step = symmetrize(MSet.from_ids(g, gens))
         if radius == 0:
             return MSet.from_ids(g, [0])
         return power_set(step, radius)

@@ -394,31 +394,53 @@ def _is_prime(n: int) -> bool:
 # Group spec text grammar (see docs/formats.md)
 
 def construct_group(text: str) -> FiniteGroup:
-    """Build the group named by a spec text.
+    """The group named by a spec text, one instance per spec within a
+    process: specs that parse alike (spacing aside) share it, so sets built
+    from either multiply together and its table is built once.
 
     Grammar: cyclic(n) | dihedral(n) | symmetric(n) | sl2(p)
            | direct_product(spec,spec,...)
            | heisenberg(z=Zp^k,p=P;w=Zp^m,p=P;pairing=symplectic|zero)
     """
+    return _interned(_parse_group(text))
+
+
+_GROUPS: dict[tuple, FiniteGroup] = {}     # parsed spec -> its instance
+
+_INT_FAMILIES = {"cyclic": CyclicGroup, "dihedral": DihedralGroup,
+                 "symmetric": SymmetricGroup, "sl2": SL2Group}
+
+
+def _parse_group(text: str) -> tuple:
+    """The hashable parsed form (family, argument) of a spec text."""
     text = text.strip()
     head, args = _split_call(text)
-    if head == "cyclic":
-        return CyclicGroup(_int_arg(args, head))
-    if head == "dihedral":
-        return DihedralGroup(_int_arg(args, head))
-    if head == "symmetric":
-        return SymmetricGroup(_int_arg(args, head))
-    if head == "sl2":
-        return SL2Group(_int_arg(args, head))
+    if head in _INT_FAMILIES:
+        return head, _int_arg(args, head)
     if head == "direct_product":
-        return DirectProductGroup(
-            [construct_group(part) for part in _split_top_level(args, ",")]
-        )
+        return head, tuple(_parse_group(part)
+                           for part in _split_top_level(args, ","))
     if head == "heisenberg":
         from . import heisenberg
 
-        return heisenberg.build_heisenberg(heisenberg.parse_pairing_spec(args))
+        return head, heisenberg.parse_pairing_spec(args)
     raise ValueError(f"unknown group family {head!r} in {text!r}")
+
+
+def _interned(key: tuple) -> FiniteGroup:
+    g = _GROUPS.get(key)
+    if g is None:
+        head, arg = key
+        if head == "direct_product":
+            g = DirectProductGroup([_interned(part) for part in arg])
+        elif head == "heisenberg":
+            from . import heisenberg
+
+            g = heisenberg.build_heisenberg(arg)
+        else:
+            g = _INT_FAMILIES[head](arg)
+        _GROUPS[key] = g
+    return g
 
 
 def _split_call(text: str) -> tuple[str, str]:
@@ -550,13 +572,6 @@ class NormalSubgroupView:
     quotient: FiniteGroup
     pi: array           # parent id -> quotient id
     reps: list[int]     # quotient id -> smallest parent id in the coset
-
-    @property
-    def member_bits(self) -> int:
-        bits = 0
-        for x in self.members:
-            bits |= 1 << x
-        return bits
 
 
 class NotNormalError(ValueError):

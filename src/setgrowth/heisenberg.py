@@ -5,8 +5,11 @@ theorem for the two-step nilpotent case.
 The carrier of a Heisenberg group is Z x W for two elementary abelian
 groups, with multiplication twisted by a pairing {.,.}: Z x Z -> W.  The
 same carrier untwisted is the additive group Z x W, and both use identical
-mixed-radix element ids, so the comparison map between them is literally
-the identity on ids.  Every quantitative conclusion lands in a
+mixed-radix element ids, so the comparison map iota between them carries a
+set id for id, and the vertical slice {0} x W shares its ids with W.  Sets
+cross between these groups only by id (``MSet.from_ids``), and every
+containment across them is stated on iota's image, as its row's formula
+reads.  Every quantitative conclusion lands in a
 ConstantLedger row with exact integer or Fraction endpoints; covering-set
 sizes are measured and then compared against the proof-derived polynomial
 bounds in the tripling parameter (derivations in docs/constants.md).
@@ -36,7 +39,6 @@ from .groups import (
     FiniteGroup,
     NormalSubgroupView,
     QuotientGroup,
-    _ids_mask,
     _is_prime,
     _product_blocks,
     _row_blocks,
@@ -45,8 +47,6 @@ from .groups import (
 )
 from .setops import (
     MSet,
-    _mask_bits,
-    _product_bits,
     ascending_powers,
     inverse_set,
     member_mask,
@@ -285,7 +285,7 @@ class HeisenbergGroup(FiniteGroup):
         """Carry a subset of the group to the additive group, id for id."""
         if mset.group is not self:
             raise ValueError("iota expects a subset of this Heisenberg group")
-        return MSet(self.additive_group(), mset.bits)
+        return MSet.from_ids(self.additive_group(), mset.id_array())
 
     @property
     def vertical(self) -> NormalSubgroupView:
@@ -301,9 +301,6 @@ class HeisenbergGroup(FiniteGroup):
         return self._vertical
 
 
-_BUILD_CACHE: dict[PairingSpec, HeisenbergGroup] = {}
-
-
 def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     """Validate the pairing, build the group, and sweep its law invariants.
 
@@ -312,11 +309,9 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     above.  Violations raise with an explicit counterexample.  The group
     axioms are swept before the law invariants: an exhaustive axiom sweep
     leaves its law table as the group's table, which the law sweeps then
-    gather from.  Instances are cached per spec.
+    gather from.  Each call builds a new instance; construct_group keeps
+    one per spec.
     """
-    cached = _BUILD_CACHE.get(spec)
-    if cached is not None:
-        return cached
     g = HeisenbergGroup(spec)
     ledger = ConstantLedger("heisenberg-construction")
     _validate_pairing(g, ledger)
@@ -327,7 +322,6 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     ledger.check()
     g.construction_ledger = ledger
     g.vertical  # preconstruct the central view
-    _BUILD_CACHE[spec] = g
     return g
 
 
@@ -502,7 +496,7 @@ class SplitWitness:
 
 def _projection(q: FiniteGroup, pi: np.ndarray, a: MSet) -> MSet:
     """pi(A) as a subset of the quotient."""
-    return MSet(q, _mask_bits(_ids_mask(q, pi[a.id_array()])))
+    return MSet.from_ids(q, pi[a.id_array()])
 
 
 def _fiber_minima(q: FiniteGroup, pi: np.ndarray, ids: np.ndarray):
@@ -621,7 +615,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
 
-    member_bits = h.member_bits
+    h_set = MSet.from_ids(g, h.members)
     q = h.quotient
     pi = np.asarray(h.pi, dtype=np.intp)
     c = _projection(q, pi, a)
@@ -629,11 +623,11 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     ledger.info("size-c", c.size)
 
     # counting along fibers of the projection
-    a2h = pows[2].intersect_bits(member_bits)
+    a2h = pows[2] & h_set
     ledger.compare("fiber-count", a.size, "<=", c.size * a2h.size,
                    formula="|A| <= |C||A^2 n H|")
     for n in (1, 2, 3):
-        slice_n = pows[2 * n].intersect_bits(member_bits)
+        slice_n = pows[2 * n] & h_set
         ledger.compare(f"fiber-lower-n={n}",
                        pows[2 * n + 1].size, ">=", c.size * slice_n.size,
                        formula=f"|A^{2 * n + 1}| >= |C||A^{2 * n} n H|")
@@ -642,13 +636,13 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     cores: list[MSet] = []
     witnesses: list[ApproxGroupWitness] = []
     for i, n in enumerate(CORE_LEVELS, start=1):
-        slice_n = pows[2 * n].intersect_bits(member_bits)
+        slice_n = pows[2 * n] & h_set
         k_i = k ** positive_power_exponent(6 * n + 1)
         wit, wled = approx_group_from_tripling(slice_n, k_i)
         ledger.merge(wled, f"b{i}.")
         core = wit.h
         ledger.claim(f"b{i}-inside-slice",
-                     core <= pows[6 * n].intersect_bits(member_bits),
+                     core <= pows[6 * n] & h_set,
                      lhs=core.size,
                      formula=f"(A^{2 * n} n H)^3 inside A^{6 * n} n H")
         cores.append(core)
@@ -710,12 +704,11 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
                      formula=f"phi(x)B{i} inside B{i + 1}phi(x), all x in C")
         ledger.claim(f"shift-absorb-right-i={i}", big_mask[right].all(),
                      formula=f"B{i}phi(x) inside phi(x)B{i + 1}, all x in C")
-    cover_bits = _product_bits(g, sec, b1.id_array())
-    ledger.claim("fiber-cover", a.bits & ~cover_bits == 0,
+    ledger.claim("fiber-cover", a <= product_set(MSet.from_ids(g, sec), b1),
                  lhs=a.size, formula="A inside the union of phi(x)B1 over C")
 
     # the quotiented homomorphism defect lands in B3
-    a6h = pows[6].intersect_bits(member_bits)
+    a6h = pows[6] & h_set
     exhaustive = c.size <= TRIPLE_EXHAUSTIVE_CAP
     if exhaustive:
         note = f"exhaustive over |C|^3 = {c.size ** 3} triples"
@@ -770,7 +763,7 @@ def hull_tripling_bound(k) -> Fraction:
 def _dilate(a: MSet) -> MSet:
     """{2x : x in A} inside an additive group (the dilate, not the sumset)."""
     g, ids = a.group, a.id_array()
-    return MSet(g, _mask_bits(_ids_mask(g, g.mul_pairs(ids, ids))))
+    return MSet.from_ids(g, g.mul_pairs(ids, ids))
 
 
 def _pairing_image(g: HeisenbergGroup, zs) -> np.ndarray:
@@ -836,18 +829,15 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     ledger.merge(split.ledger, "split.")
     c = split.c
 
-    # vertical part of the section
-    f = {x: g.w_of(v) for x, v in enumerate(split.phi.tolist()) if v >= 0}
-
     # W-side sets share ids with the vertical slice of the carrier
-    b1w = MSet(wg, split.b1.bits)
-    b3w = MSet(wg, split.b3.bits)
+    b1w = MSet.from_ids(wg, split.b1.id_array())
+    b3w = MSet.from_ids(wg, split.b3.id_array())
     diff = product_set(b3w, inverse_set(b3w))
-    b_tilde = diff.intersect_bits(_mask_bits(_ids_mask(wg, doubled)))
+    b_tilde = diff & MSet.from_ids(wg, doubled)
     ledger.info("size-b-tilde", b_tilde.size, note="|(B3 - B3) n 2W|")
 
     three_bt = power_set(b_tilde, 3)
-    b_prime = MSet(wg, _mask_bits(member_mask(three_bt)[doubled]))
+    b_prime = MSet.from_mask(wg, member_mask(three_bt)[doubled])
     ledger.info("size-b-prime", b_prime.size, note="|{b : 2b in 3(B3 - B3) n 2W}|")
 
     pair_values = np.flatnonzero(_pairing_image(g, c.id_array()))
@@ -863,15 +853,16 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
                    ks ** positive_power_exponent(5) * c.size,
                    formula="|C^3| <= Ks^5|C|")
 
-    # fiber thickening: A' = {(z, f(z) + 9B' + B1) : z in C}
+    # fiber thickening: A' = {(z, f(z) + 9B' + B1) : z in C}, with f the
+    # vertical part of the section; the fibers are the rows of one outer
+    # product of W, |C| x |9B' + B1| <= |Z||W| ids
     shift = product_set(power_set(b_prime, 9), b1w)
     ag = g.additive_group()
     wo = g.w_order
-    abits = 0
-    for z in c.ids():
-        abits |= translate_left(f[z], shift) << (z * wo)
-    a_prime = MSet(ag, abits)
-    ledger.claim("hull-in-thickening", hull.bits & ~abits == 0,
+    cids = c.id_array()
+    fibers = wg.mul_outer(split.phi[cids] % wo, shift.id_array())
+    a_prime = MSet.from_ids(ag, (fibers + cids[:, None] * wo).ravel())
+    ledger.claim("hull-in-thickening", g.iota(hull) <= a_prime,
                  lhs=hull.size, rhs=a_prime.size,
                  formula="the hull sits inside the thickened section")
     ledger.claim("thickening-symmetric", inverse_set(a_prime) == a_prime)
@@ -922,7 +913,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     ledger.claim("pairing-closure", include_ok,
                  formula="{pi(Atilde), pi(Atilde)} inside Atilde",
                  note=f"exhaustive over {len(shadow)}^2 shadow pairs")
-    ledger.claim("base-in-candidate", a.bits & ~a_tilde.bits == 0,
+    ledger.claim("base-in-candidate", g.iota(a) <= a_tilde,
                  lhs=a.size, rhs=a_tilde.size,
                  formula="iota(A) inside Atilde")
 
@@ -948,7 +939,7 @@ def verify_inverse_converse(witness: AbelianApproxWitness, a: MSet) -> ConstantL
     ledger = ConstantLedger("inverse-converse")
     a3 = power_set(a, 3)
     six_fold = power_set(witness.a_tilde, 6)
-    ledger.claim("triple-product-absorbed", a3.bits & ~six_fold.bits == 0,
+    ledger.claim("triple-product-absorbed", g.iota(a3) <= six_fold,
                  lhs=a3.size, rhs=six_fold.size,
                  formula="iota(A^3) inside the 6-fold sum of the candidate")
     ledger.info("size-a3", a3.size)
@@ -1009,7 +1000,7 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
     if h.parent is not g:
         raise ValueError("the subgroup view belongs to a different group")
     _require_subgroup(a)
-    b = a.intersect_bits(h.member_bits)
+    b = a & MSet.from_ids(g, h.members)
     q = h.quotient
     pi = np.asarray(h.pi, dtype=np.intp)
     c = _projection(q, pi, a)
@@ -1027,10 +1018,10 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
         b_mask[g.mul_pairs(g.inv_array(block),
                            phi[q.mul_outer(cids[rows], cids)])].all()
         for rows, block in _product_blocks(g, sec, sec))
-    cover_bits = _product_bits(g, sec, b.id_array())
     ledger.claim("quotient-homomorphism", hom_ok,
                  formula="phi(xy) in phi(x)phi(y)B for all x, y in C")
-    ledger.claim("fiber-decomposition", cover_bits == a.bits,
+    ledger.claim("fiber-decomposition",
+                 product_set(MSet.from_ids(g, sec), b) == a,
                  lhs=a.size, formula="A equals the union of phi(x)B over C")
     ledger.compare("order-product", a.size, "==", c.size * b.size,
                    formula="|A| = |C||B|")

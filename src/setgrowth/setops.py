@@ -1,17 +1,19 @@
 """Set arithmetic over a finite group: products, convolutions, energy,
 Ruzsa distance.
 
-Sets are bitsets over element ids (Python ints), so unions and membership
-are single operations and cardinality is a popcount.  Products, translates,
-inverses and convolutions have one path: the group's vectorized law
-``mul_outer`` (a table gather at or below TABLE_CAP, coordinate arithmetic
-above it) over the row blocks of ``groups._product_blocks``, scattered into
-a boolean mask packed back into the bitset, or into a ``bincount``.  No
-call holds more than one block of products, so memory stays linear in the
-group order whatever the set sizes.  ``product_set`` forms nothing when an
-operand is the whole group G, since G·B = A·G = G for nonempty sets; once a
-power chain reaches G, every further power is free.  All derived values
-(energy, distances) are exact integers or Fractions.
+This module alone knows the set format: an MSet keeps its ids as a Python
+int bitset, so unions and membership are single operations and cardinality
+is a popcount.  Other modules build sets with the named constructors and
+read them through ids, id_array, member_mask and membership only.  Products,
+translates, inverses and convolutions have one path: the group's vectorized
+law ``mul_outer`` (a table gather at or below TABLE_CAP, coordinate
+arithmetic above it) over the row blocks of ``groups._product_blocks``,
+scattered into a boolean mask packed back into the bitset, or into a
+``bincount``.  No call holds more than one block of products, so memory
+stays linear in the group order whatever the set sizes.  ``product_set``
+forms nothing when an operand is the whole group G, since G·B = A·G = G for
+nonempty sets; once a power chain reaches G, every further power is free.
+All derived values (energy, distances) are exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -41,12 +43,19 @@ class MSet:
 
     @classmethod
     def from_ids(cls, group: FiniteGroup, ids) -> "MSet":
-        bits = 0
-        for x in ids:
-            if not 0 <= x < group.order:
-                raise ValueError(f"id {x} outside group of order {group.order}")
-            bits |= 1 << x
-        return cls(group, bits)
+        """The set of the ids of any iterable or id array, repeats allowed."""
+        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
+                         dtype=np.intp)
+        outside = ids.view(np.uintp) >= group.order   # negative ids wrap high
+        if outside.any():
+            x = ids[np.argmax(outside)]
+            raise ValueError(f"id {x} outside group of order {group.order}")
+        return cls.from_mask(group, _ids_mask(group, ids))
+
+    @classmethod
+    def from_mask(cls, group: FiniteGroup, mask: np.ndarray) -> "MSet":
+        """The set on which a boolean mask over the group's ids is True."""
+        return cls(group, _mask_bits(mask))
 
     @classmethod
     def identity_only(cls, group: FiniteGroup) -> "MSet":
@@ -54,13 +63,7 @@ class MSet:
 
     def ids(self) -> tuple[int, ...]:
         if self._idtuple is None:
-            out = []
-            bits = self.bits
-            while bits:
-                low = bits & -bits
-                out.append(low.bit_length() - 1)
-                bits ^= low
-            self._idtuple = tuple(out)
+            self._idtuple = tuple(self.id_array().tolist())
         return self._idtuple
 
     def id_array(self) -> np.ndarray:
@@ -96,9 +99,10 @@ class MSet:
         _require_same_group(self, other)
         return MSet(self.group, self.bits | other.bits)
 
-    def intersect_bits(self, bits: int) -> "MSet | None":
-        out = self.bits & bits
-        return MSet(self.group, out) if out else None
+    def __and__(self, other: "MSet") -> "MSet":
+        """A n B; an empty one raises, as every empty MSet does."""
+        _require_same_group(self, other)
+        return MSet(self.group, self.bits & other.bits)
 
     def is_symmetric(self) -> bool:
         return self == inverse_set(self)
@@ -112,6 +116,19 @@ class MSet:
         if len(ids) > 8:
             shown += ",..."
         return f"MSet[{self.size}]{{{shown}}} in {self.group.name}"
+
+
+def intersection_size(a: MSet, b: MSet) -> int:
+    """|A n B|, zero when A and B are disjoint."""
+    _require_same_group(a, b)
+    return (a.bits & b.bits).bit_count()
+
+
+def random_ids(g: FiniteGroup, rng, density) -> np.ndarray:
+    """The ascending ids of g whose rng.random() draw, one per id in id
+    order, falls below the density; empty when none does."""
+    draws = np.array([rng.random() for _ in g.elements()])
+    return np.flatnonzero(draws < float(density))
 
 
 def member_mask(a: MSet) -> np.ndarray:
@@ -150,14 +167,14 @@ def _product_bits(g: FiniteGroup, xs, ys) -> int:
     return _mask_bits(mask)
 
 
-def translate_left(x: int, a: MSet) -> int:
-    """Bitset of x*A."""
-    return _product_bits(a.group, [x], a.id_array())
+def translate_left(x: int, a: MSet) -> MSet:
+    """x*A."""
+    return MSet(a.group, _product_bits(a.group, [x], a.id_array()))
 
 
-def translate_right(a: MSet, x: int) -> int:
-    """Bitset of A*x."""
-    return _product_bits(a.group, a.id_array(), [x])
+def translate_right(a: MSet, x: int) -> MSet:
+    """A*x."""
+    return MSet(a.group, _product_bits(a.group, a.id_array(), [x]))
 
 
 def product_set(a: MSet, b: MSet) -> MSet:
@@ -173,7 +190,7 @@ def product_set(a: MSet, b: MSet) -> MSet:
 
 def inverse_set(a: MSet) -> MSet:
     g = a.group
-    return MSet(g, _mask_bits(_ids_mask(g, g.inv_array(a.id_array()))))
+    return MSet.from_mask(g, _ids_mask(g, g.inv_array(a.id_array())))
 
 
 def ascending_powers(a: MSet, top: int):
@@ -217,7 +234,7 @@ def partial_product(a: MSet, b: MSet, pairs) -> MSet:
     mask = np.zeros(g.order, dtype=bool)
     for rows in _row_blocks(len(xs), 1):
         mask[g.mul_pairs(xs[rows], ys[rows])] = True
-    return MSet(g, _mask_bits(mask))
+    return MSet.from_mask(g, mask)
 
 
 # ---------------------------------------------------------------------------

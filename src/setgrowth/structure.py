@@ -464,12 +464,10 @@ def local_tripling_check(a: MSet, k) -> ConstantLedger:
     """From sup over a of |A·a·A| ≤ K|A| and |A²| ≤ K|A|, certify the
     explicit tripling bound |A³| ≤ C·K^c·|A|."""
     k = frac(k)
-    g = a.group
     ledger = ConstantLedger("local_tripling_check")
     sup_size = 0
     for mid in a.ids():
-        mid_a = MSet(g, translate_right(a, mid))
-        sup_size = max(sup_size, product_set(a, mid_a).size)
+        sup_size = max(sup_size, product_set(a, translate_right(a, mid)).size)
     ok = ledger.compare("local-product-hypothesis", sup_size, "<=", k * a.size,
                         kind="soft", formula="sup_a |A·a·A| <= K|A|")
     if not ok:

@@ -57,6 +57,7 @@ from .setops import (
     inverse_set,
     power_set,
     product_set,
+    random_ids,
     ruzsa_distance,
     ruzsa_triangle_cleared,
     symmetrize,
@@ -401,27 +402,19 @@ def _pool(job: SuiteJob, report: Report, module: str,
     for ftext in job.families:
         spec = SetFamilySpec.parse(group_spec, ftext)
         try:
-            a = generate_set(spec, group=g)
+            a = generate_set(spec)
         except ValueError as exc:
             report.add(module, f"generate[{group_spec}]", ftext, "info",
                        lhs=0, note=f"family skipped: {exc}")
             continue
         if max_size is not None and a.size > max_size:
-            a = MSet.from_ids(g, list(a.ids())[:max_size])
+            a = MSet.from_ids(g, a.id_array()[:max_size])
         pool.append((ftext, a))
     rng = _rng(job, group_spec, "pool")
     for i in range(extra_random):
         density = Fraction(rng.randrange(8, 25), 100)
-        bits = 0
-        for x in g.elements():
-            if rng.random() < float(density):
-                bits |= 1 << x
-        if max_size is not None:
-            ids = [x for x in range(g.order) if bits >> x & 1][:max_size]
-            bits = sum(1 << x for x in ids)
-        if not bits:
-            bits = 1
-        pool.append((f"random#{i}", MSet(g, bits)))
+        ids = random_ids(g, rng, density)[:max_size]
+        pool.append((f"random#{i}", MSet.from_ids(g, ids if len(ids) else [0])))
     return pool
 
 
@@ -490,8 +483,8 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
                 witness = witness or f"nonnegativity fails at ({la},{lb})"
             x = rng.randrange(g.order)
             y = rng.randrange(g.order)
-            xa = MSet(g, translate_left(x, a))
-            yb = MSet(g, translate_left(y, b))
+            xa = translate_left(x, a)
+            yb = translate_left(y, b)
             if product_set(xa, inverse_set(yb)).size != ab:
                 invariance = False
                 witness = witness or f"invariance fails at ({la},{lb},x={x},y={y})"
@@ -517,14 +510,14 @@ def _asymmetric_coset_union(g: FiniteGroup) -> MSet | None:
         if not 1 < len(sub) <= g.order // 3 or sub in scanned:
             continue
         scanned.add(sub)
-        h = MSet.from_ids(g, sorted(sub))
-        seen = h.bits       # H and the cosets xH scanned so far
+        h = MSet.from_ids(g, sub)
+        seen = h        # H and the cosets xH scanned so far
         for x in range(1, min(g.order, 48)):
-            if (seen >> x) & 1:
+            if x in seen:
                 continue
             coset = translate_left(x, h)
-            seen |= coset
-            a = MSet(g, h.bits | coset)
+            seen = seen.union(coset)
+            a = h.union(coset)
             a_inv = inverse_set(a)
             if product_set(a, a_inv).size != product_set(a_inv, a).size:
                 return a
@@ -675,7 +668,7 @@ def _run_energy_equivalence(job: SuiteJob, report: Report) -> None:
 def _local_product_sup(a: MSet) -> int:
     g = a.group
     return max(
-        product_set(a, MSet(g, translate_left(mid, a))).size
+        product_set(a, translate_left(mid, a)).size
         for mid in a.ids())
 
 
@@ -721,7 +714,7 @@ def _plus_point_demo(report: Report, module: str, gspec: str,
     for gen in range(1, min(g.order, 24)):
         spec = SetFamilySpec.parse(gspec, f"subgroup_plus_point({gen})")
         try:
-            a = generate_set(spec, group=g)
+            a = generate_set(spec)
         except ValueError as exc:
             first_err = first_err or str(exc)
             continue
@@ -777,11 +770,11 @@ def _normal_view(g: FiniteGroup, order: int):
 
 
 def _full_set(g: FiniteGroup, view) -> MSet:
-    return MSet(g, (1 << g.order) - 1)
+    return MSet.from_ids(g, g.elements())
 
 
 def _members_set(g: FiniteGroup, view) -> MSet:
-    return MSet.from_ids(g, sorted(view.members))
+    return MSet.from_ids(g, view.members)
 
 
 def _split_instances():
@@ -826,7 +819,7 @@ def _is_subgroup(a: MSet) -> bool:
 def _add_agreement(report: Report, module: str, op: str, a: MSet, view,
                    split, exact, note: str) -> None:
     """Hard row: on a subgroup A both splitting routes give A n H."""
-    b_cap = a.intersect_bits(view.member_bits)
+    b_cap = a & _members_set(a.group, view)
     agree = exact.passed and all(
         b == b_cap for b in (split.b1, split.b2, split.b3, exact.b))
     report.add(module, op, "exact-approx-agreement", "hard",
@@ -865,31 +858,18 @@ def _heisenberg_families(g: hb.HeisenbergGroup, seed: int):
     wo = g.w_order
     e1 = g.spec.z_prime ** (g.spec.z_rank - 1)  # z coords (1,0,...)
     e2 = 1                                       # z coords (...,0,1)
-    full = MSet(g, (1 << g.order) - 1)
+    full = MSet.from_ids(g, g.elements())
     vertical = MSet.from_ids(g, range(wo))
-    line = MSet.from_ids(g, sorted(subgroup_closure(g, [g.encode(e1, 0)])))
-    wall = MSet.from_ids(
-        g, sorted(subgroup_closure(g, [g.encode(e1, 0), 1])))
+    line = MSet.from_ids(g, subgroup_closure(g, [g.encode(e1, 0)]))
+    wall = MSet.from_ids(g, subgroup_closure(g, [g.encode(e1, 0), 1]))
     zsec = MSet.from_ids(g, [g.encode(z, 0) for z in range(g.z_order)])
-    mixed = MSet.from_ids(
-        g, sorted({0} | set(vertical.ids()) | {g.encode(e1, 0)}))
-    ball1 = symmetrize(MSet.from_ids(
-        g, [g.encode(e1, 0), g.encode(e2, 0)]))
+    mixed = vertical.union(MSet.from_ids(g, [g.encode(e1, 0)]))
+    ball1 = symmetrize(MSet.from_ids(g, [g.encode(e1, 0), g.encode(e2, 0)]))
     ball2 = power_set(ball1, 2)
-    twofiber = MSet.from_ids(
-        g, sorted(set(range(wo)) | {g.encode(e1, w) for w in range(wo)}))
-    prog = []
-    cur = 0
+    twofiber = vertical.union(translate_left(g.encode(e1, 0), vertical))
     step = g.encode(e1, 1)
-    for _ in range(3):
-        prog.append(cur)
-        cur = g.mul(cur, step)
-    rng = random.Random(f"{seed}:heis:{g.order}")
-    rnd_bits = 0
-    for x in g.elements():
-        if rng.random() < 0.22:
-            rnd_bits |= 1 << x
-    rnd_bits |= 1
+    prog = [0, step, g.mul(step, step)]
+    rnd = random_ids(g, random.Random(f"{seed}:heis:{g.order}"), 0.22)
     return (
         ("identity", MSet.from_ids(g, [0])),
         ("vertical", vertical),
@@ -901,8 +881,8 @@ def _heisenberg_families(g: hb.HeisenbergGroup, seed: int):
         ("pair-ball-1", ball1),
         ("pair-ball-2", ball2),
         ("two-fibers", twofiber),
-        ("mixed-progression", MSet.from_ids(g, sorted(set(prog)))),
-        ("random-dense", MSet(g, rnd_bits)),
+        ("mixed-progression", MSet.from_ids(g, prog)),
+        ("random-dense", MSet.from_ids(g, [0, *rnd])),
     )
 
 

@@ -30,7 +30,7 @@ S7_STABILIZER = "%d,%d" % (S7.index[(0, 2, 1, 3, 4, 5, 6)],
 
 def gen(group, text, seed=None):
     spec = SetFamilySpec.parse(SPECS[id(group)], text)
-    return generate_set(spec, group, seed=seed)
+    return generate_set(spec, seed=seed)
 
 
 def test_subgroup_family():
@@ -74,7 +74,7 @@ def test_random_dense_is_deterministic():
 
 def test_random_dense_seed_override():
     spec = SetFamilySpec.parse("cyclic(12)", "random_dense(density=1/2;seed=9)")
-    assert generate_set(spec, G12, seed=9) == gen(G12, "random_dense(density=1/2;seed=9)")
+    assert generate_set(spec, seed=9) == gen(G12, "random_dense(density=1/2;seed=9)")
 
 
 def test_random_dense_requires_seed():
@@ -183,6 +183,23 @@ def test_ids_outside_the_group_are_rejected(text, bad, capsys):
     with pytest.raises(ValueError, match=re.escape(message)):
         generate_set(SetFamilySpec.parse("symmetric(3)", text))
     assert main(["set", "gen", "symmetric(3)", text]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("random_dense(density=1/2;seed=3;seed=4)", "duplicate random_dense field 'seed'"),
+    ("random_dense(density=1/2;seed=3;color=red)", "unknown random_dense field 'color'"),
+    ("subgroup(2;7)", "surplus subgroup field '7'"),
+    ("ball_in_word_metric(1;1;5)", "surplus ball_in_word_metric field '5'"),
+    ("coset(2;1;3)", "surplus coset field '3'"),
+    ("geometric_progression(1;2;3)", "surplus geometric_progression field '3'"),
+    ("subgroup_plus_point(1;3;4)", "surplus subgroup_plus_point field '4'"),
+    ("union_of_cosets(1;2;3)", "surplus union_of_cosets field '3'"),
+])
+def test_duplicate_unknown_and_surplus_fields_are_named(text, message, capsys):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_set(SetFamilySpec.parse("symmetric(4)", text))
+    assert main(["set", "gen", "symmetric(4)", text]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
 
 

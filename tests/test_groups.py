@@ -12,6 +12,7 @@ from setgrowth.groups import (
     subgroup_closure,
     verify_group_axioms,
 )
+from setgrowth.setops import MSet, product_set
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [
@@ -72,6 +73,25 @@ def test_direct_product_order():
 def test_heisenberg_order():
     g = construct_group("heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)")
     assert g.order == 27
+
+
+def test_one_group_per_spec():
+    g = construct_group("sl2(5)")
+    assert construct_group("sl2(5)") is g
+    a = MSet.from_ids(g, [1, 2, 3])
+    b = MSet.from_ids(construct_group("sl2(5)"), [0, 4])
+    assert product_set(a, b).ids() == tuple(sorted(
+        {g.mul(x, y) for x in a.ids() for y in b.ids()}))
+
+
+@pytest.mark.parametrize("spec, variant", [
+    ("heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)",
+     " heisenberg( z=Zp^2,p=3 ; w=Zp^1,p=3 ; pairing=symplectic ) "),
+    ("direct_product(cyclic(4),cyclic(9))", "direct_product( cyclic(4) , cyclic( 9 ))"),
+    ("cyclic(12)", "cyclic( 12 )"),
+])
+def test_specs_that_parse_alike_share_one_group(spec, variant):
+    assert construct_group(variant) is construct_group(spec)
 
 
 def test_bad_specs_raise():

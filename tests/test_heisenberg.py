@@ -163,7 +163,7 @@ def test_split_on_cyclic_normal_view():
     a = MSet.from_ids(g, [0, 2, 4, 6, 8, 10])
     sw = split_approximate(a, view, measured_tripling(a))
     assert sw.ledger.hard_ok
-    assert sw.b1 == a.intersect_bits(view.member_bits)
+    assert sw.b1 == a & MSet.from_ids(g, view.members)
 
 
 # ------------------------------------------------------------ exact oracle
@@ -193,7 +193,7 @@ def test_exact_and_approximate_agree_on_subgroups():
     es = exact_split_oracle(sub, H27.vertical)
     sw = split_approximate(sub, H27.vertical, Fraction(1))
     assert es.passed and sw.ledger.hard_ok
-    expected = sub.intersect_bits(H27.vertical.member_bits)
+    expected = sub & MSet.from_ids(H27, H27.vertical.members)
     assert es.b == expected
     assert sw.b1 == expected and sw.b2 == expected and sw.b3 == expected
 

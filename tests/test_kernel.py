@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth import cli, heisenberg as hb
+from setgrowth import cli, groups, heisenberg as hb
 from setgrowth.groups import (
     ASSOC_SAMPLES,
     BLOCK_PAIRS,
@@ -438,8 +438,8 @@ def test_set_operations_match_brute_force(spec, data):
     assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
     assert convolution(a, b).counts == dict(
         Counter(g.mul(u, v) for u in a.ids() for v in b.ids()))
-    assert translate_left(x, a) == mset(g, brute_products(g, [x], a.ids())).bits
-    assert translate_right(a, x) == mset(g, brute_products(g, a.ids(), [x])).bits
+    assert translate_left(x, a).bits == mset(g, brute_products(g, [x], a.ids())).bits
+    assert translate_right(a, x).bits == mset(g, brute_products(g, a.ids(), [x])).bits
     assert set(inverse_set(a).ids()) == {g.inv(u) for u in a.ids()}
 
 
@@ -464,7 +464,7 @@ def test_order_cap_runs_set_arithmetic_without_a_table():
     b = mset(g, rng.sample(range(g.order), 100))
     assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
     assert sum(convolution(a, b).counts.values()) == 100 * 100
-    assert translate_left(7, a) == mset(g, [(7 + u) % g.order for u in a.ids()]).bits
+    assert translate_left(7, a).bits == mset(g, [(7 + u) % g.order for u in a.ids()]).bits
     assert g._table is None
 
 
@@ -612,7 +612,7 @@ def count_law_products(monkeypatch, owner):
 def test_heisenberg_build_runs_the_law_once(monkeypatch):
     # the axiom sweep's n^2 law table plus the 3n products of its identity
     # and inverse checks; the law sweeps gather from the adopted table
-    monkeypatch.setattr(hb, "_BUILD_CACHE", {})
+    monkeypatch.setattr(groups, "_GROUPS", {})
     products = count_law_products(monkeypatch, hb.HeisenbergGroup)
     g = construct_group(heisenberg_spec(7))
     n = g.order
@@ -623,7 +623,7 @@ def test_heisenberg_build_runs_the_law_once(monkeypatch):
 
 def test_group_info_reuses_the_heisenberg_build_sweep(monkeypatch, capsys):
     # the build's exhaustive sweep is the one `group info` reports
-    monkeypatch.setattr(hb, "_BUILD_CACHE", {})
+    monkeypatch.setattr(groups, "_GROUPS", {})
     products = count_law_products(monkeypatch, hb.HeisenbergGroup)
     assert cli.main(["group", "info", heisenberg_spec(7)]) == 0
     n = 343
@@ -642,19 +642,21 @@ def test_exhaustive_sweep_runs_the_law_once(monkeypatch):
 @pytest.mark.parametrize("spec", [
     "cyclic(512)", "dihedral(6)", "symmetric(5)", "sl2(7)", NINE_C2,
 ])
-def test_passing_sweep_adopts_the_composed_table(spec):
+def test_passing_sweep_adopts_the_composed_table(spec, monkeypatch):
+    monkeypatch.setattr(groups, "_GROUPS", {})
     g = construct_group(spec)
     assert g._table is None
     stats = verify_group_axioms(g)
     assert stats == {"elements": g.order, "triples": g.order ** 3,
                      "mode": "exhaustive"}
     assert g._table is not None
+    monkeypatch.setattr(groups, "_GROUPS", {})
     assert np.array_equal(g._table, construct_group(spec).table())
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_heisenberg_build_adopts_the_composed_table(monkeypatch, p):
-    monkeypatch.setattr(hb, "_BUILD_CACHE", {})
+    monkeypatch.setattr(groups, "_GROUPS", {})
     g = construct_group(heisenberg_spec(p))
     assert g._table is not None
     assert np.array_equal(g._table, hb.HeisenbergGroup(g.spec).table())

@@ -299,7 +299,7 @@ S7 = GROUPS["symmetric(7)"]
 def ref_ruzsa_cover(a, b, side):
     chosen, used = [], 0
     for x in b.ids():
-        t = translate_right(a, x) if side == "left" else translate_left(x, a)
+        t = (translate_right(a, x) if side == "left" else translate_left(x, a)).bits
         if used & t == 0:
             chosen.append(x)
             used |= t
@@ -314,7 +314,7 @@ def ref_symmetric_core(a, k, n_max=3):
     p, q = k.numerator, k.denominator
     s = MSet.from_ids(a.group, [
         x for x in product_set(a_inv, a).ids()
-        if 2 * p * (a.bits & translate_right(a, x)).bit_count() > q * a.size])
+        if 2 * p * (a.bits & translate_right(a, x).bits).bit_count() > q * a.size])
     led.claim("core-identity", s.contains_identity(), formula="1 in S")
     led.claim("core-symmetric", s.is_symmetric(), formula="S = S^-1")
     led.claim("core-support", s <= product_set(a_inv, a), formula="S subset A^-1·A")
@@ -632,7 +632,7 @@ def test_core_candidate_on_the_threshold_is_excluded():
     a = MSet.from_ids(g, [0, 1, 2, 3])
     k = Fraction(2)
     for x in (3, 5):
-        assert 2 * k * (a.bits & translate_right(a, x)).bit_count() == a.size
+        assert 2 * k * (a.bits & translate_right(a, x).bits).bit_count() == a.size
     core, led = symmetric_core(a, k)
     s, ref = ref_symmetric_core(a, k)
     assert core.s.ids() == s.ids() == (0, 1, 2, 6, 7)
