@@ -166,12 +166,12 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         count = int(args[1])
         if count < 1:
             raise ValueError("coset count must be positive")
-        a = base
-        for _ in range(count - 1):
-            x = next((x for x in g.elements() if x not in a), None)
-            if x is None:
+        a, wanted = base, count - 1     # base is the coset of id 0
+        for x in g.elements():
+            if not wanted:
                 break
-            a = a.union(translate_left(x, base))
+            if x not in a:
+                a, wanted = a.union(translate_left(x, base)), wanted - 1
         return a
 
     if family == "random_dense":

@@ -5,11 +5,10 @@ theorem for the two-step nilpotent case.
 The carrier of a Heisenberg group is Z x W for two elementary abelian
 groups, with multiplication twisted by a pairing {.,.}: Z x Z -> W.  The
 same carrier untwisted is the additive group Z x W, and both use identical
-mixed-radix element ids, so the comparison map iota between them carries a
-set id for id, and the vertical slice {0} x W shares its ids with W.  Sets
-cross between these groups only by id (``MSet.from_ids``), and every
-containment across them is stated on iota's image, as its row's formula
-reads.  Every quantitative conclusion lands in a
+mixed-radix element ids, and the vertical slice {0} x W has the ids of W,
+so sets cross between these groups id for id (``MSet.from_ids``); a
+containment across them is stated on the image under the comparison map
+iota, as its row's formula reads.  Every quantitative conclusion lands in a
 ConstantLedger row with exact integer or Fraction endpoints; covering-set
 sizes are measured and then compared against the proof-derived polynomial
 bounds in the tripling parameter (derivations in docs/constants.md).

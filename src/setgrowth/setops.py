@@ -4,16 +4,17 @@ Ruzsa distance.
 This module alone knows the set format: an MSet keeps its ids as a Python
 int bitset, so unions and membership are single operations and cardinality
 is a popcount.  Other modules build sets with the named constructors and
-read them through ids, id_array, member_mask and membership only.  Products,
-translates, inverses and convolutions have one path: the group's vectorized
-law ``mul_outer`` (a table gather at or below TABLE_CAP, coordinate
-arithmetic above it) over the row blocks of ``groups._product_blocks``,
-scattered into a boolean mask packed back into the bitset, or into a
-``bincount``.  No call holds more than one block of products, so memory
-stays linear in the group order whatever the set sizes.  ``product_set``
-forms nothing when an operand is the whole group G, since G·B = A·G = G for
-nonempty sets; once a power chain reaches G, every further power is free.
-All derived values (energy, distances) are exact integers or Fractions.
+read them through ids, id_array, member_mask, size and membership, never
+the bits (tests/test_set_format.py checks this).  Products, translates,
+inverses and convolutions have one path: the group's vectorized law
+``mul_outer`` (a table gather at or below TABLE_CAP, coordinate arithmetic
+above it) over the row blocks of ``groups._product_blocks``, scattered into
+a boolean mask packed back into the bitset, or into a ``bincount``.  No
+call holds more than one block of products, so memory stays linear in the
+group order whatever the set sizes.  ``product_set`` forms nothing when an
+operand is the whole group G, since G·B = A·G = G for nonempty sets; once a
+power chain reaches G, every further power is free.  All derived values
+(energy, distances) are exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .groups import FiniteGroup, _ids_mask, _product_blocks, _row_blocks
 
 
 class MSet:
-    """Nonempty subset of a FiniteGroup stored as a bitset over ids."""
+    """Nonempty subset of a FiniteGroup stored as a bitset over ids.  The
+    constructor takes that bitset and is for this module alone; elsewhere a
+    set comes from from_ids, from_mask, identity_only or an operation."""
 
     __slots__ = ("group", "bits", "size", "_idtuple", "_idarray")
 

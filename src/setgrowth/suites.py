@@ -666,7 +666,6 @@ def _run_energy_equivalence(job: SuiteJob, report: Report) -> None:
 
 
 def _local_product_sup(a: MSet) -> int:
-    g = a.group
     return max(
         product_set(a, translate_left(mid, a)).size
         for mid in a.ids())
