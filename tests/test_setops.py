@@ -8,8 +8,10 @@ which itself enumerates (a, b, a') directly.
 
 import functools
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,10 +23,12 @@ from setgrowth.setops import (
     convolution,
     energy,
     energy_quadruple_count,
+    intersection_size,
     inverse_set,
     partial_product,
     power_set,
     product_set,
+    random_ids,
     ruzsa_distance,
     ruzsa_triangle_cleared,
     symmetrize,
@@ -57,6 +61,49 @@ def test_mset_rejects_empty():
 def test_mset_rejects_out_of_range():
     with pytest.raises(ValueError):
         MSet.from_ids(G5, [5])
+
+
+@pytest.mark.parametrize("ids, bad", [
+    ([1, -1, 7], -1),
+    ([0, 5], 5),
+    ((x for x in [2, 9, -4]), 9),
+    (np.array([3, 11], dtype=np.uint16), 11),
+    (range(-2, 3), -2),
+])
+def test_from_ids_names_the_first_id_outside(ids, bad):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"id {bad} outside group of order 5")):
+        MSet.from_ids(G5, ids)
+
+
+@pytest.mark.parametrize("ids", [
+    [4, 0, 4, 2], (x for x in (2, 0, 4)), {0, 2, 4}, range(0, 5, 2),
+    np.array([4, 2, 0], dtype=np.uint16),
+])
+def test_from_ids_takes_any_iterable_with_repeats(ids):
+    assert MSet.from_ids(G5, ids).ids() == (0, 2, 4)
+
+
+def test_from_mask_and_intersection():
+    a = MSet.from_ids(G7, [0, 1, 3])
+    b = MSet.from_mask(G7, np.array([1, 1, 0, 0, 0, 0, 1], dtype=bool))
+    assert b.ids() == (0, 1, 6)
+    assert (a & b).ids() == (0, 1)
+    assert intersection_size(a, b) == 2
+    apart = MSet.from_ids(G7, [2])
+    assert intersection_size(a, apart) == 0
+    with pytest.raises(ValueError, match="nonempty"):
+        a & apart
+
+
+@pytest.mark.parametrize("seed, density", [
+    (1, Fraction(1, 2)), (7, 0.22), (3, Fraction(1, 100))])
+def test_random_ids_is_one_draw_per_id_in_id_order(seed, density):
+    rng = random.Random(seed)
+    expect = [x for x in range(100) if rng.random() < float(density)]
+    drawn = random.Random(seed)
+    assert random_ids(G100, drawn, density).tolist() == expect
+    assert drawn.random() == rng.random()   # exactly one draw per id
 
 
 def test_mset_basic_protocol():
