@@ -7,6 +7,7 @@ which itself enumerates (a, b, a') directly.
 """
 
 import functools
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -119,6 +120,38 @@ def test_equality_requires_same_group_instance():
     other = CyclicGroup(5)
     assert MSet.from_ids(G5, [1]) != MSet.from_ids(other, [1])
     assert MSet.from_ids(G5, [1]) == MSet.from_ids(G5, [1])
+
+
+# 63 nonempty subsets of symmetric(3) and 255 of dihedral(4): 3,969 and
+# 65,025 ordered pairs
+@pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(4)"])
+def test_set_algebra_matches_frozensets_on_every_pair_of_subsets(spec):
+    g = construct_group(spec)
+    n = g.order
+    mul = [[g.mul(x, y) for y in range(n)] for x in range(n)]
+    refs = [frozenset(c) for r in range(1, n + 1)
+            for c in itertools.combinations(range(n), r)]
+    sets = [MSet.from_ids(g, s) for s in refs]
+    by_ref = dict(zip(refs, sets))
+    for s, a in by_ref.items():
+        assert a.ids() == tuple(sorted(s)) and len(a) == len(s)
+        assert [x in a for x in range(n)] == [x in s for x in range(n)]
+        assert inverse_set(a) == by_ref[frozenset(g.inv(x) for x in s)]
+    for s, a in by_ref.items():
+        for t, b in by_ref.items():
+            prod = product_set(a, b)
+            assert frozenset(prod.ids()) == {mul[x][y] for x in s for y in t}
+            union, same = a.union(b), by_ref[s | t]
+            assert union == same and hash(union) == hash(same)
+            common = s & t
+            assert intersection_size(a, b) == len(common)
+            if common:
+                assert frozenset((a & b).ids()) == common
+            else:
+                with pytest.raises(ValueError, match="nonempty"):
+                    a & b
+            assert (a <= b) == (s <= t)
+            assert (a == b) == (s == t)
 
 
 def test_product_set_example():
