@@ -1,20 +1,20 @@
 """Set arithmetic over a finite group: products, convolutions, energy,
 Ruzsa distance.
 
-This module alone knows the set format: an MSet keeps its ids as a Python
-int bitset, so unions and membership are single operations and cardinality
-is a popcount.  Other modules build sets with the named constructors and
-read them through ids, id_array, member_mask, size and membership, never
-the bits (tests/test_set_format.py checks this).  Products, translates,
+This module alone knows the set format: an MSet owns one read-only boolean
+mask over the group's ids.  The constructor marks the array it is given
+read-only, from_mask copies, member_mask returns the stored array, and the
+hash reads the mask bytes.  Other modules read sets through ids, id_array,
+member_mask, size and membership and build them with the named
+constructors (tests/test_set_format.py checks this).  Products, translates,
 inverses and convolutions have one path: the group's vectorized law
 ``mul_outer`` (a table gather at or below TABLE_CAP, coordinate arithmetic
 above it) over the row blocks of ``groups._product_blocks``, scattered into
-a boolean mask packed back into the bitset, or into a ``bincount``.  No
-call holds more than one block of products, so memory stays linear in the
-group order whatever the set sizes.  ``product_set`` forms nothing when an
-operand is the whole group G, since G·B = A·G = G for nonempty sets; once a
-power chain reaches G, every further power is free.  All derived values
-(energy, distances) are exact integers or Fractions.
+a mask or a ``bincount``.  No call holds more than one block of products,
+so memory stays linear in the group order whatever the set sizes.
+``product_set`` forms nothing when an operand is the whole group G, since
+G·B = A·G = G for nonempty sets; once a power chain reaches G, every
+further power is free.  All derived values are exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -27,42 +27,36 @@ from .groups import FiniteGroup, _ids_mask, _product_blocks, _row_blocks
 
 
 class MSet:
-    """Nonempty subset of a FiniteGroup stored as a bitset over ids.  The
-    constructor takes that bitset and is for this module alone; elsewhere a
-    set comes from from_ids, from_mask, identity_only or an operation."""
+    """Nonempty subset of a FiniteGroup: a read-only boolean mask over ids
+    that the set owns.  Only this module calls the constructor."""
 
-    __slots__ = ("group", "bits", "size", "_idtuple", "_idarray")
+    __slots__ = ("group", "_mask", "size", "_idtuple", "_idarray")
 
-    def __init__(self, group: FiniteGroup, bits: int):
-        if bits <= 0:
+    def __init__(self, group: FiniteGroup, mask: np.ndarray):
+        if mask.shape != (group.order,):
+            raise ValueError("mask does not cover exactly the group's ids")
+        self.size = int(np.count_nonzero(mask))
+        if not self.size:
             raise ValueError("multiplicative sets are nonempty")
-        if bits >> group.order:
-            raise ValueError("bitset contains ids outside the group")
+        mask.flags.writeable = False
         self.group = group
-        self.bits = bits
-        self.size = bits.bit_count()
+        self._mask = mask
         self._idtuple: tuple[int, ...] | None = None
         self._idarray: np.ndarray | None = None
 
     @classmethod
     def from_ids(cls, group: FiniteGroup, ids) -> "MSet":
         """The set of the ids of any iterable or id array, repeats allowed."""
-        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
-                         dtype=np.intp)
-        outside = ids.view(np.uintp) >= group.order   # negative ids wrap high
-        if outside.any():
-            x = ids[np.argmax(outside)]
-            raise ValueError(f"id {x} outside group of order {group.order}")
-        return cls.from_mask(group, _ids_mask(group, ids))
+        return cls(group, _ids_mask(group, _checked_ids(group, ids)))
 
     @classmethod
     def from_mask(cls, group: FiniteGroup, mask: np.ndarray) -> "MSet":
-        """The set on which a boolean mask over the group's ids is True."""
-        return cls(group, _mask_bits(mask))
+        """The set where a copy of a boolean mask over the ids is True."""
+        return cls(group, np.array(mask, dtype=bool))
 
     @classmethod
     def identity_only(cls, group: FiniteGroup) -> "MSet":
-        return cls(group, 1)
+        return cls(group, _ids_mask(group, [0]))
 
     def ids(self) -> tuple[int, ...]:
         if self._idtuple is None:
@@ -72,11 +66,11 @@ class MSet:
     def id_array(self) -> np.ndarray:
         """The ids in increasing order as an intp array."""
         if self._idarray is None:
-            self._idarray = np.flatnonzero(member_mask(self))
+            self._idarray = np.flatnonzero(self._mask)
         return self._idarray
 
     def __contains__(self, x: int) -> bool:
-        return bool((self.bits >> x) & 1)
+        return 0 <= x < self.group.order and bool(self._mask[x])
 
     def __len__(self) -> int:
         return self.size
@@ -88,24 +82,24 @@ class MSet:
         return (
             isinstance(other, MSet)
             and self.group is other.group
-            and self.bits == other.bits
+            and self._mask.tobytes() == other._mask.tobytes()
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.bits))
+        return hash((id(self.group), self._mask.tobytes()))
 
     def __le__(self, other: "MSet") -> bool:
         _require_same_group(self, other)
-        return self.bits & ~other.bits == 0
+        return np.count_nonzero(self._mask & other._mask) == self.size
 
     def union(self, other: "MSet") -> "MSet":
         _require_same_group(self, other)
-        return MSet(self.group, self.bits | other.bits)
+        return MSet(self.group, self._mask | other._mask)
 
     def __and__(self, other: "MSet") -> "MSet":
         """A n B; an empty one raises, as every empty MSet does."""
         _require_same_group(self, other)
-        return MSet(self.group, self.bits & other.bits)
+        return MSet(self.group, self._mask & other._mask)
 
     def is_symmetric(self) -> bool:
         return self == inverse_set(self)
@@ -124,7 +118,7 @@ class MSet:
 def intersection_size(a: MSet, b: MSet) -> int:
     """|A n B|, zero when A and B are disjoint."""
     _require_same_group(a, b)
-    return (a.bits & b.bits).bit_count()
+    return int(np.count_nonzero(a._mask & b._mask))
 
 
 def random_ids(g: FiniteGroup, rng, density) -> np.ndarray:
@@ -135,10 +129,19 @@ def random_ids(g: FiniteGroup, rng, density) -> np.ndarray:
 
 
 def member_mask(a: MSet) -> np.ndarray:
-    """The boolean mask over all ids of the group that is True on A."""
-    raw = a.bits.to_bytes((a.group.order + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little", count=a.group.order).view(bool)
+    """The read-only boolean mask over the group's ids that A stores."""
+    return a._mask
+
+
+def _checked_ids(g: FiniteGroup, ids) -> np.ndarray:
+    """ids as an intp array; the first id outside 0..order-1 raises."""
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
+                     dtype=np.intp)
+    outside = ids.view(np.uintp) >= g.order   # negative ids wrap high
+    if outside.any():
+        raise ValueError(
+            f"id {ids[np.argmax(outside)]} outside group of order {g.order}")
+    return ids
 
 
 def _require_same_group(a: MSet, b: MSet):
@@ -156,28 +159,24 @@ def symmetrize(a: MSet) -> MSet:
 # ---------------------------------------------------------------------------
 # Products
 
-def _mask_bits(mask: np.ndarray) -> int:
-    """The bitset of a boolean mask over ids."""
-    return int.from_bytes(
-        np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _product_bits(g: FiniteGroup, xs, ys) -> int:
-    """Bitset of {x*y : x in xs, y in ys}."""
+def _product_mask(g: FiniteGroup, xs, ys) -> np.ndarray:
+    """Boolean mask over ids of {x*y : x in xs, y in ys}, for id arrays."""
     mask = np.zeros(g.order, dtype=bool)
-    for _, block in _product_blocks(g, np.asarray(xs), np.asarray(ys)):
+    for _, block in _product_blocks(g, xs, ys):
         mask[block] = True
-    return _mask_bits(mask)
+    return mask
 
 
 def translate_left(x: int, a: MSet) -> MSet:
     """x*A."""
-    return MSet(a.group, _product_bits(a.group, [x], a.id_array()))
+    g = a.group
+    return MSet(g, _product_mask(g, _checked_ids(g, [x]), a.id_array()))
 
 
 def translate_right(a: MSet, x: int) -> MSet:
     """A*x."""
-    return MSet(a.group, _product_bits(a.group, a.id_array(), [x]))
+    g = a.group
+    return MSet(g, _product_mask(g, a.id_array(), _checked_ids(g, [x])))
 
 
 def product_set(a: MSet, b: MSet) -> MSet:
@@ -187,13 +186,13 @@ def product_set(a: MSet, b: MSet) -> MSet:
     _require_same_group(a, b)
     g = a.group
     if a.size == g.order or b.size == g.order:
-        return MSet(g, (1 << g.order) - 1)
-    return MSet(g, _product_bits(g, a.id_array(), b.id_array()))
+        return MSet(g, np.ones(g.order, dtype=bool))
+    return MSet(g, _product_mask(g, a.id_array(), b.id_array()))
 
 
 def inverse_set(a: MSet) -> MSet:
     g = a.group
-    return MSet.from_mask(g, _ids_mask(g, g.inv_array(a.id_array())))
+    return MSet(g, _ids_mask(g, g.inv_array(a.id_array())))
 
 
 def ascending_powers(a: MSet, top: int):
@@ -204,7 +203,7 @@ def ascending_powers(a: MSet, top: int):
     yield cur
     for n in range(2, top + 1):
         nxt = product_set(cur, a)
-        if nxt.bits == cur.bits:
+        if nxt == cur:
             for _ in range(n, top + 1):
                 yield cur
             return
@@ -237,7 +236,7 @@ def partial_product(a: MSet, b: MSet, pairs) -> MSet:
     mask = np.zeros(g.order, dtype=bool)
     for rows in _row_blocks(len(xs), 1):
         mask[g.mul_pairs(xs[rows], ys[rows])] = True
-    return MSet.from_mask(g, mask)
+    return MSet(g, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ of the pipeline code.
 
 import dataclasses
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -201,6 +202,17 @@ def test_equivalence_walk_from_the_produced_clause_iv(a, b):
     assert set(wit.produced) == {"ii", "i", "iii"}
     names = {row.name for row in wit.ledger.rows}
     assert {"input-iv.a-intersection", "input-iv.b-intersection"} <= names
+
+
+# the caller's ids go straight into the translates xH and Hy, which refuse
+# an id outside the group rather than wrap -1 around to 15
+@pytest.mark.parametrize("x_id, y_id, bad", [(-1, 0, -1), (0, 16, 16)])
+def test_clause_iv_refuses_an_id_outside_the_group(x_id, y_id, bad):
+    state = energy_equivalences("i", A16, A16, inferred_k(A16, A16)).produced["iv"]
+    with pytest.raises(ValueError,
+                       match=re.escape(f"id {bad} outside group of order 16")):
+        energy_equivalences("iv", A16, A16, state["k"], witness=state["witness"],
+                            x_id=x_id, y_id=y_id)
 
 
 def test_equivalence_rejects_a_clause_iii_subset_outside_a():
@@ -640,7 +652,7 @@ def test_cli_bsg_run_counts_the_energy_once(monkeypatch, capsys):
     real = setops.convolution
 
     def counted(a, b):
-        calls.append((a.bits, b.bits))
+        calls.append((a, b))
         return real(a, b)
 
     monkeypatch.setattr(setops, "convolution", counted)
@@ -648,7 +660,7 @@ def test_cli_bsg_run_counts_the_energy_once(monkeypatch, capsys):
                      "--set", "random_dense(density=1/2;seed=5)"]) == 0
     monkeypatch.undo()
     assert len(calls) == 1
-    a = MSet(construct_group("symmetric(4)"), calls[0][0])
+    a, _ = calls[0]
     first = capsys.readouterr().out.splitlines()[0]
     assert first == (f"inferred K = {inferred_k(a, a)} "
                      f"from E(A,B) = {energy(a, a).value}")

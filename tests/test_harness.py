@@ -339,7 +339,7 @@ def ref_coset_union_scan(g):
         for x in range(1, min(g.order, 48)):
             if x in sub:
                 continue
-            a = MSet(g, h.bits | translate_left(x, h).bits)
+            a = h.union(translate_left(x, h))
             scanned.append((sub, a))
             if product_set(a, inverse_set(a)).size != \
                     product_set(inverse_set(a), a).size:

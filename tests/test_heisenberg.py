@@ -321,7 +321,8 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     gen = np.flatnonzero(hb._pairing_image(g, shadow))
     hull_ids = subgroup_closure(g.w_additive, [0, *gen.tolist()])
     hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
-    tilde = product_set(MSet(ag, a.bits), hull)
+    iota_a = MSet.from_ids(ag, a.id_array())
+    tilde = product_set(iota_a, hull)
 
     ledger = ConstantLedger("subgroup-sandwich")
     ledger.claim("pairing-hull-absorbed", product_set(tilde, hull) == tilde,
@@ -329,10 +330,10 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     closed = product_set(tilde, tilde) == tilde and inverse_set(tilde) == tilde
     ledger.claim("candidate-additive-subgroup", closed,
                  lhs=tilde.size, formula="Atilde is an additive subgroup")
-    ledger.claim("upper-inclusion", a.bits & ~tilde.bits == 0,
+    ledger.claim("upper-inclusion", iota_a <= tilde,
                  lhs=a.size, rhs=tilde.size,
                  formula="iota(A) inside Atilde")
-    ledger.claim("lower-inclusion", hb._dilate(tilde).bits & ~a.bits == 0,
+    ledger.claim("lower-inclusion", hb._dilate(tilde) <= iota_a,
                  lhs=tilde.size, rhs=a.size,
                  formula="2.Atilde inside iota(A)")
     ledger.check()

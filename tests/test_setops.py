@@ -1,4 +1,5 @@
-"""Bitset set arithmetic, convolution, energy, and Ruzsa distance.
+"""Set arithmetic on the stored boolean masks, convolution, energy, and
+Ruzsa distance.
 
 The energy and distance oracles here are frozen from independent
 enumeration: the cyclic(5) profile was counted by hand over all nine
@@ -26,6 +27,7 @@ from setgrowth.setops import (
     energy_quadruple_count,
     intersection_size,
     inverse_set,
+    member_mask,
     partial_product,
     power_set,
     product_set,
@@ -34,12 +36,14 @@ from setgrowth.setops import (
     ruzsa_triangle_cleared,
     symmetrize,
     translate_left,
+    translate_right,
 )
 
 G5 = construct_group("cyclic(5)")
 G7 = construct_group("cyclic(7)")
 G100 = construct_group("cyclic(100)")
 D6 = construct_group("dihedral(6)")
+SL5 = construct_group("sl2(5)")
 
 
 def signed_product(a, signs):
@@ -55,8 +59,47 @@ def small_sets(group, max_size=8):
 
 
 def test_mset_rejects_empty():
-    with pytest.raises(ValueError):
-        MSet(G5, 0)
+    with pytest.raises(ValueError, match="nonempty"):
+        MSet(G5, np.zeros(5, dtype=bool))
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+def test_mset_rejects_a_mask_of_another_shape(shape):
+    with pytest.raises(ValueError, match="group's ids"):
+        MSet(G5, np.ones(shape, dtype=bool))
+
+
+def test_a_set_owns_its_read_only_mask():
+    mask = np.array([1, 0, 1, 0, 0], dtype=bool)
+    a = MSet.from_mask(G5, mask)
+    mask[:] = True
+    assert a.ids() == (0, 2) and a.size == 2
+    stored = member_mask(a)
+    assert stored is member_mask(a)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[1] = True
+    with pytest.raises(ValueError, match="read-only"):
+        stored |= True
+    assert a.ids() == (0, 2) and a == MSet.from_ids(G5, [0, 2])
+
+
+# sl2(5) has order 120: -1 used to translate by 119, and 120 raised a bare
+# IndexError from the table
+@pytest.mark.parametrize("x", [-1, -120, 120, 121])
+def test_translates_refuse_an_id_outside_the_group(x):
+    a = MSet.from_ids(SL5, [0, 1, 2])
+    outside = re.escape(f"id {x} outside group of order 120")
+    with pytest.raises(ValueError, match=outside):
+        translate_left(x, a)
+    with pytest.raises(ValueError, match=outside):
+        translate_right(a, x)
+
+
+def test_membership_is_false_for_every_int_outside_the_group():
+    a = MSet.from_ids(G5, range(5))
+    outside = [-1, -5, -6, 5, 6, 10**30, -10**30, np.int64(-1), np.uint8(5)]
+    assert [x in a for x in outside] == [False] * len(outside)
+    assert all(x in a for x in range(5))
 
 
 def test_mset_rejects_out_of_range():
@@ -198,7 +241,7 @@ def test_power_set_matches_repeated_product():
 
 
 def whole_group(g):
-    return MSet(g, (1 << g.order) - 1)
+    return MSet.from_mask(g, np.ones(g.order, dtype=bool))
 
 
 def scalar_product(a, b):

@@ -32,6 +32,7 @@ from setgrowth.constants import (
 from setgrowth.groups import BLOCK_PAIRS, TABLE_CAP, construct_group
 from setgrowth.setops import (
     MSet,
+    intersection_size,
     inverse_set,
     power_set,
     product_set,
@@ -297,10 +298,10 @@ S7 = GROUPS["symmetric(7)"]
 
 
 def ref_ruzsa_cover(a, b, side):
-    chosen, used = [], 0
+    chosen, used = [], set()
     for x in b.ids():
-        t = (translate_right(a, x) if side == "left" else translate_left(x, a)).bits
-        if used & t == 0:
+        t = set((translate_right(a, x) if side == "left" else translate_left(x, a)).ids())
+        if not used & t:
             chosen.append(x)
             used |= t
     return MSet.from_ids(a.group, chosen)
@@ -314,7 +315,7 @@ def ref_symmetric_core(a, k, n_max=3):
     p, q = k.numerator, k.denominator
     s = MSet.from_ids(a.group, [
         x for x in product_set(a_inv, a).ids()
-        if 2 * p * (a.bits & translate_right(a, x).bits).bit_count() > q * a.size])
+        if 2 * p * intersection_size(a, translate_right(a, x)) > q * a.size])
     led.claim("core-identity", s.contains_identity(), formula="1 in S")
     led.claim("core-symmetric", s.is_symmetric(), formula="S = S^-1")
     led.claim("core-support", s <= product_set(a_inv, a), formula="S subset A^-1·A")
@@ -540,14 +541,14 @@ def test_classify_forms_each_operand_pair_once(monkeypatch):
     a = MSet.from_ids(g, random.Random(1729).sample(range(g.order), 40))
     k = Fraction(product_set(a, a).size, a.size)
     formed = []
-    real = setops._product_bits
+    real = setops._product_mask
 
     def counted(group, xs, ys):
         xs, ys = np.asarray(xs), np.asarray(ys)
         formed.append((xs.tobytes(), ys.tobytes(), len(xs), len(ys)))
         return real(group, xs, ys)
 
-    monkeypatch.setattr(setops, "_product_bits", counted)
+    monkeypatch.setattr(setops, "_product_mask", counted)
     _, _, led = classify_small_doubling(a, a, k)
     monkeypatch.undo()
     assert led.hard_ok
@@ -564,7 +565,7 @@ def test_tripling_chain_forms_one_product_per_distinct_set_and_sign(monkeypatch)
     calls = []
 
     def counted(x, y):
-        calls.append((x.bits, id(y)))
+        calls.append((x, id(y)))
         return product_set(x, y)
 
     monkeypatch.setattr(structure, "product_set", counted)
@@ -577,7 +578,7 @@ def test_tripling_chain_forms_one_product_per_distinct_set_and_sign(monkeypatch)
 def test_tripling_chain_takes_the_hypothesis_cube_from_its_chain(monkeypatch):
     # the hypothesis |A^3| reads A·A and A²·A from the chain's own (set,
     # sign) products, so the 40 chain products are all the chain forms
-    real = setops._product_bits
+    real = setops._product_mask
     calls = []
 
     def counted(group, xs, ys):
@@ -586,7 +587,7 @@ def test_tripling_chain_takes_the_hypothesis_cube_from_its_chain(monkeypatch):
 
     a = MSet.from_ids(G100, [0, 1])
     k = measured_tripling(a)
-    monkeypatch.setattr(setops, "_product_bits", counted)
+    monkeypatch.setattr(setops, "_product_mask", counted)
     led = tripling_chain(a, k, n=6)
     assert led.hard_ok
     assert len(calls) == 40
@@ -632,7 +633,7 @@ def test_core_candidate_on_the_threshold_is_excluded():
     a = MSet.from_ids(g, [0, 1, 2, 3])
     k = Fraction(2)
     for x in (3, 5):
-        assert 2 * k * (a.bits & translate_right(a, x).bits).bit_count() == a.size
+        assert 2 * k * intersection_size(a, translate_right(a, x)) == a.size
     core, led = symmetric_core(a, k)
     s, ref = ref_symmetric_core(a, k)
     assert core.s.ids() == s.ids() == (0, 1, 2, 6, 7)
