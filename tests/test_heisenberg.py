@@ -321,7 +321,7 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     gen = np.flatnonzero(hb._pairing_image(g, shadow))
     hull_ids = subgroup_closure(g.w_additive, [0, *gen.tolist()])
     hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
-    iota_a = MSet.from_ids(ag, a.id_array())
+    iota_a = g.iota(a)
     tilde = product_set(iota_a, hull)
 
     ledger = ConstantLedger("subgroup-sandwich")

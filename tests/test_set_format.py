@@ -14,7 +14,7 @@ import setgrowth
 
 SRC = Path(setgrowth.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-# the stored attribute, now and in the int-bitset format before it
+# the stored attribute, and the int-bitset one, so that it does not return
 STORED = {"_mask", "bits"}
 FORMAT_NAMES = STORED | {"_product_mask"}
 

@@ -83,8 +83,8 @@ def test_a_set_owns_its_read_only_mask():
     assert a.ids() == (0, 2) and a == MSet.from_ids(G5, [0, 2])
 
 
-# sl2(5) has order 120: -1 used to translate by 119, and 120 raised a bare
-# IndexError from the table
+# sl2(5) has order 120: a negative id must not wrap around to a valid one,
+# and one past the end must not reach the table
 @pytest.mark.parametrize("x", [-1, -120, 120, 121])
 def test_translates_refuse_an_id_outside_the_group(x):
     a = MSet.from_ids(SL5, [0, 1, 2])
