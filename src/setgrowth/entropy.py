@@ -534,25 +534,16 @@ class ProfileReport(NamedTuple):
 
 
 def _metric_axiom_rows(group, cloud, led, slack):
+    """Identity, symmetry and the triangle inequality on every ordered pair
+    and triple of the first ten cloud points, from one distance matrix."""
     sample = cloud.points[:10]
-    sym_ok = True
-    tri_ok = True
-    ident_ok = True
-    for x in sample:
-        if group.distance_value(x, x) > slack:
-            ident_ok = False
-    for x, y in itertools.combinations(sample, 2):
-        d_xy = group.distance_value(x, y)
-        d_yx = group.distance_value(y, x)
-        if abs(d_xy - d_yx) > slack:
-            sym_ok = False
-        if d_xy <= slack:
-            ident_ok = False
-    for x, y, z in itertools.combinations(sample, 3):
-        if group.distance_value(x, z) > (
-            group.distance_value(x, y) + group.distance_value(y, z) + slack
-        ):
-            tri_ok = False
+    d = [[group.distance_value(x, y) for y in sample] for x in sample]
+    pairs = list(itertools.permutations(range(len(sample)), 2))
+    ident_ok = (all(d[i][i] <= slack for i in range(len(sample)))
+                and all(d[i][j] > slack for i, j in pairs))
+    sym_ok = all(abs(d[i][j] - d[j][i]) <= slack for i, j in pairs)
+    tri_ok = all(d[i][k] <= d[i][j] + d[j][k] + slack for i, j, k
+                 in itertools.permutations(range(len(sample)), 3))
     note = "%d sample points, slack %s" % (len(sample), slack)
     led.claim("metric-symmetry", sym_ok, formula="d(x,y) = d(y,x)", note=note)
     led.claim(

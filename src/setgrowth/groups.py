@@ -16,7 +16,10 @@ states its law twice, over the same coordinate arithmetic:
 This module alone sets how work is blocked and sampled: every blocked sweep
 in the package takes its rows from ``_row_blocks`` (or the ``(rows,
 block)`` pairs of ``_product_blocks``), and every seeded sample its draws
-from ``_sampled``.
+from ``_sampled``.  A search for the first counterexample enumerates its
+cases with ``_grid`` (every tuple of a box, in ``itertools.product``
+order) or ``_sampled`` (seeded draws, in draw order), whose blocks have
+the same shape, and names the first case that fails with ``_first``.
 
 At or below TABLE_CAP the group caches the vectorized law as one dense
 uint16 table, built on first use from one row block of the law and rows
@@ -40,6 +43,7 @@ Canonical numberings (reproducible bit for bit):
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -492,13 +496,6 @@ def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
         yield rows, g.mul_outer(xs[rows], ys)
 
 
-def _conjugation_blocks(g: FiniteGroup, xs: np.ndarray, hs: np.ndarray):
-    """(rows, the conjugates [i, j] -> xs[i]*hs[j]*xs[i]^-1 for i in rows)
-    in the row blocks of _product_blocks."""
-    for rows, block in _product_blocks(g, xs, hs):
-        yield rows, g.mul_pairs(block, g.inv_array(xs[rows])[:, None])
-
-
 def _sampled(rng: random.Random, count: int, bounds):
     """count seeded draws, each one rng.randrange(b) per bound b in order,
     as one intp id array per bound, in blocks of at most BLOCK_PAIRS
@@ -507,6 +504,24 @@ def _sampled(rng: random.Random, count: int, bounds):
         n = rows.stop - rows.start
         draws = [rng.randrange(b) for _ in range(n) for b in bounds]
         yield tuple(np.array(draws, dtype=np.intp).reshape(n, len(bounds)).T)
+
+
+def _grid(bounds):
+    """Every tuple of range(b) per bound b, in itertools.product order, as
+    one intp array per bound, in blocks of at most BLOCK_PAIRS tuples."""
+    for rows in _row_blocks(math.prod(bounds), 1):
+        yield np.unravel_index(np.arange(rows.start, rows.stop), bounds)
+
+
+def _first(blocks, bad) -> tuple[int, ...] | None:
+    """The first tuple of the _grid or _sampled blocks, in block order, at
+    which the boolean array bad(*block) holds, as ints; None if none."""
+    for block in blocks:
+        hit = bad(*block)
+        if hit.any():
+            i = int(np.argmax(hit))
+            return tuple(int(c[i]) for c in block)
+    return None
 
 
 def _ids_mask(g: FiniteGroup, ids) -> np.ndarray:
@@ -583,35 +598,31 @@ class NotNormalError(ValueError):
         self.counterexample = (g, h, conj)
 
 
-def _first_non_normalizer(g: FiniteGroup, candidates,
-                          members: frozenset[int]) -> int | None:
-    """The first candidate x with xHx^-1 != H, by one blocked sweep of the
+def _conjugates(g: FiniteGroup, x, h) -> np.ndarray:
+    """x*h*x^-1 elementwise over broadcastable id arrays."""
+    return g.mul_pairs(g.mul_pairs(x, h), g.inv_array(x))
+
+
+def _first_non_normalizer(g: FiniteGroup, candidates, members) -> int | None:
+    """The first candidate x with xHx^-1 != H, by one sweep of the
     conjugates of H; None if every candidate normalizes H."""
-    candidates = np.asarray(candidates, dtype=np.intp)
+    xs = np.asarray(candidates, dtype=np.intp)
     hs = np.array(sorted(members), dtype=np.intp)
     mask = _ids_mask(g, hs)
-    for rows, conj in _conjugation_blocks(g, candidates, hs):
-        moves = ~mask[conj].all(axis=1)
-        if moves.any():
-            return int(candidates[rows][np.argmax(moves)])
-    return None
+    found = _first(_grid((len(xs), len(hs))),
+                   lambda i, j: ~mask[_conjugates(g, xs[i], hs[j])])
+    return None if found is None else int(xs[found[0]])
 
 
 def _raise_first_escape(g: FiniteGroup, members: frozenset[int]):
     """Raise NotNormalError on the first conjugate x*h*x^-1 outside H, with
-    h ascending, then x ascending, from one blocked sweep over all x."""
+    h ascending, then x ascending, from one sweep over all x."""
     hs = np.array(sorted(members), dtype=np.intp)
     mask = _ids_mask(g, hs)
-    first_x = np.full(len(hs), g.order)     # per h: first x moving it out
-    image = np.zeros(len(hs), dtype=np.intp)
-    for rows, conj in _conjugation_blocks(g, np.arange(g.order), hs):
-        escapes = ~mask[conj]
-        fresh = escapes.any(axis=0) & (first_x == g.order)
-        first = np.argmax(escapes[:, fresh], axis=0)
-        first_x[fresh] = rows.start + first
-        image[fresh] = conj[first, fresh]
-    j = np.flatnonzero(first_x < g.order)[0]
-    raise NotNormalError(int(first_x[j]), int(hs[j]), int(image[j]))
+    j, x = _first(_grid((len(hs), g.order)),
+                  lambda j, x: ~mask[_conjugates(g, x, hs[j])])
+    h = int(hs[j])
+    raise NotNormalError(x, h, int(_conjugates(g, x, h)))
 
 
 def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
@@ -707,20 +718,16 @@ def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
         for rows in _row_blocks(n, n):
             table[rows] = g._mul_law(ids[rows, None], ids)
         if _light_generators(table) is None:
-            yz = table.astype(np.intp)  # [y,z] -> y*z
-            for x in range(n):
-                bad = table[table[x]] != table[x][yz]   # (x*y)*z vs x*(y*z)
-                if bad.any():
-                    y, z = np.unravel_index(np.argmax(bad), bad.shape)
-                    raise ValueError(f"associativity fails at ({x},{y},{z})")
+            found = _first(_grid((n, n, n)), lambda x, y, z:
+                           table[table[x, y], z] != table[x, table[y, z]])
+            raise ValueError("associativity fails at ({},{},{})".format(*found))
         if g._table is None and n <= TABLE_CAP:
             g._table = table
         g._axioms = {"elements": n, "triples": n**3, "mode": "exhaustive"}
         return dict(g._axioms)
     law = g._law_pairs
-    for x, y, z in _sampled(random.Random(seed), ASSOC_SAMPLES, (n, n, n)):
-        bad = law(law(x, y), z) != law(x, law(y, z))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"associativity fails at ({x[i]},{y[i]},{z[i]})")
+    found = _first(_sampled(random.Random(seed), ASSOC_SAMPLES, (n, n, n)),
+                   lambda x, y, z: law(law(x, y), z) != law(x, law(y, z)))
+    if found:
+        raise ValueError("associativity fails at ({},{},{})".format(*found))
     return {"elements": n, "triples": ASSOC_SAMPLES, "mode": "sampled"}

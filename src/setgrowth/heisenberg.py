@@ -38,6 +38,9 @@ from .groups import (
     FiniteGroup,
     NormalSubgroupView,
     QuotientGroup,
+    _first,
+    _first_non_normalizer,
+    _grid,
     _is_prime,
     _product_blocks,
     _row_blocks,
@@ -51,9 +54,8 @@ from .setops import (
     member_mask,
     power_set,
     product_set,
+    subgroup_failure,
     symmetrize,
-    translate_left,
-    translate_right,
 )
 from .structure import (
     ApproxGroupWitness,
@@ -186,13 +188,9 @@ class HeisenbergGroup(FiniteGroup):
         self.w_additive = _component_group(spec.w_prime, spec.w_rank)
         self._entries = spec.nonzero_entries()
         self._zcoords = [self._decode_z(z) for z in range(self.z_order)]
-        # Z coordinates per Z id, and the pairing's generator matrix: the
-        # first W coordinate of {z1, z2} is z1 @ pairing @ z2 mod |W| prime
-        self._zc = np.array(self._zcoords, dtype=np.intp).reshape(
-            self.z_order, spec.z_rank)
-        self._pairing = np.zeros((spec.z_rank, spec.z_rank), dtype=np.intp)
-        for i, j, sign in self._entries:
-            self._pairing[i, j] = sign
+        # one column of Z coordinates per generator, indexed by Z id
+        self._zcols = tuple(np.array(self._zcoords, dtype=np.intp).reshape(
+            self.z_order, spec.z_rank).T.copy())
         self._additive: DirectProductGroup | None = None
         self._vertical: NormalSubgroupView | None = None
         self.construction_ledger: ConstantLedger | None = None
@@ -239,9 +237,12 @@ class HeisenbergGroup(FiniteGroup):
 
     def pair_array(self, z1, z2) -> np.ndarray:
         """{z1, z2} as W ids, elementwise over broadcastable Z id arrays."""
-        q = self.spec.w_prime
-        s = ((self._zc[z1] @ self._pairing) * self._zc[z2]).sum(axis=-1) % q
-        return s * q ** (self.spec.w_rank - 1)
+        q, cols = self.spec.w_prime, self._zcols
+        s = np.zeros(np.broadcast_shapes(np.shape(z1), np.shape(z2)),
+                     dtype=np.intp)
+        for i, j, sign in self._entries:
+            s += sign * cols[i].take(z1) * cols[j].take(z2)
+        return s % q * q ** (self.spec.w_rank - 1)
 
     # -- group law ----------------------------------------------------------
     def _mul_law(self, x, y):
@@ -327,9 +328,10 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
 def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     """Alternation, antisymmetry and bi-additivity of the pairing, each
     swept as whole arrays through pair_array.  A failure names the first
-    counterexample of the scan: pairs row-major with the diagonal {x, x}
-    of each row before its pairs (x, y), y > x; triples in
-    itertools.product order; samples as drawn."""
+    counterexample of the scan, from groups._first: pairs row-major in the
+    _grid of Z x Z, the diagonal {x, x} of each row before its pairs (x, y),
+    y > x; triples in the _grid of Z^3, up to 8000 of them; samples as
+    _sampled draws them."""
     pair, zo = g.pair_array, g.z_order
     wadd, winv = g.w_additive.mul_pairs, g.w_additive.inv_array
 
@@ -337,8 +339,8 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         return pair(x, y) != winv(pair(y, x))
 
     if zo <= EXHAUSTIVE_ORDER_CAP:
-        found = _first_failure(
-            _grid_blocks(zo, zo),
+        found = _first(
+            _grid((zo, zo)),
             lambda x, y: (((x == y) & (pair(x, x) != 0))
                           | ((y > x) & antisymmetry_fails(x, y))))
         if found and found[0] == found[1]:
@@ -350,7 +352,7 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
                 f"{{x,y}} != -{{y,x}} at z ids {found}")
         note = f"exhaustive over {zo}^2 pairs"
     else:
-        found = _first_failure(
+        found = _first(
             _sampled(random.Random(SAMPLE_SEED), SAMPLE_COUNT, (zo, zo)),
             lambda x, y: (pair(x, x) != 0) | antisymmetry_fails(x, y))
         if found:
@@ -360,59 +362,64 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     ledger.claim("pairing-antisymmetric", True, note=note)
 
     if zo ** 3 <= 8000:
-        triples = [np.unravel_index(np.arange(zo ** 3), (zo, zo, zo))]
+        triples = _grid((zo, zo, zo))
         note = "exhaustive triples"
     else:
         triples = _sampled(random.Random(SAMPLE_SEED + 1), SAMPLE_COUNT,
                            (zo, zo, zo))
         note = f"{SAMPLE_COUNT} sampled triples"
     zmul = g.z_additive.mul_pairs
-    for x, y, z in triples:
-        left = pair(zmul(x, y), z) != wadd(pair(x, z), pair(y, z))
-        right = pair(x, zmul(y, z)) != wadd(pair(x, y), pair(x, z))
-        bad = left | right
-        if bad.any():
-            i = int(np.argmax(bad))
-            side = "left" if left[i] else "right"
-            raise ValueError(f"pairing is not additive on the {side} "
-                             f"at z ids ({x[i]}, {y[i]}, {z[i]})")
+
+    def left_fails(x, y, z):
+        return pair(zmul(x, y), z) != wadd(pair(x, z), pair(y, z))
+
+    found = _first(triples, lambda x, y, z: left_fails(x, y, z)
+                   | (pair(x, zmul(y, z)) != wadd(pair(x, y), pair(x, z))))
+    if found:
+        side = "left" if left_fails(*found) else "right"
+        raise ValueError(f"pairing is not additive on the {side} "
+                         f"at z ids {found}")
     ledger.claim("pairing-bi-additive", True, note=note)
 
 
 def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     """Inverse law, central vertical subgroup and commutator identity, each
     swept as whole arrays through mul_pairs (table gathers at or below
-    TABLE_CAP).  A failure names the first counterexample in the order of
-    the sweep: ids ascending, pairs row-major, samples as drawn."""
+    TABLE_CAP).  A failure names the first counterexample of groups._first
+    in the order of the sweep: the _grid of ids or pairs, or the draws of
+    _sampled."""
     order, wo = g.order, g.w_order
     exhaustive = order <= EXHAUSTIVE_ORDER_CAP
 
     if exhaustive:
-        elements = np.arange(order)
+        elements = _grid((order,))
         note = "all elements"
     else:
-        draws = _sampled(random.Random(SAMPLE_SEED + 2), SAMPLE_COUNT, (order,))
-        elements = np.concatenate([ids for (ids,) in draws])
+        elements = _sampled(random.Random(SAMPLE_SEED + 2), SAMPLE_COUNT,
+                            (order,))
         note = f"{SAMPLE_COUNT} sampled elements"
-    z, w = np.divmod(elements, wo)
-    expect = (g.z_additive.inv_array(z).astype(np.intp) * wo
-              + g.w_additive.inv_array(w))
-    inv = g.inv_array(elements)
-    bad = (inv != expect) | (g.mul_pairs(elements, inv) != 0)
-    if bad.any():
-        a = int(elements[np.argmax(bad)])
-        raise ValueError(f"inverse law (z,w) -> (-z,-w) fails at id {a}")
+
+    def inverse_fails(a):
+        z, w = np.divmod(a, wo)
+        expect = (g.z_additive.inv_array(z).astype(np.intp) * wo
+                  + g.w_additive.inv_array(w))
+        inv = g.inv_array(a)
+        return (inv != expect) | (g.mul_pairs(a, inv) != 0)
+
+    found = _first(elements, inverse_fails)
+    if found:
+        raise ValueError(f"inverse law (z,w) -> (-z,-w) fails at id {found[0]}")
     ledger.claim("inverse-law", True, note=note)
 
     # centrality of the vertical subgroup
     if exhaustive:
-        pairs = _grid_blocks(wo, order)
+        pairs = _grid((wo, order))
         note = "all (vertical, element) pairs"
     else:
         pairs = _sampled(random.Random(SAMPLE_SEED + 3), SAMPLE_COUNT,
                          (wo, order))
         note = f"{SAMPLE_COUNT} sampled pairs"
-    found = _first_failure(
+    found = _first(
         pairs, lambda h, x: g.mul_pairs(h, x) != g.mul_pairs(x, h))
     if found:
         h, x = found
@@ -422,7 +429,7 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
 
     # commutator identity: [a, b] = (0, 2{z_a, z_b})
     if order * order <= EXHAUSTIVE_PAIR_CAP:
-        pairs = _grid_blocks(order, order)
+        pairs = _grid((order, order))
         note = "all ordered pairs"
     else:
         pairs = _sampled(random.Random(SAMPLE_SEED + 4), SAMPLE_COUNT * 5,
@@ -436,7 +443,7 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         p = g.pair_array(a // wo, b // wo)
         return comm != wadd(p, p)
 
-    found = _first_failure(pairs, commutator_differs)
+    found = _first(pairs, commutator_differs)
     if found:
         a, b = found
         comm = g.mul(g.mul(g.mul(a, b), g.inv(a)), g.inv(b))
@@ -452,26 +459,6 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     ) if order <= EXHAUSTIVE_ORDER_CAP else add.order == order
     ledger.claim("additive-encoding-aligned", agree,
                  formula="id of (z,w) = z|W| + w in both groups")
-
-
-def _grid_blocks(rows: int, cols: int):
-    """All pairs of range(rows) x range(cols) in row-major order, as
-    broadcastable (row, col) id arrays over the _row_blocks of the grid."""
-    col_ids = np.arange(cols)
-    for r in _row_blocks(rows, cols):
-        yield np.arange(r.start, r.stop)[:, None], col_ids
-
-
-def _first_failure(blocks, differs) -> tuple[int, int] | None:
-    """The first pair (x, y), in block order and row-major within a block,
-    at which the boolean array differs(x, y) holds; None if it never does."""
-    for x, y in blocks:
-        bad = differs(x, y)
-        if bad.any():
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            x, y = np.broadcast_arrays(x, y)
-            return int(x[at]), int(y[at])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +525,13 @@ def _section(g, q, pi, a: MSet, a3: MSet, c: MSet, c3: MSet):
 
 
 def _split_triples(cids: np.ndarray, exhaustive: bool):
-    """Triples (x, y, z) of C as id arrays, in the blocks of groups: all
-    |C|^3 in itertools.product order, or TRIPLE_SAMPLE_COUNT triples of
-    positions in C drawn from random.Random(SAMPLE_SEED), in draw order."""
+    """Triples (x, y, z) of C as id arrays, in the blocks of groups: the
+    _grid of all |C|^3 triples of positions in C, in itertools.product
+    order, or the TRIPLE_SAMPLE_COUNT triples that _sampled draws from
+    random.Random(SAMPLE_SEED), in draw order."""
     n = len(cids)
     if exhaustive:
-        blocks = (np.unravel_index(np.arange(r.start, r.stop), (n, n, n))
-                  for r in _row_blocks(n**3, 1))
+        blocks = _grid((n, n, n))
     else:
         blocks = _sampled(random.Random(SAMPLE_SEED), TRIPLE_SAMPLE_COUNT,
                           (n, n, n))
@@ -585,11 +572,11 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     array calls tested against boolean membership masks: phi(x)B_i inside
     B_{i+1}phi(x) as the conjugates phi(x)B_i phi(x)^-1 inside B_{i+1}
     (phi(x)^-1 B_i phi(x) for the right side), and the triple defects
-    phi(xyz)^-1 phi(x)phi(y)phi(z) in the blocks of _split_triples against
-    masks of B3 and A^6 n H.  The triples are all of C^3 in
-    itertools.product order up to TRIPLE_EXHAUSTIVE_CAP, else the seeded
-    draws in draw order.  Membership is decided exactly on ids, so every
-    row is the one the per-element scan gives.
+    phi(xyz)^-1 phi(x)phi(y)phi(z) against masks of B3 and A^6 n H.  The
+    triples come from _split_triples: the groups._grid of C^3, in
+    itertools.product order, up to TRIPLE_EXHAUSTIVE_CAP, else the seeded
+    groups._sampled draws in draw order.  Membership is decided exactly on
+    ids, so every row is the one the per-element scan gives.
     """
     g = a.group
     if h.parent is not g:
@@ -968,51 +955,30 @@ class ExactSplit:
         return self.ledger.hard_ok
 
 
-def _require_subgroup(a: MSet) -> None:
-    """Raise on the first failure of the row-major scan: for each member x
-    in id order, its inverse, then the products x*y for y in id order; the
-    identity last."""
-    g = a.group
-    ids, mask = a.id_array(), member_mask(a)
-    inverse_missing = ~mask[g.inv_array(ids)]
-    for rows, block in _product_blocks(g, ids, ids):
-        escapes = ~mask[block]
-        failing = inverse_missing[rows] | escapes.any(axis=1)
-        if failing.any():
-            r = int(np.argmax(failing))
-            x = int(ids[rows][r])
-            if inverse_missing[rows][r]:
-                raise ValueError(
-                    f"not a subgroup: inverse of member {x} is missing")
-            y = int(ids[np.argmax(escapes[r])])
-            raise ValueError(
-                f"not a subgroup: product of members {x} and {y} escapes")
-    if 0 not in a:
-        raise ValueError("not a subgroup: identity is missing")
-
-
 def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
     """Split a genuine subgroup A along H and verify the exact splitting
     laws: phi(x)B = Bphi(x), the quotiented homomorphism property, the
-    fiber decomposition of A, and |A| = |C||B|."""
+    fiber decomposition of A, and |A| = |C||B|.  A set that is not a
+    subgroup raises with setops.subgroup_failure's reason."""
     g = a.group
     if h.parent is not g:
         raise ValueError("the subgroup view belongs to a different group")
-    _require_subgroup(a)
+    failure = subgroup_failure(a)
+    if failure:
+        raise ValueError(failure)
     b = a & MSet.from_ids(g, h.members)
     q = h.quotient
     pi = np.asarray(h.pi, dtype=np.intp)
     c = _projection(q, pi, a)
     phi = _fiber_minima(q, pi, a.id_array())
-
-    ledger = ConstantLedger("exact-split")
-    normal_ok = all(
-        translate_left(phi[x], b) == translate_right(b, phi[x]) for x in c.ids()
-    )
-    ledger.claim("fiber-shift-match", normal_ok,
-                 formula="phi(x)B = Bphi(x) for all x in C")
     cids, b_mask = c.id_array(), member_mask(b)
     sec = phi[cids]
+
+    ledger = ConstantLedger("exact-split")
+    # for a finite B, phi(x)B = Bphi(x) exactly when phi(x)Bphi(x)^-1 lies in B
+    ledger.claim("fiber-shift-match",
+                 _first_non_normalizer(g, sec, b.ids()) is None,
+                 formula="phi(x)B = Bphi(x) for all x in C")
     hom_ok = all(
         b_mask[g.mul_pairs(g.inv_array(block),
                            phi[q.mul_outer(cids[rows], cids)])].all()

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _ids_mask, _product_blocks, _row_blocks
+from .groups import (FiniteGroup, _first, _grid, _ids_mask, _product_blocks,
+                     _row_blocks)
 
 
 class MSet:
@@ -135,8 +136,13 @@ def member_mask(a: MSet) -> np.ndarray:
 
 def _checked_ids(g: FiniteGroup, ids) -> np.ndarray:
     """ids as an intp array; the first id outside 0..order-1 raises."""
-    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
-                     dtype=np.intp)
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    try:
+        ids = np.asarray(ids, dtype=np.intp)
+    except OverflowError:       # an id beyond the intp range
+        x = next(x for x in ids if not 0 <= x < g.order)
+        raise ValueError(f"id {x} outside group of order {g.order}") from None
     outside = ids.view(np.uintp) >= g.order   # negative ids wrap high
     if outside.any():
         raise ValueError(
@@ -193,6 +199,23 @@ def product_set(a: MSet, b: MSet) -> MSet:
 def inverse_set(a: MSet) -> MSet:
     g = a.group
     return MSet(g, _ids_mask(g, g.inv_array(a.id_array())))
+
+
+def subgroup_failure(a: MSet) -> str | None:
+    """Why A is not a subgroup, from the first failure of the row-major
+    scan: for each member x in id order, its inverse, then the products
+    x*y for y in id order; the identity last.  None for a subgroup."""
+    g, ids, mask = a.group, a.id_array(), a._mask
+    found = _first(_grid((a.size, a.size)), lambda i, j: (
+        ~mask[g.inv_array(ids[i])] | ~mask[g.mul_pairs(ids[i], ids[j])]))
+    if found:
+        x, y = (int(ids[i]) for i in found)
+        if not mask[g.inv_array(x)]:
+            return f"not a subgroup: inverse of member {x} is missing"
+        return f"not a subgroup: product of members {x} and {y} escapes"
+    if not mask[0]:
+        return "not a subgroup: identity is missing"
+    return None
 
 
 def ascending_powers(a: MSet, top: int):

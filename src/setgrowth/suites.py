@@ -60,6 +60,7 @@ from .setops import (
     random_ids,
     ruzsa_distance,
     ruzsa_triangle_cleared,
+    subgroup_failure,
     symmetrize,
     translate_left,
 )
@@ -810,11 +811,6 @@ def _split_instances():
     )
 
 
-def _is_subgroup(a: MSet) -> bool:
-    return (0 in a and inverse_set(a) == a
-            and product_set(a, a) == a)
-
-
 def _add_agreement(report: Report, module: str, op: str, a: MSet, view,
                    split, exact, note: str) -> None:
     """Hard row: on a subgroup A both splitting routes give A n H."""
@@ -844,7 +840,7 @@ def _run_splitting(job: SuiteJob, report: Report) -> None:
                 report.merge_failure(module, op, exc)
                 continue
             report.merge_ledger(module, op, witness.ledger)
-            if _is_subgroup(a):
+            if subgroup_failure(a) is None:
                 exact = hb.exact_split_oracle(a, view)
                 report.merge_ledger(module, f"exact_split[{gspec}|{label}]",
                                     exact.ledger)
@@ -903,7 +899,7 @@ def _run_heisenberg(job: SuiteJob, report: Report) -> None:
                 continue
             report.merge_ledger(module, op, witness.ledger)
             report.merge_ledger(module, f"converse[p={p}|{label}]", converse)
-            if _is_subgroup(a):
+            if subgroup_failure(a) is None:
                 exact = hb.exact_split_oracle(a, g.vertical)
                 split = hb.split_approximate(a, g.vertical, Fraction(1))
                 _add_agreement(report, module, op, a, g.vertical, split, exact,

@@ -30,6 +30,7 @@ from setgrowth.entropy import (
 from setgrowth import cli, entropy
 from setgrowth.groups import construct_group
 from setgrowth.setops import MSet, energy
+from setgrowth.structure import ConstantLedger
 
 T1 = TorusGroup(1)
 
@@ -441,3 +442,20 @@ def test_tripling_check_caps_blowup():
     cloud = MetricCloud(T1, T1.grid(2100))
     with pytest.raises(ValueError):
         entropy_tripling_check(cloud, Fraction(1, 10000))
+
+
+class PlantedTriangle:
+    """Ten points at distance 1 from one another, but for d(0, 1) = 3:
+    only the triangle d(0, 1) <= d(0, k) + d(k, 1) through a third point k
+    fails, and k > 1 for every such k."""
+
+    def distance_value(self, x, y):
+        return 0 if x == y else 3 if {x, y} == {0, 1} else 1
+
+
+def test_metric_triangle_checks_every_ordered_triple():
+    carrier, led = PlantedTriangle(), ConstantLedger("planted")
+    entropy._metric_axiom_rows(carrier, MetricCloud(carrier, range(10)), led, 0)
+    holds = {row.name: row.holds for row in led.rows}
+    assert holds == {"metric-symmetry": True, "metric-triangle": False,
+                     "metric-identity": True}

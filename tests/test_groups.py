@@ -1,11 +1,16 @@
 """Group construction, the spec grammar, closures, and quotients."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgrowth.groups import (
     BLOCK_PAIRS,
     NotNormalError,
+    _first,
+    _grid,
     _row_blocks,
     construct_group,
     quotient_map,
@@ -35,6 +40,29 @@ def test_row_blocks_tile_the_rows_in_order(n_rows, n_cols):
         assert all(size * n_cols <= BLOCK_PAIRS for size in sizes)
         # every block but the last is as large as BLOCK_PAIRS allows
         assert all((size + 1) * n_cols > BLOCK_PAIRS for size in sizes[:-1])
+
+
+@pytest.mark.parametrize("bounds", [(7,), (5, 7), (4, 5, 6), (200, 300)])
+def test_grid_blocks_list_the_product_in_order(bounds):
+    blocks = list(_grid(bounds))
+    assert all(len(block) == len(bounds) for block in blocks)
+    assert all(0 < len(block[0]) <= BLOCK_PAIRS for block in blocks)
+    assert all(c.dtype == np.intp for block in blocks for c in block)
+    tuples = [t for block in blocks for t in zip(*map(np.ndarray.tolist, block))]
+    assert tuples == list(itertools.product(*map(range, bounds)))
+
+
+@pytest.mark.parametrize("bounds", [(0,), (3, 0, 4), (5, 0)])
+def test_grid_of_a_zero_bound_is_empty(bounds):
+    assert list(_grid(bounds)) == []
+
+
+def test_first_names_the_earliest_hit_or_none():
+    assert _first(_grid((4, 5, 6)), lambda x, y, z: (x + y) * z > 20) == (1, 4, 5)
+    assert _first(_grid((4, 5, 6)), lambda x, y, z: (x + y) * z > 35) is None
+    # the first hit of the first block that has one, across blocks
+    assert _first(_grid((300, 300)), lambda x, y: (x > 200) & (y == 7)) == (201, 7)
+    assert _first(_grid((300, 300)), lambda x, y: x < 0) is None
 
 
 def test_trivial_group():

@@ -315,7 +315,9 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     g = a.group
     if not isinstance(g, HeisenbergGroup):
         raise TypeError("the sandwich check expects a Heisenberg group subset")
-    hb._require_subgroup(a)
+    failure = setops.subgroup_failure(a)
+    if failure:
+        raise ValueError(failure)
     ag = g.additive_group()
     shadow = sorted({g.z_of(x) for x in a.ids()})
     gen = np.flatnonzero(hb._pairing_image(g, shadow))
@@ -512,14 +514,6 @@ def scalar_subgroup_error(a):
     return None
 
 
-def subgroup_error(a):
-    try:
-        hb._require_subgroup(a)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 # direct_product(cyclic(4),cyclic(100)) numbers (i, j) as 100i + j, so the
 # subgroup {0} x C100 is ids 0..99 and each coset is a run of 100 ids
 C4C100 = construct_group("direct_product(cyclic(4),cyclic(100))")
@@ -537,7 +531,7 @@ C4C100 = construct_group("direct_product(cyclic(4),cyclic(100))")
 ])
 def test_require_subgroup_names_the_scan_failure(ids, message):
     a = MSet.from_ids(C4C100, ids)
-    got = subgroup_error(a)
+    got = setops.subgroup_failure(a)
     assert got == scalar_subgroup_error(a)
     assert (got is None) if message is None else (message in got)
 
@@ -559,4 +553,4 @@ def test_require_subgroup_matches_the_scan_on_random_sets(spec, data):
         ids = data.draw(st.sets(st.integers(0, g.order - 1), max_size=12))
     if ids:
         a = MSet.from_ids(g, ids)
-        assert subgroup_error(a) == scalar_subgroup_error(a)
+        assert setops.subgroup_failure(a) == scalar_subgroup_error(a)

@@ -716,18 +716,30 @@ class PlantedHeisenberg(hb.HeisenbergGroup):
         return c if (x, y) == (a, b) else super().mul(x, y)
 
 
+def law_cases(exhaustive, seed, count, bounds):
+    """Every tuple of the ranges in product order, or count seeded draws of
+    one randrange per bound, one draw at a time."""
+    if exhaustive:
+        return itertools.product(*map(range, bounds))
+    rng = random.Random(seed)
+    return ([rng.randrange(b) for b in bounds] for _ in range(count))
+
+
 def scalar_law_error(g):
-    """The Heisenberg law sweeps one pair at a time, in iteration order."""
-    wo = g.w_order
-    for a in range(g.order):
+    """The Heisenberg law sweeps one id or pair at a time, in iteration
+    order, or in the order of the seeded draws above the caps."""
+    wo, n, seed = g.w_order, g.order, hb.SAMPLE_SEED
+    exhaustive = n <= hb.EXHAUSTIVE_ORDER_CAP
+    for (a,) in law_cases(exhaustive, seed + 2, hb.SAMPLE_COUNT, (n,)):
         z, w = divmod(a, wo)
         expect = g.z_additive.inv(z) * wo + g.w_additive.inv(w)
         if g.inv(a) != expect or g.mul(a, g.inv(a)) != 0:
             return f"inverse law (z,w) -> (-z,-w) fails at id {a}"
-    for h, x in itertools.product(range(wo), range(g.order)):
+    for h, x in law_cases(exhaustive, seed + 3, hb.SAMPLE_COUNT, (wo, n)):
         if g.mul(h, x) != g.mul(x, h):
             return f"vertical element {h} fails to commute with element {x}"
-    for a, b in itertools.product(range(g.order), range(g.order)):
+    for a, b in law_cases(n * n <= hb.EXHAUSTIVE_PAIR_CAP, seed + 4,
+                          hb.SAMPLE_COUNT * 5, (n, n)):
         comm = g.mul(g.mul(g.mul(a, b), g.inv(a)), g.inv(b))
         p = g.pair(a // wo, b // wo)
         if comm != g.w_additive.mul(p, p):
@@ -746,6 +758,61 @@ def test_heisenberg_sweeps_name_the_first_counterexample(a, b, c):
     except ValueError as exc:
         message = str(exc)
     assert message == scalar_law_error(g)
+
+
+# above EXHAUSTIVE_ORDER_CAP ids and EXHAUSTIVE_PAIR_CAP pairs: every law
+# sweep samples
+SAMPLED_LAW = hb.parse_pairing_spec("z=Zp^1,p=10007;w=Zp^1,p=2;pairing=zero")
+
+
+class PlantedSampledLaw(hb.HeisenbergGroup):
+    """The order-20,014 group whose product x*y is x wherever bad(x, y)
+    holds and whose inverse x^-1 is x wherever bad_inv(x) holds; both
+    predicates work on ints and on id arrays alike."""
+
+    def __init__(self, bad=lambda x, y: False, bad_inv=lambda x: False):
+        super().__init__(SAMPLED_LAW)
+        self.bad, self.bad_inv = bad, bad_inv
+
+    def _mul_law(self, x, y):
+        return np.where(self.bad(x, y), x, super()._mul_law(x, y))
+
+    def _inv_law(self, x):
+        return np.where(self.bad_inv(x), x, super()._inv_law(x))
+
+    def mul(self, x, y):
+        return x if self.bad(x, y) else super().mul(x, y)
+
+    def inv(self, x):
+        return x if self.bad_inv(x) else super().inv(x)
+
+
+@pytest.mark.parametrize("planted, kind", [
+    (dict(bad_inv=lambda x: x % 97 == 5), "inverse law"),
+    # h*x for the vertical id 1 differs from x*1 := x
+    (dict(bad=lambda x, y: (x % 89 == 3) & (y == 1)), "vertical element"),
+    # neither a vertical id nor a pair (a, a^-1), whose ids sum to 20014 or
+    # 20016
+    (dict(bad=lambda x, y: (x >= 2) & (y >= 2) & ((x + y) % 500 == 17)),
+     "commutator"),
+])
+def test_sampled_law_sweeps_name_the_first_counterexample(planted, kind):
+    g = PlantedSampledLaw(**planted)
+    assert g.order > hb.EXHAUSTIVE_ORDER_CAP
+    assert g.order ** 2 > hb.EXHAUSTIVE_PAIR_CAP
+    with pytest.raises(ValueError) as exc:
+        hb._validate_group_law(g, ConstantLedger("planted"))
+    assert str(exc.value).startswith(kind)
+    assert str(exc.value) == scalar_law_error(g)
+
+
+def test_sampled_law_sweeps_pass_on_the_true_law():
+    g = PlantedSampledLaw()
+    ledger = ConstantLedger("true-law")
+    hb._validate_group_law(g, ledger)
+    assert scalar_law_error(g) is None
+    assert [r.note for r in ledger.rows[:3]] == [
+        "2000 sampled elements", "2000 sampled pairs", "10000 sampled pairs"]
 
 
 def test_heisenberg_sweeps_pass_on_the_true_law():

@@ -76,3 +76,15 @@ def test_the_scan_sees_each_kind_of_use(tmp_path):
         (7, ".bits"), (9, "._product_mask")]
     assert format_uses(src, STORED) == [
         (3, "._mask"), (4, "MSet(...)"), (5, "MSet(...)"), (7, ".bits")]
+
+
+# the per-module sweep helpers that groups._grid and groups._first replaced
+DELETED_SWEEPS = {"_conjugation_blocks", "_grid_blocks", "_first_failure",
+                  "_require_subgroup", "_is_subgroup"}
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_only_groups_enumerates_a_sweep_grid(module):
+    names = DELETED_SWEEPS | ({"unravel_index"} if module != "groups.py" else set())
+    uses = format_uses(SRC / module, names)
+    assert [use for use in uses if use[1] != "MSet(...)"] == []

@@ -85,7 +85,7 @@ def test_a_set_owns_its_read_only_mask():
 
 # sl2(5) has order 120: a negative id must not wrap around to a valid one,
 # and one past the end must not reach the table
-@pytest.mark.parametrize("x", [-1, -120, 120, 121])
+@pytest.mark.parametrize("x", [-1, -120, 120, 121, 10**30, -10**30, 2**63])
 def test_translates_refuse_an_id_outside_the_group(x):
     a = MSet.from_ids(SL5, [0, 1, 2])
     outside = re.escape(f"id {x} outside group of order 120")
@@ -113,6 +113,9 @@ def test_mset_rejects_out_of_range():
     ((x for x in [2, 9, -4]), 9),
     (np.array([3, 11], dtype=np.uint16), 11),
     (range(-2, 3), -2),
+    ([10**30], 10**30),
+    ([3, -10**30, 7], -10**30),
+    ([6, 2**63], 6),
 ])
 def test_from_ids_names_the_first_id_outside(ids, bad):
     with pytest.raises(ValueError,
