@@ -39,6 +39,7 @@ from .groups import _product_blocks, _row_blocks
 from .setops import (
     MSet,
     _convolution_profile,
+    _require_same_group,
     energy,
     intersection_size,
     member_mask,
@@ -130,8 +131,8 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, eps=Fraction(1, 2), *,
     square, so callers pass `kprime_sq` = K'^2, which stays rational when K'
     would not.
     """
-    if a.group is not b.group or a.group is not c.group:
-        raise ValueError("sets live in different groups")
+    _require_same_group(a, b)
+    _require_same_group(a, c)
     k = frac(k)
     eps = frac(eps)
     if not 0 < eps < 1:
@@ -147,22 +148,14 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
     quotient matrix [i, j] -> a'_i*a'_j^-1 over A' x A'."""
     g = a.group
     ledger = ConstantLedger("weak_bsg")
-    ok = ledger.compare("c-hypothesis", c.size**2, "<=", kp_sq * a.size * b.size,
-                        formula="|C|^2 <= K'^2|A||B|")
-    if not ok:
-        raise ValueError(
-            f"size hypothesis fails: |C|^2 = {c.size**2} > "
-            f"K'^2|A||B| = {kp_sq * a.size * b.size}")
+    ledger.require("c-hypothesis", c.size**2, "<=", kp_sq * a.size * b.size,
+                   formula="|C|^2 <= K'^2|A||B|")
     a_ids, b_ids = a.id_array(), b.id_array()
     if hit is None:
         hit = member_mask(c)[_product_matrix(g, a_ids, b_ids)]
     n_pairs = int(np.count_nonzero(hit))
-    ok = ledger.compare("density-hypothesis", n_pairs * k, ">=",
-                        a.size * b.size, formula="N·K >= |A||B|")
-    if not ok:
-        raise ValueError(
-            f"density hypothesis fails: N·K = {n_pairs * k} < |A||B| = "
-            f"{a.size * b.size}")
+    ledger.require("density-hypothesis", n_pairs * k, ">=",
+                   a.size * b.size, formula="N·K >= |A||B|")
 
     # Ω membership: overlap count <= (ε/2K²)|B|, strict complement is "good".
     omega_threshold = eps * b.size / (2 * k**2)
@@ -252,8 +245,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     extraction hands back its quotient matrix A''·A''^-1 for the Markov
     refinement, so each quotient is formed once too.
     """
-    if a.group is not b.group:
-        raise ValueError("sets live in different groups")
+    _require_same_group(a, b)
     g = a.group
     k = frac(k)
     p, q = k.numerator, k.denominator
@@ -266,11 +258,8 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
         a.size, b.size)
     e_val = profile.energy_value()
     nm = a.size * b.size
-    ok = ledger.compare("energy-hypothesis", e_val**2 * p**2, ">=", q**2 * nm**3,
-                        formula="E^2 K^2 >= (|A||B|)^3, cleared")
-    if not ok:
-        raise ValueError(
-            f"energy hypothesis fails: E(A,B) = {e_val} < (|A||B|)^(3/2)/K")
+    ledger.require("energy-hypothesis", e_val**2 * p**2, ">=", q**2 * nm**3,
+                   formula="E^2 K^2 >= (|A||B|)^3, cleared")
 
     # Level set of the convolution at height sqrt(|A||B|)/2K, squared test.
     c = _nonempty_set(g, [x for x, cnt in profile.counts.items()
@@ -366,8 +355,7 @@ def energy_equivalences(clause: str, a: MSet, b: MSet, k, *,
     """
     if clause not in _CLAUSES:
         raise ValueError(f"clause must be one of {_CLAUSES}, got {clause!r}")
-    if a.group is not b.group:
-        raise ValueError("sets live in different groups")
+    _require_same_group(a, b)
     g = a.group
     k = frac(k)
     ledger = ConstantLedger("energy_equivalences")
@@ -387,11 +375,11 @@ def energy_equivalences(clause: str, a: MSet, b: MSet, k, *,
 def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
                      witness, x_id, y_id):
     nm = a.size * b.size
-    sub = ConstantLedger("input")
+    pre = f"input-{clause}."
     if clause == "i":
         e_val = energy(a, b).value
-        sub.compare("energy-bound", e_val**2 * k**2, ">=",
-                         Fraction(nm**3), formula="E^2K^2 >= (|A||B|)^3")
+        ledger.require(pre + "energy-bound", e_val**2 * k**2, ">=",
+                       Fraction(nm**3), formula="E^2K^2 >= (|A||B|)^3")
         state = {"k": k, "energy": e_val}
     elif clause == "ii":
         if pairs is None:
@@ -400,10 +388,10 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
         if not pair_list:
             raise ValueError("clause ii pair set is empty")
         image = partial_product(a, b, pair_list)
-        sub.compare("pair-density", len(pair_list) * k, ">=",
-                    Fraction(nm), formula="|E|K >= |A||B|")
-        sub.compare("image-size", image.size**2, "<=", k**2 * nm,
-                    formula="|im E|^2 <= K^2|A||B|")
+        ledger.require(pre + "pair-density", len(pair_list) * k, ">=",
+                       Fraction(nm), formula="|E|K >= |A||B|")
+        ledger.require(pre + "image-size", image.size**2, "<=", k**2 * nm,
+                       formula="|im E|^2 <= K^2|A||B|")
         state = {"k": k, "pairs": tuple(pair_list), "image": image}
     elif clause == "iii":
         if a_prime is None or b_prime is None:
@@ -411,12 +399,12 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
         if not (a_prime <= a and b_prime <= b):
             raise ValueError("clause iii subsets must lie inside A and B")
         prod = product_set(a_prime, b_prime)
-        sub.compare("a-prime-dense", k * a_prime.size, ">=",
-                    Fraction(a.size), formula="K|A'| >= |A|")
-        sub.compare("b-prime-dense", k * b_prime.size, ">=",
-                    Fraction(b.size), formula="K|B'| >= |B|")
-        sub.compare("product-small", prod.size**2, "<=", k**2 * nm,
-                    formula="|A'·B'|^2 <= K^2|A||B|")
+        ledger.require(pre + "a-prime-dense", k * a_prime.size, ">=",
+                       Fraction(a.size), formula="K|A'| >= |A|")
+        ledger.require(pre + "b-prime-dense", k * b_prime.size, ">=",
+                       Fraction(b.size), formula="K|B'| >= |B|")
+        ledger.require(pre + "product-small", prod.size**2, "<=", k**2 * nm,
+                       formula="|A'·B'|^2 <= K^2|A||B|")
         state = {"k": k, "a_prime": a_prime, "b_prime": b_prime,
                  "product": prod}
     else:  # iv
@@ -429,19 +417,15 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
         h = witness.h
         a_part = intersection_size(a, translate_left(x_id, h))
         b_part = intersection_size(b, translate_right(h, y_id))
-        sub.compare("h-size-upper", h.size**2, "<=", k**2 * nm,
-                    formula="|H|^2 <= K^2|A||B|")
-        sub.compare("h-size-lower", k**2 * h.size**2, ">=", Fraction(nm),
-                    formula="K^2|H|^2 >= |A||B|")
-        sub.compare("a-intersection", k * a_part, ">=",
-                    Fraction(a.size), formula="K|A ∩ xH| >= |A|")
-        sub.compare("b-intersection", k * b_part, ">=",
-                    Fraction(b.size), formula="K|B ∩ Hy| >= |B|")
+        ledger.require(pre + "h-size-upper", h.size**2, "<=", k**2 * nm,
+                       formula="|H|^2 <= K^2|A||B|")
+        ledger.require(pre + "h-size-lower", k**2 * h.size**2, ">=",
+                       Fraction(nm), formula="K^2|H|^2 >= |A||B|")
+        ledger.require(pre + "a-intersection", k * a_part, ">=",
+                       Fraction(a.size), formula="K|A ∩ xH| >= |A|")
+        ledger.require(pre + "b-intersection", k * b_part, ">=",
+                       Fraction(b.size), formula="K|B ∩ Hy| >= |B|")
         state = {"k": k, "witness": witness, "x": x_id, "y": y_id}
-    ledger.merge(sub, "input-" + clause + ".")
-    if not sub.hard_ok:
-        bad_row = sub.failures()[0]
-        raise ValueError(f"clause {clause} witness invalid: {bad_row.line()}")
     return state
 
 
@@ -449,10 +433,8 @@ def _step_i_iii(g, a, b, state, ledger):
     extract = bsg_extract(a, b, state["k"])
     ledger.merge(extract.ledger, "step-i-iii.")
     a_p, b_p, prod = extract.a_third, extract.b_third, extract.product
-    sub = ConstantLedger("iii")
-    sub.compare("product-lower", prod.size**2, ">=", a_p.size * b_p.size,
-                formula="|A'·B'|^2 >= |A'||B'|")
-    ledger.merge(sub, "step-i-iii.")
+    ledger.compare("step-i-iii.product-lower", prod.size**2, ">=",
+                   a_p.size * b_p.size, formula="|A'·B'|^2 >= |A'||B'|")
     k_next = ceil_sqrt_frac(
         max(Fraction(prod.size**2, a_p.size * b_p.size),
             Fraction(a.size, a_p.size), Fraction(b.size, b_p.size),
@@ -475,12 +457,10 @@ def _step_iii_iv(g, a, b, state, ledger):
         lambda t: intersection_size(a_p, translate_left(t, h)))
     best_yv, best_y = first_best(
         lambda t: intersection_size(b_p, translate_right(h, t)))
-    sub = ConstantLedger("iv")
-    sub.compare("x-pigeonhole", best_xv * x_cov.size, ">=", a_p.size,
-                formula="|A' ∩ xH||X| >= |A'|")
-    sub.compare("y-pigeonhole", best_yv * x_cov.size, ">=", b_p.size,
-                formula="|B' ∩ Hy||X| >= |B'|")
-    ledger.merge(sub, "step-iii-iv.")
+    ledger.compare("step-iii-iv.x-pigeonhole", best_xv * x_cov.size, ">=",
+                   a_p.size, formula="|A' ∩ xH||X| >= |A'|")
+    ledger.compare("step-iii-iv.y-pigeonhole", best_yv * x_cov.size, ">=",
+                   b_p.size, formula="|B' ∩ Hy||X| >= |B'|")
     k_next = _clause_iv_constant(a, b, wit.h, best_xv, best_yv)
     ledger.info("step-iii-iv.next-k", k_next, "measured clause-iv constant")
     return {"k": k_next, "witness": wit, "x": best_x, "y": best_y}
@@ -507,15 +487,13 @@ def _step_iv_ii(g, a, b, state, ledger):
         (xa, yb) for xa in a_part.ids() for yb in b_part.ids()))
     image = product_set(a_part, b_part)
     h2 = product_set(h, h)
-    sub = ConstantLedger("ii")
     shifted = translate_right(translate_left(x_id, h2), y_id)
-    sub.claim("image-in-xh2y", image <= shifted,
-              lhs=image.size, rhs=h2.size, formula="im E subset x·H^2·y")
-    sub.compare("image-size", image.size, "<=", h2.size,
-                formula="|im E| <= |H^2|")
-    sub.compare("h2-by-witness", h2.size, "<=", wit.x.size * h.size,
-                formula="|H^2| <= |X||H|")
-    ledger.merge(sub, "step-iv-ii.")
+    ledger.claim("step-iv-ii.image-in-xh2y", image <= shifted,
+                 lhs=image.size, rhs=h2.size, formula="im E subset x·H^2·y")
+    ledger.compare("step-iv-ii.image-size", image.size, "<=", h2.size,
+                   formula="|im E| <= |H^2|")
+    ledger.compare("step-iv-ii.h2-by-witness", h2.size, "<=",
+                   wit.x.size * h.size, formula="|H^2| <= |X||H|")
     k_next = max(
         Fraction(a.size * b.size, len(pair_list)),
         ceil_sqrt_frac(Fraction(image.size**2, a.size * b.size)),
@@ -528,10 +506,8 @@ def _step_ii_i(g, a, b, state, ledger):
     pair_list = state["pairs"]
     image = state["image"]
     e_val = energy(a, b).value
-    sub = ConstantLedger("i")
-    sub.compare("cauchy-schwarz", e_val * image.size, ">=",
-                len(pair_list) ** 2, formula="E(A,B)|C| >= |E|^2")
-    ledger.merge(sub, "step-ii-i.")
+    ledger.compare("step-ii-i.cauchy-schwarz", e_val * image.size, ">=",
+                   len(pair_list) ** 2, formula="E(A,B)|C| >= |E|^2")
     k_next = ceil_sqrt_frac(
         max(Fraction(a.size**3 * b.size**3, e_val**2), Fraction(1)))
     ledger.info("step-ii-i.next-k", k_next, "measured clause-i constant")

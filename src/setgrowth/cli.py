@@ -17,7 +17,7 @@ from . import heisenberg as hb
 from .bsg import bsg_extract
 from .entropy import QuaternionGroup, TorusGroup, WordMetricGroup, metric_profile_check
 from .exact import frac
-from .families import SetFamilySpec, generate_set, measured_tripling
+from .families import SetFamilySpec, _ints_arg, generate_set, measured_tripling
 from .groups import construct_group, verify_group_axioms
 from .setops import energy
 from .structure import LedgerError
@@ -158,9 +158,12 @@ def _entropy_carrier(text: str):
     if text == "quaternion":
         return QuaternionGroup()
     if text.startswith("word:"):
-        _, group_spec, gens = text.split(":", 2)
-        g = construct_group(group_spec)
-        return WordMetricGroup(g, [int(x) for x in gens.split(",")])
+        group_spec, _, gens = text[len("word:"):].partition(":")
+        if not group_spec.strip() or not gens.strip():
+            raise ValueError(
+                f"word carrier {text!r} is missing a part of word:<group>:<gens>")
+        return WordMetricGroup(construct_group(group_spec),
+                               _ints_arg(gens, "word carrier"))
     raise ValueError(
         f"unknown carrier {text!r}; use torus1|torus2|torus3|quaternion|"
         "word:<group>:<gens>")

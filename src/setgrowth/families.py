@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac
-from .groups import (FiniteGroup, _first_non_normalizer, _split_call, _split_top_level,
-                     construct_group, subgroup_closure)
+from .groups import (FiniteGroup, _first_non_normalizer, _split_call, _split_fields,
+                     _split_top_level, construct_group, subgroup_closure)
 from .setops import (MSet, inverse_set, power_set, product_set, random_ids,
                      symmetrize, translate_left)
 
@@ -52,7 +52,7 @@ class SetFamilySpec:
     @classmethod
     def parse(cls, group: str, text: str) -> "SetFamilySpec":
         head, body = _split_call(text.strip())
-        args = tuple(_split_top_level(body, ";"))
+        args = tuple(_split_fields(body, head))
         return cls(group=group.strip(), family=head, args=args)
 
 

@@ -461,7 +461,9 @@ def _int_arg(args: str, head: str) -> int:
         raise ValueError(f"{head} expects one integer argument, got {args!r}")
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
+def _top_level_parts(text: str, sep: str) -> list[str]:
+    """The stripped parts of text between the seps outside parentheses,
+    empty ones included."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
@@ -473,9 +475,25 @@ def _split_top_level(text: str, sep: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+    parts.append("".join(cur).strip())
+    return parts
+
+
+def _split_top_level(text: str, sep: str) -> list[str]:
+    """The nonempty top-level parts of a list."""
+    return [p for p in _top_level_parts(text, sep) if p]
+
+
+def _split_fields(body: str, what: str) -> list[str]:
+    """The ;-separated fields of a family body or pairing spec named by
+    `what`.  An empty body has no fields; an empty field is refused by its
+    position, so it cannot shift the fields after it."""
+    if not body.strip():
+        return []
+    fields = _top_level_parts(body, ";")
+    if "" in fields:
+        raise ValueError(f"{what} field {fields.index('') + 1} is empty")
+    return fields
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .groups import (
     _product_blocks,
     _row_blocks,
     _sampled,
+    _split_fields,
     verify_group_axioms,
 )
 from .setops import (
@@ -134,9 +135,8 @@ class PairingSpec:
 def parse_pairing_spec(text: str) -> PairingSpec:
     """Parse the argument text of heisenberg(...): three ;-separated fields
     z=Zp^k,p=P then w=Zp^m,p=Q then pairing=symplectic|zero."""
-    fields = [part.strip() for part in text.split(";") if part.strip()]
     seen: dict[str, str] = {}
-    for part in fields:
+    for part in _split_fields(text, "pairing"):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in ("z", "w", "pairing") or not value:
@@ -593,12 +593,8 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
             "apply symmetrize() first")
     pows = dict(enumerate(ascending_powers(a, 6 * CORE_LEVELS[-1]), start=1))
     a3 = pows[3]
-    if a3.size > k * a.size:
-        raise ValueError(
-            f"tripling hypothesis fails: |A^3| = {a3.size} > K|A| = {k * a.size}")
-
     ledger = ConstantLedger("split_approximate")
-    ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
+    ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
 
     h_set = MSet.from_ids(g, h.members)
@@ -795,15 +791,10 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
         raise ValueError(
             f"the vertical group has an order-two element (id {torsion[0]}); "
             "the abelianized witness needs none")
-    a3 = power_set(a, 3)
-    if a3.size > k * a.size:
-        raise ValueError(
-            f"tripling hypothesis fails: |A^3| = {a3.size} > K|A| = {k * a.size}")
-
     ledger = ConstantLedger("heisen_inverse")
     ledger.claim("no-vertical-2-torsion", True,
                  note=f"all {g.w_order} vertical ids checked")
-    ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
+    ledger.require("tripling-hypothesis", power_set(a, 3).size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
 
     hull = symmetrize(a)

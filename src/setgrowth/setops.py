@@ -204,7 +204,10 @@ def inverse_set(a: MSet) -> MSet:
 def subgroup_failure(a: MSet) -> str | None:
     """Why A is not a subgroup, from the first failure of the row-major
     scan: for each member x in id order, its inverse, then the products
-    x*y for y in id order; the identity last.  None for a subgroup."""
+    x*y for y in id order; the identity last.  None for a subgroup, and
+    for the whole group with no product formed."""
+    if a.size == a.group.order:
+        return None
     g, ids, mask = a.group, a.id_array(), a._mask
     found = _first(_grid((a.size, a.size)), lambda i, j: (
         ~mask[g.inv_array(ids[i])] | ~mask[g.mul_pairs(ids[i], ids[j])]))

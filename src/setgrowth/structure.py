@@ -13,8 +13,11 @@ Every quantitative conclusion is recorded as a ledger row holding the exact
 integers (or rationals) on both sides of the inequality, so a suite run can
 re-check each bound with no floating-point slack.  Hard rows are theorem
 conclusions: a failing hard row means the implementation is wrong, and
-``ConstantLedger.check`` raises.  Soft rows record hypothesis measurements,
-and info rows carry sizes and ratios for the report.
+``ConstantLedger.check`` raises.  Every premise goes through
+``ConstantLedger.require``: its row keeps the kind it is recorded with (hard,
+or soft for the two local-product premises), and a false premise raises
+ValueError with the ledger title and that row.  Info rows carry sizes and
+ratios for the report.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .exact import frac, render_value
 from .groups import _row_blocks
 from .setops import (
     MSet,
+    _require_same_group,
     ascending_powers,
     inverse_set,
     member_mask,
@@ -121,6 +125,12 @@ class ConstantLedger:
         self.rows.append(LedgerRow(name, kind, lhs, rel, rhs, holds, formula, note))
         return holds
 
+    def require(self, name, lhs, rel, rhs, kind="hard", formula="") -> None:
+        """Record a premise as compare does; a false one raises ValueError
+        with the ledger title and the row."""
+        if not self.compare(name, lhs, rel, rhs, kind, formula):
+            raise ValueError(f"{self.title}: {self.rows[-1].line()}")
+
     def claim(self, name, holds, kind="hard", lhs=None, rhs=None, formula="", note="") -> bool:
         self.rows.append(
             LedgerRow(name, kind, lhs, "", rhs, bool(holds), formula, note))
@@ -167,8 +177,7 @@ def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
     The returned X ⊆ b satisfies b ⊆ a⁻¹·a·X and |X|·|a| ≤ |a·b|.
     side="right" mirrors: translates x·a, b ⊆ X·a·a⁻¹, |X|·|a| ≤ |b·a|.
     """
-    if a.group is not b.group:
-        raise ValueError("cover arguments live in different groups")
+    _require_same_group(a, b)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     chosen: list[int] = []
@@ -203,8 +212,7 @@ def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
 def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
     """verify_approx_group with H·H already formed as h2."""
     k = frac(k)
-    if h.group is not x.group:
-        raise ValueError("witness sets live in different groups")
+    _require_same_group(h, x)
     checks: list[tuple[str, bool]] = []
     violations: list[str] = []
 
@@ -255,11 +263,8 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     pows = dict(enumerate(ascending_powers(h0, 12), start=1))
     symmetric_input = h0 == a
     a3 = pows[3] if symmetric_input else power_set(a, 3)
-    ok = ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
-                        formula="|A^3| <= K|A|")
-    if not ok:
-        raise ValueError(
-            f"tripling hypothesis fails: |A^3|/|A| = {a3.size}/{a.size} > K = {k}")
+    ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
+                   formula="|A^3| <= K|A|")
     h, h2, h7 = pows[3], pows[6], pows[7]
     ledger.info("size-a", a.size)
     ledger.info("size-h0", h0.size)
@@ -308,11 +313,8 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
     factor = {1: a, -1: inverse_set(a)}
     times = cache(lambda s, sign: product_set(s, factor[sign]))
     a3 = times(times(a, 1), 1)
-    ok = ledger.compare("tripling-hypothesis", a3.size, "<=", k * a.size,
-                        formula="|A^3| <= K|A|")
-    if not ok:
-        raise ValueError(
-            f"tripling hypothesis fails: |A^3|/|A| = {a3.size}/{a.size} > K = {k}")
+    ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
+                   formula="|A^3| <= K|A|")
     level: dict[tuple, MSet] = {(1,): factor[1], (-1,): factor[-1]}
     bound = cache(lambda e: k ** e * a.size)
     overall_max = 0
@@ -355,11 +357,8 @@ def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantL
     ledger = ConstantLedger("symmetric_core")
     a_inv = inverse_set(a)
     aa_inv = product_set(a, a_inv)
-    ok = ledger.compare("doubling-hypothesis", aa_inv.size, "<=", k * a.size,
-                        formula="|A·A^-1| <= K|A|")
-    if not ok:
-        raise ValueError(
-            f"doubling hypothesis fails: |A·A^-1| = {aa_inv.size} > K|A| = {k * a.size}")
+    ledger.require("doubling-hypothesis", aa_inv.size, "<=", k * a.size,
+                   formula="|A·A^-1| <= K|A|")
     p, q = k.numerator, k.denominator
     candidates = product_set(a_inv, a)
     a_mask = member_mask(a)
@@ -390,17 +389,11 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
     parameter K², the covering pair on H := S³, then one cover of A and one
     of B⁻¹ by translates of H, glued through the witness covering set.
     """
-    if a.group is not b.group:
-        raise ValueError("sets live in different groups")
     k = frac(k)
     ledger = ConstantLedger("classify_small_doubling")
     ab = product_set(a, b)
-    ok = ledger.compare("doubling-hypothesis", ab.size**2, "<=",
-                        k**2 * a.size * b.size, formula="|A·B|^2 <= K^2|A||B|")
-    if not ok:
-        raise ValueError(
-            f"doubling hypothesis fails: |A·B|^2 = {ab.size**2} > "
-            f"K^2|A||B| = {k**2 * a.size * b.size}")
+    ledger.require("doubling-hypothesis", ab.size**2, "<=",
+                   k**2 * a.size * b.size, formula="|A·B|^2 <= K^2|A||B|")
     ledger.compare("k-at-least-one", Fraction(1), "<=", k, formula="K >= 1")
 
     core_k = k**CLASSIFY_CORE_DOUBLING_EXP
@@ -468,18 +461,11 @@ def local_tripling_check(a: MSet, k) -> ConstantLedger:
     sup_size = 0
     for mid in a.ids():
         sup_size = max(sup_size, product_set(a, translate_right(a, mid)).size)
-    ok = ledger.compare("local-product-hypothesis", sup_size, "<=", k * a.size,
-                        kind="soft", formula="sup_a |A·a·A| <= K|A|")
-    if not ok:
-        raise ValueError(
-            f"local product hypothesis fails: sup |A·a·A|/|A| = {sup_size}/{a.size} "
-            f"> K = {k}")
+    ledger.require("local-product-hypothesis", sup_size, "<=", k * a.size,
+                   kind="soft", formula="sup_a |A·a·A| <= K|A|")
     a2 = product_set(a, a)
-    ok = ledger.compare("square-hypothesis", a2.size, "<=", k * a.size,
-                        kind="soft", formula="|A^2| <= K|A|")
-    if not ok:
-        raise ValueError(
-            f"square hypothesis fails: |A^2|/|A| = {a2.size}/{a.size} > K = {k}")
+    ledger.require("square-hypothesis", a2.size, "<=", k * a.size,
+                   kind="soft", formula="|A^2| <= K|A|")
 
     _, _, classify_ledger = classify_small_doubling(a, a, k)
     ledger.merge(classify_ledger, "classify.")

@@ -38,7 +38,7 @@ from setgrowth.bsg import (
     energy_equivalences,
     weak_bsg,
 )
-from setgrowth.structure import ConstantLedger, LedgerError
+from setgrowth.structure import ConstantLedger, LedgerError, verify_approx_group
 
 G16 = construct_group("cyclic(16)")
 G12 = construct_group("cyclic(12)")
@@ -219,6 +219,53 @@ def test_equivalence_rejects_a_clause_iii_subset_outside_a():
     outside = MSet.from_ids(G16, [0, 1, 2, 3, 9])
     with pytest.raises(ValueError, match="inside A and B"):
         energy_equivalences("iii", A16, A16, 2, a_prime=outside, b_prime=A16)
+
+
+SPREAD16 = MSet.from_ids(G16, [0, 3, 7, 12])       # E(A,A) = 36
+WHOLE16 = MSet.from_ids(G16, range(16))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weak_bsg(A16, A16, WHOLE16, 1, kprime_sq=1),
+     "weak_bsg: [hard] c-hypothesis: 256 <= 16 FAIL (|C|^2 <= K'^2|A||B|)"),
+    (lambda: weak_bsg(A16, A16, MSet.from_ids(G16, [0]), 1, kprime_sq=1),
+     "weak_bsg: [hard] density-hypothesis: 1 >= 16 FAIL (N·K >= |A||B|)"),
+    (lambda: bsg_extract(SPREAD16, SPREAD16, 1),
+     "bsg_extract: [hard] energy-hypothesis: 1296 >= 4096 FAIL "
+     "(E^2 K^2 >= (|A||B|)^3, cleared)"),
+    (lambda: energy_equivalences("i", SPREAD16, SPREAD16, 1),
+     "energy_equivalences: [hard] input-i.energy-bound: 1296 >= 4096 FAIL "
+     "(E^2K^2 >= (|A||B|)^3)"),
+    (lambda: energy_equivalences("ii", A16, A16, 1, pairs=[(0, 0)]),
+     "energy_equivalences: [hard] input-ii.pair-density: 1 >= 16 FAIL "
+     "(|E|K >= |A||B|)"),
+    (lambda: energy_equivalences("iii", A16, A16, 1, b_prime=A16,
+                                 a_prime=MSet.from_ids(G16, [0])),
+     "energy_equivalences: [hard] input-iii.a-prime-dense: 1 >= 4 FAIL "
+     "(K|A'| >= |A|)"),
+    # H = G with X = {1} is a valid covering pair, but |H| is too large
+    (lambda: energy_equivalences(
+        "iv", A16, A16, 1, x_id=0, y_id=0,
+        witness=verify_approx_group(WHOLE16, MSet.from_ids(G16, [0]), 1)),
+     "energy_equivalences: [hard] input-iv.h-size-upper: 256 <= 16 FAIL "
+     "(|H|^2 <= K^2|A||B|)"),
+], ids=["weak-c", "weak-density", "bsg_extract", "clause-i", "clause-ii",
+        "clause-iii", "clause-iv"])
+def test_a_false_premise_is_refused_with_its_row(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: weak_bsg(a, b, a, 1, kprime_sq=1),
+    lambda a, b: weak_bsg(a, a, b, 1, kprime_sq=1),
+    lambda a, b: bsg_extract(a, b, 1),
+    lambda a, b: energy_equivalences("i", a, b, 1),
+], ids=["weak-b", "weak-c", "bsg_extract", "energy_equivalences"])
+def test_sets_from_two_groups_are_refused(call):
+    message = "sets live in different groups: cyclic(16) vs cyclic(12)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(A16, MSet.from_ids(G12, [0, 1]))
 
 
 @settings(max_examples=15, deadline=None)

@@ -428,6 +428,20 @@ def test_every_cli_carrier_sweeps(carrier, capsys):
     assert "[hard]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("carrier, message", [
+    ("word:cyclic(30)", "word carrier 'word:cyclic(30)' is missing a part of "
+                        "word:<group>:<gens>"),
+    ("word:cyclic(30):", "word carrier 'word:cyclic(30):' is missing a part of "
+                         "word:<group>:<gens>"),
+    ("word::1,7", "word carrier 'word::1,7' is missing a part of "
+                  "word:<group>:<gens>"),
+    ("word:cyclic(30):1,a", "word carrier expects comma-separated ids, got '1,a'"),
+])
+def test_a_bad_word_carrier_is_named(carrier, message, capsys):
+    assert cli.main(["entropy", "sweep", "--carrier", carrier]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_tripling_check_on_an_arc():
     cloud = MetricCloud(T1, [(Fraction(i, 100),) for i in range(10)])
     rep = entropy_tripling_check(cloud, Fraction(1, 100))

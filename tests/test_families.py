@@ -199,6 +199,24 @@ def test_duplicate_unknown_and_surplus_fields_are_named(text, message, capsys):
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+# an empty field is refused where it stands: skipping it would read 5 as
+# the generators of subgroup_plus_point(;5) and 2 as the radius of
+# ball_in_word_metric(;2)
+@pytest.mark.parametrize("text, message", [
+    ("subgroup_plus_point(;5)", "subgroup_plus_point field 1 is empty"),
+    ("ball_in_word_metric(;2)", "ball_in_word_metric field 1 is empty"),
+    ("subgroup(;2)", "subgroup field 1 is empty"),
+    ("subgroup(2;)", "subgroup field 2 is empty"),
+    ("coset(2;;1)", "coset field 2 is empty"),
+    ("random_dense(density=1/2; ;seed=3)", "random_dense field 2 is empty"),
+])
+def test_empty_fields_are_refused_by_position(text, message, capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SetFamilySpec.parse("symmetric(3)", text)
+    assert main(["set", "gen", "symmetric(3)", text]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_symmetric_rejects_a_negative_degree(capsys):
     assert main(["group", "info", "symmetric(-2)"]) == 1
     assert capsys.readouterr().err.splitlines() == [

@@ -9,6 +9,7 @@ on the nose.
 
 import itertools
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -59,6 +60,16 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             parse_pairing_spec(text)
+
+
+@pytest.mark.parametrize("text, position", [
+    (";z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic", 1),
+    ("z=Zp^2,p=3;;w=Zp^1,p=3;pairing=symplectic", 2),
+    ("z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic;", 4),
+])
+def test_parse_refuses_an_empty_field_by_position(text, position):
+    with pytest.raises(ValueError, match=f"^pairing field {position} is empty$"):
+        parse_pairing_spec(text)
 
 
 def test_build_p3():
@@ -147,6 +158,20 @@ def test_split_requires_symmetric_input():
     a = MSet.from_ids(H27, [0, 4])
     with pytest.raises(ValueError):
         split_approximate(a, H27.vertical, Fraction(27))
+
+
+Z_SECTION = MSet.from_ids(H27, range(0, 27, 3))       # |A^3| = 27 = 3|A|
+
+
+@pytest.mark.parametrize("call, title", [
+    (lambda: split_approximate(Z_SECTION, H27.vertical, Fraction(2)),
+     "split_approximate"),
+    (lambda: heisen_inverse(Z_SECTION, Fraction(2)), "heisen_inverse"),
+], ids=["split_approximate", "heisen_inverse"])
+def test_a_false_tripling_premise_is_refused_with_its_row(call, title):
+    message = f"{title}: [hard] tripling-hypothesis: 27 <= 18 FAIL (|A^3| <= K|A|)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_split_count_and_nest_rows():
@@ -534,6 +559,15 @@ def test_require_subgroup_names_the_scan_failure(ids, message):
     got = setops.subgroup_failure(a)
     assert got == scalar_subgroup_error(a)
     assert (got is None) if message is None else (message in got)
+
+
+def test_subgroup_failure_forms_no_product_on_the_whole_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(C4C100, "mul_pairs", refuse)
+    monkeypatch.setattr(C4C100, "inv_array", refuse)
+    assert setops.subgroup_failure(MSet.from_ids(C4C100, range(400))) is None
 
 
 @pytest.mark.parametrize("spec", ["heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)",

@@ -7,6 +7,7 @@ greedy cover traces can be read off directly.
 """
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -96,6 +97,78 @@ def test_ledger_merge_prefixes_names():
     outer = ConstantLedger("outer")
     outer.merge(inner, prefix="sub.")
     assert outer.rows[0].name == "sub.row"
+
+
+def test_require_records_a_true_premise_as_compare_does():
+    led, ref = ConstantLedger("demo"), ConstantLedger("demo")
+    assert led.require("premise", 3, "<=", 4, formula="|A| <= 4") is None
+    ref.compare("premise", 3, "<=", 4, formula="|A| <= 4")
+    assert led.rows == ref.rows
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+def test_require_refuses_a_false_premise_with_its_row(kind):
+    led, ref = ConstantLedger("demo"), ConstantLedger("demo")
+    ref.compare("premise", 5, "<=", 4, kind=kind, formula="|A| <= 4")
+    with pytest.raises(ValueError) as exc:
+        led.require("premise", 5, "<=", 4, kind=kind, formula="|A| <= 4")
+    assert led.rows == ref.rows
+    assert str(exc.value) == f"demo: {ref.rows[0].line()}"
+    assert str(exc.value) == f"demo: [{kind}] premise: 5 <= 4 FAIL (|A| <= 4)"
+
+
+def _refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+C1000 = construct_group("cyclic(1000)")
+TRIPLING_4 = MSet.from_ids(G100, [0, 1, 10, 30])    # |A^3| = 19
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: approx_group_from_tripling(TRIPLING_4, Fraction(17, 4)),
+     "approx_group_from_tripling: [hard] tripling-hypothesis: 19 <= 17 FAIL "
+     "(|A^3| <= K|A|)"),
+    (lambda: tripling_chain(TRIPLING_4, Fraction(17, 4)),
+     "tripling_chain: [hard] tripling-hypothesis: 19 <= 17 FAIL (|A^3| <= K|A|)"),
+    (lambda: symmetric_core(MSet.from_ids(construct_group("cyclic(8)"),
+                                          [0, 1, 2, 3]), 1),
+     "symmetric_core: [hard] doubling-hypothesis: 7 <= 4 FAIL (|A·A^-1| <= K|A|)"),
+    (lambda: classify_small_doubling(MSet.from_ids(C1000, range(10)),
+                                     MSet.from_ids(C1000, range(10)), 1),
+     "classify_small_doubling: [hard] doubling-hypothesis: 361 <= 100 FAIL "
+     "(|A·B|^2 <= K^2|A||B|)"),
+    (lambda: local_tripling_check(symmetrize(MSet.from_ids(G100, [1, 2])),
+                                  Fraction(1, 100)),
+     "local_tripling_check: [soft] local-product-hypothesis: 9 <= 1/20 FAIL "
+     "(sup_a |A·a·A| <= K|A|)"),
+], ids=["approx_group_from_tripling", "tripling_chain", "symmetric_core",
+        "classify_small_doubling", "local_tripling_check"])
+def test_a_false_premise_is_refused_with_its_row(call, message):
+    _refused(call, message)
+
+
+def test_local_tripling_refuses_a_false_square_premise(monkeypatch):
+    # while the local-product row measures |A·A·a| = |A^2| (ROADMAP item 1)
+    # the square premise cannot fail first; with A·a read as {1} the sup
+    # is |A| = 5 and |A^2| = 9 > (3/2)|A|
+    monkeypatch.setattr(structure, "translate_right",
+                        lambda a, x: MSet.identity_only(a.group))
+    _refused(lambda: local_tripling_check(symmetrize(MSet.from_ids(G100, [1, 2])),
+                                          Fraction(3, 2)),
+             "local_tripling_check: [soft] square-hypothesis: 9 <= 15/2 FAIL "
+             "(|A^2| <= K|A|)")
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: ruzsa_cover(a, b),
+    lambda a, b: classify_small_doubling(a, b, 2),
+], ids=["ruzsa_cover", "classify_small_doubling"])
+def test_sets_from_two_groups_are_refused(call):
+    a, b = MSet.from_ids(G12, [0, 1]), MSet.from_ids(G100, [0, 1])
+    _refused(lambda: call(a, b),
+             "sets live in different groups: cyclic(12) vs cyclic(100)")
 
 
 # ---------------------------------------------------------------- covering
