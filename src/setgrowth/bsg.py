@@ -23,6 +23,7 @@ n > floor(t), which for an integer n is exactly n > t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,7 +39,7 @@ from .exact import ceil_sqrt_frac, frac
 from .groups import _product_blocks, _row_blocks
 from .setops import (
     MSet,
-    _convolution_profile,
+    _product_counts,
     _require_same_group,
     energy,
     intersection_size,
@@ -253,20 +254,22 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
 
     a_ids, b_ids = a.id_array(), b.id_array()
     products = _product_matrix(g, a_ids, b_ids)
-    profile = _convolution_profile(
-        g, (products[rows] for rows in _row_blocks(len(a_ids), len(b_ids))),
-        a.size, b.size)
-    e_val = profile.energy_value()
+    counts = _product_counts(
+        g, (products[rows] for rows in _row_blocks(len(a_ids), len(b_ids))))
+    # each count is at most min(|A|,|B|) and they sum to |A||B|, so
+    # E <= |A||B|·min(|A|,|B|) <= ORDER_CAP^3 < 2^63: no int64 overflow
+    e_val = int(counts @ counts)
     nm = a.size * b.size
     ledger.require("energy-hypothesis", e_val**2 * p**2, ">=", q**2 * nm**3,
                    formula="E^2 K^2 >= (|A||B|)^3, cleared")
 
-    # Level set of the convolution at height sqrt(|A||B|)/2K, squared test.
-    c = _nonempty_set(g, [x for x, cnt in profile.counts.items()
-                          if 4 * p**2 * cnt**2 > q**2 * nm], "C")
+    # Level set of the convolution at height sqrt(|A||B|)/2K: for integer
+    # counts, 4p²·cnt² > q²|A||B| iff cnt > isqrt(q²|A||B| // 4p²).
+    level = counts > math.isqrt(q**2 * nm // (4 * p**2))
+    c = _nonempty_set(g, np.flatnonzero(level), "C")
     ledger.compare("level-set-size", c.size**2, "<=", 4 * k**2 * nm,
                    formula="|C|^2 <= 4K^2|A||B|")
-    n_c = sum(cnt for x, cnt in profile.counts.items() if x in c)
+    n_c = int(counts[level].sum())
     ledger.compare("level-set-mass", 2 * p * n_c, ">=", q * nm,
                    formula="2K·N_C >= |A||B|")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exact import frac
 from .groups import (FiniteGroup, _first_non_normalizer, _split_call, _split_fields,
-                     _split_top_level, construct_group, subgroup_closure)
+                     construct_group, subgroup_closure)
 from .setops import (MSet, inverse_set, power_set, product_set, random_ids,
                      symmetrize, translate_left)
 
@@ -52,13 +52,14 @@ class SetFamilySpec:
     @classmethod
     def parse(cls, group: str, text: str) -> "SetFamilySpec":
         head, body = _split_call(text.strip())
-        args = tuple(_split_fields(body, head))
+        args = tuple(_split_fields(body, head, ";"))
         return cls(group=group.strip(), family=head, args=args)
 
 
 def _ints_arg(field: str, what: str) -> list[int]:
+    parts = _split_fields(field, what, ",")
     try:
-        return [int(part) for part in _split_top_level(field, ",")]
+        return [int(part) for part in parts]
     except ValueError:
         raise ValueError(f"{what} expects comma-separated ids, got {field!r}")
 

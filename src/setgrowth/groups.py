@@ -423,7 +423,7 @@ def _parse_group(text: str) -> tuple:
         return head, _int_arg(args, head)
     if head == "direct_product":
         return head, tuple(_parse_group(part)
-                           for part in _split_top_level(args, ","))
+                           for part in _split_fields(args, head, ","))
     if head == "heisenberg":
         from . import heisenberg
 
@@ -484,15 +484,17 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return [p for p in _top_level_parts(text, sep) if p]
 
 
-def _split_fields(body: str, what: str) -> list[str]:
-    """The ;-separated fields of a family body or pairing spec named by
-    `what`.  An empty body has no fields; an empty field is refused by its
-    position, so it cannot shift the fields after it."""
+def _split_fields(body: str, what: str, sep: str) -> list[str]:
+    """The top-level parts of `body` between the seps: the ;-separated
+    fields of a family body or pairing spec, or the entries of a comma list,
+    of the thing named by `what`.  An empty body has no parts; an empty part
+    is refused by its position, so it cannot shift the parts after it."""
     if not body.strip():
         return []
-    fields = _top_level_parts(body, ";")
+    fields = _top_level_parts(body, sep)
     if "" in fields:
-        raise ValueError(f"{what} field {fields.index('') + 1} is empty")
+        noun = "field" if sep == ";" else "entry"
+        raise ValueError(f"{what} {noun} {fields.index('') + 1} is empty")
     return fields
 
 

@@ -136,7 +136,7 @@ def parse_pairing_spec(text: str) -> PairingSpec:
     """Parse the argument text of heisenberg(...): three ;-separated fields
     z=Zp^k,p=P then w=Zp^m,p=Q then pairing=symplectic|zero."""
     seen: dict[str, str] = {}
-    for part in _split_fields(text, "pairing"):
+    for part in _split_fields(text, "pairing", ";"):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in ("z", "w", "pairing") or not value:

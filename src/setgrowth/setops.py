@@ -12,9 +12,11 @@ inverses and convolutions have one path: the group's vectorized law
 above it) over the row blocks of ``groups._product_blocks``, scattered into
 a mask or a ``bincount``.  No call holds more than one block of products,
 so memory stays linear in the group order whatever the set sizes.
-``product_set`` forms nothing when an operand is the whole group G, since
-G·B = A·G = G for nonempty sets; once a power chain reaches G, every
-further power is free.  All derived values are exact integers or Fractions.
+``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
+every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
+A = B = {0,2,4,6}).  Once a power A^n of a power chain passes
+|G| - |A|, every further power is G and free.  All derived values are exact
+integers or Fractions.
 """
 
 from __future__ import annotations
@@ -186,12 +188,12 @@ def translate_right(a: MSet, x: int) -> MSet:
 
 
 def product_set(a: MSet, b: MSet) -> MSet:
-    """A*B = {x*y : x in A, y in B}.  When either operand is the whole
-    group G the product is G with no product formed: G·B = A·G = G for
-    nonempty A and B."""
+    """A*B = {x*y : x in A, y in B}.  When |A| + |B| > |G| the product is G
+    with no product formed: for each g the sets A and g·B⁻¹ then meet, so
+    g lies in A·B.  That includes an operand equal to G."""
     _require_same_group(a, b)
     g = a.group
-    if a.size == g.order or b.size == g.order:
+    if a.size + b.size > g.order:
         return MSet(g, np.ones(g.order, dtype=bool))
     return MSet(g, _product_mask(g, a.id_array(), b.id_array()))
 
@@ -224,7 +226,9 @@ def subgroup_failure(a: MSet) -> str | None:
 def ascending_powers(a: MSet, top: int):
     """Yield A, A^2, ..., A^top by repeated right products.  Once
     A^{n+1} = A^n the chain has stabilized, so every later power is that
-    same set and no further product is formed."""
+    same set and no further product is formed; a power with
+    |A^n| + |A| > |G| gives A^{n+1} = G by product_set's pigeonhole test,
+    with no product formed either."""
     cur = a
     yield cur
     for n in range(2, top + 1):
@@ -285,21 +289,20 @@ def convolution(a: MSet, b: MSet) -> ConvolutionProfile:
     _require_same_group(a, b)
     g = a.group
     blocks = _product_blocks(g, a.id_array(), b.id_array())
-    return _convolution_profile(
-        g, (block for _, block in blocks), a.size, b.size)
-
-
-def _convolution_profile(g: FiniteGroup, blocks, a_size: int,
-                         b_size: int) -> ConvolutionProfile:
-    """The profile of A x B from blocks that hold each product of A x B
-    once, counted by one ``bincount`` per block."""
-    counts = np.zeros(g.order, dtype=np.int64)
-    for block in blocks:
-        counts += np.bincount(block.ravel(), minlength=g.order)
+    counts = _product_counts(g, (block for _, block in blocks))
     support = np.flatnonzero(counts)
     return ConvolutionProfile(
         g, dict(zip(support.tolist(), counts[support].tolist())),
-        a_size, b_size)
+        a.size, b.size)
+
+
+def _product_counts(g: FiniteGroup, blocks) -> np.ndarray:
+    """The int64 array over ids of 1_A * 1_B from blocks that hold each
+    product of A x B once, counted by one ``bincount`` per block."""
+    counts = np.zeros(g.order, dtype=np.int64)
+    for block in blocks:
+        counts += np.bincount(block.ravel(), minlength=g.order)
+    return counts
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Covering lemma, approximate-group witnesses, and the small-doubling
 classification pipeline.
 
-All set arithmetic is on the array path: covers and cores scan translates
-in ``mul_outer`` calls over the row blocks that ``groups._row_blocks`` sets.
+All set arithmetic is on the array path: cores scan translates in
+``mul_outer`` calls over the row blocks that ``groups._row_blocks`` sets, and
+covers mark the translates of one difference set per chosen root over the
+blocks of ``groups._product_blocks``.
 ``tripling_chain`` forms one product per distinct (set, sign), exact because
 a product depends only on its two operand sets (MSets hash by their ids);
 ``approx_group_from_tripling`` takes all powers of H0 from one chain, and
@@ -46,7 +48,7 @@ from .constants import (
     word_exponent,
 )
 from .exact import frac, render_value
-from .groups import _row_blocks
+from .groups import _product_blocks, _row_blocks
 from .setops import (
     MSet,
     _require_same_group,
@@ -160,14 +162,13 @@ class ConstantLedger:
         return [f"# {self.title}"] + [row.line() for row in self.rows]
 
 
-def _translate_rows(a: MSet, xs: np.ndarray, side: str):
+def _translate_rows(a: MSet, xs: np.ndarray):
     """Yield (block, rows) over the _row_blocks of xs x A: row j holds
-    A·block[j] for side="left" and block[j]·A for side="right"."""
+    A·block[j]."""
     g, ids = a.group, a.id_array()
     for rows in _row_blocks(len(xs), a.size):
         block = xs[rows]
-        yield block, (g.mul_outer(ids, block).T if side == "left"
-                      else g.mul_outer(block, ids))
+        yield block, g.mul_outer(ids, block).T
 
 
 def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
@@ -176,18 +177,31 @@ def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
     side="left": translates a·x for x in b, scanned in ascending id order.
     The returned X ⊆ b satisfies b ⊆ a⁻¹·a·X and |X|·|a| ≤ |a·b|.
     side="right" mirrors: translates x·a, b ⊆ X·a·a⁻¹, |X|·|a| ≤ |b·a|.
+
+    a·x meets a·x' iff x ∈ D·x' with D = a⁻¹·a, and x·a meets x'·a iff
+    x ∈ x'·D with D = a·a⁻¹.  So D is formed once (free by product_set's
+    pigeonhole test when |a| > |G|/2), each root x taken marks D·x (x·D)
+    in a blocked mask, and a candidate is taken iff it is not blocked: the
+    X of the translate-by-translate scan, at a cost of |a|² + |X|·|D|
+    products and one numpy call per root rather than |b|·|a| products and
+    one per candidate.
     """
     _require_same_group(a, b)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    g, a_inv = a.group, inverse_set(a)
+    d = (product_set(a_inv, a) if side == "left"
+         else product_set(a, a_inv)).id_array()
     chosen: list[int] = []
-    used = np.zeros(a.group.order, dtype=bool)
-    for block, rows in _translate_rows(a, b.id_array(), side):
-        for x, row in zip(block.tolist(), rows):
-            if not used[row].any():
-                chosen.append(x)
-                used[row] = True
-    return MSet.from_ids(a.group, chosen)
+    blocked = np.zeros(g.order, dtype=bool)
+    for x in b.ids():
+        if not blocked[x]:
+            chosen.append(x)
+            root = np.array([x], dtype=np.intp)
+            xs, ys = (d, root) if side == "left" else (root, d)
+            for _, block in _product_blocks(g, xs, ys):
+                blocked[block] = True
+    return MSet.from_ids(g, chosen)
 
 
 class ApproxGroupWitness(NamedTuple):
@@ -221,21 +235,23 @@ def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
         if not ok:
             violations.append(f"{name}: {detail}")
 
+    def outside(s: MSet, t: MSet) -> int | None:
+        """The least id of S outside T, None when S ⊆ T."""
+        gap = member_mask(s) & ~member_mask(t)
+        return int(gap.argmax()) if gap.any() else None
+
     clause("h-symmetric", h.is_symmetric(), "H != H^-1")
     clause("h-contains-identity", h.contains_identity(), "identity not in H")
     clause("x-symmetric", x.is_symmetric(), "X != X^-1")
-    missing = [i for i in x.ids() if i not in h2]
-    clause("x-inside-h2", not missing,
-           f"element {missing[0] if missing else '?'} of X outside H·H")
+    missing = outside(x, h2)
+    clause("x-inside-h2", missing is None, f"element {missing} of X outside H·H")
     clause("x-small", x.size <= k, f"|X| = {x.size} > K = {k}")
-    xh = product_set(x, h)
-    missing = [i for i in h2.ids() if i not in xh]
-    clause("h2-in-xh", not missing,
-           f"product element {missing[0] if missing else '?'} outside X·H")
-    hx = product_set(h, x)
-    missing = [i for i in h2.ids() if i not in hx]
-    clause("h2-in-hx", not missing,
-           f"product element {missing[0] if missing else '?'} outside H·X")
+    missing = outside(h2, product_set(x, h))
+    clause("h2-in-xh", missing is None,
+           f"product element {missing} outside X·H")
+    missing = outside(h2, product_set(h, x))
+    clause("h2-in-hx", missing is None,
+           f"product element {missing} outside H·X")
     return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations))
 
 
@@ -362,7 +378,7 @@ def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantL
     p, q = k.numerator, k.denominator
     candidates = product_set(a_inv, a)
     a_mask = member_mask(a)
-    members = [x for block, rows in _translate_rows(a, candidates.id_array(), "left")
+    members = [x for block, rows in _translate_rows(a, candidates.id_array())
                for x, overlap in zip(block.tolist(), a_mask[rows].sum(axis=1).tolist())
                if 2 * p * overlap > q * a.size]
     s = MSet.from_ids(a.group, members)

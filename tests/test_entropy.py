@@ -436,6 +436,7 @@ def test_every_cli_carrier_sweeps(carrier, capsys):
     ("word::1,7", "word carrier 'word::1,7' is missing a part of "
                   "word:<group>:<gens>"),
     ("word:cyclic(30):1,a", "word carrier expects comma-separated ids, got '1,a'"),
+    ("word:cyclic(30):1,,7", "word carrier entry 2 is empty"),
 ])
 def test_a_bad_word_carrier_is_named(carrier, message, capsys):
     assert cli.main(["entropy", "sweep", "--carrier", carrier]) == 2

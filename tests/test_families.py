@@ -217,6 +217,28 @@ def test_empty_fields_are_refused_by_position(text, message, capsys):
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+# an empty comma entry is refused where it stands as well: skipping it
+# would read subgroup(1,,2) as subgroup(1,2) and direct_product(C2,,C3) as
+# direct_product(C2,C3)
+@pytest.mark.parametrize("group, text, message", [
+    ("direct_product(cyclic(2),,cyclic(3))", "subgroup(1,,2)",
+     "direct_product entry 2 is empty"),
+    ("direct_product(cyclic(2),cyclic(3),)", "subgroup(1)",
+     "direct_product entry 3 is empty"),
+    ("symmetric(3)", "subgroup(1,,2)", "subgroup entry 2 is empty"),
+    ("symmetric(3)", "subgroup(1,)", "subgroup entry 2 is empty"),
+    ("symmetric(3)", "coset(,1;2)", "coset entry 1 is empty"),
+    ("cyclic(12)", "geometric_progression(2,)",
+     "geometric_progression entry 2 is empty"),
+])
+def test_empty_comma_entries_are_refused_by_position(group, text, message,
+                                                     capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_set(SetFamilySpec.parse(group, text))
+    assert main(["set", "gen", group, text]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_symmetric_rejects_a_negative_degree(capsys):
     assert main(["group", "info", "symmetric(-2)"]) == 1
     assert capsys.readouterr().err.splitlines() == [

@@ -216,6 +216,19 @@ def test_parse_minimal_config():
     assert job.seed == DEFAULT_SEED
 
 
+def test_config_lists_drop_empty_entries():
+    # unlike a comma entry inside a spec, an empty config list entry is
+    # skipped
+    job = parse_suite_config("""
+    [suite]
+    name = covering
+    groups = cyclic(24),, dihedral(6),
+    families = subgroup(2);; coset(2;1);
+    """).jobs[0]
+    assert job.groups == ("cyclic(24)", "dihedral(6)")
+    assert job.families == ("subgroup(2)", "coset(2;1)")
+
+
 def test_parse_rejects_bad_lines():
     with pytest.raises(ValueError, match="line 3"):
         parse_suite_config("[suite]\nname = covering\nwhat even is this\n")

@@ -206,6 +206,41 @@ def test_product_set_example():
     assert product_set(a, b).ids() == (0, 1, 2, 3)
 
 
+def _counted_products(monkeypatch, g):
+    """A list that gains, per mul_pairs call of g, the number of products
+    it forms; mul_outer forms its products in one mul_pairs call."""
+    formed = []
+    pairs = g.mul_pairs
+
+    def counted(x, y):
+        formed.append(np.broadcast(x, y).size)
+        return pairs(x, y)
+
+    monkeypatch.setattr(g, "mul_pairs", counted)
+    return formed
+
+
+def test_product_set_forms_no_product_past_the_pigeonhole_bound(monkeypatch):
+    # |A| + |B| = 13 + 4 > 16 = |G| with neither operand G: for each g the
+    # sets A and g·B^-1 meet, so A·B = G
+    g = construct_group("dihedral(8)")
+    a = MSet.from_ids(g, range(13))
+    b = MSet.from_ids(g, [3, 7, 11, 15])
+    formed = _counted_products(monkeypatch, g)
+    assert product_set(a, b).size == product_set(b, a).size == g.order
+    assert formed == []
+
+
+def test_product_set_at_the_pigeonhole_bound_forms_its_products(monkeypatch):
+    # |A| + |B| = |G| is not enough: the index-2 subgroup of cyclic(8)
+    # squares to itself
+    g = construct_group("cyclic(8)")
+    a = MSet.from_ids(g, [0, 2, 4, 6])
+    formed = _counted_products(monkeypatch, g)
+    assert product_set(a, a) == a
+    assert sum(formed) == 16
+
+
 def test_inverse_set_example():
     a = MSet.from_ids(G7, [1, 2])
     assert inverse_set(a).ids() == (5, 6)

@@ -544,14 +544,62 @@ def diff_sets(spec, max_size):
     return small_sets(GROUPS[spec], max_size)
 
 
+def distinct_quotients(g, ids):
+    """The greedy subset A of ids whose quotients a^-1·a' (a != a') are all
+    distinct: |A^-1·A| = |A|^2 - |A| + 1, the most any A has."""
+    kept = []
+    for x in ids:
+        trial = MSet.from_ids(g, kept + [x])
+        n = trial.size
+        if n > len(kept) and product_set(inverse_set(trial), trial).size == n * n - n + 1:
+            kept.append(x)
+    return MSet.from_ids(g, kept)
+
+
 @pytest.mark.parametrize("spec", DIFF_GROUPS)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_ruzsa_cover_matches_reference_loop(spec, data):
-    a = data.draw(diff_sets(spec, 12))
+    # three regimes of A: small; dense, |A| > |G|/2, where A^-1·A = G by
+    # pigeonhole and the first root blocks every other; and sparse with
+    # distinct quotients, where |A^-1·A| is largest and many roots are taken
+    g = GROUPS[spec]
+    regime = data.draw(st.sampled_from(["small", "dense", "sparse"]))
+    if regime == "dense":
+        holes = data.draw(st.frozensets(st.integers(0, g.order - 1),
+                                        max_size=min(40, (g.order - 1) // 2)))
+        a = MSet.from_ids(g, set(range(g.order)) - holes)
+        assert 2 * a.size > g.order
+    elif regime == "sparse":
+        a = distinct_quotients(g, data.draw(st.lists(
+            st.integers(0, g.order - 1), min_size=1, max_size=8)))
+    else:
+        a = data.draw(diff_sets(spec, 12))
     b = data.draw(diff_sets(spec, 40))
     for side in ("left", "right"):
         assert ruzsa_cover(a, b, side) == ref_ruzsa_cover(a, b, side)
+
+
+def test_dense_cover_forms_at_most_the_group_order_in_products(monkeypatch):
+    # |A| = 700 > 660 = |G|/2 in sl2(11): A^-1·A and A·A^-1 are G with no
+    # product formed, and the first root's translate of G blocks the rest
+    g = construct_group("sl2(11)")
+    rng = random.Random(11)
+    a = MSet.from_ids(g, rng.sample(range(g.order), 700))
+    b = MSet.from_ids(g, rng.sample(range(g.order), 700))
+    pairs = g.mul_pairs
+    for side in ("left", "right"):
+        formed = []
+
+        def counted(x, y):
+            formed.append(np.broadcast(x, y).size)
+            return pairs(x, y)
+
+        monkeypatch.setattr(g, "mul_pairs", counted)
+        x = ruzsa_cover(a, b, side)
+        monkeypatch.undo()
+        assert x.ids() == (b.ids()[0],)
+        assert sum(formed) <= g.order
 
 
 @pytest.mark.parametrize("spec", DIFF_GROUPS)
