@@ -21,14 +21,19 @@ cases with ``_grid`` (every tuple of a box, in ``itertools.product``
 order) or ``_sampled`` (seeded draws, in draw order), whose blocks have
 the same shape, and names the first case that fails with ``_first``.
 
-At or below TABLE_CAP the group caches the vectorized law as one dense
-uint16 table, built on first use from one row block of the law and rows
-composed from known rows (see ``FiniteGroup.table``); ``mul_pairs`` then
-gathers from it.  Above the cap no table exists and ``mul_pairs`` runs the
-law on coordinates.  Inverses of every id sit in one array built from
-``_inv_law``.  A table is adopted in one other way: once the exhaustive
-axiom sweep has proved the law associative, its own table of the law
-becomes the group's table if the group has none yet.
+At or below TABLE_CAP the group may cache the vectorized law as one dense
+uint16 table, built from one row block of the law and rows composed from
+known rows (see ``FiniteGroup.table``).  Until it has one, ``mul_pairs``
+runs the law and counts the products asked of it; the call that brings
+that count to order², the cells of the table, builds the table, and that
+call and every later one gather from it.  This is ski rental: the law
+never forms as many products as the table holds, and a group whose sets
+stay small never builds one.  Above the cap no table exists and
+``mul_pairs`` runs the law on coordinates.  Inverses of every id sit in
+one array built from ``_inv_law``.  Two callers that need more products
+than the table holds take it at once: a passing exhaustive axiom sweep
+adopts its own table of the law if the group has none yet, and the
+exhaustive Heisenberg commutator sweep calls ``table()`` before it starts.
 
 Canonical numberings (reproducible bit for bit):
   cyclic(n)          id = residue, addition mod n
@@ -70,6 +75,8 @@ class FiniteGroup:
         self.order = order
         self.name = name
         self._table: np.ndarray | None = None
+        # products asked of the law by mul_pairs while there is no table
+        self._law_products = 0
         self._inverse: np.ndarray | None = None
         # the counts of a passing exhaustive axiom sweep, which proves the
         # law once and for all
@@ -92,14 +99,15 @@ class FiniteGroup:
 
     # -- table and inverses -------------------------------------------------
     def table(self) -> np.ndarray | None:
-        """The dense uint16 table [a, b] -> a*b, built on first use; None
-        above TABLE_CAP.  The law fills one row block; every other row is
-        composed, x*(y*w) = (x*y)*w making the row of x*y the gather
-        table[x].take(table[y]).  Known rows take turns, newest first, each
-        filling the unknown x*y over known y.  A turn that fills nothing
-        passes the turns to the law rows that still reach an unknown id;
-        when none does, the known ids are the subgroup the law rows
-        generate, and the law fills the next block of unknown ids."""
+        """The dense uint16 table [a, b] -> a*b, built on the first call;
+        None above TABLE_CAP.  mul_pairs calls it once the law has been
+        asked for order² products.  The law fills one row block; every
+        other row is composed, x*(y*w) = (x*y)*w making the row of x*y the
+        gather table[x].take(table[y]).  Known rows take turns, newest
+        first, each filling the unknown x*y over known y.  A turn that
+        fills nothing passes the turns to the law rows that still reach an
+        unknown id; when none does, the known ids are the subgroup the law
+        rows generate, and the law fills the next block of unknown ids."""
         if self._table is None and self.order <= TABLE_CAP:
             n = self.order
             table = np.empty((n, n), dtype=np.uint16)
@@ -135,13 +143,18 @@ class FiniteGroup:
 
     # -- vectorized products ------------------------------------------------
     def mul_pairs(self, x, y) -> np.ndarray:
-        """x*y elementwise over broadcastable id arrays: a table gather at
-        or below TABLE_CAP, the coordinate law above it."""
-        table = self.table()
-        if table is not None:
+        """x*y elementwise over broadcastable id arrays: the law until the
+        products asked of it reach order², then a table gather, the call
+        that reaches it building the table; always the law above
+        TABLE_CAP."""
+        if self._table is None and self.order <= TABLE_CAP:
+            self._law_products += np.broadcast(x, y).size
+            if self._law_products >= self.order ** 2:
+                self.table()
+        if self._table is not None:
             # a flat take is faster than the 2-D fancy index table[x, y]
             flat = np.multiply(x, self.order, dtype=np.intp) + y
-            return table.ravel().take(flat)
+            return self._table.ravel().take(flat)
         return self._law_pairs(x, y)
 
     def _law_pairs(self, x, y) -> np.ndarray:

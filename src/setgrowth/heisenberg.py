@@ -384,10 +384,11 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
 
 def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
     """Inverse law, central vertical subgroup and commutator identity, each
-    swept as whole arrays through mul_pairs (table gathers at or below
-    TABLE_CAP).  A failure names the first counterexample of groups._first
-    in the order of the sweep: the _grid of ids or pairs, or the draws of
-    _sampled."""
+    swept as whole arrays through mul_pairs.  The exhaustive commutator
+    sweep forms 3 products per ordered pair, more than the table's order²
+    cells, so it builds the table first.  A failure names the first
+    counterexample of groups._first in the order of the sweep: the _grid of
+    ids or pairs, or the draws of _sampled."""
     order, wo = g.order, g.w_order
     exhaustive = order <= EXHAUSTIVE_ORDER_CAP
 
@@ -429,6 +430,7 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
 
     # commutator identity: [a, b] = (0, 2{z_a, z_b})
     if order * order <= EXHAUSTIVE_PAIR_CAP:
+        g.table()
         pairs = _grid((order, order))
         note = "all ordered pairs"
     else:

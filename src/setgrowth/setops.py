@@ -7,10 +7,10 @@ read-only, from_mask copies, member_mask returns the stored array, and the
 hash reads the mask bytes.  Other modules read sets through ids, id_array,
 member_mask, size and membership and build them with the named
 constructors (tests/test_set_format.py checks this).  Products, translates,
-inverses and convolutions have one path: the group's vectorized law
-``mul_outer`` (a table gather at or below TABLE_CAP, coordinate arithmetic
-above it) over the row blocks of ``groups._product_blocks``, scattered into
-a mask or a ``bincount``.  No call holds more than one block of products,
+inverses and convolutions have one path: the group's ``mul_outer`` (the
+coordinate law, or a gather from the table once the group has built one)
+over the row blocks of ``groups._product_blocks``, scattered into a mask or
+a ``bincount``.  No call holds more than one block of products,
 so memory stays linear in the group order whatever the set sizes.
 ``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
 every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
@@ -281,19 +281,21 @@ class ConvolutionProfile:
     a_size: int
     b_size: int
 
-    def energy_value(self) -> int:
-        return sum(c * c for c in self.counts.values())
-
 
 def convolution(a: MSet, b: MSet) -> ConvolutionProfile:
+    counts = _set_counts(a, b)
+    support = np.flatnonzero(counts)
+    return ConvolutionProfile(
+        a.group, dict(zip(support.tolist(), counts[support].tolist())),
+        a.size, b.size)
+
+
+def _set_counts(a: MSet, b: MSet) -> np.ndarray:
+    """The int64 array over ids of 1_A * 1_B."""
     _require_same_group(a, b)
     g = a.group
     blocks = _product_blocks(g, a.id_array(), b.id_array())
-    counts = _product_counts(g, (block for _, block in blocks))
-    support = np.flatnonzero(counts)
-    return ConvolutionProfile(
-        g, dict(zip(support.tolist(), counts[support].tolist())),
-        a.size, b.size)
+    return _product_counts(g, (block for _, block in blocks))
 
 
 def _product_counts(g: FiniteGroup, blocks) -> np.ndarray:
@@ -325,8 +327,12 @@ class EnergyValue:
 
 
 def energy(a: MSet, b: MSet) -> EnergyValue:
-    prof = convolution(a, b)
-    return EnergyValue(prof.energy_value(), a.size, b.size, len(prof.counts))
+    """E(A, B) = sum of (1_A * 1_B)², with |A·B| the support of the counts."""
+    counts = _set_counts(a, b)
+    # each count is at most min(|A|,|B|) and they sum to |A||B|, so
+    # E <= |A||B|·min(|A|,|B|) <= ORDER_CAP^3 < 2^63: no int64 overflow
+    return EnergyValue(int(counts @ counts), a.size, b.size,
+                       int(np.count_nonzero(counts)))
 
 
 def energy_quadruple_count(a: MSet, b: MSet) -> int:

@@ -695,14 +695,15 @@ def test_extract_memory_on_420_ids():
 
 
 def test_cli_bsg_run_counts_the_energy_once(monkeypatch, capsys):
+    # energy and convolution both count through setops._set_counts
     calls = []
-    real = setops.convolution
+    real = setops._set_counts
 
     def counted(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(setops, "convolution", counted)
+    monkeypatch.setattr(setops, "_set_counts", counted)
     assert cli.main(["bsg", "run", "--group", "symmetric(4)",
                      "--set", "random_dense(density=1/2;seed=5)"]) == 0
     monkeypatch.undo()

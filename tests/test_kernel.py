@@ -1,15 +1,15 @@
 """The vectorized group law against the scalar oracles.
 
-Every family's ``mul_outer``/``inv_array`` (table gathers at or below
-TABLE_CAP, coordinate arithmetic above it) must agree with its scalar
-coordinate law ``mul``/``inv``, and the set operations, closures and
-quotients built on the kernel must agree with brute-force references
-written here on the scalar law, on both sides of the cap.  A composite
-family's scalar law reads its factors' scalar laws, never their tables, so
-a kernel planted wrong in a factor shows up as a disagreement.  The
-bad-law tests plant one wrong product or inverse and check that the
-whole-array sweeps name the same first counterexample as a scalar sweep in
-element order.
+Every family's ``mul_outer``/``inv_array`` (the coordinate law, or table
+gathers once a group at or below TABLE_CAP has built its table) must
+agree with its scalar coordinate law ``mul``/``inv``, and the set
+operations, closures and quotients built on the kernel must agree with
+brute-force references written here on the scalar law, on both sides of
+the cap.  A composite family's scalar law reads its factors' scalar laws,
+never their tables, so a kernel planted wrong in a factor shows up as a
+disagreement.  The bad-law tests plant one wrong product or inverse and
+check that the whole-array sweeps name the same first counterexample as a
+scalar sweep in element order.
 """
 
 import itertools
@@ -36,6 +36,7 @@ from setgrowth.groups import (
     NotNormalError,
     QuotientGroup,
     SL2Group,
+    SymmetricGroup,
     _light_generators,
     construct_group,
     quotient_map,
@@ -414,6 +415,57 @@ def test_table_only_at_or_below_the_cap():
     assert big.table() is None and big.row(0) is None
 
 
+# ------------------------------------------------------------ table rent
+
+def test_table_is_built_by_the_call_that_reaches_order_squared(monkeypatch):
+    # cyclic(60): the table holds 3,600 cells, so the law answers 3,599
+    # products and the call that asks for the 3,600th builds the table
+    g = CyclicGroup(60)
+    law = g._mul_law
+    products = count_law_products(monkeypatch, g)
+    for size in (1000, 1000, 1000, 599):
+        xs = np.arange(size) % g.order
+        ys = xs[::-1]
+        assert g.mul_pairs(xs, ys).tolist() == [
+            g.mul(int(x), int(y)) for x, y in zip(xs, ys)]
+    assert g._table is None and sum(products) == 3599
+    assert g.mul_pairs(7, 59).tolist() == 6
+    assert g._table is not None
+    ids = np.arange(g.order)
+    assert np.array_equal(g._table, law(ids[:, None], ids))
+    built = sum(products)
+    g.mul_outer(ids, ids)
+    assert sum(products) == built
+
+
+def fresh_groups():
+    """New instances, so each has no table yet: orders whose order² is
+    above the products one draw of the differential test asks for."""
+    return [CyclicGroup(97), DihedralGroup(30), SL2Group(5),
+            SymmetricGroup(4),
+            DirectProductGroup([CyclicGroup(3), SL2Group(5)]),
+            quotient_map(DihedralGroup(20), [10]).quotient]
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_set_operations_agree_before_and_after_the_table(data):
+    for g in fresh_groups():
+        a = mset(g, data.draw(id_lists(g)))
+        b = mset(g, data.draw(id_lists(g)))
+        x = data.draw(st.integers(min_value=0, max_value=g.order - 1))
+
+        def results():
+            return (product_set(a, b), translate_left(x, a),
+                    translate_right(a, x), inverse_set(a),
+                    convolution(a, b).counts)
+
+        by_law = results()
+        assert g._table is None
+        g.table()
+        assert results() == by_law
+
+
 # ------------------------------------------------------------ set operations
 
 SET_GROUPS = ["sl2(5)", "symmetric(7)"]
@@ -619,6 +671,18 @@ def test_heisenberg_build_runs_the_law_once(monkeypatch):
     assert n == 343
     assert 0 < sum(products) <= n * n + 3 * n
     assert g.construction_ledger.rows[-1].name == "axiom-sweep-triples"
+
+
+def test_heisenberg_build_tables_before_the_commutator_sweep(monkeypatch):
+    # order 1331, above the exhaustive axiom cap: only the exhaustive
+    # commutator sweep (3 products per ordered pair) asks for the table,
+    # before it starts, so the law forms far fewer products than its cells
+    products = count_law_products(monkeypatch, hb.HeisenbergGroup)
+    g = hb.build_heisenberg(hb.parse_pairing_spec(
+        "z=Zp^2,p=11;w=Zp^1,p=11;pairing=symplectic"))
+    assert g.order == 1331 > EXHAUSTIVE_ASSOC_CAP
+    assert g._table is not None
+    assert sum(products) < g.order ** 2 // 2
 
 
 def test_group_info_reuses_the_heisenberg_build_sweep(monkeypatch, capsys):

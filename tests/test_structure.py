@@ -30,7 +30,7 @@ from setgrowth.constants import (
     positive_power_exponent,
     word_exponent,
 )
-from setgrowth.groups import BLOCK_PAIRS, TABLE_CAP, construct_group
+from setgrowth.groups import BLOCK_PAIRS, TABLE_CAP, SL2Group, construct_group
 from setgrowth.setops import (
     MSet,
     intersection_size,
@@ -650,6 +650,35 @@ def test_classify_small_doubling_matches_reference(spec, data):
     # |A·B|^2 <= K^2|A||B| holds at K = |A·B| / min(|A|, |B|)
     k = Fraction(product_set(a, b).size, min(a.size, b.size))
     assert_same_classify(a, b, k)
+
+
+def test_classify_leaves_sl2_11_without_a_table():
+    # the 40 seeded ids of the sl2-classify benchmark input: classify forms
+    # about 84,000 products, far below the 1,742,400 cells of the table
+    g = SL2Group(11)
+    a = MSet.from_ids(g, random.Random("1729:sl2-classify").sample(
+        range(g.order), 40))
+    _, _, led = classify_small_doubling(
+        a, a, Fraction(product_set(a, a).size, a.size))
+    assert led.hard_ok
+    assert g._table is None
+
+
+def test_classify_on_sl2_13_memory_is_below_the_table():
+    # 60 seeded ids of sl2(13): its uint16 table alone is 2184^2 * 2 bytes
+    # = 9.5 MB, while classify, inferring K included, forms about 234,000
+    # products in blocks
+    g = SL2Group(13)
+    a = MSet.from_ids(g, random.Random(1729).sample(range(g.order), 60))
+    tracemalloc.start()
+    try:
+        k = Fraction(product_set(a, a).size, a.size)
+        _, _, led = classify_small_doubling(a, a, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert led.hard_ok
+    assert peak < 4_000_000
 
 
 def test_classify_forms_each_operand_pair_once(monkeypatch):
