@@ -48,6 +48,8 @@ def ceil_sqrt_frac(q: Fraction) -> Fraction:
 def render_value(v) -> str:
     """Deterministic cell rendering: integers and Fractions verbatim,
     floats at 12 significant digits, booleans lowercase, None empty."""
+    if type(v) is int:
+        return str(v)
     if v is None:
         return ""
     if isinstance(v, bool):

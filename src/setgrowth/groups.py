@@ -16,10 +16,14 @@ states its law twice, over the same coordinate arithmetic:
 This module alone sets how work is blocked and sampled: every blocked sweep
 in the package takes its rows from ``_row_blocks`` (or the ``(rows,
 block)`` pairs of ``_product_blocks``), and every seeded sample its draws
-from ``_sampled``.  A search for the first counterexample enumerates its
-cases with ``_grid`` (every tuple of a box, in ``itertools.product``
-order) or ``_sampled`` (seeded draws, in draw order), whose blocks have
-the same shape, and names the first case that fails with ``_first``.
+from ``_sampled``.  Operands whose products fit one block, as those of most
+small sets do, get their one pair from a single ``mul_outer`` call with no
+row-block generator; larger ones are tiled by ``_row_blocks``, so no call
+holds more than one block of products either way.  A search for the first
+counterexample enumerates its cases with ``_grid`` (every tuple of a box,
+in ``itertools.product`` order) or ``_sampled`` (seeded draws, in draw
+order), whose blocks have the same shape, and names the first case that
+fails with ``_first``.
 
 At or below TABLE_CAP the group may cache the vectorized law as one dense
 uint16 table, built from one row block of the law and rows composed from
@@ -147,15 +151,16 @@ class FiniteGroup:
         products asked of it reach order², then a table gather, the call
         that reaches it building the table; always the law above
         TABLE_CAP."""
-        if self._table is None and self.order <= TABLE_CAP:
+        table = self._table
+        if table is None:
+            if self.order > TABLE_CAP:
+                return self._law_pairs(x, y)
             self._law_products += np.broadcast(x, y).size
-            if self._law_products >= self.order ** 2:
-                self.table()
-        if self._table is not None:
-            # a flat take is faster than the 2-D fancy index table[x, y]
-            flat = np.multiply(x, self.order, dtype=np.intp) + y
-            return self._table.ravel().take(flat)
-        return self._law_pairs(x, y)
+            if self._law_products < self.order ** 2:
+                return self._law_pairs(x, y)
+            table = self.table()
+        # a flat take is faster than the 2-D fancy index table[x, y]
+        return table.ravel().take(np.multiply(x, self.order, dtype=np.intp) + y)
 
     def _law_pairs(self, x, y) -> np.ndarray:
         """x*y elementwise over broadcastable id arrays, by the law."""
@@ -524,9 +529,14 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
-    """(rows, g.mul_outer(xs[rows], ys)) over the _row_blocks of xs x ys."""
-    for rows in _row_blocks(len(xs), len(ys)):
-        yield rows, g.mul_outer(xs[rows], ys)
+    """The pairs (rows, g.mul_outer(xs[rows], ys)) over the _row_blocks of
+    xs x ys.  Operands whose |xs|·|ys| products fit one block get that one
+    pair at once, formed by the same mul_outer but with no generator; most
+    products of small sets take this path."""
+    if len(xs) * len(ys) <= BLOCK_PAIRS:
+        return ((slice(0, len(xs)), g.mul_outer(xs, ys)),)
+    return ((rows, g.mul_outer(xs[rows], ys))
+            for rows in _row_blocks(len(xs), len(ys)))
 
 
 def _sampled(rng: random.Random, count: int, bounds):
@@ -566,17 +576,23 @@ def _ids_mask(g: FiniteGroup, ids) -> np.ndarray:
 
 def _cayley_levels(g: FiniteGroup, gens: np.ndarray):
     """Breadth-first levels from the identity in the right Cayley graph of
-    gens: id arrays of the elements first reached by words of length
-    0, 1, 2, ..., each level one blocked mul_outer(level, gens)."""
+    gens: ascending id arrays of the elements first reached by words of
+    length 0, 1, 2, ..., each level one blocked mul_outer(level, gens).  A
+    level is read off its own products, the distinct ids of each block not
+    seen before, so no level costs an array the size of the group."""
     seen = _ids_mask(g, [0])
     level = np.zeros(1, dtype=np.intp)
     while len(level):
         yield level
-        reached = np.zeros(g.order, dtype=bool)
+        parts = []
         for _, block in _product_blocks(g, level, gens):
-            reached[block] = True
-        level = np.flatnonzero(reached & ~seen)
-        seen[level] = True
+            fresh = np.sort(block[~seen[block]])
+            distinct = np.ones(len(fresh), dtype=bool)
+            np.not_equal(fresh[1:], fresh[:-1], out=distinct[1:])
+            fresh = fresh[distinct]
+            seen[fresh] = True
+            parts.append(fresh)
+        level = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
 
 def subgroup_closure(g: FiniteGroup, seed) -> frozenset[int]:

@@ -6,12 +6,15 @@ mask over the group's ids.  The constructor marks the array it is given
 read-only, from_mask copies, member_mask returns the stored array, and the
 hash reads the mask bytes.  Other modules read sets through ids, id_array,
 member_mask, size and membership and build them with the named
-constructors (tests/test_set_format.py checks this).  Products, translates,
-inverses and convolutions have one path: the group's ``mul_outer`` (the
-coordinate law, or a gather from the table once the group has built one)
-over the row blocks of ``groups._product_blocks``, scattered into a mask or
-a ``bincount``.  No call holds more than one block of products,
-so memory stays linear in the group order whatever the set sizes.
+constructors (tests/test_set_format.py checks this).  Products, translates
+and convolutions have one path: the group's ``mul_outer`` (the coordinate
+law, or a gather from the table once the group has built one) over the row
+blocks of ``groups._product_blocks``, scattered into a mask or a
+``bincount``.  Operands whose products fit one block, most of them, take
+one ``mul_outer`` call and one scatter.  No call holds more than one block
+of products, so memory stays linear in the group order whatever the set
+sizes.  A set keeps its inverse once formed, so ``inverse_set`` gathers
+``inv_array`` at most once per set.
 ``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
 every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
 A = B = {0,2,4,6}).  Once a power A^n of a power chain passes
@@ -33,7 +36,7 @@ class MSet:
     """Nonempty subset of a FiniteGroup: a read-only boolean mask over ids
     that the set owns.  Only this module calls the constructor."""
 
-    __slots__ = ("group", "_mask", "size", "_idtuple", "_idarray")
+    __slots__ = ("group", "_mask", "size", "_idtuple", "_idarray", "_inverse")
 
     def __init__(self, group: FiniteGroup, mask: np.ndarray):
         if mask.shape != (group.order,):
@@ -46,6 +49,7 @@ class MSet:
         self._mask = mask
         self._idtuple: tuple[int, ...] | None = None
         self._idarray: np.ndarray | None = None
+        self._inverse: MSet | None = None
 
     @classmethod
     def from_ids(cls, group: FiniteGroup, ids) -> "MSet":
@@ -199,8 +203,13 @@ def product_set(a: MSet, b: MSet) -> MSet:
 
 
 def inverse_set(a: MSet) -> MSet:
-    g = a.group
-    return MSet(g, _ids_mask(g, g.inv_array(a.id_array())))
+    """A⁻¹, formed once per set: A keeps it, so a repeat call on A returns
+    the same read-only set.  A⁻¹ is not told that A is its inverse; that
+    link would make every inverted set part of a reference cycle."""
+    if a._inverse is None:
+        g = a.group
+        a._inverse = MSet(g, _ids_mask(g, g.inv_array(a.id_array())))
+    return a._inverse
 
 
 def subgroup_failure(a: MSet) -> str | None:

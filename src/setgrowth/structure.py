@@ -6,7 +6,9 @@ All set arithmetic is on the array path: cores scan translates in
 covers mark the translates of one difference set per chosen root over the
 blocks of ``groups._product_blocks``.
 ``tripling_chain`` forms one product per distinct (set, sign), exact because
-a product depends only on its two operand sets (MSets hash by their ids);
+a product depends only on its two operand sets (MSets hash by their ids),
+and reads each pattern row's name, exponent and formula from a per-length
+table built once per process;
 ``approx_group_from_tripling`` takes all powers of H0 from one chain, and
 ``classify_small_doubling`` reads A·A⁻¹ and H off the results of the core
 and witness steps.
@@ -24,8 +26,10 @@ ratios for the report.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -61,13 +65,10 @@ from .setops import (
     translate_right,
 )
 
-_RELS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-}
+_RELS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+         ">": operator.gt, "==": operator.eq}
+# the exact side types compared by cross-multiplying; bool is not one of them
+_EXACT = {int, Fraction}
 
 
 class LedgerRow(NamedTuple):
@@ -123,7 +124,14 @@ class ConstantLedger:
         self.rows: list[LedgerRow] = []
 
     def compare(self, name, lhs, rel, rhs, kind="hard", formula="", note="") -> bool:
-        holds = _RELS[rel](lhs, rhs)
+        """Record lhs rel rhs.  Two exact sides, each an int or a Fraction,
+        are compared as p·s rel r·q for lhs = p/q and rhs = r/s (q, s > 0),
+        with no Fraction formed; any other side takes the Python operator."""
+        if type(lhs) in _EXACT and type(rhs) in _EXACT:
+            holds = _RELS[rel](lhs.numerator * rhs.denominator,
+                               rhs.numerator * lhs.denominator)
+        else:
+            holds = _RELS[rel](lhs, rhs)
         self.rows.append(LedgerRow(name, kind, lhs, rel, rhs, holds, formula, note))
         return holds
 
@@ -142,8 +150,9 @@ class ConstantLedger:
         self.rows.append(LedgerRow(name, "info", value, "", None, None, "", note))
 
     def merge(self, other: "ConstantLedger", prefix: str) -> None:
-        self.rows.extend(row._replace(name=prefix + row.name)
-                         for row in other.rows)
+        self.rows.extend(
+            LedgerRow(prefix + name, kind, lhs, rel, rhs, holds, formula, note)
+            for name, kind, lhs, rel, rhs, holds, formula, note in other.rows)
 
     def failures(self) -> list[LedgerRow]:
         return [r for r in self.rows if r.kind == "hard" and r.failed]
@@ -323,7 +332,17 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     return wit, ledger
 
 
-_SIGN_CHAR = {1: "+", -1: "-"}
+@cache
+def _pattern_rows(m: int) -> tuple[tuple[tuple, str, int, str], ...]:
+    """(word, row name, E(word), formula) for every sign pattern of length
+    m, in itertools.product((1, -1)) order: the order of tripling_chain's
+    levels."""
+    rows = []
+    for word in product((1, -1), repeat=m):
+        e = word_exponent(word)
+        text = "".join("+" if s == 1 else "-" for s in word)
+        rows.append((word, f"pattern:{text}", e, f"K^{e}|A|"))
+    return tuple(rows)
 
 
 def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
@@ -338,28 +357,23 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
     a3 = times(times(a, 1), 1)
     ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
-    level: dict[tuple, MSet] = {(1,): factor[1], (-1,): factor[-1]}
+    # the sets of one length in _pattern_rows order: each word's two
+    # extensions, + then -, follow in turn
+    level = [factor[1], factor[-1]]
     bound = cache(lambda e: k ** e * a.size)
     overall_max = 0
     for length in range(1, n + 1):
         length_max = 0
-        for word in sorted(level, key=lambda w: [0 if s == 1 else 1 for s in w]):
-            current = level[word]
-            text = "".join(_SIGN_CHAR[s] for s in word)
-            e = word_exponent(word)
-            ledger.compare(f"pattern:{text}", current.size, "<=", bound(e),
-                           formula=f"K^{e}|A|")
+        for current, (_, name, e, formula) in zip(level, _pattern_rows(length)):
+            ledger.compare(name, current.size, "<=", bound(e), formula=formula)
             length_max = max(length_max, current.size)
         ledger.compare(f"length-{length}-max", length_max, "<=",
                        bound(chain_exponent(length)),
                        formula=f"K^c({length})|A|, c({length})={chain_exponent(length)}")
         overall_max = max(overall_max, length_max)
         if length < n:
-            level = {
-                word + (sign,): times(current, sign)
-                for word, current in level.items()
-                for sign in (1, -1)
-            }
+            level = [times(current, sign) for current in level
+                     for sign in (1, -1)]
     ledger.compare("chain-max", overall_max, "<=",
                    bound(chain_exponent(n)),
                    formula=f"K^c({n})|A|, c({n})={chain_exponent(n)}")

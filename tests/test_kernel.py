@@ -17,6 +17,7 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,21 +38,26 @@ from setgrowth.groups import (
     QuotientGroup,
     SL2Group,
     SymmetricGroup,
+    _cayley_levels,
     _light_generators,
     construct_group,
     quotient_map,
     subgroup_closure,
     verify_group_axioms,
 )
+from setgrowth.bsg import bsg_extract
+from setgrowth.exact import ceil_isqrt
 from setgrowth.setops import (
     MSet,
     convolution,
+    energy,
     inverse_set,
+    member_mask,
     product_set,
     translate_left,
     translate_right,
 )
-from setgrowth.structure import ConstantLedger
+from setgrowth.structure import ConstantLedger, ruzsa_cover
 
 SPECS = [
     "cyclic(1)",
@@ -306,6 +312,39 @@ def test_subgroup_closure_matches_scalar_reference(spec, data):
     assert subgroup_closure(g, seed) == scalar_closure(g, seed)
 
 
+def scalar_levels(g, gens):
+    """The breadth-first levels from the identity in the right Cayley graph
+    of gens, one scalar product at a time, each level sorted."""
+    seen, level, levels = {0}, [0], []
+    while level:
+        levels.append(sorted(level))
+        fresh = []
+        for x in level:
+            for s in gens:
+                y = g.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        level = fresh
+    return levels
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic(37)", "dihedral(9)", "sl2(5)",
+    "direct_product(cyclic(4),direct_product(dihedral(3),symmetric(3)))"])
+@pytest.mark.parametrize("block_pairs", [3, BLOCK_PAIRS])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cayley_levels_match_a_scalar_bfs(spec, block_pairs, data):
+    # at 3 products per block a level of more than one id spans blocks
+    g = group(spec)
+    gens = sorted(set(data.draw(id_lists(g, 3))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "BLOCK_PAIRS", block_pairs)
+        levels = [level.tolist() for level in _cayley_levels(g, np.array(gens))]
+    assert levels == scalar_levels(g, gens)
+
+
 # ------------------------------------------------------------ quotients
 
 def scalar_first_escape(g, members):
@@ -464,6 +503,97 @@ def test_set_operations_agree_before_and_after_the_table(data):
         assert g._table is None
         g.table()
         assert results() == by_law
+
+
+# ------------------------------------------------------------ block boundaries
+
+def boundary_groups():
+    """One group of each kind, symmetric(7) above TABLE_CAP."""
+    return [group(spec) for spec in (
+        "cyclic(37)", "dihedral(9)", "symmetric(4)", "sl2(5)",
+        "direct_product(cyclic(4),direct_product(dihedral(3),symmetric(3)))",
+        "symmetric(7)")] + [quotient_map(group("dihedral(20)"), [10]).quotient]
+
+
+# |A|·|B| at, below and above the patched block sizes 1, 7 and 64; 130 x 130
+# is above the default BLOCK_PAIRS
+BOUNDARY_SIZES = [(1, 1), (1, 7), (7, 1), (2, 4), (8, 8), (5, 13), (9, 8),
+                  (130, 130)]
+
+
+def blocked_results(g, a, b):
+    """Every consumer of the product blocks on A and B: the product set,
+    the convolution, the energy, both covers, the closure of A and the
+    bsg extraction at the K its energy gives."""
+    nm = a.size * b.size
+    ex = bsg_extract(a, b, Fraction(ceil_isqrt(nm**3), energy(a, b).value))
+    return (product_set(a, b), convolution(a, b).counts, energy(a, b),
+            ruzsa_cover(a, b, "left"), ruzsa_cover(a, b, "right"),
+            subgroup_closure(g, a.ids()),
+            (ex.c, ex.a_prime, ex.a_second, ex.a_third, ex.b_third, ex.d,
+             ex.product, ex.ledger.lines()))
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 64, BLOCK_PAIRS])
+def test_results_do_not_depend_on_the_block_size(block_pairs, monkeypatch):
+    for g in boundary_groups():
+        rng = random.Random(g.name)
+        for na, nb in BOUNDARY_SIZES:
+            if 2 * max(na, nb) > g.order:
+                continue
+            a = mset(g, rng.sample(range(g.order), na))
+            b = mset(g, rng.sample(range(g.order), nb))
+            expect = blocked_results(g, a, b)
+            # fresh sets, so no result is read back from the first pass
+            a, b = mset(g, a.ids()), mset(g, b.ids())
+            monkeypatch.setattr(groups, "BLOCK_PAIRS", block_pairs)
+            assert blocked_results(g, a, b) == expect
+            monkeypatch.undo()
+
+
+def test_one_block_is_one_product_call(monkeypatch):
+    # operands that fit one block take one mul_outer call over all of xs
+    # and no row-block generator; one product more takes the row blocks
+    g = group("symmetric(7)")
+    calls, tilings = [], []
+    real, real_rows = g.mul_outer, groups._row_blocks
+    monkeypatch.setattr(g, "mul_outer", lambda xs, ys: calls.append(
+        (len(xs), len(ys))) or real(xs, ys))
+    monkeypatch.setattr(groups, "_row_blocks", lambda *shape: tilings.append(
+        shape) or real_rows(*shape))
+    monkeypatch.setattr(groups, "BLOCK_PAIRS", 64)
+    xs = np.arange(8)
+    for ys, expect, tiled in ((np.arange(8), [(8, 8)], []),
+                              (np.arange(9), [(7, 9), (1, 9)], [(8, 9)])):
+        calls.clear()
+        tilings.clear()
+        blocks = list(groups._product_blocks(g, xs, ys))
+        assert calls == expect and tilings == tiled
+        assert blocks[0][0] == slice(0, expect[0][0])
+        assert np.array_equal(np.concatenate([b for _, b in blocks]),
+                              real(xs, ys))
+
+
+# ------------------------------------------------------------ inverse cache
+
+@pytest.mark.parametrize("spec", ["cyclic(37)", "sl2(5)", "symmetric(7)"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inverse_set_is_formed_once_per_set(spec, data):
+    g = group(spec)
+    a = mset(g, data.draw(id_lists(g)))
+    calls = []
+    real = g.inv_array
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g, "inv_array", lambda x: calls.append(1) or real(x))
+        inv = inverse_set(a)
+        assert inverse_set(a) is inv and len(calls) == 1
+    assert frozenset(inv.ids()) == frozenset(g.inv(x) for x in a.ids())
+    mask = member_mask(inv)
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+    assert inverse_set(mset(g, a.ids())) == inv
 
 
 # ------------------------------------------------------------ set operations

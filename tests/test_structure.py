@@ -6,6 +6,8 @@ groups every set here is a union of intervals, so product sizes and
 greedy cover traces can be read off directly.
 """
 
+import itertools
+import operator
 import random
 import re
 import tracemalloc
@@ -94,9 +96,68 @@ def test_ledger_failure_raises_with_rows():
 def test_ledger_merge_prefixes_names():
     inner = ConstantLedger("inner")
     inner.compare("row", 1, "<=", 2)
+    inner.compare("soft-row", Fraction(1, 2), "<", 2, kind="soft",
+                  formula="f", note="n")
+    inner.claim("claim", False, lhs=3, rhs=4)
+    inner.info("size", 7, note="ids")
     outer = ConstantLedger("outer")
     outer.merge(inner, prefix="sub.")
     assert outer.rows[0].name == "sub.row"
+    # every other field is kept, and each row is still a LedgerRow
+    assert outer.rows == [r._replace(name="sub." + r.name) for r in inner.rows]
+    assert all(type(r) is structure.LedgerRow for r in outer.rows)
+
+
+RELS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+        ">": operator.gt, "==": operator.eq}
+# sides with more than 30,000 bits, next to their neighbours
+HUGE = [3**20_000, 3**20_000 + 1, -(3**20_000), Fraction(3**20_000, 7),
+        Fraction(-(3**20_000) - 1, 3**19_999)]
+EXACT_SIDES = st.one_of(
+    st.integers(-5, 5), st.integers(), st.fractions(),
+    st.fractions(max_denominator=4), st.sampled_from(HUGE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXACT_SIDES, EXACT_SIDES, st.sampled_from(sorted(RELS)))
+def test_compare_on_exact_sides_agrees_with_the_operator(lhs, rhs, rel):
+    assert ConstantLedger("t").compare("row", lhs, rel, rhs) is RELS[rel](lhs, rhs)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (0, 0), (0, Fraction(0)), (-3, Fraction(-6, 2)), (Fraction(-1, 3), 0),
+    (Fraction(2, 3), Fraction(4, 6)), (Fraction(2, 3), Fraction(5, 7)),
+    (HUGE[0], HUGE[1]), (HUGE[3], HUGE[3] + Fraction(1, 7**9)),
+    (HUGE[2], HUGE[4]), (HUGE[0], HUGE[0])])
+@pytest.mark.parametrize("rel", sorted(RELS))
+def test_compare_at_zero_negative_equal_and_huge_sides(lhs, rhs, rel):
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        led = ConstantLedger("t")
+        assert led.compare("row", a, rel, b) is RELS[rel](a, b)
+        assert led.rows[0].holds is RELS[rel](a, b)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (0.1 + 0.2, 0.3), (Fraction(1, 3), 1 / 3), (1 / 3, Fraction(1, 3)),
+    (2**53 + 1, float(2**53)), (True, 1), (False, Fraction(0)),
+    (np.int64(3), Fraction(7, 2)), (Fraction(7, 2), np.int64(4))])
+@pytest.mark.parametrize("rel", sorted(RELS))
+def test_compare_on_other_sides_takes_the_operator(lhs, rhs, rel):
+    assert ConstantLedger("t").compare("row", lhs, rel, rhs) == RELS[rel](lhs, rhs)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pattern_rows_list_every_word_in_the_chain_order(m):
+    # the order tripling_chain read its rows in: words sorted with + before -
+    words = sorted(itertools.product((1, -1), repeat=m),
+                   key=lambda w: [0 if s == 1 else 1 for s in w])
+    rows = structure._pattern_rows(m)
+    assert [word for word, *_ in rows] == words
+    for word, name, e, formula in rows:
+        assert e == word_exponent(word)
+        assert name == "pattern:" + "".join("+" if s == 1 else "-" for s in word)
+        assert formula == f"K^{e}|A|"
+    assert structure._pattern_rows(m) is rows
 
 
 def test_require_records_a_true_premise_as_compare_does():
