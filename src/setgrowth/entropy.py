@@ -279,6 +279,8 @@ class WordMetricGroup:
         self.generators = tuple(sorted(gens))
         self.dist_from_identity = tuple(dist.tolist())
         self._dist_array = dist
+        # _balls[r] = |{x : d(1, x) < r}| for r up to the diameter plus one
+        self._balls = np.concatenate(([0], np.bincount(dist).cumsum()))
         self.name = "word(%s; gens=%s)" % (
             group.name,
             ",".join(str(s) for s in self.generators),
@@ -293,7 +295,7 @@ class WordMetricGroup:
 
     def _ball_size(self, radius) -> int:
         """Open-ball count |{x : d(1, x) < radius}|."""
-        return sum(1 for d in self.dist_from_identity if d < radius)
+        return int(self._balls[min(radius, len(self._balls) - 1)])
 
     def _max_doubling_ratio(self) -> Fraction:
         diam = self.diameter()

@@ -136,10 +136,13 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         base, length = _id(g, fields[0], family), fields[1]
         if length < 1:
             raise ValueError("progression length must be positive")
-        ids, cur = set(), 0
+        # the orbit of 0 returns to 0 after the order of base, at most |G|
+        ids, cur = [], 0
         for _ in range(length):
-            ids.add(cur)
+            ids.append(cur)
             cur = g.mul(cur, base)
+            if cur == 0:
+                break
         return MSet.from_ids(g, ids)
 
     if family == "subgroup_plus_point":

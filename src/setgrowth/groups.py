@@ -26,18 +26,19 @@ order), whose blocks have the same shape, and names the first case that
 fails with ``_first``.
 
 At or below TABLE_CAP the group may cache the vectorized law as one dense
-uint16 table, built from one row block of the law and rows composed from
-known rows (see ``FiniteGroup.table``).  Until it has one, ``mul_pairs``
-runs the law and counts the products asked of it; the call that brings
-that count to order², the cells of the table, builds the table, and that
-call and every later one gather from it.  This is ski rental: the law
-never forms as many products as the table holds, and a group whose sets
-stay small never builds one.  Above the cap no table exists and
-``mul_pairs`` runs the law on coordinates.  Inverses of every id sit in
-one array built from ``_inv_law``.  Two callers that need more products
-than the table holds take it at once: a passing exhaustive axiom sweep
-adopts its own table of the law if the group has none yet, and the
-exhaustive Heisenberg commutator sweep calls ``table()`` before it starts.
+uint16 table, which ``_law_table`` fills from the law one row block at a
+time, so the table is the law by construction.  Until it has one,
+``mul_pairs`` runs the law and counts the products asked of it; the call
+that brings that count to order², the cells of the table, builds the
+table, and that call and every later one gather from it.  This is ski
+rental: the law forms fewer than order² products before the table and
+order² more in the build, and a group whose sets stay small never builds
+one.  Above the cap no table exists and ``mul_pairs`` runs the law on
+coordinates.  Inverses of every id sit in one array built from
+``_inv_law``.  Two callers that need more products than the table holds
+take it at once: a passing exhaustive axiom sweep adopts its own law
+table if the group has none yet, and the exhaustive Heisenberg commutator
+sweep calls ``table()`` before it starts.
 
 Canonical numberings (reproducible bit for bit):
   cyclic(n)          id = residue, addition mod n
@@ -103,39 +104,12 @@ class FiniteGroup:
 
     # -- table and inverses -------------------------------------------------
     def table(self) -> np.ndarray | None:
-        """The dense uint16 table [a, b] -> a*b, built on the first call;
-        None above TABLE_CAP.  mul_pairs calls it once the law has been
-        asked for order² products.  The law fills one row block; every
-        other row is composed, x*(y*w) = (x*y)*w making the row of x*y the
-        gather table[x].take(table[y]).  Known rows take turns, newest
-        first, each filling the unknown x*y over known y.  A turn that
-        fills nothing passes the turns to the law rows that still reach an
-        unknown id; when none does, the known ids are the subgroup the law
-        rows generate, and the law fills the next block of unknown ids."""
+        """The dense uint16 table [a, b] -> a*b of the vectorized law,
+        built by _law_table on the first call; None above TABLE_CAP.
+        mul_pairs calls it once the law has been asked for order²
+        products."""
         if self._table is None and self.order <= TABLE_CAP:
-            n = self.order
-            table = np.empty((n, n), dtype=np.uint16)
-            known = np.zeros(n, dtype=bool)
-            law, turns, new = np.arange(0), [], ()
-            while not known.all():
-                ids = np.flatnonzero(known)
-                if not (turns and len(new)):
-                    turns = law[~known[table[law[:, None], ids]].all(1)].tolist()
-                if turns:
-                    x = turns.pop()
-                    reach = table[x].take(ids)
-                    fresh = ~known[reach]
-                    new, ys = reach[fresh].astype(np.intp), ids[fresh]
-                    for rows in _row_blocks(len(new), n):
-                        table[new[rows]] = table[x].take(table[ys[rows]])
-                else:
-                    new = np.flatnonzero(~known)
-                    new = new[next(_row_blocks(len(new), n))]
-                    table[new] = self._mul_law(new[:, None], np.arange(n))
-                    law = np.concatenate([law, new])
-                known[new] = True
-                turns += new.tolist()
-            self._table = table
+            self._table = _law_table(self)
         return self._table
 
     def _inverses(self) -> np.ndarray:
@@ -528,6 +502,17 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
+def _law_table(g: FiniteGroup) -> np.ndarray:
+    """The dense uint16 table [a, b] -> a*b of g's vectorized law, filled
+    over the _row_blocks of the order x order sweep."""
+    n = g.order
+    ids = np.arange(n)
+    table = np.empty((n, n), dtype=np.uint16)
+    for rows in _row_blocks(n, n):
+        table[rows] = g._mul_law(ids[rows, None], ids)
+    return table
+
+
 def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
     """The pairs (rows, g.mul_outer(xs[rows], ys)) over the _row_blocks of
     xs x ys.  Operands whose |xs|·|ys| products fit one block get that one
@@ -729,15 +714,14 @@ def _light_generators(table: np.ndarray) -> list[int] | None:
 def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
     """Identity/inverse on all elements; associativity exhaustively for
     order <= EXHAUSTIVE_ASSOC_CAP, on ASSOC_SAMPLES random triples above.
-    Each check reads the law as whole arrays, never the group's table,
-    whose composed rows equal the law only for an associative law.  Raises
-    ValueError with the first counterexample in element (or sample) order;
-    returns check counts on success.
+    Each check reads the law as whole arrays.  Raises ValueError with the
+    first counterexample in element (or sample) order; returns check
+    counts on success.
 
-    The exhaustive branch runs the law once into an n x n table L and
-    proves all n^3 triples by Light's test: call s good when
-    (x*s)*z = x*(s*z) for all x, z, that is L[L[:, s]] == L[:, L[s]].  If s
-    and t are good, so is s*t:
+    The exhaustive branch reads the n x n law table L, the group's table
+    if it has one and _law_table(g) otherwise, and proves all n^3 triples
+    by Light's test: call s good when (x*s)*z = x*(s*z) for all x, z, that
+    is L[L[:, s]] == L[:, L[s]].  If s and t are good, so is s*t:
         (x*(s*t))*z = ((x*s)*t)*z     s good
                     = (x*s)*(t*z)     t good
                     = x*(s*(t*z))     s good
@@ -763,9 +747,7 @@ def verify_group_axioms(g: FiniteGroup, seed: int = 0) -> dict:
         x = int(np.argmax(bad))
         raise ValueError(next(msg for mask, msg in checks if mask[x]).format(x))
     if n <= EXHAUSTIVE_ASSOC_CAP:
-        table = np.empty((n, n), dtype=np.uint16)
-        for rows in _row_blocks(n, n):
-            table[rows] = g._mul_law(ids[rows, None], ids)
+        table = g._table if g._table is not None else _law_table(g)
         if _light_generators(table) is None:
             found = _first(_grid((n, n, n)), lambda x, y, z:
                            table[table[x, y], z] != table[x, table[y, z]])

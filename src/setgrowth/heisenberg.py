@@ -210,12 +210,6 @@ class HeisenbergGroup(FiniteGroup):
             out.append(c)
         return tuple(reversed(out))
 
-    def z_of(self, a: int) -> int:
-        return a // self.w_order
-
-    def w_of(self, a: int) -> int:
-        return a % self.w_order
-
     def encode(self, z: int, w: int) -> int:
         return z * self.w_order + w
 
@@ -309,8 +303,9 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     above.  Violations raise with an explicit counterexample.  The group
     axioms are swept before the law invariants: an exhaustive axiom sweep
     leaves its law table as the group's table, which the law sweeps then
-    gather from.  Each call builds a new instance; construct_group keeps
-    one per spec.
+    gather from; above the axiom cap the exhaustive commutator sweep has
+    the table filled from the law before it starts.  Each call builds a
+    new instance; construct_group keeps one per spec.
     """
     g = HeisenbergGroup(spec)
     ledger = ConstantLedger("heisenberg-construction")

@@ -61,10 +61,6 @@ class MSet:
         """The set where a copy of a boolean mask over the ids is True."""
         return cls(group, np.array(mask, dtype=bool))
 
-    @classmethod
-    def identity_only(cls, group: FiniteGroup) -> "MSet":
-        return cls(group, _ids_mask(group, [0]))
-
     def ids(self) -> tuple[int, ...]:
         if self._idtuple is None:
             self._idtuple = tuple(self.id_array().tolist())
@@ -165,7 +161,7 @@ def _require_same_group(a: MSet, b: MSet):
 
 def symmetrize(a: MSet) -> MSet:
     """A u {1} u A^-1, the canonical symmetric-with-identity hull."""
-    return a.union(inverse_set(a)).union(MSet.identity_only(a.group))
+    return a.union(inverse_set(a)).union(MSet.from_ids(a.group, [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +247,17 @@ def ascending_powers(a: MSet, top: int):
 
 
 def power_set(a: MSet, n: int) -> MSet:
-    """A^n for n >= 1, the last set of ascending_powers(a, n)."""
+    """A^n for n >= 1, the last set of ascending_powers(a, n).  It returns
+    as soon as the chain repeats a set, so its work is bounded by the
+    group order whatever n is."""
     if n < 1:
         raise ValueError("the exponent must be at least 1")
+    last = None
     for cur in ascending_powers(a, n):
-        pass
-    return cur
+        if cur is last:
+            break
+        last = cur
+    return last
 
 
 def partial_product(a: MSet, b: MSet, pairs) -> MSet:

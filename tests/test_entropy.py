@@ -107,8 +107,12 @@ def scalar_word_distances(g, generators):
 def test_word_metric_matches_scalar_search(spec, gens):
     g = construct_group(spec)
     wg = WordMetricGroup(g, gens)
-    assert wg.dist_from_identity == scalar_word_distances(g, gens)
+    dist = scalar_word_distances(g, gens)
+    assert wg.dist_from_identity == dist
     assert all(type(d) is int for d in wg.dist_from_identity)
+    radii = range(max(dist) + 3)
+    assert [wg._ball_size(r) for r in radii] == [
+        sum(d < r for d in dist) for r in radii]
     assert wg.generators == tuple(sorted(
         {s for s in gens if s} | {g.inv(s) for s in gens if s}))
 

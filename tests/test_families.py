@@ -1,6 +1,7 @@
 """Set-family grammar and generators."""
 
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,26 @@ def test_geometric_progression_comma_and_semicolon():
 
 def test_progression_of_length_one_is_identity():
     assert gen(G12, "geometric_progression(5,1)").ids() == (0,)
+
+
+@pytest.mark.parametrize("text", [
+    "ball_in_word_metric(1000000000000;1)",
+    "geometric_progression(1,1000000000000)",
+])
+def test_a_huge_field_costs_at_most_the_group_order(text):
+    # the ball's power chain and the progression's orbit both stop within
+    # 12 steps; walking 10^12 of them would outlast the alarm
+    def expire(signum, frame):
+        raise TimeoutError(text)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        a = gen(G12, text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert a.ids() == tuple(range(12))
 
 
 def test_union_of_cosets_partitions():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from setgrowth import suites
+from setgrowth import groups, suites
 from setgrowth.groups import construct_group, subgroup_closure
 from setgrowth.setops import MSet, inverse_set, product_set, translate_left
 from setgrowth.structure import ConstantLedger, LedgerError
@@ -522,13 +522,46 @@ GOLDEN_SUITE_DIGESTS = {
 }
 
 
+def _suite_digest(name, out):
+    rep = run_named_suite(name, seed=DEFAULT_SEED)
+    (path,) = emit_report(rep, format="csv", out=str(out))
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_DIGESTS))
 def test_suite_report_digest_is_pinned(name, tmp_path):
-    rep = run_named_suite(name, seed=DEFAULT_SEED)
-    (path,) = emit_report(rep, format="csv", out=str(tmp_path))
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == GOLDEN_SUITE_DIGESTS[name]
+    assert _suite_digest(name, tmp_path) == GOLDEN_SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("path", ["law-only", "eager-tables"])
+def test_suite_digests_do_not_depend_on_the_product_path(path, monkeypatch,
+                                                         tmp_path):
+    # the whole-run differential, from fresh groups: every product on the
+    # law with every blocked sweep split at 97 products, or every group's
+    # table built as soon as construct_group interns it
+    monkeypatch.setattr(groups, "_GROUPS", {})
+    if path == "law-only":
+        monkeypatch.setattr(groups, "TABLE_CAP", 0)
+        monkeypatch.setattr(groups, "BLOCK_PAIRS", 97)
+    else:
+        interned = groups._interned
+
+        def eager(key):
+            fresh = key not in groups._GROUPS
+            g = interned(key)
+            if fresh:
+                g.table()
+            return g
+
+        monkeypatch.setattr(groups, "_interned", eager)
+    digests = {name: _suite_digest(name, tmp_path)
+               for name in sorted(GOLDEN_SUITE_DIGESTS)}
+    assert digests == GOLDEN_SUITE_DIGESTS
+    tabled = [g._table is not None for g in groups._GROUPS.values()
+              if g.order <= groups.TABLE_CAP]
+    assert len(groups._GROUPS) > 10
+    assert all(tabled) if path == "eager-tables" else not any(tabled)
 
 
 def test_cited_docs_exist():

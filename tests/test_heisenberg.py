@@ -87,10 +87,10 @@ def test_build_is_cached():
 
 def test_encode_decode():
     for a in range(H27.order):
-        assert H27.encode(H27.z_of(a), H27.w_of(a)) == a
-    a = H27.encode(5, 2)
-    assert H27._zcoords[H27.z_of(a)] == (1, 2)
-    assert H27.decode_w(H27.w_of(a)) == (2,)
+        assert H27.encode(*divmod(a, H27.w_order)) == a
+    z, w = divmod(H27.encode(5, 2), H27.w_order)
+    assert H27._zcoords[z] == (1, 2)
+    assert H27.decode_w(w) == (2,)
 
 
 def test_pairing_is_antisymmetric():
@@ -109,8 +109,9 @@ def test_commutator_of_axis_generators_is_central():
     y = H27.encode(1, 0)
     g = H27
     comm = g.mul(g.mul(x, y), g.inv(g.mul(y, x)))
-    assert g.z_of(comm) == 0
-    assert g.w_of(comm) != 0  # the symplectic form does not vanish here
+    z, w = divmod(comm, g.w_order)
+    assert z == 0
+    assert w != 0  # the symplectic form does not vanish here
 
 
 def test_zero_pairing_is_abelian():
@@ -344,7 +345,7 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     if failure:
         raise ValueError(failure)
     ag = g.additive_group()
-    shadow = sorted({g.z_of(x) for x in a.ids()})
+    shadow = sorted({x // g.w_order for x in a.ids()})
     gen = np.flatnonzero(hb._pairing_image(g, shadow))
     hull_ids = subgroup_closure(g.w_additive, [0, *gen.tolist()])
     hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
@@ -514,7 +515,7 @@ def test_triple_check_matches_the_scalar_sweep(g, a):
     # the true masks, and planted ones that miss most defects: the first
     # missed triple must be the scalar sweep's, in the same draw order
     masks = [setops.member_mask(sw.b3),
-             setops.member_mask(MSet.identity_only(g)),
+             setops.member_mask(MSet.from_ids(g, [0])),
              setops.member_mask(MSet.from_ids(g, [0, 1]))]
     got = hb._first_triple_defects(
         g, q, sw.phi, hb._split_triples(np.array(cids), exhaustive), *masks)

@@ -130,7 +130,7 @@ def test_quotient_mul_outer_matches_raw_oracle(data):
 
 @pytest.mark.parametrize("spec", [
     "dihedral(9)", "sl2(5)", "symmetric(4)",
-    # above one block of the law: most rows are composed
+    # above one block of the law: the table is filled over several blocks
     "sl2(7)", "dihedral(100)",
     "heisenberg(z=Zp^2,p=7;w=Zp^1,p=7;pairing=symplectic)",
     "direct_product(sl2(5),cyclic(3))",
@@ -152,7 +152,7 @@ def test_quotient_table_is_the_whole_law():
 
 
 @pytest.mark.parametrize("spec", ["sl2(11)", "symmetric(6)"])
-def test_composed_table_is_the_vectorized_law(spec):
+def test_large_table_is_the_vectorized_law(spec):
     # the scalar tables are too slow here; the vectorized law is itself
     # tested against the scalar law above
     g = group(spec)
@@ -164,8 +164,8 @@ def test_composed_table_is_the_vectorized_law(spec):
 
 
 def test_table_build_runs_the_law_on_one_block(monkeypatch):
-    # sl2(11): the first 12 rows generate the group, so every other row is
-    # composed; the whole law would be 1320^2 = 1,742,400 products
+    # sl2(11): the build forms each of the 1320^2 = 1,742,400 cells once,
+    # by law calls of at most one block each
     g = SL2Group(11)
     products = []
     real = g._mul_law
@@ -176,12 +176,13 @@ def test_table_build_runs_the_law_on_one_block(monkeypatch):
 
     monkeypatch.setattr(g, "_mul_law", counted)
     g.table()
-    assert sum(products) <= BLOCK_PAIRS
+    assert sum(products) == g.order ** 2
+    assert max(products) <= BLOCK_PAIRS
 
 
 def test_table_build_memory_is_the_table():
     # sl2(13): the uint16 table is 2184^2 * 2 bytes = 9.1 MiB; the build adds
-    # one law block and one block of composed rows at a time
+    # one block of the law at a time
     g = SL2Group(13)
     tracemalloc.start()
     try:
@@ -748,14 +749,17 @@ def test_axiom_sweep_names_the_first_counterexample(cells, inverses):
     [(199, 120, 120), (90, 91, 0)],
 ])
 def test_exhaustive_sweep_reads_the_law_above_one_block(cells):
-    # dihedral(100) has order 200: its table runs the law on rows 0..80
-    # and 100..180 and composes the others, so a wrong cell in rows 81..99
-    # or 181..199 is in the law but not in the table
+    # dihedral(100) has order 200, so its law table spans several blocks;
+    # the sweep names the scalar sweep's first counterexample whether it
+    # builds that table itself or reads the one the group already has
     g = planted("dihedral(100)", cells)
     assert g.order <= EXHAUSTIVE_ASSOC_CAP
-    assert all(g.table()[a, b] != c for a, b, c in cells)
+    assert g.order ** 2 > BLOCK_PAIRS
     message = axiom_error(g)
     assert message is not None and message == scalar_axiom_error(g)
+    tabled = planted("dihedral(100)", cells)
+    assert all(tabled.table()[a, b] == c for a, b, c in cells)
+    assert axiom_error(tabled) == message
 
 
 def test_sampled_associativity_names_the_first_counterexample():
@@ -806,13 +810,18 @@ def test_heisenberg_build_runs_the_law_once(monkeypatch):
 def test_heisenberg_build_tables_before_the_commutator_sweep(monkeypatch):
     # order 1331, above the exhaustive axiom cap: only the exhaustive
     # commutator sweep (3 products per ordered pair) asks for the table,
-    # before it starts, so the law forms far fewer products than its cells
+    # before it starts.  The law forms the table's n^2 cells once, plus
+    # what the earlier sweeps ask of it: 4 products per sampled
+    # associativity triple, 3n for identity and inverses in the axiom
+    # sweep, n for the inverse law and 2 per (vertical, element) pair
     products = count_law_products(monkeypatch, hb.HeisenbergGroup)
     g = hb.build_heisenberg(hb.parse_pairing_spec(
         "z=Zp^2,p=11;w=Zp^1,p=11;pairing=symplectic"))
-    assert g.order == 1331 > EXHAUSTIVE_ASSOC_CAP
+    n = g.order
+    assert n == 1331 > EXHAUSTIVE_ASSOC_CAP
     assert g._table is not None
-    assert sum(products) < g.order ** 2 // 2
+    earlier = 4 * ASSOC_SAMPLES + 4 * n + 2 * g.w_order * n
+    assert sum(products) <= n * n + earlier
 
 
 def test_group_info_reuses_the_heisenberg_build_sweep(monkeypatch, capsys):
@@ -836,7 +845,7 @@ def test_exhaustive_sweep_runs_the_law_once(monkeypatch):
 @pytest.mark.parametrize("spec", [
     "cyclic(512)", "dihedral(6)", "symmetric(5)", "sl2(7)", NINE_C2,
 ])
-def test_passing_sweep_adopts_the_composed_table(spec, monkeypatch):
+def test_passing_sweep_adopts_its_law_table(spec, monkeypatch):
     monkeypatch.setattr(groups, "_GROUPS", {})
     g = construct_group(spec)
     assert g._table is None
@@ -849,7 +858,7 @@ def test_passing_sweep_adopts_the_composed_table(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_heisenberg_build_adopts_the_composed_table(monkeypatch, p):
+def test_heisenberg_build_adopts_its_law_table(monkeypatch, p):
     monkeypatch.setattr(groups, "_GROUPS", {})
     g = construct_group(heisenberg_spec(p))
     assert g._table is not None

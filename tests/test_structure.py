@@ -215,7 +215,7 @@ def test_local_tripling_refuses_a_false_square_premise(monkeypatch):
     # the square premise cannot fail first; with A·a read as {1} the sup
     # is |A| = 5 and |A^2| = 9 > (3/2)|A|
     monkeypatch.setattr(structure, "translate_right",
-                        lambda a, x: MSet.identity_only(a.group))
+                        lambda a, x: MSet.from_ids(a.group, [0]))
     _refused(lambda: local_tripling_check(symmetrize(MSet.from_ids(G100, [1, 2])),
                                           Fraction(3, 2)),
              "local_tripling_check: [soft] square-hypothesis: 9 <= 15/2 FAIL "
