@@ -244,7 +244,9 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     convolution, by the hit matrix [i, j] -> P[i, j] in C whose row slices
     serve every refinement, and as the sub-matrix A'''·B'''.  The weak
     extraction hands back its quotient matrix A''·A''^-1 for the Markov
-    refinement, so each quotient is formed once too.
+    refinement, so each quotient is formed once too.  P is a uint16 id per
+    pair, live for the whole extraction: 22.6 MB at |A| = |B| = 3,360, a
+    twelfth of symmetric(8).
     """
     _require_same_group(a, b)
     g = a.group

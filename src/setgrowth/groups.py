@@ -75,8 +75,7 @@ class FiniteGroup:
     def __init__(self, order: int, name: str):
         if order < 1:
             raise ValueError("group order must be positive")
-        if order > ORDER_CAP:
-            raise ValueError(f"group order {order} exceeds cap {ORDER_CAP}")
+        _require_order((order,), name, order)
         self.order = order
         self.name = name
         self._table: np.ndarray | None = None
@@ -212,10 +211,10 @@ class DihedralGroup(FiniteGroup):
 
 
 class SymmetricGroup(FiniteGroup):
-    """Permutations of 0..n-1 for n <= 7.
+    """Permutations of 0..n-1, for n >= 0 with n! <= ORDER_CAP, so n <= 8.
 
     A permutation is fixed by its first n-1 images, its digits; their
-    base-n value, its code (below n^(n-1) = 117,649 for n = 7), indexes the
+    base-n value, its code (below 8^7 = 2,097,152 for n = 8), indexes the
     lookup array that ranks it.  The vectorized law keeps the images as
     int32: one column per image position, and all images row by row in one
     flat array.  Image i of p*q is p[q[i]], so each digit of the product
@@ -224,9 +223,9 @@ class SymmetricGroup(FiniteGroup):
     """
 
     def __init__(self, n: int):
-        if not 0 <= n <= 7:
-            raise ValueError(
-                f"symmetric(n) supported only for 0 <= n <= 7, got {n}")
+        if n < 0:
+            raise ValueError(f"symmetric(n) needs n >= 0, got {n}")
+        _require_order(range(2, n + 1), f"symmetric({n})", f"{n}!")
         perms = list(itertools.permutations(range(n)))
         super().__init__(len(perms), f"symmetric({n})")
         self.n = n
@@ -272,16 +271,15 @@ class SymmetricGroup(FiniteGroup):
 
 
 class SL2Group(FiniteGroup):
-    """SL_2 over Z/pZ for prime p <= 13; order p(p^2-1).
+    """SL_2 over Z/pZ, p prime, of order p(p^2-1) <= ORDER_CAP: p <= 31.
 
-    The vectorized law runs on int32 entry columns: for p <= 13 every
+    The vectorized law runs on int32 entry columns: for p <= 31 every
     intermediate a*e + b*g is below 2p^2 and every base-p code of a
-    matrix is below p^4 <= 28,561, far inside int32.
+    matrix is below p^4 = 923,521, far inside int32.
     """
 
     def __init__(self, p: int):
-        if p > 13:
-            raise ValueError("sl2(p) supported only for p <= 13")
+        _require_order((p, p * p - 1), f"sl2({p})", p * (p * p - 1))
         if not _is_prime(p):
             raise ValueError(f"sl2 needs a prime modulus, got {p}")
         ident = (1, 0, 0, 1)
@@ -334,11 +332,8 @@ class DirectProductGroup(FiniteGroup):
     def __init__(self, factors: list[FiniteGroup]):
         if not factors:
             raise ValueError("direct_product needs at least one factor")
-        order = 1
-        for f in factors:
-            order *= f.order
         name = "direct_product(" + ",".join(f.name for f in factors) + ")"
-        super().__init__(order, name)
+        super().__init__(math.prod(f.order for f in factors), name)
         self.factors = factors
 
     def decode(self, a):
@@ -375,6 +370,17 @@ class DirectProductGroup(FiniteGroup):
         return self.encode(
             f.inv(x) for f, x in zip(self.factors, self.decode(a))
         )
+
+
+def _require_order(factors, name: str, shown) -> None:
+    """Refuse the group `name`, whose order is the product of `factors` and
+    reads `shown`, as soon as a partial product passes ORDER_CAP, so each
+    family states its order before it enumerates anything."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > ORDER_CAP:
+            raise ValueError(f"group order {shown} of {name} exceeds cap {ORDER_CAP}")
 
 
 def _is_prime(n: int) -> bool:

@@ -43,6 +43,7 @@ from .groups import (
     _grid,
     _is_prime,
     _product_blocks,
+    _require_order,
     _row_blocks,
     _sampled,
     _split_fields,
@@ -64,9 +65,8 @@ from .structure import (
     approx_group_from_tripling,
 )
 
-EXHAUSTIVE_ORDER_CAP = 10_000      # full sweeps below this order, sampled above
+EXHAUSTIVE_ORDER_CAP = 10_000      # centrality and pairing sweeps sample above
 EXHAUSTIVE_PAIR_CAP = 2_000_000    # commutator sweep switches to sampling here
-SPLIT_ORDER_CAP = 10_000           # keeps the long power chain under a second
 TRIPLE_EXHAUSTIVE_CAP = 64         # |C| above which the triple check samples
 SAMPLE_COUNT = 2_000
 TRIPLE_SAMPLE_COUNT = 20_000
@@ -100,7 +100,14 @@ class PairingSpec:
     def __post_init__(self):
         if self.z_rank < 1 or self.w_rank < 1:
             raise ValueError("pairing spec needs positive ranks")
-        for p in (self.z_prime, self.w_prime):
+        # the order p^k q^m is stated, and a modulus below 2 refused, before
+        # any modulus is factored
+        moduli, ranks = (self.z_prime, self.w_prime), (self.z_rank, self.w_rank)
+        if min(moduli) >= 2:
+            _require_order((p for p, k in zip(moduli, ranks) for _ in range(k)),
+                           f"heisenberg({self.text()})",
+                           f"{self.z_prime}^{self.z_rank}*{self.w_prime}^{self.w_rank}")
+        for p in sorted(moduli):
             if not _is_prime(p):
                 raise ValueError(f"pairing spec needs prime moduli, got {p}")
         if self.kind not in PAIRING_KINDS:
@@ -170,6 +177,11 @@ def _component_group(prime: int, rank: int) -> FiniteGroup:
     return DirectProductGroup([CyclicGroup(prime) for _ in range(rank)])
 
 
+def _digits(x, p: int, rank: int) -> list:
+    """The rank base-p digits of x, most significant first."""
+    return [x // p ** (rank - 1 - i) % p for i in range(rank)]
+
+
 class HeisenbergGroup(FiniteGroup):
     """Carrier Z x W with law (z,w)(z',w') = (z+z', w+w'+{z,z'}).
 
@@ -187,29 +199,15 @@ class HeisenbergGroup(FiniteGroup):
         self.z_additive = _component_group(spec.z_prime, spec.z_rank)
         self.w_additive = _component_group(spec.w_prime, spec.w_rank)
         self._entries = spec.nonzero_entries()
-        self._zcoords = [self._decode_z(z) for z in range(self.z_order)]
-        # one column of Z coordinates per generator, indexed by Z id
-        self._zcols = tuple(np.array(self._zcoords, dtype=np.intp).reshape(
-            self.z_order, spec.z_rank).T.copy())
+        # one column of Z coordinates per generator, indexed by Z id, most
+        # significant first, and the coordinate tuple of each Z id
+        self._zcols = _digits(np.arange(self.z_order), spec.z_prime, spec.z_rank)
+        self._zcoords = list(zip(*(col.tolist() for col in self._zcols)))
         self._additive: DirectProductGroup | None = None
         self._vertical: NormalSubgroupView | None = None
         self.construction_ledger: ConstantLedger | None = None
 
     # -- coordinates --------------------------------------------------------
-    def _decode_z(self, z: int) -> tuple[int, ...]:
-        p, out = self.spec.z_prime, []
-        for _ in range(self.spec.z_rank):
-            z, c = divmod(z, p)
-            out.append(c)
-        return tuple(reversed(out))
-
-    def decode_w(self, w: int) -> tuple[int, ...]:
-        p, out = self.spec.w_prime, []
-        for _ in range(self.spec.w_rank):
-            w, c = divmod(w, p)
-            out.append(c)
-        return tuple(reversed(out))
-
     def encode(self, z: int, w: int) -> int:
         return z * self.w_order + w
 
@@ -298,14 +296,15 @@ class HeisenbergGroup(FiniteGroup):
 def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     """Validate the pairing, build the group, and sweep its law invariants.
 
-    The sweeps are exhaustive below EXHAUSTIVE_ORDER_CAP (the commutator
-    sweep below EXHAUSTIVE_PAIR_CAP ordered pairs) and seeded samples
-    above.  Violations raise with an explicit counterexample.  The group
-    axioms are swept before the law invariants: an exhaustive axiom sweep
-    leaves its law table as the group's table, which the law sweeps then
-    gather from; above the axiom cap the exhaustive commutator sweep has
-    the table filled from the law before it starts.  Each call builds a
-    new instance; construct_group keeps one per spec.
+    The inverse-law and numbering sweeps are exhaustive at every order;
+    the others below EXHAUSTIVE_ORDER_CAP (the commutator sweep below
+    EXHAUSTIVE_PAIR_CAP ordered pairs), with seeded samples above.
+    Violations raise with an explicit counterexample.  The group axioms are
+    swept before the law invariants: an exhaustive axiom sweep leaves its
+    law table as the group's table, which the law sweeps then gather from;
+    above the axiom cap the exhaustive commutator sweep has the table
+    filled from the law before it starts.  Each call builds a new
+    instance; construct_group keeps one per spec.
     """
     g = HeisenbergGroup(spec)
     ledger = ConstantLedger("heisenberg-construction")
@@ -378,22 +377,14 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
 
 
 def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
-    """Inverse law, central vertical subgroup and commutator identity, each
-    swept as whole arrays through mul_pairs.  The exhaustive commutator
-    sweep forms 3 products per ordered pair, more than the table's order²
-    cells, so it builds the table first.  A failure names the first
-    counterexample of groups._first in the order of the sweep: the _grid of
-    ids or pairs, or the draws of _sampled."""
+    """Inverse law, central vertical subgroup, commutator identity and the
+    additive numbering, each swept as whole arrays.  The inverse-law and
+    numbering sweeps cost O(order), so they cover every id at every order.
+    The exhaustive commutator sweep forms 3 products per ordered pair, more
+    than the table's order² cells, so it builds the table first.  A failure
+    names the first counterexample of groups._first in the order of the
+    sweep: the _grid of ids or pairs, or the draws of _sampled."""
     order, wo = g.order, g.w_order
-    exhaustive = order <= EXHAUSTIVE_ORDER_CAP
-
-    if exhaustive:
-        elements = _grid((order,))
-        note = "all elements"
-    else:
-        elements = _sampled(random.Random(SAMPLE_SEED + 2), SAMPLE_COUNT,
-                            (order,))
-        note = f"{SAMPLE_COUNT} sampled elements"
 
     def inverse_fails(a):
         z, w = np.divmod(a, wo)
@@ -402,13 +393,13 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         inv = g.inv_array(a)
         return (inv != expect) | (g.mul_pairs(a, inv) != 0)
 
-    found = _first(elements, inverse_fails)
+    found = _first(_grid((order,)), inverse_fails)
     if found:
         raise ValueError(f"inverse law (z,w) -> (-z,-w) fails at id {found[0]}")
-    ledger.claim("inverse-law", True, note=note)
+    ledger.claim("inverse-law", True, note="all elements")
 
     # centrality of the vertical subgroup
-    if exhaustive:
+    if order <= EXHAUSTIVE_ORDER_CAP:
         pairs = _grid((wo, order))
         note = "all (vertical, element) pairs"
     else:
@@ -448,13 +439,14 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
             f"commutator of ids ({a}, {b}) is {comm}, not twice the pairing value")
     ledger.claim("commutator-identity", True, note=note)
 
-    # the additive group numbers the same carrier by the same ids
-    add = g.additive_group()
-    agree = add.order == order and all(
-        add.encode(g._zcoords[z] + g.decode_w(w)) == g.encode(z, w)
-        for z in range(g.z_order) for w in range(g.w_order)
-    ) if order <= EXHAUSTIVE_ORDER_CAP else add.order == order
-    ledger.claim("additive-encoding-aligned", agree,
+    # the additive group numbers the same carrier by the same ids: its
+    # mixed-radix id of the coordinates of (z, w) is z|W| + w for every id
+    ids = np.arange(order)
+    z, w = np.divmod(ids, wo)
+    coords = [col[z] for col in g._zcols] + _digits(w, g.spec.w_prime,
+                                                     g.spec.w_rank)
+    ledger.claim("additive-encoding-aligned",
+                 np.array_equal(g.additive_group().encode(coords), ids),
                  formula="id of (z,w) = z|W| + w in both groups")
 
 
@@ -573,14 +565,12 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     triples come from _split_triples: the groups._grid of C^3, in
     itertools.product order, up to TRIPLE_EXHAUSTIVE_CAP, else the seeded
     groups._sampled draws in draw order.  Membership is decided exactly on
-    ids, so every row is the one the per-element scan gives.
+    ids, so every row is the one the per-element scan gives.  Only
+    groups.ORDER_CAP bounds the group: the power chain stops once stable.
     """
     g = a.group
     if h.parent is not g:
         raise ValueError("the subgroup view belongs to a different group")
-    if g.order > SPLIT_ORDER_CAP:
-        raise ValueError(
-            f"group order {g.order} exceeds the splitting cap {SPLIT_ORDER_CAP}")
     k = frac(k)
     if k < 1:
         raise ValueError("the tripling parameter must be at least 1")

@@ -263,7 +263,7 @@ def test_empty_comma_entries_are_refused_by_position(group, text, message,
 def test_symmetric_rejects_a_negative_degree(capsys):
     assert main(["group", "info", "symmetric(-2)"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "symmetric(n) supported only for 0 <= n <= 7, got -2"]
+        "symmetric(n) needs n >= 0, got -2"]
 
 
 def test_parse_rejects_unknown_family():

@@ -1,6 +1,8 @@
 """Group construction, the spec grammar, closures, and quotients."""
 
 import itertools
+import random
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from setgrowth.groups import (
     BLOCK_PAIRS,
+    ORDER_CAP,
     NotNormalError,
     _first,
     _grid,
@@ -123,9 +126,90 @@ def test_specs_that_parse_alike_share_one_group(spec, variant):
 
 
 def test_bad_specs_raise():
-    for text in ("cyclic(0)", "symmetric(8)", "sl2(4)", "sl2(17)", "nonsense(3)"):
+    for text in ("cyclic(0)", "symmetric(9)", "sl2(4)", "sl2(37)", "nonsense(3)"):
         with pytest.raises(ValueError):
             construct_group(text)
+
+
+HUGE = 10**30
+HUGE_PRIME = HUGE + 57      # the least prime above 10^30
+
+
+def _field(rng: random.Random) -> int:
+    """An integer field of a group spec: small, near ORDER_CAP, a power of
+    ten up to 10^30, or any int of up to 31 digits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-2, 40)
+    if kind == 1:
+        return rng.randint(41, 2 * ORDER_CAP)
+    if kind == 2:
+        return 10 ** rng.randint(2, 30)
+    return rng.randint(-HUGE, HUGE)
+
+
+def _random_spec(rng: random.Random, depth: int = 0) -> str:
+    """A spec of the grammar in docs/formats.md, direct products nested at
+    most two deep."""
+    families = ["cyclic", "dihedral", "symmetric", "sl2", "heisenberg"]
+    family = rng.choice(families + ["direct_product"] * (depth < 2))
+    if family == "direct_product":
+        return "direct_product({})".format(",".join(
+            _random_spec(rng, depth + 1) for _ in range(rng.randint(1, 3))))
+    if family == "heisenberg":
+        zk, zp, wk, wp = (abs(_field(rng)) for _ in range(4))
+        kind = rng.choice(["symplectic", "zero"])
+        return f"heisenberg(z=Zp^{zk},p={zp};w=Zp^{wk},p={wp};pairing={kind})"
+    return f"{family}({_field(rng)})"
+
+
+def _bounded_build(spec: str, seconds: int) -> str | None:
+    """Build the group of spec under an alarm: None when it builds, the
+    message of its ValueError when it is refused."""
+    def expire(signum, frame):
+        raise TimeoutError(spec)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        construct_group(spec)
+        return None
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BOUNDED_SPECS = [
+    f"symmetric({HUGE})", f"sl2({HUGE})", f"cyclic({HUGE})", f"dihedral({HUGE})",
+    f"sl2({HUGE_PRIME})", "symmetric(1000000000000)",
+    f"direct_product(cyclic(2),direct_product(symmetric({HUGE}),sl2(3)))",
+    f"heisenberg(z=Zp^{HUGE},p=2;w=Zp^1,p=3;pairing=zero)",
+    f"heisenberg(z=Zp^2,p={HUGE_PRIME};w=Zp^1,p=1;pairing=zero)",
+    f"heisenberg(z=Zp^1,p={HUGE_PRIME};w=Zp^1,p={HUGE_PRIME};pairing=zero)",
+    f"heisenberg(z=Zp^2,p=3;w=Zp^{HUGE},p={HUGE};pairing=symplectic)",
+    "symmetric(9)", "sl2(37)", "symmetric(8)", "sl2(31)",
+    "heisenberg(z=Zp^2,p=7;w=Zp^1,p=7;pairing=symplectic)",
+] + [_random_spec(random.Random(1729 + i)) for i in range(300)]
+
+
+def test_every_spec_builds_or_is_refused_in_bounded_time():
+    # each integer field reaches 10^30; a family that enumerates, or
+    # factors a modulus, before it states its order would outlast the alarm
+    refused = 0
+    for spec in BOUNDED_SPECS:
+        message = _bounded_build(spec, 10)
+        if message is not None:
+            refused += 1
+            assert "\n" not in message, spec
+    assert 0 < refused < len(BOUNDED_SPECS)
+    for spec in BOUNDED_SPECS[:6] + ["symmetric(9)", "sl2(37)"]:
+        assert _bounded_build(spec, 10).endswith(f"exceeds cap {ORDER_CAP}")
+    assert _bounded_build("symmetric(9)", 10) == (
+        f"group order 9! of symmetric(9) exceeds cap {ORDER_CAP}")
+    assert _bounded_build("sl2(37)", 10) == (
+        f"group order 50616 of sl2(37) exceeds cap {ORDER_CAP}")
 
 
 @pytest.mark.parametrize("spec", [

@@ -36,7 +36,7 @@ from setgrowth.heisenberg import (
     verify_inverse_converse,
 )
 from setgrowth.constants import SPLIT_COUNT_EXP, SPLIT_NEST_EXP
-from setgrowth.families import measured_tripling
+from setgrowth.families import SetFamilySpec, generate_set, measured_tripling
 
 H27 = construct_group("heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)")
 
@@ -90,7 +90,7 @@ def test_encode_decode():
         assert H27.encode(*divmod(a, H27.w_order)) == a
     z, w = divmod(H27.encode(5, 2), H27.w_order)
     assert H27._zcoords[z] == (1, 2)
-    assert H27.decode_w(w) == (2,)
+    assert w == 2
 
 
 def test_pairing_is_antisymmetric():
@@ -261,6 +261,22 @@ def test_inverse_converse_rows():
     assert led.hard_ok
     names = [r.name for r in led.rows]
     assert any("triple" in n or "absorbed" in n for n in names)
+
+
+def test_inverse_and_converse_at_p23():
+    # order 23^3 = 12,167: above every exhaustive cap of the law sweeps, and
+    # within ORDER_CAP, the one bound of the split; the radius-2 ball on ids
+    # 1 and 23 with K inferred as |A^3|/|A|
+    spec = "heisenberg(z=Zp^2,p=23;w=Zp^1,p=23;pairing=symplectic)"
+    a = generate_set(SetFamilySpec.parse(spec, "ball_in_word_metric(2;1,23)"))
+    g = a.group
+    assert g.order == 12_167 > hb.EXHAUSTIVE_ORDER_CAP
+    wit = heisen_inverse(a, measured_tripling(a))
+    converse = verify_inverse_converse(wit, a)
+    rows = g.construction_ledger.rows + wit.ledger.rows + converse.rows
+    assert sum(r.kind == "hard" for r in rows) > 0
+    assert [r.name for r in rows if r.failed] == []
+    assert g.iota(a) <= wit.a_tilde
 
 
 def test_inverse_rejects_two_torsion():

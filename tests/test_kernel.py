@@ -202,13 +202,29 @@ def test_sl2_int32_law_matches_the_scalar_law():
     assert g.mul_pairs(xs, ys).tolist() == expect      # the table
     ids = np.arange(g.order)
     assert g._inv_law(ids).tolist() == [g.inv(x) for x in range(g.order)]
-    # p = 13 is the largest admitted p: its largest entry sum a*e + b*g and
-    # its largest base-p code, computed in int32, equal their exact values
-    with pytest.raises(ValueError):
-        SL2Group(17)
-    top = np.full(1, 12, dtype=np.int32)
-    assert int((top * top + top * top)[0]) == 2 * 12**2
-    assert int(g._code(top, top, top, top)[0]) == 13**4 - 1
+    # p = 31 is the largest p that ORDER_CAP admits: its largest entry sum
+    # a*e + b*g and its largest base-p code, computed in int32, equal their
+    # exact values
+    with pytest.raises(ValueError, match="exceeds cap"):
+        SL2Group(37)
+    top = np.full(1, 30, dtype=np.int32)
+    assert int((top * top + top * top)[0]) == 2 * 30**2
+    assert int(group("sl2(31)")._code(top, top, top, top)[0]) == 31**4 - 1
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("symmetric(8)", 40_320), ("sl2(17)", 4_896), ("sl2(31)", 29_760)])
+def test_law_up_to_the_order_cap_matches_the_scalar_law(spec, order):
+    # above TABLE_CAP, so mul_pairs runs the law; seeded pairs and ids
+    g = group(spec)
+    assert g.order == order > TABLE_CAP
+    xs, ys = np.random.default_rng(order).integers(0, order, size=(2, 20_000))
+    expect = [g.mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert g._mul_law(xs, ys).tolist() == expect
+    assert g.mul_pairs(xs, ys).tolist() == expect
+    assert g.mul_outer(xs[:40], ys[:50]).tolist() == [
+        [g.mul(x, y) for y in ys[:50].tolist()] for x in xs[:40].tolist()]
+    assert g.inv_array(xs).tolist() == [g.inv(x) for x in xs.tolist()]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -930,10 +946,11 @@ def law_cases(exhaustive, seed, count, bounds):
 
 def scalar_law_error(g):
     """The Heisenberg law sweeps one id or pair at a time, in iteration
-    order, or in the order of the seeded draws above the caps."""
+    order, or in the order of the seeded draws above the caps; the inverse
+    law over every id at every order."""
     wo, n, seed = g.w_order, g.order, hb.SAMPLE_SEED
     exhaustive = n <= hb.EXHAUSTIVE_ORDER_CAP
-    for (a,) in law_cases(exhaustive, seed + 2, hb.SAMPLE_COUNT, (n,)):
+    for a in range(n):
         z, w = divmod(a, wo)
         expect = g.z_additive.inv(z) * wo + g.w_additive.inv(w)
         if g.inv(a) != expect or g.mul(a, g.inv(a)) != 0:
@@ -991,6 +1008,8 @@ class PlantedSampledLaw(hb.HeisenbergGroup):
 
 
 @pytest.mark.parametrize("planted, kind", [
+    # the inverse-law sweep covers every id at every order, so it names the
+    # first planted one, id 5
     (dict(bad_inv=lambda x: x % 97 == 5), "inverse law"),
     # h*x for the vertical id 1 differs from x*1 := x
     (dict(bad=lambda x, y: (x % 89 == 3) & (y == 1)), "vertical element"),
@@ -1007,6 +1026,8 @@ def test_sampled_law_sweeps_name_the_first_counterexample(planted, kind):
         hb._validate_group_law(g, ConstantLedger("planted"))
     assert str(exc.value).startswith(kind)
     assert str(exc.value) == scalar_law_error(g)
+    if kind == "inverse law":
+        assert str(exc.value).endswith("fails at id 5")
 
 
 def test_sampled_law_sweeps_pass_on_the_true_law():
@@ -1015,7 +1036,9 @@ def test_sampled_law_sweeps_pass_on_the_true_law():
     hb._validate_group_law(g, ledger)
     assert scalar_law_error(g) is None
     assert [r.note for r in ledger.rows[:3]] == [
-        "2000 sampled elements", "2000 sampled pairs", "10000 sampled pairs"]
+        "all elements", "2000 sampled pairs", "10000 sampled pairs"]
+    assert ledger.rows[3].name == "additive-encoding-aligned"
+    assert ledger.hard_ok
 
 
 def test_heisenberg_sweeps_pass_on_the_true_law():
