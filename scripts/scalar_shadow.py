@@ -2,8 +2,7 @@
 """Check every vectorized product and inverse of whole runs against the
 scalar law.
 
-Usage: PYTHONPATH=src python scripts/scalar_shadow.py [--stride N] [--seed S]
-           [--only NAME ...]
+Usage: PYTHONPATH=src python scripts/scalar_shadow.py
 
 While the runs below execute, ``FiniteGroup.mul_pairs`` and
 ``FiniteGroup.inv_array`` are wrapped: the wrapper returns the library's
@@ -16,18 +15,15 @@ own result and checks each of its entries against the family's scalar
             group build with its law sweeps, ``heisen_inverse`` and
             ``verify_inverse_converse`` on the radius-2 ball on ids 1, 31.
 
-With --stride N only every N-th call is checked, the calls whose number is
-``Random(seed).randrange(N)`` mod N; the default, 1, checks every call.
-Prints one JSON line per run, with its calls, checked calls, products and
-inverses checked, mismatches, wall time and the error that stopped it (a
-wrong law can fail a hard row before the run ends), and exits 1 when any
-entry differs from the scalar law or a run raised, else 0.  This is a slow
-oracle, not a Tier-1 test.
+Every call is checked.  Prints one JSON line per run, with its calls,
+products and inverses checked, mismatches, wall time and the error that
+stopped it (a wrong law can fail a hard row before the run ends), and exits 1
+when any entry differs from the scalar law or a run raised, else 0.  This is
+a slow oracle, not a Tier-1 test.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -49,22 +45,13 @@ CLASSIFY_SPEC, CLASSIFY_SIZE = "sl2(31)", 60
 class Shadow:
     """Counters and the wrappers that fill them."""
 
-    def __init__(self, stride: int, seed: int):
-        self.stride = stride
-        self.offset = random.Random(seed).randrange(stride)
+    def __init__(self):
         self.reset()
 
     def reset(self):
-        self.calls = self.checked = self.products = self.inverses = 0
+        self.calls = self.products = self.inverses = 0
         self.mismatches = 0
         self.examples: list[str] = []     # the first ten mismatches
-
-    def _take(self) -> bool:
-        self.calls += 1
-        if self.calls % self.stride != self.offset:
-            return False
-        self.checked += 1
-        return True
 
     def _miss(self, text: str):
         self.mismatches += 1
@@ -76,26 +63,26 @@ class Shadow:
 
         def checked_mul_pairs(g, x, y):
             out = mul_pairs(g, x, y)
-            if shadow._take():
-                xs, ys, got = (np.broadcast_to(v, np.shape(out)).ravel().tolist()
-                               for v in (x, y, out))
-                shadow.products += len(got)
-                for a, b, c in zip(xs, ys, got):
-                    if g.mul(a, b) != c:
-                        shadow._miss(f"{g.name}: mul({a}, {b}) = {g.mul(a, b)}, "
-                                     f"mul_pairs gave {c}")
+            shadow.calls += 1
+            xs, ys, got = (np.broadcast_to(v, np.shape(out)).ravel().tolist()
+                           for v in (x, y, out))
+            shadow.products += len(got)
+            for a, b, c in zip(xs, ys, got):
+                if g.mul(a, b) != c:
+                    shadow._miss(f"{g.name}: mul({a}, {b}) = {g.mul(a, b)}, "
+                                 f"mul_pairs gave {c}")
             return out
 
         def checked_inv_array(g, x):
             out = inv_array(g, x)
-            if shadow._take():
-                xs = np.ravel(x).tolist()
-                got = np.ravel(out).tolist()
-                shadow.inverses += len(got)
-                for a, c in zip(xs, got):
-                    if g.inv(a) != c:
-                        shadow._miss(f"{g.name}: inv({a}) = {g.inv(a)}, "
-                                     f"inv_array gave {c}")
+            shadow.calls += 1
+            xs = np.ravel(x).tolist()
+            got = np.ravel(out).tolist()
+            shadow.inverses += len(got)
+            for a, c in zip(xs, got):
+                if g.inv(a) != c:
+                    shadow._miss(f"{g.name}: inv({a}) = {g.inv(a)}, "
+                                 f"inv_array gave {c}")
             return out
 
         return checked_mul_pairs, checked_inv_array
@@ -128,36 +115,25 @@ RUNS = {"suite": run_default_suite, "classify": run_classify,
         "heisen": run_heisen}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--stride", type=int, default=1,
-                        help="check every N-th call (default 1: all)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the stride's offset")
-    parser.add_argument("--only", nargs="+", choices=tuple(RUNS),
-                        default=list(RUNS), help="the runs to shadow")
-    args = parser.parse_args(argv)
-    if args.stride < 1:
-        parser.error("--stride must be at least 1")
-    shadow = Shadow(args.stride, args.seed)
+def main() -> int:
+    shadow = Shadow()
     originals = FiniteGroup.mul_pairs, FiniteGroup.inv_array
     FiniteGroup.mul_pairs, FiniteGroup.inv_array = shadow.wrap(*originals)
     failed = False
     try:
-        for name in args.only:
+        for name, run in RUNS.items():
             # fresh groups per run, so each run builds its own tables
             groups._GROUPS.clear()
             shadow.reset()
             start = time.perf_counter()
             try:
-                RUNS[name]()
+                run()
                 error = None
             except Exception as exc:     # reported, then counted as a failure
                 error = f"{type(exc).__name__}: {exc}"
             wall = time.perf_counter() - start
             print(json.dumps({
-                "run": name, "stride": args.stride, "calls": shadow.calls,
-                "checked_calls": shadow.checked, "products": shadow.products,
+                "run": name, "calls": shadow.calls, "products": shadow.products,
                 "inverses": shadow.inverses, "mismatches": shadow.mismatches,
                 "wall_s": round(wall, 2), "error": error}))
             for text in shadow.examples:
