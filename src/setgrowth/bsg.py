@@ -41,8 +41,10 @@ from .setops import (
     MSet,
     _product_counts,
     _require_same_group,
+    _set_counts,
     energy,
     intersection_size,
+    inverse_set,
     member_mask,
     partial_product,
     product_set,
@@ -453,15 +455,13 @@ def _step_iii_iv(g, a, b, state, ledger):
     k_cls = ceil_sqrt_frac(Fraction(prod.size**2, a_p.size * b_p.size))
     wit, x_cov, cls_ledger = classify_small_doubling(a_p, b_p, k_cls)
     ledger.merge(cls_ledger, "step-iii-iv.")
-    h = wit.h
-
-    def first_best(count):
-        return max(((count(t), t) for t in x_cov.ids()), key=lambda p: p[0])
-
-    best_xv, best_x = first_best(
-        lambda t: intersection_size(a_p, translate_left(t, h)))
-    best_yv, best_y = first_best(
-        lambda t: intersection_size(b_p, translate_right(h, t)))
+    # |A' ∩ tH| = (1_A' ∗ 1_H⁻¹)(t) and |B' ∩ Ht| = (1_H⁻¹ ∗ 1_B')(t); argmax
+    # takes the first best t of X in ascending id order
+    h_inv, ts = inverse_set(wit.h), x_cov.id_array()
+    a_counts = _set_counts(a_p, h_inv)[ts]
+    b_counts = _set_counts(h_inv, b_p)[ts]
+    best_x, best_y = int(ts[a_counts.argmax()]), int(ts[b_counts.argmax()])
+    best_xv, best_yv = int(a_counts.max()), int(b_counts.max())
     ledger.compare("step-iii-iv.x-pigeonhole", best_xv * x_cov.size, ">=",
                    a_p.size, formula="|A' ∩ xH||X| >= |A'|")
     ledger.compare("step-iii-iv.y-pigeonhole", best_yv * x_cov.size, ">=",

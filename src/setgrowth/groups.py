@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -597,25 +596,27 @@ def subgroup_closure(g: FiniteGroup, seed) -> frozenset[int]:
 
 
 class QuotientGroup(FiniteGroup):
-    def __init__(self, parent: FiniteGroup, reps: list[int], pi: array):
+    """G/N from the intp arrays reps (quotient id -> a parent id in the
+    coset) and pi (parent id -> quotient id)."""
+
+    def __init__(self, parent: FiniteGroup, reps: np.ndarray, pi: np.ndarray):
         super().__init__(len(reps), f"{parent.name}/N[{len(reps)}]")
         self.parent = parent
         self.reps = reps
         self.pi = pi
-        self._reps = np.asarray(reps, dtype=np.intp)
-        self._pi = np.asarray(pi)
 
     def _mul_law(self, x, y):
-        return self._pi[self.parent.mul_pairs(self._reps[x], self._reps[y])]
+        return self.pi[self.parent.mul_pairs(self.reps[x], self.reps[y])]
 
     def _inv_law(self, x):
-        return self._pi[self.parent.inv_array(self._reps[x])]
+        return self.pi[self.parent.inv_array(self.reps[x])]
 
     def mul(self, a, b):
-        return self.pi[self.parent.mul(self.reps[a], self.reps[b])]
+        x, y = self.reps[[a, b]].tolist()
+        return int(self.pi[self.parent.mul(x, y)])
 
     def inv(self, a):
-        return self.pi[self.parent.inv(self.reps[a])]
+        return int(self.pi[self.parent.inv(int(self.reps[a]))])
 
 
 @dataclass
@@ -625,8 +626,8 @@ class NormalSubgroupView:
     parent: FiniteGroup
     members: frozenset[int]
     quotient: FiniteGroup
-    pi: array           # parent id -> quotient id
-    reps: list[int]     # quotient id -> smallest parent id in the coset
+    pi: np.ndarray      # intp, parent id -> quotient id
+    reps: np.ndarray    # intp, quotient id -> smallest parent id in the coset
 
 
 class NotNormalError(ValueError):
@@ -683,8 +684,7 @@ def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
     reps = np.flatnonzero(rep_of == ids)
     if _first_non_normalizer(g, reps, members) is not None:
         _raise_first_escape(g, members)
-    pi = array("H", np.searchsorted(reps, rep_of).astype(np.uint16).tobytes())
-    reps = reps.tolist()
+    pi = np.searchsorted(reps, rep_of)
     quotient = QuotientGroup(g, reps, pi)
     return NormalSubgroupView(g, members, quotient, pi, reps)
 

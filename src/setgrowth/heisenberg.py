@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -285,8 +284,8 @@ class HeisenbergGroup(FiniteGroup):
         ids coincide with Z ids."""
         if self._vertical is None:
             wo = self.w_order
-            pi = array("H", (a // wo for a in range(self.order)))
-            reps = [z * wo for z in range(self.z_order)]
+            pi = np.arange(self.order) // wo
+            reps = np.arange(self.z_order) * wo
             members = frozenset(range(wo))
             quotient = QuotientGroup(self, reps, pi)
             self._vertical = NormalSubgroupView(self, members, quotient, pi, reps)
@@ -586,8 +585,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
 
     h_set = MSet.from_ids(g, h.members)
     q = h.quotient
-    pi = np.asarray(h.pi, dtype=np.intp)
-    c = _projection(q, pi, a)
+    c = _projection(q, h.pi, a)
     ledger.info("size-a", a.size)
     ledger.info("size-c", c.size)
 
@@ -635,14 +633,14 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
 
     # the section phi on C^3
     c3 = power_set(c, 3)
-    phi, exceptions = _section(g, q, pi, a, a3, c, c3)
+    phi, exceptions = _section(g, q, h.pi, a, a3, c, c3)
     cids, c3_ids = c.id_array(), c3.id_array()
     sec = phi[cids]     # phi on C
     ginv, qinv = g.inv_array, q.inv_array
     a_mask, a3_mask = member_mask(a), member_mask(a3)
     ledger.claim("section-at-identity", phi[0] == 0)
     ledger.claim("section-projects-back",
-                 np.array_equal(pi[phi[c3_ids]], c3_ids),
+                 np.array_equal(h.pi[phi[c3_ids]], c3_ids),
                  formula="pi(phi(x)) = x on C^3")
     ledger.claim("section-values-in-base",
                  a_mask[sec].all(),
@@ -946,9 +944,8 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
         raise ValueError(failure)
     b = a & MSet.from_ids(g, h.members)
     q = h.quotient
-    pi = np.asarray(h.pi, dtype=np.intp)
-    c = _projection(q, pi, a)
-    phi = _fiber_minima(q, pi, a.id_array())
+    c = _projection(q, h.pi, a)
+    phi = _fiber_minima(q, h.pi, a.id_array())
     cids, b_mask = c.id_array(), member_mask(b)
     sec = phi[cids]
 

@@ -13,11 +13,15 @@ blocks of ``groups._product_blocks``, scattered into a mask or a
 ``bincount``.  Operands whose products fit one block, most of them, take
 one ``mul_outer`` call and one scatter.  No call holds more than one block
 of products, so memory stays linear in the group order whatever the set
-sizes.  A set keeps its inverse once formed, so ``inverse_set`` gathers
-``inv_array`` at most once per set.
+sizes.  Besides ``convolution``, the count array of ``_set_counts`` has
+three readers: ``energy``, the core of ``structure.symmetric_core``
+(|A ∩ A·x| at every x) and the translate choice of ``bsg._step_iii_iv``
+(|A′ ∩ tH| and |B′ ∩ Ht| at every t).  A set keeps its inverse once
+formed, so ``inverse_set`` gathers ``inv_array`` at most once per set.
 ``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
 every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
-A = B = {0,2,4,6}).  Once a power A^n of a power chain passes
+A = B = {0,2,4,6}).  Otherwise a product stops forming row blocks once its
+mask is G.  Once a power A^n of a power chain passes
 |G| - |A|, every further power is G and free.  All derived values are exact
 integers or Fractions.
 """
@@ -168,10 +172,14 @@ def symmetrize(a: MSet) -> MSet:
 # Products
 
 def _product_mask(g: FiniteGroup, xs, ys) -> np.ndarray:
-    """Boolean mask over ids of {x*y : x in xs, y in ys}, for id arrays."""
+    """Boolean mask over ids of {x*y : x in xs, y in ys}, for id arrays.
+    It stops once the mask is G; the test runs only before a further row
+    block, so the one-block path skips it."""
     mask = np.zeros(g.order, dtype=bool)
-    for _, block in _product_blocks(g, xs, ys):
+    for rows, block in _product_blocks(g, xs, ys):
         mask[block] = True
+        if rows.stop < len(xs) and mask.all():
+            break
     return mask
 
 

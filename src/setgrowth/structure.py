@@ -1,8 +1,8 @@
 """Covering lemma, approximate-group witnesses, and the small-doubling
 classification pipeline.
 
-All set arithmetic is on the array path: cores scan translates in
-``mul_outer`` calls over the row blocks that ``groups._row_blocks`` sets, and
+All set arithmetic is on the array path: a core reads every translate
+overlap off one convolution count array from ``setops._set_counts``, and
 covers mark the translates of one difference set per chosen root over the
 blocks of ``groups._product_blocks``.
 ``tripling_chain`` forms one product per distinct (set, sign), exact because
@@ -52,10 +52,11 @@ from .constants import (
     word_exponent,
 )
 from .exact import frac, render_value
-from .groups import _product_blocks, _row_blocks
+from .groups import _product_blocks
 from .setops import (
     MSet,
     _require_same_group,
+    _set_counts,
     ascending_powers,
     inverse_set,
     member_mask,
@@ -169,15 +170,6 @@ class ConstantLedger:
 
     def lines(self) -> list[str]:
         return [f"# {self.title}"] + [row.line() for row in self.rows]
-
-
-def _translate_rows(a: MSet, xs: np.ndarray):
-    """Yield (block, rows) over the _row_blocks of xs x A: row j holds
-    A·block[j]."""
-    g, ids = a.group, a.id_array()
-    for rows in _row_blocks(len(xs), a.size):
-        block = xs[rows]
-        yield block, g.mul_outer(ids, block).T
 
 
 def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
@@ -389,7 +381,11 @@ class SymmetricCore(NamedTuple):
 
 
 def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantLedger]:
-    """S := {x : 2K|A ∩ A·x| > |A|} under the hypothesis |A·A⁻¹| ≤ K|A|."""
+    """S := {x : 2K|A ∩ A·x| > |A|} under the hypothesis |A·A⁻¹| ≤ K|A|.
+
+    Every overlap |A ∩ A·x| is the convolution (1_{A⁻¹} ∗ 1_A)(x), read
+    off one count array: its support is A⁻¹·A, and for K = p/q and an
+    integer overlap n, 2pn > q|A| holds exactly when n > ⌊q|A|/2p⌋."""
     k = frac(k)
     ledger = ConstantLedger("symmetric_core")
     a_inv = inverse_set(a)
@@ -397,12 +393,9 @@ def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantL
     ledger.require("doubling-hypothesis", aa_inv.size, "<=", k * a.size,
                    formula="|A·A^-1| <= K|A|")
     p, q = k.numerator, k.denominator
-    candidates = product_set(a_inv, a)
-    a_mask = member_mask(a)
-    members = [x for block, rows in _translate_rows(a, candidates.id_array())
-               for x, overlap in zip(block.tolist(), a_mask[rows].sum(axis=1).tolist())
-               if 2 * p * overlap > q * a.size]
-    s = MSet.from_ids(a.group, members)
+    overlaps = _set_counts(a_inv, a)
+    candidates = MSet.from_mask(a.group, overlaps > 0)
+    s = MSet.from_mask(a.group, overlaps > q * a.size // (2 * p))
 
     ledger.claim("core-identity", s.contains_identity(), formula="1 in S")
     ledger.claim("core-symmetric", s.is_symmetric(), formula="S = S^-1")

@@ -23,22 +23,37 @@ from setgrowth.constants import (
     BSG_AUDIT_EXP_SQ,
     BSG_HEADLINE_EXP_SQ,
 )
-from setgrowth.exact import ceil_isqrt
+from setgrowth.exact import ceil_isqrt, ceil_sqrt_frac
 from setgrowth.groups import (
     TABLE_CAP,
     _product_blocks,
     construct_group,
     subgroup_closure,
 )
-from setgrowth.setops import MSet, convolution, energy, member_mask, product_set
+from setgrowth.setops import (
+    MSet,
+    convolution,
+    energy,
+    intersection_size,
+    member_mask,
+    product_set,
+    translate_left,
+    translate_right,
+)
 from setgrowth.bsg import (
     BsgExtract,
     WeakBsgResult,
+    _step_iii_iv,
     bsg_extract,
     energy_equivalences,
     weak_bsg,
 )
-from setgrowth.structure import ConstantLedger, LedgerError, verify_approx_group
+from setgrowth.structure import (
+    ConstantLedger,
+    LedgerError,
+    classify_small_doubling,
+    verify_approx_group,
+)
 
 G16 = construct_group("cyclic(16)")
 G12 = construct_group("cyclic(12)")
@@ -274,6 +289,48 @@ def test_equivalence_cycle_on_random_sets(a):
     wit = energy_equivalences("i", a, a, inferred_k(a, a))
     assert wit.ledger.hard_ok
     assert wit.input_clause == "i"
+
+
+def ref_clause_iv_choice(a_p, b_p):
+    """The step from clause iii to iv one translate at a time, as it ran
+    before it read the convolution: for each t of X in id order, form tH
+    and Ht and count A' ∩ tH and B' ∩ Ht; the first best t is kept.
+    Returns ((|A' ∩ xH|, x), (|B' ∩ Hy|, y), |X|, whether a best ties)."""
+    prod = product_set(a_p, b_p)
+    k = ceil_sqrt_frac(Fraction(prod.size**2, a_p.size * b_p.size))
+    wit, x_cov, _ = classify_small_doubling(a_p, b_p, k)
+    h = wit.h
+
+    def first_best(count):
+        scores = [(count(t), t) for t in x_cov.ids()]
+        best = max(scores, key=lambda p: p[0])
+        return best, sum(c == best[0] for c, _ in scores) > 1
+
+    x, x_tie = first_best(lambda t: intersection_size(a_p, translate_left(t, h)))
+    y, y_tie = first_best(lambda t: intersection_size(b_p, translate_right(h, t)))
+    return x, y, x_cov.size, x_tie or y_tie
+
+
+@pytest.mark.parametrize("spec", ["cyclic(12)", "dihedral(8)", "symmetric(4)"])
+def test_clause_iv_choice_matches_the_translate_loop(spec):
+    # six seeded pairs per group; the first best t wins a tie, and every
+    # group has one
+    g = construct_group(spec)
+    ties = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        a, b = (MSet.from_ids(g, rng.sample(range(g.order), rng.randint(2, 8)))
+                for _ in range(2))
+        ledger = ConstantLedger("walk")
+        state = _step_iii_iv(g, a, b, {"a_prime": a, "b_prime": b,
+                                       "product": product_set(a, b)}, ledger)
+        (xv, x), (yv, y), n, tie = ref_clause_iv_choice(a, b)
+        rows = {row.name: row for row in ledger.rows}
+        assert (state["x"], state["y"]) == (x, y)
+        assert rows["step-iii-iv.x-pigeonhole"].lhs == xv * n
+        assert rows["step-iii-iv.y-pigeonhole"].lhs == yv * n
+        ties.append(tie)
+    assert any(ties)
 
 
 # ------------------------------------------- scalar reference pipelines

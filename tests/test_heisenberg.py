@@ -126,6 +126,10 @@ def test_vertical_view():
     assert v.members == frozenset(range(3))
     assert v.quotient.order == 9
     g = H27
+    # the arange-built projection is the one quotient_map derives from cosets
+    ref = quotient_map(g, [1])
+    assert v.pi.dtype == v.reps.dtype == np.intp
+    assert np.array_equal(v.pi, ref.pi) and np.array_equal(v.reps, ref.reps)
     # central: every vertical element commutes with everything
     for w in range(1, 3):
         for a in range(g.order):

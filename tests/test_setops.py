@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth.groups import CyclicGroup, construct_group
+from setgrowth.groups import BLOCK_PAIRS, CyclicGroup, construct_group
 from setgrowth.setops import (
     MSet,
     RuzsaDistanceValue,
@@ -229,6 +229,20 @@ def test_product_set_forms_no_product_past_the_pigeonhole_bound(monkeypatch):
     formed = _counted_products(monkeypatch, g)
     assert product_set(a, b).size == product_set(b, a).size == g.order
     assert formed == []
+
+
+def test_product_set_stops_forming_blocks_once_the_mask_is_g(monkeypatch):
+    # cyclic(4096), A = {0} u [2048, 4095), B = [0, 2048): |A| + |B| = |G|,
+    # so the pigeonhole test is off, and the 2,048 rows of A x B take 256
+    # blocks of 8 rows.  Rows 0 and 2048 already cover G, so the first
+    # block fills the mask and no other is formed.
+    g = construct_group("cyclic(4096)")
+    a = MSet.from_ids(g, [0, *range(2048, 4095)])
+    b = MSet.from_ids(g, range(2048))
+    assert a.size + b.size == g.order
+    formed = _counted_products(monkeypatch, g)
+    assert product_set(a, b).size == g.order
+    assert sum(formed) == BLOCK_PAIRS < a.size * b.size // 200
 
 
 def test_product_set_at_the_pigeonhole_bound_forms_its_products(monkeypatch):

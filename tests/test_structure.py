@@ -677,6 +677,37 @@ def test_symmetric_core_matches_reference_loop(spec, data):
 
 
 @pytest.mark.parametrize("spec", DIFF_GROUPS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_symmetric_core_matches_reference_loop_past_int64(spec, data):
+    # K's numerator is above 2^63: the core's threshold is the Python int
+    # floor(q|A|/2p), so no int64 product of p is formed
+    a = data.draw(diff_sets(spec, 8))
+    k = measured_difference_ratio(a) * data.draw(st.sampled_from(
+        [Fraction(2**64 + 1, 2**64), Fraction(3 * 2**63 + 1, 2**63)]))
+    assert k.numerator > 2**63
+    core, led = symmetric_core(a, k)
+    s, ref = ref_symmetric_core(a, k)
+    assert core.s == s
+    assert_same_rows(led, ref)
+
+
+@pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(4)"])
+def test_symmetric_core_matches_reference_loop_on_every_subset(spec):
+    # all 63 nonempty subsets of symmetric(3) and all 255 of dihedral(4),
+    # each at its measured K = |A·A^-1|/|A|
+    g = construct_group(spec)
+    for r in range(1, g.order + 1):
+        for ids in itertools.combinations(range(g.order), r):
+            a = MSet.from_ids(g, ids)
+            k = measured_difference_ratio(a)
+            core, led = symmetric_core(a, k)
+            s, ref = ref_symmetric_core(a, k)
+            assert core.s == s
+            assert_same_rows(led, ref)
+
+
+@pytest.mark.parametrize("spec", DIFF_GROUPS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_tripling_chain_matches_reference_loop(spec, data):
