@@ -16,13 +16,17 @@ from fractions import Fraction
 # anything the pipelines produce.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 120_000))
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def frac(value) -> Fraction:
     """Coerce ints, 'p/q' strings, floats, and Fractions to Fraction."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:       # text from outside, such as '1/0'
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def ceil_isqrt(n: int) -> int:
@@ -45,17 +49,58 @@ def ceil_sqrt_frac(q: Fraction) -> Fraction:
     return Fraction(ceil_isqrt(q.numerator * q.denominator), q.denominator)
 
 
+# CPython's int -> str is quadratic in the digits; above _LEAF_DIGITS it is
+# cheaper to split by powers of ten into blocks of _LEAF_DIGITS digits.
+_LEAF_DIGITS = 1000
+_LEAF_BOUND = 10**_LEAF_DIGITS
+_POW5 = {_LEAF_DIGITS: 5**_LEAF_DIGITS}     # h -> 5**h, h = 1000 * 2^j
+
+
+def _leaves(n: int, width: int, out: list[str]) -> None:
+    """Append the digits of 0 <= n < 10**width, zero-padded to width."""
+    if width == _LEAF_DIGITS:
+        out.append(str(n).zfill(width))
+        return
+    half = width // 2
+    # divmod(n, 10**half) as a shift and a divmod by the smaller 5**half
+    high, rest = divmod(n >> half, _POW5[half])
+    _leaves(high, half, out)
+    _leaves(rest << half | n & ((1 << half) - 1), half, out)
+
+
+def _int_text(n: int) -> str:
+    """str(n) byte for byte, ValueError past the digit limit included."""
+    if -_LEAF_BOUND < n < _LEAF_BOUND:
+        return str(n)
+    magnitude = abs(n)
+    digits = int(magnitude.bit_length() * 0.30103) + 1   # >= len(str(|n|))
+    if 0 < _max_str_digits() < digits:
+        return str(n)               # str() itself refuses past the limit
+    width = _LEAF_DIGITS
+    while width < digits:
+        if width not in _POW5:
+            _POW5[width] = _POW5[width // 2] ** 2
+        width *= 2
+    out: list[str] = []
+    _leaves(magnitude, width, out)
+    text = "".join(out).lstrip("0")
+    return "-" + text if n < 0 else text
+
+
 def render_value(v) -> str:
     """Deterministic cell rendering: integers and Fractions verbatim,
     floats at 12 significant digits, booleans lowercase, None empty."""
-    if type(v) is int:
-        return str(v)
+    kind = type(v)
+    if kind is int:
+        return _int_text(v)
+    if kind is Fraction:
+        if v.denominator == 1:
+            return _int_text(v.numerator)
+        return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if kind is bool:
         return "true" if v else "false"
-    if isinstance(v, (int, Fraction)):
-        return str(v)
     if isinstance(v, float):
         return "%.12g" % v
     return str(v)

@@ -1,5 +1,6 @@
 """Set-family grammar and generators."""
 
+import random
 import re
 import signal
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from setgrowth.cli import main
 from setgrowth.families import (
+    FAMILY_FIELDS,
     SetFamilySpec,
     generate_set,
     measured_difference_ratio,
@@ -53,6 +55,24 @@ def test_progression_of_length_one_is_identity():
     assert gen(G12, "geometric_progression(5,1)").ids() == (0,)
 
 
+def _bounded_generate(group, text: str, seconds: int) -> str | None:
+    """Generate text in group under an alarm: None when it builds, the
+    message of its ValueError when it is refused."""
+    def expire(signum, frame):
+        raise TimeoutError(text)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        gen(group, text)
+        return None
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("text", [
     "ball_in_word_metric(1000000000000;1)",
     "geometric_progression(1,1000000000000)",
@@ -60,17 +80,63 @@ def test_progression_of_length_one_is_identity():
 def test_a_huge_field_costs_at_most_the_group_order(text):
     # the ball's power chain and the progression's orbit both stop within
     # 12 steps; walking 10^12 of them would outlast the alarm
-    def expire(signum, frame):
-        raise TimeoutError(text)
+    assert _bounded_generate(G12, text, 5) is None
+    assert gen(G12, text).ids() == tuple(range(12))
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
-    try:
-        a = gen(G12, text)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert a.ids() == tuple(range(12))
+
+HUGE = 10**30
+
+
+def _field(rng: random.Random, order: int) -> int:
+    """An integer field of a family text: an id of the group, small, a
+    power of ten up to 10^30, or any int of up to 31 digits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(order)
+    if kind == 1:
+        return rng.randint(-2, 40)
+    if kind == 2:
+        return 10 ** rng.randint(2, 30)
+    return rng.randint(-HUGE, HUGE)
+
+
+def _random_family(rng: random.Random, order: int) -> str:
+    """A text of every family of docs/formats.md, its fields drawn by
+    _field: ids, counts, lengths, radii, densities and seeds alike."""
+    def ids() -> str:
+        return ",".join(str(_field(rng, order)) for _ in range(rng.randint(1, 3)))
+
+    family = rng.choice(sorted(FAMILY_FIELDS))
+    if family == "random_dense":
+        density = rng.choice([f"{_field(rng, order)}/{_field(rng, order)}",
+                              f"1/{_field(rng, order)}", str(_field(rng, order))])
+        return f"random_dense(density={density};seed={_field(rng, order)})"
+    fields = {
+        "subgroup": [ids()],
+        "coset": [ids(), str(_field(rng, order))],
+        "geometric_progression": [f"{_field(rng, order)},{_field(rng, order)}"],
+        "subgroup_plus_point": [ids()] + [str(_field(rng, order))] * rng.randint(0, 1),
+        "union_of_cosets": [ids(), str(_field(rng, order))],
+        "ball_in_word_metric": [str(_field(rng, order))] + [ids()] * rng.randint(0, 1),
+    }[family]
+    return f"{family}({';'.join(fields)})"
+
+
+@pytest.mark.parametrize("group", [G12, S4], ids=["cyclic(12)", "symmetric(4)"])
+def test_every_family_builds_or_is_refused_in_bounded_time(group):
+    # each integer field reaches 10^30; a family whose work followed a
+    # count, length or radius instead of the group order would outlast
+    # the alarm, and any error but a one-line ValueError fails here
+    rng = random.Random(f"1729:{SPECS[id(group)]}")
+    texts = [_random_family(rng, group.order) for _ in range(400)]
+    outcomes = {text: _bounded_generate(group, text, 5) for text in texts}
+    refused = [m for m in outcomes.values() if m is not None]
+    assert 0 < len(refused) < len(texts)
+    assert all("\n" not in m for m in refused)
+    built = {text.partition("(")[0] for text, m in outcomes.items() if m is None}
+    # no point of an abelian group moves a subgroup
+    abelian = {"subgroup_plus_point"} if group is G12 else set()
+    assert built == set(FAMILY_FIELDS) - abelian
 
 
 def test_union_of_cosets_partitions():
@@ -106,6 +172,8 @@ def test_random_dense_requires_seed():
 def test_random_dense_density_range():
     with pytest.raises(ValueError):
         gen(G12, "random_dense(density=3/2;seed=1)")
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        gen(G12, "random_dense(density=1/0;seed=1)")
 
 
 def test_subgroup_plus_point_grows_cubes():
