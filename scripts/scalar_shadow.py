@@ -13,7 +13,11 @@ own result and checks each of its entries against the family's scalar
   classify  ``classify_small_doubling`` on 60 seeded random ids of sl2(31);
   heisen    the ``heisen run --infer-k`` step at p = 31 (order 29,791): the
             group build with its law sweeps, ``heisen_inverse`` and
-            ``verify_inverse_converse`` on the radius-2 ball on ids 1, 31.
+            ``verify_inverse_converse`` on the radius-2 ball on ids 1, 31;
+  entropy   ``metric_profile_check`` on the word carrier of sl2(31) (order
+            29,760) with generators 1 and 2, which generate it: its nets
+            are cover scans with the metric ball on the right, on a
+            non-abelian group.
 
 Every call is checked.  Prints one JSON line per run, with its calls,
 products and inverses checked, mismatches, wall time and the error that
@@ -40,6 +44,7 @@ from setgrowth.setops import MSet, product_set
 HEISEN_SPEC = "heisenberg(z=Zp^2,p=31;w=Zp^1,p=31;pairing=symplectic)"
 HEISEN_SET = "ball_in_word_metric(2;1,31)"
 CLASSIFY_SPEC, CLASSIFY_SIZE = "sl2(31)", 60
+WORD_SPEC, WORD_GENS = "sl2(31)", (1, 2)
 
 
 class Shadow:
@@ -111,8 +116,14 @@ def run_heisen():
     verify_inverse_converse(witness, a)
 
 
+def run_entropy():
+    from setgrowth.entropy import WordMetricGroup, metric_profile_check
+
+    metric_profile_check(WordMetricGroup(construct_group(WORD_SPEC), WORD_GENS))
+
+
 RUNS = {"suite": run_default_suite, "classify": run_classify,
-        "heisen": run_heisen}
+        "heisen": run_heisen, "entropy": run_entropy}
 
 
 def main() -> int:

@@ -192,16 +192,18 @@ def ruzsa_cover(a: MSet, b: MSet, side: str = "left") -> MSet:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     a_inv = inverse_set(a)
     d = product_set(a_inv, a) if side == "left" else product_set(a, a_inv)
-    return _cover_scan(d, b, side)
+    return _cover_scan(d, b.ids(), side)
 
 
-def _cover_scan(d: MSet, b: MSet, side: str) -> MSet:
-    """The greedy scan of ruzsa_cover for a caller that already holds its
-    difference set D (a⁻¹·a on the left, a·a⁻¹ on the right)."""
-    g, d_ids = b.group, d.id_array()
+def _cover_scan(d: MSet, ids, side: str) -> MSet:
+    """The greedy scan of ruzsa_cover over ids in scan order, for a caller
+    that already holds its difference set D (a⁻¹·a on the left, a·a⁻¹ on
+    the right).  With D an open ball B of a left-invariant metric and the
+    side right, it is the greedy net: the ball about x is x·B."""
+    g, d_ids = d.group, d.id_array()
     chosen: list[int] = []
     blocked = np.zeros(g.order, dtype=bool)
-    for x in b.ids():
+    for x in ids:
         if not blocked[x]:
             chosen.append(x)
             root = np.array([x], dtype=np.intp)
@@ -303,7 +305,7 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     ledger.compare("h0-seventh-power", h7.size, "<=", h7_bound, formula=h7_formula)
 
     # H0 is symmetric, so the cover's D = H0⁻¹·H0 is H0² of the chain
-    y = _cover_scan(pows[2], h2, "left")
+    y = _cover_scan(pows[2], h2.ids(), "left")
     ledger.compare("cover-count", y.size * h0.size, "<=", h7.size,
                    formula="|Y||H0| <= |H0·H0^6|")
     y_bound = h7_bound / h0.size
@@ -452,7 +454,7 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
                    formula=f"{CLASSIFY_H_CONST} K^{CLASSIFY_H_EXP}|A|")
     # D = H·H⁻¹ of the two right covers by H, formed once
     h_diff = product_set(h, inverse_set(h))
-    z0 = _cover_scan(h_diff, a, "right")
+    z0 = _cover_scan(h_diff, a.ids(), "right")
     ledger.compare("a-cover-count", z0.size * h.size, "<=", ah.size,
                    formula="|Z0||H| <= |A·H|")
     ledger.compare("a-cover-size", z0.size, "<=",
@@ -461,7 +463,7 @@ def classify_small_doubling(a: MSet, b: MSet, k) -> tuple[ApproxGroupWitness, MS
 
     b_inv = inverse_set(b)
     b_inv_h = product_set(b_inv, h)
-    w0 = _cover_scan(h_diff, b_inv, "right")
+    w0 = _cover_scan(h_diff, b_inv.ids(), "right")
     ledger.compare("b-cover-count", w0.size * h.size, "<=", b_inv_h.size,
                    formula="|W0||H| <= |B^-1·H|")
     ledger.compare("b-cover-size", w0.size, "<=",

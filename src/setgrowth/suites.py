@@ -913,9 +913,8 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
         profile = metric_profile_check(group, seed=job.seed)
         report.merge_ledger(module, f"profile[{group.name}]", profile.ledger)
 
-    # tripling growth on a short torus arc
-    t1 = TorusGroup(1)
-    arc = MetricCloud(t1, [(Fraction(i, 100),) for i in range(10)])
+    # tripling growth on a short torus arc: the points i/100, i < 10
+    arc = MetricCloud(TorusGroup(1, 100), range(10))
     tri = entropy_tripling_check(arc, Fraction(1, 100))
     report.merge_ledger(module, "entropy_tripling[torus(1)-arc]", tri.ledger)
 
@@ -923,7 +922,7 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
     c5 = construct_group("cyclic(5)")
     a5 = MSet.from_ids(c5, [0, 1, 2])
     discrete = energy(a5, a5).value
-    cloud5 = MetricCloud(t1, [(Fraction(i, 5),) for i in range(3)])
+    cloud5 = MetricCloud(TorusGroup(1, 5), range(3))
     approx = approx_energy(cloud5, cloud5, Fraction(1, 20))
     report.add(module, "approx_energy[embedded-cyclic(5)]",
                "matches-discrete-energy", "hard",

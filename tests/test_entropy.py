@@ -6,7 +6,10 @@ net at radius eps keeps every ceil(2 eps n)-th point, and arc-union
 measures reduce to interval bookkeeping in Fractions.
 """
 
+import itertools
+import math
 import random
+import signal
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +21,6 @@ from setgrowth.entropy import (
     QuaternionGroup,
     TorusGroup,
     WordMetricGroup,
-    _greedy_separated,
     approx_energy,
     arc_union_measure,
     build_entropy_report,
@@ -28,36 +30,71 @@ from setgrowth.entropy import (
     separated_set,
 )
 from setgrowth import cli, entropy
-from setgrowth.groups import construct_group
-from setgrowth.setops import MSet, energy
+from setgrowth.groups import ORDER_CAP, construct_group
+from setgrowth.setops import MSet, energy, product_set, translate_left
 from setgrowth.structure import ConstantLedger
 
 T1 = TorusGroup(1)
 
 
+def grid_id(g, *coords):
+    """The id of the torus point with these coordinates, each reduced into
+    [0, 1) and on g's grid: the leftmost axis is most significant."""
+    n, x = g.scale, 0
+    for c in coords:
+        k = Fraction(c) * n % n
+        assert k.denominator == 1, (c, n)
+        x = x * n + int(k)
+    return x
+
+
 def grid_cloud(n):
-    return MetricCloud(T1, T1.grid(n))
+    return MetricCloud(TorusGroup(1, n), range(n))
 
 
 # --------------------------------------------------------------- carriers
 
 def test_torus_point_normalization():
-    assert T1.point(Fraction(7, 5)) == (Fraction(2, 5),)
-    assert T1.inv((Fraction(1, 4),)) == (Fraction(3, 4),)
-    assert T1.mul((Fraction(3, 4),), (Fraction(1, 2),)) == (Fraction(1, 4),)
+    t = TorusGroup(1, 20)
+    assert grid_id(t, Fraction(7, 5)) == grid_id(t, Fraction(2, 5)) == 8
+    assert t.inv(grid_id(t, Fraction(1, 4))) == grid_id(t, Fraction(3, 4))
+    assert t.mul(grid_id(t, Fraction(3, 4)), grid_id(t, Fraction(1, 2))) == (
+        grid_id(t, Fraction(1, 4)))
+    # the product of ids is the coordinatewise sum of the points, and id
+    # order is their lexicographic order
+    t3 = TorusGroup(3, 4)
+    points = list(itertools.product([Fraction(k, 4) for k in range(4)], repeat=3))
+    assert [grid_id(t3, *p) for p in points] == list(range(64))
+    for p, q in itertools.product(points[::7], points[::5]):
+        s = [a + b for a, b in zip(p, q)]
+        assert t3.mul(grid_id(t3, *p), grid_id(t3, *q)) == grid_id(t3, *s)
 
 
 def test_torus_distance_wraps():
-    assert T1.distance_value((Fraction(9, 10),), (Fraction(1, 10),)) == Fraction(1, 5)
-    t2 = TorusGroup(2)
-    p = t2.point(Fraction(9, 10), 0)
-    q = t2.point(Fraction(1, 10), 0)
-    assert t2.distance_sq(p, q) == Fraction(1, 25)
+    t1 = TorusGroup(1, 10)
+    assert t1.distance_value(9, 1) == Fraction(1, 5)
+    t2 = TorusGroup(2, 10)
+    p = grid_id(t2, Fraction(9, 10), 0)
+    q = grid_id(t2, Fraction(1, 10), 0)
+    assert t2.norm[t2.mul(t2.inv(p), q)] == 4      # (1/5)^2 on the scale 10
+    assert t2.distance_value(p, q) == math.sqrt(Fraction(1, 25))
 
 
 def test_torus_rejects_bad_dimension():
     with pytest.raises(ValueError):
         TorusGroup(4)
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        TorusGroup(2, 0)
+
+
+def test_torus_norm_is_the_squared_quotient_distance():
+    for dim, n in [(1, 7), (2, 6), (3, 4)]:
+        t = TorusGroup(dim, n)
+        points = list(itertools.product(range(n), repeat=dim))
+        assert [grid_id(t, *(Fraction(c, n) for c in p)) for p in points] == (
+            list(range(n ** dim)))
+        assert t.norm.tolist() == [
+            sum(min(c, n - c) ** 2 for c in p) for p in points]
 
 
 def test_quaternion_norm_is_multiplicative():
@@ -126,9 +163,8 @@ def test_word_metric_needs_generators():
 # ---------------------------------------------------------------- clouds
 
 def test_cloud_dedupes_and_sorts():
-    pts = [(Fraction(1, 2),), (Fraction(0),), (Fraction(1, 2),)]
-    cloud = MetricCloud(T1, pts)
-    assert cloud.points == ((Fraction(0),), (Fraction(1, 2),))
+    cloud = MetricCloud(T1, [60, 0, 60])
+    assert cloud.points == (0, 60)
 
 
 # --------------------------------------------------------- nets and seps
@@ -144,7 +180,7 @@ def test_net_centers_cover():
     cloud = grid_cloud(30)
     res = covering_number(cloud, Fraction(1, 10))
     for p in cloud:
-        assert any(T1.within(c, p, Fraction(1, 10)) for c in res.centers)
+        assert any(cloud.group.within(c, p, Fraction(1, 10)) for c in res.centers)
 
 
 def test_separated_set_is_separated():
@@ -152,10 +188,10 @@ def test_separated_set_is_separated():
     pts = separated_set(cloud, Fraction(1, 10))
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            assert not T1.closer_than(p, q, Fraction(1, 10))
+            assert not cloud.group.closer_than(p, q, Fraction(1, 10))
 
 
-# ----------------------------------------------- close_mask against closer_than
+# ------------------------------------------- the net scan against closer_than
 
 def scalar_scan(group, points, eps):
     """The reference first-uncovered scan, one closer_than per pair."""
@@ -166,14 +202,27 @@ def scalar_scan(group, points, eps):
     return chosen
 
 
-def assert_kernel_matches_oracle(group, points, eps):
-    """close_mask row by row, and the greedy scan, against closer_than."""
-    rows, radius = group.metric_array(points, eps)
-    for p, row in zip(points, rows):
-        mask = group.close_mask(row, rows, radius)
-        assert mask.tolist() == [group.closer_than(p, q, eps) for q in points]
-    assert _greedy_separated(group, points, eps) == scalar_scan(group, points, eps)
-    return rows
+def close_row(group, p, points, eps):
+    """Which of the points the scan takes as strictly within eps of p: on
+    the id carriers those in the ball about p, p*B_eps; on the quaternions
+    those that the two-point scan (p, q) drops."""
+    if isinstance(group, QuaternionGroup):
+        return [len(group.net([p, q], eps)) == 1 for q in points]
+    near = translate_left(p, group.ball(eps))
+    return [q in near for q in points]
+
+
+def assert_scan_matches_oracle(group, points, eps, pairs=False):
+    """The carrier's net against scalar_scan; with pairs, also every
+    pair's closeness decision against closer_than."""
+    got = list(group.net(points, eps))
+    want = scalar_scan(group, points, eps)
+    # the id carriers return their centers in id order
+    assert got == (want if isinstance(group, QuaternionGroup) else sorted(want))
+    if pairs:
+        for p in points:
+            assert close_row(group, p, points, eps) == [
+                group.closer_than(p, q, eps) for q in points], (p, eps)
 
 
 TORUS_EPS = [Fraction(1, 10), Fraction(2, 7), Fraction(1, 2), 1]
@@ -181,51 +230,50 @@ TORUS_EPS = [Fraction(1, 10), Fraction(2, 7), Fraction(1, 2), 1]
 
 @pytest.mark.parametrize("dim, resolution", [(1, 40), (2, 8), (3, 4)])
 def test_close_mask_on_torus_grids(dim, resolution):
-    g = TorusGroup(dim)
-    points = g.grid(resolution)
+    g = TorusGroup(dim, resolution)
     for eps in TORUS_EPS:
-        rows = assert_kernel_matches_oracle(g, points, eps)
-        assert rows.dtype == np.int64
+        assert_scan_matches_oracle(g, range(g.group.order), eps, pairs=True)
+
+
+# each dimension's denominators have an lcm whose grid fits ORDER_CAP
+MIXED_DENOMINATORS = {1: [2, 3, 5, 7, 12, 97], 2: [2, 3, 5, 7], 3: [2, 3, 5]}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_close_mask_on_mixed_denominators(dim):
     rng = random.Random(dim)
-    g = TorusGroup(dim)
-    dens = [2, 3, 5, 7, 12, 97, 128, 1000]
+    dens = MIXED_DENOMINATORS[dim]
+    g = TorusGroup(dim, math.lcm(*dens))
     points = [
-        g.point(*(Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=dim)))
+        grid_id(g, *(Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=dim)))
         for _ in range(40)
     ]
     for eps in [Fraction(1, 13), Fraction(3, 10), Fraction(5, 11)]:
-        assert_kernel_matches_oracle(g, points, eps)
+        assert_scan_matches_oracle(g, points, eps, pairs=True)
 
 
 def test_close_mask_is_strict_at_exactly_eps():
-    g = TorusGroup(2)
-    origin = g.point(0, 0)
-    far = g.point(Fraction(-3, 10), Fraction(2, 5))  # a 3-4-5 triangle across the wrap
-    assert g.distance_sq(origin, far) == Fraction(1, 4)
-    rows, radius = g.metric_array([origin, far], Fraction(1, 2))
-    assert not g.close_mask(rows[0], rows[1], radius)
-    assert _greedy_separated(g, [origin, far], Fraction(1, 2)) == [origin, far]
-    rows, radius = g.metric_array([origin, far], Fraction(501, 1000))
-    assert g.close_mask(rows[0], rows[1], radius)
-    assert _greedy_separated(g, [origin, far], Fraction(501, 1000)) == [origin]
+    g = TorusGroup(2, 10)
+    origin = grid_id(g, 0, 0)
+    far = grid_id(g, Fraction(-3, 10), Fraction(2, 5))  # a 3-4-5 triangle across the wrap
+    assert g.norm[far] == 25                           # (1/2)^2 on the scale 10
+    assert not g.closer_than(origin, far, Fraction(1, 2))
+    assert g.net([origin, far], Fraction(1, 2)) == (origin, far)
+    assert g.closer_than(origin, far, Fraction(501, 1000))
+    assert g.net([origin, far], Fraction(501, 1000)) == (origin,)
 
 
 def test_close_mask_python_int_branch():
-    # denominators near 2**40 put dim * D**2 far above 2**62
-    rng = random.Random(40)
-    g = TorusGroup(3)
-    dens = [2**40 - 87, 2**40 - 167, 2**40 + 15, 10**12 + 39]
-    points = [
-        g.point(*(Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=3)))
-        for _ in range(30)
-    ]
-    for eps in [Fraction(1, 5), Fraction(2**39, 2**40 - 87)]:
-        rows = assert_kernel_matches_oracle(g, points, eps)
-        assert rows.dtype == object
+    # radii a hair of 10^-20 either side of the distance 1/2: the squared
+    # radius on the grid needs Python ints, and a float would round both
+    # radii to 1/2
+    g = TorusGroup(2, 10)
+    origin, far = 0, grid_id(g, Fraction(-3, 10), Fraction(2, 5))
+    hair = Fraction(1, 10**20)
+    assert g.net([origin, far], Fraction(1, 2) + hair) == (origin,)
+    assert g.net([origin, far], Fraction(1, 2) - hair) == (origin, far)
+    for eps in [Fraction(1, 2) + hair, Fraction(10**19, 3 * 10**19 + 1), 10**30]:
+        assert_scan_matches_oracle(g, range(g.group.order), eps)
 
 
 @pytest.mark.parametrize("count", [10, 180])
@@ -233,14 +281,66 @@ def test_close_mask_on_quaternion_clouds(count):
     g = QuaternionGroup()
     points = g.haar_points(count, seed=count)
     for eps in [0.15, 0.3, 0.6, 1.2]:
-        assert_kernel_matches_oracle(g, points, eps)
+        assert_scan_matches_oracle(g, points, eps, pairs=count <= 10)
 
 
 def test_close_mask_on_word_metric():
     g = WordMetricGroup(construct_group("cyclic(60)"), [1, 7])
-    points = list(range(60))
     for eps in [1, Fraction(3, 2), 2, Fraction(5, 2), 6, 7]:
-        assert_kernel_matches_oracle(g, points, eps)
+        assert_scan_matches_oracle(g, range(60), eps, pairs=True)
+
+
+def _arc_scans():
+    """The scan orders of entropy_tripling_check on the default arc: the
+    arc, its thinned square, and the base followed by the thinned cube."""
+    g = TorusGroup(1, 100)
+    arc = MSet.from_ids(g.group, range(10))
+    half = Fraction(1, 200)
+    squared = g.net(product_set(arc, arc).ids(), half)
+    cubed = g.net(product_set(MSet.from_ids(g.group, squared), arc).ids(), half)
+    return g, {"arc": arc.ids(), "thinned-square": squared,
+               "base-then-cube": arc.ids() + cubed}
+
+
+# The carriers of the default suite and of the pinned CLI sweeps, with
+# symmetric(5) and sl2(5) for a non-abelian word metric, where a ball on
+# the wrong side of the center gives other centers.
+NET_CARRIERS = {
+    "torus1": lambda: TorusGroup(1),
+    "torus2": lambda: TorusGroup(2),
+    "torus3": lambda: TorusGroup(3),
+    "word-cyclic60": lambda: WordMetricGroup(construct_group("cyclic(60)"), [1, 7]),
+    "word-cyclic30": lambda: WordMetricGroup(construct_group("cyclic(30)"), [1, 7]),
+    "word-symmetric5": lambda: WordMetricGroup(construct_group("symmetric(5)"), [1, 32]),
+    "word-sl2(5)": lambda: WordMetricGroup(construct_group("sl2(5)"), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NET_CARRIERS))
+def test_cover_scan_nets_match_the_scalar_scan(name):
+    g = NET_CARRIERS[name]()
+    points = g.profile_points(0)
+    for e in g.default_grid:
+        for eps in (e, e / 2, 2 * e):
+            assert_scan_matches_oracle(g, points, eps)
+    # a radius whose denominator is above 10^18
+    assert_scan_matches_oracle(g, points, Fraction(3 * 10**18 + 1, 2 * 10**18 + 7))
+
+
+def test_cover_scan_nets_match_on_the_large_word_carrier():
+    # the scalar scan of all 49,999 ids is quadratic, so it takes the ids
+    # on both sides of the wrap; the CI sweep pin covers the whole group
+    g = WordMetricGroup(construct_group("cyclic(49999)"), [1])
+    points = list(range(300)) + list(range(49_700, 49_999))
+    for eps in (Fraction(3, 2), Fraction(3, 4), 3, Fraction(5, 2), 5):
+        assert_scan_matches_oracle(g, points, eps)
+
+
+@pytest.mark.parametrize("scan", ["arc", "thinned-square", "base-then-cube"])
+def test_cover_scan_nets_match_on_partial_clouds(scan):
+    g, scans = _arc_scans()
+    for eps in (Fraction(1, 100), Fraction(1, 200), Fraction(1, 50), Fraction(3, 100)):
+        assert_scan_matches_oracle(g, scans[scan], eps, pairs=True)
 
 
 def test_entropy_report_sandwich():
@@ -255,15 +355,23 @@ def test_entropy_report_sandwich():
 def test_approx_energy_matches_discrete():
     g5 = construct_group("cyclic(5)")
     a = MSet.from_ids(g5, [0, 1, 2])
-    cloud = MetricCloud(T1, [(Fraction(i, 5),) for i in range(3)])
+    cloud = MetricCloud(TorusGroup(1, 5), range(3))     # the points 0, 1/5, 2/5
     assert approx_energy(cloud, cloud, Fraction(1, 20)) == energy(a, a).value == 19
 
 
 def test_approx_energy_grows_with_radius():
-    cloud = MetricCloud(T1, [(Fraction(i, 5),) for i in range(3)])
+    cloud = MetricCloud(TorusGroup(1, 5), range(3))
     low = approx_energy(cloud, cloud, Fraction(1, 20))
     high = approx_energy(cloud, cloud, Fraction(1, 4))
     assert high >= low
+
+
+def test_approx_energy_refuses_clouds_on_two_grids():
+    # both carriers are named torus(1), but the id 1 is 1/5 on one grid
+    # and 1/10 on the other
+    with pytest.raises(ValueError, match="different metric groups"):
+        approx_energy(grid_cloud(5), grid_cloud(10), Fraction(1, 20))
+    assert approx_energy(grid_cloud(5), grid_cloud(5), Fraction(1, 20)) == 125
 
 
 def reference_approx_energy(a, b, eps):
@@ -297,19 +405,20 @@ def reference_approx_energy(a, b, eps):
     return len(chosen), len(quads)
 
 
-T2 = TorusGroup(2)
+T2_12 = TorusGroup(2, 12)
 C30_WORD = WordMetricGroup(construct_group("cyclic(30)"), [1, 7])
 QUAT = QuaternionGroup()
 
 ENERGY_CASES = {
-    "torus1-grid": (MetricCloud(T1, T1.grid(3)),
+    "torus1-grid": (grid_cloud(3),
                     [Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]),
-    "torus1-mixed": (MetricCloud(T1, [(Fraction(k, 7),) for k in (0, 1, 3)]
-                                 + [(Fraction(1, 2),), (Fraction(2, 5),)]),
+    # 0, 1/7, 3/7, 1/2 and 2/5 on the grid of 70 points
+    "torus1-mixed": (MetricCloud(TorusGroup(1, 70), [0, 10, 30, 35, 28]),
                      [Fraction(1, 50), Fraction(1, 3)]),
-    "torus2-grid": (MetricCloud(T2, T2.grid(2)), [Fraction(1, 10), 1]),
-    "torus2-points": (MetricCloud(T2, [T2.point(0, 0), T2.point(Fraction(1, 3), 0),
-                                       T2.point(Fraction(1, 4), Fraction(3, 4))]),
+    "torus2-grid": (MetricCloud(TorusGroup(2, 2), range(4)), [Fraction(1, 10), 1]),
+    "torus2-points": (MetricCloud(T2_12, [grid_id(T2_12, 0, 0),
+                                          grid_id(T2_12, Fraction(1, 3), 0),
+                                          grid_id(T2_12, Fraction(1, 4), Fraction(3, 4))]),
                       [Fraction(1, 20), Fraction(2, 5), Fraction(4, 5)]),
     "word-cyclic30": (MetricCloud(C30_WORD, [0, 1, 2, 7, 15]),
                       [1, Fraction(3, 2), 2, Fraction(7, 2)]),
@@ -334,23 +443,23 @@ def test_approx_energy_matches_the_reference_loop(case):
 # ----------------------------------------------------------- arc measure
 
 def test_arc_measure_single_point():
-    assert arc_union_measure([(Fraction(0),)], Fraction(1, 10)) == Fraction(1, 5)
+    assert arc_union_measure([Fraction(0)], Fraction(1, 10)) == Fraction(1, 5)
 
 
 def test_arc_measure_disjoint_arcs():
-    pts = [(Fraction(0),), (Fraction(1, 2),)]
+    pts = [Fraction(0), Fraction(1, 2)]
     assert arc_union_measure(pts, Fraction(1, 10)) == Fraction(2, 5)
 
 
 def test_arc_measure_overlap_and_wraparound():
-    pts = [(Fraction(0),), (Fraction(3, 100),)]
+    pts = [Fraction(0), Fraction(3, 100)]
     assert arc_union_measure(pts, Fraction(1, 50)) == Fraction(7, 100)
-    wrap = [(Fraction(0),), (Fraction(99, 100),)]
+    wrap = [Fraction(0), Fraction(99, 100)]
     assert arc_union_measure(wrap, Fraction(1, 50)) == Fraction(1, 20)
 
 
 def test_arc_measure_ten_point_run():
-    pts = [(Fraction(i, 100),) for i in range(10)]
+    pts = [Fraction(i, 100) for i in range(10)]
     assert arc_union_measure(pts, Fraction(1, 100)) == Fraction(11, 100)
     assert arc_union_measure(pts, Fraction(1, 20)) == Fraction(19, 100)
 
@@ -448,7 +557,7 @@ def test_a_bad_word_carrier_is_named(carrier, message, capsys):
 
 
 def test_tripling_check_on_an_arc():
-    cloud = MetricCloud(T1, [(Fraction(i, 100),) for i in range(10)])
+    cloud = MetricCloud(TorusGroup(1, 100), range(10))
     rep = entropy_tripling_check(cloud, Fraction(1, 100))
     assert rep.hard_ok
     assert rep.net_base > 0
@@ -458,7 +567,7 @@ def test_tripling_check_on_an_arc():
 
 def test_tripling_check_caps_blowup():
     # 2100^2 raw pairwise products exceed the guard
-    cloud = MetricCloud(T1, T1.grid(2100))
+    cloud = grid_cloud(2100)
     with pytest.raises(ValueError):
         entropy_tripling_check(cloud, Fraction(1, 10000))
 
@@ -478,3 +587,84 @@ def test_metric_triangle_checks_every_ordered_triple():
     holds = {row.name: row.holds for row in led.rows}
     assert holds == {"metric-symmetry": True, "metric-triangle": False,
                      "metric-identity": True}
+
+
+# --------------------------------------------- bounded work for every carrier
+
+HUGE = 10**30
+
+
+def _field(rng: random.Random) -> int:
+    """A group field or generator id: small, near ORDER_CAP, a power of
+    ten up to 10^30, or any int of up to 31 digits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-2, 40)
+    if kind == 1:
+        return rng.randint(41, 2 * ORDER_CAP)
+    if kind == 2:
+        return 10 ** rng.randint(2, 30)
+    return rng.randint(-HUGE, HUGE)
+
+
+def _random_carrier(rng: random.Random) -> str:
+    """A word carrier text on a group of one family, half its group fields
+    below 12 and three in four of its generator ids below 60."""
+    def field(small, odds):
+        return rng.randrange(small) if rng.random() < odds else _field(rng)
+
+    family = rng.choice(["cyclic", "dihedral", "symmetric", "sl2", "direct_product"])
+    if family == "direct_product":
+        spec = f"direct_product(cyclic({field(12, 0.5)}),sl2({field(12, 0.5)}))"
+    else:
+        spec = f"{family}({field(12, 0.5)})"
+    gens = ",".join(str(field(60, 0.75)) for _ in range(rng.randint(1, 3)))
+    return f"word:{spec}:{gens}"
+
+
+def _bounded_profile(text: str, seconds: int) -> str | None:
+    """Parse the carrier text and run its profile under an alarm: None
+    when it runs, the message of its ValueError when it is refused."""
+    def expire(signum, frame):
+        raise TimeoutError(text)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        metric_profile_check(cli._entropy_carrier(text))
+        return None
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BOUNDED_CARRIERS = [
+    "torus1", "torus2", "torus3", "quaternion",
+    # order 49,999 with diameter 24,999: about 40 s when each point was
+    # tested against every kept center
+    "word:cyclic(49999):1",
+    f"word:cyclic({HUGE}):1", f"word:symmetric({HUGE}):1",
+    f"word:direct_product(cyclic(2),sl2({HUGE})):1",
+    f"word:cyclic(12):{HUGE}", f"word:cyclic(12):1,{-HUGE}", "word:cyclic(12):0",
+    "word:cyclic(12):2", "word:symmetric(5):1,32", "word:sl2(5):1,2",
+] + [_random_carrier(random.Random(1729 + i)) for i in range(200)]
+
+
+def test_every_carrier_runs_or_is_refused_in_bounded_time():
+    # each integer field and generator id reaches 10^30; a carrier whose
+    # work followed a field's value, or whose nets were quadratic in the
+    # order, would outlast the alarm, and any error but a one-line
+    # ValueError fails here
+    outcomes = {text: _bounded_profile(text, 10) for text in BOUNDED_CARRIERS}
+    refused = [m for m in outcomes.values() if m is not None]
+    assert 0 < len(refused) < len(outcomes)
+    assert all("\n" not in m for m in refused)
+    for text in BOUNDED_CARRIERS[:5]:
+        assert outcomes[text] is None, text
+    assert outcomes[f"word:cyclic({HUGE}):1"].endswith(f"exceeds cap {ORDER_CAP}")
+    assert outcomes[f"word:cyclic(12):{HUGE}"] == f"generator {HUGE} outside the group"
+    assert outcomes["word:cyclic(12):0"] == (
+        "need at least one generator besides the identity")
+    assert outcomes["word:cyclic(12):2"] == "generators reach only 6 of 12 elements"
