@@ -40,7 +40,11 @@ from .setops import MSet, product_set
 from .structure import ConstantLedger, _cover_scan
 
 DEFAULT_SEED = 1729
-PAIR_CAP = 10**6
+# approx_energy tests each of its P^2 candidate quadruples of P pairs
+# against the net kept before it, P^2 (P^2 - 1) / 2 tests at worst.  The
+# bound admits P = 25, the 5-point clouds: about 3.5 s at the 18 us of a
+# torus test on a 2-vCPU host (the slowest 25-pair cloud measured, 1.3 s).
+NET_TEST_CAP = 195_000
 _RAW_PRODUCT_CAP = 4 * 10**6
 _FLOAT_SLACK = 1e-12
 MC_SAMPLES = 10**6
@@ -299,13 +303,15 @@ class WordMetricGroup(_NormMetricGroup):
         return int(self._balls[min(radius, len(self._balls) - 1)])
 
     def _max_doubling_ratio(self) -> Fraction:
-        diam = self.diameter()
-        best = Fraction(1)
-        for r in range(1, diam + 1):
-            ratio = Fraction(self._ball_size(2 * r), self._ball_size(r))
-            if ratio > best:
-                best = ratio
-        return best
+        """The largest |B(2r)| / |B(r)| over r up to the diameter, and at
+        least 1, compared by cross-multiplying the integer ball counts."""
+        balls, last = self._balls.tolist(), len(self._balls) - 1
+        num, den = 1, 1
+        for r in range(1, self.diameter() + 1):
+            big, small = balls[min(2 * r, last)], balls[r]
+            if big * den > num * small:
+                num, den = big, small
+        return Fraction(num, den)
 
     def distance_value(self, p, q) -> int:
         return self.dist_from_identity[self._offset(p, q)]
@@ -373,10 +379,12 @@ def approx_energy(a: MetricCloud, b: MetricCloud, eps) -> int:
         raise ValueError("clouds live on different metric groups")
     g = a.group
     e = g.as_eps(eps)
-    if len(a) * len(b) > PAIR_CAP:
+    n_pairs = len(a) * len(b)
+    tests = n_pairs**2 * (n_pairs**2 - 1) // 2
+    if tests > NET_TEST_CAP:
         raise ValueError(
-            "pair count %d exceeds cap %d" % (len(a) * len(b), PAIR_CAP)
-        )
+            f"approx_energy of {n_pairs} pairs may run {tests} net tests, "
+            f"above the bound {NET_TEST_CAP}")
     pairs = [(x, y, g.mul(x, y)) for x in a.points for y in b.points]
     net = []
     for xa, xb, pa in pairs:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac
-from .groups import (FiniteGroup, _first_non_normalizer, _split_call, _split_fields,
-                     construct_group, subgroup_closure)
+from .groups import (FiniteGroup, _first_non_normalizer, _int_arg, _named_fields,
+                     _required, _split_call, _split_fields, construct_group,
+                     subgroup_closure)
 from .setops import (MSet, inverse_set, power_set, product_set, random_ids,
                      symmetrize, translate_left)
 
@@ -77,30 +78,6 @@ def _ids_arg(g: FiniteGroup, field: str, what: str) -> list[int]:
     return [_id(g, x, what) for x in _ints_arg(field, what)]
 
 
-def _named_fields(args, what: str) -> dict[str, str]:
-    out = {}
-    for field in args:
-        key, eq, value = field.partition("=")
-        key = key.strip()
-        if not eq:
-            raise ValueError(f"{what} expects key=value fields, got {field!r}")
-        if key not in FAMILY_FIELDS[what]:
-            raise ValueError(f"unknown {what} field {key!r}")
-        if key in out:
-            raise ValueError(f"duplicate {what} field {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _required(args, key, family: str, name: str) -> str:
-    """The field at `key` (a position in the raw fields, or a name among
-    key=value fields), or a ValueError that names the missing field."""
-    try:
-        return args[key]
-    except (IndexError, KeyError):
-        raise ValueError(f"{family} is missing its {name} field") from None
-
-
 def _closure_set(g: FiniteGroup, gens: list[int]) -> MSet:
     return MSet.from_ids(g, subgroup_closure(g, gens or [0]))
 
@@ -123,14 +100,14 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         if len(args) != 2:
             raise ValueError("coset expects gens;point")
         base = _closure_set(g, _ids_arg(g, args[0], family))
-        return translate_left(_id(g, int(args[1]), family), base)
+        return translate_left(_id(g, _int_arg(args[1], family, "point"), family), base)
 
     if family == "geometric_progression":
         if len(args) == 1:
             fields = _ints_arg(args[0], family)
         else:
-            fields = [int(_required(args, 0, family, "base")),
-                      int(_required(args, 1, family, "length"))]
+            fields = [_int_arg(_required(args, i, family, name), family, name)
+                      for i, name in enumerate(("base", "length"))]
         if len(fields) != 2:
             raise ValueError("geometric_progression expects base,length")
         base, length = _id(g, fields[0], family), fields[1]
@@ -149,7 +126,7 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         gens = _ids_arg(g, _required(args, 0, family, "gens"), family)
         sub = subgroup_closure(g, gens)
         if len(args) > 1:
-            x = _id(g, int(args[1]), family)
+            x = _id(g, _int_arg(args[1], family, "point"), family)
             if _first_non_normalizer(g, [x], sub) is None:
                 raise ValueError(
                     f"point {x} normalizes the subgroup; the family needs an "
@@ -167,7 +144,7 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         if len(args) != 2:
             raise ValueError("union_of_cosets expects gens;count")
         base = _closure_set(g, _ids_arg(g, args[0], family))
-        count = int(args[1])
+        count = _int_arg(args[1], family, "count")
         if count < 1:
             raise ValueError("coset count must be positive")
         a, wanted = base, count - 1     # base is the coset of id 0
@@ -179,17 +156,17 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         return a
 
     if family == "random_dense":
-        fields = _named_fields(args, family)
+        fields = _named_fields(args, family, FAMILY_FIELDS[family])
         density = frac(_required(fields, "density", family, "density"))
         if not 0 < density <= 1:
             raise ValueError(f"density must lie in (0,1], got {density}")
         if seed is None:
-            seed = int(_required(fields, "seed", family, "seed"))
+            seed = _int_arg(_required(fields, "seed", family, "seed"), family, "seed")
         ids = random_ids(g, random.Random(seed), density)
         return MSet.from_ids(g, ids if len(ids) else [0])
 
     if family == "ball_in_word_metric":
-        radius = int(_required(args, 0, family, "radius"))
+        radius = _int_arg(_required(args, 0, family, "radius"), family, "radius")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         gens = _ids_arg(g, args[1], family) if len(args) > 1 else [1]

@@ -451,18 +451,16 @@ def _split_call(text: str) -> tuple[str, str]:
     return text[:i].strip(), text[i + 1:-1]
 
 
-def _int_arg(args: str, head: str) -> int:
-    try:
-        return int(args.strip())
-    except ValueError:
-        raise ValueError(f"{head} expects one integer argument, got {args!r}")
-
-
-def _top_level_parts(text: str, sep: str) -> list[str]:
-    """The stripped parts of text between the seps outside parentheses,
-    empty ones included."""
+def _split_fields(body: str, what: str, sep: str) -> list[str]:
+    """The stripped top-level parts of `body` between the seps, outside
+    parentheses: the ;-separated fields of a family body or pairing spec,
+    or the entries of a list, of the thing named by `what`.  An empty body
+    has no parts; an empty part is refused by its position, so it cannot
+    shift the parts after it."""
+    if not body.strip():
+        return []
     parts, depth, cur = [], 0, []
-    for ch in text:
+    for ch in body:
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -473,26 +471,44 @@ def _top_level_parts(text: str, sep: str) -> list[str]:
         else:
             cur.append(ch)
     parts.append("".join(cur).strip())
+    if "" in parts:
+        noun = "field" if sep == ";" else "entry"
+        raise ValueError(f"{what} {noun} {parts.index('') + 1} is empty")
     return parts
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """The nonempty top-level parts of a list."""
-    return [p for p in _top_level_parts(text, sep) if p]
+def _named_fields(fields, what: str, keys) -> dict[str, str]:
+    """The key=value fields of `what` by key: each key one of `keys`, and
+    given once."""
+    out = {}
+    for field in fields:
+        key, eq, value = field.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"{what} expects key=value fields, got {field!r}")
+        if key not in keys:
+            raise ValueError(f"unknown {what} field {key!r}")
+        if key in out:
+            raise ValueError(f"duplicate {what} field {key!r}")
+        out[key] = value.strip()
+    return out
 
 
-def _split_fields(body: str, what: str, sep: str) -> list[str]:
-    """The top-level parts of `body` between the seps: the ;-separated
-    fields of a family body or pairing spec, or the entries of a comma list,
-    of the thing named by `what`.  An empty body has no parts; an empty part
-    is refused by its position, so it cannot shift the parts after it."""
-    if not body.strip():
-        return []
-    fields = _top_level_parts(body, sep)
-    if "" in fields:
-        noun = "field" if sep == ";" else "entry"
-        raise ValueError(f"{what} {noun} {fields.index('') + 1} is empty")
-    return fields
+def _required(fields, key, what: str, name: str) -> str:
+    """The field at `key` (a position among split fields, or a key among
+    named ones), or a ValueError that names the missing field."""
+    try:
+        return fields[key]
+    except (IndexError, KeyError):
+        raise ValueError(f"{what} is missing its {name} field") from None
+
+
+def _int_arg(text: str, what: str, name: str = "argument") -> int:
+    """The integer of one field, or a ValueError that names its owner."""
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ValueError(f"{what} expects an integer {name}, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,10 @@ from .groups import (
     _first_non_normalizer,
     _grid,
     _is_prime,
+    _named_fields,
     _product_blocks,
     _require_order,
+    _required,
     _row_blocks,
     _sampled,
     _split_fields,
@@ -139,32 +141,20 @@ class PairingSpec:
 
 
 def parse_pairing_spec(text: str) -> PairingSpec:
-    """Parse the argument text of heisenberg(...): three ;-separated fields
-    z=Zp^k,p=P then w=Zp^m,p=Q then pairing=symplectic|zero."""
-    seen: dict[str, str] = {}
-    for part in _split_fields(text, "pairing", ";"):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in ("z", "w", "pairing") or not value:
-            raise ValueError(f"malformed pairing field {part!r}")
-        if key in seen:
-            raise ValueError(f"duplicate pairing field {key!r}")
-        seen[key] = value.strip()
-    missing = [key for key in ("z", "w", "pairing") if key not in seen]
-    if missing:
-        raise ValueError(f"pairing spec is missing field(s) {missing}")
-    ranks = {}
-    for key in ("z", "w"):
-        m = _FIELD_RE.match(seen[key])
+    """Parse the argument text of heisenberg(...): the three ;-separated
+    fields z=Zp^k,p=P, w=Zp^m,p=Q and pairing=symplectic|zero, each given
+    once, in any order."""
+    keys = ("z", "w", "pairing")
+    fields = _named_fields(_split_fields(text, "pairing", ";"), "pairing", keys)
+    *groups, kind = (_required(fields, key, "pairing", key) for key in keys)
+    ranks = []
+    for key, value in zip(keys, groups):
+        m = _FIELD_RE.match(value)
         if m is None:
             raise ValueError(
-                f"malformed {key} group {seen[key]!r}; expected Zp^<rank>,p=<prime>")
-        ranks[key] = (int(m.group(1)), int(m.group(2)))
-    return PairingSpec(
-        z_rank=ranks["z"][0], z_prime=ranks["z"][1],
-        w_rank=ranks["w"][0], w_prime=ranks["w"][1],
-        kind=seen["pairing"],
-    )
+                f"malformed {key} group {value!r}; expected Zp^<rank>,p=<prime>")
+        ranks += (int(m.group(1)), int(m.group(2)))
+    return PairingSpec(*ranks, kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from .families import (
 from .groups import (
     FiniteGroup,
     NotNormalError,
-    _split_top_level,
+    _required,
+    _split_fields,
     construct_group,
     quotient_map,
     subgroup_closure,
@@ -290,48 +291,34 @@ _NUMBER_KEYS = {
 
 def parse_suite_config(text: str) -> SuiteConfig:
     """Flat key-value grammar: optional top-level `out = dir`, then repeated
-    `[suite]` sections with name/groups/families/epsilon/n/seed/count."""
-    out = None
-    jobs: list[SuiteJob] = []
-    current: dict | None = None
-
-    def flush():
-        nonlocal current
-        if current is None:
-            return
-        if "name" not in current:
-            raise ValueError("a [suite] section is missing its name")
-        jobs.append(SuiteJob(**current))
-        current = None
-
+    `[suite]` sections with name/groups/families/epsilon/n/seed/count, each
+    key at most once per section.  Every error starts with its line."""
+    top: dict = {}
+    sections: list[tuple[int, dict]] = []     # (line of [suite], its keys)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line, at = raw.strip(), f"line {lineno}:"
         if not line or line.startswith("#"):
             continue
         if line == "[suite]":
-            flush()
-            current = {}
+            sections.append((lineno, {}))
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ValueError(f"{at} expected key = value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if current is None:
+        current = sections[-1][1] if sections else top
+        if key in current:
+            raise ValueError(f"{at} duplicate key {key!r}")
+        if not sections:
             if key != "out":
-                raise ValueError(
-                    f"line {lineno}: only `out` may appear before [suite]")
-            out = value
-            continue
-        if key == "name":
+                raise ValueError(f"{at} only `out` may appear before [suite]")
+        elif key == "name":
             if value not in SUITE_NAMES:
                 raise ValueError(
-                    f"line {lineno}: unknown suite {value!r}; "
-                    f"expected one of {SUITE_NAMES}")
-            current["name"] = value
-        elif key == "groups":
-            current["groups"] = tuple(_split_top_level(value, ","))
-        elif key == "families":
-            current["families"] = tuple(_split_top_level(value, ";"))
+                    f"{at} unknown suite {value!r}; expected one of {SUITE_NAMES}")
+        elif key in ("groups", "families"):
+            value = tuple(_split_fields(value, f"{at} {key}",
+                                        "," if key == "groups" else ";"))
         elif key in _NUMBER_KEYS:
             parse, ok, expected = _NUMBER_KEYS[key]
             try:
@@ -339,13 +326,15 @@ def parse_suite_config(text: str) -> SuiteConfig:
             except (ValueError, ZeroDivisionError):
                 number = None
             if number is None or not ok(number):
-                raise ValueError(
-                    f"line {lineno}: {key} must be {expected}, got {value!r}")
-            current[key] = number
+                raise ValueError(f"{at} {key} must be {expected}, got {value!r}")
+            value = number
         else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-    flush()
-    return SuiteConfig(jobs=tuple(jobs), out=out)
+            raise ValueError(f"{at} unknown key {key!r}")
+        current[key] = value
+    for start, fields in sections:
+        _required(fields, "name", f"line {start}: [suite] section", "name")
+    return SuiteConfig(jobs=tuple(SuiteJob(**fields) for _, fields in sections),
+                       out=top.get("out"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ measures reduce to interval bookkeeping in Fractions.
 import itertools
 import math
 import random
-import signal
 import tracemalloc
 from fractions import Fraction
 
@@ -350,6 +349,17 @@ def test_entropy_report_sandwich():
     assert "sandwich-low-0" in names and "sandwich-high-0" in names
 
 
+@pytest.mark.parametrize("spec, gens", [
+    ("cyclic(30)", [1, 7]), ("cyclic(999)", [1]), ("symmetric(5)", [1, 32]),
+    ("sl2(5)", [1, 2]), ("dihedral(15)", [1, 15]),
+])
+def test_word_doubling_bound_is_the_largest_ball_ratio(spec, gens):
+    w = WordMetricGroup(construct_group(spec), gens)
+    ratios = [Fraction(w._ball_size(2 * r), w._ball_size(r))
+              for r in range(1, w.diameter() + 1)]
+    assert w.doubling_bound == max([Fraction(1)] + ratios)
+
+
 # --------------------------------------------------------------- energy
 
 def test_approx_energy_matches_discrete():
@@ -372,6 +382,19 @@ def test_approx_energy_refuses_clouds_on_two_grids():
     with pytest.raises(ValueError, match="different metric groups"):
         approx_energy(grid_cloud(5), grid_cloud(10), Fraction(1, 20))
     assert approx_energy(grid_cloud(5), grid_cloud(5), Fraction(1, 20)) == 125
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (MetricCloud(TorusGroup(1, 26), range(13)), MetricCloud(TorusGroup(1, 26), range(2)),
+     "approx_energy of 26 pairs may run 228150 net tests, above the bound 195000"),
+    # 4.5 s when only the pair list was capped
+    (grid_cloud(10), grid_cloud(10),
+     "approx_energy of 100 pairs may run 49995000 net tests, above the bound 195000"),
+])
+def test_approx_energy_refuses_a_cloud_past_its_work_bound_at_once(a, b, message,
+                                                                   refusal):
+    # the 25 pairs of grid_cloud(5), the largest test clouds, stay inside
+    assert refusal(1, approx_energy, a, b, Fraction(1, 100)) == message
 
 
 def reference_approx_energy(a, b, eps):
@@ -622,22 +645,9 @@ def _random_carrier(rng: random.Random) -> str:
     return f"word:{spec}:{gens}"
 
 
-def _bounded_profile(text: str, seconds: int) -> str | None:
-    """Parse the carrier text and run its profile under an alarm: None
-    when it runs, the message of its ValueError when it is refused."""
-    def expire(signum, frame):
-        raise TimeoutError(text)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        metric_profile_check(cli._entropy_carrier(text))
-        return None
-    except ValueError as exc:
-        return str(exc)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def _profile(text: str):
+    """Parse the carrier text and run its profile."""
+    metric_profile_check(cli._entropy_carrier(text))
 
 
 BOUNDED_CARRIERS = [
@@ -652,12 +662,12 @@ BOUNDED_CARRIERS = [
 ] + [_random_carrier(random.Random(1729 + i)) for i in range(200)]
 
 
-def test_every_carrier_runs_or_is_refused_in_bounded_time():
+def test_every_carrier_runs_or_is_refused_in_bounded_time(refusal):
     # each integer field and generator id reaches 10^30; a carrier whose
     # work followed a field's value, or whose nets were quadratic in the
     # order, would outlast the alarm, and any error but a one-line
     # ValueError fails here
-    outcomes = {text: _bounded_profile(text, 10) for text in BOUNDED_CARRIERS}
+    outcomes = {text: refusal(10, _profile, text) for text in BOUNDED_CARRIERS}
     refused = [m for m in outcomes.values() if m is not None]
     assert 0 < len(refused) < len(outcomes)
     assert all("\n" not in m for m in refused)

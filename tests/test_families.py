@@ -2,7 +2,6 @@
 
 import random
 import re
-import signal
 from fractions import Fraction
 
 import pytest
@@ -55,32 +54,14 @@ def test_progression_of_length_one_is_identity():
     assert gen(G12, "geometric_progression(5,1)").ids() == (0,)
 
 
-def _bounded_generate(group, text: str, seconds: int) -> str | None:
-    """Generate text in group under an alarm: None when it builds, the
-    message of its ValueError when it is refused."""
-    def expire(signum, frame):
-        raise TimeoutError(text)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        gen(group, text)
-        return None
-    except ValueError as exc:
-        return str(exc)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("text", [
     "ball_in_word_metric(1000000000000;1)",
     "geometric_progression(1,1000000000000)",
 ])
-def test_a_huge_field_costs_at_most_the_group_order(text):
+def test_a_huge_field_costs_at_most_the_group_order(text, refusal):
     # the ball's power chain and the progression's orbit both stop within
     # 12 steps; walking 10^12 of them would outlast the alarm
-    assert _bounded_generate(G12, text, 5) is None
+    assert refusal(5, gen, G12, text) is None
     assert gen(G12, text).ids() == tuple(range(12))
 
 
@@ -123,13 +104,13 @@ def _random_family(rng: random.Random, order: int) -> str:
 
 
 @pytest.mark.parametrize("group", [G12, S4], ids=["cyclic(12)", "symmetric(4)"])
-def test_every_family_builds_or_is_refused_in_bounded_time(group):
+def test_every_family_builds_or_is_refused_in_bounded_time(group, refusal):
     # each integer field reaches 10^30; a family whose work followed a
     # count, length or radius instead of the group order would outlast
     # the alarm, and any error but a one-line ValueError fails here
     rng = random.Random(f"1729:{SPECS[id(group)]}")
     texts = [_random_family(rng, group.order) for _ in range(400)]
-    outcomes = {text: _bounded_generate(group, text, 5) for text in texts}
+    outcomes = {text: refusal(5, gen, group, text) for text in texts}
     refused = [m for m in outcomes.values() if m is not None]
     assert 0 < len(refused) < len(texts)
     assert all("\n" not in m for m in refused)
@@ -283,6 +264,23 @@ def test_ids_outside_the_group_are_rejected(text, bad, capsys):
 ])
 def test_duplicate_unknown_and_surplus_fields_are_named(text, message, capsys):
     with pytest.raises(ValueError, match=re.escape(message)):
+        generate_set(SetFamilySpec.parse("symmetric(4)", text))
+    assert main(["set", "gen", "symmetric(4)", text]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("coset(1;x)", "coset expects an integer point, got 'x'"),
+    ("subgroup_plus_point(1;1.5)", "subgroup_plus_point expects an integer point, got '1.5'"),
+    ("union_of_cosets(1;two)", "union_of_cosets expects an integer count, got 'two'"),
+    ("geometric_progression(b;3)", "geometric_progression expects an integer base, got 'b'"),
+    ("geometric_progression(1;1e3)",
+     "geometric_progression expects an integer length, got '1e3'"),
+    ("ball_in_word_metric(r)", "ball_in_word_metric expects an integer radius, got 'r'"),
+    ("random_dense(density=1/2;seed=0x1)", "random_dense expects an integer seed, got '0x1'"),
+])
+def test_an_integer_field_that_does_not_parse_is_named(text, message, capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate_set(SetFamilySpec.parse("symmetric(4)", text))
     assert main(["set", "gen", "symmetric(4)", text]) == 1
     assert capsys.readouterr().err.splitlines() == [message]

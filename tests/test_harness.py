@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -216,17 +217,31 @@ def test_parse_minimal_config():
     assert job.seed == DEFAULT_SEED
 
 
-def test_config_lists_drop_empty_entries():
-    # unlike a comma entry inside a spec, an empty config list entry is
-    # skipped
-    job = parse_suite_config("""
-    [suite]
-    name = covering
-    groups = cyclic(24),, dihedral(6),
-    families = subgroup(2);; coset(2;1);
-    """).jobs[0]
-    assert job.groups == ("cyclic(24)", "dihedral(6)")
-    assert job.families == ("subgroup(2)", "coset(2;1)")
+@pytest.mark.parametrize("line, message", [
+    ("groups = cyclic(24),, dihedral(6)", "line 3: groups entry 2 is empty"),
+    ("groups = cyclic(24), dihedral(6),", "line 3: groups entry 3 is empty"),
+    ("families = ;subgroup(2)", "line 3: families field 1 is empty"),
+    ("families = subgroup(2);; coset(2;1)", "line 3: families field 2 is empty"),
+], ids=["groups-inner", "groups-trailing", "families-leading", "families-inner"])
+def test_config_lists_refuse_an_empty_entry_by_position(line, message):
+    # like a comma entry inside a spec: skipping it would hide a typo
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_suite_config(f"[suite]\nname = covering\n{line}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[suite]\nname = covering\nname = tripling\n", "line 3: duplicate key 'name'"),
+    ("[suite]\nname = bsg\nn = 2\n# n again\nn = 3\n", "line 5: duplicate key 'n'"),
+    ("out = a\nout = b\n[suite]\nname = bsg\n", "line 2: duplicate key 'out'"),
+    ("[suite]\nname = bsg\n\n[suite]\ngroups = cyclic(4)\n",
+     "line 4: [suite] section is missing its name field"),
+])
+def test_config_refuses_a_repeated_key_or_a_nameless_section_by_its_line(
+        text, message):
+    # the second suite of a section would otherwise run silently in
+    # place of the first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_suite_config(text)
 
 
 def test_parse_rejects_bad_lines():
@@ -259,6 +274,56 @@ def test_parse_keeps_values_at_the_edges():
 def test_parse_rejects_k_key():
     with pytest.raises(ValueError, match="unknown key 'k'"):
         parse_suite_config("[suite]\nname = bsg\nk = 2\n")
+
+
+def _config_value(rng: random.Random, key: str) -> str:
+    """A value for key: well formed, out of range, with an empty list
+    entry, or a number of up to 31 digits."""
+    def number() -> str:
+        return str(rng.choice([rng.randint(-2, 12), 10 ** rng.randint(2, 30),
+                               rng.randint(-10**30, 10**30)]))
+
+    if key == "name":
+        return rng.choice(SUITE_NAMES + ("mystery", ""))
+    if key in ("groups", "families"):
+        pool = (["cyclic(4)", "direct_product(cyclic(2),cyclic(3))", f"cyclic({10**30})", ""]
+                if key == "groups" else ["subgroup(2)", "coset(2;1)", f"subgroup({10**30})", ""])
+        return (", " if key == "groups" else "; ").join(
+            rng.choice(pool) for _ in range(rng.randint(1, 3)))
+    if key == "epsilon":
+        return rng.choice([f"{number()}/{number()}", "0.25", "1/3", "x"])
+    return rng.choice([number(), number(), "1.5", "x"])
+
+
+def _random_config(rng: random.Random) -> str:
+    """A suite config text: an optional out line, then up to three [suite]
+    sections of keys drawn from the grammar with repeats and an unknown
+    one, and a comment, a blank line or a line with no '=' among them."""
+    keys = ["name", "name", "groups", "families", "epsilon", "n", "seed", "count",
+            "out", "colour"]
+    lines = [f"out = r{rng.randrange(2)}" for _ in range(rng.choice([0, 0, 0, 1, 1, 2]))]
+    for _ in range(rng.randint(0, 3)):
+        lines.append("[suite]")
+        for key in rng.sample(keys, rng.randint(0, 4)):
+            lines.append(f"{key} = {_config_value(rng, key)}")
+    if lines and rng.randrange(2):
+        lines.insert(rng.randrange(len(lines)), rng.choice(["# note", "", "n 5"]))
+    return "\n".join(lines)
+
+
+def test_every_config_parses_or_is_refused_by_its_line(refusal):
+    # each number reaches 10^30; any error but a one-line ValueError that
+    # names a line of the text fails here
+    rng = random.Random(1729)
+    texts = [_random_config(rng) for _ in range(400)]
+    outcomes = {text: refusal(5, parse_suite_config, text) for text in texts}
+    refused = [m for m in outcomes.values() if m is not None]
+    assert 0 < len(refused) < len(outcomes)
+    for text, message in outcomes.items():
+        if message is not None:
+            lineno = re.match(r"line (\d+): ", message)
+            assert lineno and "\n" not in message, (text, message)
+            assert 1 <= int(lineno[1]) <= len(text.splitlines())
 
 
 def test_default_config_covers_every_suite():
@@ -519,6 +584,8 @@ GOLDEN_SUITE_DIGESTS = {
         "206d36473c63d6e255161e852427658184ecf6ade2d55513567df85851116939",
     "entropy":
         "4e1b7b0ed774d22d0352adcb93f3b58d75c06cb583e60b43c6702a938d6b248c",
+    "heisenberg":
+        "0726564ec78e53aad949ae56fd55f0bb4167f46391216c2577f4ef7d3f4651b7",
 }
 
 

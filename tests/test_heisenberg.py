@@ -27,6 +27,7 @@ from setgrowth.heisenberg import (
     CANDIDATE_COVER_EXP,
     CANDIDATE_KS_EXP,
     HeisenbergGroup,
+    PAIRING_KINDS,
     build_heisenberg,
     exact_split_oracle,
     heisen_inverse,
@@ -62,6 +63,21 @@ def test_parse_rejects_malformed():
             parse_pairing_spec(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("z=Zp^2,p=3;w=Zp^1,p=3", "pairing is missing its pairing field"),
+    ("pairing=zero;z=Zp^2,p=3", "pairing is missing its w field"),
+    ("z=Zp^2,p=3;w=Zp^1,p=3;pairing=zero;colour=red",
+     "unknown pairing field 'colour'"),
+    ("z=Zp^2,p=3;w=Zp^1,p=3;z=Zp^2,p=3;pairing=zero", "duplicate pairing field 'z'"),
+    ("z=Zp^2,p=3;w;pairing=zero", "pairing expects key=value fields, got 'w'"),
+])
+def test_parse_names_a_missing_unknown_or_repeated_field(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_pairing_spec(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        construct_group(f"heisenberg({text})")
+
+
 @pytest.mark.parametrize("text, position", [
     (";z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic", 1),
     ("z=Zp^2,p=3;;w=Zp^1,p=3;pairing=symplectic", 2),
@@ -70,6 +86,59 @@ def test_parse_rejects_malformed():
 def test_parse_refuses_an_empty_field_by_position(text, position):
     with pytest.raises(ValueError, match=f"^pairing field {position} is empty$"):
         parse_pairing_spec(text)
+
+
+def _pairing_field(rng: random.Random, small) -> int:
+    """An integer field of a pairing spec: one of `small` four times in
+    five, else a power of ten up to 10^30 or any int of up to 31 digits."""
+    kind = rng.randrange(10)
+    if kind < 8:
+        return rng.choice(small)
+    return 10 ** rng.randint(1, 30) if kind == 8 else rng.randint(0, 10**30)
+
+
+def _random_pairing(rng: random.Random) -> str:
+    """A pairing spec text: its three fields in any order, and one time in
+    two a field dropped, repeated, emptied, unknown or malformed."""
+    def group(key):
+        rank, prime = _pairing_field(rng, (1, 2, 3)), _pairing_field(rng, (2, 3, 4, 5, 7))
+        return f"{key}=Zp^{rank},p={prime}"
+
+    kind = rng.choice(PAIRING_KINDS * 3 + ("", "twisted"))
+    fields = [group("z"), group("w"), f"pairing={kind}"]
+    rng.shuffle(fields)
+    at, mutation = rng.randrange(len(fields) + 1), rng.randrange(10)
+    if mutation == 0:
+        fields.pop(at % len(fields))
+    elif mutation == 1:
+        fields.insert(at, rng.choice(fields))
+    elif mutation == 2:
+        fields.insert(at, "colour=red")
+    elif mutation == 3:
+        fields.insert(at, " ")
+    elif mutation == 4:
+        fields[at % len(fields)] = rng.choice(
+            ["z", "w=", "pairing zero", "z=Zp^-1,p=3", "w=Zp^1,p=3,", "z=Zp^2;p=3"])
+    return ";".join(fields)
+
+
+def _parse_and_build(text: str):
+    parse_pairing_spec(text)
+    construct_group(f"heisenberg({text})")
+
+
+def test_every_pairing_spec_builds_or_is_refused_in_bounded_time(refusal):
+    # each integer field reaches 10^30; a spec whose work followed a rank
+    # or a modulus instead of the order cap would outlast the alarm, and
+    # any error but a one-line ValueError fails here
+    rng = random.Random(1729)
+    outcomes = {}
+    for _ in range(300):
+        text = _random_pairing(rng)
+        outcomes[text] = refusal(10, _parse_and_build, text)
+    refused = [m for m in outcomes.values() if m is not None]
+    assert 0 < len(refused) < len(outcomes)
+    assert all("\n" not in m for m in refused)
 
 
 def test_build_p3():
