@@ -104,7 +104,7 @@ def _cmd_bsg_run(args) -> int:
     a = _load_set(args.group, args.set, seed)
     b = _load_set(args.group, args.set2, seed) if args.set2 else a
     if args.k is not None:
-        k = frac(args.k)
+        k = frac(args.k, "--k", "K")
     else:
         e_val = energy(a, b).value
         k = _energy_k(a, b, e_val)
@@ -131,7 +131,7 @@ def _cmd_heisen_run(args) -> int:
     if not isinstance(a.group, hb.HeisenbergGroup):
         print("heisen run needs a heisenberg(...) group spec", file=sys.stderr)
         return 2
-    k = frac(args.k) if args.k is not None else measured_tripling(a)
+    k = frac(args.k, "--k", "K") if args.k is not None else measured_tripling(a)
     if args.k is None:
         print(f"inferred K = {k} from |A^3|/|A|")
     try:

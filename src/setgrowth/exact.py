@@ -19,14 +19,17 @@ if hasattr(sys, "set_int_max_str_digits"):
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def frac(value) -> Fraction:
-    """Coerce ints, 'p/q' strings, floats, and Fractions to Fraction."""
+def frac(value, what: str = "frac", name: str = "value") -> Fraction:
+    """Coerce ints, 'p/q' strings, floats, and Fractions to Fraction; text
+    that does not parse names its owner, as groups._int_arg does."""
     if isinstance(value, Fraction):
         return value
     try:
         return Fraction(value)
     except ZeroDivisionError:       # text from outside, such as '1/0'
         raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        raise ValueError(f"{what} expects a rational {name}, got {value!r}") from None
 
 
 def ceil_isqrt(n: int) -> int:

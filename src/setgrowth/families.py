@@ -157,7 +157,7 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
 
     if family == "random_dense":
         fields = _named_fields(args, family, FAMILY_FIELDS[family])
-        density = frac(_required(fields, "density", family, "density"))
+        density = frac(_required(fields, "density", family, "density"), family, "density")
         if not 0 < density <= 1:
             raise ValueError(f"density must lie in (0,1], got {density}")
         if seed is None:

@@ -45,6 +45,7 @@ from .families import (
 from .groups import (
     FiniteGroup,
     NotNormalError,
+    _parse_group,
     _required,
     _split_fields,
     construct_group,
@@ -319,6 +320,12 @@ def parse_suite_config(text: str) -> SuiteConfig:
         elif key in ("groups", "families"):
             value = tuple(_split_fields(value, f"{at} {key}",
                                         "," if key == "groups" else ";"))
+            for entry in value:     # parsed only: no group is built here
+                try:
+                    (_parse_group(entry) if key == "groups"
+                     else SetFamilySpec.parse("", entry))
+                except ValueError as exc:
+                    raise ValueError(f"{at} {exc}") from None
         elif key in _NUMBER_KEYS:
             parse, ok, expected = _NUMBER_KEYS[key]
             try:

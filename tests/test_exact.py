@@ -42,6 +42,21 @@ def test_frac_refuses_a_zero_denominator(command, capsys):
     assert capsys.readouterr().err.splitlines() == ["zero denominator in '1/0'"]
 
 
+@pytest.mark.parametrize("command", [
+    ["bsg", "run", "--group", "cyclic(12)", "--set", "subgroup(2)"],
+    ["heisen", "run", "--group",
+     "heisenberg(z=Zp^2,p=3;w=Zp^1,p=3;pairing=symplectic)",
+     "--set", "ball_in_word_metric(1;1,3)"],
+])
+@pytest.mark.parametrize("k", ["x", "1/x"])
+def test_a_rational_flag_that_does_not_parse_names_the_flag(command, k, capsys):
+    assert main(command + ["--k", k]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"--k expects a rational K, got {k!r}"]
+    with pytest.raises(ValueError, match="^frac expects a rational value, got 'x'$"):
+        frac("x")
+
+
 @given(st.integers(min_value=0, max_value=10**12))
 def test_ceil_isqrt_is_the_ceiling(n):
     r = ceil_isqrt(n)

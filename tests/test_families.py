@@ -155,6 +155,9 @@ def test_random_dense_density_range():
         gen(G12, "random_dense(density=3/2;seed=1)")
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         gen(G12, "random_dense(density=1/0;seed=1)")
+    with pytest.raises(ValueError,
+                       match="^random_dense expects a rational density, got 'x'$"):
+        gen(G12, "random_dense(density=x;seed=1)")
 
 
 def test_subgroup_plus_point_grows_cubes():

@@ -5,7 +5,7 @@ twice into fresh directories and compares raw bytes.
 """
 
 import csv
-import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -242,6 +242,26 @@ def test_config_refuses_a_repeated_key_or_a_nameless_section_by_its_line(
     # place of the first
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_suite_config(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("groups = cyclic(4),cyclic(x)",
+     "line 5: cyclic expects an integer argument, got 'x'"),
+    ("groups = heisenberg(z=Zp^2,p=3;w=Zp^1,p=3)",
+     "line 5: pairing is missing its pairing field"),
+    ("families = subgroup(1);nofam(2)", "line 5: unknown family 'nofam'"),
+    ("families = subgroup(1;;2)", "line 5: subgroup field 2 is empty"),
+])
+def test_config_specs_are_refused_by_their_line_before_any_suite_runs(
+        line, message, tmp_path, capsys):
+    # each spec is parsed, not built, as its line is read: the covering
+    # suite of the section before it never starts
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"[suite]\nname = covering\n[suite]\nname = tripling\n{line}\n")
+    assert cli.main(["suite", "run", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0].startswith(message) and len(err.splitlines()) == 1
 
 
 def test_parse_rejects_bad_lines():
@@ -559,54 +579,46 @@ def test_peak_rss_wrapper_gates_on_the_ceiling():
     assert code == 3 and stats["returncode"] == 3
 
 
-# Full sha256 of each suite's CSV report at the default seed, recorded
-# before the suite runners were made table-driven (entropy: before the
-# metric nets moved onto close_mask).  Heisenberg is left out for run time;
-# the benchmark covers it.
-GOLDEN_SUITE_DIGESTS = {
-    "ruzsa-axioms":
-        "192d1facc5a273966f3958d0f002d304b9cee4025c6ae6b1d69a0bf773fa39de",
-    "tripling":
-        "f47ae45afd5914ffe25a139292d4080b826b66d58554572403f98d6aeb25b98f",
-    "covering":
-        "3bd41c556ed9d7b1bbc318061ef519bc44fbc01afea845fe3938fd5f1030497d",
-    "musprop":
-        "e63b4fa090241568ee5b21335ff390398e29c24b8f0f843c1e7ce7e94749fbf3",
-    "energy-identities":
-        "4fdb896bce321eb4c0e4586d380b66c52066238d478549b7f503ffe5d2727f42",
-    "weak-bsg":
-        "5b7fe17536ccbf37f2d4adec0a8c2a6f5a68338ce61d02ce788b301e7fcdc52b",
-    "bsg":
-        "b566e82588f1db90d5398785b3762f8010c443131e166827dbe081a7f6b40347",
-    "energy-equivalence":
-        "9a3e7e754b18afb6299f84194b5f229e9a323357ce30d0e61dd6aa3c65132f70",
-    "splitting":
-        "206d36473c63d6e255161e852427658184ecf6ade2d55513567df85851116939",
-    "entropy":
-        "4e1b7b0ed774d22d0352adcb93f3b58d75c06cb583e60b43c6702a938d6b248c",
-    "heisenberg":
-        "0726564ec78e53aad949ae56fd55f0bb4167f46391216c2577f4ef7d3f4651b7",
-}
+# Every pinned output is stated once, in pins.json, and checked by the
+# runner of scripts/pins.py (docs/formats.md, "Pinned outputs").
+_spec = importlib.util.spec_from_file_location(
+    "pins", Path(__file__).resolve().parents[1] / "scripts" / "pins.py")
+pins = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pins)
+PINS = pins.load()
 
 
-def _suite_digest(name, out):
-    rep = run_named_suite(name, seed=DEFAULT_SEED)
-    (path,) = emit_report(rep, format="csv", out=str(out))
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_report_digest_is_pinned(name):
+    entries = [pin for pin in PINS if pin["argv"] == ["verify", name]]
+    assert list(pins.check(entries)) == [f"ok verify-{name}"]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_DIGESTS))
-def test_suite_report_digest_is_pinned(name, tmp_path):
-    assert _suite_digest(name, tmp_path) == GOLDEN_SUITE_DIGESTS[name]
+def test_every_pin_beyond_the_suites_holds():
+    entries = [pin for pin in PINS if pin["argv"][0] != "verify"]
+    assert len(entries) + len(SUITE_NAMES) == len(PINS)
+    assert list(pins.check(entries)) == [f"ok {pin['name']}" for pin in entries]
+
+
+def test_a_wrong_pin_is_named_with_the_digest_it_got():
+    (pin,) = [pin for pin in PINS if pin["name"] == "sweep-torus1"]
+    assert list(pins.check([dict(pin, sha256="0" * 64)])) == [
+        f"MISMATCH sweep-torus1: got {pin['sha256']}, exit 0"]
+
+
+def test_the_benchmark_reference_is_the_suite_all_pin():
+    reference = json.loads((pins.ROOT / "perfbench" / "reference.json").read_text())
+    assert pins.reference_mismatch(PINS, reference) is None
+    reference["digests"]["suite-default"] = "0" * 64
+    assert pins.reference_mismatch(PINS, reference).startswith(
+        f"MISMATCH perfbench/reference.json: suite-default is {'0' * 64}, ")
 
 
 @pytest.mark.parametrize("path", ["law-only", "eager-tables"])
-def test_suite_digests_do_not_depend_on_the_product_path(path, monkeypatch,
-                                                         tmp_path):
-    # the whole-run differential, from fresh groups: every product on the
-    # law with every blocked sweep split at 97 products, or every group's
-    # table built as soon as construct_group interns it
+def test_pinned_digests_do_not_depend_on_the_product_path(path, monkeypatch):
+    # the whole-run differential over every pin, from fresh groups: every
+    # product on the law with every blocked sweep split at 97 products, or
+    # every group's table built as soon as construct_group interns it
     monkeypatch.setattr(groups, "_GROUPS", {})
     if path == "law-only":
         monkeypatch.setattr(groups, "TABLE_CAP", 0)
@@ -622,9 +634,7 @@ def test_suite_digests_do_not_depend_on_the_product_path(path, monkeypatch,
             return g
 
         monkeypatch.setattr(groups, "_interned", eager)
-    digests = {name: _suite_digest(name, tmp_path)
-               for name in sorted(GOLDEN_SUITE_DIGESTS)}
-    assert digests == GOLDEN_SUITE_DIGESTS
+    assert list(pins.check(PINS)) == [f"ok {pin['name']}" for pin in PINS]
     tabled = [g._table is not None for g in groups._GROUPS.values()
               if g.order <= groups.TABLE_CAP]
     assert len(groups._GROUPS) > 10

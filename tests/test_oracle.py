@@ -1,0 +1,107 @@
+"""Exhaustive small-group oracle for the Ruzsa rows and covers.
+
+A subset of a group of order n <= 8 is an n-bit mask.  The product of two
+subsets is the OR of right translates, each read off the scalar law
+``g.mul``, so the oracle table uses no group table, vectorized law or
+library set operation.  The Ruzsa checks run on every nonempty subset of
+their groups, the cover checks on every ordered pair.
+"""
+
+import numpy as np
+import pytest
+
+from setgrowth.groups import construct_group
+from setgrowth.setops import (MSet, RuzsaDistanceValue, ruzsa_distance,
+                              ruzsa_triangle_cleared)
+from setgrowth.structure import ruzsa_cover
+
+
+def _subset_products(g):
+    """(table, inv): table[m, k] is the mask of A·B for A, B the subsets
+    with masks m and k (row and column 0 are the empty set), and inv[m]
+    the mask of A⁻¹."""
+    n = g.order
+    masks = np.arange(1 << n, dtype=np.int64)
+    right = np.zeros((1 << n, n), dtype=np.int64)      # [m, x]: mask of A·x
+    inv = np.zeros(1 << n, dtype=np.int64)
+    for a in range(n):
+        bit = (masks >> a) & 1
+        inv |= bit << g.inv(a)
+        for x in range(n):
+            right[:, x] |= bit << g.mul(a, x)
+    table = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    for k in range(1, 1 << n):                          # A·B = A·B' ∪ A·b
+        low = k & -k
+        table[:, k] = table[:, k ^ low] | right[:, low.bit_length() - 1]
+    return table, inv
+
+
+def _bitmask(s: MSet) -> int:
+    return sum(1 << x for x in s.ids())
+
+
+def _subsets(g):
+    return [MSet.from_ids(g, [x for x in range(g.order) if m >> x & 1])
+            for m in range(1, 1 << g.order)]
+
+
+# 63 nonempty subsets of an order-6 group, 255 of an order-8 one: every
+# ordered pair of the first checked against ruzsa_distance, every 37th of
+# the second; the table's rows, on every triple, through the library's
+# cleared forms, which take numpy arrays for their parts
+@pytest.mark.parametrize("spec, stride", [
+    ("symmetric(3)", 1), ("dihedral(3)", 1), ("dihedral(4)", 37), ("cyclic(8)", 37)])
+def test_ruzsa_rows_hold_on_every_subset_triple(spec, stride):
+    g = construct_group(spec)
+    table, inv = _subset_products(g)
+    sizes = np.bitwise_count(np.arange(1, 1 << g.order))
+    diff = np.bitwise_count(table[1:, inv[1:]]).astype(np.int64)  # |A·B⁻¹|
+    sets = _subsets(g)
+    for i in range(0, len(sets) ** 2, stride):
+        a, b = divmod(i, len(sets))
+        d = ruzsa_distance(sets[a], sets[b])
+        assert (d.numerator, d.a_size, d.b_size) == (diff[a, b], sizes[a], sizes[b])
+    assert (diff == diff.T).all()                       # d(A,B) = d(B,A)
+    col, row = sizes[:, None], sizes[None, :]
+    d_ac = RuzsaDistanceValue(diff, col, row)
+    assert d_ac.is_nonnegative().all()
+    for b, size in enumerate(sizes):
+        d_ab = RuzsaDistanceValue(diff[:, b, None], col, size)
+        d_bc = RuzsaDistanceValue(diff[None, b, :], size, row)
+        assert ruzsa_triangle_cleared(d_ab, d_bc, d_ac).all(), (spec, b + 1)
+
+
+def _greedy(table, a, b, side):
+    """The mask of the ids of b, in ascending order, whose translate of a
+    (a·y on the left, y·a on the right) misses the ones taken before."""
+    taken = union = 0
+    for y in range(b.bit_length()):
+        if b >> y & 1:
+            t = table[a][1 << y] if side == "left" else table[1 << y][a]
+            if not t & union:
+                taken, union = taken | 1 << y, union | t
+    return taken
+
+
+@pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(3)"])
+def test_ruzsa_cover_on_every_ordered_pair(spec):
+    g = construct_group(spec)
+    table, inv = _subset_products(g)
+    table, inv = table.tolist(), inv.tolist()
+    sets = _subsets(g)
+    for a, set_a in enumerate(sets, 1):
+        size_a = a.bit_count()
+        for b, set_b in enumerate(sets, 1):
+            for side in ("left", "right"):
+                x = _bitmask(ruzsa_cover(set_a, set_b, side))
+                assert x == _greedy(table, a, b, side), (spec, a, b, side)
+                if side == "left":      # b ⊆ a⁻¹·a·X, |X||a| <= |a·b|
+                    covered = table[table[inv[a]][a]][x]
+                    translates, product = table[a][x], table[a][b]
+                else:                   # b ⊆ X·a·a⁻¹, |X||a| <= |b·a|
+                    covered = table[x][table[a][inv[a]]]
+                    translates, product = table[x][a], table[b][a]
+                assert x & ~b == 0 and b & ~covered == 0
+                # the translates of a by X are disjoint
+                assert translates.bit_count() == x.bit_count() * size_a
+                assert x.bit_count() * size_a <= product.bit_count()
