@@ -1,13 +1,19 @@
 #!/usr/bin/env python
 """Check every vectorized product and inverse of whole runs against the
-scalar law.
+scalar law, and a seeded stride of product sets against frozenset
+arithmetic.
 
 Usage: PYTHONPATH=src python scripts/scalar_shadow.py
 
 While the runs below execute, ``FiniteGroup.mul_pairs`` and
 ``FiniteGroup.inv_array`` are wrapped: the wrapper returns the library's
 own result and checks each of its entries against the family's scalar
-``mul``/``inv``, which never reads a table or a vectorized law.  The runs:
+``mul``/``inv``, which never reads a table or a vectorized law.
+``setops.product_set`` is wrapped too, in every module that imported it:
+one call in ``SET_STRIDE``, from an offset seeded by the run's name, is
+recomputed as the frozenset {mul(x, y) : x in A, y in B} of scalar
+products, unless |A|·|B| is over ``SET_PAIR_CAP``, which counts the call
+as skipped.  The runs:
 
   suite     ``run_suite(default_config())``, the default ``suite run``;
   classify  ``classify_small_doubling`` on 60 seeded random ids of sl2(31);
@@ -19,11 +25,12 @@ own result and checks each of its entries against the family's scalar
             are cover scans with the metric ball on the right, on a
             non-abelian group.
 
-Every call is checked.  Prints one JSON line per run, with its calls,
-products and inverses checked, mismatches, wall time and the error that
-stopped it (a wrong law can fail a hard row before the run ends), and exits 1
-when any entry differs from the scalar law or a run raised, else 0.  This is
-a slow oracle, not a Tier-1 test.
+Every ``mul_pairs`` and ``inv_array`` call is checked.  Prints one JSON
+line per run, with its calls, products and inverses checked, product sets
+called, checked and skipped, mismatches, wall time and the error that
+stopped it (a wrong law can fail a hard row before the run ends), and exits
+1 when any entry or product set differs from the scalar law or a run
+raised, else 0.  This is a slow oracle, not a Tier-1 test.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from setgrowth import groups
+# the suites load every module that imports product_set before it is wrapped
+import setgrowth.suites  # noqa: F401
+from setgrowth import groups, setops
 from setgrowth.families import SetFamilySpec, generate_set, measured_tripling
 from setgrowth.groups import FiniteGroup, construct_group
 from setgrowth.setops import MSet, product_set
@@ -45,6 +54,9 @@ HEISEN_SPEC = "heisenberg(z=Zp^2,p=31;w=Zp^1,p=31;pairing=symplectic)"
 HEISEN_SET = "ball_in_word_metric(2;1,31)"
 CLASSIFY_SPEC, CLASSIFY_SIZE = "sl2(31)", 60
 WORD_SPEC, WORD_GENS = "sl2(31)", (1, 2)
+SET_STRIDE = 8              # one product_set call in this many is recomputed
+SET_PAIR_CAP = 1 << 19      # scalar products one recomputed call may take
+SEED = 1729
 
 
 class Shadow:
@@ -53,8 +65,10 @@ class Shadow:
     def __init__(self):
         self.reset()
 
-    def reset(self):
+    def reset(self, run: str = ""):
         self.calls = self.products = self.inverses = 0
+        self.set_calls = self.sets_checked = self.sets_skipped = 0
+        self.set_offset = random.Random(f"{SEED}:{run}").randrange(SET_STRIDE)
         self.mismatches = 0
         self.examples: list[str] = []     # the first ten mismatches
 
@@ -92,6 +106,28 @@ class Shadow:
 
         return checked_mul_pairs, checked_inv_array
 
+    def wrap_product_set(self, product_set):
+        shadow = self
+
+        def checked_product_set(a, b):
+            out = product_set(a, b)
+            shadow.set_calls += 1
+            if shadow.set_calls % SET_STRIDE != shadow.set_offset:
+                return out
+            if a.size * b.size > SET_PAIR_CAP:
+                shadow.sets_skipped += 1
+                return out
+            shadow.sets_checked += 1
+            g = a.group
+            want = frozenset(g.mul(x, y) for x in a.ids() for y in b.ids())
+            if frozenset(out.ids()) != want:
+                shadow._miss(f"{g.name}: product_set of |A| = {a.size}, "
+                             f"|B| = {b.size} has {out.size} ids, "
+                             f"the scalar products {len(want)}")
+            return out
+
+        return checked_product_set
+
 
 def run_default_suite():
     from setgrowth.suites import default_config, run_suite
@@ -126,16 +162,25 @@ RUNS = {"suite": run_default_suite, "classify": run_classify,
         "heisen": run_heisen, "entropy": run_entropy}
 
 
+def _product_set_importers():
+    return [m for name, m in sys.modules.items()
+            if name.startswith("setgrowth")
+            and getattr(m, "product_set", None) is setops.product_set]
+
+
 def main() -> int:
     shadow = Shadow()
     originals = FiniteGroup.mul_pairs, FiniteGroup.inv_array
+    importers = _product_set_importers()
     FiniteGroup.mul_pairs, FiniteGroup.inv_array = shadow.wrap(*originals)
+    for module in importers:
+        module.product_set = shadow.wrap_product_set(product_set)
     failed = False
     try:
         for name, run in RUNS.items():
             # fresh groups per run, so each run builds its own tables
             groups._GROUPS.clear()
-            shadow.reset()
+            shadow.reset(name)
             start = time.perf_counter()
             try:
                 run()
@@ -145,13 +190,18 @@ def main() -> int:
             wall = time.perf_counter() - start
             print(json.dumps({
                 "run": name, "calls": shadow.calls, "products": shadow.products,
-                "inverses": shadow.inverses, "mismatches": shadow.mismatches,
+                "inverses": shadow.inverses, "product_sets": shadow.set_calls,
+                "sets_checked": shadow.sets_checked,
+                "sets_skipped": shadow.sets_skipped,
+                "mismatches": shadow.mismatches,
                 "wall_s": round(wall, 2), "error": error}))
             for text in shadow.examples:
                 print(text, file=sys.stderr)
             failed |= shadow.mismatches > 0 or error is not None
     finally:
         FiniteGroup.mul_pairs, FiniteGroup.inv_array = originals
+        for module in importers:
+            module.product_set = product_set
     return 1 if failed else 0
 
 

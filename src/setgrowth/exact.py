@@ -7,6 +7,7 @@ appear only in display strings and in the quaternion metric.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -71,21 +72,38 @@ def _leaves(n: int, width: int, out: list[str]) -> None:
     _leaves(rest << half | n & ((1 << half) - 1), half, out)
 
 
+def _digit_bound(n: int) -> int:
+    """An upper bound on the digits of |n|, from its bits."""
+    return int(n.bit_length() * 0.30103) + 1
+
+
 def _int_text(n: int) -> str:
     """str(n) byte for byte, ValueError past the digit limit included."""
     if -_LEAF_BOUND < n < _LEAF_BOUND:
         return str(n)
-    magnitude = abs(n)
-    digits = int(magnitude.bit_length() * 0.30103) + 1   # >= len(str(|n|))
-    if 0 < _max_str_digits() < digits:
+    if 0 < _max_str_digits() < _digit_bound(n):
         return str(n)               # str() itself refuses past the limit
+    return _block_text(n)
+
+
+# Rows sort by (module, operation), and neighbouring rows share their big
+# numerators and denominators, so a few recent texts are kept.  The memo is
+# keyed on the int, whose hash is cheap, never on a Fraction, whose hash
+# takes a modular inverse; the digit limit is checked before it is read.
+_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _block_text(n: int) -> str:
+    """str(n) for |n| >= _LEAF_BOUND, by blocks."""
+    digits = _digit_bound(n)
     width = _LEAF_DIGITS
     while width < digits:
         if width not in _POW5:
             _POW5[width] = _POW5[width // 2] ** 2
         width *= 2
     out: list[str] = []
-    _leaves(magnitude, width, out)
+    _leaves(abs(n), width, out)
     text = "".join(out).lstrip("0")
     return "-" + text if n < 0 else text
 

@@ -162,6 +162,10 @@ class FiniteGroup:
 
 
 class CyclicGroup(FiniteGroup):
+    @staticmethod
+    def require_order(n: int) -> None:
+        _require_order((n,), f"cyclic({n})", n)
+
     def __init__(self, n: int):
         super().__init__(n, f"cyclic({n})")
         self.n = n
@@ -181,6 +185,10 @@ class CyclicGroup(FiniteGroup):
 
 class DihedralGroup(FiniteGroup):
     """Symmetries of the regular n-gon, order 2n, n >= 1."""
+
+    @staticmethod
+    def require_order(n: int) -> None:
+        _require_order((2, n), f"dihedral({n})", 2 * n)
 
     def __init__(self, n: int):
         super().__init__(2 * n, f"dihedral({n})")
@@ -221,10 +229,14 @@ class SymmetricGroup(FiniteGroup):
     the code by Horner's rule; no (..., n) array of images is formed.
     """
 
+    @staticmethod
+    def require_order(n: int) -> None:
+        _require_order(range(2, n + 1), f"symmetric({n})", f"{n}!")
+
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"symmetric(n) needs n >= 0, got {n}")
-        _require_order(range(2, n + 1), f"symmetric({n})", f"{n}!")
+        self.require_order(n)
         perms = list(itertools.permutations(range(n)))
         super().__init__(len(perms), f"symmetric({n})")
         self.n = n
@@ -277,8 +289,12 @@ class SL2Group(FiniteGroup):
     matrix is below p^4 = 923,521, far inside int32.
     """
 
-    def __init__(self, p: int):
+    @staticmethod
+    def require_order(p: int) -> None:
         _require_order((p, p * p - 1), f"sl2({p})", p * (p * p - 1))
+
+    def __init__(self, p: int):
+        self.require_order(p)
         if not _is_prime(p):
             raise ValueError(f"sl2 needs a prime modulus, got {p}")
         ident = (1, 0, 0, 1)
@@ -417,7 +433,9 @@ def _parse_group(text: str) -> tuple:
     text = text.strip()
     head, args = _split_call(text)
     if head in _INT_FAMILIES:
-        return head, _int_arg(args, head)
+        n = _int_arg(args, head)
+        _INT_FAMILIES[head].require_order(n)    # stated, not built
+        return head, n
     if head == "direct_product":
         return head, tuple(_parse_group(part)
                            for part in _split_fields(args, head, ","))

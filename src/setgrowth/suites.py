@@ -13,7 +13,6 @@ purpose) strings, so identical configs give identical reports.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import os
 import random
@@ -166,13 +165,31 @@ class Report:
         return counts
 
 
+def _csv_cell(text: str) -> str:
+    r"""A cell as csv.writer(lineterminator="\n") writes it: quoted, its
+    quotes doubled, iff it holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# One CSV_HEADER row, every cell a string but seq.
+_CSV_ROW = "%s,%s,%d,%s,%s,%s,%s,%s,%s,%s\n"
+
+
 class _CsvRows:
-    """The CSV report on fh, header first, one line per writerow."""
+    """The CSV report on fh, header first, one write per row."""
 
     def __init__(self, fh, report: Report):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        self.writerow = writer.writerow
+        self._fh = fh
+        fh.write(",".join(CSV_HEADER) + "\n")
+
+    def writerow(self, cells) -> None:
+        module, operation, seq, name, kind, lhs, rel, rhs, status, note = cells
+        q = _csv_cell
+        self._fh.write(_CSV_ROW % (
+            q(module), q(operation), seq, q(name), q(kind), q(lhs), q(rel),
+            q(rhs), q(status), q(note)))
 
     def close(self) -> None:
         pass

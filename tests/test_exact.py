@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setgrowth import exact
 from setgrowth.cli import main
 from setgrowth.exact import (
     ceil_isqrt,
@@ -111,6 +112,27 @@ def test_render_value_refuses_what_str_refuses():
         with pytest.raises(ValueError) as raised:
             render_value(side)
         assert str(raised.value) == str(expected.value)
+
+
+def test_render_value_repeats_big_ints_from_the_memo_as_str():
+    big = 7**5000   # 4,226 digits
+    hits = exact._block_text.cache_info().hits
+    for side in (big, -big, big, -big, big + 1, Fraction(-big, big + 2)):
+        assert render_value(side) == str(side)
+    assert exact._block_text.cache_info().hits >= hits + 3
+
+
+def test_a_rendered_side_still_refuses_under_a_lowered_limit():
+    side = 10**5000 + 1
+    assert render_value(side) == str(side)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for value in (side, Fraction(1, side)):
+            with pytest.raises(ValueError, match="4300"):
+                render_value(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_ledger_line_renders_sides_like_the_report_cells():

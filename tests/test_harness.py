@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setgrowth import groups, suites
 from setgrowth.groups import construct_group, subgroup_closure
@@ -249,6 +250,8 @@ def test_config_refuses_a_repeated_key_or_a_nameless_section_by_its_line(
      "line 5: cyclic expects an integer argument, got 'x'"),
     ("groups = heisenberg(z=Zp^2,p=3;w=Zp^1,p=3)",
      "line 5: pairing is missing its pairing field"),
+    ("groups = cyclic(4),symmetric(9)",
+     "line 5: group order 9! of symmetric(9) exceeds cap 50000"),
     ("families = subgroup(1);nofam(2)", "line 5: unknown family 'nofam'"),
     ("families = subgroup(1;;2)", "line 5: subgroup field 2 is empty"),
 ])
@@ -544,6 +547,30 @@ def test_streamed_writers_match_the_buffered_writers(make, tmp_path):
     assert open(json_path, "rb").read() == want_json.encode("utf-8")
     (single,) = emit_report(rep, format="json", out=str(tmp_path / "one"))
     assert open(single, "rb").read() == want_json.encode("utf-8")
+
+
+_csv_texts = st.builds(
+    lambda pad, text: " " * pad + text, st.integers(0, 2),
+    st.text(st.one_of(st.sampled_from(',"\n\r'),
+                      st.characters(exclude_categories=("Cs",))), max_size=8))
+_csv_rows = st.tuples(_csv_texts, _csv_texts, st.integers(0, 10**6),
+                      *[_csv_texts] * 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_csv_rows, max_size=4))
+def test_csv_lines_match_csv_writer(rows):
+    # the template quotes a cell iff it holds a comma, a quote or a newline:
+    # a lone carriage return stays bare, as csv.writer leaves it
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows)
+    got = io.StringIO()
+    out = suites._CsvRows(got, Report("csv-demo"))
+    for row in rows:
+        out.writerow(row)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_emit_both_memory_does_not_hold_the_files(tmp_path):
