@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check every vectorized product and inverse of whole runs against the
-scalar law, and a seeded stride of product sets against frozenset
-arithmetic.
+scalar law, and a seeded stride of product sets and pool-table count rows
+against frozenset and Counter arithmetic.
 
 Usage: PYTHONPATH=src python scripts/scalar_shadow.py
 
@@ -13,7 +13,11 @@ own result and checks each of its entries against the family's scalar
 one call in ``SET_STRIDE``, from an offset seeded by the run's name, is
 recomputed as the frozenset {mul(x, y) : x in A, y in B} of scalar
 products, unless |A|·|B| is over ``SET_PAIR_CAP``, which counts the call
-as skipped.  The runs:
+as skipped.  ``setops._pair_counts``, the pool-table kernel of the
+ruzsa-axioms, energy-identities and covering suites, is wrapped the same
+way: one count row in ``SET_STRIDE``, over all the rows the kernel yields
+in the run, is recomputed as the Counter of scalar products x·y over its
+operand pair, or skipped past ``SET_PAIR_CAP``.  The runs:
 
   suite     ``run_suite(default_config())``, the default ``suite run``;
   classify  ``classify_small_doubling`` on 60 seeded random ids of sl2(31);
@@ -27,10 +31,11 @@ as skipped.  The runs:
 
 Every ``mul_pairs`` and ``inv_array`` call is checked.  Prints one JSON
 line per run, with its calls, products and inverses checked, product sets
-called, checked and skipped, mismatches, wall time and the error that
-stopped it (a wrong law can fail a hard row before the run ends), and exits
-1 when any entry or product set differs from the scalar law or a run
-raised, else 0.  This is a slow oracle, not a Tier-1 test.
+called, checked and skipped, pool-table rows yielded, checked and skipped,
+mismatches, wall time and the error that stopped it (a wrong law can fail a
+hard row before the run ends), and exits 1 when any entry, product set or
+count row differs from the scalar law or a run raised, else 0.  This is a
+slow oracle, not a Tier-1 test.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -48,13 +54,14 @@ import setgrowth.suites  # noqa: F401
 from setgrowth import groups, setops
 from setgrowth.families import SetFamilySpec, generate_set, measured_tripling
 from setgrowth.groups import FiniteGroup, construct_group
-from setgrowth.setops import MSet, product_set
+from setgrowth.setops import MSet, _pair_counts, product_set
 
 HEISEN_SPEC = "heisenberg(z=Zp^2,p=31;w=Zp^1,p=31;pairing=symplectic)"
 HEISEN_SET = "ball_in_word_metric(2;1,31)"
 CLASSIFY_SPEC, CLASSIFY_SIZE = "sl2(31)", 60
 WORD_SPEC, WORD_GENS = "sl2(31)", (1, 2)
-SET_STRIDE = 8              # one product_set call in this many is recomputed
+SET_STRIDE = 8              # one product_set call (or count row) in this many
+                            # is recomputed
 SET_PAIR_CAP = 1 << 19      # scalar products one recomputed call may take
 SEED = 1729
 
@@ -68,6 +75,7 @@ class Shadow:
     def reset(self, run: str = ""):
         self.calls = self.products = self.inverses = 0
         self.set_calls = self.sets_checked = self.sets_skipped = 0
+        self.pair_rows = self.rows_checked = self.rows_skipped = 0
         self.set_offset = random.Random(f"{SEED}:{run}").randrange(SET_STRIDE)
         self.mismatches = 0
         self.examples: list[str] = []     # the first ten mismatches
@@ -128,6 +136,30 @@ class Shadow:
 
         return checked_product_set
 
+    def wrap_pair_counts(self, pair_counts):
+        shadow = self
+
+        def checked_pair_counts(g, pairs):
+            for rows, counts in pair_counts(g, pairs):
+                for (xs, ys), row in zip(pairs[rows], counts):
+                    shadow.pair_rows += 1
+                    if shadow.pair_rows % SET_STRIDE != shadow.set_offset:
+                        continue
+                    if len(xs) * len(ys) > SET_PAIR_CAP:
+                        shadow.rows_skipped += 1
+                        continue
+                    shadow.rows_checked += 1
+                    want = Counter(g.mul(x, y) for x in np.ravel(xs).tolist()
+                                   for y in np.ravel(ys).tolist())
+                    support = np.flatnonzero(row)
+                    if dict(zip(support.tolist(), row[support].tolist())) != want:
+                        shadow._miss(f"{g.name}: count row of |X| = {len(xs)}, "
+                                     f"|Y| = {len(ys)} has {len(support)} "
+                                     f"products, the scalar law {len(want)}")
+                yield rows, counts
+
+        return checked_pair_counts
+
 
 def run_default_suite():
     from setgrowth.suites import default_config, run_suite
@@ -162,19 +194,23 @@ RUNS = {"suite": run_default_suite, "classify": run_classify,
         "heisen": run_heisen, "entropy": run_entropy}
 
 
-def _product_set_importers():
-    return [m for name, m in sys.modules.items()
-            if name.startswith("setgrowth")
-            and getattr(m, "product_set", None) is setops.product_set]
+def _importers(name: str):
+    """The setgrowth modules that hold setops' function `name`."""
+    return [m for key, m in sys.modules.items()
+            if key.startswith("setgrowth")
+            and getattr(m, name, None) is getattr(setops, name)]
 
 
 def main() -> int:
     shadow = Shadow()
     originals = FiniteGroup.mul_pairs, FiniteGroup.inv_array
-    importers = _product_set_importers()
+    importers = _importers("product_set")
+    kernel_importers = _importers("_pair_counts")
     FiniteGroup.mul_pairs, FiniteGroup.inv_array = shadow.wrap(*originals)
     for module in importers:
         module.product_set = shadow.wrap_product_set(product_set)
+    for module in kernel_importers:
+        module._pair_counts = shadow.wrap_pair_counts(_pair_counts)
     failed = False
     try:
         for name, run in RUNS.items():
@@ -193,6 +229,9 @@ def main() -> int:
                 "inverses": shadow.inverses, "product_sets": shadow.set_calls,
                 "sets_checked": shadow.sets_checked,
                 "sets_skipped": shadow.sets_skipped,
+                "pair_rows": shadow.pair_rows,
+                "rows_checked": shadow.rows_checked,
+                "rows_skipped": shadow.rows_skipped,
                 "mismatches": shadow.mismatches,
                 "wall_s": round(wall, 2), "error": error}))
             for text in shadow.examples:
@@ -202,6 +241,8 @@ def main() -> int:
         FiniteGroup.mul_pairs, FiniteGroup.inv_array = originals
         for module in importers:
             module.product_set = product_set
+        for module in kernel_importers:
+            module._pair_counts = _pair_counts
     return 1 if failed else 0
 
 

@@ -164,7 +164,7 @@ class FiniteGroup:
 class CyclicGroup(FiniteGroup):
     @staticmethod
     def require_order(n: int) -> None:
-        _require_order((n,), f"cyclic({n})", n)
+        return _require_order((n,), f"cyclic({n})", n)
 
     def __init__(self, n: int):
         super().__init__(n, f"cyclic({n})")
@@ -188,7 +188,7 @@ class DihedralGroup(FiniteGroup):
 
     @staticmethod
     def require_order(n: int) -> None:
-        _require_order((2, n), f"dihedral({n})", 2 * n)
+        return _require_order((2, n), f"dihedral({n})", 2 * n)
 
     def __init__(self, n: int):
         super().__init__(2 * n, f"dihedral({n})")
@@ -231,7 +231,7 @@ class SymmetricGroup(FiniteGroup):
 
     @staticmethod
     def require_order(n: int) -> None:
-        _require_order(range(2, n + 1), f"symmetric({n})", f"{n}!")
+        return _require_order(range(2, n + 1), f"symmetric({n})", f"{n}!")
 
     def __init__(self, n: int):
         if n < 0:
@@ -291,7 +291,7 @@ class SL2Group(FiniteGroup):
 
     @staticmethod
     def require_order(p: int) -> None:
-        _require_order((p, p * p - 1), f"sl2({p})", p * (p * p - 1))
+        return _require_order((p, p * p - 1), f"sl2({p})", p * (p * p - 1))
 
     def __init__(self, p: int):
         self.require_order(p)
@@ -387,15 +387,16 @@ class DirectProductGroup(FiniteGroup):
         )
 
 
-def _require_order(factors, name: str, shown) -> None:
-    """Refuse the group `name`, whose order is the product of `factors` and
-    reads `shown`, as soon as a partial product passes ORDER_CAP, so each
+def _require_order(factors, name: str, shown) -> int:
+    """The order of the group `name`, the product of `factors`, which reads
+    `shown`; refused as soon as a partial product passes ORDER_CAP, so each
     family states its order before it enumerates anything."""
     order = 1
     for f in factors:
         order *= f
         if order > ORDER_CAP:
             raise ValueError(f"group order {shown} of {name} exceeds cap {ORDER_CAP}")
+    return order
 
 
 def _is_prime(n: int) -> bool:
@@ -430,19 +431,28 @@ _INT_FAMILIES = {"cyclic": CyclicGroup, "dihedral": DihedralGroup,
 
 def _parse_group(text: str) -> tuple:
     """The hashable parsed form (family, argument) of a spec text."""
+    return _parse_stated(text)[0]
+
+
+def _parse_stated(text: str) -> tuple[tuple, int]:
+    """The parsed form of a spec text and the group's order, stated from
+    the spec, a direct product's from its factors', with nothing built."""
     text = text.strip()
     head, args = _split_call(text)
     if head in _INT_FAMILIES:
         n = _int_arg(args, head)
-        _INT_FAMILIES[head].require_order(n)    # stated, not built
-        return head, n
+        return (head, n), _INT_FAMILIES[head].require_order(n)
     if head == "direct_product":
-        return head, tuple(_parse_group(part)
-                           for part in _split_fields(args, head, ","))
+        parts = [_parse_stated(part) for part in _split_fields(args, head, ",")]
+        order = math.prod(order for _, order in parts)
+        return (head, tuple(key for key, _ in parts)), _require_order(
+            (order,), text, order)
     if head == "heisenberg":
         from . import heisenberg
 
-        return head, heisenberg.parse_pairing_spec(args)
+        spec = heisenberg.parse_pairing_spec(args)
+        order = spec.z_prime ** spec.z_rank * spec.w_prime ** spec.w_rank
+        return (head, spec), order
     raise ValueError(f"unknown group family {head!r} in {text!r}")
 
 

@@ -16,8 +16,15 @@ of products, so memory stays linear in the group order whatever the set
 sizes.  Besides ``convolution``, the count array of ``_set_counts`` has
 three readers: ``energy``, the core of ``structure.symmetric_core``
 (|A ∩ A·x| at every x) and the translate choice of ``bsg._step_iii_iv``
-(|A′ ∩ tH| and |B′ ∩ Ht| at every t).  A set keeps its inverse once
-formed, so ``inverse_set`` gathers ``inv_array`` at most once per set.
+(|A′ ∩ tH| and |B′ ∩ Ht| at every t).  ``_pair_counts``, the pool-table
+kernel, forms the count rows of a whole list of operand pairs in one
+blocked sweep, one ``mul_pairs`` per block of pairs; its three readers are
+the ruzsa-axioms, energy-identities and covering suites, which form each
+distinct pair their draws need once.  Its blocks hold at most BLOCK_PAIRS
+products and count cells, or one pair with one count row, so its memory
+stays within one block whatever the list's length.  A set keeps its
+inverse once formed, so ``inverse_set`` gathers ``inv_array`` at most once
+per set.
 ``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
 every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
 A = B = {0,2,4,6}).  Otherwise a product stops forming row blocks once its
@@ -323,6 +330,34 @@ def _product_counts(g: FiniteGroup, blocks) -> np.ndarray:
     for block in blocks:
         counts += np.bincount(block.ravel(), minlength=g.order)
     return counts
+
+
+def _pair_counts(g: FiniteGroup, pairs):
+    """The pairs (rows, counts) over the _row_blocks of a list of operand
+    pairs (xs, ys) of id arrays: counts[r] is the int64 row over ids of
+    1_X * 1_Y for the pair rows.start + r.  A block of several pairs pads
+    their ids to its longest operands, takes the valid cells of one
+    broadcast, forms them by one ``mul_pairs`` and counts them by one
+    ``bincount`` at r·order + product; a block of one pair takes the
+    ``_product_blocks`` of ``_set_counts``.  A block holds at most
+    BLOCK_PAIRS padded products and count cells, or one pair."""
+    n = g.order
+    lens = np.array([(len(xs), len(ys)) for xs, ys in pairs],
+                    dtype=np.intp).reshape(-1, 2)
+    cells = max(n, int(lens.max(0, initial=0).prod()))
+    for rows in _row_blocks(len(pairs), cells):
+        k, (la, lb) = rows.stop - rows.start, lens[rows].max(0)
+        if k == 1:
+            blocks = _product_blocks(g, *pairs[rows.start])
+            yield rows, _product_counts(g, (b for _, b in blocks))[None]
+            continue
+        xs, ys = np.zeros((k, la), dtype=np.intp), np.zeros((k, lb), dtype=np.intp)
+        for r, (x, y) in enumerate(pairs[rows]):
+            xs[r, :len(x)], ys[r, :len(y)] = x, y
+        r, i, j = np.nonzero((np.arange(la) < lens[rows, :1])[:, :, None]
+                             & (np.arange(lb) < lens[rows, 1:])[:, None, :])
+        block = g.mul_pairs(xs[r, i], ys[r, j])
+        yield rows, np.bincount(r * n + block, minlength=k * n).reshape(k, n)
 
 
 @dataclass

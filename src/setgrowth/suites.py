@@ -22,6 +22,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
+import numpy as np
+
 from . import heisenberg as hb
 from .bsg import bsg_extract, energy_equivalences, weak_bsg
 from .entropy import (
@@ -52,14 +54,16 @@ from .groups import (
     subgroup_closure,
 )
 from .setops import (
+    EnergyValue,
     MSet,
+    RuzsaDistanceValue,
+    _pair_counts,
     energy,
     energy_quadruple_count,
     inverse_set,
     power_set,
     product_set,
     random_ids,
-    ruzsa_distance,
     ruzsa_triangle_cleared,
     subgroup_failure,
     symmetrize,
@@ -69,14 +73,15 @@ from .structure import (
     ConstantLedger,
     LedgerError,
     LedgerRow,
+    _cover_scan,
     approx_group_from_tripling,
     local_tripling_check,
-    ruzsa_cover,
     symmetric_core,
     tripling_chain,
 )
 
 DEFAULT_SEED = 1729
+DRAW_CHUNK = 1024       # draws per pool table in the ruzsa, energy and cover suites
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +479,39 @@ def _topped_up(job: SuiteJob, g: FiniteGroup, pool, rng: random.Random,
 # ---------------------------------------------------------------------------
 # Suites
 
+def _chunks(draws):
+    """Lists of at most DRAW_CHUNK consecutive draws: a pool table holds the
+    pairs of one list, so its memory does not grow with the job's count."""
+    draws = iter(draws)
+    while chunk := list(itertools.islice(draws, DRAW_CHUNK)):
+        yield chunk
+
+
+def _operands(pool) -> list:
+    """The id arrays of the pool's sets, A_i at i, then of their inverses,
+    A_i⁻¹ at len(pool) + i."""
+    sets = [a for _, a in pool]
+    return [a.id_array() for a in sets] + [inverse_set(a).id_array() for a in sets]
+
+
+def _pair_table(g: FiniteGroup, operands, keys) -> dict:
+    """{(i, j): (|X_i·X_j|, E(X_i, X_j))} over the distinct pairs among keys,
+    X_i the id array operands[i]: each product formed once, all of them in
+    one kernel sweep."""
+    keys, table = list(dict.fromkeys(keys)), {}
+    pairs = [(operands[i], operands[j]) for i, j in keys]
+    for rows, counts in _pair_counts(g, pairs):
+        table.update(zip(keys[rows], zip(
+            np.count_nonzero(counts, axis=1).tolist(),
+            np.einsum("ij,ij->i", counts, counts).tolist())))
+    return table
+
+
+def _pair_rows(g: FiniteGroup, pairs):
+    """The count row over ids of 1_X * 1_Y of each operand pair, in order."""
+    return (row for _, counts in _pair_counts(g, pairs) for row in counts)
+
+
 def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
     module = "setcalc"
     for gspec, g, pool, rng in _group_pools(job, report, module, "triples",
@@ -481,27 +519,38 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
         op = f"ruzsa_distance[{gspec}]"
         triangle = symmetry = nonneg = invariance = True
         witness = ""
-        for (la, a), (lb, b), (lc, c) in _draws(job, pool, rng, arity=3):
-            d_ab = ruzsa_distance(a, b)
-            if not ruzsa_triangle_cleared(d_ab, ruzsa_distance(b, c),
-                                          ruzsa_distance(a, c)):
-                triangle = False
-                witness = witness or f"triangle fails at ({la},{lb},{lc})"
-            ab = d_ab.numerator
-            ba = product_set(b, inverse_set(a)).size
-            if ab != ba:
-                symmetry = False
-                witness = witness or f"symmetry fails at ({la},{lb})"
-            if not d_ab.is_nonnegative():
-                nonneg = False
-                witness = witness or f"nonnegativity fails at ({la},{lb})"
-            x = rng.randrange(g.order)
-            y = rng.randrange(g.order)
-            xa = translate_left(x, a)
-            yb = translate_left(y, b)
-            if product_set(xa, inverse_set(yb)).size != ab:
-                invariance = False
-                witness = witness or f"invariance fails at ({la},{lb},x={x},y={y})"
+        n, sizes = len(pool), [a.size for _, a in pool]
+        for draws in _chunks((abc, rng.randrange(g.order), rng.randrange(g.order))
+                             for abc in _draws(job, range(n), rng, arity=3)):
+            # after the pool's operands, xA at 2n + s and (yB)⁻¹ at 2n + t + s
+            ops, t = _operands(pool), len(draws)
+            moved = [row.nonzero()[0] for row in _pair_rows(g, [
+                ([x], ops[a]) for (a, _, _), x, _ in draws] + [
+                ([y], ops[b]) for (_, b, _), _, y in draws])]
+            ops += moved[:t] + [g.inv_array(yb) for yb in moved[t:]]
+            table = _pair_table(g, ops, itertools.chain.from_iterable(
+                ((a, n + b), (b, n + c), (a, n + c), (b, n + a),
+                 (2 * n + s, 2 * n + t + s))
+                for s, ((a, b, c), _, _) in enumerate(draws)))
+            for s, ((a, b, c), x, y) in enumerate(draws):
+                la, lb, lc = pool[a][0], pool[b][0], pool[c][0]
+                d_ab, d_bc, d_ac = (
+                    RuzsaDistanceValue(table[i, n + j][0], sizes[i], sizes[j])
+                    for i, j in ((a, b), (b, c), (a, c)))
+                if not ruzsa_triangle_cleared(d_ab, d_bc, d_ac):
+                    triangle = False
+                    witness = witness or f"triangle fails at ({la},{lb},{lc})"
+                ab = d_ab.numerator
+                if ab != table[b, n + a][0]:
+                    symmetry = False
+                    witness = witness or f"symmetry fails at ({la},{lb})"
+                if not d_ab.is_nonnegative():
+                    nonneg = False
+                    witness = witness or f"nonnegativity fails at ({la},{lb})"
+                if table[2 * n + s, 2 * n + t + s][0] != ab:
+                    invariance = False
+                    witness = witness or (
+                        f"invariance fails at ({la},{lb},x={x},y={y})")
         report.add(module, op, "triangle-cleared", "hard", passed=triangle,
                    note="|A C^-1||B| <= |A B^-1||B C^-1| over sampled triples")
         report.add(module, op, "symmetry", "hard", passed=symmetry,
@@ -546,22 +595,28 @@ def _run_energy_identities(job: SuiteJob, report: Report) -> None:
         flip_equal = upper = lower = brute = True
         witness = ""
         brute_runs = 0
-        for (la, a), (lb, b) in _draws(job, pool, rng):
-            e_ab = energy(a, b)
-            if not e_ab.upper_bound_holds():
-                upper = False
-                witness = witness or f"upper bound fails at ({la},{lb})"
-            if not e_ab.lower_bound_holds():
-                lower = False
-                witness = witness or f"lower bound fails at ({la},{lb})"
-            if energy(a, inverse_set(a)).value != energy(inverse_set(a), a).value:
-                flip_equal = False
-                witness = witness or f"E(A,A^-1) != E(A^-1,A) at {la}"
-            if a.size <= 64 and b.size <= 64 and brute_runs < 12:
-                brute_runs += 1
-                if e_ab.value != energy_quadruple_count(a, b):
-                    brute = False
-                    witness = witness or f"brute-force mismatch at ({la},{lb})"
+        n = len(pool)
+        for draws in _chunks(_draws(job, range(n), rng)):
+            table = _pair_table(g, _operands(pool), itertools.chain.from_iterable(
+                ((i, j), (i, n + i), (n + i, i)) for i, j in draws))
+            for i, j in draws:
+                (la, a), (lb, b) = pool[i], pool[j]
+                size, value = table[i, j]
+                e_ab = EnergyValue(value, a.size, b.size, size)
+                if not e_ab.upper_bound_holds():
+                    upper = False
+                    witness = witness or f"upper bound fails at ({la},{lb})"
+                if not e_ab.lower_bound_holds():
+                    lower = False
+                    witness = witness or f"lower bound fails at ({la},{lb})"
+                if table[i, n + i][1] != table[n + i, i][1]:
+                    flip_equal = False
+                    witness = witness or f"E(A,A^-1) != E(A^-1,A) at {la}"
+                if a.size <= 64 and b.size <= 64 and brute_runs < 12:
+                    brute_runs += 1
+                    if e_ab.value != energy_quadruple_count(a, b):
+                        brute = False
+                        witness = witness or f"brute-force mismatch at ({la},{lb})"
         asym = _asymmetric_coset_union(g)
         if asym is not None:
             left = product_set(asym, inverse_set(asym)).size
@@ -593,21 +648,37 @@ def _run_covering(job: SuiteJob, report: Report) -> None:
         ok_count = True
         ok_contain = True
         witness = ""
-        for (la, a), (lb, b) in _draws(job, pool, rng):
-            for side in ("left", "right"):
-                x = ruzsa_cover(a, b, side=side)
-                if side == "left":
-                    prod = product_set(a, b)
-                    hull = product_set(product_set(inverse_set(a), a), x)
-                else:
-                    prod = product_set(b, a)
-                    hull = product_set(x, product_set(a, inverse_set(a)))
-                if x.size * a.size > prod.size:
-                    ok_count = False
-                    witness = witness or f"count fails at ({la},{lb},{side})"
-                if not b <= hull:
-                    ok_contain = False
-                    witness = witness or f"containment fails at ({la},{lb},{side})"
+        for draws in _chunks(_draws(job, range(len(pool)), rng)):
+            table = _pair_table(g, _operands(pool), itertools.chain.from_iterable(
+                ((i, j), (j, i)) for i, j in draws))
+            # D = A⁻¹A (left) and AA⁻¹ (right) once per drawn A; the cover X
+            # of ruzsa_cover and its hull D·X (X·D) once per (A, B, side)
+            diffs = {}
+            for i in dict.fromkeys(i for i, _ in draws):
+                a, a_inv = pool[i][1], inverse_set(pool[i][1])
+                diffs[i, "left"] = product_set(a_inv, a)
+                diffs[i, "right"] = product_set(a, a_inv)
+            keys = dict.fromkeys((i, j, side) for i, j in draws
+                                 for side in ("left", "right"))
+            covers = {(i, j, s): _cover_scan(diffs[i, s], pool[j][1].ids(), s)
+                      for i, j, s in keys}
+            hulls = [(diffs[i, s].id_array(), x.id_array()) if s == "left"
+                     else (x.id_array(), diffs[i, s].id_array())
+                     for (i, _, s), x in covers.items()]
+            inside = {key: row[pool[key[1]][1].id_array()].all()
+                      for key, row in zip(covers, _pair_rows(g, hulls))}
+            for i, j in draws:
+                (la, a), (lb, b) = pool[i], pool[j]
+                for side in ("left", "right"):
+                    x = covers[i, j, side]
+                    prod = table[(i, j) if side == "left" else (j, i)][0]
+                    if x.size * a.size > prod:
+                        ok_count = False
+                        witness = witness or f"count fails at ({la},{lb},{side})"
+                    if not inside[i, j, side]:
+                        ok_contain = False
+                        witness = witness or (
+                            f"containment fails at ({la},{lb},{side})")
         report.add(module, op, "cover-count", "hard", passed=ok_count,
                    note="|X||A| <= |A B| (resp. |B A|)")
         report.add(module, op, "cover-containment", "hard", passed=ok_contain,

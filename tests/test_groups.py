@@ -195,6 +195,29 @@ def test_every_spec_builds_or_is_refused_in_bounded_time(refusal):
         f"group order 50616 of sl2(37) exceeds cap {ORDER_CAP}")
 
 
+@pytest.mark.parametrize("spec, shown", [
+    ("direct_product(symmetric(8),cyclic(2))", "80640"),
+    ("direct_product(cyclic(2),direct_product(sl2(31),cyclic(1)))", "59520"),
+    ("direct_product(heisenberg(z=Zp^2,p=7;w=Zp^1,p=7;pairing=zero),"
+     "dihedral(100))", "68600"),
+])
+def test_a_direct_product_over_the_cap_is_refused_with_no_factor_built(
+        spec, shown, monkeypatch):
+    # each factor parses under the cap; the product's order is stated from
+    # theirs, so no factor is built, not even one that would be accepted
+    from setgrowth import groups
+
+    built = []
+    monkeypatch.setattr(groups, "_interned", lambda key: built.append(key))
+    with pytest.raises(ValueError) as refused:
+        construct_group(spec)
+    assert str(refused.value) == (
+        f"group order {shown} of {spec} exceeds cap {ORDER_CAP}")
+    assert built == []
+    assert groups._parse_group("direct_product(sl2(31),cyclic(1))") == (
+        "direct_product", (("sl2", 31), ("cyclic", 1)))
+
+
 @pytest.mark.parametrize("spec", [
     "cyclic(12)",
     "dihedral(6)",

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -252,6 +253,9 @@ def test_config_refuses_a_repeated_key_or_a_nameless_section_by_its_line(
      "line 5: pairing is missing its pairing field"),
     ("groups = cyclic(4),symmetric(9)",
      "line 5: group order 9! of symmetric(9) exceeds cap 50000"),
+    ("groups = direct_product(symmetric(8),cyclic(2))",
+     "line 5: group order 80640 of direct_product(symmetric(8),cyclic(2)) "
+     "exceeds cap 50000"),
     ("families = subgroup(1);nofam(2)", "line 5: unknown family 'nofam'"),
     ("families = subgroup(1;;2)", "line 5: subgroup field 2 is empty"),
 ])
@@ -379,6 +383,68 @@ def test_config_job_with_groups_takes_the_default_count():
     default = _instance_counts(run_named_suite("covering"))
     assert counts == {"ruzsa_cover[cyclic(60)]": 2 * default_job("covering").count}
     assert counts["ruzsa_cover[cyclic(60)]"] == default["ruzsa_cover[cyclic(60)]"]
+
+
+def test_pool_tables_in_small_chunks_give_the_same_report(monkeypatch):
+    # chunk boundaries inside every group's draws change no row or note
+    jobs = tuple(default_job(name) for name in
+                 ("ruzsa-axioms", "energy-identities", "covering"))
+    want = [row.cells() for row in run_suite(SuiteConfig(jobs)).sorted_rows()]
+    monkeypatch.setattr(suites, "DRAW_CHUNK", 7)
+    assert [row.cells() for row in run_suite(SuiteConfig(jobs)).sorted_rows()] == want
+
+
+# Each case corrupts one drawn pair's entry of the cyclic(60) pool table:
+# the count row of A·B (A·B⁻¹ for ruzsa-axioms) becomes the one product 0,
+# so |A·B| = E(A,B) = 1.  Each note is what the per-draw loop that called
+# product_set and energy on every pair printed with product_set and energy
+# corrupted the same way (returning {0}, and E = 1 with |A·B| = 1, on that
+# pair), so the table is read and its first failing draw named.
+@pytest.mark.parametrize("name, la, lb, inverted, failed, note", [
+    ("ruzsa-axioms", "geometric_progression(3,5)",
+     "random_dense(density=1/5;seed=23)", True,
+     {"triangle-cleared", "symmetry", "nonnegativity", "left-invariance"},
+     "triangle fails at (geometric_progression(3,5),"
+     "random_dense(density=1/5;seed=23),random#1)"),
+    ("energy-identities", "geometric_progression(3,5)",
+     "random_dense(density=1/5;seed=23)", False,
+     {"energy-lower", "quadruple-brute-agreement"},
+     "lower bound fails at (geometric_progression(3,5),"
+     "random_dense(density=1/5;seed=23))"),
+    ("covering", "random_dense(density=1/5;seed=23)", "random#1", False,
+     {"cover-count"}, "count fails at (random_dense(density=1/5;seed=23),"
+     "random#1,left)"),
+])
+@pytest.mark.parametrize("chunk", [suites.DRAW_CHUNK, 3])
+def test_a_planted_table_entry_fails_its_row_at_the_first_failing_draw(
+        name, la, lb, inverted, failed, note, chunk, monkeypatch):
+    # at 3 draws a chunk, the first failing draw sits in a later pool table
+    monkeypatch.setattr(suites, "DRAW_CHUNK", chunk)
+    target = []
+    real_pool, real_counts = suites._pool, suites._pair_counts
+
+    def recording(*args, **kwargs):
+        pool = real_pool(*args, **kwargs)
+        sets = dict(pool)
+        b = inverse_set(sets[lb]) if inverted else sets[lb]
+        target.append((sets[la].ids(), b.ids()))
+        return pool
+
+    def planted(g, pairs):
+        for rows, counts in real_counts(g, pairs):
+            for r, (xs, ys) in enumerate(pairs[rows]):
+                if (tuple(sorted(xs)), tuple(sorted(ys))) == target[0]:
+                    counts[r] = 0
+                    counts[r, 0] = 1
+            yield rows, counts
+
+    monkeypatch.setattr(suites, "_pool", recording)
+    monkeypatch.setattr(suites, "_pair_counts", planted)
+    job = replace(default_job(name), groups=("cyclic(60)",))
+    report = run_suite(SuiteConfig(jobs=(job,)))
+    assert {r.name for r in report.hard_failures()} == failed
+    (info,) = [r.row for r in report.rows if r.row.kind == "info"]
+    assert info.note == note
 
 
 def _pool_labels(monkeypatch, job):

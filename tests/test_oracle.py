@@ -1,4 +1,5 @@
-"""Exhaustive small-group oracle for the Ruzsa rows and covers.
+"""Exhaustive small-group oracle for the Ruzsa rows, covers and the
+pool-table kernel.
 
 A subset of a group of order n <= 8 is an n-bit mask.  The product of two
 subsets is the OR of right translates, each read off the scalar law
@@ -7,12 +8,18 @@ library set operation.  The Ruzsa checks run on every nonempty subset of
 their groups, the cover checks on every ordered pair.
 """
 
+import random
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from setgrowth.groups import construct_group
-from setgrowth.setops import (MSet, RuzsaDistanceValue, ruzsa_distance,
-                              ruzsa_triangle_cleared)
+from setgrowth import groups
+from setgrowth.groups import BLOCK_PAIRS, construct_group
+from setgrowth.setops import (MSet, RuzsaDistanceValue, _pair_counts, energy,
+                              energy_quadruple_count, product_set,
+                              ruzsa_distance, ruzsa_triangle_cleared)
 from setgrowth.structure import ruzsa_cover
 
 
@@ -105,3 +112,79 @@ def test_ruzsa_cover_on_every_ordered_pair(spec):
                 # the translates of a by X are disjoint
                 assert translates.bit_count() == x.bit_count() * size_a
                 assert x.bit_count() * size_a <= product.bit_count()
+
+
+# ------------------------------------------------------- the pool-table kernel
+
+def _kernel_rows(g, pairs):
+    """The count rows of one _pair_counts sweep, with its blocks."""
+    blocks = list(_pair_counts(g, pairs))
+    assert [i for rows, _ in blocks for i in range(len(pairs))[rows]] == \
+        list(range(len(pairs)))
+    return [row for _, counts in blocks for row in counts], blocks
+
+
+@pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(3)"])
+def test_pair_counts_on_every_ordered_pair_of_subsets(spec):
+    # 63² pairs in one call: |A·B| from the kernel, product_set, energy
+    # and the scalar-law subset table; E(A,B) from the kernel, energy and
+    # the brute-force quadruple count
+    g = construct_group(spec)
+    table, _ = _subset_products(g)
+    sets = _subsets(g)
+    pairs = [(a, b) for a in sets for b in sets]
+    rows, _ = _kernel_rows(g, [(a.id_array(), b.id_array()) for a, b in pairs])
+    for (a, b), row in zip(pairs, rows):
+        size, value = int(np.count_nonzero(row)), int(row @ row)
+        assert size == product_set(a, b).size == \
+            int(table[_bitmask(a), _bitmask(b)]).bit_count()
+        e = energy(a, b)
+        assert (value, size) == (e.value, e.product_size)
+        assert value == energy_quadruple_count(a, b)
+        assert row.sum() == a.size * b.size
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 40, 250, 1 << 14])
+def test_pair_counts_on_a_ragged_list_across_block_bounds(block_pairs, monkeypatch):
+    # repeated pairs of 1 to 10 ids; below 100 BLOCK_PAIRS a pair's products
+    # straddle the row blocks of _product_blocks, from 200 on (2·100 padded
+    # cells) several pairs share a padded block; each row is the Counter of
+    # scalar products
+    monkeypatch.setattr(groups, "BLOCK_PAIRS", block_pairs)
+    g = construct_group("dihedral(5)")
+    rng = random.Random(f"ragged:{block_pairs}")
+    sets = [rng.sample(range(g.order), k) for k in (1, 2, 3, 5, 8, 10)]
+    pairs = [(rng.choice(sets), rng.choice(sets)) for _ in range(30)]
+    pairs += pairs[:5] + [([0], [7]), (list(range(10)), list(range(10)))]
+    arrays = [(np.array(x), np.array(y)) for x, y in pairs]
+    rows, blocks = _kernel_rows(g, arrays)
+    for (xs, ys), row in zip(pairs, rows):
+        want = Counter(g.mul(x, y) for x in xs for y in ys)
+        assert dict(zip(*map(list, (np.flatnonzero(row), row[row > 0])))) == want
+    cells = max(g.order, max(len(x) for x, _ in pairs) * max(len(y) for _, y in pairs))
+    for rows_, counts in blocks:
+        k = rows_.stop - rows_.start
+        assert k == 1 or k * cells <= block_pairs
+    assert (len(blocks) < len(pairs)) == (block_pairs >= 2 * cells)
+
+
+def test_pair_counts_memory_is_one_block_in_a_large_group():
+    # 144 pairs of up to 30 ids in cyclic(49999), above BLOCK_PAIRS: a table
+    # of all count rows would be 57 MB; the sweep holds one block, a count
+    # row of 400 kB with its bincount, and its products at a time (1.2 MB
+    # peak traced with numpy 2)
+    g = construct_group("cyclic(49999)")
+    rng = random.Random("pool:49999")
+    sets = [np.array(rng.sample(range(g.order), rng.randrange(1, 31)))
+            for _ in range(12)]
+    pairs = [(a, b) for a in sets for b in sets]
+    tracemalloc.start()
+    try:
+        sizes = [int(np.count_nonzero(c)) for _, counts in _pair_counts(g, pairs)
+                 for c in counts]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == [len(set((x + y) % g.order for x in a.tolist() for y in b.tolist()))
+                     for a, b in pairs]
+    assert peak < 3 * 8 * g.order + 16 * BLOCK_PAIRS
