@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Regenerate the frozen exponent tables in setgrowth.constants.
 
-Runs the word-exponent fixpoint from scratch and prints every table the
-library freezes: the word table as the literal committed in constants.py,
-then the aggregates, so the literals can be compared (tests do the same
-comparison automatically).
+Holds the word-exponent fixpoint, runs it from scratch and prints every
+table the library freezes: the word table as the literal committed in
+constants.py, then the aggregates, so the literals can be compared
+(tests/test_constants.py loads this file and does the same comparison).
 """
 
 from __future__ import annotations
@@ -15,6 +15,48 @@ from itertools import product
 
 # Hex digits per source line of the word-table literal.
 LINE_DIGITS = 64
+
+
+def derive_word_exponents(max_len: int) -> dict[tuple, int]:
+    """Fixpoint of the derivation rules of setgrowth.constants (base,
+    extend, splice, mirror) over words of length <= max_len."""
+    words = []
+    for length in range(1, max_len + 1):
+        words.extend(product((1, -1), repeat=length))
+    inf = float("inf")
+    e: dict[tuple, float] = {w: inf for w in words}
+    e[(1,)] = e[(-1,)] = 0
+    if max_len >= 3:
+        e[(1, 1, 1)] = e[(-1, -1, -1)] = 1
+    changed = True
+    while changed:
+        changed = False
+        for w in words:
+            best = e[w]
+            mirror = tuple(-s for s in reversed(w))
+            if e[mirror] < best:
+                best = e[mirror]
+            if len(w) < max_len:
+                for b in (1, -1):
+                    ext = e.get(w + (b,), inf)
+                    if ext < best:
+                        best = ext
+                    ext = e.get((b,) + w, inf)
+                    if ext < best:
+                        best = ext
+            for i in range(1, len(w)):
+                u, v = w[:i], w[i:]
+                for b in (1, -1):
+                    cand = e.get(u + (-b,), inf) + e.get((b,) + v, inf)
+                    if cand < best:
+                        best = cand
+            if best < e[w]:
+                e[w] = best
+                changed = True
+    bad = [w for w, val in e.items() if val == inf]
+    if bad:
+        raise RuntimeError(f"exponent underived for words {bad[:4]}")
+    return {w: int(val) for w, val in e.items()}
 
 
 def word_table_literal(exps: dict[tuple, int]) -> str:
@@ -42,7 +84,7 @@ def main() -> None:
     ap.add_argument("--max-len", type=int, default=8)
     args = ap.parse_args()
 
-    from setgrowth.constants import DERIVED_MAX_LEN, derive_word_exponents
+    from setgrowth.constants import DERIVED_MAX_LEN
 
     exps = derive_word_exponents(args.max_len)
 

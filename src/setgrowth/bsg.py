@@ -47,6 +47,7 @@ from .setops import (
     inverse_set,
     member_mask,
     partial_product,
+    power_set,
     product_set,
     translate_left,
     translate_right,
@@ -491,7 +492,7 @@ def _step_iv_ii(g, a, b, state, ledger):
     pair_list = tuple(sorted(
         (xa, yb) for xa in a_part.ids() for yb in b_part.ids()))
     image = product_set(a_part, b_part)
-    h2 = product_set(h, h)
+    h2 = power_set(h, 2)
     shifted = translate_right(translate_left(x_id, h2), y_id)
     ledger.claim("step-iv-ii.image-in-xh2y", image <= shifted,
                  lhs=image.size, rhs=h2.size, formula="im E subset x·H^2·y")

@@ -18,11 +18,10 @@ from .bsg import bsg_extract
 from .entropy import QuaternionGroup, TorusGroup, WordMetricGroup, metric_profile_check
 from .exact import frac
 from .families import SetFamilySpec, _ints_arg, generate_set, measured_tripling
-from .groups import construct_group, verify_group_axioms
+from .groups import DEFAULT_SEED, construct_group, verify_group_axioms
 from .setops import energy
 from .structure import LedgerError
 from .suites import (
-    DEFAULT_SEED,
     SUITE_NAMES,
     Report,
     SuiteConfig,

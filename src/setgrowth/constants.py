@@ -11,10 +11,9 @@ sound rules (docs/constants.md gives the one-line proofs):
             (the Ruzsa triangle inequality with middle set A^b)
   mirror    E(w) = E(reverse-negate w)  (inversion is a bijection)
 
-derive_word_exponents runs the fixpoint.  The word table and the aggregate
-tables below are frozen copies of its output, so importing this module runs
-no fixpoint; tests/test_constants.py checks each copy against the fixpoint
-and scripts/derive_constants.py prints them again.
+The word table and the aggregate tables below are frozen copies of the
+fixpoint of these rules, which scripts/derive_constants.py runs and prints
+again; tests/test_constants.py checks each copy against that fixpoint.
 """
 
 from __future__ import annotations
@@ -24,47 +23,6 @@ from functools import lru_cache
 from itertools import product
 
 DERIVED_MAX_LEN = 8
-
-
-def derive_word_exponents(max_len: int = DERIVED_MAX_LEN) -> dict[tuple, int]:
-    """Fixpoint of the three derivation rules over words of length <= max_len."""
-    words = []
-    for length in range(1, max_len + 1):
-        words.extend(product((1, -1), repeat=length))
-    inf = float("inf")
-    e: dict[tuple, float] = {w: inf for w in words}
-    e[(1,)] = e[(-1,)] = 0
-    if max_len >= 3:
-        e[(1, 1, 1)] = e[(-1, -1, -1)] = 1
-    changed = True
-    while changed:
-        changed = False
-        for w in words:
-            best = e[w]
-            mirror = tuple(-s for s in reversed(w))
-            if e[mirror] < best:
-                best = e[mirror]
-            if len(w) < max_len:
-                for b in (1, -1):
-                    ext = e.get(w + (b,), inf)
-                    if ext < best:
-                        best = ext
-                    ext = e.get((b,) + w, inf)
-                    if ext < best:
-                        best = ext
-            for i in range(1, len(w)):
-                u, v = w[:i], w[i:]
-                for b in (1, -1):
-                    cand = e.get(u + (-b,), inf) + e.get((b,) + v, inf)
-                    if cand < best:
-                        best = cand
-            if best < e[w]:
-                e[w] = best
-                changed = True
-    bad = [w for w, val in e.items() if val == inf]
-    if bad:
-        raise RuntimeError(f"exponent underived for words {bad[:4]}")
-    return {w: int(val) for w, val in e.items()}
 
 
 # Frozen copies of the dynamic programme (verified by tests).

@@ -35,11 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import FiniteGroup, _cayley_levels, _row_blocks, construct_group
-from .setops import MSet, product_set
+from .groups import (DEFAULT_SEED, FiniteGroup, _cayley_levels, _row_blocks,
+                     construct_group)
+from .setops import MSet, power_set, product_set
 from .structure import ConstantLedger, _cover_scan
 
-DEFAULT_SEED = 1729
 # approx_energy tests each of its P^2 candidate quadruples of P pairs
 # against the net kept before it, P^2 (P^2 - 1) / 2 tests at worst.  The
 # bound admits P = 25, the 5-point clouds: about 3.5 s at the 18 us of a
@@ -166,12 +166,6 @@ class QuaternionGroup:
     def __init__(self):
         self.name = "quaternions"
         self.default_grid = (0.6, 0.3)
-
-    def point(self, w, x, y, z):
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
-        if norm == 0.0:
-            raise ValueError("zero quaternion has no direction")
-        return (w / norm, x / norm, y / norm, z / norm)
 
     def mul(self, p, q):
         a, b, c, d = p
@@ -732,7 +726,7 @@ def entropy_tripling_check(cloud: MetricCloud, eps) -> TriplingEntropyReport:
     base_set = MSet.from_ids(g.group, base)
     if len(base) * len(base) > _RAW_PRODUCT_CAP:
         raise ValueError("square of the cloud exceeds the raw product cap")
-    squared = g.net(product_set(base_set, base_set).ids(), half)
+    squared = g.net(power_set(base_set, 2).ids(), half)
     if len(squared) * len(base) > _RAW_PRODUCT_CAP:
         raise ValueError("cube of the cloud exceeds the raw product cap")
     cubed = g.net(product_set(MSet.from_ids(g.group, squared), base_set).ids(), half)

@@ -13,10 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import frac
-from .groups import (FiniteGroup, _first_non_normalizer, _int_arg, _named_fields,
-                     _required, _split_call, _split_fields, construct_group,
-                     subgroup_closure)
+from .groups import (FiniteGroup, _cayley_levels, _first_non_normalizer,
+                     _int_arg, _named_fields, _required, _split_call,
+                     _split_fields, construct_group, subgroup_closure)
 from .setops import (MSet, inverse_set, power_set, product_set, random_ids,
                      symmetrize, translate_left)
 
@@ -172,10 +174,11 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         gens = _ids_arg(g, args[1], family) if len(args) > 1 else [1]
         if any(not 0 < x < g.order for x in gens):
             raise ValueError("generators must be non-identity ids")
-        step = symmetrize(MSet.from_ids(g, gens))
-        if radius == 0:
-            return MSet.from_ids(g, [0])
-        return power_set(step, radius)
+        # (S u S^-1 u {1})^radius is its breadth-first levels 0..radius, not
+        # a power chain, which would keep one mask of the group per level
+        step = symmetrize(MSet.from_ids(g, gens)).id_array()
+        levels = zip(range(radius + 1), _cayley_levels(g, step))
+        return MSet.from_ids(g, np.concatenate([level for _, level in levels]))
 
     raise AssertionError(f"unhandled family {family}")
 

@@ -573,6 +573,9 @@ def _product_blocks(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray):
             for rows in _row_blocks(len(xs), len(ys)))
 
 
+DEFAULT_SEED = 1729     # of every seeded draw whose caller names no seed
+
+
 def _sampled(rng: random.Random, count: int, bounds):
     """count seeded draws, each one rng.randrange(b) per bound b in order,
     as one intp id array per bound, in blocks of at most BLOCK_PAIRS

@@ -33,6 +33,7 @@ from .constants import (
 from .exact import frac
 from .groups import (
     CyclicGroup,
+    DEFAULT_SEED,
     DirectProductGroup,
     FiniteGroup,
     NormalSubgroupView,
@@ -52,7 +53,6 @@ from .groups import (
 )
 from .setops import (
     MSet,
-    ascending_powers,
     inverse_set,
     member_mask,
     power_set,
@@ -71,7 +71,6 @@ EXHAUSTIVE_PAIR_CAP = 2_000_000    # commutator sweep switches to sampling here
 TRIPLE_EXHAUSTIVE_CAP = 64         # |C| above which the triple check samples
 SAMPLE_COUNT = 2_000
 TRIPLE_SAMPLE_COUNT = 20_000
-SAMPLE_SEED = 1729
 
 # The three nested cores are cubes of even-power slices A^(2n) with
 # n = 1, 4, 13.  The slice at level n has tripling exponent
@@ -298,7 +297,7 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
     g = HeisenbergGroup(spec)
     ledger = ConstantLedger("heisenberg-construction")
     _validate_pairing(g, ledger)
-    axioms = verify_group_axioms(g, seed=SAMPLE_SEED)
+    axioms = verify_group_axioms(g, seed=DEFAULT_SEED)
     _validate_group_law(g, ledger)
     ledger.info("axiom-sweep-triples", axioms["triples"],
                 note=f"{axioms['mode']} associativity check")
@@ -336,7 +335,7 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         note = f"exhaustive over {zo}^2 pairs"
     else:
         found = _first(
-            _sampled(random.Random(SAMPLE_SEED), SAMPLE_COUNT, (zo, zo)),
+            _sampled(random.Random(DEFAULT_SEED), SAMPLE_COUNT, (zo, zo)),
             lambda x, y: (pair(x, x) != 0) | antisymmetry_fails(x, y))
         if found:
             raise ValueError(
@@ -348,7 +347,7 @@ def _validate_pairing(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         triples = _grid((zo, zo, zo))
         note = "exhaustive triples"
     else:
-        triples = _sampled(random.Random(SAMPLE_SEED + 1), SAMPLE_COUNT,
+        triples = _sampled(random.Random(DEFAULT_SEED + 1), SAMPLE_COUNT,
                            (zo, zo, zo))
         note = f"{SAMPLE_COUNT} sampled triples"
     zmul = g.z_additive.mul_pairs
@@ -392,7 +391,7 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         pairs = _grid((wo, order))
         note = "all (vertical, element) pairs"
     else:
-        pairs = _sampled(random.Random(SAMPLE_SEED + 3), SAMPLE_COUNT,
+        pairs = _sampled(random.Random(DEFAULT_SEED + 3), SAMPLE_COUNT,
                          (wo, order))
         note = f"{SAMPLE_COUNT} sampled pairs"
     found = _first(
@@ -409,7 +408,7 @@ def _validate_group_law(g: HeisenbergGroup, ledger: ConstantLedger) -> None:
         pairs = _grid((order, order))
         note = "all ordered pairs"
     else:
-        pairs = _sampled(random.Random(SAMPLE_SEED + 4), SAMPLE_COUNT * 5,
+        pairs = _sampled(random.Random(DEFAULT_SEED + 4), SAMPLE_COUNT * 5,
                          (order, order))
         note = f"{SAMPLE_COUNT * 5} sampled pairs"
     wadd = g.w_additive.mul_pairs
@@ -506,12 +505,12 @@ def _split_triples(cids: np.ndarray, exhaustive: bool):
     """Triples (x, y, z) of C as id arrays, in the blocks of groups: the
     _grid of all |C|^3 triples of positions in C, in itertools.product
     order, or the TRIPLE_SAMPLE_COUNT triples that _sampled draws from
-    random.Random(SAMPLE_SEED), in draw order."""
+    random.Random(DEFAULT_SEED), in draw order."""
     n = len(cids)
     if exhaustive:
         blocks = _grid((n, n, n))
     else:
-        blocks = _sampled(random.Random(SAMPLE_SEED), TRIPLE_SAMPLE_COUNT,
+        blocks = _sampled(random.Random(DEFAULT_SEED), TRIPLE_SAMPLE_COUNT,
                           (n, n, n))
     for block in blocks:
         yield tuple(cids[i] for i in block)
@@ -555,7 +554,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     itertools.product order, up to TRIPLE_EXHAUSTIVE_CAP, else the seeded
     groups._sampled draws in draw order.  Membership is decided exactly on
     ids, so every row is the one the per-element scan gives.  Only
-    groups.ORDER_CAP bounds the group: the power chain stops once stable.
+    groups.ORDER_CAP bounds the group: the power chain stops at its first repeat.
     """
     g = a.group
     if h.parent is not g:
@@ -567,8 +566,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
         raise ValueError(
             "splitting needs a symmetric set containing the identity; "
             "apply symmetrize() first")
-    pows = dict(enumerate(ascending_powers(a, 6 * CORE_LEVELS[-1]), start=1))
-    a3 = pows[3]
+    a3 = power_set(a, 3)
     ledger = ConstantLedger("split_approximate")
     ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
@@ -580,26 +578,26 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     ledger.info("size-c", c.size)
 
     # counting along fibers of the projection
-    a2h = pows[2] & h_set
+    a2h = power_set(a, 2) & h_set
     ledger.compare("fiber-count", a.size, "<=", c.size * a2h.size,
                    formula="|A| <= |C||A^2 n H|")
     for n in (1, 2, 3):
-        slice_n = pows[2 * n] & h_set
+        slice_n = power_set(a, 2 * n) & h_set
         ledger.compare(f"fiber-lower-n={n}",
-                       pows[2 * n + 1].size, ">=", c.size * slice_n.size,
+                       power_set(a, 2 * n + 1).size, ">=", c.size * slice_n.size,
                        formula=f"|A^{2 * n + 1}| >= |C||A^{2 * n} n H|")
 
     # the nested cores and their covering witnesses
     cores: list[MSet] = []
     witnesses: list[ApproxGroupWitness] = []
     for i, n in enumerate(CORE_LEVELS, start=1):
-        slice_n = pows[2 * n] & h_set
+        slice_n = power_set(a, 2 * n) & h_set
         k_i = k ** positive_power_exponent(6 * n + 1)
         wit, wled = approx_group_from_tripling(slice_n, k_i)
         ledger.merge(wled, f"b{i}.")
         core = wit.h
         ledger.claim(f"b{i}-inside-slice",
-                     core <= pows[6 * n] & h_set,
+                     core <= power_set(a, 6 * n) & h_set,
                      lhs=core.size,
                      formula=f"(A^{2 * n} n H)^3 inside A^{6 * n} n H")
         cores.append(core)
@@ -665,7 +663,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
                  lhs=a.size, formula="A inside the union of phi(x)B1 over C")
 
     # the quotiented homomorphism defect lands in B3
-    a6h = pows[6] & h_set
+    a6h = power_set(a, 6) & h_set
     exhaustive = c.size <= TRIPLE_EXHAUSTIVE_CAP
     if exhaustive:
         note = f"exhaustive over |C|^3 = {c.size ** 3} triples"

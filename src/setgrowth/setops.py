@@ -1,5 +1,5 @@
-"""Set arithmetic over a finite group: products, convolutions, energy,
-Ruzsa distance.
+"""Set arithmetic over a finite group: products, powers, convolutions,
+energy, Ruzsa distance.
 
 This module alone knows the set format: an MSet owns one read-only boolean
 mask over the group's ids.  The constructor marks the array it is given
@@ -23,8 +23,10 @@ the ruzsa-axioms, energy-identities and covering suites, which form each
 distinct pair their draws need once.  Its blocks hold at most BLOCK_PAIRS
 products and count cells, or one pair with one count row, so its memory
 stays within one block whatever the list's length.  A set keeps its
-inverse once formed, so ``inverse_set`` gathers ``inv_array`` at most once
-per set.
+inverse and its power chain A², A³, ... (never itself) once formed, so
+``inverse_set`` gathers ``inv_array`` at most once per set and
+``power_set``, the one routine that forms powers, forms each distinct
+power at most once per set, whatever the exponent asked.
 ``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
 every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
 A = B = {0,2,4,6}).  Otherwise a product stops forming row blocks once its
@@ -35,6 +37,7 @@ integers or Fractions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,8 @@ class MSet:
     """Nonempty subset of a FiniteGroup: a read-only boolean mask over ids
     that the set owns.  Only this module calls the constructor."""
 
-    __slots__ = ("group", "_mask", "size", "_idtuple", "_idarray", "_inverse")
+    __slots__ = ("group", "_mask", "size", "_idtuple", "_idarray", "_inverse",
+                 "_powers", "_loop")
 
     def __init__(self, group: FiniteGroup, mask: np.ndarray):
         if mask.shape != (group.order,):
@@ -61,6 +65,8 @@ class MSet:
         self._idtuple: tuple[int, ...] | None = None
         self._idarray: np.ndarray | None = None
         self._inverse: MSet | None = None
+        self._powers: list[MSet] | None = None   # A², A³, ... (power_set)
+        self._loop: int | None = None   # m of the chain's repeat A^m, once met
 
     @classmethod
     def from_ids(cls, group: FiniteGroup, ids) -> "MSet":
@@ -171,8 +177,10 @@ def _require_same_group(a: MSet, b: MSet):
 
 
 def symmetrize(a: MSet) -> MSet:
-    """A u {1} u A^-1, the canonical symmetric-with-identity hull."""
-    return a.union(inverse_set(a)).union(MSet.from_ids(a.group, [0]))
+    """A u {1} u A^-1, the canonical symmetric-with-identity hull: A itself
+    when A is its own hull, so the two share one inverse and power chain."""
+    hull = a.union(inverse_set(a)).union(MSet.from_ids(a.group, [0]))
+    return a if hull.size == a.size else hull
 
 
 # ---------------------------------------------------------------------------
@@ -243,36 +251,37 @@ def subgroup_failure(a: MSet) -> str | None:
     return None
 
 
-def ascending_powers(a: MSet, top: int):
-    """Yield A, A^2, ..., A^top by repeated right products.  Once
-    A^{n+1} = A^n the chain has stabilized, so every later power is that
-    same set and no further product is formed; a power with
-    |A^n| + |A| > |G| gives A^{n+1} = G by product_set's pigeonhole test,
-    with no product formed either."""
-    cur = a
-    yield cur
-    for n in range(2, top + 1):
-        nxt = product_set(cur, a)
-        if nxt == cur:
-            for _ in range(n, top + 1):
-                yield cur
-            return
-        cur = nxt
-        yield cur
-
-
 def power_set(a: MSet, n: int) -> MSet:
-    """A^n for n >= 1, the last set of ascending_powers(a, n).  It returns
-    as soon as the chain repeats a set, so its work is bounded by the
-    group order whatever n is."""
+    """A^n for n >= 1, read off the chain A², A³, ... of right products that
+    A keeps (never A itself: that would be a reference cycle), so a power
+    already held costs no product.  Sizes never shrink along the chain; once
+    |A^(m+1)| = |A^m|, its subset A^m·x is A^(m+1) for x in A, so A^(m+j) =
+    A·A^(m+j-1) = A^m·x^j: the chain runs round an orbit of right translation
+    by x, whose first repeat is A^m.  It stops there and reads later powers
+    off the period, so it forms one product and keeps one set (a mask of |G|
+    bytes and the ids it read) per distinct power: |G| - |A| + 1 + ord(x) at
+    most, whatever n is."""
     if n < 1:
         raise ValueError("the exponent must be at least 1")
-    last = None
-    for cur in ascending_powers(a, n):
-        if cur is last:
-            break
-        last = cur
-    return last
+    chain = a._powers = [] if a._powers is None else a._powers
+
+    def power(m: int) -> MSet:
+        return a if m == 1 else chain[m - 2]
+
+    while a._loop is None and len(chain) + 1 < n:
+        last = power(len(chain) + 1)
+        nxt = product_set(last, a)
+        if nxt.size == last.size:
+            start = 1 + bisect_left(range(1, len(chain) + 2), last.size,
+                                    key=lambda m: power(m).size)
+            if nxt == power(start):
+                a._loop = start
+                break
+        chain.append(nxt)
+    top = len(chain) + 1
+    if n > top:
+        n = a._loop + (n - a._loop) % (top + 1 - a._loop)
+    return power(n)
 
 
 def partial_product(a: MSet, b: MSet, pairs) -> MSet:
@@ -426,11 +435,6 @@ class RuzsaDistanceValue:
     def is_nonnegative(self) -> bool:
         # |A*B^-1| >= max(|A|,|B|) >= sqrt(|A||B|)
         return self.numerator**2 >= self.denominator_sq
-
-
-def ruzsa_distance(a: MSet, b: MSet) -> RuzsaDistanceValue:
-    num = product_set(a, inverse_set(b)).size
-    return RuzsaDistanceValue(num, a.size, b.size)
 
 
 def ruzsa_triangle_cleared(d_ab: RuzsaDistanceValue, d_bc: RuzsaDistanceValue,

@@ -57,7 +57,6 @@ from .setops import (
     MSet,
     _require_same_group,
     _set_counts,
-    ascending_powers,
     inverse_set,
     member_mask,
     power_set,
@@ -229,7 +228,7 @@ class ApproxGroupWitness(NamedTuple):
 
 def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
     """Exact check of the covering-pair clauses; violations are results."""
-    return _check_covering_pair(h, x, k, product_set(h, h))
+    return _check_covering_pair(h, x, k, power_set(h, 2))
 
 
 def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
@@ -264,39 +263,23 @@ def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
     return ApproxGroupWitness(h, x, k, tuple(checks), tuple(violations))
 
 
-def _witness_power_rows(wit: ApproxGroupWitness, ledger: ConstantLedger,
-                        h0_pows: dict[int, MSet]) -> None:
-    """H^n = H0^(3n) ⊆ X^(n-1)·H for n = 3, 4, asserted by direct computation.
-    X² and X³ come from the power chain of X."""
-    h, x = wit.h, wit.x
-    xpows = dict(enumerate(ascending_powers(x, 3), start=1))
-    for n in (3, 4):
-        hn = h0_pows[3 * n]
-        cover = product_set(xpows[n - 1], h)
-        ledger.claim(f"power-n={n}", hn <= cover,
-                     lhs=hn.size, rhs=cover.size,
-                     formula=f"H^{n} subset X^{n - 1}·H")
-
-
 def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, ConstantLedger]:
     """Build the covering pair (H, X) with H = (A ∪ {1} ∪ A⁻¹)³ from the
     tripling hypothesis |A³| ≤ K|A|.  Every power of H0 = A ∪ {1} ∪ A⁻¹
-    comes from one chain, which also gives A³ when H0 = A."""
+    comes from its one chain, which is A's own when H0 = A."""
     k = frac(k)
     ledger = ConstantLedger("approx_group_from_tripling")
     h0 = symmetrize(a)
-    pows = dict(enumerate(ascending_powers(h0, 12), start=1))
-    symmetric_input = h0 == a
-    a3 = pows[3] if symmetric_input else power_set(a, 3)
+    a3 = power_set(a, 3)
     ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
-    h, h2, h7 = pows[3], pows[6], pows[7]
+    h, h2, h7 = power_set(h0, 3), power_set(h0, 6), power_set(h0, 7)
     ledger.info("size-a", a.size)
     ledger.info("size-h0", h0.size)
     ledger.info("size-h", h.size)
     ledger.info("size-h2", h2.size)
 
-    if symmetric_input:
+    if h0 is a:
         h7_bound = k ** positive_power_exponent(7) * a.size
         h7_formula = "K^9|A|, symmetric input"
     else:
@@ -305,7 +288,7 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     ledger.compare("h0-seventh-power", h7.size, "<=", h7_bound, formula=h7_formula)
 
     # H0 is symmetric, so the cover's D = H0⁻¹·H0 is H0² of the chain
-    y = _cover_scan(pows[2], h2.ids(), "left")
+    y = _cover_scan(power_set(h0, 2), h2.ids(), "left")
     ledger.compare("cover-count", y.size * h0.size, "<=", h7.size,
                    formula="|Y||H0| <= |H0·H0^6|")
     y_bound = h7_bound / h0.size
@@ -319,7 +302,10 @@ def approx_group_from_tripling(a: MSet, k) -> tuple[ApproxGroupWitness, Constant
     for name, ok in wit.checks:
         ledger.claim(f"witness-{name}", ok)
     ledger.claim("a-in-h", a <= h, lhs=a.size, rhs=h.size, formula="A subset H")
-    _witness_power_rows(wit, ledger, pows)
+    for n in (3, 4):    # H^n = H0^(3n) ⊆ X^(n-1)·H, by direct computation
+        hn, cover = power_set(h0, 3 * n), product_set(power_set(x, n - 1), h)
+        ledger.claim(f"power-n={n}", hn <= cover, lhs=hn.size, rhs=cover.size,
+                     formula=f"H^{n} subset X^{n - 1}·H")
     ledger.compare("tripling-from-witness", a3.size, "<=", x.size ** 2 * h.size,
                    formula="|A^3| <= |X|^2|H|")
     ledger.check()
@@ -348,7 +334,7 @@ def tripling_chain(a: MSet, k, n: int = 6) -> ConstantLedger:
     ledger = ConstantLedger("tripling_chain")
     factor = {1: a, -1: inverse_set(a)}
     times = cache(lambda s, sign: product_set(s, factor[sign]))
-    a3 = times(times(a, 1), 1)
+    a3 = power_set(a, 3)
     ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
     # the sets of one length in _pattern_rows order: each word's two
@@ -497,7 +483,7 @@ def local_tripling_check(a: MSet, k) -> ConstantLedger:
         sup_size = max(sup_size, product_set(a, translate_right(a, mid)).size)
     ledger.require("local-product-hypothesis", sup_size, "<=", k * a.size,
                    kind="soft", formula="sup_a |A·a·A| <= K|A|")
-    a2 = product_set(a, a)
+    a2 = power_set(a, 2)
     ledger.require("square-hypothesis", a2.size, "<=", k * a.size,
                    kind="soft", formula="|A^2| <= K|A|")
 

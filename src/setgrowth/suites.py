@@ -44,6 +44,7 @@ from .families import (
     measured_tripling,
 )
 from .groups import (
+    DEFAULT_SEED,
     FiniteGroup,
     NotNormalError,
     _parse_group,
@@ -80,7 +81,6 @@ from .structure import (
     tripling_chain,
 )
 
-DEFAULT_SEED = 1729
 DRAW_CHUNK = 1024       # draws per pool table in the ruzsa, energy and cover suites
 
 
@@ -776,7 +776,7 @@ def _run_tripling(job: SuiteJob, report: Report) -> None:
                                         max(9 - len(local), 0), lo=3, hi=8))
         for i, (label, a) in enumerate(local):
             sup_size = _local_product_sup(a)
-            a2 = product_set(a, a)
+            a2 = power_set(a, 2)
             k_local = Fraction(max(sup_size, a2.size), a.size)
             ledger = local_tripling_check(a, k_local)
             report.merge_ledger(
@@ -805,7 +805,7 @@ def _plus_point_demo(report: Report, module: str, gspec: str,
         if a.size > 40:
             continue
         sup_size = _local_product_sup(a)
-        a2_size = product_set(a, a).size
+        a2_size = power_set(a, 2).size
         if sup_size > a2_size:
             report.add(module, op, "square-ratio", "info",
                        lhs=Fraction(a2_size, a.size),

@@ -8,6 +8,7 @@ that the claimed inequalities hold on concrete sets with measured K.
 """
 
 import functools
+import importlib.util
 import os
 import random
 import subprocess
@@ -23,13 +24,18 @@ from setgrowth.constants import (
     TRIPLING_CHAIN_EXPONENTS,
     chain_exponent,
     cover_poly_value,
-    derive_word_exponents,
     positive_power_exponent,
     word_exponent,
 )
 from setgrowth.groups import construct_group
 from setgrowth.setops import MSet, inverse_set, power_set, product_set
 from setgrowth.families import measured_tripling
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "derive_constants.py"
+_spec = importlib.util.spec_from_file_location("derive_constants", _SCRIPT)
+derive_constants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(derive_constants)
+derive_word_exponents = derive_constants.derive_word_exponents
 
 
 def all_words(max_len):
@@ -67,11 +73,10 @@ def test_derive_script_prints_the_committed_word_table():
     source = Path(constants.__file__).read_text(encoding="utf-8")
     start = source.index("_WORD_EXPONENT_HEX = (")
     literal = source[start:source.index("\n)\n", start) + 2]
-    script = Path(__file__).resolve().parents[1] / "scripts" / "derive_constants.py"
     package_parent = str(Path(constants.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_parent, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, str(script)], env=env,
+    done = subprocess.run([sys.executable, str(_SCRIPT)], env=env,
                           capture_output=True, text=True, check=True)
     table = {}
     exec(literal, table)

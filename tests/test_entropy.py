@@ -96,10 +96,16 @@ def test_torus_norm_is_the_squared_quotient_distance():
             sum(min(c, n - c) ** 2 for c in p) for p in points]
 
 
+def unit_quaternion(w, x, y, z):
+    """The unit quaternion in the direction of (w, x, y, z)."""
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return (w / norm, x / norm, y / norm, z / norm)
+
+
 def test_quaternion_norm_is_multiplicative():
     g = QuaternionGroup()
-    p = g.point(1.0, 2.0, 0.5, -1.0)
-    q = g.point(0.3, -1.0, 2.0, 0.7)
+    p = unit_quaternion(1.0, 2.0, 0.5, -1.0)
+    q = unit_quaternion(0.3, -1.0, 2.0, 0.7)
     r = g.mul(p, q)
     assert sum(c * c for c in r) == pytest.approx(1.0, abs=1e-12)
     assert g.distance_value(p, p) == 0.0

@@ -59,8 +59,8 @@ def test_progression_of_length_one_is_identity():
     "geometric_progression(1,1000000000000)",
 ])
 def test_a_huge_field_costs_at_most_the_group_order(text, refusal):
-    # the ball's power chain and the progression's orbit both stop within
-    # 12 steps; walking 10^12 of them would outlast the alarm
+    # the ball's breadth-first levels and the progression's orbit both
+    # stop within 12 steps; walking 10^12 of them would outlast the alarm
     assert refusal(5, gen, G12, text) is None
     assert gen(G12, text).ids() == tuple(range(12))
 

@@ -4,7 +4,9 @@ Determinism here means byte-identical files; each emission test writes
 twice into fresh directories and compares raw bytes.
 """
 
+import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -22,12 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgrowth import groups, suites
-from setgrowth.groups import construct_group, subgroup_closure
+from setgrowth.groups import DEFAULT_SEED, construct_group, subgroup_closure
 from setgrowth.setops import MSet, inverse_set, product_set, translate_left
 from setgrowth.structure import ConstantLedger, LedgerError
 from setgrowth.suites import (
     CSV_HEADER,
-    DEFAULT_SEED,
     SUITE_NAMES,
     Report,
     ReportRow,
@@ -705,6 +706,59 @@ def test_the_benchmark_reference_is_the_suite_all_pin():
     reference["digests"]["suite-default"] = "0" * 64
     assert pins.reference_mismatch(PINS, reference).startswith(
         f"MISMATCH perfbench/reference.json: suite-default is {'0' * 64}, ")
+
+
+def _script(name: str):
+    """A module loaded from a file of the repository by its path."""
+    spec = importlib.util.spec_from_file_location(
+        Path(name).stem, pins.ROOT / name)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+rowdiff = _script("scripts/rowdiff.py")
+
+
+def test_rowdiff_prints_exactly_the_rows_that_differ(tmp_path, capsys):
+    (old,) = emit_report(run_named_suite("splitting"), format="csv",
+                         out=str(tmp_path))
+    with open(old, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(CSV_HEADER) and len(rows) > 100
+    planted, dropped = rows[100], rows[200]
+    was = planted[5]
+    planted[5] = f"{was}0"                                  # its lhs
+    new = tmp_path / "new.csv"
+    with open(new, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            r for r in rows if r is not dropped)
+    assert rowdiff.main([old, old]) == 0
+    assert capsys.readouterr().out == ""
+    assert rowdiff.main([old, str(new)]) == 1
+    key, gone = (rowdiff._cells(r) for r in (planted[:4], dropped))
+    # the file is in key order, so the planted row comes first
+    assert capsys.readouterr().out == (
+        f"~ {key} | lhs: {was} -> {was}0\n- {gone}\n")
+    assert rowdiff.main([str(new), old]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == f"+ {gone}"
+
+
+# The other three benchmark workloads, whose reports no pin holds, against
+# the digests of perfbench/reference.json (suite-default is the
+# suite-all.csv pin), each run in process at the reference seed
+workloads = _script("perfbench/workloads.py")
+
+
+@pytest.mark.parametrize("name", ["heisenberg-p7", "sl2-classify", "bsg-large"])
+def test_benchmark_report_matches_its_reference(name, tmp_path):
+    reference = json.loads((pins.ROOT / "perfbench" / "reference.json").read_text())
+    workload = workloads.WORKLOADS[name]
+    report = workload.verify(workload.setup(reference["seed"]),
+                             lambda part: contextlib.nullcontext(), lambda: None)
+    (path,) = emit_report(report, format="csv", out=str(tmp_path))
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert digest == reference["digests"][name]
 
 
 @pytest.mark.parametrize("path", ["law-only", "eager-tables"])

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from setgrowth import heisenberg as hb
 from setgrowth import setops
 
-from setgrowth.groups import BLOCK_PAIRS, construct_group, quotient_map, subgroup_closure
+from setgrowth.groups import (BLOCK_PAIRS, DEFAULT_SEED, construct_group,
+                              quotient_map, subgroup_closure)
 from setgrowth.setops import MSet, inverse_set, power_set, product_set, symmetrize
 from setgrowth.structure import ConstantLedger, LedgerError
 from setgrowth.heisenberg import (
@@ -554,7 +555,7 @@ def scalar_triple_defects(g, q, phi, triples, *masks):
 def scalar_triples(cids, exhaustive):
     if exhaustive:
         return itertools.product(cids, repeat=3)
-    rng = random.Random(hb.SAMPLE_SEED)
+    rng = random.Random(DEFAULT_SEED)
     return [(rng.choice(cids), rng.choice(cids), rng.choice(cids))
             for _ in range(hb.TRIPLE_SAMPLE_COUNT)]
 

@@ -949,7 +949,7 @@ def scalar_law_error(g):
     """The Heisenberg law sweeps one id or pair at a time, in iteration
     order, or in the order of the seeded draws above the caps; the inverse
     law over every id at every order."""
-    wo, n, seed = g.w_order, g.order, hb.SAMPLE_SEED
+    wo, n, seed = g.w_order, g.order, groups.DEFAULT_SEED
     exhaustive = n <= hb.EXHAUSTIVE_ORDER_CAP
     for a in range(n):
         z, w = divmod(a, wo)
@@ -1081,7 +1081,7 @@ def scalar_pairing_error(g):
                     return ("pairing is not antisymmetric: "
                             f"{{x,y}} != -{{y,x}} at z ids ({x}, {y})")
     else:
-        rng = random.Random(hb.SAMPLE_SEED)
+        rng = random.Random(groups.DEFAULT_SEED)
         for _ in range(hb.SAMPLE_COUNT):
             x, y = rng.randrange(zo), rng.randrange(zo)
             if g.pair(x, x) != 0 or g.pair(x, y) != winv(g.pair(y, x)):
@@ -1090,7 +1090,7 @@ def scalar_pairing_error(g):
     if zo ** 3 <= 8000:
         triples = itertools.product(range(zo), repeat=3)
     else:
-        rng = random.Random(hb.SAMPLE_SEED + 1)
+        rng = random.Random(groups.DEFAULT_SEED + 1)
         triples = ((rng.randrange(zo), rng.randrange(zo), rng.randrange(zo))
                    for _ in range(hb.SAMPLE_COUNT))
     for x, y, z in triples:

@@ -1,5 +1,5 @@
-"""Exhaustive small-group oracle for the Ruzsa rows, covers and the
-pool-table kernel.
+"""Exhaustive small-group oracle for the Ruzsa rows, covers, powers, the
+tripling pipelines and the pool-table kernel.
 
 A subset of a group of order n <= 8 is an n-bit mask.  The product of two
 subsets is the OR of right translates, each read off the scalar law
@@ -18,9 +18,11 @@ import pytest
 from setgrowth import groups
 from setgrowth.groups import BLOCK_PAIRS, construct_group
 from setgrowth.setops import (MSet, RuzsaDistanceValue, _pair_counts, energy,
-                              energy_quadruple_count, product_set,
-                              ruzsa_distance, ruzsa_triangle_cleared)
-from setgrowth.structure import ruzsa_cover
+                              energy_quadruple_count, inverse_set, power_set,
+                              product_set, ruzsa_triangle_cleared)
+from setgrowth.families import measured_tripling
+from setgrowth.structure import (approx_group_from_tripling, ruzsa_cover,
+                                 tripling_chain)
 
 
 def _subset_products(g):
@@ -53,7 +55,8 @@ def _subsets(g):
 
 
 # 63 nonempty subsets of an order-6 group, 255 of an order-8 one: every
-# ordered pair of the first checked against ruzsa_distance, every 37th of
+# ordered pair of the first checked against |A·B⁻¹| from product_set and
+# inverse_set, every 37th of
 # the second; the table's rows, on every triple, through the library's
 # cleared forms, which take numpy arrays for their parts
 @pytest.mark.parametrize("spec, stride", [
@@ -66,8 +69,8 @@ def test_ruzsa_rows_hold_on_every_subset_triple(spec, stride):
     sets = _subsets(g)
     for i in range(0, len(sets) ** 2, stride):
         a, b = divmod(i, len(sets))
-        d = ruzsa_distance(sets[a], sets[b])
-        assert (d.numerator, d.a_size, d.b_size) == (diff[a, b], sizes[a], sizes[b])
+        got = product_set(sets[a], inverse_set(sets[b])).size
+        assert (got, sets[a].size, sets[b].size) == (diff[a, b], sizes[a], sizes[b])
     assert (diff == diff.T).all()                       # d(A,B) = d(B,A)
     col, row = sizes[:, None], sizes[None, :]
     d_ac = RuzsaDistanceValue(diff, col, row)
@@ -188,3 +191,26 @@ def test_pair_counts_memory_is_one_block_in_a_large_group():
     assert sizes == [len(set((x + y) % g.order for x in a.tolist() for y in b.tolist()))
                      for a, b in pairs]
     assert peak < 3 * 8 * g.order + 16 * BLOCK_PAIRS
+
+
+# every nonempty subset: its powers A^n for n <= 6 against the table's, and
+# the tripling pipelines at the measured K = |A^3|/|A|, whose hard rows
+# must all pass and whose |A^3| must be the table's
+@pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(3)", "dihedral(4)",
+                                  "cyclic(8)"])
+def test_powers_and_tripling_pipelines_on_every_subset(spec):
+    g = construct_group(spec)
+    table, _ = _subset_products(g)
+    for m, a in enumerate(_subsets(g), start=1):
+        power = m
+        for n in range(1, 7):
+            assert _bitmask(power_set(a, n)) == power, (spec, m, n)
+            if n == 3:
+                cube = power
+            power = int(table[power, m])
+        k = measured_tripling(a)
+        assert k * a.size == cube.bit_count()
+        wit, ledger = approx_group_from_tripling(a, k)
+        assert wit.verified and ledger.hard_ok, (spec, m)
+        assert ledger.rows[0].lhs == cube.bit_count()   # tripling-hypothesis
+        assert tripling_chain(a, k).hard_ok, (spec, m)

@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth.groups import BLOCK_PAIRS, CyclicGroup, construct_group
+from setgrowth.groups import BLOCK_PAIRS, CyclicGroup, FiniteGroup, construct_group
 from setgrowth.setops import (
     MSet,
     RuzsaDistanceValue,
-    ascending_powers,
     convolution,
     energy,
     energy_quadruple_count,
@@ -32,7 +31,6 @@ from setgrowth.setops import (
     power_set,
     product_set,
     random_ids,
-    ruzsa_distance,
     ruzsa_triangle_cleared,
     symmetrize,
     translate_left,
@@ -44,6 +42,11 @@ G7 = construct_group("cyclic(7)")
 G100 = construct_group("cyclic(100)")
 D6 = construct_group("dihedral(6)")
 SL5 = construct_group("sl2(5)")
+
+
+def ruzsa_distance(a, b):
+    """d(A,B) in exact parts, with |A·B⁻¹| formed by the library."""
+    return RuzsaDistanceValue(product_set(a, inverse_set(b)).size, a.size, b.size)
 
 
 def signed_product(a, signs):
@@ -292,6 +295,70 @@ def test_power_set_matches_repeated_product():
         assert power_set(a, n) == expected
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The count of products FiniteGroup.mul_pairs forms from here on."""
+    formed = [0]
+    mul_pairs = FiniteGroup.mul_pairs
+
+    def counted(self, x, y):
+        formed[0] += np.broadcast(x, y).size
+        return mul_pairs(self, x, y)
+
+    monkeypatch.setattr(FiniteGroup, "mul_pairs", counted)
+    return lambda: formed[0]
+
+
+def test_a_repeat_power_forms_no_product(products):
+    a = MSet.from_ids(SL5, [1, 7, 30])
+    top = power_set(a, 6)
+    before = products()
+    assert power_set(a, 6) is top
+    assert [power_set(a, m) for m in range(1, 7)][0] is a
+    assert products() == before
+
+
+@pytest.mark.parametrize("spec, x", [("cyclic(12)", 1), ("cyclic(12)", 8),
+                                     ("dihedral(6)", 7), ("sl2(5)", 9)])
+def test_a_point_power_reads_its_period(products, refusal, spec, x):
+    # {x}^n = {x^n}: the chain holds the ord(x) distinct powers, forms one
+    # product each, and reads n = 10^12 off the period; a chain walked to
+    # n would outlast the alarm
+    g = construct_group(spec)
+    powers = [0, x]                 # x^0, x^1, ..., x^ord(x) = 1
+    while powers[-1] != 0:
+        powers.append(g.mul(powers[-1], x))
+    order = len(powers) - 1
+    a = MSet.from_ids(g, [x])
+    assert refusal(5, power_set, a, 10**12) is None
+    for n in (10**12, 10**12 + 1, 3, order, order + 1):
+        assert power_set(a, n).ids() == (powers[n % order],)
+    assert products() <= order
+    assert len(a._powers) == order - 1 and all(p is not a for p in a._powers)
+
+
+def test_a_cycling_chain_forms_at_most_its_distinct_powers(products):
+    # two reflections of dihedral(6): the sizes grow from 2 to 6 at A^5,
+    # then the powers alternate between the reflections and the rotations,
+    # so A^7 = A^5 and the chain forms the products of A^2..A^7 only
+    a = MSet.from_ids(D6, [6, 7])
+    naive = [a]
+    while len(naive) < 40:
+        naive.append(product_set(naive[-1], a))
+    distinct = len(set(naive))
+    before = products()
+    b = MSet.from_ids(D6, [6, 7])
+    assert [power_set(b, n) for n in range(1, 41)] == naive
+    assert len(b._powers) + 1 == distinct
+    bound = sum(p.size * a.size for p in naive[:distinct])
+    assert products() - before <= bound
+
+
+def test_a_subgroup_is_its_own_power():
+    h = MSet.from_ids(D6, [0, 2, 4])
+    assert power_set(h, 10**9) is h and h._powers == []
+
+
 def whole_group(g):
     return MSet.from_mask(g, np.ones(g.order, dtype=bool))
 
@@ -324,7 +391,7 @@ def test_power_chain_through_the_whole_group_matches_the_scalar_law(
     g = construct_group(spec)
     a = symmetrize(MSet.from_ids(
         g, random.Random(seed).sample(range(g.order), size)))
-    powers = list(ascending_powers(a, top))
+    powers = [power_set(a, n) for n in range(1, top + 1)]
     expected = set(a.ids())
     for n, power in enumerate(powers, start=1):
         assert set(power.ids()) == expected, n
