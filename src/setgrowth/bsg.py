@@ -385,7 +385,7 @@ def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
     nm = a.size * b.size
     pre = f"input-{clause}."
     if clause == "i":
-        e_val = energy(a, b).value
+        e_val = energy(a, b)
         ledger.require(pre + "energy-bound", e_val**2 * k**2, ">=",
                        Fraction(nm**3), formula="E^2K^2 >= (|A||B|)^3")
         state = {"k": k, "energy": e_val}
@@ -511,7 +511,7 @@ def _step_iv_ii(g, a, b, state, ledger):
 def _step_ii_i(g, a, b, state, ledger):
     pair_list = state["pairs"]
     image = state["image"]
-    e_val = energy(a, b).value
+    e_val = energy(a, b)
     ledger.compare("step-ii-i.cauchy-schwarz", e_val * image.size, ">=",
                    len(pair_list) ** 2, formula="E(A,B)|C| >= |E|^2")
     k_next = ceil_sqrt_frac(

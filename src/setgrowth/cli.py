@@ -105,7 +105,7 @@ def _cmd_bsg_run(args) -> int:
     if args.k is not None:
         k = frac(args.k, "--k", "K")
     else:
-        e_val = energy(a, b).value
+        e_val = energy(a, b)
         k = _energy_k(a, b, e_val)
         print(f"inferred K = {k} from E(A,B) = {e_val}")
     try:

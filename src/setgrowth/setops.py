@@ -1,5 +1,5 @@
 """Set arithmetic over a finite group: products, powers, convolutions,
-energy, Ruzsa distance.
+energy.
 
 This module alone knows the set format: an MSet owns one read-only boolean
 mask over the group's ids.  The constructor marks the array it is given
@@ -369,32 +369,13 @@ def _pair_counts(g: FiniteGroup, pairs):
         yield rows, np.bincount(r * n + block, minlength=k * n).reshape(k, n)
 
 
-@dataclass
-class EnergyValue:
-    """Multiplicative energy: quadruples (a,b,a',b') with a*b = a'*b'."""
-
-    value: int
-    a_size: int
-    b_size: int
-    product_size: int
-
-    def upper_bound_holds(self) -> bool:
-        # E <= (|A||B|)^{3/2}, compared as E^2 <= (|A||B|)^3
-        n = self.a_size * self.b_size
-        return self.value**2 <= n**3
-
-    def lower_bound_holds(self) -> bool:
-        # E >= |A|^2 |B|^2 / |A*B|
-        return self.value * self.product_size >= (self.a_size * self.b_size) ** 2
-
-
-def energy(a: MSet, b: MSet) -> EnergyValue:
-    """E(A, B) = sum of (1_A * 1_B)², with |A·B| the support of the counts."""
+def energy(a: MSet, b: MSet) -> int:
+    """E(A, B) = sum of (1_A * 1_B)², the multiplicative energy: the
+    quadruples (a,b,a',b') with a*b = a'*b'."""
     counts = _set_counts(a, b)
     # each count is at most min(|A|,|B|) and they sum to |A||B|, so
     # E <= |A||B|·min(|A|,|B|) <= ORDER_CAP^3 < 2^63: no int64 overflow
-    return EnergyValue(int(counts @ counts), a.size, b.size,
-                       int(np.count_nonzero(counts)))
+    return int(counts @ counts)
 
 
 def energy_quadruple_count(a: MSet, b: MSet) -> int:
@@ -412,33 +393,3 @@ def energy_quadruple_count(a: MSet, b: MSet) -> int:
                 total += int(np.count_nonzero(b_mask[block]))
     return total
 
-
-# ---------------------------------------------------------------------------
-# Ruzsa distance
-
-@dataclass
-class RuzsaDistanceValue:
-    """d(A,B) = log |A*B^-1| / sqrt(|A||B|), kept in exact parts.
-
-    numerator       |A * B^-1|
-    denominator_sq  |A| * |B|  (the square of the denominator)
-    """
-
-    numerator: int
-    a_size: int
-    b_size: int
-
-    @property
-    def denominator_sq(self) -> int:
-        return self.a_size * self.b_size
-
-    def is_nonnegative(self) -> bool:
-        # |A*B^-1| >= max(|A|,|B|) >= sqrt(|A||B|)
-        return self.numerator**2 >= self.denominator_sq
-
-
-def ruzsa_triangle_cleared(d_ab: RuzsaDistanceValue, d_bc: RuzsaDistanceValue,
-                           d_ac: RuzsaDistanceValue) -> bool:
-    """d(A,C) <= d(A,B) + d(B,C) from the three distances, in cleared-integer
-    form: |A*C^-1| * |B| <= |A*B^-1| * |B*C^-1|."""
-    return d_ac.numerator * d_ab.b_size <= d_ab.numerator * d_bc.numerator

@@ -55,9 +55,7 @@ from .groups import (
     subgroup_closure,
 )
 from .setops import (
-    EnergyValue,
     MSet,
-    RuzsaDistanceValue,
     _pair_counts,
     energy,
     energy_quadruple_count,
@@ -65,7 +63,6 @@ from .setops import (
     power_set,
     product_set,
     random_ids,
-    ruzsa_triangle_cleared,
     subgroup_failure,
     symmetrize,
     translate_left,
@@ -512,13 +509,40 @@ def _pair_rows(g: FiniteGroup, pairs):
     return (row for _, counts in _pair_counts(g, pairs) for row in counts)
 
 
+class _Tally:
+    """The hard rows of a pool suite: each named row holds until a draw
+    fails its check.  The witness is the text of the first failure, which
+    is formatted only then."""
+
+    def __init__(self, *names: str):
+        self.passed = dict.fromkeys(names, True)    # in row order
+        self.notes: dict[str, str] = {}
+        self.witness = ""
+
+    def check(self, name: str, holds, note: str, failure: str, *args) -> None:
+        """One verdict on the row `name`, whose note is the last one given;
+        failure.format(*args) is the witness if this is the first failure."""
+        self.notes[name] = note
+        if not holds:
+            self.passed[name] = False
+            self.witness = self.witness or failure.format(*args)
+
+    def place(self, report: Report, module: str, op: str, count_name: str,
+              count: int, note: str = "") -> None:
+        """The hard rows, then the info row `count_name`, noted with the
+        witness, or `note` when every check held."""
+        for name, passed in self.passed.items():
+            report.add(module, op, name, "hard", passed=passed, note=self.notes[name])
+        report.add(module, op, count_name, "info", lhs=count,
+                   note=self.witness or note)
+
+
 def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
     module = "setcalc"
     for gspec, g, pool, rng in _group_pools(job, report, module, "triples",
                                             max_size=24, extra_random=3):
-        op = f"ruzsa_distance[{gspec}]"
-        triangle = symmetry = nonneg = invariance = True
-        witness = ""
+        tally = _Tally("triangle-cleared", "symmetry", "nonnegativity",
+                       "left-invariance")
         n, sizes = len(pool), [a.size for _, a in pool]
         for draws in _chunks((abc, rng.randrange(g.order), rng.randrange(g.order))
                              for abc in _draws(job, range(n), rng, arity=3)):
@@ -534,33 +558,20 @@ def _run_ruzsa_axioms(job: SuiteJob, report: Report) -> None:
                 for s, ((a, b, c), _, _) in enumerate(draws)))
             for s, ((a, b, c), x, y) in enumerate(draws):
                 la, lb, lc = pool[a][0], pool[b][0], pool[c][0]
-                d_ab, d_bc, d_ac = (
-                    RuzsaDistanceValue(table[i, n + j][0], sizes[i], sizes[j])
-                    for i, j in ((a, b), (b, c), (a, c)))
-                if not ruzsa_triangle_cleared(d_ab, d_bc, d_ac):
-                    triangle = False
-                    witness = witness or f"triangle fails at ({la},{lb},{lc})"
-                ab = d_ab.numerator
-                if ab != table[b, n + a][0]:
-                    symmetry = False
-                    witness = witness or f"symmetry fails at ({la},{lb})"
-                if not d_ab.is_nonnegative():
-                    nonneg = False
-                    witness = witness or f"nonnegativity fails at ({la},{lb})"
-                if table[2 * n + s, 2 * n + t + s][0] != ab:
-                    invariance = False
-                    witness = witness or (
-                        f"invariance fails at ({la},{lb},x={x},y={y})")
-        report.add(module, op, "triangle-cleared", "hard", passed=triangle,
-                   note="|A C^-1||B| <= |A B^-1||B C^-1| over sampled triples")
-        report.add(module, op, "symmetry", "hard", passed=symmetry,
-                   note="|A B^-1| = |B A^-1|")
-        report.add(module, op, "nonnegativity", "hard", passed=nonneg,
-                   note="|A B^-1|^2 >= |A||B|")
-        report.add(module, op, "left-invariance", "hard", passed=invariance,
-                   note="|xA (yB)^-1| = |A B^-1|")
-        report.add(module, op, "triple-count", "info", lhs=_iterations(job),
-                   note=witness or f"pool of {len(pool)} sets")
+                ab, bc, ac = (table[i, n + j][0] for i, j in ((a, b), (b, c), (a, c)))
+                tally.check("triangle-cleared", ac * sizes[b] <= ab * bc,
+                            "|A C^-1||B| <= |A B^-1||B C^-1| over sampled triples",
+                            "triangle fails at ({},{},{})", la, lb, lc)
+                tally.check("symmetry", ab == table[b, n + a][0],
+                            "|A B^-1| = |B A^-1|", "symmetry fails at ({},{})", la, lb)
+                tally.check("nonnegativity", ab * ab >= sizes[a] * sizes[b],
+                            "|A B^-1|^2 >= |A||B|",
+                            "nonnegativity fails at ({},{})", la, lb)
+                tally.check("left-invariance", table[2 * n + s, 2 * n + t + s][0] == ab,
+                            "|xA (yB)^-1| = |A B^-1|",
+                            "invariance fails at ({},{},x={},y={})", la, lb, x, y)
+        tally.place(report, module, f"ruzsa_distance[{gspec}]", "triple-count",
+                    _iterations(job), f"pool of {n} sets")
 
 
 def _asymmetric_coset_union(g: FiniteGroup) -> MSet | None:
@@ -592,8 +603,8 @@ def _run_energy_identities(job: SuiteJob, report: Report) -> None:
     for gspec, g, pool, rng in _group_pools(job, report, module, "energy",
                                             max_size=32, extra_random=3):
         op = f"energy[{gspec}]"
-        flip_equal = upper = lower = brute = True
-        witness = ""
+        tally = _Tally("left-right-energy-equal", "energy-upper", "energy-lower",
+                       "quadruple-brute-agreement")
         brute_runs = 0
         n = len(pool)
         for draws in _chunks(_draws(job, range(n), rng)):
@@ -602,52 +613,40 @@ def _run_energy_identities(job: SuiteJob, report: Report) -> None:
             for i, j in draws:
                 (la, a), (lb, b) = pool[i], pool[j]
                 size, value = table[i, j]
-                e_ab = EnergyValue(value, a.size, b.size, size)
-                if not e_ab.upper_bound_holds():
-                    upper = False
-                    witness = witness or f"upper bound fails at ({la},{lb})"
-                if not e_ab.lower_bound_holds():
-                    lower = False
-                    witness = witness or f"lower bound fails at ({la},{lb})"
-                if table[i, n + i][1] != table[n + i, i][1]:
-                    flip_equal = False
-                    witness = witness or f"E(A,A^-1) != E(A^-1,A) at {la}"
+                nm = a.size * b.size
+                tally.check("energy-upper", value**2 <= nm**3,
+                            "E(A,B)^2 <= (|A||B|)^3, cleared",
+                            "upper bound fails at ({},{})", la, lb)
+                tally.check("energy-lower", value * size >= nm**2,
+                            "E(A,B)|A B| >= (|A||B|)^2, cleared",
+                            "lower bound fails at ({},{})", la, lb)
+                tally.check("left-right-energy-equal",
+                            table[i, n + i][1] == table[n + i, i][1],
+                            "E(A,A^-1) = E(A^-1,A)", "E(A,A^-1) != E(A^-1,A) at {}", la)
                 if a.size <= 64 and b.size <= 64 and brute_runs < 12:
                     brute_runs += 1
-                    if e_ab.value != energy_quadruple_count(a, b):
-                        brute = False
-                        witness = witness or f"brute-force mismatch at ({la},{lb})"
+                    tally.check("quadruple-brute-agreement",
+                                value == energy_quadruple_count(a, b),
+                                f"{brute_runs} brute-force comparisons",
+                                "brute-force mismatch at ({},{})", la, lb)
         asym = _asymmetric_coset_union(g)
         if asym is not None:
-            left = product_set(asym, inverse_set(asym)).size
-            right = product_set(inverse_set(asym), asym).size
+            # |A A^-1|, E(A,A^-1) and |A^-1 A|, E(A^-1,A) in one sweep
+            flip = _pair_table(g, _operands([(None, asym)]), [(0, 1), (1, 0)])
+            (left, e_left), (right, e_right) = flip[0, 1], flip[1, 0]
             report.add(module, op, "coset-union-asymmetry", "info",
                        lhs=left, rel="!=", rhs=right,
                        note=f"|A A^-1| vs |A^-1 A| for the union, |A| = {asym.size}")
-            if energy(asym, inverse_set(asym)).value != \
-                    energy(inverse_set(asym), asym).value:
-                flip_equal = False
-                witness = witness or "E symmetry fails on the coset union"
-        report.add(module, op, "left-right-energy-equal", "hard", passed=flip_equal,
-                   note="E(A,A^-1) = E(A^-1,A)")
-        report.add(module, op, "energy-upper", "hard", passed=upper,
-                   note="E(A,B)^2 <= (|A||B|)^3, cleared")
-        report.add(module, op, "energy-lower", "hard", passed=lower,
-                   note="E(A,B)|A B| >= (|A||B|)^2, cleared")
-        report.add(module, op, "quadruple-brute-agreement", "hard", passed=brute,
-                   note=f"{brute_runs} brute-force comparisons")
-        report.add(module, op, "pair-count", "info", lhs=_iterations(job),
-                   note=witness)
+            tally.check("left-right-energy-equal", e_left == e_right,
+                        "E(A,A^-1) = E(A^-1,A)", "E symmetry fails on the coset union")
+        tally.place(report, module, op, "pair-count", _iterations(job))
 
 
 def _run_covering(job: SuiteJob, report: Report) -> None:
     module = "structure"
     for gspec, g, pool, rng in _group_pools(job, report, module, "cover",
                                             max_size=30, extra_random=2):
-        op = f"ruzsa_cover[{gspec}]"
-        ok_count = True
-        ok_contain = True
-        witness = ""
+        tally = _Tally("cover-count", "cover-containment")
         for draws in _chunks(_draws(job, range(len(pool)), rng)):
             table = _pair_table(g, _operands(pool), itertools.chain.from_iterable(
                 ((i, j), (j, i)) for i, j in draws))
@@ -670,21 +669,15 @@ def _run_covering(job: SuiteJob, report: Report) -> None:
             for i, j in draws:
                 (la, a), (lb, b) = pool[i], pool[j]
                 for side in ("left", "right"):
-                    x = covers[i, j, side]
                     prod = table[(i, j) if side == "left" else (j, i)][0]
-                    if x.size * a.size > prod:
-                        ok_count = False
-                        witness = witness or f"count fails at ({la},{lb},{side})"
-                    if not inside[i, j, side]:
-                        ok_contain = False
-                        witness = witness or (
-                            f"containment fails at ({la},{lb},{side})")
-        report.add(module, op, "cover-count", "hard", passed=ok_count,
-                   note="|X||A| <= |A B| (resp. |B A|)")
-        report.add(module, op, "cover-containment", "hard", passed=ok_contain,
-                   note="B inside A^-1 A X (resp. X A A^-1)")
-        report.add(module, op, "instance-count", "info", lhs=2 * _iterations(job),
-                   note=witness)
+                    tally.check("cover-count", covers[i, j, side].size * a.size <= prod,
+                                "|X||A| <= |A B| (resp. |B A|)",
+                                "count fails at ({},{},{})", la, lb, side)
+                    tally.check("cover-containment", inside[i, j, side],
+                                "B inside A^-1 A X (resp. X A A^-1)",
+                                "containment fails at ({},{},{})", la, lb, side)
+        tally.place(report, module, f"ruzsa_cover[{gspec}]", "instance-count",
+                    2 * _iterations(job))
 
 
 def _run_musprop(job: SuiteJob, report: Report) -> None:
@@ -716,7 +709,7 @@ def _energy_k(a: MSet, b: MSet, e_val: int | None = None) -> Fraction:
     precision: K = ceil_sqrt((|A||B|)^3)/E.  `e_val` is E(A,B) when the
     caller has counted it already."""
     if e_val is None:
-        e_val = energy(a, b).value
+        e_val = energy(a, b)
     nm = a.size * b.size
     return Fraction(ceil_isqrt(nm ** 3), e_val)
 
@@ -728,7 +721,7 @@ def _run_bsg(job: SuiteJob, report: Report) -> None:
     a16 = MSet.from_ids(g16, [0, 1, 2, 3])
     op16 = "bsg_extract[cyclic(16)|progression-4]"
     report.add(module, op16, "energy-measured", "info",
-               lhs=energy(a16, a16).value, note="E(A,A) for A = {0,1,2,3}")
+               lhs=energy(a16, a16), note="E(A,A) for A = {0,1,2,3}")
     extract = bsg_extract(a16, a16, _energy_k(a16, a16))
     report.merge_ledger(module, op16, extract.ledger)
     for gspec, g, pool, rng in _group_pools(job, report, module, "bsg",
@@ -1005,7 +998,7 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
     # cross-module oracle: a progression in cyclic(5) embedded at i/5
     c5 = construct_group("cyclic(5)")
     a5 = MSet.from_ids(c5, [0, 1, 2])
-    discrete = energy(a5, a5).value
+    discrete = energy(a5, a5)
     cloud5 = MetricCloud(TorusGroup(1, 5), range(3))
     approx = approx_energy(cloud5, cloud5, Fraction(1, 20))
     report.add(module, "approx_energy[embedded-cyclic(5)]",

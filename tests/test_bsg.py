@@ -62,7 +62,7 @@ A16 = MSet.from_ids(G16, [0, 1, 2, 3])
 
 def inferred_k(a, b):
     """Smallest safe rational K with E(A,B) >= (|A||B|)^{3/2} / K."""
-    e = energy(a, b).value
+    e = energy(a, b)
     nm = a.size * b.size
     return Fraction(ceil_isqrt(nm**3), e)
 
@@ -768,4 +768,4 @@ def test_cli_bsg_run_counts_the_energy_once(monkeypatch, capsys):
     a, _ = calls[0]
     first = capsys.readouterr().out.splitlines()[0]
     assert first == (f"inferred K = {inferred_k(a, a)} "
-                     f"from E(A,B) = {energy(a, a).value}")
+                     f"from E(A,B) = {energy(a, a)}")

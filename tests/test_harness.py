@@ -8,6 +8,7 @@ import contextlib
 import csv
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -23,10 +24,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setgrowth import groups, suites
+from setgrowth import bsg, groups, suites
 from setgrowth.groups import DEFAULT_SEED, construct_group, subgroup_closure
 from setgrowth.setops import MSet, inverse_set, product_set, translate_left
-from setgrowth.structure import ConstantLedger, LedgerError
+from setgrowth.structure import ConstantLedger, LedgerError, ruzsa_cover
 from setgrowth.suites import (
     CSV_HEADER,
     SUITE_NAMES,
@@ -395,30 +396,38 @@ def test_pool_tables_in_small_chunks_give_the_same_report(monkeypatch):
     assert [row.cells() for row in run_suite(SuiteConfig(jobs)).sorted_rows()] == want
 
 
-# Each case corrupts one drawn pair's entry of the cyclic(60) pool table:
-# the count row of A·B (A·B⁻¹ for ruzsa-axioms) becomes the one product 0,
-# so |A·B| = E(A,B) = 1.  Each note is what the per-draw loop that called
-# product_set and energy on every pair printed with product_set and energy
-# corrupted the same way (returning {0}, and E = 1 with |A·B| = 1, on that
-# pair), so the table is read and its first failing draw named.
-@pytest.mark.parametrize("name, la, lb, inverted, failed, note", [
-    ("ruzsa-axioms", "geometric_progression(3,5)",
-     "random_dense(density=1/5;seed=23)", True,
+# Each case corrupts the count row `row` that a pool suite forms over
+# cyclic(60), for the pool's sets A and B labelled la and lb: the row
+# becomes the one product 0, so |X·Y| = E(X,Y) = 1, or, when piled, all
+# |X||Y| products land on 0, so |X·Y| = 1 and E(X,Y) = (|X||Y|)².  The
+# first three notes are what the per-draw loop that called product_set and
+# energy on every pair printed with product_set and energy corrupted the
+# same way on that pair, so the table is read and its first failing draw
+# named.  The row A·A⁻¹ (B = A) is read only by E(A,A⁻¹) = E(A⁻¹,A), and
+# the hull A⁻¹A·X of the left cover X of B only by cover-containment.
+P35, DENSE = "geometric_progression(3,5)", "random_dense(density=1/5;seed=23)"
+
+
+@pytest.mark.parametrize("name, la, lb, row, failed, note", [
+    ("ruzsa-axioms", P35, DENSE, "A*B^-1",
      {"triangle-cleared", "symmetry", "nonnegativity", "left-invariance"},
-     "triangle fails at (geometric_progression(3,5),"
-     "random_dense(density=1/5;seed=23),random#1)"),
-    ("energy-identities", "geometric_progression(3,5)",
-     "random_dense(density=1/5;seed=23)", False,
+     f"triangle fails at ({P35},{DENSE},random#1)"),
+    ("energy-identities", P35, DENSE, "A*B",
      {"energy-lower", "quadruple-brute-agreement"},
-     "lower bound fails at (geometric_progression(3,5),"
-     "random_dense(density=1/5;seed=23))"),
-    ("covering", "random_dense(density=1/5;seed=23)", "random#1", False,
-     {"cover-count"}, "count fails at (random_dense(density=1/5;seed=23),"
-     "random#1,left)"),
+     f"lower bound fails at ({P35},{DENSE})"),
+    ("covering", DENSE, "random#1", "A*B",
+     {"cover-count"}, f"count fails at ({DENSE},random#1,left)"),
+    ("energy-identities", P35, DENSE, "A*B piled",
+     {"energy-upper", "quadruple-brute-agreement"},
+     f"upper bound fails at ({P35},{DENSE})"),
+    ("energy-identities", P35, P35, "A*B^-1",
+     {"left-right-energy-equal"}, f"E(A,A^-1) != E(A^-1,A) at {P35}"),
+    ("covering", DENSE, "random#1", "A^-1A*X",
+     {"cover-containment"}, f"containment fails at ({DENSE},random#1,left)"),
 ])
 @pytest.mark.parametrize("chunk", [suites.DRAW_CHUNK, 3])
 def test_a_planted_table_entry_fails_its_row_at_the_first_failing_draw(
-        name, la, lb, inverted, failed, note, chunk, monkeypatch):
+        name, la, lb, row, failed, note, chunk, monkeypatch):
     # at 3 draws a chunk, the first failing draw sits in a later pool table
     monkeypatch.setattr(suites, "DRAW_CHUNK", chunk)
     target = []
@@ -426,17 +435,21 @@ def test_a_planted_table_entry_fails_its_row_at_the_first_failing_draw(
 
     def recording(*args, **kwargs):
         pool = real_pool(*args, **kwargs)
-        sets = dict(pool)
-        b = inverse_set(sets[lb]) if inverted else sets[lb]
-        target.append((sets[la].ids(), b.ids()))
+        a, b = dict(pool)[la], dict(pool)[lb]
+        operands = {"A*B": (a, b), "A*B piled": (a, b),
+                    "A*B^-1": (a, inverse_set(b)),
+                    "A^-1A*X": (product_set(inverse_set(a), a),
+                                ruzsa_cover(a, b, "left"))}[row]
+        target.append(tuple(x.ids() for x in operands))
         return pool
 
     def planted(g, pairs):
         for rows, counts in real_counts(g, pairs):
             for r, (xs, ys) in enumerate(pairs[rows]):
                 if (tuple(sorted(xs)), tuple(sorted(ys))) == target[0]:
+                    load = counts[r].sum() if row.endswith("piled") else 1
                     counts[r] = 0
-                    counts[r, 0] = 1
+                    counts[r, 0] = load
             yield rows, counts
 
     monkeypatch.setattr(suites, "_pool", recording)
@@ -759,6 +772,27 @@ def test_benchmark_report_matches_its_reference(name, tmp_path):
     (path,) = emit_report(report, format="csv", out=str(tmp_path))
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     assert digest == reference["digests"][name]
+
+
+# scripts/traffic.py lists the lines of the package that no pin and no other
+# workload reaches; its collector here runs one pin only
+traffic = _script("scripts/traffic.py")
+
+
+def test_traffic_lists_the_steps_no_run_reaches():
+    # the energy-equivalence suite walks from clause i, so it runs step
+    # i→iii and never step ii→i
+    (pin,) = [p for p in PINS if p["name"] == "verify-energy-equivalence"]
+    reached = traffic.collect(lambda: list(pins.check([pin])))
+    runs = traffic.unreached(reached)["bsg.py"]
+    listed = {n for first, last in runs for n in range(first, last + 1)}
+
+    def body(function):
+        lines, start = inspect.getsourcelines(function)
+        return set(range(start + 1, start + len(lines)))
+
+    assert body(bsg._step_ii_i) <= listed
+    assert not body(bsg._step_i_iii) & listed
 
 
 @pytest.mark.parametrize("path", ["law-only", "eager-tables"])

@@ -544,7 +544,7 @@ def blocked_results(g, a, b):
     the convolution, the energy, both covers, the closure of A and the
     bsg extraction at the K its energy gives."""
     nm = a.size * b.size
-    ex = bsg_extract(a, b, Fraction(ceil_isqrt(nm**3), energy(a, b).value))
+    ex = bsg_extract(a, b, Fraction(ceil_isqrt(nm**3), energy(a, b)))
     return (product_set(a, b), convolution(a, b).counts, energy(a, b),
             ruzsa_cover(a, b, "left"), ruzsa_cover(a, b, "right"),
             subgroup_closure(g, a.ids()),
