@@ -266,10 +266,9 @@ class WordMetricGroup(_NormMetricGroup):
                 seeds.append(s)
         if not seeds:
             raise ValueError("need at least one generator besides the identity")
-        gens = set(seeds) | set(group.inv_array(seeds).tolist())
+        gens = MSet.from_ids(group, [*seeds, *group.inv_array(seeds)]).id_array()
         dist = np.full(group.order, -1, dtype=np.int64)
-        for length, level in enumerate(
-                _cayley_levels(group, np.array(sorted(gens)))):
+        for length, level in enumerate(_cayley_levels(group, gens)):
             dist[level] = length
         missing = int(np.count_nonzero(dist < 0))
         if missing:
@@ -278,7 +277,7 @@ class WordMetricGroup(_NormMetricGroup):
                 % (group.order - missing, group.order)
             )
         super().__init__(group, dist * dist, 1)
-        self.generators = tuple(sorted(gens))
+        self.generators = tuple(gens.tolist())
         self.dist_from_identity = tuple(dist.tolist())
         # _balls[r] = |{x : d(1, x) < r}| for r up to the diameter plus one
         self._balls = np.concatenate(([0], np.bincount(dist).cumsum()))

@@ -18,9 +18,9 @@ import numpy as np
 from .exact import frac
 from .groups import (FiniteGroup, _cayley_levels, _first_non_normalizer,
                      _int_arg, _named_fields, _required, _split_call,
-                     _split_fields, construct_group, subgroup_closure)
+                     _split_fields, construct_group)
 from .setops import (MSet, inverse_set, power_set, product_set, random_ids,
-                     symmetrize, translate_left)
+                     subgroup_closure, symmetrize, translate_left)
 
 # Each family's fields: positional, except random_dense's key=value ones.
 FAMILY_FIELDS = {
@@ -48,9 +48,6 @@ class SetFamilySpec:
         if self.family not in FAMILY_NAMES:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
-
-    def text(self) -> str:
-        return f"{self.family}({';'.join(self.args)})"
 
     @classmethod
     def parse(cls, group: str, text: str) -> "SetFamilySpec":
@@ -80,10 +77,6 @@ def _ids_arg(g: FiniteGroup, field: str, what: str) -> list[int]:
     return [_id(g, x, what) for x in _ints_arg(field, what)]
 
 
-def _closure_set(g: FiniteGroup, gens: list[int]) -> MSet:
-    return MSet.from_ids(g, subgroup_closure(g, gens or [0]))
-
-
 def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
     """Realize a family spec inside its group, construct_group's one
     instance for the spec; `seed` overrides the seed field of random_dense.
@@ -96,12 +89,12 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
 
     if family == "subgroup":
         gens = _ids_arg(g, args[0], family) if args else [0]
-        return _closure_set(g, gens)
+        return subgroup_closure(g, gens)
 
     if family == "coset":
         if len(args) != 2:
             raise ValueError("coset expects gens;point")
-        base = _closure_set(g, _ids_arg(g, args[0], family))
+        base = subgroup_closure(g, _ids_arg(g, args[0], family))
         return translate_left(_id(g, _int_arg(args[1], family, "point"), family), base)
 
     if family == "geometric_progression":
@@ -129,23 +122,23 @@ def generate_set(spec: SetFamilySpec, seed: int | None = None) -> MSet:
         sub = subgroup_closure(g, gens)
         if len(args) > 1:
             x = _id(g, _int_arg(args[1], family, "point"), family)
-            if _first_non_normalizer(g, [x], sub) is None:
+            if _first_non_normalizer(g, [x], sub.id_array()) is None:
                 raise ValueError(
                     f"point {x} normalizes the subgroup; the family needs an "
                     "outside point with H^x != H")
         else:
             # members of H normalize it, so the first hit lies outside H
-            x = _first_non_normalizer(g, g.elements(), sub)
+            x = _first_non_normalizer(g, g.elements(), sub.id_array())
             if x is None:
                 raise ValueError(
                     "every element normalizes the subgroup "
-                    f"{sorted(sub)} in {g.name}; no valid point exists")
-        return MSet.from_ids(g, sub | {x})
+                    f"{list(sub.ids())} in {g.name}; no valid point exists")
+        return sub.union(MSet.from_ids(g, [x]))
 
     if family == "union_of_cosets":
         if len(args) != 2:
             raise ValueError("union_of_cosets expects gens;count")
-        base = _closure_set(g, _ids_arg(g, args[0], family))
+        base = subgroup_closure(g, _ids_arg(g, args[0], family))
         count = _int_arg(args[1], family, "count")
         if count < 1:
             raise ValueError("coset count must be positive")

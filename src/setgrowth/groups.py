@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -540,7 +539,9 @@ def _int_arg(text: str, what: str, name: str = "argument") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Blocked sweeps, subgroups, quotients
+# Blocked sweeps, quotients, normality.  A quotient G/H keeps pi[0] = 0, so
+# H is its kernel, the ids where pi is 0; setops builds subgroups and
+# quotient maps as sets.
 
 def _row_blocks(n_rows: int, n_cols: int):
     """Slices tiling range(n_rows) in order, each of at most BLOCK_PAIRS
@@ -632,19 +633,11 @@ def _cayley_levels(g: FiniteGroup, gens: np.ndarray):
         level = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
 
-def subgroup_closure(g: FiniteGroup, seed) -> frozenset[int]:
-    """Smallest subgroup of g containing the seed ids."""
-    seed = np.asarray(list(seed), dtype=np.intp)
-    if not len(seed):
-        raise ValueError("seed must be nonempty")
-    gens = np.concatenate([seed, g.inv_array(seed)])
-    members = np.concatenate(list(_cayley_levels(g, gens)))
-    return frozenset(members.tolist())
-
-
 class QuotientGroup(FiniteGroup):
-    """G/N from the intp arrays reps (quotient id -> a parent id in the
-    coset) and pi (parent id -> quotient id)."""
+    """G/H from the intp arrays reps (quotient id -> a parent id in the
+    coset) and pi (parent id -> quotient id), with pi[0] = 0: the coset of
+    the identity is quotient id 0, so H is the kernel, the ids where pi is
+    0, and the quotient is all a caller needs of H."""
 
     def __init__(self, parent: FiniteGroup, reps: np.ndarray, pi: np.ndarray):
         super().__init__(len(reps), f"{parent.name}/N[{len(reps)}]")
@@ -666,17 +659,6 @@ class QuotientGroup(FiniteGroup):
         return int(self.pi[self.parent.inv(int(self.reps[a]))])
 
 
-@dataclass
-class NormalSubgroupView:
-    """A verified normal subgroup with its quotient and projection."""
-
-    parent: FiniteGroup
-    members: frozenset[int]
-    quotient: FiniteGroup
-    pi: np.ndarray      # intp, parent id -> quotient id
-    reps: np.ndarray    # intp, quotient id -> smallest parent id in the coset
-
-
 class NotNormalError(ValueError):
     def __init__(self, g: int, h: int, conj: int):
         super().__init__(
@@ -691,49 +673,26 @@ def _conjugates(g: FiniteGroup, x, h) -> np.ndarray:
     return g.mul_pairs(g.mul_pairs(x, h), g.inv_array(x))
 
 
-def _first_non_normalizer(g: FiniteGroup, candidates, members) -> int | None:
+def _first_non_normalizer(g: FiniteGroup, candidates, hs) -> int | None:
     """The first candidate x with xHx^-1 != H, by one sweep of the
-    conjugates of H; None if every candidate normalizes H."""
+    conjugates of H, given by its ascending id array hs; None if every
+    candidate normalizes H."""
     xs = np.asarray(candidates, dtype=np.intp)
-    hs = np.array(sorted(members), dtype=np.intp)
     mask = _ids_mask(g, hs)
     found = _first(_grid((len(xs), len(hs))),
                    lambda i, j: ~mask[_conjugates(g, xs[i], hs[j])])
     return None if found is None else int(xs[found[0]])
 
 
-def _raise_first_escape(g: FiniteGroup, members: frozenset[int]):
-    """Raise NotNormalError on the first conjugate x*h*x^-1 outside H, with
-    h ascending, then x ascending, from one sweep over all x."""
-    hs = np.array(sorted(members), dtype=np.intp)
+def _raise_first_escape(g: FiniteGroup, hs: np.ndarray):
+    """Raise NotNormalError on the first conjugate x*h*x^-1 outside H, given
+    by its ascending id array hs, with h ascending, then x ascending, from
+    one sweep over all x."""
     mask = _ids_mask(g, hs)
     j, x = _first(_grid((len(hs), g.order)),
                   lambda j, x: ~mask[_conjugates(g, x, hs[j])])
     h = int(hs[j])
     raise NotNormalError(x, h, int(_conjugates(g, x, h)))
-
-
-def quotient_map(g: FiniteGroup, generators_of_H) -> NormalSubgroupView:
-    """Quotient by the subgroup H generated by the given ids.
-
-    The representative of x is the smallest id of its coset xH, the minimum
-    of the row x*H of one blocked mul_outer; the quotient ids number the
-    representatives in increasing order, and pi maps each id to the number
-    of its coset.  H is normal when rHr^-1 lies in H for every
-    representative r, since x = rh' gives xhx^-1 = r(h'hh'^-1)r^-1.  If it
-    is not, a NotNormalError names the first escaping conjugate with h
-    ascending, then x ascending."""
-    members = subgroup_closure(g, generators_of_H)
-    hs = np.array(sorted(members), dtype=np.intp)
-    ids = np.arange(g.order)
-    rep_of = np.concatenate(
-        [block.min(axis=1) for _, block in _product_blocks(g, ids, hs)])
-    reps = np.flatnonzero(rep_of == ids)
-    if _first_non_normalizer(g, reps, members) is not None:
-        _raise_first_escape(g, members)
-    pi = np.searchsorted(reps, rep_of)
-    quotient = QuotientGroup(g, reps, pi)
-    return NormalSubgroupView(g, members, quotient, pi, reps)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .groups import (
     DEFAULT_SEED,
     DirectProductGroup,
     FiniteGroup,
-    NormalSubgroupView,
     QuotientGroup,
     _first,
     _first_non_normalizer,
@@ -192,7 +191,7 @@ class HeisenbergGroup(FiniteGroup):
         self._zcols = _digits(np.arange(self.z_order), spec.z_prime, spec.z_rank)
         self._zcoords = list(zip(*(col.tolist() for col in self._zcols)))
         self._additive: DirectProductGroup | None = None
-        self._vertical: NormalSubgroupView | None = None
+        self._vertical: QuotientGroup | None = None
         self.construction_ledger: ConstantLedger | None = None
 
     # -- coordinates --------------------------------------------------------
@@ -268,16 +267,13 @@ class HeisenbergGroup(FiniteGroup):
         return MSet.from_ids(self.additive_group(), mset.id_array())
 
     @property
-    def vertical(self) -> NormalSubgroupView:
-        """The central subgroup {0} x W with its quotient onto Z; quotient
-        ids coincide with Z ids."""
+    def vertical(self) -> QuotientGroup:
+        """The quotient onto Z by the central subgroup {0} x W, the ids
+        below |W|: pi is id // |W|, so quotient ids coincide with Z ids."""
         if self._vertical is None:
             wo = self.w_order
-            pi = np.arange(self.order) // wo
-            reps = np.arange(self.z_order) * wo
-            members = frozenset(range(wo))
-            quotient = QuotientGroup(self, reps, pi)
-            self._vertical = NormalSubgroupView(self, members, quotient, pi, reps)
+            self._vertical = QuotientGroup(self, np.arange(self.z_order) * wo,
+                                           np.arange(self.order) // wo)
         return self._vertical
 
 
@@ -303,7 +299,6 @@ def build_heisenberg(spec: PairingSpec) -> HeisenbergGroup:
                 note=f"{axioms['mode']} associativity check")
     ledger.check()
     g.construction_ledger = ledger
-    g.vertical  # preconstruct the central view
     return g
 
 
@@ -446,7 +441,7 @@ class SplitWitness:
     """Nested cores B1, B2, B3 inside H, the quotient image C, and a
     symmetrized section phi defined on C^3."""
 
-    view: NormalSubgroupView
+    quotient: QuotientGroup
     c: MSet
     b1: MSet
     b2: MSet
@@ -457,21 +452,21 @@ class SplitWitness:
     ledger: ConstantLedger
 
 
-def _projection(q: FiniteGroup, pi: np.ndarray, a: MSet) -> MSet:
+def _projection(q: QuotientGroup, a: MSet) -> MSet:
     """pi(A) as a subset of the quotient."""
-    return MSet.from_ids(q, pi[a.id_array()])
+    return MSet.from_ids(q, q.pi[a.id_array()])
 
 
-def _fiber_minima(q: FiniteGroup, pi: np.ndarray, ids: np.ndarray):
+def _fiber_minima(q: QuotientGroup, ids: np.ndarray):
     """Per quotient id, the smallest of the ids in its fiber; -1 where none
     lies there."""
-    out = np.full(q.order, len(pi), dtype=np.intp)
-    np.minimum.at(out, pi[ids], ids)
-    out[out == len(pi)] = -1
+    out = np.full(q.order, len(q.pi), dtype=np.intp)
+    np.minimum.at(out, q.pi[ids], ids)
+    out[out == len(q.pi)] = -1
     return out
 
 
-def _section(g, q, pi, a: MSet, a3: MSet, c: MSet, c3: MSet):
+def _section(g, q: QuotientGroup, a: MSet, a3: MSet, c: MSet, c3: MSet):
     """The symmetrized section on C^3 and its logged exceptions.
 
     x takes the smallest id of its fiber (in A for x in C, in A^3 beyond);
@@ -482,8 +477,8 @@ def _section(g, q, pi, a: MSet, a3: MSet, c: MSet, c3: MSet):
     off C^3) and the exceptions as ascending Python ints.
     """
     def minima(ids):
-        return (_fiber_minima(q, pi, ids),
-                _fiber_minima(q, pi, ids[g.inv_array(ids) == ids]))
+        return (_fiber_minima(q, ids),
+                _fiber_minima(q, ids[g.inv_array(ids) == ids]))
 
     in_c = member_mask(c)
     first, fixed = (np.where(in_c, from_a, from_a3) for from_a, from_a3
@@ -535,8 +530,10 @@ def _first_triple_defects(g, q, phi: np.ndarray, triples, *masks):
     return found
 
 
-def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
-    """Split a symmetric small-tripling set along the normal subgroup H.
+def split_approximate(a: MSet, q: QuotientGroup, k) -> SplitWitness:
+    """Split a symmetric small-tripling set along the normal subgroup H,
+    given as the quotient q = G/H, whose kernel (the ids where q.pi is 0)
+    is H.
 
     Builds C as the quotient image of A, the cores B_i as cubes of the
     even-power slices A^2, A^8, A^26 intersected with H, and a section
@@ -557,8 +554,8 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     groups.ORDER_CAP bounds the group: the power chain stops at its first repeat.
     """
     g = a.group
-    if h.parent is not g:
-        raise ValueError("the subgroup view belongs to a different group")
+    if q.parent is not g:
+        raise ValueError("the quotient belongs to a different group")
     k = frac(k)
     if k < 1:
         raise ValueError("the tripling parameter must be at least 1")
@@ -571,9 +568,8 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
     ledger.require("tripling-hypothesis", a3.size, "<=", k * a.size,
                    formula="|A^3| <= K|A|")
 
-    h_set = MSet.from_ids(g, h.members)
-    q = h.quotient
-    c = _projection(q, h.pi, a)
+    h_set = MSet.from_mask(g, q.pi == 0)
+    c = _projection(q, a)
     ledger.info("size-a", a.size)
     ledger.info("size-c", c.size)
 
@@ -621,14 +617,14 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
 
     # the section phi on C^3
     c3 = power_set(c, 3)
-    phi, exceptions = _section(g, q, h.pi, a, a3, c, c3)
+    phi, exceptions = _section(g, q, a, a3, c, c3)
     cids, c3_ids = c.id_array(), c3.id_array()
     sec = phi[cids]     # phi on C
     ginv, qinv = g.inv_array, q.inv_array
     a_mask, a3_mask = member_mask(a), member_mask(a3)
     ledger.claim("section-at-identity", phi[0] == 0)
     ledger.claim("section-projects-back",
-                 np.array_equal(h.pi[phi[c3_ids]], c3_ids),
+                 np.array_equal(q.pi[phi[c3_ids]], c3_ids),
                  formula="pi(phi(x)) = x on C^3")
     ledger.claim("section-values-in-base",
                  a_mask[sec].all(),
@@ -679,7 +675,7 @@ def split_approximate(a: MSet, h: NormalSubgroupView, k) -> SplitWitness:
 
     ledger.check()
     return SplitWitness(
-        view=h, c=c, b1=b1, b2=b2, b3=b3, phi=phi,
+        quotient=q, c=c, b1=b1, b2=b2, b3=b3, phi=phi,
         exceptions=tuple(exceptions), b_witnesses=tuple(witnesses),
         ledger=ledger,
     )
@@ -857,7 +853,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
                      "derived bound 2Ks^1377")
 
     # closure of the candidate under the pairing of its shadow
-    shadow = sorted({i // wo for i in a_tilde.ids()})
+    shadow = _projection(g.vertical, a_tilde).id_array()
     include_ok = bool(
         member_mask(a_tilde)[np.flatnonzero(_pairing_image(g, shadow))].all())
     ledger.claim("pairing-closure", include_ok,
@@ -908,7 +904,7 @@ class ExactSplit:
     """The exact splitting of a genuine subgroup: B = A n H, C = pi(A),
     and the smallest-id section phi with its verification ledger."""
 
-    view: NormalSubgroupView
+    quotient: QuotientGroup
     b: MSet
     c: MSet
     phi: np.ndarray     # quotient id -> smallest id of its fiber in A, or -1
@@ -919,28 +915,28 @@ class ExactSplit:
         return self.ledger.hard_ok
 
 
-def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
-    """Split a genuine subgroup A along H and verify the exact splitting
-    laws: phi(x)B = Bphi(x), the quotiented homomorphism property, the
-    fiber decomposition of A, and |A| = |C||B|.  A set that is not a
-    subgroup raises with setops.subgroup_failure's reason."""
+def exact_split_oracle(a: MSet, q: QuotientGroup) -> ExactSplit:
+    """Split a genuine subgroup A along H, the kernel of the quotient
+    q = G/H, and verify the exact splitting laws: phi(x)B = Bphi(x), the
+    quotiented homomorphism property, the fiber decomposition of A, and
+    |A| = |C||B|.  A set that is not a subgroup raises with
+    setops.subgroup_failure's reason."""
     g = a.group
-    if h.parent is not g:
-        raise ValueError("the subgroup view belongs to a different group")
+    if q.parent is not g:
+        raise ValueError("the quotient belongs to a different group")
     failure = subgroup_failure(a)
     if failure:
         raise ValueError(failure)
-    b = a & MSet.from_ids(g, h.members)
-    q = h.quotient
-    c = _projection(q, h.pi, a)
-    phi = _fiber_minima(q, h.pi, a.id_array())
+    b = a & MSet.from_mask(g, q.pi == 0)
+    c = _projection(q, a)
+    phi = _fiber_minima(q, a.id_array())
     cids, b_mask = c.id_array(), member_mask(b)
     sec = phi[cids]
 
     ledger = ConstantLedger("exact-split")
     # for a finite B, phi(x)B = Bphi(x) exactly when phi(x)Bphi(x)^-1 lies in B
     ledger.claim("fiber-shift-match",
-                 _first_non_normalizer(g, sec, b.ids()) is None,
+                 _first_non_normalizer(g, sec, b.id_array()) is None,
                  formula="phi(x)B = Bphi(x) for all x in C")
     hom_ok = all(
         b_mask[g.mul_pairs(g.inv_array(block),
@@ -953,4 +949,4 @@ def exact_split_oracle(a: MSet, h: NormalSubgroupView) -> ExactSplit:
                  lhs=a.size, formula="A equals the union of phi(x)B over C")
     ledger.compare("order-product", a.size, "==", c.size * b.size,
                    formula="|A| = |C||B|")
-    return ExactSplit(view=h, b=b, c=c, phi=phi, ledger=ledger)
+    return ExactSplit(quotient=q, b=b, c=c, phi=phi, ledger=ledger)

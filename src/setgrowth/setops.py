@@ -1,5 +1,5 @@
 """Set arithmetic over a finite group: products, powers, convolutions,
-energy.
+energy, subgroup closure and quotient maps.
 
 This module alone knows the set format: an MSet owns one read-only boolean
 mask over the group's ids.  The constructor marks the array it is given
@@ -26,7 +26,9 @@ stays within one block whatever the list's length.  A set keeps its
 inverse and its power chain A², A³, ... (never itself) once formed, so
 ``inverse_set`` gathers ``inv_array`` at most once per set and
 ``power_set``, the one routine that forms powers, forms each distinct
-power at most once per set, whatever the exponent asked.
+power at most once per set, whatever the exponent asked.  A subgroup is
+an MSet (``subgroup_closure``); ``quotient_map`` returns G/H alone, a
+``groups.QuotientGroup`` whose kernel, the ids where pi is 0, is H.
 ``product_set`` forms nothing when |A| + |B| > |G|: then A meets g·B⁻¹ for
 every g, so A·B = G (the pigeonhole bound, tight in cyclic(8) at
 A = B = {0,2,4,6}).  Otherwise a product stops forming row blocks once its
@@ -42,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, _first, _grid, _ids_mask, _product_blocks,
-                     _row_blocks)
+from .groups import (FiniteGroup, QuotientGroup, _cayley_levels, _first,
+                     _first_non_normalizer, _grid, _ids_mask, _product_blocks,
+                     _raise_first_escape, _row_blocks)
 
 
 class MSet:
@@ -249,6 +252,36 @@ def subgroup_failure(a: MSet) -> str | None:
     if not mask[0]:
         return "not a subgroup: identity is missing"
     return None
+
+
+def subgroup_closure(g: FiniteGroup, seed) -> MSet:
+    """Smallest subgroup of g containing the seed ids."""
+    seed = np.asarray(list(seed), dtype=np.intp)
+    if not len(seed):
+        raise ValueError("seed must be nonempty")
+    gens = np.concatenate([seed, g.inv_array(seed)])
+    return MSet(g, _ids_mask(g, np.concatenate(list(_cayley_levels(g, gens)))))
+
+
+def quotient_map(g: FiniteGroup, generators_of_H) -> QuotientGroup:
+    """Quotient by the subgroup H generated by the given ids.
+
+    The representative of x is the smallest id of its coset xH, the minimum
+    of the row x*H of one blocked mul_outer; the quotient ids number the
+    representatives in increasing order, and pi maps each id to the number
+    of its coset.  The identity's coset H has representative 0, so pi[0] =
+    0 and H is the kernel.  H is normal when rHr^-1 lies in H for every
+    representative r, since x = rh' gives xhx^-1 = r(h'hh'^-1)r^-1.  If it
+    is not, a NotNormalError names the first escaping conjugate with h
+    ascending, then x ascending."""
+    hs = subgroup_closure(g, generators_of_H).id_array()
+    ids = np.arange(g.order)
+    rep_of = np.concatenate(
+        [block.min(axis=1) for _, block in _product_blocks(g, ids, hs)])
+    reps = np.flatnonzero(rep_of == ids)
+    if _first_non_normalizer(g, reps, hs) is not None:
+        _raise_first_escape(g, hs)
+    return QuotientGroup(g, reps, np.searchsorted(reps, rep_of))
 
 
 def power_set(a: MSet, n: int) -> MSet:

@@ -28,7 +28,6 @@ from setgrowth.groups import (
     TABLE_CAP,
     _product_blocks,
     construct_group,
-    subgroup_closure,
 )
 from setgrowth.setops import (
     MSet,
@@ -37,6 +36,7 @@ from setgrowth.setops import (
     intersection_size,
     member_mask,
     product_set,
+    subgroup_closure,
     translate_left,
     translate_right,
 )
@@ -563,7 +563,7 @@ def test_extract_matches_the_reference_over_k(spec):
     rng = random.Random(spec)
     for _ in range(12):
         core = subgroup_closure(g, [rng.randrange(g.order)])
-        a, b = (MSet.from_ids(g, core | set(rng.sample(range(g.order), 3)))
+        a, b = (core.union(MSet.from_ids(g, rng.sample(range(g.order), 3)))
                 for _ in range(2))
         for k in (inferred_k(a, b) * m for m in (1, Fraction(3, 2), 2)):
             ex = bsg_extract(a, b, k)

@@ -14,8 +14,9 @@ from setgrowth.families import (
     measured_difference_ratio,
     measured_tripling,
 )
-from setgrowth.groups import construct_group, subgroup_closure
-from setgrowth.setops import MSet, inverse_set, power_set, product_set
+from setgrowth.groups import construct_group
+from setgrowth.setops import (MSet, inverse_set, power_set, product_set,
+                              subgroup_closure)
 
 G12 = construct_group("cyclic(12)")
 S4 = construct_group("symmetric(4)")
@@ -215,7 +216,7 @@ def test_coset_families_match_scalar_references(group, gens):
         with pytest.raises(ValueError, match="normalizes"):
             gen(group, f"subgroup_plus_point({gens})")
     else:
-        expect = sorted(subgroup_closure(group, ids) | {x})
+        expect = sorted({*subgroup_closure(group, ids), x})
         assert gen(group, f"subgroup_plus_point({gens})").ids() == tuple(expect)
 
 

@@ -11,15 +11,14 @@ from setgrowth.groups import (
     BLOCK_PAIRS,
     ORDER_CAP,
     NotNormalError,
+    QuotientGroup,
     _first,
     _grid,
     _row_blocks,
     construct_group,
-    quotient_map,
-    subgroup_closure,
     verify_group_axioms,
 )
-from setgrowth.setops import MSet, product_set
+from setgrowth.setops import MSet, product_set, quotient_map, subgroup_closure
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [
@@ -254,24 +253,25 @@ def test_symmetric_group_associativity(data):
 
 def test_closure_of_even_residues():
     g = construct_group("cyclic(8)")
-    assert subgroup_closure(g, [2]) == frozenset({0, 2, 4, 6})
+    assert subgroup_closure(g, [2]) == MSet.from_ids(g, [0, 2, 4, 6])
 
 
 def test_closure_of_identity():
     g = construct_group("cyclic(8)")
-    assert subgroup_closure(g, [0]) == frozenset({0})
+    assert subgroup_closure(g, [0]) == MSet.from_ids(g, [0])
 
 
 def test_quotient_of_cyclic_six():
     g = construct_group("cyclic(6)")
-    view = quotient_map(g, [3])
-    assert view.quotient.order == 3
-    assert view.members == frozenset({0, 3})
-    # pi is a homomorphism on a sample of pairs
-    q = view.quotient
+    q = quotient_map(g, [3])
+    assert isinstance(q, QuotientGroup) and q.parent is g
+    assert q.order == 3
+    # H is the kernel: the ids where pi is 0
+    assert np.flatnonzero(q.pi == 0).tolist() == [0, 3]
+    # pi is a homomorphism on every pair
     for x in range(6):
         for y in range(6):
-            assert view.pi[g.mul(x, y)] == q.mul(view.pi[x], view.pi[y])
+            assert q.pi[g.mul(x, y)] == q.mul(q.pi[x], q.pi[y])
 
 
 def test_quotient_rejects_non_normal():
@@ -300,8 +300,8 @@ def test_klein_four_is_normal_in_s4():
         if found:
             break
     assert found is not None
-    assert found.quotient.order == 6
-    assert len(found.members) == 4
+    assert found.order == 6
+    assert np.count_nonzero(found.pi == 0) == 4
 
 
 def test_row_cache_matches_direct_multiplication():

@@ -14,6 +14,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -25,8 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setgrowth import bsg, groups, suites
-from setgrowth.groups import DEFAULT_SEED, construct_group, subgroup_closure
-from setgrowth.setops import MSet, inverse_set, product_set, translate_left
+from setgrowth.groups import DEFAULT_SEED, construct_group
+from setgrowth.setops import (MSet, inverse_set, product_set, subgroup_closure,
+                              translate_left)
 from setgrowth.structure import ConstantLedger, LedgerError, ruzsa_cover
 from setgrowth.suites import (
     CSV_HEADER,
@@ -516,7 +518,7 @@ def ref_coset_union_scan(g):
         sub = subgroup_closure(g, [gen])
         if not 1 < len(sub) <= g.order // 3:
             continue
-        h = MSet.from_ids(g, sorted(sub))
+        h = sub
         for x in range(1, min(g.order, 48)):
             if x in sub:
                 continue
@@ -755,6 +757,53 @@ def test_rowdiff_prints_exactly_the_rows_that_differ(tmp_path, capsys):
         f"~ {key} | lhs: {was} -> {was}0\n- {gone}\n")
     assert rowdiff.main([str(new), old]) == 1
     assert capsys.readouterr().out.splitlines()[1] == f"+ {gone}"
+
+
+def test_a_mismatching_csv_pin_prints_the_rows_that_moved_since_head(tmp_path):
+    # a git repository of copies of src/, scripts/ and pins.json, one note of
+    # the splitting suite edited after its commit; the copy's runner, in a
+    # fresh interpreter on the copy's src/, prints the MISMATCH line and
+    # under it exactly the rows whose note changed, against HEAD's build
+    for name in ("src", "scripts"):
+        shutil.copytree(pins.ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(pins.ROOT / "pins.json", tmp_path)
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=pins",
+           "-c", "user.email=pins@localhost", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "copy"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    was = "B1 = B2 = B3 = A n H = exact B on subgroups"
+    now = "B1 = B2 = B3 = A n H = exact B on each subgroup"
+    source = tmp_path / "src" / "setgrowth" / "suites.py"
+    text = source.read_text(encoding="utf-8")
+    assert text.count(was) == 1
+    source.write_text(text.replace(was, now), encoding="utf-8")
+    code = ("import sys; sys.path.insert(0, 'scripts'); import pins; print(*pins.check("
+            "[p for p in pins.load() if p['name'] == 'verify-splitting']), sep='\\n')")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")))
+    first, *rest = done.stdout.splitlines()
+    assert first.startswith("MISMATCH verify-splitting: got ")
+    assert first.endswith(", exit 0")
+    (path,) = emit_report(run_named_suite("splitting"), format="csv",
+                          out=str(tmp_path / "out"))
+    rows = [row for row in rowdiff.read(path).values()
+            if row["name"] == "exact-approx-agreement" and row["note"] == was]
+    rows.sort(key=lambda r: (r["module"], r["operation"], int(r["seq"])))
+    assert len(rows) > 5
+    assert rest == [f"    ~ {rowdiff._cells(row[c] for c in rowdiff.KEY)} | "
+                    f"note: {was} -> {now}" for row in rows]
+
+
+def test_a_row_diff_with_no_head_says_so_in_one_line(tmp_path, monkeypatch):
+    # a repository with no commit, or no git at all
+    with contextlib.suppress(OSError):
+        subprocess.run(["git", "init", "-q", str(tmp_path)], capture_output=True)
+    monkeypatch.setattr(pins, "ROOT", tmp_path)
+    assert list(pins.head_diff(["verify", "splitting"], "suite-splitting.csv",
+                               tmp_path / "suite-splitting.csv")) == [
+        "no row diff: no git, or no HEAD to rebuild the output from"]
 
 
 # The other three benchmark workloads, whose reports no pin holds, against

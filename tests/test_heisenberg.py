@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 from setgrowth import heisenberg as hb
 from setgrowth import setops
 
-from setgrowth.groups import (BLOCK_PAIRS, DEFAULT_SEED, construct_group,
-                              quotient_map, subgroup_closure)
-from setgrowth.setops import MSet, inverse_set, power_set, product_set, symmetrize
+from setgrowth.groups import (BLOCK_PAIRS, DEFAULT_SEED, QuotientGroup,
+                              construct_group)
+from setgrowth.setops import (MSet, inverse_set, power_set, product_set,
+                              quotient_map, subgroup_closure, symmetrize)
 from setgrowth.structure import ConstantLedger, LedgerError
 from setgrowth.heisenberg import (
     CANDIDATE_COVER_EXP,
@@ -193,8 +194,10 @@ def test_zero_pairing_is_abelian():
 
 def test_vertical_view():
     v = H27.vertical
-    assert v.members == frozenset(range(3))
-    assert v.quotient.order == 9
+    assert isinstance(v, QuotientGroup) and v.parent is H27
+    # the vertical subgroup is the kernel, the ids where pi is 0
+    assert np.flatnonzero(v.pi == 0).tolist() == [0, 1, 2]
+    assert v.order == 9
     g = H27
     # the arange-built projection is the one quotient_map derives from cosets
     ref = quotient_map(g, [1])
@@ -259,20 +262,20 @@ def test_split_count_and_nest_rows():
 
 def test_split_on_cyclic_normal_view():
     g = construct_group("cyclic(12)")
-    view = quotient_map(g, [4])
+    q = quotient_map(g, [4])
     a = MSet.from_ids(g, [0, 2, 4, 6, 8, 10])
-    sw = split_approximate(a, view, measured_tripling(a))
+    sw = split_approximate(a, q, measured_tripling(a))
     assert sw.ledger.hard_ok
-    assert sw.b1 == a & MSet.from_ids(g, view.members)
+    assert sw.b1 == a & MSet.from_ids(g, [0, 4, 8])
 
 
 # ------------------------------------------------------------ exact oracle
 
 def test_exact_split_cyclic12():
     g = construct_group("cyclic(12)")
-    view = quotient_map(g, [4])
+    q = quotient_map(g, [4])
     a = MSet.from_ids(g, [0, 2, 4, 6, 8, 10])
-    es = exact_split_oracle(a, view)
+    es = exact_split_oracle(a, q)
     assert es.passed
     assert es.b.ids() == (0, 4, 8)
     assert es.c.size == 2
@@ -281,19 +284,18 @@ def test_exact_split_cyclic12():
 
 def test_exact_split_rejects_non_subgroup():
     g = construct_group("cyclic(12)")
-    view = quotient_map(g, [4])
+    q = quotient_map(g, [4])
     with pytest.raises(ValueError):
-        exact_split_oracle(MSet.from_ids(g, [0, 1]), view)
+        exact_split_oracle(MSet.from_ids(g, [0, 1]), q)
 
 
 def test_exact_and_approximate_agree_on_subgroups():
-    sub = MSet.from_ids(H27, sorted(subgroup_closure(H27, [H27.encode(3, 0),
-                                                           H27.encode(0, 1)])))
+    sub = subgroup_closure(H27, [H27.encode(3, 0), H27.encode(0, 1)])
     assert sub.size == 9
     es = exact_split_oracle(sub, H27.vertical)
     sw = split_approximate(sub, H27.vertical, Fraction(1))
     assert es.passed and sw.ledger.hard_ok
-    expected = sub & MSet.from_ids(H27, H27.vertical.members)
+    expected = sub & MSet.from_ids(H27, range(3))
     assert es.b == expected
     assert sw.b1 == expected and sw.b2 == expected and sw.b3 == expected
 
@@ -438,7 +440,7 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
     shadow = sorted({x // g.w_order for x in a.ids()})
     gen = np.flatnonzero(hb._pairing_image(g, shadow))
     hull_ids = subgroup_closure(g.w_additive, [0, *gen.tolist()])
-    hull = MSet.from_ids(ag, sorted(hull_ids))  # vertical ids embed as-is
+    hull = MSet.from_ids(ag, hull_ids.id_array())  # vertical ids embed as-is
     iota_a = g.iota(a)
     tilde = product_set(iota_a, hull)
 
@@ -459,8 +461,7 @@ def verify_subgroup_sandwich(a: MSet) -> ConstantLedger:
 
 
 def test_sandwich_on_an_order_nine_subgroup():
-    sub = MSet.from_ids(H27, sorted(subgroup_closure(H27, [H27.encode(3, 0),
-                                                           H27.encode(0, 1)])))
+    sub = subgroup_closure(H27, [H27.encode(3, 0), H27.encode(0, 1)])
     led = verify_subgroup_sandwich(sub)
     assert led.hard_ok
 
@@ -484,14 +485,14 @@ def test_sandwich_rejects_non_subgroup():
 
 # ------------------------------------------- array checks against scans
 
-def scalar_section(g, h, a, a3, c, c3):
+def scalar_section(g, q, a, a3, c, c3):
     """The section one element at a time: fibers as lists in id order,
     self-inverse classes first, every other x paired with x^-1."""
     fibers_a, fibers_a3 = defaultdict(list), defaultdict(list)
     for x in a.ids():
-        fibers_a[h.pi[x]].append(x)
+        fibers_a[q.pi[x]].append(x)
     for x in a3.ids():
-        fibers_a3[h.pi[x]].append(x)
+        fibers_a3[q.pi[x]].append(x)
     phi, exceptions = {}, []
     for x in c3.ids():
         if x in phi:
@@ -500,7 +501,7 @@ def scalar_section(g, h, a, a3, c, c3):
         if x == 0:
             phi[0] = 0
             continue
-        xi = h.quotient.inv(x)
+        xi = q.inv(x)
         if xi == x:
             fixed = [t for t in fiber if g.inv(t) == t]
             if not fixed:
@@ -524,17 +525,16 @@ SECTION_VIEWS = [
 @given(data=st.data())
 def test_section_matches_the_scalar_construction(spec, gens, data):
     g = construct_group(spec)
-    h = quotient_map(g, gens)
+    q = quotient_map(g, gens)
     ids = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1,
                             max_size=8))
     a = symmetrize(MSet.from_ids(g, ids))
     a3 = power_set(a, 3)
-    pi = np.asarray(h.pi, dtype=np.intp)
-    c = hb._projection(h.quotient, pi, a)
+    c = hb._projection(q, a)
     c3 = power_set(c, 3)
-    phi, exceptions = hb._section(g, h.quotient, pi, a, a3, c, c3)
-    want_phi, want_exceptions = scalar_section(g, h, a, a3, c, c3)
-    assert c.ids() == tuple(sorted({h.pi[x] for x in a.ids()}))
+    phi, exceptions = hb._section(g, q, a, a3, c, c3)
+    want_phi, want_exceptions = scalar_section(g, q, a, a3, c, c3)
+    assert c.ids() == tuple(sorted({q.pi[x] for x in a.ids()}))
     assert {x: v for x, v in enumerate(phi.tolist()) if v >= 0} == want_phi
     assert exceptions == want_exceptions
 
@@ -567,21 +567,20 @@ def test_triple_defects_match_the_scalar_sweep_on_any_view(spec, gens, data):
     # a section of a random symmetric set against random masks inside H,
     # also where H is not central and the defect's side matters
     g = construct_group(spec)
-    h = quotient_map(g, gens)
+    q = quotient_map(g, gens)
     ids = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1,
                             max_size=8))
     a = symmetrize(MSet.from_ids(g, ids))
-    pi = np.asarray(h.pi, dtype=np.intp)
-    c = hb._projection(h.quotient, pi, a)
-    phi, _ = hb._section(g, h.quotient, pi, a, power_set(a, 3), c,
-                         power_set(c, 3))
-    members = st.sets(st.sampled_from(sorted(h.members)), min_size=1)
+    c = hb._projection(q, a)
+    phi, _ = hb._section(g, q, a, power_set(a, 3), c, power_set(c, 3))
+    kernel = np.flatnonzero(q.pi == 0).tolist()
+    members = st.sets(st.sampled_from(kernel), min_size=1)
     masks = [setops.member_mask(MSet.from_ids(g, data.draw(members)))
              for _ in range(2)]
     got = hb._first_triple_defects(
-        g, h.quotient, phi, hb._split_triples(c.id_array(), True), *masks)
+        g, q, phi, hb._split_triples(c.id_array(), True), *masks)
     assert got == scalar_triple_defects(
-        g, h.quotient, phi.tolist(), scalar_triples(c.ids(), True), *masks)
+        g, q, phi.tolist(), scalar_triples(c.ids(), True), *masks)
 
 
 # z ids 81 > TRIPLE_EXHAUSTIVE_CAP: the triple check samples
@@ -594,7 +593,7 @@ H243 = construct_group("heisenberg(z=Zp^4,p=3;w=Zp^1,p=3;pairing=symplectic)")
 ])
 def test_triple_check_matches_the_scalar_sweep(g, a):
     sw = split_approximate(a, g.vertical, measured_tripling(a))
-    q, cids = g.vertical.quotient, list(sw.c.ids())
+    q, cids = g.vertical, list(sw.c.ids())
     exhaustive = len(cids) <= hb.TRIPLE_EXHAUSTIVE_CAP
     assert exhaustive == (g is H27)
     rows = {r.name: r for r in sw.ledger.rows}

@@ -1,5 +1,5 @@
 """Exhaustive small-group oracle for the Ruzsa rows, covers, powers, the
-tripling pipelines and the pool-table kernel.
+tripling pipelines, local products and the pool-table kernel.
 
 A subset of a group of order n <= 8 is an n-bit mask.  The product of two
 subsets is the OR of right translates, each read off the scalar law
@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from setgrowth import groups
+from setgrowth import groups, suites
 from setgrowth.groups import BLOCK_PAIRS, construct_group
 from setgrowth.setops import (MSet, _pair_counts, energy, energy_quadruple_count,
                               inverse_set, power_set, product_set)
@@ -214,3 +214,39 @@ def test_powers_and_tripling_pipelines_on_every_subset(spec):
         assert wit.verified and ledger.hard_ok, (spec, m)
         assert ledger.rows[0].lhs == cube.bit_count()   # tripling-hypothesis
         assert tripling_chain(a, k).hard_ok, (spec, m)
+
+
+# ---------------------------------------------------- local products and pairs
+
+# every nonempty subset: the suites' sup over a in A of |A·a·A| against the
+# table's, and the subsets where that sup exceeds |A²|, on which a local
+# tripling check that forms A·A·a in place of A·a·A reads too small a K
+@pytest.mark.parametrize("spec, above_square", [
+    ("symmetric(3)", 6), ("dihedral(3)", 6), ("dihedral(4)", 32), ("cyclic(8)", 0)])
+def test_local_product_sup_on_every_subset(spec, above_square):
+    g = construct_group(spec)
+    table, _ = _subset_products(g)
+    table = table.tolist()
+    gaps = 0
+    for m, a in enumerate(_subsets(g), start=1):
+        want = max(table[table[m][1 << x]][m].bit_count() for x in a.ids())
+        assert suites._local_product_sup(a) == want, (spec, m)
+        gaps += want > table[m][m].bit_count()
+    assert gaps == above_square
+
+
+# cyclic(12) has 4,095 nonempty subsets, too many for the subset table (a
+# 2^12 x 2^12 one would take 134 MB): every 1,021st ordered pair of them,
+# 16,425 pairs, in one sweep, each row against the Counter of its scalar
+# products for |A·B| and E(A,B)
+def test_pair_counts_on_a_prime_stride_of_cyclic_12():
+    g = construct_group("cyclic(12)")
+    count = (1 << g.order) - 1
+    pairs = [[[x for x in range(g.order) if (m + 1) >> x & 1]
+              for m in divmod(i, count)] for i in range(0, count**2, 1021)]
+    assert len(pairs) == 16425
+    rows, _ = _kernel_rows(g, [(np.array(a), np.array(b)) for a, b in pairs])
+    for (a, b), row in zip(pairs, rows):
+        want = Counter(g.mul(x, y) for x in a for y in b)
+        assert (int(np.count_nonzero(row)), int(row @ row)) == \
+            (len(want), sum(c * c for c in want.values())), (a, b)

@@ -88,3 +88,23 @@ def test_only_groups_enumerates_a_sweep_grid(module):
     names = DELETED_SWEEPS | ({"unravel_index"} if module != "groups.py" else set())
     uses = format_uses(SRC / module, names)
     assert [use for use in uses if use[1] != "MSet(...)"] == []
+
+
+# a subgroup is an MSet and a normal subgroup is its groups.QuotientGroup,
+# whose kernel is H: the second subgroup format does not return
+SECOND_FORMAT = {"frozenset", "NormalSubgroupView"}
+
+
+def second_format_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each name, attribute, import or definition in
+    SECOND_FORMAT."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted((getattr(node, "lineno", 0), name) for node in ast.walk(tree)
+                  for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                               or getattr(node, "name", None)]
+                  if name in SECOND_FORMAT)
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_a_subgroup_has_one_format(module):
+    assert second_format_uses(SRC / module) == []
