@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,21 +42,14 @@ from .setops import (
     _require_same_group,
     _set_counts,
     energy,
-    intersection_size,
     inverse_set,
     member_mask,
-    partial_product,
     power_set,
     product_set,
     translate_left,
     translate_right,
 )
-from .structure import (
-    ApproxGroupWitness,
-    ConstantLedger,
-    classify_small_doubling,
-    verify_approx_group,
-)
+from .structure import ConstantLedger, classify_small_doubling
 
 
 def _product_matrix(g, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -119,9 +111,7 @@ class WeakBsgResult:
     d: MSet
     chosen_b: int
     omega_count: int          # |(A' x A') ∩ Ω|
-    omega_threshold: Fraction  # pair (a,a') enters Ω iff overlap count <= this
     k: Fraction
-    kprime_sq: Fraction
     eps: Fraction
     ledger: ConstantLedger
 
@@ -162,8 +152,7 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
                    a.size * b.size, formula="N·K >= |A||B|")
 
     # Ω membership: overlap count <= (ε/2K²)|B|, strict complement is "good".
-    omega_threshold = eps * b.size / (2 * k**2)
-    good, omega_cols = _good_pairs(hit, omega_threshold)
+    good, omega_cols = _good_pairs(hit, eps * b.size / (2 * k**2))
     col_counts = np.count_nonzero(hit, axis=0).tolist()
 
     # Pigeonhole integrand F(b) = |A_b|^2 - |Ω ∩ A_b^2|/ε, maximized; the
@@ -203,8 +192,8 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
                    (1 - eps) * a_prime.size**2,
                    formula="#{a(a')^-1 in D} >= (1-ε)|A'|^2")
     ledger.check()
-    return (WeakBsgResult(a_prime, d, chosen_b, omega_count, omega_threshold,
-                          k, kp_sq, eps, ledger), rows, quotients)
+    return (WeakBsgResult(a_prime, d, chosen_b, omega_count, k, eps, ledger),
+            rows, quotients)
 
 
 @dataclass(frozen=True)
@@ -337,108 +326,27 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
                       weak, k, eps, ledger)
 
 
-_CLAUSES = ("i", "iii", "iv", "ii")  # proof cycle order
-
-
-class EnergyEquivalenceWitness(NamedTuple):
-    """One full walk around the equivalence cycle, starting from the clause
-    whose witness the caller supplied."""
-
-    input_clause: str
-    produced: dict
-    ledger: ConstantLedger
-
-
-def energy_equivalences(clause: str, a: MSet, b: MSet, k, *,
-                        pairs=None, a_prime=None, b_prime=None,
-                        witness: ApproxGroupWitness | None = None,
-                        x_id: int | None = None,
-                        y_id: int | None = None) -> EnergyEquivalenceWitness:
-    """Validate the given clause's witness and walk the cycle
-    (i)→(iii)→(iv)→(ii)→(i), constructing each next witness explicitly.
-
-    clause "i" needs only (a, b, k); "ii" needs `pairs` (the pair set, as
-    (a_id, b_id) tuples); "iii" needs `a_prime`, `b_prime`; "iv" needs
-    `witness` plus `x_id`, `y_id`.
-    """
-    if clause not in _CLAUSES:
-        raise ValueError(f"clause must be one of {_CLAUSES}, got {clause!r}")
+def energy_equivalences(a: MSet, b: MSet, k) -> ConstantLedger:
+    """Check clause (i), E(A,B)²K² ≥ (|A||B|)³, and walk the cycle
+    (i)→(iii)→(iv)→(ii), constructing each next witness explicitly: dense
+    A' ⊆ A and B' ⊆ B with a small product, then a covering pair H with
+    large A ∩ xH and B ∩ Hy, then the pair set (A ∩ xH) × (B ∩ Hy) with a
+    small image.  Each step records the measured constant of the clause it
+    reaches as an info row."""
     _require_same_group(a, b)
-    g = a.group
     k = frac(k)
     ledger = ConstantLedger("energy_equivalences")
-    produced: dict = {}
-
-    state = _validate_clause(clause, a, b, k, ledger, pairs=pairs,
-                             a_prime=a_prime, b_prime=b_prime,
-                             witness=witness, x_id=x_id, y_id=y_id)
-    start = _CLAUSES.index(clause)
-    for i in range(start, start + 3):
-        state = _STEPS[_CLAUSES[i % 4]](g, a, b, state, ledger)
-        produced[_CLAUSES[(i + 1) % 4]] = state
-    ledger.check()
-    return EnergyEquivalenceWitness(clause, produced, ledger)
+    ledger.require("input-i.energy-bound", energy(a, b)**2 * k**2, ">=",
+                   Fraction((a.size * b.size)**3),
+                   formula="E^2K^2 >= (|A||B|)^3")
+    a_p, b_p, prod = _step_i_iii(a, b, k, ledger)
+    wit, x_id, y_id = _step_iii_iv(a, b, a_p, b_p, prod, ledger)
+    _step_iv_ii(a, b, wit, x_id, y_id, ledger)
+    return ledger.check()
 
 
-def _validate_clause(clause, a, b, k, ledger, *, pairs, a_prime, b_prime,
-                     witness, x_id, y_id):
-    nm = a.size * b.size
-    pre = f"input-{clause}."
-    if clause == "i":
-        e_val = energy(a, b)
-        ledger.require(pre + "energy-bound", e_val**2 * k**2, ">=",
-                       Fraction(nm**3), formula="E^2K^2 >= (|A||B|)^3")
-        state = {"k": k, "energy": e_val}
-    elif clause == "ii":
-        if pairs is None:
-            raise ValueError("clause ii needs pairs")
-        pair_list = sorted(set((int(x), int(y)) for x, y in pairs))
-        if not pair_list:
-            raise ValueError("clause ii pair set is empty")
-        image = partial_product(a, b, pair_list)
-        ledger.require(pre + "pair-density", len(pair_list) * k, ">=",
-                       Fraction(nm), formula="|E|K >= |A||B|")
-        ledger.require(pre + "image-size", image.size**2, "<=", k**2 * nm,
-                       formula="|im E|^2 <= K^2|A||B|")
-        state = {"k": k, "pairs": tuple(pair_list), "image": image}
-    elif clause == "iii":
-        if a_prime is None or b_prime is None:
-            raise ValueError("clause iii needs a_prime and b_prime")
-        if not (a_prime <= a and b_prime <= b):
-            raise ValueError("clause iii subsets must lie inside A and B")
-        prod = product_set(a_prime, b_prime)
-        ledger.require(pre + "a-prime-dense", k * a_prime.size, ">=",
-                       Fraction(a.size), formula="K|A'| >= |A|")
-        ledger.require(pre + "b-prime-dense", k * b_prime.size, ">=",
-                       Fraction(b.size), formula="K|B'| >= |B|")
-        ledger.require(pre + "product-small", prod.size**2, "<=", k**2 * nm,
-                       formula="|A'·B'|^2 <= K^2|A||B|")
-        state = {"k": k, "a_prime": a_prime, "b_prime": b_prime,
-                 "product": prod}
-    else:  # iv
-        if witness is None or x_id is None or y_id is None:
-            raise ValueError("clause iv needs witness, x_id, y_id")
-        check = verify_approx_group(witness.h, witness.x, witness.k)
-        if not check.verified:
-            raise ValueError(
-                f"clause iv witness fails verification: {check.violations}")
-        h = witness.h
-        a_part = intersection_size(a, translate_left(x_id, h))
-        b_part = intersection_size(b, translate_right(h, y_id))
-        ledger.require(pre + "h-size-upper", h.size**2, "<=", k**2 * nm,
-                       formula="|H|^2 <= K^2|A||B|")
-        ledger.require(pre + "h-size-lower", k**2 * h.size**2, ">=",
-                       Fraction(nm), formula="K^2|H|^2 >= |A||B|")
-        ledger.require(pre + "a-intersection", k * a_part, ">=",
-                       Fraction(a.size), formula="K|A ∩ xH| >= |A|")
-        ledger.require(pre + "b-intersection", k * b_part, ">=",
-                       Fraction(b.size), formula="K|B ∩ Hy| >= |B|")
-        state = {"k": k, "witness": witness, "x": x_id, "y": y_id}
-    return state
-
-
-def _step_i_iii(g, a, b, state, ledger):
-    extract = bsg_extract(a, b, state["k"])
+def _step_i_iii(a, b, k, ledger):
+    extract = bsg_extract(a, b, k)
     ledger.merge(extract.ledger, "step-i-iii.")
     a_p, b_p, prod = extract.a_third, extract.b_third, extract.product
     ledger.compare("step-i-iii.product-lower", prod.size**2, ">=",
@@ -448,11 +356,10 @@ def _step_i_iii(g, a, b, state, ledger):
             Fraction(a.size, a_p.size), Fraction(b.size, b_p.size),
             Fraction(1)))
     ledger.info("step-i-iii.next-k", k_next, "measured clause-iii constant")
-    return {"k": k_next, "a_prime": a_p, "b_prime": b_p, "product": prod}
+    return a_p, b_p, prod
 
 
-def _step_iii_iv(g, a, b, state, ledger):
-    a_p, b_p, prod = state["a_prime"], state["b_prime"], state["product"]
+def _step_iii_iv(a, b, a_p, b_p, prod, ledger):
     k_cls = ceil_sqrt_frac(Fraction(prod.size**2, a_p.size * b_p.size))
     wit, x_cov, cls_ledger = classify_small_doubling(a_p, b_p, k_cls)
     ledger.merge(cls_ledger, "step-iii-iv.")
@@ -469,7 +376,7 @@ def _step_iii_iv(g, a, b, state, ledger):
                    b_p.size, formula="|B' ∩ Hy||X| >= |B'|")
     k_next = _clause_iv_constant(a, b, wit.h, best_xv, best_yv)
     ledger.info("step-iii-iv.next-k", k_next, "measured clause-iv constant")
-    return {"k": k_next, "witness": wit, "x": best_x, "y": best_y}
+    return wit, best_x, best_y
 
 
 def _clause_iv_constant(a, b, h, a_count, b_count) -> Fraction:
@@ -484,13 +391,10 @@ def _clause_iv_constant(a, b, h, a_count, b_count) -> Fraction:
     return max(candidates)
 
 
-def _step_iv_ii(g, a, b, state, ledger):
-    wit, x_id, y_id = state["witness"], state["x"], state["y"]
+def _step_iv_ii(a, b, wit, x_id, y_id, ledger):
     h = wit.h
     a_part = a & translate_left(x_id, h)
     b_part = b & translate_right(h, y_id)
-    pair_list = tuple(sorted(
-        (xa, yb) for xa in a_part.ids() for yb in b_part.ids()))
     image = product_set(a_part, b_part)
     h2 = power_set(h, 2)
     shifted = translate_right(translate_left(x_id, h2), y_id)
@@ -500,29 +404,9 @@ def _step_iv_ii(g, a, b, state, ledger):
                    formula="|im E| <= |H^2|")
     ledger.compare("step-iv-ii.h2-by-witness", h2.size, "<=",
                    wit.x.size * h.size, formula="|H^2| <= |X||H|")
+    # the pair set E is all of (A ∩ xH) × (B ∩ Hy)
     k_next = max(
-        Fraction(a.size * b.size, len(pair_list)),
+        Fraction(a.size * b.size, a_part.size * b_part.size),
         ceil_sqrt_frac(Fraction(image.size**2, a.size * b.size)),
         Fraction(1))
     ledger.info("step-iv-ii.next-k", k_next, "measured clause-ii constant")
-    return {"k": k_next, "pairs": pair_list, "image": image}
-
-
-def _step_ii_i(g, a, b, state, ledger):
-    pair_list = state["pairs"]
-    image = state["image"]
-    e_val = energy(a, b)
-    ledger.compare("step-ii-i.cauchy-schwarz", e_val * image.size, ">=",
-                   len(pair_list) ** 2, formula="E(A,B)|C| >= |E|^2")
-    k_next = ceil_sqrt_frac(
-        max(Fraction(a.size**3 * b.size**3, e_val**2), Fraction(1)))
-    ledger.info("step-ii-i.next-k", k_next, "measured clause-i constant")
-    return {"k": k_next, "energy": e_val}
-
-
-_STEPS = {  # each clause's step to the next one in _CLAUSES
-    "i": _step_i_iii,
-    "iii": _step_iii_iv,
-    "iv": _step_iv_ii,
-    "ii": _step_ii_i,
-}

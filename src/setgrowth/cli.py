@@ -175,9 +175,9 @@ def _cmd_entropy_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     profile = metric_profile_check(carrier, seed=_base_seed(args))
-    _print_ledger(profile.ledger)
+    _print_ledger(profile)
     report = Report(title="entropy-sweep")
-    report.merge_ledger("entropy", f"profile[{carrier.name}]", profile.ledger)
+    report.merge_ledger("entropy", f"profile[{carrier.name}]", profile)
     _emit(report, args)
     return 0 if profile.hard_ok else 1
 

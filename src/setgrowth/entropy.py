@@ -488,15 +488,6 @@ def arc_union_measure(points, eps) -> Fraction:
     return total
 
 
-class ProfileReport(NamedTuple):
-    entropy: EntropyReport
-    ledger: ConstantLedger
-
-    @property
-    def hard_ok(self) -> bool:
-        return self.ledger.hard_ok
-
-
 def _metric_axiom_rows(group, cloud, led, slack):
     """Identity, symmetry and the triangle inequality on every ordered pair
     and triple of the first ten cloud points, from one distance matrix."""
@@ -668,7 +659,7 @@ def _arc_measure_rows(group, cloud, report, led):
         )
 
 
-def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ProfileReport:
+def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ConstantLedger:
     """Report-only profile audit of one metric carrier.
 
     Takes the carrier's deterministic profile cloud, checks metric axioms
@@ -693,21 +684,10 @@ def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ProfileReport:
     _scale_ratio_rows(group, report, led)
     if isinstance(group, TorusGroup) and group.dim == 1:
         _arc_measure_rows(group, cloud, report, led)
-    return ProfileReport(report, led)
+    return led
 
 
-class TriplingEntropyReport(NamedTuple):
-    net_base: int
-    net_cubed: int
-    measured_tripling: Fraction
-    ledger: ConstantLedger
-
-    @property
-    def hard_ok(self) -> bool:
-        return self.ledger.hard_ok
-
-
-def entropy_tripling_check(cloud: MetricCloud, eps) -> TriplingEntropyReport:
+def entropy_tripling_check(cloud: MetricCloud, eps) -> ConstantLedger:
     """Measure net growth under triple products and audit a coarse
     containing candidate, on a torus or word carrier.
 
@@ -760,4 +740,4 @@ def entropy_tripling_check(cloud: MetricCloud, eps) -> TriplingEntropyReport:
         Fraction(net_candidate, net_base),
         note="net(candidate)/net(base), measured",
     )
-    return TriplingEntropyReport(net_base, net_cubed, measured, led)
+    return led

@@ -138,12 +138,6 @@ class MSet:
         return f"MSet[{self.size}]{{{shown}}} in {self.group.name}"
 
 
-def intersection_size(a: MSet, b: MSet) -> int:
-    """|A n B|, zero when A and B are disjoint."""
-    _require_same_group(a, b)
-    return int(np.count_nonzero(a._mask & b._mask))
-
-
 def random_ids(g: FiniteGroup, rng, density) -> np.ndarray:
     """The ascending ids of g whose rng.random() draw, one per id in id
     order, falls below the density; empty when none does."""
@@ -315,25 +309,6 @@ def power_set(a: MSet, n: int) -> MSet:
     if n > top:
         n = a._loop + (n - a._loop) % (top + 1 - a._loop)
     return power(n)
-
-
-def partial_product(a: MSet, b: MSet, pairs) -> MSet:
-    """{x*y : (x,y) in E} for a nonempty pair relation E inside A x B."""
-    _require_same_group(a, b)
-    g = a.group
-    xs, ys = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
-    if not len(xs):
-        raise ValueError("pair relation must be nonempty")
-    n = g.order
-    inside = (np.minimum(xs, ys) >= 0) & (np.maximum(xs, ys) < n)
-    inside &= member_mask(a)[xs % n] & member_mask(b)[ys % n]
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise ValueError(f"pair ({xs[i]},{ys[i]}) is not inside A x B")
-    mask = np.zeros(g.order, dtype=bool)
-    for rows in _row_blocks(len(xs), 1):
-        mask[g.mul_pairs(xs[rows], ys[rows])] = True
-    return MSet(g, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ class ConstantLedger:
         self.title = title
         self.rows: list[LedgerRow] = []
 
-    def compare(self, name, lhs, rel, rhs, kind="hard", formula="", note="") -> bool:
+    def compare(self, name, lhs, rel, rhs, kind="hard", formula="") -> bool:
         """Record lhs rel rhs.  Two exact sides, each an int or a Fraction,
         are compared as p·s rel r·q for lhs = p/q and rhs = r/s (q, s > 0),
         with no Fraction formed; any other side takes the Python operator."""
@@ -132,7 +132,7 @@ class ConstantLedger:
                                rhs.numerator * lhs.denominator)
         else:
             holds = _RELS[rel](lhs, rhs)
-        self.rows.append(LedgerRow(name, kind, lhs, rel, rhs, holds, formula, note))
+        self.rows.append(LedgerRow(name, kind, lhs, rel, rhs, holds, formula))
         return holds
 
     def require(self, name, lhs, rel, rhs, kind="hard", formula="") -> None:
@@ -141,9 +141,10 @@ class ConstantLedger:
         if not self.compare(name, lhs, rel, rhs, kind, formula):
             raise ValueError(f"{self.title}: {self.rows[-1].line()}")
 
-    def claim(self, name, holds, kind="hard", lhs=None, rhs=None, formula="", note="") -> bool:
+    def claim(self, name, holds, lhs=None, rhs=None, formula="", note="") -> bool:
+        """Record a hard verdict, its sides optional."""
         self.rows.append(
-            LedgerRow(name, kind, lhs, "", rhs, bool(holds), formula, note))
+            LedgerRow(name, "hard", lhs, "", rhs, bool(holds), formula, note))
         return bool(holds)
 
     def info(self, name, value, note="") -> None:
@@ -226,13 +227,9 @@ class ApproxGroupWitness(NamedTuple):
         return all(ok for _, ok in self.checks)
 
 
-def verify_approx_group(h: MSet, x: MSet, k) -> ApproxGroupWitness:
-    """Exact check of the covering-pair clauses; violations are results."""
-    return _check_covering_pair(h, x, k, power_set(h, 2))
-
-
 def _check_covering_pair(h: MSet, x: MSet, k, h2: MSet) -> ApproxGroupWitness:
-    """verify_approx_group with H·H already formed as h2."""
+    """Exact check of the covering-pair clauses, with H·H already formed
+    as h2; violations are results."""
     k = frac(k)
     _require_same_group(h, x)
     checks: list[tuple[str, bool]] = []
@@ -368,7 +365,7 @@ class SymmetricCore(NamedTuple):
     difference: MSet
 
 
-def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantLedger]:
+def symmetric_core(a: MSet, k) -> tuple[SymmetricCore, ConstantLedger]:
     """S := {x : 2K|A ∩ A·x| > |A|} under the hypothesis |A·A⁻¹| ≤ K|A|.
 
     Every overlap |A ∩ A·x| is the convolution (1_{A⁻¹} ∗ 1_A)(x), read
@@ -391,7 +388,7 @@ def symmetric_core(a: MSet, k, n_max: int = 3) -> tuple[SymmetricCore, ConstantL
     ledger.compare("core-size", 2 * p * s.size, ">=", q * a.size,
                    formula="2K|S| >= |A|, cleared")
     left = a
-    for n in range(1, n_max + 1):
+    for n in (1, 2, 3):
         left = product_set(left, s)
         grown = product_set(left, a_inv)
         ledger.compare(f"growth-n={n}", grown.size, "<=",

@@ -736,10 +736,9 @@ def _run_energy_equivalence(job: SuiteJob, report: Report) -> None:
     for gspec, g, pool, rng in _group_pools(job, report, module, "equiv",
                                             max_size=32, extra_random=1):
         for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
-            wit = energy_equivalences("i", a, b, _energy_k(a, b))
             report.merge_ledger(
                 module, f"energy_equivalences[{gspec}|{la}*{lb}#{i}]",
-                wit.ledger)
+                energy_equivalences(a, b, _energy_k(a, b)))
 
 
 def _local_product_sup(a: MSet) -> int:
@@ -982,13 +981,13 @@ def _run_entropy(job: SuiteJob, report: Report) -> None:
     module = "entropy"
     word = WordMetricGroup(construct_group("cyclic(60)"), [1, 7])
     for group in (TorusGroup(1), TorusGroup(2), QuaternionGroup(), word):
-        profile = metric_profile_check(group, seed=job.seed)
-        report.merge_ledger(module, f"profile[{group.name}]", profile.ledger)
+        report.merge_ledger(module, f"profile[{group.name}]",
+                            metric_profile_check(group, seed=job.seed))
 
     # tripling growth on a short torus arc: the points i/100, i < 10
     arc = MetricCloud(TorusGroup(1, 100), range(10))
-    tri = entropy_tripling_check(arc, Fraction(1, 100))
-    report.merge_ledger(module, "entropy_tripling[torus(1)-arc]", tri.ledger)
+    report.merge_ledger(module, "entropy_tripling[torus(1)-arc]",
+                        entropy_tripling_check(arc, Fraction(1, 100)))
 
     # cross-module oracle: a progression in cyclic(5) embedded at i/5
     c5 = construct_group("cyclic(5)")
@@ -1043,8 +1042,8 @@ def default_job(name: str) -> SuiteJob:
     return SuiteJob(name, suite.groups, suite.families, count=suite.count)
 
 
-def default_config(names=SUITE_NAMES, out: str | None = None) -> SuiteConfig:
-    return SuiteConfig(tuple(default_job(n) for n in names), out=out)
+def default_config() -> SuiteConfig:
+    return SuiteConfig(tuple(default_job(n) for n in SUITE_NAMES))
 
 
 def run_suite(config: SuiteConfig) -> Report:

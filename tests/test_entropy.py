@@ -587,11 +587,12 @@ def test_a_bad_word_carrier_is_named(carrier, message, capsys):
 
 def test_tripling_check_on_an_arc():
     cloud = MetricCloud(TorusGroup(1, 100), range(10))
-    rep = entropy_tripling_check(cloud, Fraction(1, 100))
-    assert rep.hard_ok
-    assert rep.net_base > 0
-    assert rep.net_cubed >= rep.net_base
-    assert rep.measured_tripling == Fraction(rep.net_cubed, rep.net_base)
+    led = entropy_tripling_check(cloud, Fraction(1, 100))
+    assert led.hard_ok
+    info = {r.name: r.lhs for r in led.rows if r.kind == "info"}
+    assert info["net-base"] > 0
+    assert info["net-cubed"] >= info["net-base"]
+    assert info["measured-tripling"] == Fraction(info["net-cubed"], info["net-base"])
 
 
 def test_tripling_check_caps_blowup():

@@ -1,7 +1,9 @@
 """Cold import: the package root loads no submodule, a submodule loads only
 what it imports, and importing the constants runs no fixpoint.  And no
 library API without a library caller: every function, class and method
-under src/setgrowth/ is named by library code outside its own body.
+under src/setgrowth/ is named by library code outside its own body.  And
+no option with one value in use: some library call sets each defaulted
+parameter.
 
 Each check runs in a fresh interpreter, on the setgrowth package these
 tests import.
@@ -123,3 +125,63 @@ def test_every_definition_has_a_library_caller():
     # only the functions perfbench's tracer wraps may wait for it alone
     src = Path(setgrowth.__file__).resolve().parent
     assert _unreferenced(src, _traced_layers()) == []
+
+
+def _unset_defaults(src: Path, exempt: set[str]) -> list[str]:
+    """name.parameter of every defaulted parameter of a function or method
+    under src that no library call of that name passes, by position,
+    keyword, * or **; functions with no library call, and the exempt
+    name.parameter pairs, excepted.  A call is matched by name, as a Name
+    or an attribute, outside the function's own body; a class call
+    matches its __init__, and a method's self takes no argument."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def callee(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def passed(call, args, offset) -> set[str]:
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if any(kw.arg is None for kw in call.keywords):     # **mapping
+            return set(positional) | {a.arg for a in args.kwonlyargs}
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            named = set(positional)
+        else:
+            named = set(positional[:offset + len(call.args)])
+        return named | {kw.arg for kw in call.keywords}
+
+    found = []
+    for tree in trees:
+        for parent in ast.walk(tree):
+            for fn in ast.iter_child_nodes(parent):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults) if d]
+                method = isinstance(parent, ast.ClassDef) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list)
+                name = parent.name if method and fn.name == "__init__" else fn.name
+                own = {id(n) for n in ast.walk(fn)}
+                mine = [c for c in calls if callee(c) == name and id(c) not in own]
+                if not mine:
+                    continue
+                set_somewhere = set().union(*(passed(c, args, int(method))
+                                              for c in mine))
+                found += [f"{fn.name}.{p}" for p in defaulted
+                          if p not in set_somewhere
+                          and f"{fn.name}.{p}" not in exempt]
+    return found
+
+
+def test_every_default_is_set_by_a_library_caller():
+    # a parameter that every library call leaves at its default is a
+    # constant; cli.main's argv comes from the command line, not a caller
+    src = Path(setgrowth.__file__).resolve().parent
+    assert _unset_defaults(src, {"main.argv"}) == []

@@ -1,5 +1,6 @@
 """Exhaustive small-group oracle for the Ruzsa rows, covers, powers, the
-tripling pipelines, local products and the pool-table kernel.
+tripling pipelines, the energy walk, local products and the pool-table
+kernel.
 
 A subset of a group of order n <= 8 is an n-bit mask.  The product of two
 subsets is the OR of right translates, each read off the scalar law
@@ -17,6 +18,7 @@ import pytest
 
 from setgrowth import groups, suites
 from setgrowth.groups import BLOCK_PAIRS, construct_group
+from setgrowth.bsg import energy_equivalences
 from setgrowth.setops import (MSet, _pair_counts, energy, energy_quadruple_count,
                               inverse_set, power_set, product_set)
 from setgrowth.families import measured_tripling
@@ -193,9 +195,10 @@ def test_pair_counts_memory_is_one_block_in_a_large_group():
     assert peak < 3 * 8 * g.order + 16 * BLOCK_PAIRS
 
 
-# every nonempty subset: its powers A^n for n <= 6 against the table's, and
-# the tripling pipelines at the measured K = |A^3|/|A|, whose hard rows
-# must all pass and whose |A^3| must be the table's
+# every nonempty subset: its powers A^n for n <= 6 against the table's, the
+# tripling pipelines at the measured K = |A^3|/|A|, whose hard rows must all
+# pass and whose |A^3| must be the table's, and the energy walk from clause
+# i at the suites' K for the pair (A, A), whose hard rows must all pass
 @pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(3)", "dihedral(4)",
                                   "cyclic(8)"])
 def test_powers_and_tripling_pipelines_on_every_subset(spec):
@@ -214,6 +217,7 @@ def test_powers_and_tripling_pipelines_on_every_subset(spec):
         assert wit.verified and ledger.hard_ok, (spec, m)
         assert ledger.rows[0].lhs == cube.bit_count()   # tripling-hypothesis
         assert tripling_chain(a, k).hard_ok, (spec, m)
+        assert energy_equivalences(a, a, suites._energy_k(a, a)).hard_ok, (spec, m)
 
 
 # ---------------------------------------------------- local products and pairs

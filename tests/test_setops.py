@@ -23,10 +23,8 @@ from setgrowth.setops import (
     convolution,
     energy,
     energy_quadruple_count,
-    intersection_size,
     inverse_set,
     member_mask,
-    partial_product,
     power_set,
     product_set,
     random_ids,
@@ -137,9 +135,7 @@ def test_from_mask_and_intersection():
     b = MSet.from_mask(G7, np.array([1, 1, 0, 0, 0, 0, 1], dtype=bool))
     assert b.ids() == (0, 1, 6)
     assert (a & b).ids() == (0, 1)
-    assert intersection_size(a, b) == 2
     apart = MSet.from_ids(G7, [2])
-    assert intersection_size(a, apart) == 0
     with pytest.raises(ValueError, match="nonempty"):
         a & apart
 
@@ -191,7 +187,6 @@ def test_set_algebra_matches_frozensets_on_every_pair_of_subsets(spec):
             union, same = a.union(b), by_ref[s | t]
             assert union == same and hash(union) == hash(same)
             common = s & t
-            assert intersection_size(a, b) == len(common)
             if common:
                 assert frozenset((a & b).ids()) == common
             else:
@@ -407,32 +402,6 @@ def test_energy_frozen_value():
     a = MSet.from_ids(G5, [0, 1, 2])
     assert energy(a, a) == 19
     assert energy_quadruple_count(a, a) == 19
-
-
-def test_partial_product_diagonal():
-    a = MSet.from_ids(G5, [0, 1, 2])
-    pairs = [(x, x) for x in a.ids()]
-    assert partial_product(a, a, pairs).ids() == (0, 2, 4)
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_sets(D6), small_sets(D6), st.data())
-def test_partial_product_matches_scalar_reference(a, b, data):
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(a.ids()),
-                                         st.sampled_from(b.ids())),
-                               min_size=1, max_size=20))
-    expect = {D6.mul(x, y) for x, y in pairs}
-    assert set(partial_product(a, b, pairs).ids()) == expect
-
-
-def test_partial_product_rejects_the_first_outside_pair():
-    a = MSet.from_ids(G5, [0, 1])
-    with pytest.raises(ValueError, match=r"pair \(1,4\) is not inside"):
-        partial_product(a, a, [(0, 1), (1, 4), (7, 0)])
-    with pytest.raises(ValueError, match=r"pair \(-1,0\) is not inside"):
-        partial_product(a, a, [(-1, 0)])
-    with pytest.raises(ValueError, match="nonempty"):
-        partial_product(a, a, [])
 
 
 def scalar_quadruple_count(a, b):
