@@ -105,14 +105,10 @@ def _nonempty_set(g, ids, stage: str) -> MSet:
 @dataclass(frozen=True)
 class WeakBsgResult:
     """Output of the weak extraction: a dense subset and a popular-quotient
-    set, with the pair statistics that certify the three conclusions."""
+    set, with the ledger that certifies the three conclusions."""
 
     a_prime: MSet
     d: MSet
-    chosen_b: int
-    omega_count: int          # |(A' x A') ∩ Ω|
-    k: Fraction
-    eps: Fraction
     ledger: ConstantLedger
 
 
@@ -161,7 +157,6 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
               for n, w in zip(col_counts, omega_cols)]
     best_j = max(range(len(scaled)), key=scaled.__getitem__)
     best_value = Fraction(col_counts[best_j] ** 2) - omega_cols[best_j] / eps
-    chosen_b = int(b_ids[best_j])
     ledger.compare("pigeonhole-value", best_value, ">=",
                    Fraction(a.size**2) / (2 * k**2),
                    formula="F(b*) >= |A|^2/2K^2")
@@ -192,8 +187,7 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
                    (1 - eps) * a_prime.size**2,
                    formula="#{a(a')^-1 in D} >= (1-ε)|A'|^2")
     ledger.check()
-    return (WeakBsgResult(a_prime, d, chosen_b, omega_count, k, eps, ledger),
-            rows, quotients)
+    return WeakBsgResult(a_prime, d, ledger), rows, quotients
 
 
 @dataclass(frozen=True)
@@ -210,9 +204,6 @@ class BsgExtract:
     product: MSet             # A'''·B'''
     l: Fraction
     d: MSet
-    weak: WeakBsgResult
-    k: Fraction
-    eps: Fraction
     ledger: ConstantLedger
 
     def trace_lines(self) -> list[str]:
@@ -323,7 +314,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
                    formula=f"|A'''·B'''|^2 <= 2^39 K^{BSG_HEADLINE_EXP_SQ}|A||B|")
     ledger.check()
     return BsgExtract(c, a_prime, a_second, a_third, b_third, product, l, d,
-                      weak, k, eps, ledger)
+                      ledger)
 
 
 def energy_equivalences(a: MSet, b: MSet, k) -> ConstantLedger:

@@ -400,63 +400,6 @@ def _sum_reaches(g, u, v, eps) -> bool:
     return False
 
 
-class EntropyRow(NamedTuple):
-    eps: object
-    covering: int
-    double_covering: int
-
-    @property
-    def ratio(self) -> Fraction:
-        """Net count at eps over net count at 2*eps."""
-        return Fraction(self.covering, self.double_covering)
-
-
-class EntropyReport(NamedTuple):
-    """Per-radius net counts over an ascending grid."""
-
-    rows: tuple
-    ledger: ConstantLedger
-
-
-def build_entropy_report(cloud: MetricCloud, eps_grid) -> EntropyReport:
-    """Compute net and separation counts over the grid, checking the
-    scale sandwich and monotonicity along the way."""
-    grid = sorted(dict.fromkeys(cloud.group.as_eps(e) for e in eps_grid))
-    if not grid:
-        raise ValueError("empty radius grid")
-    led = ConstantLedger("entropy-report")
-    rows = []
-    for i, e in enumerate(grid):
-        cov = covering_number(cloud, e).count
-        sep = len(separated_set(cloud, e))
-        half = covering_number(cloud, e / 2).count
-        dbl = covering_number(cloud, 2 * e).count
-        rows.append(EntropyRow(e, cov, dbl))
-        led.compare(
-            "sandwich-low-%d" % i,
-            cov,
-            "<=",
-            sep,
-            formula="net(eps) <= separated(eps)",
-        )
-        led.compare(
-            "sandwich-high-%d" % i,
-            sep,
-            "<=",
-            half,
-            formula="separated(eps) <= net(eps/2)",
-        )
-    for i in range(1, len(rows)):
-        led.compare(
-            "monotone-%d" % i,
-            rows[i].covering,
-            "<=",
-            rows[i - 1].covering,
-            formula="net count non-increasing in the radius",
-        )
-    return EntropyReport(tuple(rows), led)
-
-
 def arc_union_measure(points, eps) -> Fraction:
     """Exact circle measure of the union of arcs (x - eps, x + eps), for
     circle points x given as rationals."""
@@ -618,45 +561,49 @@ def _doubling_rows(group, led, grid, seed):
             )
 
 
-def _scale_ratio_rows(group, report, led):
-    for i, row in enumerate(report.rows):
-        if isinstance(group, TorusGroup) and 5 * row.eps <= 1:
-            led.compare(
-                "net-scale-%d" % i,
-                row.covering,
-                "<=",
-                5**group.dim * row.double_covering,
-                formula="eps-separated centers per 2eps-ball <= 5^dim",
-            )
+def _entropy_rows(group, cloud, eps_grid, led):
+    """The per-radius rows over the ascending grid: the net-separation
+    sandwich, monotonicity, the scale ratio net(eps)/net(2eps) and, on the
+    circle, net against measure.  Each distinct radius among the grid
+    values, their halves and their doubles is netted once."""
+    grid = sorted(dict.fromkeys(group.as_eps(e) for e in eps_grid))
+    if not grid:
+        raise ValueError("empty radius grid")
+    nets = {}
+    for e in grid:
+        for r in (e, e / 2, 2 * e):
+            if r not in nets:
+                nets[r] = covering_number(cloud, r).count
+    for i, e in enumerate(grid):
+        sep = len(separated_set(cloud, e))
+        led.compare("entropy.sandwich-low-%d" % i, nets[e], "<=", sep,
+                    formula="net(eps) <= separated(eps)")
+        led.compare("entropy.sandwich-high-%d" % i, sep, "<=", nets[e / 2],
+                    formula="separated(eps) <= net(eps/2)")
+    for i in range(1, len(grid)):
+        led.compare("entropy.monotone-%d" % i, nets[grid[i]], "<=",
+                    nets[grid[i - 1]],
+                    formula="net count non-increasing in the radius")
+    for i, e in enumerate(grid):
+        if isinstance(group, TorusGroup) and 5 * e <= 1:
+            led.compare("net-scale-%d" % i, nets[e], "<=",
+                        5**group.dim * nets[2 * e],
+                        formula="eps-separated centers per 2eps-ball <= 5^dim")
         else:
-            led.info(
-                "net-scale-%d" % i,
-                row.ratio,
-                note="net(eps)/net(2eps) at eps = %s" % (row.eps,),
-            )
-
-
-def _arc_measure_rows(group, cloud, report, led):
-    for i, row in enumerate(report.rows):
-        if 4 * row.eps >= 1:
+            led.info("net-scale-%d" % i, Fraction(nets[e], nets[2 * e]),
+                     note="net(eps)/net(2eps) at eps = %s" % (e,))
+    if not (isinstance(group, TorusGroup) and group.dim == 1):
+        return
+    for i, e in enumerate(grid):
+        if 4 * e >= 1:
             continue
         measure = arc_union_measure(
-            [Fraction(x, group.scale) for x in cloud.points], row.eps)
-        ratio = measure / (2 * row.eps)
-        led.compare(
-            "measure-entropy-low-%d" % i,
-            ratio,
-            "<=",
-            2 * row.covering,
-            formula="thickened cloud fits in doubled center arcs",
-        )
-        led.compare(
-            "measure-entropy-high-%d" % i,
-            row.covering,
-            "<=",
-            2 * ratio,
-            formula="disjoint half-arcs at separated centers",
-        )
+            [Fraction(x, group.scale) for x in cloud.points], e)
+        ratio = measure / (2 * e)
+        led.compare("measure-entropy-low-%d" % i, ratio, "<=", 2 * nets[e],
+                    formula="thickened cloud fits in doubled center arcs")
+        led.compare("measure-entropy-high-%d" % i, nets[e], "<=", 2 * ratio,
+                    formula="disjoint half-arcs at separated centers")
 
 
 def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ConstantLedger:
@@ -665,8 +612,8 @@ def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ConstantLedger:
     Takes the carrier's deterministic profile cloud, checks metric axioms
     and translation regularity on it, measures ball doubling (exactly
     where the geometry allows, by fixed-seed Monte-Carlo otherwise),
-    and builds the per-radius entropy report with its sandwich and
-    scale-comparison rows.  Never raises on a failed check; the rows
+    and writes the per-radius net rows with their sandwich and
+    scale-comparison checks.  Never raises on a failed check; the rows
     carry the verdicts.
     """
     led = ConstantLedger("metric-profile")
@@ -679,11 +626,7 @@ def metric_profile_check(group, *, seed: int = DEFAULT_SEED) -> ConstantLedger:
     _metric_axiom_rows(group, cloud, led, slack)
     _translation_rows(group, cloud, led, 1e-9)
     _doubling_rows(group, led, [group.as_eps(e) for e in grid], seed)
-    report = build_entropy_report(cloud, grid)
-    led.merge(report.ledger, prefix="entropy.")
-    _scale_ratio_rows(group, report, led)
-    if isinstance(group, TorusGroup) and group.dim == 1:
-        _arc_measure_rows(group, cloud, report, led)
+    _entropy_rows(group, cloud, grid, led)
     return led
 
 

@@ -441,13 +441,11 @@ class SplitWitness:
     """Nested cores B1, B2, B3 inside H, the quotient image C, and a
     symmetrized section phi defined on C^3."""
 
-    quotient: QuotientGroup
     c: MSet
     b1: MSet
     b2: MSet
     b3: MSet
     phi: np.ndarray     # quotient id -> parent id on C^3, -1 elsewhere
-    exceptions: tuple[int, ...]
     b_witnesses: tuple[ApproxGroupWitness, ...]
     ledger: ConstantLedger
 
@@ -674,11 +672,8 @@ def split_approximate(a: MSet, q: QuotientGroup, k) -> SplitWitness:
                  formula="the defect lies in A^6 n H", note=note)
 
     ledger.check()
-    return SplitWitness(
-        quotient=q, c=c, b1=b1, b2=b2, b3=b3, phi=phi,
-        exceptions=tuple(exceptions), b_witnesses=tuple(witnesses),
-        ledger=ledger,
-    )
+    return SplitWitness(c=c, b1=b1, b2=b2, b3=b3, phi=phi,
+                        b_witnesses=tuple(witnesses), ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +687,8 @@ class AbelianApproxWitness:
     heisen: HeisenbergGroup
     a_tilde: MSet
     x_tilde: MSet
-    k_measured: int
     b_prime: MSet
     b_tilde: MSet
-    a_prime: MSet
     split: SplitWitness
     ledger: ConstantLedger
 
@@ -865,9 +858,8 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
 
     ledger.check()
     return AbelianApproxWitness(
-        heisen=g, a_tilde=a_tilde, x_tilde=x_tilde, k_measured=x_tilde.size,
-        b_prime=b_prime, b_tilde=b_tilde, a_prime=a_prime,
-        split=split, ledger=ledger,
+        heisen=g, a_tilde=a_tilde, x_tilde=x_tilde,
+        b_prime=b_prime, b_tilde=b_tilde, split=split, ledger=ledger,
     )
 
 
@@ -901,13 +893,11 @@ def verify_inverse_converse(witness: AbelianApproxWitness, a: MSet) -> ConstantL
 
 @dataclass
 class ExactSplit:
-    """The exact splitting of a genuine subgroup: B = A n H, C = pi(A),
-    and the smallest-id section phi with its verification ledger."""
+    """The exact splitting of a genuine subgroup: B = A n H and C = pi(A),
+    with the ledger that checks the smallest-id section on C."""
 
-    quotient: QuotientGroup
     b: MSet
     c: MSet
-    phi: np.ndarray     # quotient id -> smallest id of its fiber in A, or -1
     ledger: ConstantLedger
 
     @property
@@ -949,4 +939,4 @@ def exact_split_oracle(a: MSet, q: QuotientGroup) -> ExactSplit:
                  lhs=a.size, formula="A equals the union of phi(x)B over C")
     ledger.compare("order-product", a.size, "==", c.size * b.size,
                    formula="|A| = |C||B|")
-    return ExactSplit(quotient=q, b=b, c=c, phi=phi, ledger=ledger)
+    return ExactSplit(b=b, c=c, ledger=ledger)

@@ -20,9 +20,9 @@ from setgrowth.entropy import (
     QuaternionGroup,
     TorusGroup,
     WordMetricGroup,
+    _entropy_rows,
     approx_energy,
     arc_union_measure,
-    build_entropy_report,
     covering_number,
     entropy_tripling_check,
     metric_profile_check,
@@ -349,10 +349,29 @@ def test_cover_scan_nets_match_on_partial_clouds(scan):
 
 
 def test_entropy_report_sandwich():
-    report = build_entropy_report(grid_cloud(64), [Fraction(1, 8), Fraction(1, 16)])
-    assert report.ledger.hard_ok
-    names = [r.name for r in report.ledger.rows]
-    assert "sandwich-low-0" in names and "sandwich-high-0" in names
+    cloud = grid_cloud(64)
+    led = ConstantLedger("entropy-rows")
+    _entropy_rows(cloud.group, cloud, [Fraction(1, 8), Fraction(1, 16)], led)
+    assert led.hard_ok
+    names = [r.name for r in led.rows]
+    assert "entropy.sandwich-low-0" in names and "entropy.sandwich-high-0" in names
+
+
+def test_profile_nets_each_radius_once(monkeypatch):
+    # the circle grid 1/10, 1/20, 1/40 with its halves and doubles has five
+    # distinct radii, 1/5 to 1/80; the sandwich separates at the three grid
+    # values
+    calls = {"covering_number": [], "separated_set": []}
+    for name, log in calls.items():
+        real = getattr(entropy, name)
+        monkeypatch.setattr(entropy, name, lambda cloud, eps, real=real, log=log:
+                            log.append(eps) or real(cloud, eps))
+    assert metric_profile_check(TorusGroup(1)).hard_ok
+    assert sorted(calls["covering_number"]) == [
+        Fraction(1, 80), Fraction(1, 40), Fraction(1, 20), Fraction(1, 10),
+        Fraction(1, 5)]
+    assert sorted(calls["separated_set"]) == [
+        Fraction(1, 40), Fraction(1, 20), Fraction(1, 10)]
 
 
 @pytest.mark.parametrize("spec, gens", [

@@ -1,6 +1,6 @@
 """Exhaustive small-group oracle for the Ruzsa rows, covers, powers, the
-tripling pipelines, the energy walk, local products and the pool-table
-kernel.
+tripling pipelines, the covering-pair clauses, the energy walk, local
+products and the pool-table kernel.
 
 A subset of a group of order n <= 8 is an n-bit mask.  The product of two
 subsets is the OR of right translates, each read off the scalar law
@@ -22,7 +22,8 @@ from setgrowth.bsg import energy_equivalences
 from setgrowth.setops import (MSet, _pair_counts, energy, energy_quadruple_count,
                               inverse_set, power_set, product_set)
 from setgrowth.families import measured_tripling
-from setgrowth.structure import (approx_group_from_tripling, ruzsa_cover,
+from setgrowth.structure import (_check_covering_pair,
+                                 approx_group_from_tripling, ruzsa_cover,
                                  tripling_chain)
 
 
@@ -218,6 +219,45 @@ def test_powers_and_tripling_pipelines_on_every_subset(spec):
         assert ledger.rows[0].lhs == cube.bit_count()   # tripling-hypothesis
         assert tripling_chain(a, k).hard_ok, (spec, m)
         assert energy_equivalences(a, a, suites._energy_k(a, a)).hard_ok, (spec, m)
+
+
+def _ref_covering_pair(g, h, x, k):
+    """The seven covering-pair clauses on frozensets of ids, by the scalar
+    law g.mul and g.inv."""
+    def times(s, t):
+        return frozenset(g.mul(p, q) for p in s for q in t)
+
+    h2 = times(h, h)
+    return (("h-symmetric", frozenset(map(g.inv, h)) == h),
+            ("h-contains-identity", 0 in h),
+            ("x-symmetric", frozenset(map(g.inv, x)) == x),
+            ("x-inside-h2", x <= h2),
+            ("x-small", len(x) <= k),
+            ("h2-in-xh", h2 <= times(x, h)),
+            ("h2-in-hx", h2 <= times(h, x)))
+
+
+# every ordered pair (H, X) of nonempty subsets of an order-6 group, every
+# 7th of an order-8 one, 17,228 pairs: the clause verdicts of the covering
+# pair against the frozenset reference, at K = |X| and K = |X| - 1 on
+# alternate pairs so that x-small takes both values
+@pytest.mark.parametrize("spec, stride", [
+    ("symmetric(3)", 1), ("cyclic(6)", 1), ("dihedral(4)", 7)])
+def test_covering_pair_clauses_on_every_pair_of_subsets(spec, stride):
+    g = construct_group(spec)
+    sets = _subsets(g)
+    frozen = [frozenset(s.ids()) for s in sets]
+    squares = [power_set(s, 2) for s in sets]
+    verdicts = Counter()
+    for i in range(0, len(sets) ** 2, stride):
+        ih, ix = divmod(i, len(sets))
+        k = len(frozen[ix]) - i // stride % 2
+        got = _check_covering_pair(sets[ih], sets[ix], k, squares[ih]).checks
+        assert got == _ref_covering_pair(g, frozen[ih], frozen[ix], k), \
+            (spec, ih, ix, k)
+        verdicts.update(got)
+    # each clause is seen both true and false
+    assert len(verdicts) == 14, verdicts
 
 
 # ---------------------------------------------------- local products and pairs
