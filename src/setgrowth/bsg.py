@@ -7,8 +7,8 @@ square roots never materialize (every bound involving one is asserted in
 squared form).  The full extraction's final bound is asserted twice: once
 with the audited exponent from multiplying the proof's displayed constants
 (squared exponent 16), and once with the headline exponent (squared 14) that
-the original display states; docs/constants.md derives both and explains the
-gap.
+the original display states; docs/constants.md derives the audited one and
+lists the headline one among the bounds it has no derivation for.
 
 The refinements are whole-array kernel calls: uint16 product matrices
 filled from ``groups._product_blocks``, read through boolean masks of C or
@@ -40,7 +40,7 @@ from .setops import (
     MSet,
     _product_counts,
     _require_same_group,
-    _set_counts,
+    convolution,
     energy,
     inverse_set,
     member_mask,
@@ -131,7 +131,8 @@ def weak_bsg(a: MSet, b: MSet, c: MSet, k, eps=Fraction(1, 2), *,
 
 
 def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
-              eps: Fraction, hit: np.ndarray | None = None):
+              eps: Fraction, hit: np.ndarray | None = None
+              ) -> tuple[WeakBsgResult, np.ndarray, np.ndarray]:
     """weak_bsg on checked parameters.  `hit` is the boolean matrix
     [i, j] -> a_i*b_j in C when the caller holds it; it is formed here
     otherwise.  Returns the result, the rows of A' within A, and the uint16
@@ -357,8 +358,8 @@ def _step_iii_iv(a, b, a_p, b_p, prod, ledger):
     # |A' ∩ tH| = (1_A' ∗ 1_H⁻¹)(t) and |B' ∩ Ht| = (1_H⁻¹ ∗ 1_B')(t); argmax
     # takes the first best t of X in ascending id order
     h_inv, ts = inverse_set(wit.h), x_cov.id_array()
-    a_counts = _set_counts(a_p, h_inv)[ts]
-    b_counts = _set_counts(h_inv, b_p)[ts]
+    a_counts = convolution(a_p, h_inv)[ts]
+    b_counts = convolution(h_inv, b_p)[ts]
     best_x, best_y = int(ts[a_counts.argmax()]), int(ts[b_counts.argmax()])
     best_xv, best_yv = int(a_counts.max()), int(b_counts.max())
     ledger.compare("step-iii-iv.x-pigeonhole", best_xv * x_cov.size, ">=",

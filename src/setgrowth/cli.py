@@ -151,7 +151,7 @@ def _cmd_heisen_run(args) -> int:
     return 0 if witness.ledger.hard_ok and converse.hard_ok else 1
 
 
-def _entropy_carrier(text: str):
+def _entropy_carrier(text: str) -> TorusGroup | QuaternionGroup | WordMetricGroup:
     if text in ("torus1", "torus2", "torus3"):
         return TorusGroup(int(text[-1]))
     if text == "quaternion":

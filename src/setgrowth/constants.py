@@ -115,8 +115,9 @@ def chain_exponent(n: int) -> int:
     raise ValueError(f"chain table covers lengths 1..6, got {n}")
 
 
-# Explicit theorem constants referenced across modules (derivations in
-# docs/constants.md).
+# Explicit theorem constants referenced across modules.  docs/constants.md
+# derives each one but LOCAL_TRIPLING_CONST, LOCAL_TRIPLING_EXP and
+# BSG_HEADLINE_EXP_SQ, which it lists among its bounds with no derivation.
 
 # |A*B|^2 <= K^2 |A||B|  =>  the classification pipeline constants:
 CLASSIFY_CORE_DOUBLING_EXP = 2          # |A A^-1| <= K^2 |A|

@@ -660,12 +660,7 @@ class QuotientGroup(FiniteGroup):
 
 
 class NotNormalError(ValueError):
-    def __init__(self, g: int, h: int, conj: int):
-        super().__init__(
-            f"subgroup is not normal: conjugate of member {h} by {g} "
-            f"is {conj}, a non-member"
-        )
-        self.counterexample = (g, h, conj)
+    """A subgroup with a conjugate of a member outside it."""
 
 
 def _conjugates(g: FiniteGroup, x, h) -> np.ndarray:
@@ -692,7 +687,9 @@ def _raise_first_escape(g: FiniteGroup, hs: np.ndarray):
     j, x = _first(_grid((len(hs), g.order)),
                   lambda j, x: ~mask[_conjugates(g, x, hs[j])])
     h = int(hs[j])
-    raise NotNormalError(x, h, int(_conjugates(g, x, h)))
+    raise NotNormalError(
+        f"subgroup is not normal: conjugate of member {h} by {x} "
+        f"is {int(_conjugates(g, x, h))}, a non-member")
 
 
 # ---------------------------------------------------------------------------

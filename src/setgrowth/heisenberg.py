@@ -10,8 +10,9 @@ so sets cross between these groups id for id (``MSet.from_ids``); a
 containment across them is stated on the image under the comparison map
 iota, as its row's formula reads.  Every quantitative conclusion lands in a
 ConstantLedger row with exact integer or Fraction endpoints; covering-set
-sizes are measured and then compared against the proof-derived polynomial
-bounds in the tripling parameter (derivations in docs/constants.md).
+sizes are measured and then compared against polynomial bounds in the
+tripling parameter; docs/constants.md derives each but candidate-fiber-bound,
+on which candidate-size-bound rests.
 """
 
 from __future__ import annotations
@@ -686,7 +687,6 @@ class AbelianApproxWitness:
 
     heisen: HeisenbergGroup
     a_tilde: MSet
-    x_tilde: MSet
     b_prime: MSet
     b_tilde: MSet
     split: SplitWitness
@@ -724,7 +724,9 @@ def _pairing_image(g: HeisenbergGroup, zs) -> np.ndarray:
 #   |Atilde| <= |C^3||30B' + 4B3|
 #            <= (Ks^5|C|) (|X3|^187 |B3|)
 #            <= Ks^5 |X3|^187 Ks^153 |B1||C|
-#            <= Ks^167 |X3|^187 |A_hull|        (derivation: docs/constants.md)
+#            <= Ks^167 |X3|^187 |A_hull|
+# docs/constants.md derives every link but the first, candidate-fiber-bound,
+# which it lists as underived; the chain rests on it
 CANDIDATE_KS_EXP = 5 + SPLIT_NEST_EXP + SPLIT_COUNT_EXP  # 167
 CANDIDATE_COVER_EXP = 187
 
@@ -810,7 +812,7 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
     k_p = ks ** CANDIDATE_KS_EXP * x3_size ** CANDIDATE_COVER_EXP
     tilde_wit, tled = approx_group_from_tripling(a_prime, k_p)
     ledger.merge(tled, "abelian.")
-    a_tilde, x_tilde = tilde_wit.h, tilde_wit.x
+    a_tilde = tilde_wit.h
     ledger.claim("candidate-formula",
                  a_tilde == power_set(symmetrize(a_prime), 3),
                  formula="Atilde = 3(iota(A') u {0} u -iota(A'))")
@@ -858,8 +860,8 @@ def heisen_inverse(a: MSet, k) -> AbelianApproxWitness:
 
     ledger.check()
     return AbelianApproxWitness(
-        heisen=g, a_tilde=a_tilde, x_tilde=x_tilde,
-        b_prime=b_prime, b_tilde=b_tilde, split=split, ledger=ledger,
+        heisen=g, a_tilde=a_tilde, b_prime=b_prime, b_tilde=b_tilde,
+        split=split, ledger=ledger,
     )
 
 
@@ -893,11 +895,10 @@ def verify_inverse_converse(witness: AbelianApproxWitness, a: MSet) -> ConstantL
 
 @dataclass
 class ExactSplit:
-    """The exact splitting of a genuine subgroup: B = A n H and C = pi(A),
-    with the ledger that checks the smallest-id section on C."""
+    """The exact splitting of a genuine subgroup: B = A n H, with the ledger
+    that checks the smallest-id section on C = pi(A)."""
 
     b: MSet
-    c: MSet
     ledger: ConstantLedger
 
     @property
@@ -939,4 +940,4 @@ def exact_split_oracle(a: MSet, q: QuotientGroup) -> ExactSplit:
                  lhs=a.size, formula="A equals the union of phi(x)B over C")
     ledger.compare("order-product", a.size, "==", c.size * b.size,
                    formula="|A| = |C||B|")
-    return ExactSplit(b=b, c=c, ledger=ledger)
+    return ExactSplit(b=b, ledger=ledger)

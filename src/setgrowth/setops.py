@@ -13,7 +13,7 @@ blocks of ``groups._product_blocks``, scattered into a mask or a
 ``bincount``.  Operands whose products fit one block, most of them, take
 one ``mul_outer`` call and one scatter.  No call holds more than one block
 of products, so memory stays linear in the group order whatever the set
-sizes.  Besides ``convolution``, the count array of ``_set_counts`` has
+sizes.  ``convolution``, the count array of 1_A ∗ 1_B over ids, has
 three readers: ``energy``, the core of ``structure.symmetric_core``
 (|A ∩ A·x| at every x) and the translate choice of ``bsg._step_iii_iv``
 (|A′ ∩ tH| and |B′ ∩ Ht| at every t).  ``_pair_counts``, the pool-table
@@ -40,7 +40,6 @@ integers or Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,26 +313,9 @@ def power_set(a: MSet, n: int) -> MSet:
 # ---------------------------------------------------------------------------
 # Convolution and energy
 
-@dataclass
-class ConvolutionProfile:
-    """Counts 1_A * 1_B(x) = #{(a,b) in A x B : a*b = x}, nonzero entries."""
-
-    group: FiniteGroup
-    counts: dict[int, int]
-    a_size: int
-    b_size: int
-
-
-def convolution(a: MSet, b: MSet) -> ConvolutionProfile:
-    counts = _set_counts(a, b)
-    support = np.flatnonzero(counts)
-    return ConvolutionProfile(
-        a.group, dict(zip(support.tolist(), counts[support].tolist())),
-        a.size, b.size)
-
-
-def _set_counts(a: MSet, b: MSet) -> np.ndarray:
-    """The int64 array over ids of 1_A * 1_B."""
+def convolution(a: MSet, b: MSet) -> np.ndarray:
+    """The int64 array over ids of 1_A * 1_B: entry x counts the pairs
+    (a, b) in A x B with a*b = x."""
     _require_same_group(a, b)
     g = a.group
     blocks = _product_blocks(g, a.id_array(), b.id_array())
@@ -356,7 +338,7 @@ def _pair_counts(g: FiniteGroup, pairs):
     their ids to its longest operands, takes the valid cells of one
     broadcast, forms them by one ``mul_pairs`` and counts them by one
     ``bincount`` at r·order + product; a block of one pair takes the
-    ``_product_blocks`` of ``_set_counts``.  A block holds at most
+    ``_product_blocks`` of ``convolution``.  A block holds at most
     BLOCK_PAIRS padded products and count cells, or one pair."""
     n = g.order
     lens = np.array([(len(xs), len(ys)) for xs, ys in pairs],
@@ -380,7 +362,7 @@ def _pair_counts(g: FiniteGroup, pairs):
 def energy(a: MSet, b: MSet) -> int:
     """E(A, B) = sum of (1_A * 1_B)², the multiplicative energy: the
     quadruples (a,b,a',b') with a*b = a'*b'."""
-    counts = _set_counts(a, b)
+    counts = convolution(a, b)
     # each count is at most min(|A|,|B|) and they sum to |A||B|, so
     # E <= |A||B|·min(|A|,|B|) <= ORDER_CAP^3 < 2^63: no int64 overflow
     return int(counts @ counts)

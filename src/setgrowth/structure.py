@@ -2,7 +2,7 @@
 classification pipeline.
 
 All set arithmetic is on the array path: a core reads every translate
-overlap off one convolution count array from ``setops._set_counts``, and
+overlap off one count array from ``setops.convolution``, and
 covers mark the translates of one difference set per chosen root over the
 blocks of ``groups._product_blocks``.
 ``tripling_chain`` forms one product per distinct (set, sign), exact because
@@ -56,7 +56,7 @@ from .groups import _product_blocks
 from .setops import (
     MSet,
     _require_same_group,
-    _set_counts,
+    convolution,
     inverse_set,
     power_set,
     product_set,
@@ -358,7 +358,7 @@ def symmetric_core(a: MSet, k) -> tuple[SymmetricCore, ConstantLedger]:
     ledger.require("doubling-hypothesis", aa_inv.size, "<=", k * a.size,
                    formula="|A·A^-1| <= K|A|")
     p, q = k.numerator, k.denominator
-    overlaps = _set_counts(a_inv, a)
+    overlaps = convolution(a_inv, a)
     candidates = MSet.from_mask(a.group, overlaps > 0)
     s = MSet.from_mask(a.group, overlaps > q * a.size // (2 * p))
 

@@ -528,18 +528,18 @@ def ref_bsg_extract(a, b, k):
     k = Fraction(k)
     p, q = k.numerator, k.denominator
     ledger = ConstantLedger("bsg_extract")
-    profile = convolution(a, b)
-    e_val = sum(cnt * cnt for cnt in profile.counts.values())
+    counts = convolution(a, b).tolist()
+    e_val = sum(cnt * cnt for cnt in counts)
     nm = a.size * b.size
     if not ledger.compare("energy-hypothesis", e_val**2 * p**2, ">=",
                           q**2 * nm**3,
                           formula="E^2 K^2 >= (|A||B|)^3, cleared"):
         raise ValueError("energy hypothesis fails")
-    c = MSet.from_ids(g, [x for x, cnt in profile.counts.items()
+    c = MSet.from_ids(g, [x for x, cnt in enumerate(counts)
                           if 4 * p**2 * cnt**2 > q**2 * nm])
     ledger.compare("level-set-size", c.size**2, "<=", 4 * k**2 * nm,
                    formula="|C|^2 <= 4K^2|A||B|")
-    n_c = sum(cnt for x, cnt in profile.counts.items() if x in c)
+    n_c = sum(cnt for x, cnt in enumerate(counts) if x in c)
     ledger.compare("level-set-mass", 2 * p * n_c, ">=", q * nm,
                    formula="2K·N_C >= |A||B|")
     a_ids, b_ids, c_mask = a.id_array(), b.id_array(), member_mask(c)
@@ -690,15 +690,15 @@ def test_extract_memory_on_420_ids():
 
 
 def test_cli_bsg_run_counts_the_energy_once(monkeypatch, capsys):
-    # energy and convolution both count through setops._set_counts
+    # energy counts through setops.convolution
     calls = []
-    real = setops._set_counts
+    real = setops.convolution
 
     def counted(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(setops, "_set_counts", counted)
+    monkeypatch.setattr(setops, "convolution", counted)
     assert cli.main(["bsg", "run", "--group", "symmetric(4)",
                      "--set", "random_dense(density=1/2;seed=5)"]) == 0
     monkeypatch.undo()

@@ -1,12 +1,14 @@
 """Cold import: the package root loads no submodule, a submodule loads only
-what it imports, and importing the constants runs no fixpoint.  And no
-library API without a library caller: every function, class and method
-under src/setgrowth/ is named by library code outside its own body.  And
-no option with one value in use: some library call sets each defaulted
-parameter.
+what it imports, importing the constants runs no fixpoint, and the report
+paths never load numpy.ma.  And no library API without a library caller:
+every function, class and method under src/setgrowth/ is named by library
+code outside its own body.  And no option with one value in use: some
+library call sets each defaulted parameter.  And no stored field without a
+library reader: library code reads each record field and each attribute an
+__init__ stores.
 
-Each check runs in a fresh interpreter, on the setgrowth package these
-tests import.
+Each import check runs in a fresh interpreter, on the setgrowth package
+these tests import.
 """
 
 import ast
@@ -74,6 +76,24 @@ def test_constants_import_runs_no_fixpoint():
     calls = set(out.split())
     assert "<module>" in calls  # the profile saw the module body run
     assert calls <= {"<module>", "<dictcomp>", "positive_power_exponent"}
+
+
+def test_report_paths_load_no_numpy_ma(tmp_path):
+    # a numpy routine that imports numpy.ma (np.ma itself, or a helper that
+    # reaches it, such as np.unique) cost heisenberg-p7 about 60% of its
+    # verify time; one interpreter writes the default suite report and runs
+    # the p=7 inverse step, and neither may load numpy.ma
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from setgrowth.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['suite', 'run', '--format', 'both', '--out', out]),\n"
+        "             main(['heisen', 'run', '--group',\n"
+        "                   'heisenberg(z=Zp^2,p=7;w=Zp^1,p=7;pairing=symplectic)',\n"
+        "                   '--set', 'ball_in_word_metric(2;1,7)', '--out', out])]\n"
+        "print(*codes, 'numpy.ma' in sys.modules)\n")
+    assert out.split() == ["0", "0", "False"]
 
 
 def _unreferenced(src: Path, exempt: set[str]) -> list[str]:
@@ -185,3 +205,190 @@ def test_every_default_is_set_by_a_library_caller():
     # constant; cli.main's argv comes from the command line, not a caller
     src = Path(setgrowth.__file__).resolve().parent
     assert _unset_defaults(src, {"main.argv"}) == []
+
+
+def _annotation(node):
+    """The type an annotation gives, as the field gate models types: a
+    frozenset of class names (X, m.X, "X", X | Y; a None side dropped), a
+    tuple of types for tuple[X, Y], a one-item list holding the element
+    type of tuple[X, ...]; None for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return frozenset({node.id if isinstance(node, ast.Name) else node.attr})
+    if isinstance(node, ast.BinOp):
+        sides = [_annotation(node.left), _annotation(node.right)]
+        if all(isinstance(s, frozenset) for s in sides):
+            return frozenset.union(*sides) - {"None"}
+        return None
+    if isinstance(node, ast.Subscript) and _annotation(node.value) == {"tuple"}:
+        args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        if isinstance(args[-1], ast.Constant) and args[-1].value is Ellipsis:
+            return [_annotation(args[0])]
+        return tuple(_annotation(a) for a in args)
+    return None
+
+
+def _unread_fields(src: Path) -> list[str]:
+    """module.Class.field of every field of a dataclass or NamedTuple under
+    src, and every attribute an __init__ stores on self, that library code
+    never reads as an attribute.  A field name that one class alone stores
+    is read by any load of that attribute name.  A name that several
+    classes store is read on the class of the receiver, or the base that
+    stores it.  The receiver's type comes from self in a method, an
+    annotated parameter, record field or return, a class call, a tuple
+    unpacked from a call, an element of a tuple[X, ...] or the value of a
+    dict literal of one class; a load on a receiver of unknown type reads
+    no class's field of that name."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    classes, returns = {}, {}   # class -> (module, bases, {field: type}); def -> type
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):   # a name typed twice is untyped
+                kind = _annotation(node.returns)
+                same = returns.get(node.name, kind) == kind
+                returns[node.name] = kind if same else None
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = set().union(*(_annotation(b) or () for b in node.bases))
+            record = "NamedTuple" in bases or any(
+                "dataclass" in (_annotation(getattr(d, "func", d)) or ())
+                for d in node.decorator_list)
+            fields = {st.target.id: _annotation(st.annotation)
+                      for st in node.body if record
+                      and isinstance(st, ast.AnnAssign)
+                      and isinstance(st.target, ast.Name)}
+            stored = [e for init in node.body if getattr(init, "name", "") == "__init__"
+                      for st in ast.walk(init)
+                      if isinstance(st, (ast.Assign, ast.AnnAssign))
+                      for t in getattr(st, "targets", None) or [st.target]
+                      for e in getattr(t, "elts", [t])]
+            for e in stored:
+                if (isinstance(e, ast.Attribute)
+                        and getattr(e.value, "id", None) == "self"):
+                    fields.setdefault(e.attr, None)
+            classes[node.name] = (module, bases, fields)
+    owners = Counter(f for _, _, fields in classes.values() for f in fields)
+
+    def lineage(name):
+        """The class and its known bases, nearest first."""
+        if name not in classes:
+            return []
+        return [name] + [c for b in sorted(classes[name][1]) for c in lineage(b)]
+
+    def names(kind):
+        return kind if isinstance(kind, frozenset) else ()
+
+    def infer(node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            return frozenset({name}) if name in classes else returns.get(name)
+        if isinstance(node, ast.Attribute):
+            for name in names(infer(node.value, env)):
+                for c in lineage(name):
+                    if node.attr in classes[c][2]:
+                        return classes[c][2][node.attr]
+        if isinstance(node, ast.Subscript):
+            kind = infer(node.value, env)
+            return kind[0] if isinstance(kind, list) else None
+        if isinstance(node, ast.Dict):
+            kinds = {infer(v, env) for v in node.values}
+            return [kinds.pop()] if len(kinds) == 1 else None
+        return None
+
+    def bind(target, kind, env, bound):
+        """Type a target; a name bound to two types is untyped."""
+        if isinstance(target, ast.Name):
+            env[target.id] = kind if env.get(target.id, kind) == kind \
+                or target.id not in bound else None
+            bound.add(target.id)
+        elif isinstance(target, ast.Tuple):
+            kinds = (kind if isinstance(kind, tuple) and len(kind) == len(target.elts)
+                     else (None,) * len(target.elts))
+            for t, k in zip(target.elts, kinds):
+                bind(t, k, env, bound)
+
+    def scope(body, env, owner, args=None):
+        """The types of a function's (or the module's) names, bound in
+        source order and flow-insensitively, on top of the enclosing env;
+        nested functions and classes are scopes of their own."""
+        env, bound = dict(env), set()
+        if args is not None:
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            for i, a in enumerate(params):
+                bind(ast.Name(a.arg), frozenset({owner}) if owner and i == 0
+                     else _annotation(a.annotation), env, bound)
+        todo = body[::-1]
+        while todo:
+            st = todo.pop()
+            if not isinstance(st, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+                todo += list(ast.iter_child_nodes(st))[::-1]
+                if isinstance(st, ast.Assign):
+                    for t in st.targets:
+                        bind(t, infer(st.value, env), env, bound)
+                elif isinstance(st, (ast.For, ast.comprehension)):
+                    kind = infer(st.iter, env)
+                    bind(st.target, kind[0] if isinstance(kind, list) else None,
+                         env, bound)
+        return env
+
+    read = set()
+
+    def visit(node, env, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, env, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                method = owner and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in getattr(child, "decorator_list", []))
+                body = child.body if isinstance(child.body, list) else [child.body]
+                visit(child, scope(body, env, method and owner, child.args), None)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                field = child.attr
+                if owners[field] == 1:
+                    read.update((c, field) for c in classes
+                                if field in classes[c][2])
+                for name in names(infer(child.value, env)) if owners[field] > 1 else ():
+                    read.update((c, field) for c in lineage(name)
+                                if field in classes[c][2])
+            visit(child, env, owner)
+
+    for tree in trees.values():
+        visit(tree, scope(tree.body, {}, None), None)
+    return sorted(f"{module}.{c}.{f}" for c, (module, _, fields) in classes.items()
+                  for f in fields if (c, f) not in read)
+
+
+# fields kept with no library reader, each with the reason it stays
+_KEPT_FIELDS = {
+    f"heisenberg.AbelianApproxWitness.{name}":
+        "test_inverse_vertical_sets_match_scalar_references compares it set "
+        "for set with its scalar construction"
+    for name in ("b_prime", "b_tilde", "split")
+}
+
+
+def test_every_field_has_a_library_reader():
+    # a value that only tests read is recomputed there, from a kept field,
+    # a ledger row or the routine that forms it
+    src = Path(setgrowth.__file__).resolve().parent
+    assert _unread_fields(src) == sorted(_KEPT_FIELDS)
+
+
+def test_the_field_gate_keys_a_shared_name_by_its_receiver(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    c: int\n    only_a: int\n"
+        "@dataclass\nclass B:\n    c: int\n"
+        "class C:\n    def __init__(self, n: int):\n        self.c = n\n"
+        "def make() -> B:\n    return B(1)\n"
+        "def f(a: A, x):\n    b = make()\n    return b.c + x.c + x.only_a\n")
+    # b.c reads B's c; x.c has no known type, so it reads neither A's nor
+    # C's; only_a has one owner, so any load of it counts
+    assert _unread_fields(tmp_path) == ["m.A.c", "m.C.c"]

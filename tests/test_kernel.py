@@ -462,7 +462,9 @@ def test_not_normal_names_the_first_escape(spec, gens):
     assert expect is not None
     with pytest.raises(NotNormalError) as err:
         quotient_map(g, gens)
-    assert err.value.counterexample == expect
+    x, h, conj = expect
+    assert str(err.value) == (f"subgroup is not normal: conjugate of member "
+                              f"{h} by {x} is {conj}, a non-member")
 
 
 def test_table_only_at_or_below_the_cap():
@@ -515,7 +517,7 @@ def test_set_operations_agree_before_and_after_the_table(data):
         def results():
             return (product_set(a, b), translate_left(x, a),
                     translate_right(a, x), inverse_set(a),
-                    convolution(a, b).counts)
+                    convolution(a, b).tolist())
 
         by_law = results()
         assert g._table is None
@@ -545,7 +547,7 @@ def blocked_results(g, a, b):
     bsg extraction at the K its energy gives."""
     nm = a.size * b.size
     ex = bsg_extract(a, b, Fraction(ceil_isqrt(nm**3), energy(a, b)))
-    return (product_set(a, b), convolution(a, b).counts, energy(a, b),
+    return (product_set(a, b), convolution(a, b).tolist(), energy(a, b),
             ruzsa_cover(a, b, "left"), ruzsa_cover(a, b, "right"),
             subgroup_closure(g, a.ids()),
             (ex.c, ex.a_prime, ex.a_second, ex.a_third, ex.b_third, ex.d,
@@ -636,8 +638,8 @@ def test_set_operations_match_brute_force(spec, data):
     b = mset(g, data.draw(id_lists(g, 30)))
     x = data.draw(st.integers(min_value=0, max_value=g.order - 1))
     assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
-    assert convolution(a, b).counts == dict(
-        Counter(g.mul(u, v) for u in a.ids() for v in b.ids()))
+    counts = Counter(g.mul(u, v) for u in a.ids() for v in b.ids())
+    assert convolution(a, b).tolist() == [counts[y] for y in range(g.order)]
     assert translate_left(x, a) == mset(g, brute_products(g, [x], a.ids()))
     assert translate_right(a, x) == mset(g, brute_products(g, a.ids(), [x]))
     assert set(inverse_set(a).ids()) == {g.inv(u) for u in a.ids()}
@@ -648,11 +650,11 @@ def test_scalar_results_are_python_ints(spec):
     g = group(spec)
     a = mset(g, range(1, g.order, 7))
     values = [g.mul(3, 5), g.inv(3)] + list(a.ids())
-    prof = convolution(a, a)
-    values += list(prof.counts) + list(prof.counts.values())
+    values.append(energy(a, a))
     if g.row(0) is not None:
         values.append(g.row(3)[5])
     assert all(type(v) is int for v in values)
+    assert convolution(a, a).dtype == np.int64
 
 
 # ------------------------------------------------------------ caps and memory
@@ -663,7 +665,7 @@ def test_order_cap_runs_set_arithmetic_without_a_table():
     a = mset(g, rng.sample(range(g.order), 100))
     b = mset(g, rng.sample(range(g.order), 100))
     assert set(product_set(a, b).ids()) == brute_products(g, a.ids(), b.ids())
-    assert sum(convolution(a, b).counts.values()) == 100 * 100
+    assert convolution(a, b).sum() == 100 * 100
     assert translate_left(7, a) == mset(g, [(7 + u) % g.order for u in a.ids()])
     assert g._table is None
 

@@ -1,6 +1,6 @@
 """Exhaustive small-group oracle for the Ruzsa rows, covers, powers, the
-tripling pipelines, the covering-pair clauses, the energy walk, local
-products and the pool-table kernel.
+tripling pipelines, the covering-pair clauses, the energy walk, the set-pair
+pipelines, local products and the pool-table kernel.
 
 A subset of a group of order n <= 8 is an n-bit mask.  The product of two
 subsets is the OR of right translates, each read off the scalar law
@@ -12,18 +12,21 @@ their groups, the cover checks on every ordered pair or a stated stride.
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from setgrowth import groups, suites
 from setgrowth.groups import BLOCK_PAIRS, construct_group
-from setgrowth.bsg import energy_equivalences
+from setgrowth.bsg import bsg_extract, energy_equivalences, weak_bsg
+from setgrowth.exact import ceil_sqrt_frac
 from setgrowth.setops import (MSet, _pair_counts, energy, energy_quadruple_count,
                               inverse_set, power_set, product_set)
 from setgrowth.families import measured_tripling
 from setgrowth.structure import (_check_covering_pair,
-                                 approx_group_from_tripling, ruzsa_cover,
+                                 approx_group_from_tripling,
+                                 classify_small_doubling, ruzsa_cover,
                                  tripling_chain)
 
 
@@ -258,6 +261,40 @@ def test_covering_pair_clauses_on_every_pair_of_subsets(spec, stride):
         verdicts.update(got)
     # each clause is seen both true and false
     assert len(verdicts) == 14, verdicts
+
+
+# every 4th ordered pair (A, B) of nonempty subsets of symmetric(3), 993 of
+# the 3,969 (4 is prime to 63, so B runs through every residue), through the
+# three set-pair pipelines at the K the library infers: classify at the
+# ceil_sqrt of |A·B|²/|A||B|, as energy-equivalence's step iii→iv passes it;
+# weak_bsg on C = A·B at K = 1 and K'² = |C|²/|A||B|, as the weak-bsg suite;
+# bsg_extract at the energy K of the bsg suite.  None may raise, every hard
+# row passes, and each premise row measures |A·B| off the subset table or
+# E(A,B) off the quadruple count
+def test_set_pair_pipelines_on_every_4th_pair_of_subsets():
+    g = construct_group("symmetric(3)")
+    table, _ = _subset_products(g)
+    sets = _subsets(g)
+    for i in range(0, len(sets) ** 2, 4):
+        a, b = sets[i // len(sets)], sets[i % len(sets)]
+        nm = a.size * b.size
+        ab = int(table[_bitmask(a), _bitmask(b)]).bit_count()
+        _, _, classify = classify_small_doubling(
+            a, b, ceil_sqrt_frac(Fraction(ab**2, nm)))
+        c = product_set(a, b)
+        weak = weak_bsg(a, b, c, 1, kprime_sq=Fraction(c.size**2, nm)).ledger
+        k = suites._energy_k(a, b)
+        extract = bsg_extract(a, b, k).ledger
+        for ledger in (classify, weak, extract):
+            assert ledger.hard_ok, (i, ledger.title)
+        rows = {(ledger.title, r.name): r.lhs
+                for ledger in (classify, weak, extract) for r in ledger.rows}
+        e = energy_quadruple_count(a, b)
+        assert (rows["classify_small_doubling", "doubling-hypothesis"],
+                rows["weak_bsg", "c-hypothesis"],
+                rows["weak_bsg", "density-hypothesis"],
+                rows["bsg_extract", "energy-hypothesis"]) == \
+            (ab**2, ab**2, nm, e**2 * k.numerator**2), i
 
 
 # ---------------------------------------------------- local products and pairs
