@@ -94,11 +94,11 @@ def _good_pairs(hit: np.ndarray, threshold: Fraction):
     return good, omega_cols.tolist()
 
 
-def _nonempty_set(g, ids, stage: str) -> MSet:
+def _nonempty_set(ledger: ConstantLedger, g, ids, stage: str) -> MSet:
+    """The ids' set; the hard row `<stage>-nonempty` fails if it is empty."""
     if not len(ids):
-        raise RuntimeError(
-            f"pipeline stage {stage!r} produced an empty set; "
-            "this cannot happen when the hypotheses hold")
+        ledger.refuse(f"{stage}-nonempty",
+                      note="the hypotheses rule out an empty stage")
     return MSet.from_ids(g, ids)
 
 
@@ -163,23 +163,23 @@ def _weak_bsg(a: MSet, b: MSet, c: MSet, k: Fraction, kp_sq: Fraction,
                    formula="F(b*) >= |A|^2/2K^2")
 
     rows = np.flatnonzero(hit[:, best_j])
-    a_prime = _nonempty_set(g, a_ids[rows], "A'")
+    a_prime = _nonempty_set(ledger, g, a_ids[rows], "a-prime")
     ledger.compare("dense-subset", 2 * k**2 * a_prime.size**2, ">=",
                    Fraction(a.size**2), formula="2K^2|A'|^2 >= |A|^2")
 
     good = good[np.ix_(rows, rows)]
     omega_count = good.size - int(np.count_nonzero(good))
     if omega_count != omega_cols[best_j]:
-        raise RuntimeError(
+        ledger.refuse("omega-recount", note=(
             f"|Ω ∩ A'^2| recount gives {omega_count}, but the column tally "
-            f"for b* gives {omega_cols[best_j]}")
+            f"for b* gives {omega_cols[best_j]}"))
     ledger.compare("omega-small", omega_count, "<=", eps * a_prime.size**2,
                    formula="|Ω ∩ A'^2| <= ε|A'|^2")
     ids = a_prime.id_array()
     quotients = _product_matrix(g, ids, g.inv_array(ids))
     d_mask = np.zeros(g.order, dtype=bool)
     d_mask[quotients[good]] = True
-    d = _nonempty_set(g, np.flatnonzero(d_mask), "D")
+    d = _nonempty_set(ledger, g, np.flatnonzero(d_mask), "d")
     ledger.compare("quotient-size", eps * d.size, "<=",
                    2 * k**2 * kp_sq * a.size,
                    formula="ε|D| <= 2(KK')^2|A|")
@@ -252,7 +252,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     # Level set of the convolution at height sqrt(|A||B|)/2K: for integer
     # counts, 4p²·cnt² > q²|A||B| iff cnt > isqrt(q²|A||B| // 4p²).
     level = counts > math.isqrt(q**2 * nm // (4 * p**2))
-    c = _nonempty_set(g, np.flatnonzero(level), "C")
+    c = _nonempty_set(ledger, g, np.flatnonzero(level), "c")
     ledger.compare("level-set-size", c.size**2, "<=", 4 * k**2 * nm,
                    formula="|C|^2 <= 4K^2|A||B|")
     n_c = int(counts[level].sum())
@@ -262,7 +262,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     hit = member_mask(c)[products]
     prime_rows = np.flatnonzero(
         np.count_nonzero(hit, axis=1) > q * b.size // (4 * p))
-    a_prime = _nonempty_set(g, a_ids[prime_rows], "A'")
+    a_prime = _nonempty_set(ledger, g, a_ids[prime_rows], "a-prime")
     ledger.compare("a-prime-size", 4 * p * a_prime.size, ">=", q * a.size,
                    formula="4K|A'| >= |A|")
     l = Fraction(a.size, a_prime.size)
@@ -288,7 +288,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
     ledger.compare("bad-pairs-total", total_bad, "<=",
                    eps * a_second.size**2, formula="Σ bad <= |A''|^2/32K")
     third_rows = second_rows[bad_counts <= q * a_second.size // (16 * p)]
-    a_third = _nonempty_set(g, a_ids[third_rows], "A'''")
+    a_third = _nonempty_set(ledger, g, a_ids[third_rows], "a-third")
     ledger.compare("a-third-half", 2 * a_third.size, ">=", a_second.size,
                    formula="|A'''| >= |A''|/2")
     ledger.compare("a-third-size", 128 * k**2 * a_third.size**2, ">=",
@@ -296,7 +296,7 @@ def bsg_extract(a: MSet, b: MSet, k) -> BsgExtract:
 
     col_hits = np.count_nonzero(hit[second_rows], axis=0)
     third_cols = np.flatnonzero(col_hits > q * a_second.size // (8 * p))
-    b_third = _nonempty_set(g, b_ids[third_cols], "B'''")
+    b_third = _nonempty_set(ledger, g, b_ids[third_cols], "b-third")
     ledger.compare("b-third-size", 8 * p * b_third.size, ">=", q * b.size,
                    formula="8K|B'''| >= |B|")
 

@@ -17,10 +17,11 @@ Every quantitative conclusion is recorded as a ledger row holding the exact
 integers (or rationals) on both sides of the inequality, so a suite run can
 re-check each bound with no floating-point slack.  Hard rows are theorem
 conclusions: a failing hard row means the implementation is wrong, and
-``ConstantLedger.check`` raises.  Every premise goes through
-``ConstantLedger.require``: its row keeps the kind it is recorded with (hard,
-or soft for the two local-product premises), and a false premise raises
-ValueError with the ledger title and that row.  Info rows carry sizes and
+``ConstantLedger.check`` raises LedgerError with the failing rows.  Every
+premise goes through ``ConstantLedger.require``: its row keeps the kind it is
+recorded with (hard, or soft for the two local-product premises), and a false
+premise raises LedgerError with the ledger title and that row.  ValueError is
+left for malformed input and bad parameters.  Info rows carry sizes and
 ratios for the report.
 """
 
@@ -30,7 +31,7 @@ import operator
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -107,12 +108,12 @@ class LedgerRow(NamedTuple):
 
 
 class LedgerError(RuntimeError):
-    """A hard ledger row failed; carries the failing rows."""
+    """A false premise or failed hard rows: the ledger title, then the
+    failing rows, which it carries."""
 
     def __init__(self, title: str, failures: list[LedgerRow]):
         self.failures = failures
-        detail = "; ".join(row.line() for row in failures[:4])
-        super().__init__(f"{title}: {len(failures)} hard row(s) failed: {detail}")
+        super().__init__(f"{title}: " + "; ".join(r.line() for r in failures))
 
 
 class ConstantLedger:
@@ -135,16 +136,21 @@ class ConstantLedger:
         return holds
 
     def require(self, name, lhs, rel, rhs, kind="hard", formula="") -> None:
-        """Record a premise as compare does; a false one raises ValueError
+        """Record a premise as compare does; a false one raises LedgerError
         with the ledger title and the row."""
         if not self.compare(name, lhs, rel, rhs, kind, formula):
-            raise ValueError(f"{self.title}: {self.rows[-1].line()}")
+            raise LedgerError(self.title, self.rows[-1:])
 
     def claim(self, name, holds, lhs=None, rhs=None, formula="", note="") -> bool:
         """Record a hard verdict, its sides optional."""
         self.rows.append(
             LedgerRow(name, "hard", lhs, "", rhs, bool(holds), formula, note))
         return bool(holds)
+
+    def refuse(self, name, note="") -> NoReturn:
+        """Record a failed hard verdict and raise, as check does."""
+        self.claim(name, False, note=note)
+        self.check()
 
     def info(self, name, value, note="") -> None:
         self.rows.append(LedgerRow(name, "info", value, "", None, None, "", note))

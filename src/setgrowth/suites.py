@@ -136,10 +136,15 @@ class Report:
                      ledger: ConstantLedger) -> None:
         self._place(module, operation, ledger.rows)
 
-    def merge_failure(self, module: str, operation: str,
-                      exc: LedgerError) -> None:
-        """Record a raised hard failure as its failing rows (honest red)."""
-        self._place(module, operation, exc.failures)
+    @contextlib.contextmanager
+    def operation(self, module: str, operation: str):
+        """The one guard of a suite operation: a LedgerError raised in the
+        block places its failing rows under (module, operation), and the
+        suite goes on after the block, its later rows skipped."""
+        try:
+            yield
+        except LedgerError as exc:
+            self._place(module, operation, exc.failures)
 
     def _place(self, module: str, operation: str, rows) -> None:
         key = (module, operation)
@@ -684,10 +689,10 @@ def _run_musprop(job: SuiteJob, report: Report) -> None:
     for gspec, g, pool, rng in _group_pools(job, report, module, "musprop",
                                             max_size=30, extra_random=2):
         for i, (label, a) in enumerate(_topped_up(job, g, pool, rng, lo=4)):
-            k = measured_difference_ratio(a)
-            _, ledger = symmetric_core(a, k)
-            report.merge_ledger(module, f"symmetric_core[{gspec}|{label}#{i}]",
-                                ledger)
+            op = f"symmetric_core[{gspec}|{label}#{i}]"
+            with report.operation(module, op):
+                _, ledger = symmetric_core(a, measured_difference_ratio(a))
+                report.merge_ledger(module, op, ledger)
 
 
 def _run_weak_bsg(job: SuiteJob, report: Report) -> None:
@@ -698,9 +703,10 @@ def _run_weak_bsg(job: SuiteJob, report: Report) -> None:
         for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
             c = product_set(a, b)
             kp_sq = Fraction(c.size ** 2, a.size * b.size)
-            result = weak_bsg(a, b, c, Fraction(1), eps=eps, kprime_sq=kp_sq)
-            report.merge_ledger(
-                module, f"weak_bsg[{gspec}|{la}*{lb}#{i}]", result.ledger)
+            op = f"weak_bsg[{gspec}|{la}*{lb}#{i}]"
+            with report.operation(module, op):
+                result = weak_bsg(a, b, c, Fraction(1), eps=eps, kprime_sq=kp_sq)
+                report.merge_ledger(module, op, result.ledger)
 
 
 def _energy_k(a: MSet, b: MSet, e_val: int | None = None) -> Fraction:
@@ -721,14 +727,16 @@ def _run_bsg(job: SuiteJob, report: Report) -> None:
     op16 = "bsg_extract[cyclic(16)|progression-4]"
     report.add(module, op16, "energy-measured", "info",
                lhs=energy(a16, a16), note="E(A,A) for A = {0,1,2,3}")
-    extract = bsg_extract(a16, a16, _energy_k(a16, a16))
-    report.merge_ledger(module, op16, extract.ledger)
+    with report.operation(module, op16):
+        extract = bsg_extract(a16, a16, _energy_k(a16, a16))
+        report.merge_ledger(module, op16, extract.ledger)
     for gspec, g, pool, rng in _group_pools(job, report, module, "bsg",
                                             max_size=40, extra_random=1):
         for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
-            extract = bsg_extract(a, b, _energy_k(a, b))
-            report.merge_ledger(
-                module, f"bsg_extract[{gspec}|{la}*{lb}#{i}]", extract.ledger)
+            op = f"bsg_extract[{gspec}|{la}*{lb}#{i}]"
+            with report.operation(module, op):
+                extract = bsg_extract(a, b, _energy_k(a, b))
+                report.merge_ledger(module, op, extract.ledger)
 
 
 def _run_energy_equivalence(job: SuiteJob, report: Report) -> None:
@@ -736,9 +744,9 @@ def _run_energy_equivalence(job: SuiteJob, report: Report) -> None:
     for gspec, g, pool, rng in _group_pools(job, report, module, "equiv",
                                             max_size=32, extra_random=1):
         for i, ((la, a), (lb, b)) in enumerate(_draws(job, pool, rng)):
-            report.merge_ledger(
-                module, f"energy_equivalences[{gspec}|{la}*{lb}#{i}]",
-                energy_equivalences(a, b, _energy_k(a, b)))
+            op = f"energy_equivalences[{gspec}|{la}*{lb}#{i}]"
+            with report.operation(module, op):
+                report.merge_ledger(module, op, energy_equivalences(a, b, _energy_k(a, b)))
 
 
 def _local_product_sup(a: MSet) -> int:
@@ -754,13 +762,14 @@ def _run_tripling(job: SuiteJob, report: Report) -> None:
         for i, (label, a) in enumerate(_topped_up(job, g, pool, rng, lo=3)):
             k = measured_tripling(a)
             op = f"tripling[{gspec}|{label}#{i}]"
-            wit, wled = approx_group_from_tripling(a, k)
-            report.merge_ledger(module, op, wled)
-            report.add(module, op, "witness-verified", "hard",
-                       passed=wit.verified, note="all approximate-group clauses")
-            chain = tripling_chain(a, k, n=min(job.n, 6))
-            report.merge_ledger(module, f"tripling_chain[{gspec}|{label}#{i}]",
-                                chain)
+            with report.operation(module, op):
+                wit, wled = approx_group_from_tripling(a, k)
+                report.merge_ledger(module, op, wled)
+                report.add(module, op, "witness-verified", "hard",
+                           passed=wit.verified, note="all approximate-group clauses")
+            op = f"tripling_chain[{gspec}|{label}#{i}]"
+            with report.operation(module, op):
+                report.merge_ledger(module, op, tripling_chain(a, k, n=min(job.n, 6)))
         # Local-product corollary at the inferred constant.
         local = [(lbl, a) for lbl, a in pool if a.size <= 14][:3]
         local.extend(_small_random_sets(g, _rng(job, gspec, "local"),
@@ -769,9 +778,9 @@ def _run_tripling(job: SuiteJob, report: Report) -> None:
             sup_size = _local_product_sup(a)
             a2 = power_set(a, 2)
             k_local = Fraction(max(sup_size, a2.size), a.size)
-            ledger = local_tripling_check(a, k_local)
-            report.merge_ledger(
-                module, f"local_tripling[{gspec}|{label}#{i}]", ledger)
+            op = f"local_tripling[{gspec}|{label}#{i}]"
+            with report.operation(module, op):
+                report.merge_ledger(module, op, local_tripling_check(a, k_local))
         _plus_point_demo(report, module, gspec, g)
 
 
@@ -829,7 +838,7 @@ def _subgroup_by_order(g: FiniteGroup, order: int) -> MSet:
     """The first subgroup with the given order."""
     for _, members in _subgroups_of_order(g, order):
         return members
-    raise ValueError(f"no subgroup of order {order} in {g.name}")
+    ConstantLedger(g.name).refuse(f"subgroup-of-order-{order}")
 
 
 def _normal_quotient(g: FiniteGroup, order: int):
@@ -839,7 +848,7 @@ def _normal_quotient(g: FiniteGroup, order: int):
             return quotient_map(g, gens)
         except NotNormalError:
             continue
-    raise ValueError(f"no normal subgroup of order {order} in {g.name}")
+    ConstantLedger(g.name).refuse(f"normal-subgroup-of-order-{order}")
 
 
 def _full_set(g: FiniteGroup, q) -> MSet:
@@ -895,28 +904,23 @@ def _add_agreement(report: Report, module: str, op: str, a: MSet, q,
 def _run_splitting(job: SuiteJob, report: Report) -> None:
     module = "heisenberg"
     for gspec, h_order, builders in _split_instances():
-        g = construct_group(gspec)
-        if isinstance(g, hb.HeisenbergGroup):
-            q = g.vertical
-        else:
-            q = _normal_quotient(g, h_order)
-        for label, build in builders:
-            a = build(g, q)
-            op = f"split[{gspec}|{label}]"
-            sym = symmetrize(a)
-            k = measured_tripling(sym)
-            try:
-                witness = hb.split_approximate(sym, q, k)
-            except LedgerError as exc:
-                report.merge_failure(module, op, exc)
-                continue
-            report.merge_ledger(module, op, witness.ledger)
-            if subgroup_failure(a) is None:
-                exact = hb.exact_split_oracle(a, q)
-                report.merge_ledger(module, f"exact_split[{gspec}|{label}]",
-                                    exact.ledger)
-                _add_agreement(report, module, op, a, q, witness, exact,
-                               "B1 = B2 = B3 = A n H = exact B on subgroups")
+        with report.operation(module, f"split[{gspec}]"):
+            g = construct_group(gspec)
+            q = (g.vertical if isinstance(g, hb.HeisenbergGroup)
+                 else _normal_quotient(g, h_order))
+            for label, build in builders:
+                op = f"split[{gspec}|{label}]"
+                with report.operation(module, op):
+                    a = build(g, q)
+                    sym = symmetrize(a)
+                    witness = hb.split_approximate(sym, q, measured_tripling(sym))
+                    report.merge_ledger(module, op, witness.ledger)
+                    if subgroup_failure(a) is None:
+                        exact = hb.exact_split_oracle(a, q)
+                        report.merge_ledger(
+                            module, f"exact_split[{gspec}|{label}]", exact.ledger)
+                        _add_agreement(report, module, op, a, q, witness, exact,
+                                       "B1 = B2 = B3 = A n H = exact B on subgroups")
 
 
 def _heisenberg_families(g: hb.HeisenbergGroup, seed: int):
@@ -961,20 +965,16 @@ def _run_heisenberg(job: SuiteJob, report: Report) -> None:
         report.merge_ledger(module, f"build[p={p}]", g.construction_ledger)
         for label, a in _heisenberg_families(g, job.seed):
             op = f"heisen_inverse[p={p}|{label}]"
-            k = measured_tripling(a)
-            try:
-                witness = hb.heisen_inverse(a, k)
+            with report.operation(module, op):
+                witness = hb.heisen_inverse(a, measured_tripling(a))
                 converse = hb.verify_inverse_converse(witness, a)
-            except LedgerError as exc:
-                report.merge_failure(module, op, exc)
-                continue
-            report.merge_ledger(module, op, witness.ledger)
-            report.merge_ledger(module, f"converse[p={p}|{label}]", converse)
-            if subgroup_failure(a) is None:
-                exact = hb.exact_split_oracle(a, g.vertical)
-                split = hb.split_approximate(a, g.vertical, Fraction(1))
-                _add_agreement(report, module, op, a, g.vertical, split, exact,
-                               "genuine subgroup: B_i = A n H both routes")
+                report.merge_ledger(module, op, witness.ledger)
+                report.merge_ledger(module, f"converse[p={p}|{label}]", converse)
+                if subgroup_failure(a) is None:
+                    exact = hb.exact_split_oracle(a, g.vertical)
+                    split = hb.split_approximate(a, g.vertical, Fraction(1))
+                    _add_agreement(report, module, op, a, g.vertical, split,
+                                   exact, "genuine subgroup: B_i = A n H both routes")
 
 
 def _run_entropy(job: SuiteJob, report: Report) -> None:

@@ -36,3 +36,20 @@ def refusal():
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
     return run
+
+
+@pytest.fixture
+def refused_premise():
+    """refused_premise(call, message) checks that call() raises LedgerError
+    whose message is exactly `message`, the ledger title and one premise
+    row's line, and whose failures are that row alone."""
+    from setgrowth.structure import LedgerError
+
+    def run(call, message):
+        with pytest.raises(LedgerError) as exc:
+            call()
+        (row,) = exc.value.failures
+        title = message.split(": ", 1)[0]
+        assert str(exc.value) == message == f"{title}: {row.line()}"
+        assert row.failed
+    return run

@@ -107,7 +107,7 @@ def test_weak_worked_instance_cyclic16():
 def test_weak_rejects_bad_product_mass():
     # C misses most products, so the counting hypothesis fails
     c = MSet.from_ids(G16, [0])
-    with pytest.raises((ValueError, LedgerError)):
+    with pytest.raises(LedgerError):
         weak_bsg(A16, A16, c, 1, eps=Fraction(1, 2), kprime_sq=1)
 
 
@@ -158,7 +158,7 @@ def test_extract_size_conclusions():
 
 def test_extract_rejects_low_energy():
     spread = MSet.from_ids(G16, [0, 3, 7, 12])
-    with pytest.raises(ValueError):
+    with pytest.raises(LedgerError):
         bsg_extract(spread, spread, Fraction(1))
 
 
@@ -197,9 +197,8 @@ WHOLE16 = MSet.from_ids(G16, range(16))
      "energy_equivalences: [hard] input-i.energy-bound: 1296 >= 4096 FAIL "
      "(E^2K^2 >= (|A||B|)^3)"),
 ], ids=["weak-c", "weak-density", "bsg_extract", "clause-i"])
-def test_a_false_premise_is_refused_with_its_row(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
+def test_a_false_premise_is_refused_with_its_row(call, message, refused_premise):
+    refused_premise(call, message)
 
 
 @pytest.mark.parametrize("call", [

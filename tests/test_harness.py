@@ -22,6 +22,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +30,7 @@ from setgrowth import bsg, groups, suites
 from setgrowth.groups import DEFAULT_SEED, construct_group
 from setgrowth.setops import (MSet, inverse_set, product_set, subgroup_closure,
                               translate_left)
-from setgrowth.structure import ConstantLedger, LedgerError, ruzsa_cover
+from setgrowth.structure import ConstantLedger, ruzsa_cover
 from setgrowth.suites import (
     CSV_HEADER,
     SUITE_NAMES,
@@ -113,13 +114,13 @@ def test_merge_ledger_and_failure():
 
     bad = ConstantLedger("unit")
     bad.compare("broken", 3, "<=", 2)
-    try:
+    with rep.operation("m", "op2"):
         bad.check()
-    except LedgerError as exc:
-        rep.merge_failure("m", "op2", exc)
+        rep.add("m", "op2", "after-the-raise", "hard")     # skipped
     assert rep.exit_code() == 1
     assert any(r.name == "broken" and r.status == "fail"
                for r in rep.sorted_rows())
+    assert "after-the-raise" not in {r.name for r in rep.rows}
 
 
 def _failing_ledger():
@@ -130,13 +131,12 @@ def _failing_ledger():
     return led
 
 
-def test_merge_failure_renders_like_merge_ledger():
+def test_a_guarded_failure_renders_like_merge_ledger():
     merged = Report("demo")
     merged.merge_ledger("m", "op", _failing_ledger())
     failed = Report("demo")
-    with pytest.raises(LedgerError) as exc:
+    with failed.operation("m", "op"):
         _failing_ledger().check()
-    failed.merge_failure("m", "op", exc.value)
     want = [r.cells() for r in merged.sorted_rows()]
     assert [r.cells() for r in failed.sorted_rows()] == want
     assert want == [
@@ -1028,3 +1028,127 @@ def test_cli_suite_run_with_config(tmp_path, capsys):
     files = os.listdir(tmp_path / "reports")
     assert any(f.endswith(".csv") for f in files)
     assert any(f.endswith(".json") for f in files)
+
+
+# ---------------------------------------------------- one failure path
+# A failed check raises LedgerError wherever it is found, and the suite's
+# guard, Report.operation, places its failing rows under their operation.
+
+def _plant(monkeypatch, spec, x, y, s):
+    """Fresh groups, with the product x·y of the group `spec` planted as
+    x·y·s in its table and its scalar law."""
+    monkeypatch.setattr(groups, "_GROUPS", {})
+    g = construct_group(spec)
+    value = g.mul(g.mul(x, y), s)
+    g.table()[x, y] = value
+    law = g.mul
+    monkeypatch.setattr(g, "mul", lambda a, b: value if (a, b) == (x, y) else law(a, b))
+
+
+# the head of each operation name that the plant below fails, by suite
+_SUITE_OF_HEAD = {
+    "ruzsa_distance": "ruzsa-axioms", "tripling": "tripling",
+    "tripling_chain": "tripling", "local_tripling": "tripling",
+    "ruzsa_cover": "covering", "symmetric_core": "musprop",
+    "energy": "energy-identities", "weak_bsg": "weak-bsg",
+    "bsg_extract": "bsg", "energy_equivalences": "energy-equivalence",
+    "split": "splitting", "exact_split": "splitting",
+}
+
+
+def test_a_planted_product_fails_rows_of_its_group_and_the_report_is_written(
+        tmp_path, monkeypatch, capsys):
+    planted, clean = tmp_path / "planted", tmp_path / "clean"
+    with monkeypatch.context() as m:
+        _plant(m, "symmetric(4)", 0, 5, 3)     # 0·5 := 5·3
+        code = cli.main(["suite", "run", "--format", "both", "--out", str(planted)])
+    assert code == 1
+    assert sorted(os.listdir(planted)) == ["suite-all.csv", "suite-all.json"]
+    assert cli.main(["suite", "run", "--out", str(clean)]) == 0
+    capsys.readouterr()
+    new = rowdiff.read(planted / "suite-all.csv")
+    failed = [row["operation"] for row in new.values() if row["status"] == "fail"]
+    assert failed and all("symmetric(4)" in op for op in failed)
+    assert len({_SUITE_OF_HEAD[op.split("[")[0]] for op in failed}) >= 2
+    diff = list(rowdiff.diff(rowdiff.read(clean / "suite-all.csv"), new))
+    assert diff
+    for line in diff:
+        assert "symmetric(4)" in next(csv.reader([line[2:]]))[1], line
+
+
+def test_a_split_instance_without_its_normal_subgroup_is_one_failed_row(
+        monkeypatch):
+    def others(report):
+        return [r.cells() for r in report.sorted_rows()
+                if not r.operation.startswith("split[symmetric(4)")
+                and not r.operation.startswith("exact_split[symmetric(4)")]
+
+    clean = run_named_suite("splitting")
+    _plant(monkeypatch, "symmetric(4)", 6, 1, 3)     # (6,1) := (6·1)·3
+    planted = run_named_suite("splitting")
+    (row,) = planted.hard_failures()
+    assert (row.module, row.operation, row.name) == (
+        "heisenberg", "split[symmetric(4)]", "normal-subgroup-of-order-4")
+    assert len(planted.rows) == len(others(planted)) + 1
+    assert others(planted) == others(clean) and len(others(clean)) == 1068
+    assert planted.exit_code() == 1
+
+
+def _checks_by_operation(report):
+    """{operation: [(kind, name, status)]} over the hard and soft rows, in
+    the order they were placed; an operation of info rows only maps to []."""
+    out = {}
+    for r in report.rows:
+        checks = out.setdefault(r.operation, [])
+        if r.row.kind != "info":
+            checks.append((r.row.kind, r.name, r.status))
+    return out
+
+
+def _empty_member_mask(real):
+    """member_mask with no member: every row of A x B misses C, so A' is
+    empty."""
+    return lambda s: np.zeros(s.group.order, dtype=bool)
+
+
+def _flipped_good_pairs(real):
+    """_good_pairs with the good pairs read back flipped, so the recount of
+    Ω disagrees with the column tally."""
+    def flipped(hit, threshold):
+        good, omega_cols = real(hit, threshold)
+        return ~good, omega_cols
+    return flipped
+
+
+@pytest.mark.parametrize("suite, op, target, wrap, name", [
+    ("bsg", "bsg_extract", "member_mask", _empty_member_mask, "a-prime-nonempty"),
+    ("weak-bsg", "weak_bsg", "_good_pairs", _flipped_good_pairs, "omega-recount"),
+], ids=["empty-stage", "omega-recount"])
+def test_a_failed_bsg_stage_is_a_row_the_guard_places(suite, op, target, wrap,
+                                                      name, monkeypatch):
+    monkeypatch.setattr(bsg, target, wrap(getattr(bsg, target)))
+    job = replace(default_job(suite), groups=("cyclic(48)",), count=3)
+    ops = _checks_by_operation(run_suite(SuiteConfig((job,))))
+    extracts = {o: rows for o, rows in ops.items() if o.startswith(op)}
+    assert len(extracts) == 3 + (suite == "bsg")    # bsg adds cyclic(16)'s
+    assert all(rows == [("hard", name, "fail")] for rows in extracts.values())
+
+
+def test_a_soft_premise_failure_is_placed_and_the_run_goes_on(monkeypatch):
+    real = suites.local_tripling_check
+    monkeypatch.setattr(suites, "local_tripling_check",
+                        lambda a, k: real(a, Fraction(1, 20)))
+    job = replace(default_job("tripling"), groups=("symmetric(4)", "cyclic(37)"))
+    report = run_suite(SuiteConfig((job,)))
+    ops = _checks_by_operation(report)
+    local = {o: rows for o, rows in ops.items()
+             if o.startswith("local_tripling[") and "subgroup_plus_point" not in o}
+    assert len(local) == 2 * 9
+    assert all(rows == [("soft", "local-product-hypothesis", "fail")]
+               for rows in local.values())
+    # the operations after each refused one still ran: the plus-point demo
+    # of both groups, and the second group's tripling rows
+    assert {"local_tripling[symmetric(4)|subgroup_plus_point]",
+            "local_tripling[cyclic(37)|subgroup_plus_point]"} <= set(ops)
+    assert any(o.startswith("tripling[cyclic(37)") for o in ops)
+    assert report.exit_code() == 0

@@ -170,9 +170,10 @@ def test_require_records_a_true_premise_as_compare_does():
 def test_require_refuses_a_false_premise_with_its_row(kind):
     led, ref = ConstantLedger("demo"), ConstantLedger("demo")
     ref.compare("premise", 5, "<=", 4, kind=kind, formula="|A| <= 4")
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(LedgerError) as exc:
         led.require("premise", 5, "<=", 4, kind=kind, formula="|A| <= 4")
     assert led.rows == ref.rows
+    assert exc.value.failures == ref.rows
     assert str(exc.value) == f"demo: {ref.rows[0].line()}"
     assert str(exc.value) == f"demo: [{kind}] premise: 5 <= 4 FAIL (|A| <= 4)"
 
@@ -205,20 +206,21 @@ TRIPLING_4 = MSet.from_ids(G100, [0, 1, 10, 30])    # |A^3| = 19
      "(sup_a |A·a·A| <= K|A|)"),
 ], ids=["approx_group_from_tripling", "tripling_chain", "symmetric_core",
         "classify_small_doubling", "local_tripling_check"])
-def test_a_false_premise_is_refused_with_its_row(call, message):
-    _refused(call, message)
+def test_a_false_premise_is_refused_with_its_row(call, message, refused_premise):
+    refused_premise(call, message)
 
 
-def test_local_tripling_refuses_a_false_square_premise(monkeypatch):
+def test_local_tripling_refuses_a_false_square_premise(monkeypatch, refused_premise):
     # while the local-product row measures |A·A·a| = |A^2| (ROADMAP item 1)
     # the square premise cannot fail first; with A·a read as {1} the sup
     # is |A| = 5 and |A^2| = 9 > (3/2)|A|
     monkeypatch.setattr(structure, "translate_right",
                         lambda a, x: MSet.from_ids(a.group, [0]))
-    _refused(lambda: local_tripling_check(symmetrize(MSet.from_ids(G100, [1, 2])),
-                                          Fraction(3, 2)),
-             "local_tripling_check: [soft] square-hypothesis: 9 <= 15/2 FAIL "
-             "(|A^2| <= K|A|)")
+    refused_premise(
+        lambda: local_tripling_check(symmetrize(MSet.from_ids(G100, [1, 2])),
+                                     Fraction(3, 2)),
+        "local_tripling_check: [soft] square-hypothesis: 9 <= 15/2 FAIL "
+        "(|A^2| <= K|A|)")
 
 
 @pytest.mark.parametrize("call", [
@@ -298,7 +300,7 @@ def test_from_tripling_worked_example():
 def test_from_tripling_rejects_bad_hypothesis():
     a = MSet.from_ids(G100, [0, 1, 10, 30])
     k = measured_tripling(a) - Fraction(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(LedgerError):
         approx_group_from_tripling(a, k)
 
 
@@ -342,7 +344,7 @@ def test_symmetric_core_worked_example():
 def test_symmetric_core_rejects_bad_hypothesis():
     g = construct_group("cyclic(8)")
     a = MSet.from_ids(g, [0, 1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(LedgerError):
         symmetric_core(a, Fraction(1))
 
 
@@ -372,7 +374,7 @@ def test_classify_worked_example():
 def test_classify_rejects_bad_hypothesis():
     g = construct_group("cyclic(1000)")
     a = MSet.from_ids(g, range(10))
-    with pytest.raises(ValueError):
+    with pytest.raises(LedgerError):
         classify_small_doubling(a, a, Fraction(1))
 
 
@@ -392,7 +394,7 @@ def test_local_tripling_happy_path():
 
 def test_local_tripling_rejects_below_measured():
     a = symmetrize(MSet.from_ids(G100, [1, 2]))
-    with pytest.raises((ValueError, LedgerError)):
+    with pytest.raises(LedgerError):
         local_tripling_check(a, Fraction(1, 100))
 
 
