@@ -10,4 +10,10 @@ the package itself loads none of them, so a process compiles only the
 modules it reaches.
 """
 
+import os
+
+# no setgrowth routine calls BLAS, yet an idle OpenBLAS worker spins on a
+# second core once numpy is imported; a value the user set is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

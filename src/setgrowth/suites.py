@@ -255,7 +255,8 @@ def emit_report(report: Report, format: str = "csv",
 
     Output is byte-stable for identical reports: rows sorted by
     (module, operation, seq, name), each rendered once by ReportRow.cells
-    for every format.  Returns the list of written paths.
+    for every format.  An existing file at a path is unlinked and written
+    anew, never truncated.  Returns the list of written paths.
     """
     return _emit_cells(report, map(ReportRow.cells, report.sorted_rows()),
                        format, out)
@@ -273,6 +274,11 @@ def _emit_cells(report: Report, cells, format: str,
     slug = "".join(c if c.isalnum() or c == "-" else "-"
                    for c in report.title.lower()) or "report"
     paths = [os.path.join(out_dir, f"{slug}.{fmt}") for fmt in formats]
+    for path in paths:
+        # a new file, never a truncated one: truncating a file that was
+        # written moments ago waits on the filesystem's flush of it
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
     with contextlib.ExitStack() as stack:
         writers = [
             _WRITERS[fmt](stack.enter_context(

@@ -573,6 +573,23 @@ def test_emit_single_row_exact_integers(tmp_path):
     assert data["summary"]["hard"] == 1
 
 
+def test_emit_replaces_and_never_truncates(tmp_path):
+    # a reader holding the old files keeps their whole bytes, because each
+    # emit writes a new file at the path instead of truncating the old one
+    first, second = Report("replace-demo"), Report("replace-demo")
+    first.add("m", "op", "row", "hard", lhs=1, rel="<=", rhs=2, passed=True)
+    second.add("m", "op", "other", "info", lhs=3**50)
+    paths = emit_report(first, format="both", out=str(tmp_path))
+    first_bytes = [Path(path).read_bytes() for path in paths]
+    with contextlib.ExitStack() as stack:
+        held = [stack.enter_context(open(path, "rb")) for path in paths]
+        assert emit_report(second, format="both", out=str(tmp_path)) == paths
+        assert [fh.read() for fh in held] == first_bytes
+    second_bytes = [Path(path).read_bytes() for path in paths]
+    assert second_bytes == [p.encode() for p in _buffered_payloads(second)]
+    assert all(a != b for a, b in zip(first_bytes, second_bytes))
+
+
 def test_emission_is_byte_stable(tmp_path):
     job = default_job("covering")
     rep1 = run_suite(SuiteConfig(jobs=(job,)))

@@ -1,6 +1,7 @@
-"""Cold import: the package root loads no submodule, a submodule loads only
-what it imports, importing the constants runs no fixpoint, and the report
-paths never load numpy.ma.  And no library API without a library caller:
+"""Cold import: the package root loads no submodule and asks OpenBLAS for one
+thread unless the caller chose a count, a submodule loads only what it
+imports, importing the constants runs no fixpoint, and the report paths
+never load numpy.ma.  And no library API without a library caller:
 every function, class and method under src/setgrowth/ is named by library
 code outside its own body.  And no option with one value in use: some
 library call sets each defaulted parameter.  And no stored field without a
@@ -25,11 +26,17 @@ import setgrowth
 _PACKAGE_PARENT = str(Path(setgrowth.__file__).resolve().parent.parent)
 
 
-def _run(code: str) -> str:
-    """Stdout of `code` in a fresh interpreter that imports this setgrowth."""
+def _run(code: str, **variables: str | None) -> str:
+    """Stdout of `code` in a fresh interpreter that imports this setgrowth;
+    each keyword sets that environment variable, or unsets it when None."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (_PACKAGE_PARENT, path))))
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
@@ -57,6 +64,16 @@ def _modules(*names: str) -> set[str]:
 ])
 def test_import_loads_only_what_it_reaches(statement, loaded):
     assert _loaded_after(statement) == loaded
+
+
+@pytest.mark.parametrize("preset, kept", [(None, "1"), ("3", "3")])
+def test_import_keeps_openblas_to_one_thread_unless_set(preset, kept):
+    # no setgrowth routine calls BLAS, so the package root asks OpenBLAS for
+    # one thread before any submodule imports numpy; a preset value stays
+    out = _run("import os, setgrowth\n"
+               "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+               OPENBLAS_NUM_THREADS=preset)
+    assert out.split() == [kept]
 
 
 def test_constants_import_runs_no_fixpoint():
